@@ -90,26 +90,25 @@ func (z *Float) addMant(negA bool, ma mpnat.Nat, ea int64, negB bool, mb mpnat.N
 		s = prec + 3 - bla
 	}
 	if gap := higha - highb; gap >= bla+s {
-		m := mpnat.Shl(ma, uint(s))
+		var buf [scratchWords]uint64
+		m := mpnat.Nat(buf[:0]).Shl(ma, uint(s))
 		if sameSign {
 			// Value is m + eps with 0 < eps < 1 unit.
 			return z.setRounded(negA, m, ea-s, true, rnd)
 		}
 		// Value is m - eps = (m-1) + (1-eps) with 0 < 1-eps < 1 unit.
-		return z.setRounded(negA, mpnat.Sub(m, mpnat.Nat{1}), ea-s, true, rnd)
+		return z.setRounded(negA, m.Sub(m, mpnat.Nat{1}), ea-s, true, rnd)
 	}
 
 	// Exact path: align to the common unit and add/subtract precisely.
 	// The shift amounts are bounded by the gap check above plus operand
-	// precisions, so this cannot blow up.
-	unit := ea
-	if eb < unit {
-		unit = eb
-	}
-	sa := mpnat.Shl(ma, uint(ea-unit))
-	sb := mpnat.Shl(mb, uint(eb-unit))
+	// precisions, so this cannot blow up. Only the operand above the
+	// common unit needs shifting.
+	var shbuf, sumbuf [scratchWords]uint64
+	unit, sa, sb := alignUnits(shbuf[:0], ma, ea, mb, eb)
+	sum := mpnat.Nat(sumbuf[:0])
 	if sameSign {
-		return z.setRounded(negA, mpnat.Add(sa, sb), unit, false, rnd)
+		return z.setRounded(negA, sum.Add(sa, sb), unit, false, rnd)
 	}
 	switch sa.Cmp(sb) {
 	case 0:
@@ -117,21 +116,31 @@ func (z *Float) addMant(negA bool, ma mpnat.Nat, ea int64, negB bool, mb mpnat.N
 		z.setZero(rnd == RoundTowardNegative)
 		return 0
 	case 1:
-		return z.setRounded(negA, mpnat.Sub(sa, sb), unit, false, rnd)
+		return z.setRounded(negA, sum.Sub(sa, sb), unit, false, rnd)
 	default:
-		return z.setRounded(negB, mpnat.Sub(sb, sa), unit, false, rnd)
+		return z.setRounded(negB, sum.Sub(sb, sa), unit, false, rnd)
 	}
+}
+
+// alignUnits rescales Ma * 2^Ea and Mb * 2^Eb to the common unit
+// min(Ea, Eb), returning it and the two integer mantissas. The operand
+// above the unit is shifted into buf's storage; the other is returned as is.
+func alignUnits(buf mpnat.Nat, ma mpnat.Nat, ea int64, mb mpnat.Nat, eb int64) (unit int64, sa, sb mpnat.Nat) {
+	switch {
+	case ea > eb:
+		return eb, buf.Shl(ma, uint(ea-eb)), mb
+	case eb > ea:
+		return ea, ma, buf.Shl(mb, uint(eb-ea))
+	}
+	return ea, ma, mb
 }
 
 // absCmp compares |Ma * 2^Ea| with |Mb * 2^Eb| given both have the same
 // most-significant-bit position.
 func absCmp(ma mpnat.Nat, ea int64, mb mpnat.Nat, eb int64) int {
-	// Align the units and compare.
-	unit := ea
-	if eb < unit {
-		unit = eb
-	}
-	return mpnat.Shl(ma, uint(ea-unit)).Cmp(mpnat.Shl(mb, uint(eb-unit)))
+	var buf [scratchWords]uint64
+	_, sa, sb := alignUnits(buf[:0], ma, ea, mb, eb)
+	return sa.Cmp(sb)
 }
 
 // Cmp compares x and y and returns -1, 0, or +1. It returns 0 if either

@@ -22,30 +22,32 @@ var (
 	ln2Cache constCache
 )
 
-func (c *constCache) get(bits uint, compute func(uint) mpnat.Nat) mpnat.Nat {
+// get sets z to the constant times 2^bits, truncated, and returns z.
+func (c *constCache) get(z mpnat.Nat, bits uint, compute func(uint) mpnat.Nat) mpnat.Nat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.bits >= bits {
-		return mpnat.Shr(c.val, c.bits-bits)
+	if c.bits < bits {
+		// Compute with a little headroom so nearby precisions reuse the cache.
+		wp := bits + 64
+		c.val = compute(wp)
+		c.bits = wp
 	}
-	// Compute with a little headroom so nearby precisions reuse the cache.
-	wp := bits + 64
-	c.val = compute(wp)
-	c.bits = wp
-	return mpnat.Shr(c.val, c.bits-bits)
+	return z.Shr(c.val, c.bits-bits)
 }
 
 // Pi sets z to π rounded to z's precision and returns the ternary value.
 func (z *Float) Pi(rnd RoundingMode) int {
 	wp := uint(z.effPrec()) + 32
-	fx := piCache.get(wp, computePi)
+	var buf [scratchWords]uint64
+	fx := piCache.get(buf[:0], wp, computePi)
 	return z.setRounded(false, fx, -int64(wp), true, rnd)
 }
 
 // Ln2 sets z to ln(2) rounded to z's precision and returns the ternary value.
 func (z *Float) Ln2(rnd RoundingMode) int {
 	wp := uint(z.effPrec()) + 32
-	fx := ln2Cache.get(wp, computeLn2)
+	var buf [scratchWords]uint64
+	fx := ln2Cache.get(buf[:0], wp, computeLn2)
 	return z.setRounded(false, fx, -int64(wp), true, rnd)
 }
 

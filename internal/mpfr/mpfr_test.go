@@ -849,17 +849,25 @@ func benchOp(b *testing.B, prec uint, op func(z, x, y *Float, rnd RoundingMode) 
 	// Fill the full precision with digits.
 	x.Sqrt(x, RoundNearestEven)
 	y.Sqrt(y, RoundNearestEven)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(z, x, y, RoundNearestEven)
 	}
 }
 
-func BenchmarkSin200(b *testing.B) {
+func BenchmarkSqrt200(b *testing.B) { benchUnary(b, "2.71828182845904523536", (*Float).Sqrt) }
+func BenchmarkSin200(b *testing.B)  { benchUnary(b, "0.7853981633974483", (*Float).Sin) }
+func BenchmarkLog200(b *testing.B)  { benchUnary(b, "2.71828182845904523536", (*Float).Log) }
+func BenchmarkAsin200(b *testing.B) { benchUnary(b, "0.7853981633974483", (*Float).Asin) }
+func BenchmarkAtan200(b *testing.B) { benchUnary(b, "0.7853981633974483", (*Float).Atan) }
+
+func benchUnary(b *testing.B, arg string, op func(z, x *Float, rnd RoundingMode) int) {
 	x, z := New(200), New(200)
-	x.SetString("0.7853981633974483", RoundNearestEven)
+	x.SetString(arg, RoundNearestEven)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.Sin(x, RoundNearestEven)
+		op(z, x, RoundNearestEven)
 	}
 }

@@ -34,18 +34,17 @@ func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, 
 	bl := m.BitLen()
 	shift := bl - prec
 
-	var mant mpnat.Nat
+	// The guard and sticky bits are read before z.mant is written: m may be
+	// z.mant itself (SetPrec rounds in place).
 	inexact := false
 	roundUp := false
-
 	if shift <= 0 {
-		mant = mpnat.Shl(m, uint(-shift))
+		z.mant = z.mant.Shl(m, uint(-shift))
 		inexact = stickyExtra
 		if stickyExtra {
-			roundUp = roundUpDecision(neg, false, true, mant, rnd)
+			roundUp = roundUpDecision(neg, false, true, z.mant, rnd)
 		}
 	} else {
-		mant = mpnat.Shr(m, uint(shift))
 		guard := m.Bit(shift-1) == 1
 		sticky := stickyExtra
 		if !sticky {
@@ -53,25 +52,20 @@ func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, 
 			sticky = lowBitsNonzero(m, shift-1)
 		}
 		inexact = guard || sticky
+		z.mant = z.mant.Shr(m, uint(shift))
 		if inexact {
-			roundUp = roundUpDecision(neg, guard, sticky, mant, rnd)
+			roundUp = roundUpDecision(neg, guard, sticky, z.mant, rnd)
 		}
 	}
 
 	exp := exp2 + int64(bl)
-	if roundUp {
-		mant = mpnat.AddWord(mant, 1)
-		if mant.BitLen() > prec {
-			// Carry out: 0.111..1 rounded up to 1.000..0.
-			mant = mpnat.Shr(mant, 1)
-			exp++
-		}
+	if roundUp && incMant(z.mant, prec) {
+		exp++
 	}
 
 	z.form = finite
 	z.neg = neg
 	z.exp = exp
-	z.mant = mant
 
 	if !inexact {
 		return 0
@@ -81,6 +75,27 @@ func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, 
 		return 1
 	}
 	return -1
+}
+
+// incMant adds one unit in the last place to the prec-bit mantissa m in
+// place. If that carries out of the top bit (m was all ones), m becomes
+// 2^(prec-1) — the rounded-up value 2^prec with one bit shifted out — and
+// incMant reports true so the caller can bump the exponent.
+func incMant(m mpnat.Nat, prec int) bool {
+	carried := true
+	for i := range m {
+		m[i]++
+		if m[i] != 0 {
+			carried = false
+			break
+		}
+	}
+	if !carried && m.BitLen() <= prec {
+		return false
+	}
+	clear(m)
+	m[(prec-1)/64] = 1 << ((prec - 1) % 64)
+	return true
 }
 
 // roundUpDecision decides whether to increment the truncated mantissa.
@@ -148,7 +163,7 @@ func (z *Float) roundUnderflowSticky(neg bool, exp2 int64, rnd RoundingMode) int
 	z.form = finite
 	z.neg = neg
 	prec := int64(z.effPrec())
-	z.mant = mpnat.Shl(mpnat.Nat{1}, uint(prec-1))
+	z.mant = z.mant.Shl(mpnat.Nat{1}, uint(prec-1))
 	z.exp = exp2 + 1
 	if neg {
 		return -1

@@ -4,8 +4,36 @@
 //
 // A Nat is a little-endian limb slice: word i holds bits [64*i, 64*i+64) of
 // the value. The canonical form has no trailing zero limbs; the zero value
-// (nil or empty slice) represents 0. All functions treat their Nat arguments
-// as immutable unless documented otherwise, and return canonical results.
+// (nil or empty slice) represents 0. Every operation returns a canonical
+// result.
+//
+// # Destination passing
+//
+// Each operation is a method in math/big's style, z = z.Op(x, y): the result
+// is written into z's storage when its capacity suffices and into a fresh
+// slice otherwise, and the result is returned — callers must use the return
+// value, never z itself. A caller that keeps its destinations (and, for
+// DivMod and SqrtRem, a scratch slice) from one call to the next therefore
+// computes without allocating; package mpfr passes slices of stack arrays.
+//
+// Aliasing rules:
+//
+//   - Set, Add, AddWord, Sub, Shl, Shr, MulWord: z may be the same slice
+//     (same first word) as x and/or y, which updates in place. Other
+//     overlaps between z and an operand are not allowed.
+//   - Mul, Sqr: z may share storage with x or y; the kernel detects it and
+//     writes into fresh storage instead.
+//   - DivMod, SqrtRem: each destination may be the same slice as an operand
+//     (whose value is then consumed); scratch, and any destination whose
+//     reuse would corrupt an operand still being read, is detected and
+//     replaced by fresh storage. Destinations and scratch must not share
+//     storage with one another.
+//
+// Operands are read-only unless passed as a destination too.
+//
+// The package-level functions (Add, Sub, Mul, DivMod, SqrtFloor, ...) are
+// the allocating forms: one-line wrappers that pass nil destinations, so
+// their results never share storage with their arguments.
 package mpnat
 
 import "math/bits"
@@ -50,22 +78,16 @@ func (x Nat) Bit(i int) uint {
 	return uint(x[i/64]>>(i%64)) & 1
 }
 
-// Clone returns an independent copy of x.
-func (x Nat) Clone() Nat {
-	if len(x) == 0 {
-		return nil
+// TrailingZeros returns the number of trailing zero bits in x; it returns 0
+// for x == 0.
+func (x Nat) TrailingZeros() int {
+	x = x.Norm()
+	for i, w := range x {
+		if w != 0 {
+			return i*64 + bits.TrailingZeros64(w)
+		}
 	}
-	z := make(Nat, len(x))
-	copy(z, x)
-	return z
-}
-
-// FromUint64 returns the Nat representing w.
-func FromUint64(w uint64) Nat {
-	if w == 0 {
-		return nil
-	}
-	return Nat{w}
+	return 0
 }
 
 // Uint64 returns the low 64 bits of x and whether x fits in a uint64.
@@ -101,412 +123,68 @@ func (x Nat) Cmp(y Nat) int {
 	return 0
 }
 
+// Clone returns an independent copy of x.
+func (x Nat) Clone() Nat { return Nat(nil).Set(x) }
+
+// FromUint64 returns the Nat representing w.
+func FromUint64(w uint64) Nat { return Nat(nil).SetUint64(w) }
+
 // Add returns x + y.
-func Add(x, y Nat) Nat {
-	if len(x) < len(y) {
-		x, y = y, x
-	}
-	z := make(Nat, len(x)+1)
-	var carry uint64
-	for i := range x {
-		yi := uint64(0)
-		if i < len(y) {
-			yi = y[i]
-		}
-		s, c1 := bits.Add64(x[i], yi, carry)
-		z[i] = s
-		carry = c1
-	}
-	z[len(x)] = carry
-	return z.Norm()
-}
+func Add(x, y Nat) Nat { return Nat(nil).Add(x, y) }
 
 // AddWord returns x + w.
-func AddWord(x Nat, w uint64) Nat {
-	return Add(x, Nat{w})
-}
+func AddWord(x Nat, w uint64) Nat { return Nat(nil).AddWord(x, w) }
 
 // Sub returns x - y. It panics if y > x (natural numbers cannot go negative).
-func Sub(x, y Nat) Nat {
-	x, y = x.Norm(), y.Norm()
-	if x.Cmp(y) < 0 {
-		panic("mpnat: Sub underflow")
-	}
-	z := make(Nat, len(x))
-	var borrow uint64
-	for i := range x {
-		yi := uint64(0)
-		if i < len(y) {
-			yi = y[i]
-		}
-		d, b1 := bits.Sub64(x[i], yi, borrow)
-		z[i] = d
-		borrow = b1
-	}
-	return z.Norm()
-}
+func Sub(x, y Nat) Nat { return Nat(nil).Sub(x, y) }
 
 // Shl returns x << s.
-func Shl(x Nat, s uint) Nat {
-	x = x.Norm()
-	if len(x) == 0 || s == 0 {
-		return x.Clone()
-	}
-	limbs, off := int(s/64), s%64
-	z := make(Nat, len(x)+limbs+1)
-	if off == 0 {
-		copy(z[limbs:], x)
-	} else {
-		var carry uint64
-		for i, w := range x {
-			z[limbs+i] = w<<off | carry
-			carry = w >> (64 - off)
-		}
-		z[limbs+len(x)] = carry
-	}
-	return z.Norm()
-}
+func Shl(x Nat, s uint) Nat { return Nat(nil).Shl(x, s) }
 
 // Shr returns x >> s (bits shifted out are discarded).
-func Shr(x Nat, s uint) Nat {
-	x = x.Norm()
-	limbs, off := int(s/64), s%64
-	if limbs >= len(x) {
-		return nil
-	}
-	z := make(Nat, len(x)-limbs)
-	if off == 0 {
-		copy(z, x[limbs:])
-	} else {
-		for i := 0; i < len(z); i++ {
-			w := x[limbs+i] >> off
-			if limbs+i+1 < len(x) {
-				w |= x[limbs+i+1] << (64 - off)
-			}
-			z[i] = w
-		}
-	}
-	return z.Norm()
-}
-
-// karatsubaThreshold is the limb count above which Mul switches from
-// schoolbook multiplication to Karatsuba. Chosen empirically; the exact
-// value only matters for large-precision performance, not correctness.
-const karatsubaThreshold = 24
+func Shr(x Nat, s uint) Nat { return Nat(nil).Shr(x, s) }
 
 // Mul returns x * y.
-func Mul(x, y Nat) Nat {
-	x, y = x.Norm(), y.Norm()
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	if len(x) < karatsubaThreshold || len(y) < karatsubaThreshold {
-		return mulSchoolbook(x, y)
-	}
-	return mulKaratsuba(x, y)
-}
+func Mul(x, y Nat) Nat { return Nat(nil).Mul(x, y) }
 
 // MulWord returns x * w.
-func MulWord(x Nat, w uint64) Nat {
-	x = x.Norm()
-	if len(x) == 0 || w == 0 {
-		return nil
-	}
-	z := make(Nat, len(x)+1)
-	var carry uint64
-	for i, xi := range x {
-		hi, lo := bits.Mul64(xi, w)
-		s, c := bits.Add64(lo, carry, 0)
-		z[i] = s
-		carry = hi + c
-	}
-	z[len(x)] = carry
-	return z.Norm()
-}
+func MulWord(x Nat, w uint64) Nat { return Nat(nil).MulWord(x, w) }
 
-func mulSchoolbook(x, y Nat) Nat {
-	z := make(Nat, len(x)+len(y))
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		var carry uint64
-		for j, yj := range y {
-			hi, lo := bits.Mul64(xi, yj)
-			s, c1 := bits.Add64(lo, z[i+j], 0)
-			s, c2 := bits.Add64(s, carry, 0)
-			z[i+j] = s
-			carry = hi + c1 + c2
-		}
-		z[i+len(y)] += carry
-	}
-	return z.Norm()
-}
-
-func mulKaratsuba(x, y Nat) Nat {
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
-	}
-	half := (n + 1) / 2
-
-	split := func(v Nat) (lo, hi Nat) {
-		if len(v) <= half {
-			return v.Norm(), nil
-		}
-		return Nat(v[:half]).Norm(), Nat(v[half:]).Norm()
-	}
-	x0, x1 := split(x)
-	y0, y1 := split(y)
-
-	z0 := Mul(x0, y0) // low product
-	z2 := Mul(x1, y1) // high product
-	// z1 = (x0+x1)(y0+y1) - z0 - z2
-	z1 := Sub(Sub(Mul(Add(x0, x1), Add(y0, y1)), z0), z2)
-
-	res := Add(z0, Shl(z1, uint(64*half)))
-	res = Add(res, Shl(z2, uint(128*half)))
-	return res
-}
-
-// Sqr returns x * x using a dedicated squaring kernel: the cross partial
-// products x[i]*x[j] (i != j) are symmetric, so they are computed once and
-// doubled, roughly halving the multiply work relative to Mul(x, x). GMP's
-// mpn layer makes the same specialization (mpn_sqr), and mpfr's
-// exponentiation loops lean on it heavily.
-func Sqr(x Nat) Nat {
-	x = x.Norm()
-	if len(x) == 0 {
-		return nil
-	}
-	if len(x) < karatsubaThreshold {
-		return sqrSchoolbook(x)
-	}
-	return sqrKaratsuba(x)
-}
-
-// sqrSchoolbook computes x² via the triangle-and-double decomposition:
-//
-//	x² = 2 * Σ_{i<j} x[i]x[j]·B^(i+j)  +  Σ_i x[i]²·B^(2i)
-//
-// Only the strictly-upper triangle of cross products is materialized; the
-// doubling is a one-bit shift of the accumulated triangle; the diagonal of
-// 128-bit squares is added last.
-func sqrSchoolbook(x Nat) Nat {
-	n := len(x)
-	z := make(Nat, 2*n)
-
-	// Upper triangle: z += x[i] * x[j] at limb offset i+j for every j > i.
-	for i := 0; i < n-1; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		var carry uint64
-		for j := i + 1; j < n; j++ {
-			hi, lo := bits.Mul64(xi, x[j])
-			s, c1 := bits.Add64(lo, z[i+j], 0)
-			s, c2 := bits.Add64(s, carry, 0)
-			z[i+j] = s
-			carry = hi + c1 + c2
-		}
-		z[i+n] += carry
-	}
-
-	// Double the triangle: z <<= 1 in place.
-	var top uint64
-	for i := range z {
-		w := z[i]
-		z[i] = w<<1 | top
-		top = w >> 63
-	}
-
-	// Diagonal: z += Σ x[i]² at limb offset 2i.
-	var carry uint64
-	for i := 0; i < n; i++ {
-		hi, lo := bits.Mul64(x[i], x[i])
-		s, c := bits.Add64(z[2*i], lo, carry)
-		z[2*i] = s
-		s, c2 := bits.Add64(z[2*i+1], hi, c)
-		z[2*i+1] = s
-		carry = c2
-	}
-	// carry can only propagate into limbs above 2n-1 if the square
-	// overflowed 2n limbs, which it cannot: (B^n - 1)² < B^(2n).
-	return z.Norm()
-}
-
-// sqrKaratsuba recurses with three squarings instead of three general
-// multiplies: (x1·B + x0)² = x1²·B² + ((x0+x1)² − x0² − x1²)·B + x0².
-func sqrKaratsuba(x Nat) Nat {
-	half := (len(x) + 1) / 2
-	x0 := Nat(x[:half]).Norm()
-	x1 := Nat(x[half:]).Norm()
-
-	z0 := Sqr(x0)
-	z2 := Sqr(x1)
-	z1 := Sub(Sub(Sqr(Add(x0, x1)), z0), z2)
-
-	res := Add(z0, Shl(z1, uint(64*half)))
-	res = Add(res, Shl(z2, uint(128*half)))
-	return res
-}
+// Sqr returns x * x.
+func Sqr(x Nat) Nat { return Nat(nil).Sqr(x) }
 
 // DivMod returns the quotient and remainder of x / y. It panics when y is 0.
-func DivMod(x, y Nat) (q, r Nat) {
-	x, y = x.Norm(), y.Norm()
-	if len(y) == 0 {
-		panic("mpnat: division by zero")
-	}
-	if x.Cmp(y) < 0 {
-		return nil, x.Clone()
-	}
-	if len(y) == 1 {
-		q, rem := divModWord(x, y[0])
-		return q, FromUint64(rem)
-	}
-	return divModKnuth(x, y)
-}
+func DivMod(x, y Nat) (q, r Nat) { return Nat(nil).DivMod(nil, x, y, nil) }
 
-// divModWord divides x by a single word w.
-func divModWord(x Nat, w uint64) (q Nat, r uint64) {
-	q = make(Nat, len(x))
-	for i := len(x) - 1; i >= 0; i-- {
-		q[i], r = bits.Div64(r, x[i], w)
-	}
-	return q.Norm(), r
-}
-
-// divModKnuth implements Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) for
-// multi-limb division.
-func divModKnuth(u, v Nat) (q, r Nat) {
-	// D1: normalize so the top limb of v has its high bit set.
-	shift := uint(bits.LeadingZeros64(v[len(v)-1]))
-	vn := Shl(v, shift)
-	un := Shl(u, shift)
-	n := len(vn)
-	// The algorithm needs a zero guard limb above the dividend; un is a
-	// fresh allocation from Shl, so it is safe to extend and mutate.
-	un = append(un.Clone(), 0)
-	m := len(un) - n - 1
-	if m < 0 {
-		return nil, u.Clone()
-	}
-	q = make(Nat, m+1)
-
-	for j := m; j >= 0; j-- {
-		// D3: estimate qhat.
-		var qhat, rhat uint64
-		u2 := un[j+n]
-		u1 := un[j+n-1]
-		if u2 >= vn[n-1] {
-			qhat = ^uint64(0)
-		} else {
-			qhat, rhat = bits.Div64(u2, u1, vn[n-1])
-			// Refine using the second-highest divisor limb.
-			for {
-				hi, lo := bits.Mul64(qhat, vn[n-2])
-				var u0 uint64
-				if j+n-2 >= 0 {
-					u0 = un[j+n-2]
-				}
-				if hi > rhat || (hi == rhat && lo > u0) {
-					qhat--
-					var c uint64
-					rhat, c = bits.Add64(rhat, vn[n-1], 0)
-					if c != 0 {
-						break // rhat overflowed base; qhat is now small enough
-					}
-					continue
-				}
-				break
-			}
-		}
-		// D4: multiply and subtract un[j..j+n] -= qhat * vn.
-		var borrow, mulCarry uint64
-		for i := 0; i < n; i++ {
-			hi, lo := bits.Mul64(qhat, vn[i])
-			lo, c := bits.Add64(lo, mulCarry, 0)
-			mulCarry = hi + c
-			d, b := bits.Sub64(un[j+i], lo, borrow)
-			un[j+i] = d
-			borrow = b
-		}
-		d, b := bits.Sub64(un[j+n], mulCarry, borrow)
-		un[j+n] = d
-		// D5/D6: if we subtracted too much, add back one vn.
-		if b != 0 {
-			qhat--
-			var carry uint64
-			for i := 0; i < n; i++ {
-				s, c := bits.Add64(un[j+i], vn[i], carry)
-				un[j+i] = s
-				carry = c
-			}
-			un[j+n] += carry
-		}
-		q[j] = qhat
-	}
-	// D8: denormalize remainder.
-	r = Shr(Nat(un[:n]).Norm(), shift)
-	return q.Norm(), r
-}
-
-// TrailingZeros returns the number of trailing zero bits in x; it returns 0
-// for x == 0.
-func (x Nat) TrailingZeros() int {
-	x = x.Norm()
-	for i, w := range x {
-		if w != 0 {
-			return i*64 + bits.TrailingZeros64(w)
-		}
-	}
-	return 0
-}
-
-// SqrtFloor returns floor(sqrt(x)) using Newton's integer iteration.
+// SqrtFloor returns floor(sqrt(x)).
 func SqrtFloor(x Nat) Nat {
-	x = x.Norm()
-	if len(x) == 0 {
+	root, _ := Nat(nil).SqrtRem(nil, x, nil)
+	return root
+}
+
+// make returns z resized to n words, reusing z's storage when its capacity
+// suffices. The words' contents are unspecified.
+func (z Nat) make(n int) Nat {
+	if n <= cap(z) {
+		return z[:n]
+	}
+	return make(Nat, n)
+}
+
+// alias reports whether x and y share a backing array (math/big's test:
+// slices of one array with the same capacity end).
+func alias(x, y Nat) bool {
+	return cap(x) > 0 && cap(y) > 0 && &x[0:cap(x)][cap(x)-1] == &y[0:cap(y)][cap(y)-1]
+}
+
+// take splits an n-word buffer off the front of *s, capping its capacity so
+// it cannot grow into the rest of *s. When *s is too short it returns nil,
+// and the kernel that receives it allocates.
+func take(s *Nat, n int) Nat {
+	if cap(*s) < n {
 		return nil
 	}
-	if bl := x.BitLen(); bl <= 52 {
-		// Small enough that float math is exact after verification.
-		w, _ := x.Uint64()
-		r := uint64(isqrt64(w))
-		return FromUint64(r)
-	}
-	// Initial guess: 2^ceil(bitlen/2), guaranteed >= sqrt(x).
-	guess := Shl(Nat{1}, uint((x.BitLen()+1)/2))
-	for {
-		// next = (guess + x/guess) / 2
-		quot, _ := DivMod(x, guess)
-		next, _ := divModWord(Add(guess, quot), 2)
-		next = append(Nat{}, next...) // defensive copy; divModWord may alias
-		if next.Cmp(guess) >= 0 {
-			// Converged: guess is floor(sqrt(x)) or one too high.
-			for Mul(guess, guess).Cmp(x) > 0 {
-				guess = Sub(guess, Nat{1})
-			}
-			return guess
-		}
-		guess = next
-	}
-}
-
-func isqrt64(v uint64) uint64 {
-	if v == 0 {
-		return 0
-	}
-	r := uint64(1) << ((bits.Len64(v) + 1) / 2)
-	for {
-		n := (r + v/r) / 2
-		if n >= r {
-			for r*r > v {
-				r--
-			}
-			return r
-		}
-		r = n
-	}
+	t := (*s)[:0:n]
+	*s = (*s)[n:cap(*s)]
+	return t
 }
