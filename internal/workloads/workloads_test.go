@@ -120,3 +120,14 @@ func TestWorkloadsUnderVanillaFPVM(t *testing.T) {
 		})
 	}
 }
+
+// TestCGSourceDeterministic guards the NAS CG input against map iteration
+// order: every call, in any process, must generate the same program text.
+func TestCGSourceDeterministic(t *testing.T) {
+	want := cgSource(200, 8, 15, 12345)
+	for i := 0; i < 20; i++ {
+		if got := cgSource(200, 8, 15, 12345); got != want {
+			t.Fatalf("cgSource call %d generated different text", i+2)
+		}
+	}
+}
