@@ -573,3 +573,25 @@ func TestNegOnNaNKeepsNaN(t *testing.T) {
 		t.Error("abs(NaN)")
 	}
 }
+
+// TestRoundUpCarriesOut rounds all-ones mantissas up: the increment carries
+// out of the top bit, within a limb and across a whole limb.
+func TestRoundUpCarriesOut(t *testing.T) {
+	for _, prec := range []uint{8, 64, 100, 128} {
+		// x = 2^(prec+8) − 1 exactly: prec+8 one bits.
+		x := New(prec + 8)
+		x.SetUint64(1, RoundNearestEven)
+		x.Mul2Exp(x, int64(prec+8), RoundNearestEven)
+		one := New(8)
+		one.SetUint64(1, RoundNearestEven)
+		x.Sub(x, one, RoundNearestEven)
+		z := New(prec)
+		if tern := z.Set(x, RoundNearestEven); tern != 1 {
+			t.Errorf("prec %d: ternary %d, want 1", prec, tern)
+		}
+		m, e, _ := z.MantExp()
+		if e != int64(prec)+9 || m.BitLen() != int(prec) || m.TrailingZeros() != int(prec)-1 {
+			t.Errorf("prec %d: 2^%d − 1 rounded to mant bits %d, exp %d; want 2^%d", prec, prec+8, m.BitLen(), e, prec+8)
+		}
+	}
+}
