@@ -24,10 +24,10 @@ func (z *Float) SetFloat64(v float64, rnd RoundingMode) int {
 		return 0
 	case biased == 0:
 		// Subnormal: value = frac * 2^-1074.
-		return z.setRounded(neg, mpnat.FromUint64(frac), -1074, false, rnd)
+		return z.setRounded(neg, mpnat.Nat{frac}, -1074, false, rnd)
 	}
 	// Normal: value = (2^52 + frac) * 2^(biased - 1075).
-	return z.setRounded(neg, mpnat.FromUint64(1<<52|frac), biased-1075, false, rnd)
+	return z.setRounded(neg, mpnat.Nat{1<<52 | frac}, biased-1075, false, rnd)
 }
 
 // Float64 returns x converted to float64 with the given rounding mode,
@@ -244,7 +244,8 @@ func (z *Float) rint(x *Float, rnd RoundingMode) int {
 	}
 	// Split integer and fraction parts of the mantissa.
 	fracBits := uint(-ue)
-	intPart := mpnat.Shr(x.mant, fracBits)
+	var buf [scratchWords]uint64
+	intPart := mpnat.Nat(buf[:0]).Shr(x.mant, fracBits)
 	guard := x.mant.Bit(int(fracBits)-1) == 1
 	sticky := lowBitsNonzero(x.mant, int(fracBits)-1)
 	up := false
@@ -252,7 +253,7 @@ func (z *Float) rint(x *Float, rnd RoundingMode) int {
 		up = roundUpDecision(x.neg, guard, sticky, intPart, rnd)
 	}
 	if up {
-		intPart = mpnat.AddWord(intPart, 1)
+		intPart = intPart.AddWord(intPart, 1)
 	}
 	t := z.setRounded(x.neg, intPart, 0, false, rnd)
 	if guard || sticky {
