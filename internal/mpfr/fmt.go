@@ -3,28 +3,29 @@ package mpfr
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"fpvm/internal/mpnat"
 )
 
-// pow10Nat returns 10^n as a Nat.
-func pow10Nat(n int64) mpnat.Nat {
+// pow10Nat sets z to 10^n and returns z.
+func pow10Nat(z mpnat.Nat, n int64) mpnat.Nat {
 	if n < 0 {
 		panic("mpfr: pow10Nat negative")
 	}
-	z := mpnat.Nat{1}
+	z = z.SetUint64(1)
 	// Multiply in chunks of 10^19 (the largest power of ten in a uint64).
 	const chunkPow = 19
 	const chunk = uint64(10_000_000_000_000_000_000)
 	for ; n >= chunkPow; n -= chunkPow {
-		z = mpnat.MulWord(z, chunk)
+		z = z.MulWord(z, chunk)
 	}
 	w := uint64(1)
 	for ; n > 0; n-- {
 		w *= 10
 	}
-	return mpnat.MulWord(z, w)
+	return z.MulWord(z, w)
 }
 
 // SetString sets z to the value of s, which may be a decimal number with
@@ -88,10 +89,10 @@ func (z *Float) SetString(s string, rnd RoundingMode) (*Float, int, error) {
 
 	var t int
 	if exp10 >= 0 {
-		m := mpnat.Mul(digits, pow10Nat(exp10))
+		m := mpnat.Mul(digits, pow10Nat(nil, exp10))
 		t = z.setRounded(neg, m, 0, false, rnd)
 	} else {
-		den := pow10Nat(-exp10)
+		den := pow10Nat(nil, -exp10)
 		shift := int64(z.effPrec()) + 3 + int64(den.BitLen()) - int64(digits.BitLen())
 		if shift < 0 {
 			shift = 0
@@ -272,24 +273,24 @@ func (x *Float) scaledDigits(n, e10 int64) (string, bool) {
 	ue := x.unitExp()
 	p10 := n - 1 - e10 // multiply by 10^p10
 
-	num := x.mant
-	var den mpnat.Nat = mpnat.Nat{1}
+	var numBuf, denBuf, powBuf [2 * scratchWords]uint64
+	num, den := x.mant, mpnat.Nat(denBuf[:0]).SetUint64(1)
 	if p10 >= 0 {
-		num = mpnat.Mul(num, pow10Nat(p10))
+		num = mpnat.Nat(numBuf[:0]).Mul(num, pow10Nat(powBuf[:0], p10))
 	} else {
-		den = pow10Nat(-p10)
+		den = pow10Nat(den, -p10)
 	}
 	if ue >= 0 {
-		num = mpnat.Shl(num, uint(ue))
+		num = mpnat.Nat(numBuf[:0]).Shl(num, uint(ue))
 	} else {
-		den = mpnat.Shl(den, uint(-ue))
+		den = den.Shl(den, uint(-ue))
 	}
-	q, r := mpnat.DivMod(num, den)
+	var qBuf, rBuf, scratch [2 * scratchWords]uint64
+	q, r := mpnat.Nat(qBuf[:0]).DivMod(rBuf[:0], num, den, scratch[:0])
 	// Round half up on the remainder (formatting choice; ties are unlikely
 	// to matter for diagnostics and EXPERIMENTS output).
-	r2 := mpnat.Shl(r, 1)
-	if r2.Cmp(den) >= 0 {
-		q = mpnat.AddWord(q, 1)
+	if r = r.Shl(r, 1); r.Cmp(den) >= 0 {
+		q = q.AddWord(q, 1)
 	}
 	s := natDecimal(q)
 	if int64(len(s)) > n {
@@ -303,18 +304,29 @@ func natDecimal(v mpnat.Nat) string {
 	if v.IsZero() {
 		return "0"
 	}
-	var chunks []uint64
-	const chunk = uint64(10_000_000_000_000_000_000) // 10^19
-	for !v.IsZero() {
-		q, r := mpnat.DivMod(v, mpnat.Nat{chunk})
+	// Peel off base-10^19 chunks, least significant first, dividing a copy
+	// of v in place.
+	var buf [2 * scratchWords]uint64
+	var chunks [2 * scratchWords]uint64
+	var rb [1]uint64
+	q, r := mpnat.Nat(buf[:0]).Set(v), mpnat.Nat(rb[:0])
+	ten19 := mpnat.Nat{10_000_000_000_000_000_000}
+	digits := chunks[:0]
+	for len(q) != 0 {
+		q, r = q.DivMod(r, q, ten19, nil)
 		rw, _ := r.Uint64()
-		chunks = append(chunks, rw)
-		v = q
+		digits = append(digits, rw)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", chunks[len(chunks)-1])
-	for i := len(chunks) - 2; i >= 0; i-- {
-		fmt.Fprintf(&b, "%019d", chunks[i])
+	b := make([]byte, 0, 20*len(digits))
+	b = strconv.AppendUint(b, digits[len(digits)-1], 10)
+	for i := len(digits) - 2; i >= 0; i-- {
+		var c [19]byte
+		w := digits[i]
+		for k := 18; k >= 0; k-- {
+			c[k] = byte('0' + w%10)
+			w /= 10
+		}
+		b = append(b, c[:]...)
 	}
-	return b.String()
+	return string(b)
 }
