@@ -3,10 +3,10 @@ FUZZTIME ?= 30s
 # Minimum aggregate statement coverage (percent) over ./internal/...
 COVERFLOOR ?= 80
 
-.PHONY: ci fmt vet build test benchmark-test race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke bench
+.PHONY: ci fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke bench
 
 # ci mirrors .github/workflows/ci.yml exactly.
-ci: fmt vet build test benchmark-test race cover oracle chaos bench-gate serve-smoke chaosload-smoke sanitize-smoke fuzz-smoke
+ci: fmt vet build test benchmark-test microbench race cover oracle chaos bench-gate serve-smoke chaosload-smoke sanitize-smoke fuzz-smoke
 
 fmt:
 	@files=$$(gofmt -l .); \
@@ -26,6 +26,11 @@ test:
 # the benchmark's output checks fire.
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The dispatch and trap-delivery microbenchmarks, run for a fixed short count
+# so they keep building and running (the numbers are not gated).
+microbench:
+	$(GO) test -run '^$$' -bench 'StepDispatch|TrapDelivery' -benchtime 2000x ./internal/machine
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server.

@@ -1,6 +1,10 @@
 package fpvm
 
-import "fpvm/internal/arith"
+import (
+	"slices"
+
+	"fpvm/internal/arith"
+)
 
 // Arena is FPVM's shadow-value allocator: a slot table whose indices are the
 // keys carried in NaN-boxes. The paper stores raw pointers in the boxes;
@@ -9,9 +13,12 @@ import "fpvm/internal/arith"
 // payloads, and it gives the garbage collector its "simple data structure
 // alongside a marked bit" (§4.1).
 type Arena struct {
-	vals   []arith.Value
-	inUse  []bool
-	marked []bool
+	// chunks hold the slot table in fixed-size blocks: key k lives in
+	// chunks[k>>arenaChunkShift][k&arenaChunkMask], and n keys have been
+	// handed out. A growing table adds a chunk instead of copying the whole
+	// table, and Reset keeps the chunks for reuse.
+	chunks []*arenaChunk
+	n      int
 	free   []uint64
 
 	allocs    uint64 // lifetime allocations
@@ -20,20 +27,36 @@ type Arena struct {
 	highWater int    // peak simultaneously-live cells
 }
 
+// arenaChunk is one fixed-size block of the slot table. The values and the
+// two bit arrays sit side by side rather than as one struct per slot: a
+// {value, bool, bool} struct pads to 24 bytes, these arrays take 18 per slot.
+type arenaChunk struct {
+	vals   [arenaChunkSize]arith.Value
+	inUse  [arenaChunkSize]bool
+	marked [arenaChunkSize]bool
+}
+
+// Slot-table chunk geometry: 4096 slots (72 KiB) per chunk.
+const (
+	arenaChunkShift = 12
+	arenaChunkSize  = 1 << arenaChunkShift
+	arenaChunkMask  = arenaChunkSize - 1
+)
+
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset empties the arena while retaining the slot table's capacity: after
+// Reset empties the arena while retaining the slot table's chunks: after
 // Reset, Live() == 0, every counter is zero, and the next Alloc hands out
 // key 0 — the exact key sequence a fresh arena produces, so a pooled
 // session's NaN-box patterns are bit-identical to a fresh session's. Value
 // references are dropped so the Go GC can reclaim the previous session's
-// shadows; the backing arrays are kept for reuse.
+// shadows; the chunks are kept for reuse.
 func (a *Arena) Reset() {
-	clear(a.vals) // release shadow-value references
-	a.vals = a.vals[:0]
-	a.inUse = a.inUse[:0]
-	a.marked = a.marked[:0]
+	for _, c := range a.chunks[:(a.n+arenaChunkMask)>>arenaChunkShift] {
+		*c = arenaChunk{} // release shadow-value references
+	}
+	a.n = 0
 	a.free = a.free[:0]
 	a.allocs = 0
 	a.reuses = 0
@@ -41,33 +64,55 @@ func (a *Arena) Reset() {
 	a.highWater = 0
 }
 
-// Alloc stores v and returns its key.
+// slot returns the chunk and in-chunk index of key; key must be below a.n.
+func (a *Arena) slot(key uint64) (*arenaChunk, uint64) {
+	return a.chunks[key>>arenaChunkShift], key & arenaChunkMask
+}
+
+// liveSlot is slot for a key that names an allocated cell; c is nil
+// otherwise.
+func (a *Arena) liveSlot(key uint64) (c *arenaChunk, i uint64) {
+	if key >= uint64(a.n) {
+		return nil, 0
+	}
+	if c, i = a.slot(key); c.inUse[i] {
+		return c, i
+	}
+	return nil, 0
+}
+
+// Alloc stores v and returns its key. Freed keys are reused last-freed
+// first; otherwise keys are handed out in increasing order.
 func (a *Arena) Alloc(v arith.Value) uint64 {
 	a.allocs++
 	a.live++
 	if a.live > a.highWater {
 		a.highWater = a.live
 	}
+	var k uint64
 	if n := len(a.free); n > 0 {
 		a.reuses++
-		k := a.free[n-1]
+		k = a.free[n-1]
 		a.free = a.free[:n-1]
-		a.vals[k] = v
-		a.inUse[k] = true
-		return k
+	} else {
+		k = uint64(a.n)
+		if int(k>>arenaChunkShift) == len(a.chunks) {
+			a.chunks = append(a.chunks, new(arenaChunk))
+		}
+		a.n++
 	}
-	a.vals = append(a.vals, v)
-	a.inUse = append(a.inUse, true)
-	a.marked = append(a.marked, false)
-	return uint64(len(a.vals) - 1)
+	c, i := a.slot(k)
+	c.vals[i] = v
+	c.inUse[i] = true
+	return k
 }
 
 // Get returns the shadow value for key, if allocated.
 func (a *Arena) Get(key uint64) (arith.Value, bool) {
-	if key >= uint64(len(a.vals)) || !a.inUse[key] {
-		return nil, false
+	if c, i := a.liveSlot(key); c != nil {
+		return c.vals[i], true
 	}
-	return a.vals[key], true
+	return nil, false
 }
 
 // Live returns the number of currently allocated cells.
@@ -89,27 +134,33 @@ func (a *Arena) Reuses() uint64 { return a.reuses }
 // named a live cell (the conservative scanner probes arbitrary bit
 // patterns, so misses are expected and harmless).
 func (a *Arena) Mark(key uint64) bool {
-	if key >= uint64(len(a.vals)) || !a.inUse[key] {
+	c, i := a.liveSlot(key)
+	if c == nil {
 		return false
 	}
-	a.marked[key] = true
+	c.marked[i] = true
 	return true
 }
 
 // Sweep frees every unmarked cell and clears all marks, returning the number
-// of cells freed and the number still alive.
+// of cells freed and the number still alive. Cells are visited in key order,
+// so freed keys join the free list in increasing order.
 func (a *Arena) Sweep() (freed, alive int) {
-	for k := range a.vals {
-		if !a.inUse[k] {
+	// At most every live cell is freed: size the free list once rather than
+	// regrowing it by append.
+	a.free = slices.Grow(a.free, a.live)
+	for k := 0; k < a.n; k++ {
+		c, i := a.slot(uint64(k))
+		if !c.inUse[i] {
 			continue
 		}
-		if a.marked[k] {
-			a.marked[k] = false
+		if c.marked[i] {
+			c.marked[i] = false
 			alive++
 			continue
 		}
-		a.vals[k] = nil
-		a.inUse[k] = false
+		c.vals[i] = nil
+		c.inUse[i] = false
 		a.free = append(a.free, uint64(k))
 		freed++
 	}

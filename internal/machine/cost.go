@@ -41,7 +41,7 @@ func DefaultCostModel() CostModel {
 }
 
 // opCost returns the base cost of executing op natively.
-func (c CostModel) opCost(op isa.Op) uint64 {
+func (c *CostModel) opCost(op isa.Op) uint64 {
 	switch op {
 	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpNot,
 		isa.OpNeg, isa.OpShl, isa.OpShr, isa.OpSar, isa.OpCmp, isa.OpTest,
@@ -81,8 +81,9 @@ func (c CostModel) opCost(op isa.Op) uint64 {
 }
 
 // memOperands counts memory operands in an instruction for cost purposes.
-func memOperands(in isa.Inst) uint64 {
-	var n uint64
+// Load stores the count in each instruction's side-table slot.
+func memOperands(in *isa.Inst) uint8 {
+	var n uint8
 	for _, o := range in.Ops {
 		if o.Kind == isa.KindMem {
 			n++

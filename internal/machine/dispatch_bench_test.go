@@ -57,11 +57,11 @@ func stepMap(m *Machine, decoded map[uint64]isa.Inst,
 			return nil
 		}
 	}
-	var slot instSlot
+	slot := instSlot{memOps: memOperands(&in)}
 	if s, ok := sites[in.Addr]; ok {
-		slot = instSlot{site: s, hasSite: true}
+		slot.site, slot.hasSite = s, true
 	}
-	return m.exec(in, &slot)
+	return m.exec(&in, &slot)
 }
 
 // BenchmarkStepDispatch compares the dense predecoded fetch path against the

@@ -70,18 +70,17 @@ func (m *Machine) writeFPBits(o isa.Operand, lane int, bits uint64) error {
 	}
 }
 
-func (m *Machine) advance(in isa.Inst) { m.RIP = in.Addr + uint64(in.Len) }
+func (m *Machine) advance(in *isa.Inst) { m.RIP = in.Addr + uint64(in.Len) }
 
 // exec executes (or traps) one decoded instruction; slot is the per-index
 // side-table entry of in.
-func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
+func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	// Correctness-trap sites installed by the static patcher fire before
 	// the instruction executes; the handler demotes NaN-boxes and the
 	// original instruction is then re-executed natively (§4.2).
 	if slot.hasSite && m.CorrectnessTrap != nil {
 		m.Stats.CorrectTraps++
-		f := &TrapFrame{M: m, Cause: CauseCorrectness, Inst: in, Idx: m.curIdx, Site: slot.site}
-		if err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, f); err != nil {
+		if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, slot.site); err != nil {
 			return err
 		}
 	}
@@ -92,15 +91,14 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 	// proceeds, so genuine quiet-NaN data does not loop.
 	if m.TrapOnNaNLoad && m.CorrectnessTrap != nil && !in.Op.IsFPArith() &&
 		!in.Op.IsFPMove() && !in.Op.IsFPBitwise() {
-		for _, o := range isa.IntReadMemOperands(in) {
+		for _, o := range isa.IntReadMemOperands(*in) {
 			bits, err := m.ReadU64(m.effAddr(o))
 			if err != nil {
 				break // the execution below reports the fault
 			}
 			if isNaNPattern(bits) {
 				m.Stats.CorrectTraps++
-				f := &TrapFrame{M: m, Cause: CauseCorrectness, Inst: in, Idx: m.curIdx, Site: -2}
-				if err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, f); err != nil {
+				if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, -2); err != nil {
 					return err
 				}
 				break
@@ -108,7 +106,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 		}
 	}
 
-	m.Cycles += m.Cost.opCost(in.Op) + m.Cost.MemAccess*memOperands(in)
+	m.Cycles += m.Cost.opCost(in.Op) + m.Cost.MemAccess*uint64(slot.memOps)
 
 	op := in.Op
 	switch {
@@ -297,8 +295,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 	case isa.OpCallext:
 		if m.ExternalTrap != nil {
 			m.Stats.ExtCallTraps++
-			f := &TrapFrame{M: m, Cause: CauseExternalCall, Inst: in, Idx: m.curIdx, Site: in.Ops[0].Imm}
-			if err := m.deliverTrap(m.ExternalTrap, m.CorrectnessDelivery, f); err != nil {
+			if _, err := m.deliverTrap(m.ExternalTrap, m.CorrectnessDelivery, CauseExternalCall, in, 0, in.Ops[0].Imm); err != nil {
 				return err
 			}
 		}
@@ -306,8 +303,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 	case isa.OpTrapc:
 		if m.CorrectnessTrap != nil {
 			m.Stats.CorrectTraps++
-			f := &TrapFrame{M: m, Cause: CauseCorrectness, Inst: in, Idx: m.curIdx, Site: in.Ops[0].Imm}
-			if err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, f); err != nil {
+			if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, in.Ops[0].Imm); err != nil {
 				return err
 			}
 		}
@@ -385,7 +381,7 @@ func (m *Machine) setCmpFlagsAdd(a, b, v int64) {
 	m.Flags.PF = false
 }
 
-func (m *Machine) execBranch(in isa.Inst) error {
+func (m *Machine) execBranch(in *isa.Inst) error {
 	taken := false
 	f := m.Flags
 	switch in.Op {
@@ -429,7 +425,7 @@ func (m *Machine) execBranch(in isa.Inst) error {
 	return nil
 }
 
-func (m *Machine) execFPMove(in isa.Inst) error {
+func (m *Machine) execFPMove(in *isa.Inst) error {
 	dst, src := in.Ops[0], in.Ops[1]
 	switch in.Op {
 	case isa.OpMovsd:
@@ -459,7 +455,7 @@ func (m *Machine) execFPMove(in isa.Inst) error {
 	return nil
 }
 
-func (m *Machine) execFPBitwise(in isa.Inst) error {
+func (m *Machine) execFPBitwise(in *isa.Inst) error {
 	dst, src := in.Ops[0], in.Ops[1]
 	if dst.Kind != isa.KindFPReg {
 		return m.fault("%v needs an FP register destination", in.Op)
@@ -517,7 +513,7 @@ func (m *Machine) SetCompareFlags(zf, pf, cf bool) {
 }
 
 // Advance moves RIP past in (used by trap handlers after emulation).
-func (m *Machine) Advance(in isa.Inst) { m.advance(in) }
+func (m *Machine) Advance(in isa.Inst) { m.advance(&in) }
 
 // ExecAt executes the instruction at dense-stream index idx exactly as the
 // dispatch loop would, minus the patch check: correctness sites, the NaN-load
@@ -531,11 +527,12 @@ func (m *Machine) ExecAt(idx int) error {
 		return m.fault("ExecAt index %d out of range", idx)
 	}
 	m.curIdx = idx
-	return m.exec(m.insts[idx], &m.slots[idx])
+	return m.exec(&m.insts[idx], &m.slots[idx])
 }
 
 // ExecMasked executes one instruction natively with every MXCSR exception
-// masked and no side-table dispatch: the graceful-degradation escape hatch
+// masked and no side-table dispatch (only the static memory-operand count of
+// its slot, so it pays the same cost): the graceful-degradation escape hatch
 // (§4.1–4.2's guarantee that anything can be demoted and run as plain IEEE).
 // No trap of any kind is delivered — FP events take their masked IEEE
 // response, patch and correctness sites are bypassed, and the NaN-load
@@ -550,7 +547,7 @@ func (m *Machine) ExecMasked(in isa.Inst) error {
 	inst, fp := m.Stats.Instructions, m.Stats.FPInstructions
 	m.MXCSR.SetMasks(fpu.FlagAll)
 	m.TrapOnNaNLoad = false
-	err := m.exec(in, &instSlot{})
+	err := m.exec(&in, &instSlot{memOps: memOperands(&in)})
 	m.MXCSR.SetMasks(masks)
 	m.TrapOnNaNLoad = nanLoad
 	m.Stats.Instructions, m.Stats.FPInstructions = inst, fp

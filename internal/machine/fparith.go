@@ -17,10 +17,11 @@ type fpLaneResult struct {
 // fault semantics: all lanes are computed, flags accumulated, and if any
 // event is unmasked in MXCSR the instruction does NOT retire — no result or
 // RFLAGS write happens — and the FP trap handler (FPVM) is invoked instead.
-func (m *Machine) execFPArith(in isa.Inst) error {
+func (m *Machine) execFPArith(in *isa.Inst) error {
 	var flags fpu.Flags
 	var lanes [2]fpLaneResult
-	var cmp *fpu.CompareResult
+	var cmp fpu.CompareResult
+	isCmp := false
 	var intResult int64
 	intDst := -1 // operand index of an integer destination (cvtsd2si)
 
@@ -92,14 +93,13 @@ func (m *Machine) execFPArith(in isa.Inst) error {
 			if err != nil {
 				return err
 			}
-			var c fpu.CompareResult
 			if in.Op == isa.OpUcomisd {
-				c = fpu.Ucomisd(math.Float64frombits(abits), math.Float64frombits(bbits))
+				cmp = fpu.Ucomisd(math.Float64frombits(abits), math.Float64frombits(bbits))
 			} else {
-				c = fpu.Comisd(math.Float64frombits(abits), math.Float64frombits(bbits))
+				cmp = fpu.Comisd(math.Float64frombits(abits), math.Float64frombits(bbits))
 			}
-			flags |= c.Flags
-			cmp = &c
+			flags |= cmp.Flags
+			isCmp = true
 
 		case isa.OpCvtsi2sd:
 			v, err := m.readInt(in.Ops[1])
@@ -136,25 +136,25 @@ func (m *Machine) execFPArith(in isa.Inst) error {
 	m.MXCSR.SetFlags(flags)
 	if unmasked != 0 {
 		m.Stats.FPTraps++
-		m.Stats.TrapByFlag[unmasked.String()]++
+		m.Stats.TrapByFlag[unmasked&fpu.FlagAll]++
 		if m.FPTrap == nil {
-			return m.fault("unhandled FP exception %v at %v", unmasked, in)
+			return m.fault("unhandled FP exception %v at %v", unmasked, *in)
 		}
-		f := &TrapFrame{M: m, Cause: CauseFPException, Inst: in, Idx: m.curIdx, Flags: unmasked}
-		if err := m.deliverTrap(m.FPTrap, m.Delivery, f); err != nil {
+		coalesced, err := m.deliverTrap(m.FPTrap, m.Delivery, CauseFPException, in, unmasked, 0)
+		if err != nil {
 			return err
 		}
 		// Multi-retire: a sequence-emulating handler may have retired a run
-		// of instructions beyond the faulting one (f.Coalesced of them), all
+		// of instructions beyond the faulting one (Coalesced of them), all
 		// inside the single delivery charged above.
-		m.Stats.Instructions += 1 + uint64(f.Coalesced)
-		m.Stats.CoalescedFP += uint64(f.Coalesced)
+		m.Stats.Instructions += 1 + uint64(coalesced)
+		m.Stats.CoalescedFP += uint64(coalesced)
 		return nil
 	}
 
 	// Retire: write results.
 	switch {
-	case cmp != nil:
+	case isCmp:
 		m.Flags.ZF, m.Flags.PF, m.Flags.CF = cmp.ZF, cmp.PF, cmp.CF
 		m.Flags.OF, m.Flags.SF = false, false
 	case intDst >= 0:

@@ -58,6 +58,13 @@ func (c TrapCause) String() string {
 // mutate machine state freely (like writing through a ucontext) and must
 // advance RIP past the faulting instruction if they emulated it.
 //
+// The frame belongs to the machine and is valid only for the duration of the
+// handler call: the machine fills the same storage for its next delivery, so
+// a handler that needs anything from the frame afterwards must copy it (copy
+// *f, not f). A delivery nested inside a handler — a trap raised by an
+// instruction a patch handler executes through ExecAt — gets a frame of its
+// own, so the outer handler's frame never changes under it.
+//
 // A handler may retire more than one instruction per delivery: after
 // emulating the faulting instruction it can keep walking the dense stream
 // and emulate the following instructions too (sequence emulation, the
@@ -80,39 +87,51 @@ type TrapFrame struct {
 }
 
 // TrapHandler processes a delivered trap. A nil return resumes execution at
-// the machine's (possibly updated) RIP.
+// the machine's (possibly updated) RIP. The frame is machine-owned and valid
+// only until the handler returns; a handler must not retain the pointer.
 type TrapHandler func(*TrapFrame) error
 
 // PatchHandler implements trap-and-patch (§3.2): it replaces the instruction
 // at a patched site. Returning handled=false makes the machine execute the
-// original instruction natively (precondition checks passed).
+// original instruction natively (precondition checks passed). As with
+// TrapHandler, the frame is machine-owned and valid only until the handler
+// returns.
 type PatchHandler func(*TrapFrame) (handled bool, err error)
+
+// maxFrameDepth is the number of machine-owned trap frames: one for a patch
+// dispatch or trap delivery, one for a delivery nested inside it (a patch
+// handler executing glue through ExecAt). Deeper nesting, which only a
+// handler that itself calls Step can produce, falls back to a heap frame.
+const maxFrameDepth = 2
 
 // Stats aggregates execution counters for the evaluation harness.
 type Stats struct {
-	Instructions    uint64            // retired instructions (incl. emulated)
-	FPInstructions  uint64            // retired FP-arithmetic instructions
-	FPTraps         uint64            // delivered FP exception traps
-	CoalescedFP     uint64            // instructions retired inside a trap delivery beyond the faulting one
-	CorrectTraps    uint64            // delivered correctness traps
-	ExtCallTraps    uint64            // delivered external-call traps
-	PatchInvokes    uint64            // trap-and-patch handler invocations
-	SBCompiled      uint64            // superblocks compiled by the trace-JIT tier
-	SBHits          uint64            // superblock entries executed (zero-delivery re-entries)
-	SBStitched      uint64            // superblock entries reached by stitching (no patch dispatch at all)
-	SBInvalidations uint64            // superblocks discarded on side-table/code-version changes
-	TrapByFlag      map[string]uint64 // trap counts keyed by flag set
-	Trap            trap.Stats        // delivery cost accounting
+	Instructions    uint64                  // retired instructions (incl. emulated)
+	FPInstructions  uint64                  // retired FP-arithmetic instructions
+	FPTraps         uint64                  // delivered FP exception traps
+	CoalescedFP     uint64                  // instructions retired inside a trap delivery beyond the faulting one
+	CorrectTraps    uint64                  // delivered correctness traps
+	ExtCallTraps    uint64                  // delivered external-call traps
+	PatchInvokes    uint64                  // trap-and-patch handler invocations
+	SBCompiled      uint64                  // superblocks compiled by the trace-JIT tier
+	SBHits          uint64                  // superblock entries executed (zero-delivery re-entries)
+	SBStitched      uint64                  // superblock entries reached by stitching (no patch dispatch at all)
+	SBInvalidations uint64                  // superblocks discarded on side-table/code-version changes
+	TrapByFlag      [fpu.FlagAll + 1]uint64 // FP trap counts indexed by the unmasked fpu.Flags set
+	Trap            trap.Stats              // delivery cost accounting
 }
 
 // instSlot is the per-instruction side table of the dense pipeline: one
 // bounds-checked array access at dispatch replaces the seed's three map
 // probes (decoded code, patch sites, correctness sites) per retired
-// instruction.
+// instruction. memOps is static: it is computed once at Load from the
+// immutable predecoded stream, so the per-instruction memory cost needs no
+// operand walk.
 type instSlot struct {
 	patch   PatchHandler // trap-and-patch handler, nil when unpatched
 	site    int64        // correctness-trap site id
 	hasSite bool         // whether a correctness site is installed
+	memOps  uint8        // memory operands of the instruction (cost model)
 }
 
 // Machine is a single-core simulated CPU with flat memory.
@@ -141,6 +160,11 @@ type Machine struct {
 	// and revalidates or discards itself when either has moved.
 	sideVer uint64
 	codeVer uint64
+
+	// frames are the machine-owned trap frames, one per delivery nesting
+	// level (see TrapFrame); frameDepth counts the levels in use.
+	frames     [maxFrameDepth]TrapFrame
+	frameDepth int
 
 	// Virtualization hooks.
 	FPTrap          TrapHandler // SIGFPE-analog handler (FPVM)
@@ -205,7 +229,6 @@ func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
 		CorrectnessDelivery: trap.DeliverUserSignal,
 		Out:                 out,
 	}
-	m.Stats.TrapByFlag = make(map[string]uint64)
 	m.MXCSR = fpu.DefaultMXCSR
 	if err := m.Load(prog); err != nil {
 		return nil, err
@@ -216,8 +239,8 @@ func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
 // Reset returns the machine to the exact state NewSized(prog, out, memSize)
 // would produce — architectural state, cost model, delivery profile, stats,
 // and hooks all back to their defaults — while retaining every allocation:
-// the memory image, the dense instruction stream, the addr→index table, the
-// side-table slots, and the stats map. This is what makes a machine cheaply
+// the memory image, the dense instruction stream, the addr→index table, and
+// the side-table slots. This is what makes a machine cheaply
 // poolable: a reused machine is bit-identical to a fresh one, it just does
 // not pay the allocations again.
 //
@@ -242,14 +265,9 @@ func (m *Machine) Reset(prog *isa.Program, out io.Writer, memSize int) error {
 	m.Flags = CPUFlags{}
 	m.MXCSR = fpu.DefaultMXCSR
 	m.Cycles = 0
-
-	tb := m.Stats.TrapByFlag
-	if tb == nil {
-		tb = make(map[string]uint64)
-	} else {
-		clear(tb)
-	}
-	m.Stats = Stats{TrapByFlag: tb}
+	m.Stats = Stats{}
+	m.frames = [maxFrameDepth]TrapFrame{}
+	m.frameDepth = 0
 
 	m.FPTrap, m.CorrectnessTrap, m.ExternalTrap = nil, nil, nil
 	m.TrapOnNaNLoad = false
@@ -266,9 +284,12 @@ func (m *Machine) Reset(prog *isa.Program, out io.Writer, memSize int) error {
 
 	if prog == m.Prog {
 		// Same immutable image: the predecoded stream and addr→index table
-		// are still exact. Only the side-table slots (patch handlers,
-		// correctness sites) belong to the previous session.
-		clear(m.slots)
+		// are still exact. Only the side-table slots' patch handlers and
+		// correctness sites belong to the previous session; their static
+		// memory-operand counts stay.
+		for i := range m.slots {
+			m.slots[i] = instSlot{memOps: m.slots[i].memOps}
+		}
 		m.sideVer++
 		return m.loadData(prog)
 	}
@@ -308,6 +329,9 @@ func (m *Machine) Load(prog *isa.Program) error {
 		clear(m.slots)
 	} else {
 		m.slots = make([]instSlot, len(m.insts))
+	}
+	for i := range m.insts {
+		m.slots[i].memOps = memOperands(&m.insts[i])
 	}
 	m.sideVer++
 	return m.loadData(prog)
@@ -558,27 +582,60 @@ func (m *Machine) CodeVersion() uint64 { return m.codeVer }
 // "all writable program memory", not text.
 func (m *Machine) WritableBase() uint64 { return m.dataBase }
 
-// deliverTrap charges delivery costs and invokes a handler. When a telemetry
-// collector is attached it also emits trap entry/exit events and attributes
-// the delivery's full modeled cost (entry + handler + exit) to the trap site;
-// the nil path is the exact pre-telemetry sequence.
-func (m *Machine) deliverTrap(h TrapHandler, k trap.Kind, f *TrapFrame) error {
+// pushFrame fills the machine-owned frame of the next nesting level for a
+// delivery at the instruction being dispatched; the caller pops it with
+// popFrame (deferred, so a panicking handler cannot leak a level) once it has
+// read the handler's results.
+func (m *Machine) pushFrame(cause TrapCause, in *isa.Inst, flags fpu.Flags, site int64) *TrapFrame {
+	var f *TrapFrame
+	if m.frameDepth < len(m.frames) {
+		f = &m.frames[m.frameDepth]
+	} else {
+		f = new(TrapFrame)
+	}
+	m.frameDepth++
+	// Field stores rather than a composite literal: the literal would be
+	// built on the stack and block-copied into the frame.
+	f.M, f.Cause, f.Inst, f.Idx = m, cause, *in, m.curIdx
+	f.Flags, f.Site, f.Coalesced = flags, site, 0
+	return f
+}
+
+func (m *Machine) popFrame() { m.frameDepth-- }
+
+// deliverTrap charges delivery costs and invokes a handler on a machine-owned
+// frame, returning the handler's Coalesced count. When a telemetry collector
+// is attached it also emits trap entry/exit events and attributes the
+// delivery's full modeled cost (entry + handler + exit) to the trap site; the
+// nil path is the exact pre-telemetry sequence.
+func (m *Machine) deliverTrap(h TrapHandler, k trap.Kind, cause TrapCause, in *isa.Inst, flags fpu.Flags, site int64) (int, error) {
+	f := m.pushFrame(cause, in, flags, site)
+	defer m.popFrame()
 	m.Stats.Trap.Record(m.Profile, k)
 	if m.Telem == nil {
 		m.Cycles += m.Profile.EntryCycles(k)
 		err := h(f)
 		m.Cycles += m.Profile.ExitCycles(k)
-		return err
+		return f.Coalesced, err
 	}
-	cause := telemetryCause(f.Cause)
+	tc := telemetryCause(f.Cause)
 	before := m.Cycles
 	m.Cycles += m.Profile.EntryCycles(k)
-	m.Telem.TrapEnter(cause, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags, m.Cycles)
+	m.Telem.TrapEnter(tc, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags, m.Cycles)
 	err := h(f)
 	m.Cycles += m.Profile.ExitCycles(k)
-	m.Telem.TrapExit(cause, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags,
+	m.Telem.TrapExit(tc, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags,
 		m.Cycles-before, f.Coalesced, m.Cycles)
-	return err
+	return f.Coalesced, err
+}
+
+// dispatchPatch runs a patch handler on a machine-owned frame and returns its
+// verdict and Coalesced count.
+func (m *Machine) dispatchPatch(ph PatchHandler, in *isa.Inst) (handled bool, coalesced uint64, err error) {
+	f := m.pushFrame(CauseFPException, in, 0, 0)
+	defer m.popFrame()
+	handled, err = ph(f)
+	return handled, uint64(f.Coalesced), err
 }
 
 // telemetryCause maps the machine's trap cause onto the telemetry package's
@@ -611,7 +668,7 @@ func (m *Machine) Step() error {
 		return m.fault("RIP not at an instruction boundary")
 	}
 	idx := int(m.addrIdx[m.RIP])
-	in := m.insts[idx]
+	in := &m.insts[idx]
 	m.curIdx = idx
 
 	// Trap-and-patch: a patched site bypasses fetch/execute and runs the
@@ -619,8 +676,7 @@ func (m *Machine) Step() error {
 	if ph := m.slots[idx].patch; ph != nil {
 		m.Cycles += m.Cost.PatchCheck
 		m.Stats.PatchInvokes++
-		f := TrapFrame{M: m, Cause: CauseFPException, Inst: in, Idx: idx}
-		handled, err := ph(&f)
+		handled, coalesced, err := m.dispatchPatch(ph, in)
 		if err != nil {
 			return err
 		}
@@ -628,8 +684,8 @@ func (m *Machine) Step() error {
 			// A patch handler may multi-retire like a coalescing trap handler
 			// does: a superblock executes a whole straight-line run under one
 			// patch check. Classic patches leave Coalesced at zero.
-			m.Stats.Instructions += 1 + uint64(f.Coalesced)
-			m.Stats.CoalescedFP += uint64(f.Coalesced)
+			m.Stats.Instructions += 1 + coalesced
+			m.Stats.CoalescedFP += coalesced
 			return nil
 		}
 		// Fall through: execute natively below.

@@ -218,7 +218,8 @@ func TestMXCSRTrapDelivery(t *testing.T) {
 	m.MXCSR.SetMasks(0) // unmask everything
 	var got *TrapFrame
 	m.FPTrap = func(f *TrapFrame) error {
-		got = f
+		fr := *f // the frame is machine-owned: keep a copy, not the pointer
+		got = &fr
 		// Emulate by writing a sentinel and skipping the instruction.
 		f.M.F[0][0] = math.Float64bits(999)
 		f.M.RIP = f.Inst.Addr + uint64(f.Inst.Len)

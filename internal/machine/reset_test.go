@@ -88,7 +88,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	if m.FPTrap != nil || m.TrapOnNaNLoad {
 		t.Error("Reset left hooks installed")
 	}
-	if m.Stats.Instructions != 0 || len(m.Stats.TrapByFlag) != 0 {
+	if m.Stats.Instructions != 0 || m.Stats.TrapByFlag != (Stats{}).TrapByFlag {
 		t.Errorf("Reset left stats behind: %+v", m.Stats)
 	}
 

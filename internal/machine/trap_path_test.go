@@ -1,0 +1,236 @@
+package machine
+
+import (
+	"testing"
+
+	"fpvm/internal/asm"
+	"fpvm/internal/fpu"
+	"fpvm/internal/isa"
+)
+
+// trapLoopProg is an endless loop around one trapping divide (1/3 rounds,
+// raising PE) and one integer move that loads from memory.
+const trapLoopProg = `
+	.data
+	x: .i64 7
+	.text
+		movsd f0, =1.0
+		movsd f1, =3.0
+	loop:
+		divsd f0, f1
+		mov r1, [x]
+		jmp loop
+`
+
+// newTrapLoop returns a machine on trapLoopProg with every exception
+// unmasked, a minimal FP-trap handler that retires the divide, and RIP
+// parked at the loop head.
+func newTrapLoop(t *testing.T) *Machine {
+	t.Helper()
+	m, err := New(asm.MustAssemble(trapLoopProg), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MXCSR.SetMasks(0)
+	m.FPTrap = func(f *TrapFrame) error {
+		f.M.MXCSR.ClearFlags()
+		f.M.Advance(f.Inst)
+		return nil
+	}
+	for i := 0; i < 2; i++ { // the two constant loads
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// loopAddr returns the address of the first instruction with op.
+func loopAddr(t *testing.T, m *Machine, op isa.Op) uint64 {
+	t.Helper()
+	for _, in := range m.Insts() {
+		if in.Op == op {
+			return in.Addr
+		}
+	}
+	t.Fatalf("no %v in program", op)
+	return 0
+}
+
+// TestTrapPathAllocatesNothing gates the three delivery paths of a warm
+// machine: a trapping Step whose handler only advances RIP, a patched site,
+// and a correctness-site delivery each allocate nothing.
+func TestTrapPathAllocatesNothing(t *testing.T) {
+	cases := []struct {
+		name      string
+		setup     func(*testing.T, *Machine) // installs the path under test
+		delivered func(*testing.T, *Machine) uint64
+	}{
+		{"fp-trap", func(*testing.T, *Machine) {}, func(t *testing.T, m *Machine) uint64 {
+			if m.Stats.TrapByFlag[fpu.FlagInexact] != m.Stats.FPTraps {
+				t.Errorf("TrapByFlag[PE] = %d, want every one of the %d traps",
+					m.Stats.TrapByFlag[fpu.FlagInexact], m.Stats.FPTraps)
+			}
+			return m.Stats.FPTraps
+		}},
+		{"patch", func(t *testing.T, m *Machine) {
+			m.SetPatch(loopAddr(t, m, isa.OpDivsd), func(f *TrapFrame) (bool, error) {
+				f.M.Advance(f.Inst)
+				return true, nil
+			})
+		}, func(_ *testing.T, m *Machine) uint64 { return m.Stats.PatchInvokes }},
+		{"correctness-site", func(t *testing.T, m *Machine) {
+			m.SetCorrectnessSite(loopAddr(t, m, isa.OpMov), 3)
+			m.CorrectnessTrap = func(*TrapFrame) error { return nil }
+		}, func(_ *testing.T, m *Machine) uint64 { return m.Stats.CorrectTraps }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := newTrapLoop(t)
+			c.setup(t, m)
+			a := testing.AllocsPerRun(200, func() {
+				for i := 0; i < 3; i++ { // one trip around the loop
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if a != 0 {
+				t.Errorf("%.1f allocations per loop trip, want 0", a)
+			}
+			if c.delivered(t, m) == 0 {
+				t.Error("the path under test never ran")
+			}
+		})
+	}
+}
+
+// frameView is the comparable part of a TrapFrame.
+type frameView struct {
+	cause     TrapCause
+	idx       int
+	addr      uint64
+	site      int64
+	flags     fpu.Flags
+	coalesced int
+}
+
+func viewOf(f *TrapFrame) frameView {
+	return frameView{f.Cause, f.Idx, f.Inst.Addr, f.Site, f.Flags, f.Coalesced}
+}
+
+// TestTrapFrameContract pins the frame ownership rule: every delivery sees a
+// frame describing its own trap, whatever an earlier handler wrote into the
+// machine-owned storage, and a delivery nested inside a patch handler leaves
+// the outer handler's frame untouched.
+func TestTrapFrameContract(t *testing.T) {
+	prog := asm.MustAssemble(`
+		movsd f0, =1.0
+		movsd f1, =3.0
+		divsd f0, f1     ; correctness site 7, then an FP trap (PE)
+		addsd f0, f1     ; patched: a two-instruction superblock-style hit
+		subsd f0, f1
+		trapc $5         ; glue the patch handler executes through ExecAt
+		halt
+	`)
+	m, err := New(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MXCSR.SetMasks(0)
+	insts := m.Insts()
+	var seen []frameView
+	record := func(f *TrapFrame) {
+		if f.M != m {
+			t.Errorf("frame names machine %p, want %p", f.M, m)
+		}
+		seen = append(seen, viewOf(f))
+		f.Coalesced = 99 // scribble: the next delivery must not see it
+		f.Site = 99
+	}
+	m.SetCorrectnessSite(insts[2].Addr, 7)
+	m.CorrectnessTrap = func(f *TrapFrame) error {
+		record(f)
+		return nil
+	}
+	m.FPTrap = func(f *TrapFrame) error {
+		record(f)
+		f.M.MXCSR.ClearFlags()
+		f.M.Advance(f.Inst)
+		f.Coalesced = 0
+		return nil
+	}
+	m.SetPatch(insts[3].Addr, func(f *TrapFrame) (bool, error) {
+		record(f)
+		outer := viewOf(f)
+		f.M.Advance(insts[4]) // retire addsd and subsd under one dispatch
+		// Carry on through the glue, as superblock stitching does: the trapc
+		// delivers a correctness trap nested inside this handler.
+		if err := f.M.ExecAt(5); err != nil {
+			return false, err
+		}
+		if got := viewOf(f); got != outer {
+			t.Errorf("nested delivery rewrote the outer frame: %+v, want %+v", got, outer)
+		}
+		f.Coalesced = 1
+		return true, nil
+	})
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+
+	at := func(i int) uint64 { return insts[i].Addr }
+	want := []frameView{
+		{CauseCorrectness, 2, at(2), 7, 0, 0},               // the site on the divide
+		{CauseFPException, 2, at(2), 0, fpu.FlagInexact, 0}, // the divide's own trap
+		{CauseFPException, 3, at(3), 0, 0, 0},               // the patch dispatch
+		{CauseCorrectness, 5, at(5), 5, 0, 0},               // trapc nested in it
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("saw %d deliveries, want %d: %+v", len(seen), len(want), seen)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Errorf("delivery %d saw %+v, want %+v", i, seen[i], want[i])
+		}
+	}
+	if m.Stats.Instructions != uint64(len(insts)) || m.Stats.CoalescedFP != 1 {
+		t.Errorf("Instructions = %d, CoalescedFP = %d; want %d, 1",
+			m.Stats.Instructions, m.Stats.CoalescedFP, len(insts))
+	}
+	if m.frameDepth != 0 {
+		t.Errorf("frameDepth = %d after the run, want 0", m.frameDepth)
+	}
+}
+
+// TestExecMaskedChargesMemoryCost pins ExecMasked to the dispatch loop's
+// cost: its slot carries no side-table entries, but the same static
+// memory-operand count, so a degraded instruction costs what native
+// execution of it costs.
+func TestExecMaskedChargesMemoryCost(t *testing.T) {
+	prog := asm.MustAssemble(`
+	.data
+	x: .f64 3.0
+	.text
+		addsd f0, [x]
+		halt
+	`)
+	native, err := New(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := native.Step(); err != nil {
+		t.Fatal(err)
+	}
+	masked, err := New(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := masked.ExecMasked(masked.Insts()[0]); err != nil {
+		t.Fatal(err)
+	}
+	want := masked.Cost.FPAddMul + masked.Cost.MemAccess
+	if native.Cycles != want || masked.Cycles != want {
+		t.Errorf("cycles: Step %d, ExecMasked %d; want %d for both", native.Cycles, masked.Cycles, want)
+	}
+}

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"fpvm/internal/arith"
 	"fpvm/internal/faultinject"
@@ -449,10 +448,14 @@ func runSystem(t Target, sys arith.System, o Options) (*SystemReport, error) {
 	sr.Emulated = vm.Stats.Emulated
 	sr.Instructions = vmach.Stats.Instructions
 	sr.Cycles = vmach.Cycles
-	for k, n := range vmach.Stats.TrapByFlag {
-		sr.TrapsByFlag[k] = n
+	for i, n := range vmach.Stats.TrapByFlag {
+		if n == 0 {
+			continue
+		}
+		set := fpu.Flags(i)
+		sr.TrapsByFlag[set.String()] = n
 		for _, c := range CondClasses {
-			if strings.Contains(k, c.String()) {
+			if set&c != 0 {
 				sr.CondCover[c] += n
 			}
 		}

@@ -126,8 +126,9 @@ type Result struct {
 	Cycles uint64
 	// Instructions is the retired instruction count.
 	Instructions uint64
-	// Machine is a copy of the machine's counters (the TrapByFlag map is
-	// cloned so the pooled machine can reuse its own).
+	// Machine is a copy of the machine's counters. Stats is a plain value
+	// (TrapByFlag is a fixed array), so the copy shares nothing with the
+	// pooled machine.
 	Machine machine.Stats
 	// VM is a copy of the FPVM runtime's counters.
 	VM fpvm.Stats
@@ -357,7 +358,6 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 		Machine:      s.m.Stats,
 		VM:           s.vm.Stats,
 	}
-	res.Machine.TrapByFlag = cloneFlagMap(s.m.Stats.TrapByFlag)
 	if patched != nil {
 		res.CorrectnessSites = len(patched.Sites)
 	}
@@ -399,18 +399,4 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 
 	s.runs++
 	return res, nil
-}
-
-// cloneFlagMap copies the machine's per-flag trap counters so the Result
-// survives the pooled machine's next Reset. A nil or empty map stays nil to
-// keep zero-trap runs allocation-free.
-func cloneFlagMap(m map[string]uint64) map[string]uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
