@@ -84,8 +84,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		seqlen   = fs.Int("seqlen", 16, "max instructions coalesced per trap delivery (with -seqemu)")
 		jit      = fs.Bool("jit", false, "enable the trace-JIT superblock tier; adds ablation columns to fig9/fig12 and jit rows to -json")
 		jitT     = fs.Int("jitthreshold", 8, "deliveries at one site before its run is compiled into a superblock (with -jit)")
-		stitch   = fs.Bool("stitch", false, "enable superblock stitching (requires -jit); adds a jit+stitch ablation rung and a warm shared-cache session-load record to -json")
-		stitchD  = fs.Int("stitchdepth", 4, "max chained superblocks per dispatch (with -stitch)")
 		topSites = fs.Int("topsites", 0, "with -json: attach trap telemetry and export the N hottest trap sites per record")
 		storm    = fs.Uint64("storm", 0, "trap-storm governor threshold: sites trapping more than N times are patched to demote and stay native (0 = off)")
 		sessions = fs.Int("sessions", 0, "with -json: attach a session-load record driving N runs through a pooled session (sessions/sec, p50/p99)")
@@ -114,14 +112,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	if *jit {
 		jitThresh = *jitT
 	}
-	stitchDepth := 0
-	if *stitch {
-		if !*jit {
-			fmt.Fprintln(stderr, "fpvm-bench: -stitch requires -jit")
-			return 2
-		}
-		stitchDepth = *stitchD
-	}
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -140,7 +130,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			TopSites:       *topSites,
 			StormThreshold: *storm,
 			JITThreshold:   jitThresh,
-			StitchDepth:    stitchDepth,
 			Sessions:       *sessions,
 			LoadWorkers:    *loadJobs,
 		}
@@ -218,7 +207,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			TopSites:       *topSites,
 			StormThreshold: *storm,
 			JITThreshold:   jitThresh,
-			StitchDepth:    stitchDepth,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "fpvm-bench: %s: %v\n", e.ID, err)

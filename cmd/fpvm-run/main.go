@@ -103,8 +103,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		seqlen    = fs.Int("seqlen", 16, "max instructions coalesced per trap delivery (with -seqemu)")
 		jit       = fs.Bool("jit", false, "trace-JIT: compile hot trap sites into cached superblocks that re-enter with zero delivery/decode/bind")
 		jitThresh = fs.Int("jitthreshold", 8, "deliveries at one site before its run is compiled into a superblock (with -jit)")
-		stitch    = fs.Bool("stitch", false, "superblock stitching: chain a retiring superblock directly into its successor's trace, skipping the patch dispatch (requires -jit)")
-		stitchD   = fs.Int("stitchdepth", 4, "max chained superblocks per dispatch (with -stitch)")
 		traceOut  = fs.String("trace", "", "write the telemetry event stream (trap entry/exit, promotions, demotions, GC epochs, sequences) to this JSONL file")
 		topSites  = fs.Int("topsites", 0, "print the N hottest trap sites (per-PC hits, attributed cycles, exception flags) after the run")
 		storm     = fs.Uint64("storm", 0, "trap-storm governor threshold: sites trapping more than N times are patched to demote and stay native (0 = off)")
@@ -141,13 +139,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	if *jit {
 		jitT = *jitThresh
 	}
-	stitchDepth := 0
-	if *stitch {
-		if !*jit {
-			return fail(fmt.Errorf("-stitch requires -jit"))
-		}
-		stitchDepth = *stitchD
-	}
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -172,11 +163,11 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *chaosRun {
-		return runChaos(stdout, stderr, *workload, injectCfg, *seeds, *storm, jitT, stitchDepth, *maxInst, sanitizing)
+		return runChaos(stdout, stderr, *workload, injectCfg, *seeds, *storm, jitT, *maxInst, sanitizing)
 	}
 
 	if *oracleRun {
-		return runOracle(stdout, stderr, *workload, *asmFile, *prec, *maxInst, *noPatch, maxSeq, *storm, jitT, stitchDepth, injectCfg)
+		return runOracle(stdout, stderr, *workload, *asmFile, *prec, *maxInst, *noPatch, maxSeq, *storm, jitT, injectCfg)
 	}
 
 	prog, err := loadProgram(*workload, *asmFile)
@@ -263,7 +254,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			MaxSequenceLen: maxSeq,
 			StormThreshold: *storm,
 			JITThreshold:   jitT,
-			StitchDepth:    stitchDepth,
 			Inject:         inj,
 			Sanitize:       san,
 		})
@@ -290,8 +280,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 					float64(s.Traps+s.Coalesced)/float64(s.Traps))
 			}
 			if ms := m.Stats; ms.SBCompiled > 0 || ms.SBHits > 0 {
-				fmt.Fprintf(stderr, "jit:          %d superblocks compiled, %d hits, %d stitched, %d invalidations\n",
-					ms.SBCompiled, ms.SBHits, ms.SBStitched, ms.SBInvalidations)
+				fmt.Fprintf(stderr, "jit:          %d superblocks compiled, %d hits, %d invalidations\n",
+					ms.SBCompiled, ms.SBHits, ms.SBInvalidations)
 			}
 			fmt.Fprintf(stderr, "emulated:     %d scalars (promotions %d, unboxings %d)\n",
 				s.Emulated, s.Promotions, s.Unboxings)
@@ -377,7 +367,7 @@ func finishTelemetry(stdout, stderr io.Writer, telem *telemetry.Collector, trace
 // -workload or -asm is given, else over every workload and example — and
 // returns non-zero if any virtualized-vanilla run is not bit-identical to
 // native execution.
-func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, maxInst uint64, noPatch bool, maxSeq int, storm uint64, jitT, stitchDepth int, inject *faultinject.Config) int {
+func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, maxInst uint64, noPatch bool, maxSeq int, storm uint64, jitT int, inject *faultinject.Config) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fpvm-run:", err)
 		return 1
@@ -410,7 +400,6 @@ func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, ma
 		MaxSequenceLen: maxSeq,
 		StormThreshold: storm,
 		JITThreshold:   jitT,
-		StitchDepth:    stitchDepth,
 		Inject:         inject,
 	}
 	failed := 0
@@ -440,12 +429,11 @@ func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, ma
 // hard degradation invariants. A -faults spec seeds the sweep: its seed
 // becomes the base seed, its highest seam rate the uniform error rate, and
 // its corrupt rate the corruption-tier rate.
-func runChaos(stdout, stderr io.Writer, workload string, inject *faultinject.Config, seeds int, storm uint64, jitT, stitchDepth int, maxInst uint64, sanitize bool) int {
+func runChaos(stdout, stderr io.Writer, workload string, inject *faultinject.Config, seeds int, storm uint64, jitT int, maxInst uint64, sanitize bool) int {
 	opts := chaos.Options{
 		Seeds:          seeds,
 		StormThreshold: storm,
 		JITThreshold:   jitT,
-		StitchDepth:    stitchDepth,
 		MaxInst:        maxInst,
 		Sanitize:       sanitize,
 		Log:            stderr,

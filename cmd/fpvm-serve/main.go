@@ -65,7 +65,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		allowF    = fs.Bool("allow-faults", false, "honor the request-level fault-injection spec (chaos harness only)")
 		noShared  = fs.Bool("no-shared-sb", false, "disable the server-wide warm superblock cache (per-request JIT compiles stay private)")
 		jit       = fs.Int("jit", 0, "trace-JIT threshold for -selftest sessions (0 = off)")
-		stitchD   = fs.Int("stitchdepth", 0, "superblock stitch depth for -selftest sessions (requires -jit)")
 		selftest  = fs.Bool("selftest", false, "run the in-process load harness instead of serving")
 		smoke     = fs.Bool("smoke", false, "smoke test: start the server on an ephemeral port, fire -sessions concurrent HTTP requests, assert all 200s and a clean shutdown")
 		chaosLd   = fs.Bool("chaosload", false, "chaos-under-load test: serve on an ephemeral port with fault injection armed, drive healthy and hostile tenant streams concurrently, and enforce the resilience invariants")
@@ -102,7 +101,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *selftest {
-		return runSelftest(stdout, stderr, cfg, *target, *arithName, *prec, *sessions, *jobs, *jit, *stitchD)
+		return runSelftest(stdout, stderr, cfg, *target, *arithName, *prec, *sessions, *jobs, *jit)
 	}
 	if *smoke {
 		n := *sessions
@@ -292,7 +291,7 @@ func timeHealthyRun() (time.Duration, error) {
 // runSelftest drives the in-process load harness: N session runs of one
 // target through a shared pool, reporting sessions/sec and tail latency —
 // the same numbers the bench trajectory records.
-func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName string, prec uint, sessions, jobs, jit, stitchDepth int) int {
+func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName string, prec uint, sessions, jobs, jit int) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fpvm-serve:", err)
 		return 1
@@ -316,7 +315,6 @@ func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName s
 		MemSize:        cfg.MemSize,
 		StormThreshold: cfg.Storm,
 		JITThreshold:   jit,
-		StitchDepth:    stitchDepth,
 		ArenaSoftCap:   cfg.ArenaSoftCap,
 		ArenaHardCap:   cfg.ArenaHardCap,
 	}

@@ -171,7 +171,6 @@ type tenantState struct {
 	rejected     atomic.Uint64 // requests fast-failed by the open breaker
 	sbCompiled   atomic.Uint64 // superblocks this tenant's runs compiled
 	sbHits       atomic.Uint64 // superblock entries this tenant's runs served
-	sbStitched   atomic.Uint64 // entries served through stitch links
 	sanitizeRuns atomic.Uint64 // runs with the sanitizer armed
 	certifyRuns  atomic.Uint64 // runs with interval certification armed
 
@@ -199,7 +198,6 @@ type server struct {
 	degraded   atomic.Uint64 // runs that hit a quota or degradation path
 	sbCompiled atomic.Uint64
 	sbHits     atomic.Uint64
-	sbStitched atomic.Uint64
 
 	// Overload and resilience accounting.
 	queued       atomic.Int64  // requests currently waiting for a worker slot
@@ -262,9 +260,6 @@ type runRequest struct {
 	// JITThreshold enables the trace-JIT superblock tier: sites delivered
 	// more than this many times compile into cached superblocks (0 = off).
 	JITThreshold int `json:"jitthreshold,omitempty"`
-	// StitchDepth chains up to this many successor superblocks per dispatch
-	// at retirement (requires jitthreshold > 0; 0 = off).
-	StitchDepth int `json:"stitchdepth,omitempty"`
 	// Trace returns the telemetry event stream as JSONL in the response.
 	Trace bool `json:"trace,omitempty"`
 	// TopSites returns the N hottest trap sites.
@@ -305,7 +300,6 @@ type runResponse struct {
 	StormPatches     uint64               `json:"storm_patches"`
 	SBCompiled       uint64               `json:"sb_compiled,omitempty"`
 	SBHits           uint64               `json:"sb_hits,omitempty"`
-	SBStitched       uint64               `json:"sb_stitched,omitempty"`
 	SBInvalidations  uint64               `json:"sb_invalidations,omitempty"`
 	BudgetGranted    uint64               `json:"budget_granted"`
 	BudgetExhausted  bool                 `json:"budget_exhausted"`
@@ -476,7 +470,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		MaxSequenceLen: req.SeqLen,
 		StormThreshold: storm,
 		JITThreshold:   req.JITThreshold,
-		StitchDepth:    req.StitchDepth,
 		ArenaSoftCap:   s.cfg.ArenaSoftCap,
 		ArenaHardCap:   s.cfg.ArenaHardCap,
 		Telemetry:      req.Trace,
@@ -604,10 +597,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ts.sbCompiled.Add(res.Machine.SBCompiled)
 	ts.sbHits.Add(res.Machine.SBHits)
-	ts.sbStitched.Add(res.Machine.SBStitched)
 	s.sbCompiled.Add(res.Machine.SBCompiled)
 	s.sbHits.Add(res.Machine.SBHits)
-	s.sbStitched.Add(res.Machine.SBStitched)
 	if res.BudgetExhausted || res.DeadlineExceeded || res.VM.Degradations > 0 || res.VM.StormPatches > 0 {
 		s.degraded.Add(1)
 	}
@@ -639,7 +630,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		StormPatches:     res.VM.StormPatches,
 		SBCompiled:       res.Machine.SBCompiled,
 		SBHits:           res.Machine.SBHits,
-		SBStitched:       res.Machine.SBStitched,
 		SBInvalidations:  res.Machine.SBInvalidations,
 		BudgetGranted:    granted,
 		BudgetExhausted:  res.BudgetExhausted,
@@ -762,7 +752,6 @@ type statsResponse struct {
 	// Service-wide superblock counters aggregated over every completed run.
 	SBCompiled uint64 `json:"sb_compiled"`
 	SBHits     uint64 `json:"sb_hits"`
-	SBStitched uint64 `json:"sb_stitched"`
 	// Sanitizer counters: how many runs armed the sanitizer / certification
 	// and how many of those flagged sites or failed their verdict.
 	SanitizeRuns    uint64 `json:"sanitize_runs"`
@@ -799,7 +788,6 @@ type tenantStats struct {
 	BreakerTrips uint64 `json:"breaker_trips,omitempty"`
 	SBCompiled   uint64 `json:"sb_compiled"`
 	SBHits       uint64 `json:"sb_hits"`
-	SBStitched   uint64 `json:"sb_stitched"`
 	SanitizeRuns uint64 `json:"sanitize_runs,omitempty"`
 	CertifyRuns  uint64 `json:"certify_runs,omitempty"`
 }
@@ -820,7 +808,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Poisons:         s.poisons.Load(),
 		SBCompiled:      s.sbCompiled.Load(),
 		SBHits:          s.sbHits.Load(),
-		SBStitched:      s.sbStitched.Load(),
 		SanitizeRuns:    s.sanitizeRuns.Load(),
 		SanitizeFlagged: s.sanitizeFlagged.Load(),
 		CertifyRuns:     s.certifyRuns.Load(),
@@ -858,7 +845,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			BreakerTrips: trips,
 			SBCompiled:   ts.sbCompiled.Load(),
 			SBHits:       ts.sbHits.Load(),
-			SBStitched:   ts.sbStitched.Load(),
 			SanitizeRuns: ts.sanitizeRuns.Load(),
 			CertifyRuns:  ts.certifyRuns.Load(),
 		}

@@ -56,10 +56,6 @@ type Options struct {
 	// JITThreshold arms the trace-JIT superblock tier during chaos runs (0
 	// leaves it off), exposing the compile/bind seam to fault injection.
 	JITThreshold int
-	// StitchDepth arms superblock stitching during chaos runs (requires
-	// JITThreshold > 0), exposing the chain-link seam: an injected stitch
-	// fault severs the link as a typed degradation mid-chain.
-	StitchDepth int
 	// ArenaSoftCap / ArenaHardCap exercise arena-pressure handling (0 = off).
 	ArenaSoftCap int
 	ArenaHardCap int
@@ -105,7 +101,6 @@ type Summary struct {
 	// Trace-JIT accounting (Options.JITThreshold > 0): superblock compiles,
 	// discards, and injected compile failures absorbed as degradations.
 	SBCompiled      uint64
-	SBStitched      uint64
 	SBInvalidations uint64
 	JITDegradations uint64
 	// Sanitizer accounting (Options.Sanitize): injected sanitize-seam faults
@@ -163,12 +158,6 @@ func Run(o Options) *Summary {
 				// would practically never reach it. Boost just that seam so
 				// every sweep proves injected compile failures degrade cleanly.
 				errCfg.Rate[faultinject.SeamSBCompile] = 0.25
-			}
-			if o.StitchDepth > 0 {
-				// Same rarity argument for the chain-link seam: stitches are
-				// per-chain, not per-delivery, so boost the seam until severed
-				// links are a routine event in every sweep.
-				errCfg.Rate[faultinject.SeamSBStitch] = 0.25
 			}
 			if o.Sanitize {
 				// The sanitize seam truncates once and then stops being
@@ -313,7 +302,6 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 			Inject:         &cfg,
 			StormThreshold: o.StormThreshold,
 			JITThreshold:   o.JITThreshold,
-			StitchDepth:    o.StitchDepth,
 			ArenaSoftCap:   o.ArenaSoftCap,
 			ArenaHardCap:   o.ArenaHardCap,
 			Sanitize:       o.Sanitize,
@@ -327,7 +315,6 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 		s.Degradations += v.Degradations
 		s.StormPatches += v.StormPatches
 		s.SBCompiled += v.SBCompiled
-		s.SBStitched += v.SBStitched
 		s.SBInvalidations += v.SBInvalidations
 		s.JITDegradations += v.JITDegradations
 		s.SanitizeDegradations += v.SanitizeDegradations
@@ -383,8 +370,8 @@ func (s *Summary) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "chaos: %s — %d runs, %d degradations absorbed, %d storm patches, %d invariant violations\n",
 		verdict, s.Runs, s.Degradations, s.StormPatches, len(s.Failures))
 	if s.SBCompiled > 0 || s.JITDegradations > 0 {
-		fmt.Fprintf(w, "chaos: jit tier — %d superblocks compiled, %d entries stitched, %d invalidated, %d compile/stitch faults degraded\n",
-			s.SBCompiled, s.SBStitched, s.SBInvalidations, s.JITDegradations)
+		fmt.Fprintf(w, "chaos: jit tier — %d superblocks compiled, %d invalidated, %d compile faults degraded\n",
+			s.SBCompiled, s.SBInvalidations, s.JITDegradations)
 	}
 	if s.SanitizeDegradations > 0 || s.SanitizeTruncated > 0 {
 		fmt.Fprintf(w, "chaos: sanitize — %d samples, %d injected faults truncated %d reports (guest runs unharmed)\n",

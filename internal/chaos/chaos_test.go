@@ -90,48 +90,6 @@ func TestChaosJIT(t *testing.T) {
 	}
 }
 
-// TestChaosStitch is the stitch-seam fault campaign: with stitching armed on
-// top of the JIT tier, injection reaches the chain-link seam — a severed link
-// mid-chain must surface as a typed DegradeJIT degradation, the successor
-// must fall back to its own patch dispatch, and the error tier's bit-identity
-// invariant must hold across multi-block chained retires.
-func TestChaosStitch(t *testing.T) {
-	var targets []oracle.Target
-	for _, name := range []string{
-		"example:quickstart/harmonic",
-		"workload:FBench",
-		"workload:NAS LU/Class S",
-	} {
-		tg, err := oracle.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		targets = append(targets, tg)
-	}
-	var log bytes.Buffer
-	s := Run(Options{
-		Targets:        targets,
-		Seeds:          3,
-		Rate:           1e-3,
-		StormThreshold: 500,
-		JITThreshold:   2,
-		StitchDepth:    4,
-		ArenaSoftCap:   1 << 14,
-		ArenaHardCap:   1 << 15,
-		Log:            &log,
-	})
-	if !s.Ok() {
-		s.WriteReport(&log)
-		t.Fatalf("chaos invariants violated with stitching armed:\n%s", log.String())
-	}
-	if s.SBStitched == 0 {
-		t.Fatal("no chain links survived — stitching never engaged under chaos")
-	}
-	if s.JITDegradations == 0 {
-		t.Fatal("no injected compile/stitch failures — the jit seams are not under chaos")
-	}
-}
-
 // TestChaosPanic arms the run-panic seam: injected trap-handler panics must
 // be contained by the session layer as typed PoisonedErrors — never escaping
 // to the test process — and the shared pool must quarantine every poisoned
@@ -176,9 +134,9 @@ func TestChaosPanic(t *testing.T) {
 }
 
 // TestChaosFull is the acceptance sweep: every workload and example, enough
-// seeds for 50+ runs, with the full jit+stitch tier armed so the compile and
-// chain-link seams stay under fire across the whole target set. Skipped under
-// -short; `make chaos` runs it.
+// seeds for 50+ runs, with the jit tier armed so the compile seam and the
+// cached-trace executor stay under fire across the whole target set. Skipped
+// under -short; `make chaos` runs it.
 func TestChaosFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos sweep skipped in -short mode (run `make chaos`)")
@@ -191,7 +149,6 @@ func TestChaosFull(t *testing.T) {
 		PanicRate:      0.01,
 		StormThreshold: 2000,
 		JITThreshold:   4,
-		StitchDepth:    4,
 		ArenaSoftCap:   1 << 16,
 		ArenaHardCap:   1 << 17,
 		Log:            &log,

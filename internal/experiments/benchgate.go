@@ -38,13 +38,6 @@ const (
 	gateShedFloor = 0.5
 )
 
-// gateStitchWorkloads are the branchy targets on which the jit+stitch rung
-// must strictly beat the jit rung's modeled cycles — the chain saving is one
-// patch dispatch per link, so on loop-closing workloads the win is exact and
-// deterministic. Checked within the current document, not against baselines
-// (older documents predate the stitch rung).
-var gateStitchWorkloads = []string{"NAS LU", "NAS IS"}
-
 // ReadBenchDoc loads a checked-in BENCH_N.json document.
 func ReadBenchDoc(path string) (*BenchDoc, error) {
 	data, err := os.ReadFile(path)
@@ -68,7 +61,6 @@ type benchKey struct {
 	System    string
 	SeqLen    int
 	JIT       int
-	Stitch    int
 }
 
 // GateBench compares a freshly produced bench document against a baseline
@@ -84,7 +76,7 @@ func GateBench(base, cur *BenchDoc) []string {
 	}
 	curRows := make(map[benchKey]BenchRow, len(cur.Rows))
 	for _, r := range cur.Rows {
-		curRows[benchKey{r.Workload, r.Specifics, r.System, r.SeqLen, r.JIT, r.Stitch}] = r
+		curRows[benchKey{r.Workload, r.Specifics, r.System, r.SeqLen, r.JIT}] = r
 		// The Lorenz bar is absolute: it binds even when the baseline
 		// itself was produced before the JIT tier existed.
 		if r.JIT > 0 && r.Workload == gateLorenzWorkload && r.Slowdown >= gateLorenzJITMax {
@@ -92,33 +84,8 @@ func GateBench(base, cur *BenchDoc) []string {
 				r.Workload, r.System, r.SeqLen, r.JIT, r.Slowdown, gateLorenzJITMax))
 		}
 	}
-	// Stitch bar, within-document: on the gate workloads, chaining must
-	// strictly reduce modeled overhead versus the plain jit rung.
-	for _, r := range cur.Rows {
-		if r.Stitch == 0 {
-			continue
-		}
-		jit, ok := curRows[benchKey{r.Workload, r.Specifics, r.System, r.SeqLen, r.JIT, 0}]
-		if !ok {
-			continue
-		}
-		for _, wl := range gateStitchWorkloads {
-			if r.Workload != wl {
-				continue
-			}
-			if r.VirtCycles >= jit.VirtCycles {
-				bad = append(bad, fmt.Sprintf("%s %s [%s seq=%d jit=%d stitch=%d]: stitched cycles %d not below jit rung's %d",
-					r.Workload, r.Specifics, r.System, r.SeqLen, r.JIT, r.Stitch,
-					r.VirtCycles, jit.VirtCycles))
-			}
-			if r.SBStitched == 0 {
-				bad = append(bad, fmt.Sprintf("%s %s [%s seq=%d jit=%d stitch=%d]: stitch rung served zero chained entries",
-					r.Workload, r.Specifics, r.System, r.SeqLen, r.JIT, r.Stitch))
-			}
-		}
-	}
 	for _, old := range base.Rows {
-		key := benchKey{old.Workload, old.Specifics, old.System, old.SeqLen, old.JIT, old.Stitch}
+		key := benchKey{old.Workload, old.Specifics, old.System, old.SeqLen, old.JIT}
 		now, ok := curRows[key]
 		if !ok {
 			bad = append(bad, fmt.Sprintf("%v: row disappeared from the bench", key))

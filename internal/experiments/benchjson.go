@@ -23,7 +23,6 @@ type BenchRow struct {
 	System    string `json:"system"`
 	SeqLen    int    `json:"max_sequence_len"`
 	JIT       int    `json:"jit_threshold"`
-	Stitch    int    `json:"stitch_depth,omitempty"`
 
 	NativeCycles uint64  `json:"native_cycles"`
 	VirtCycles   uint64  `json:"virt_cycles"`
@@ -44,7 +43,6 @@ type BenchRow struct {
 	// Superblock (trace-JIT) counters, non-zero only on JIT > 0 rows.
 	SBCompiled      uint64 `json:"sb_compiled,omitempty"`
 	SBHits          uint64 `json:"sb_hits,omitempty"`
-	SBStitched      uint64 `json:"sb_stitched,omitempty"`
 	SBInvalidations uint64 `json:"sb_invalidations,omitempty"`
 
 	GCPasses       uint64 `json:"gc_passes"`
@@ -61,7 +59,7 @@ type BenchRow struct {
 
 // benchRow flattens one finished pair into a record. topSites bounds the
 // exported per-PC site ranking (0 omits it).
-func benchRow(w workloads.Workload, sys string, seqLen, jit, stitch, topSites int, r *RunResult) BenchRow {
+func benchRow(w workloads.Workload, sys string, seqLen, jit, topSites int, r *RunResult) BenchRow {
 	st := r.VM.Stats
 	row := BenchRow{
 		Workload:        w.Name,
@@ -69,10 +67,8 @@ func benchRow(w workloads.Workload, sys string, seqLen, jit, stitch, topSites in
 		System:          sys,
 		SeqLen:          seqLen,
 		JIT:             jit,
-		Stitch:          stitch,
 		SBCompiled:      r.Virt.Stats.SBCompiled,
 		SBHits:          r.Virt.Stats.SBHits,
-		SBStitched:      r.Virt.Stats.SBStitched,
 		SBInvalidations: r.Virt.Stats.SBInvalidations,
 		NativeCycles:    r.NativeCycles,
 		VirtCycles:      r.VirtCycles,
@@ -104,48 +100,36 @@ func benchRow(w workloads.Workload, sys string, seqLen, jit, stitch, topSites in
 
 // BenchJSONData runs every benchmark under FPVM+MPFR with sequence emulation
 // off, then — when o.MaxSequenceLen > 0 — again with it on, then — when
-// o.JITThreshold > 0 — again with the trace-JIT superblock tier stacked on
-// top, then — when o.StitchDepth > 0 as well — once more with superblock
-// stitching chained onto the JIT tier, returning one record per run so the
-// set forms a machine-readable ablation ladder.
+// o.JITThreshold > 0 — once more with the trace-JIT superblock tier stacked
+// on top, returning one record per run so the set forms a machine-readable
+// ablation ladder.
 func BenchJSONData(o Options) ([]BenchRow, error) {
 	o.defaults()
 	base := o
 	base.MaxSequenceLen = 0
 	base.JITThreshold = 0
-	base.StitchDepth = 0
 	seqOnly := o
 	seqOnly.JITThreshold = 0
-	seqOnly.StitchDepth = 0
-	jitOnly := o
-	jitOnly.StitchDepth = 0
 	cells, err := forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) ([]BenchRow, error) {
 		sys := arith.NewMPFR(o.Prec)
 		r, err := runPair(w, sys, base)
 		if err != nil {
 			return nil, err
 		}
-		rows := []BenchRow{benchRow(w, sys.Name(), 0, 0, 0, o.TopSites, r)}
+		rows := []BenchRow{benchRow(w, sys.Name(), 0, 0, o.TopSites, r)}
 		if o.MaxSequenceLen > 0 {
 			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, 0, 0, o.TopSites, sr))
+			rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, 0, o.TopSites, sr))
 		}
 		if o.JITThreshold > 0 {
-			jr, err := runPair(w, arith.NewMPFR(o.Prec), jitOnly)
+			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, o.JITThreshold, 0, o.TopSites, jr))
-			if o.StitchDepth > 0 {
-				tr, err := runPair(w, arith.NewMPFR(o.Prec), o)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, o.JITThreshold, o.StitchDepth, o.TopSites, tr))
-			}
+			rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, o.JITThreshold, o.TopSites, jr))
 		}
 		return rows, nil
 	})
@@ -168,7 +152,6 @@ type BenchOptions struct {
 	SeqLen int    `json:"max_sequence_len"`
 	Storm  uint64 `json:"storm_threshold"`
 	JIT    int    `json:"jit_threshold"`
-	Stitch int    `json:"stitch_depth,omitempty"`
 }
 
 // SessionLoad is the pooled-session throughput record attached to a bench
@@ -239,7 +222,6 @@ func BenchDocData(o Options) (*BenchDoc, error) {
 		},
 		Rows: rows,
 	}
-	doc.Options.Stitch = o.StitchDepth
 	if o.Sessions > 0 {
 		sl, err := sessionLoadRecord(o, false, false)
 		if err != nil {
@@ -307,7 +289,6 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 		System:         sys,
 		MemSize:        sessionLoadMemSize,
 		StormThreshold: o.StormThreshold,
-		StitchDepth:    o.StitchDepth,
 		GCEveryNAllocs: o.GCEveryNAllocs,
 	}
 	if o.JITThreshold > 0 {

@@ -61,11 +61,6 @@ type Options struct {
 	// into cached superblocks that re-enter with zero delivery, decode, and
 	// bind. 0 (the paper's configuration) leaves it off.
 	JITThreshold int
-	// StitchDepth arms superblock stitching on top of the JIT tier: at
-	// retirement, up to this many successor superblocks are chained per
-	// dispatch, eliding even the patch check for every linked entry. 0
-	// leaves retirement classic; requires JITThreshold > 0 to matter.
-	StitchDepth int
 	// Sessions, when > 0, attaches a session-load record to the BenchJSON
 	// document: the load harness drives this many runs through a shared
 	// session pool and reports sessions/sec and tail latency.
@@ -198,7 +193,6 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		MaxSequenceLen: o.MaxSequenceLen,
 		StormThreshold: o.StormThreshold,
 		JITThreshold:   o.JITThreshold,
-		StitchDepth:    o.StitchDepth,
 	})
 	start := time.Now()
 	if err := vm2.Run(0); err != nil {

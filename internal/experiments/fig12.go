@@ -28,12 +28,6 @@ type Fig12Row struct {
 	JITTraps    uint64  // residual warm-up deliveries with the JIT tier on
 	SBHits      uint64  // zero-delivery superblock entries served
 	JITSlowdown float64 // R815 slowdown with the JIT tier on
-
-	// Stitched ablation, populated when Options.StitchDepth > 0 as well: the
-	// same benchmark with superblock chains linked at retirement (stacked on
-	// the JIT tier).
-	SBStitched     uint64  // entries reached through stitch links
-	StitchSlowdown float64 // R815 slowdown with stitching on
 }
 
 // fig12Workloads mirrors the paper's Figure 12 row set. As in the paper,
@@ -52,12 +46,8 @@ func Fig12Data(o Options) ([]Fig12Row, error) {
 	base := o
 	base.MaxSequenceLen = 0
 	base.JITThreshold = 0
-	base.StitchDepth = 0
 	seqOnly := o
 	seqOnly.JITThreshold = 0
-	seqOnly.StitchDepth = 0
-	jitOnly := o
-	jitOnly.StitchDepth = 0
 	return forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) (Fig12Row, error) {
 		r, err := runPair(w, arith.NewMPFR(o.Prec), base)
 		if err != nil {
@@ -89,7 +79,7 @@ func Fig12Data(o Options) ([]Fig12Row, error) {
 			}
 		}
 		if o.JITThreshold > 0 {
-			jr, err := runPair(w, arith.NewMPFR(o.Prec), jitOnly)
+			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
 			if err != nil {
 				return Fig12Row{}, err
 			}
@@ -98,18 +88,6 @@ func Fig12Data(o Options) ([]Fig12Row, error) {
 			for _, p := range trap.Profiles() {
 				if p.Name == "R815" {
 					row.JITSlowdown = jr.SlowdownOn(p, trap.DeliverUserSignal)
-				}
-			}
-			if o.StitchDepth > 0 {
-				tr, err := runPair(w, arith.NewMPFR(o.Prec), o)
-				if err != nil {
-					return Fig12Row{}, err
-				}
-				row.SBStitched = tr.Virt.Stats.SBStitched
-				for _, p := range trap.Profiles() {
-					if p.Name == "R815" {
-						row.StitchSlowdown = tr.SlowdownOn(p, trap.DeliverUserSignal)
-					}
 				}
 			}
 		}
@@ -139,7 +117,6 @@ func Fig12(o Options) error {
 	fmt.Fprintf(o.W, "Figure 12: Summary of benchmark slowdowns (FPVM + MPFR %d-bit)\n", o.Prec)
 	seq := o.MaxSequenceLen > 0
 	jit := o.JITThreshold > 0
-	stitch := jit && o.StitchDepth > 0
 	hdr := "%-18s %-14s %10s %10s %10s %9s %7s"
 	args := []any{"benchmark", "specifics", "R815", "7220", "R730xd", "traps", "fp%"}
 	if seq {
@@ -149,10 +126,6 @@ func Fig12(o Options) error {
 	if jit {
 		hdr += " | %9s %9s %10s"
 		args = append(args, "jittraps", "sbhits", "jitR815")
-	}
-	if stitch {
-		hdr += " | %9s %11s"
-		args = append(args, "stitched", "stitchR815")
 	}
 	fmt.Fprintf(o.W, hdr+"\n", args...)
 	for _, r := range rows {
@@ -175,9 +148,6 @@ func Fig12(o Options) error {
 		if jit {
 			fmt.Fprintf(o.W, " | %9d %9d %9.1fx", r.JITTraps, r.SBHits, r.JITSlowdown)
 		}
-		if stitch {
-			fmt.Fprintf(o.W, " | %9d %10.1fx", r.SBStitched, r.StitchSlowdown)
-		}
 		fmt.Fprintln(o.W)
 	}
 	fmt.Fprintln(o.W, "\nSlowdowns are deterministic cycle-count ratios; the dynamic FP fraction and")
@@ -189,10 +159,6 @@ func Fig12(o Options) error {
 	if jit {
 		fmt.Fprintf(o.W, "Trace JIT: JITThreshold=%d; hot sites compile into superblocks that\n", o.JITThreshold)
 		fmt.Fprintln(o.W, "re-enter with zero delivery/decode/bind, leaving only warm-up traps behind.")
-	}
-	if stitch {
-		fmt.Fprintf(o.W, "Stitching (last |): StitchDepth=%d; retirement chains adjacent superblocks,\n", o.StitchDepth)
-		fmt.Fprintln(o.W, "eliding even the patch dispatch for every linked entry.")
 	}
 	return nil
 }

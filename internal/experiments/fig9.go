@@ -36,12 +36,6 @@ type Fig9Row struct {
 	JITTraps uint64
 	SBHits   uint64
 	JITTotal float64 // per-delivery total with the JIT tier on
-
-	// Stitched ablation, populated when Options.StitchDepth > 0 as well:
-	// superblock chains linked at retirement, stacked on the JIT tier.
-	// SBStitched counts the entries that needed no dispatch of any kind.
-	SBStitched  uint64
-	StitchTotal float64 // per-delivery total with stitching on
 }
 
 // fig9Row computes the per-trap breakdown from one finished run.
@@ -87,12 +81,8 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 	base := o
 	base.MaxSequenceLen = 0
 	base.JITThreshold = 0
-	base.StitchDepth = 0
 	seqOnly := o
 	seqOnly.JITThreshold = 0
-	seqOnly.StitchDepth = 0
-	jitOnly := o
-	jitOnly.StitchDepth = 0
 	cells, err := forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (*Fig9Row, error) {
 		r, err := runPair(w, arith.NewMPFR(o.Prec), base)
 		if err != nil {
@@ -115,7 +105,7 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 			}
 		}
 		if o.JITThreshold > 0 {
-			jr, err := runPair(w, arith.NewMPFR(o.Prec), jitOnly)
+			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
 			if err != nil {
 				return nil, err
 			}
@@ -123,16 +113,6 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 				row.JITTraps = jrow.Traps
 				row.JITTotal = jrow.Total
 				row.SBHits = jr.Virt.Stats.SBHits
-			}
-			if o.StitchDepth > 0 {
-				tr, err := runPair(w, arith.NewMPFR(o.Prec), o)
-				if err != nil {
-					return nil, err
-				}
-				if trow := fig9Row(w.Name, tr); trow != nil {
-					row.SBStitched = tr.Virt.Stats.SBStitched
-					row.StitchTotal = trow.Total
-				}
 			}
 		}
 		return row, nil
@@ -161,7 +141,6 @@ func Fig9(o Options) error {
 	fmt.Fprintf(o.W, "Figure 9: Average cost of virtualizing an FP instruction (cycles/trap, MPFR %d-bit)\n", o.Prec)
 	seq := o.MaxSequenceLen > 0
 	jit := o.JITThreshold > 0
-	stitch := jit && o.StitchDepth > 0
 	hdr := "%-18s %9s %9s %9s %7s %7s %9s %7s %11s %9s"
 	args := []any{"benchmark", "traps", "hardware", "kernel",
 		"decode", "bind", "emulate", "gc", "correctness", "TOTAL"}
@@ -172,10 +151,6 @@ func Fig9(o Options) error {
 	if jit {
 		hdr += " | %9s %9s %9s"
 		args = append(args, "jittraps", "sbhits", "jitTOTAL")
-	}
-	if stitch {
-		hdr += " | %9s %11s"
-		args = append(args, "stitched", "stitchTOTAL")
 	}
 	fmt.Fprintf(o.W, hdr+"\n", args...)
 	for _, r := range rows {
@@ -188,9 +163,6 @@ func Fig9(o Options) error {
 		if jit {
 			fmt.Fprintf(o.W, " | %9d %9d %9.0f", r.JITTraps, r.SBHits, r.JITTotal)
 		}
-		if stitch {
-			fmt.Fprintf(o.W, " | %9d %11.0f", r.SBStitched, r.StitchTotal)
-		}
 		fmt.Fprintln(o.W)
 	}
 	fmt.Fprintln(o.W, "\nNote: decode amortizes to near zero through the decode cache (hit rate ~100%);")
@@ -202,10 +174,6 @@ func Fig9(o Options) error {
 	if jit {
 		fmt.Fprintf(o.W, "Trace JIT: JITThreshold=%d; jittraps are the residual warm-up deliveries,\n", o.JITThreshold)
 		fmt.Fprintln(o.W, "sbhits the zero-delivery superblock entries that replaced the rest.")
-	}
-	if stitch {
-		fmt.Fprintf(o.W, "Stitching (last |): StitchDepth=%d; stitched entries were reached through chain\n", o.StitchDepth)
-		fmt.Fprintln(o.W, "links at retirement, skipping even the patch dispatch.")
 	}
 	return nil
 }

@@ -48,12 +48,6 @@ const (
 	// site degrades to the classic per-trap path and is blacklisted from
 	// recompilation.
 	SeamSBCompile
-	// SeamSBStitch fails a trace-JIT stitch link (as if the successor
-	// superblock could not be validated for chaining); the chain is severed
-	// at the seam and the successor entry falls back to its own patch
-	// dispatch on the next Step, accounted as a typed DegradeJIT
-	// degradation.
-	SeamSBStitch
 	// SeamSanitize fails the numerical sanitizer's shadow bookkeeping (as
 	// if a shadow allocation or high-precision step could not complete).
 	// The sanitizer truncates its report and stops observing — a typed
@@ -75,7 +69,7 @@ const (
 )
 
 var seamNames = [NumSeams]string{
-	"decode", "bind", "emulate", "arena", "gc-scan", "mem-access", "sb-compile", "sb-stitch", "sanitize", "run-panic",
+	"decode", "bind", "emulate", "arena", "gc-scan", "mem-access", "sb-compile", "sanitize", "run-panic",
 }
 
 // String names the seam as it appears in specs, stats, and telemetry.
@@ -148,7 +142,7 @@ func (c Config) Enabled() bool {
 //	seed=N          stream seed (default 1)
 //	rate=P          per-crossing probability for every error seam
 //	<seam>=P        per-seam override: decode, bind, emulate, arena,
-//	                gc-scan, mem-access, sb-compile, sb-stitch, sanitize
+//	                gc-scan, mem-access, sb-compile, sanitize
 //	corrupt=P       NaN-box payload corruption probability
 //	site=PC:<seam>  force the seam to fault at guest address PC (repeatable)
 //

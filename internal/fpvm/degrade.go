@@ -31,6 +31,9 @@ type DegradeCause = telemetry.DegradeCause
 // errInjected marks failures manufactured by the fault injector.
 var errInjected = errors.New("injected fault")
 
+// errStorm marks the delivery on which a site crossed the storm threshold.
+var errStorm = errors.New("trap-storm threshold crossed")
+
 // errArenaFull marks a shadow allocation refused at the arena hard cap.
 var errArenaFull = errors.New("shadow arena hard cap reached")
 
@@ -94,11 +97,11 @@ func (vm *VM) degrade(m *machine.Machine, in isa.Inst, idx int, cause DegradeCau
 // was never hot.
 const stormDecayShift = 3
 
-// noteStorm accounts one FP-trap delivery at f's site and reports whether the
-// site just crossed the storm threshold. On crossing, the site is
+// noteStorm accounts one FP-trap delivery at the site idx and reports whether
+// the site just crossed the storm threshold. On crossing, the site is
 // blacklisted: a demote-and-stay-native patch is installed so subsequent
 // visits execute at patch-check cost with no delivery and no promotion.
-func (vm *VM) noteStorm(f *machine.TrapFrame) bool {
+func (vm *VM) noteStorm(m *machine.Machine, idx int, in *isa.Inst) bool {
 	vm.stormTick++
 	if vm.stormTick >= vm.cfg.StormThreshold<<stormDecayShift {
 		vm.stormTick = 0
@@ -106,7 +109,6 @@ func (vm *VM) noteStorm(f *machine.TrapFrame) bool {
 			vm.stormCounts[i] >>= 1
 		}
 	}
-	idx := f.Idx
 	if idx < 0 || idx >= len(vm.stormCounts) || vm.stormPatched[idx] {
 		return false
 	}
@@ -116,9 +118,9 @@ func (vm *VM) noteStorm(f *machine.TrapFrame) bool {
 	}
 	vm.stormPatched[idx] = true
 	vm.Stats.StormPatches++
-	f.M.SetPatch(f.Inst.Addr, vm.stormPatchHandler)
-	if t := f.M.Telem; t != nil {
-		t.StormPatch(idx, f.Inst.Addr, f.Inst.Op, uint64(vm.stormCounts[idx]), f.M.Cycles)
+	m.SetPatch(in.Addr, vm.stormPatchHandler)
+	if t := m.Telem; t != nil {
+		t.StormPatch(idx, in.Addr, in.Op, uint64(vm.stormCounts[idx]), m.Cycles)
 	}
 	return true
 }

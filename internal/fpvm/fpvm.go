@@ -10,7 +10,6 @@ package fpvm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"fpvm/internal/arith"
@@ -99,19 +98,6 @@ type Config struct {
 	// the site back to the classic per-trap path. 0 disables the tier and
 	// preserves behavior bit for bit.
 	JITThreshold int
-	// StitchDepth arms superblock stitching on top of the trace-JIT tier
-	// (requires JITThreshold > 0): after a superblock's thunks retire, the
-	// handler walks the glue instructions behind the trace (branches, integer
-	// ops, FP moves — anything that can neither trap nor carry side-table
-	// dispatch) and, when control lands on another valid superblock entry,
-	// chains straight into its thunks with no patch dispatch at all — a trace
-	// graph instead of isolated runs. Each link revalidates the successor
-	// against the code/side-table versions (a discarded successor severs the
-	// link, never corrupts it); this value caps the links per delivery. A
-	// chained Step retires every linked run at once, so instruction budgets
-	// pause at coarser boundaries. 0 disables stitching and preserves
-	// behavior bit for bit.
-	StitchDepth int
 	// SBCache attaches a shared read-mostly superblock cache, keyed by
 	// (pointer-identical immutable program, entry index): compiled traces are
 	// published to it and Reattach eagerly adopts every published trace that
@@ -127,13 +113,12 @@ type Config struct {
 	// Sanitize attaches the numerical sanitizer: the guest runs under the
 	// sanitizer's wrapping arithmetic system, which carries a high-precision
 	// and an interval shadow beside every primary value, and the VM feeds it
-	// per-instruction PC attribution from all three retirement paths (trap
-	// delivery, sequence coalescing, superblock thunks). When set it
-	// supersedes Config.System (the wrapper's primary is the architectural
-	// system); because the wrapper delegates every guest-visible decision
-	// and OpCycles to its primary, sanitizer-on is bit- and cycle-identical
-	// to sanitizer-off. nil disables sanitizing and preserves behavior bit
-	// for bit.
+	// per-instruction PC attribution from every step of every trace, cached
+	// or not (see trace.go). When set it supersedes Config.System (the
+	// wrapper's primary is the architectural system); because the wrapper
+	// delegates every guest-visible decision and OpCycles to its primary,
+	// sanitizer-on is bit- and cycle-identical to sanitizer-off. nil disables
+	// sanitizing and preserves behavior bit for bit.
 	Sanitize *sanitize.Sanitizer
 	// Inject attaches a fault injector to the runtime's seams (testing /
 	// chaos suite). nil disables injection and preserves behavior bit for
@@ -360,105 +345,6 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	if cfg.JITThreshold > 0 && cfg.SBCache != nil {
 		vm.adoptShared(m)
 	}
-}
-
-// handleFPTrap is the SIGFPE-analog entry point: decode (cached), bind,
-// emulate, optionally coalesce the following straight-line FP run into the
-// same delivery, and occasionally collect garbage (§4.1). Any degradable
-// failure on that path — unsupported form, injected fault, arena hard cap —
-// falls back to the graceful-degradation engine instead of killing the run.
-func (vm *VM) handleFPTrap(f *machine.TrapFrame) error {
-	vm.Stats.Traps++
-	if f.M.Telem != nil {
-		vm.telemPC = f.Inst.Addr
-	}
-	if vm.inject != nil {
-		vm.injectPC = f.Inst.Addr
-		// The run-panic seam models a runtime bug the degradation engine
-		// cannot classify: it escapes the VM on purpose. Only the session
-		// layer's recover() stands between this panic and the process — that
-		// containment (and the pool quarantine behind it) is what the seam
-		// exists to prove.
-		if vm.inject.Fire(faultinject.SeamRunPanic, f.Inst.Addr) {
-			panic(fmt.Sprintf("fpvm: injected run-panic at %#x (%s)", f.Inst.Addr, f.Inst.Op))
-		}
-	}
-	if vm.san != nil {
-		vm.sanNote(f.M, f.Idx, f.Inst)
-	}
-	// Read and clear the sticky condition flags, as the paper's handler
-	// does in preparation for the next instruction.
-	f.M.MXCSR.ClearFlags()
-
-	// Trap-storm governor: the crossing delivery itself degrades, and the
-	// site stops promoting from here on.
-	if vm.cfg.StormThreshold > 0 && vm.noteStorm(f) {
-		return vm.degrade(f.M, f.Inst, f.Idx, telemetry.DegradeStorm)
-	}
-
-	if err := vm.emulateOne(f.M, f.Idx, f.Inst); err != nil {
-		cause, ok := asDegrade(err)
-		if !ok {
-			return err // genuine machine fault: native execution would die too
-		}
-		return vm.degrade(f.M, f.Inst, f.Idx, cause)
-	}
-
-	// Sequence emulation: one delivery has been paid; amortize it over the
-	// rest of the basic block's FP work.
-	if vm.cfg.MaxSequenceLen > 0 {
-		n, err := vm.coalesce(f)
-		if err != nil {
-			return err
-		}
-		f.Coalesced = n
-	}
-
-	// Trace-JIT tier: count the delivery toward the site's compile threshold
-	// and compile a superblock when it crosses. Degraded deliveries returned
-	// above, so a site that cannot emulate cleanly never accumulates.
-	if vm.cfg.JITThreshold > 0 {
-		vm.noteJIT(f)
-	}
-
-	// Epoch GC, driven by allocation volume.
-	if !vm.cfg.DisableGC && vm.Arena.Allocs()-vm.lastGC >= vm.gcEvery {
-		vm.RunGC()
-	}
-	return nil
-}
-
-// sanNote attributes the instruction about to retire to the sanitizer and
-// crosses the sanitize fault seam. An injected sanitizer failure truncates
-// the report as a typed account-only degradation — like a failed superblock
-// compile, nothing re-executes and the guest run is untouched. Callers
-// guard with vm.san != nil, so the disabled path stays a single nil check.
-func (vm *VM) sanNote(m *machine.Machine, idx int, in isa.Inst) {
-	if vm.san.Truncated() {
-		return
-	}
-	if j := vm.inject; j != nil && j.Fire(faultinject.SeamSanitize, in.Addr) {
-		vm.san.Truncate()
-		vm.Stats.Degradations++
-		vm.Stats.DegradeByCause[telemetry.DegradeSanitize]++
-		if t := m.Telem; t != nil {
-			t.Degradation(idx, in.Addr, in.Op, telemetry.DegradeSanitize, m.Cycles)
-		}
-		return
-	}
-	vm.san.SetSite(idx, in.Addr)
-}
-
-// emulateOne runs the full decode → bind → emulate path for one instruction.
-func (vm *VM) emulateOne(m *machine.Machine, idx int, in isa.Inst) error {
-	d, err := vm.decode(idx, in)
-	if err != nil {
-		return err
-	}
-	if err := vm.bind(d); err != nil {
-		return err
-	}
-	return vm.emulate(m, d)
 }
 
 // outputFilter implements the §2 "printing problem" hijack: boxed values

@@ -160,24 +160,14 @@ func (vm *VM) adoptShared(m *machine.Machine) {
 		}
 		// The same admission contract compileSB enforces, re-checked against
 		// THIS session's side table: no dispatch semantics may be shadowed.
-		if m.SiteBarrier(entry) || m.SeqBarrier(entry) {
-			continue
-		}
-		clean := true
-		for i := 1; i < len(thunks); i++ {
-			if m.SeqBarrier(entry + i) {
-				clean = false
-				break
-			}
-		}
-		if !clean {
+		if m.SeqBarrier(entry) || traceExtent(m, entry, len(thunks)) != len(thunks) {
 			continue
 		}
 		admit = append(admit, candidate{entry, thunks})
 	}
 	var installed []*superblock
 	for _, c := range admit {
-		sb := &superblock{entry: c.entry, thunks: c.thunks}
+		sb := &superblock{trace: trace{entry: c.entry, n: len(c.thunks), thunks: c.thunks}}
 		if !m.SetPatch(insts[c.entry].Addr, vm.sbFn) {
 			continue
 		}

@@ -169,8 +169,8 @@ func TestSBCacheInvalidationLocality(t *testing.T) {
 }
 
 // TestSBCacheConcurrentTenants races many sessions over one shared cache and
-// pointer-identical program — some stitching, some mutating their side tables
-// mid-run — and requires every tenant to produce the native output. Run under
+// pointer-identical program — some mutating their side tables mid-run — and
+// requires every tenant to produce the native output. Run under
 // -race this is the cross-tenant staleness check at the fpvm layer.
 func TestSBCacheConcurrentTenants(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
@@ -191,11 +191,7 @@ func TestSBCacheConcurrentTenants(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			cfg := Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache}
-			if i%3 == 0 {
-				cfg.StitchDepth = 4
-			}
-			Attach(m, cfg)
+			Attach(m, Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache})
 			if i%4 == 1 {
 				// Mutating tenant: pause, shadow the trace body, resume.
 				if err := m.Run(uint64(jitHotPrelude + 5*jitHotInstsPerIter)); err != nil {

@@ -28,7 +28,6 @@ package fpvm
 
 import (
 	"fpvm/internal/faultinject"
-	"fpvm/internal/isa"
 	"fpvm/internal/machine"
 	"fpvm/internal/telemetry"
 )
@@ -38,13 +37,6 @@ import (
 // matches the coalescing cap so both tiers retire identical runs.
 const sbTraceCapDefault = 64
 
-// stitchGlueCap bounds the glue instructions executed between two chained
-// superblocks. Real loop seams are a handful of instructions (an index
-// update, a compare, the branch, a reload); a longer walk is control flow
-// wandering away from the trace graph, and the chain is better severed so
-// the ordinary dispatch loop takes over.
-const stitchGlueCap = 8
-
 // sbThunk is one pre-compiled step of a superblock: an owned decoded
 // instruction (decode done, operand slots resolved into the inline buffer —
 // the paper's "bound" form) and the per-kind runner resolved at compile time.
@@ -53,12 +45,11 @@ type sbThunk struct {
 	run func(*VM, *machine.Machine, *decodedInst) error
 }
 
-// superblock is one cached straight-line trace rooted at a dense instruction
-// index. sideVer/codeVer snapshot the machine's version counters at compile
-// (or last revalidation); hits counts zero-delivery entries served.
+// superblock is one cached trace: the trace (entry, thunks) plus its
+// validity stamps. sideVer/codeVer snapshot the machine's version counters at
+// compile (or last revalidation); hits counts zero-delivery entries served.
 type superblock struct {
-	entry  int
-	thunks []sbThunk
+	trace
 
 	sideVer uint64
 	codeVer uint64
@@ -91,16 +82,15 @@ func (vm *VM) noteJIT(f *machine.TrapFrame) {
 }
 
 // compileSB builds and installs the superblock rooted at f's site. The trace
-// is the entry instruction plus the exact forward run coalesce would walk
-// (same coalescable predicate, same cap), so both tiers share one
-// stop-condition contract. Each instruction pays the full decode + bind cost
+// is measured by traceExtent, as the trap handler's uncached trace is, so
+// both kinds share one stop-condition contract. Each instruction pays the full decode + bind cost
 // once, here; a compile failure — injected at the sb-compile seam or a
 // translate refusal — is classified as a DegradeJIT degradation and the site
 // is blacklisted, keeping its classic per-trap path.
 func (vm *VM) compileSB(f *machine.TrapFrame) {
 	m := f.M
 	idx := f.Idx
-	if m.SiteBarrier(idx) || m.SeqBarrier(idx) {
+	if m.SeqBarrier(idx) {
 		// A patch or correctness site at the entry demands its own dispatch
 		// semantics that a superblock patch would shadow; never compile here.
 		vm.sbFailed[idx] = true
@@ -112,20 +102,15 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	}
 
 	// Measure the trace: entry plus the straight-line run behind it.
+	n := traceExtent(m, idx, vm.traceCap())
 	insts := m.Insts()
-	packed := f.Inst.Op.IsPacked()
-	limit := vm.traceCap()
-	end := idx + 1
-	for end < len(insts) && end-idx < limit && coalescable(m, end, insts[end].Op, packed) {
-		end++
-	}
 
 	// Pre-decode and pre-bind every instruction of the trace into owned
 	// thunks. The slice is allocated at its final length before translation
 	// fills it, so each decodedInst's srcs view stays pointed at its own
 	// inline buffer (append-style growth would copy the structs and dangle
 	// the views).
-	sb := &superblock{entry: idx, thunks: make([]sbThunk, end-idx)}
+	sb := &superblock{trace: trace{entry: idx, n: n, thunks: make([]sbThunk, n)}}
 	for i := range sb.thunks {
 		t := &sb.thunks[i]
 		vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
@@ -173,12 +158,10 @@ func (vm *VM) degradeJITCompile(m *machine.Machine, f *machine.TrapFrame) {
 }
 
 // sbHandler is the patch handler installed at a superblock's entry: validate
-// the cached trace, then execute its thunks back to back, multi-retiring the
-// run through TrapFrame.Coalesced. With Config.StitchDepth > 0 a clean
-// retirement keeps going: the handler walks the glue instructions behind the
-// trace and chains into the next superblock it lands on, up to StitchDepth
-// links per delivery. Returning handled=false (after an invalidation) sends
-// the entry through native dispatch, where it re-traps into the classic path.
+// the cached trace, then run it, multi-retiring the run through
+// TrapFrame.Coalesced. Returning handled=false (after an invalidation) sends
+// the entry through native dispatch, where it re-traps into the uncached
+// path.
 func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
 	idx := f.Idx
 	if idx < 0 || idx >= len(vm.sblocks) || vm.sblocks[idx] == nil {
@@ -193,151 +176,19 @@ func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
 
 	sb.hits++
 	m.Stats.SBHits++
-	retired, cut, err := vm.runSBThunks(m, sb)
+	retired, _, err := vm.runTrace(m, &sb.trace)
 	if err != nil {
 		return false, err
 	}
 	if t := m.Telem; t != nil {
 		t.SBHit(idx, f.Inst.Addr, f.Inst.Op, retired)
 	}
-
-	// Stitching: chain into successor traces while retirement stays clean.
-	// Each link revalidates its target under the same version lattice a patch
-	// dispatch would; any refusal — an invalidated successor, an injected
-	// stitch fault, glue that wanders — severs the chain at an instruction
-	// boundary and lets the ordinary dispatch loop resume from RIP.
-	for links := 0; !cut && links < vm.cfg.StitchDepth; links++ {
-		next, werr := vm.stitchNext(m)
-		if werr != nil {
-			return false, werr
-		}
-		if next < 0 {
-			break
-		}
-		nin := m.Insts()[next]
-		if j := vm.inject; j != nil && j.Fire(faultinject.SeamSBStitch, nin.Addr) {
-			vm.degradeJITStitch(m, next)
-			break
-		}
-		nsb := vm.sblocks[next]
-		if m.CodeVersion() != nsb.codeVer || !vm.revalidateSB(m, nsb) {
-			// A discarded successor severs the link, never corrupts it: RIP is
-			// parked at the entry, which re-traps through the classic path on
-			// the next Step.
-			vm.invalidateSB(m, next)
-			break
-		}
-		nsb.hits++
-		m.Stats.SBHits++
-		m.Stats.SBStitched++
-		var r int
-		r, cut, err = vm.runSBThunks(m, nsb)
-		if err != nil {
-			return false, err
-		}
-		retired += r
-		if t := m.Telem; t != nil {
-			t.SBStitch(next, nin.Addr, nin.Op, r)
-		}
-	}
-
-	// Glue instructions executed by stitchNext retired themselves through the
-	// machine's own counters, so Coalesced reports only thunk retirements.
 	f.Coalesced = retired - 1
 
 	// The trace allocates shadow cells like any emulation; keep the epoch GC
 	// running on the same trigger the trap path uses.
-	if !vm.cfg.DisableGC && vm.Arena.Allocs()-vm.lastGC >= vm.gcEvery {
-		vm.RunGC()
-	}
+	vm.maybeGC()
 	return true, nil
-}
-
-// runSBThunks executes one superblock's thunks back to back, charging the
-// dispatch cost per thunk and advancing RIP as each retires. It returns the
-// thunk retirements, whether a degradable fault cut the run short (the
-// degraded instruction is retired natively and counted), and any genuine
-// machine fault.
-func (vm *VM) runSBThunks(m *machine.Machine, sb *superblock) (retired int, cut bool, err error) {
-	for i := range sb.thunks {
-		t := &sb.thunks[i]
-		if vm.inject != nil {
-			vm.injectPC = t.d.inst.Addr
-		}
-		if m.Telem != nil {
-			vm.telemPC = t.d.inst.Addr
-		}
-		if vm.san != nil {
-			// Superblock multi-retire: attribute each thunk's shadow
-			// observations to its own PC, not the trace entry's.
-			vm.sanNote(m, sb.entry+i, t.d.inst)
-		}
-		vm.Stats.Cycles.Emulate += vm.costs.SBDispatch
-		m.Cycles += vm.costs.SBDispatch
-		if rerr := t.run(vm, m, &t.d); rerr != nil {
-			cause, ok := asDegrade(rerr)
-			if !ok {
-				return retired, false, rerr // genuine machine fault: native execution would die too
-			}
-			// Degradable fault mid-trace (arena cap, injected access fault):
-			// retire this instruction natively via the degrade engine and cut
-			// the run short, exactly as coalesce does.
-			if derr := vm.degrade(m, t.d.inst, sb.entry+i, cause); derr != nil {
-				return retired, false, derr
-			}
-			return retired + 1, true, nil
-		}
-		m.Advance(t.d.inst)
-		retired++
-	}
-	return retired, false, nil
-}
-
-// stitchNext walks the glue between traces: starting at RIP it executes
-// instructions that can neither trap nor carry side-table dispatch —
-// branches, integer ops, FP moves and bitwise ops, stack and output
-// instructions — until control lands on a superblock entry (returned) or the
-// walk must stop (-1): an FP-arith instruction (it would deliver a trap,
-// which only the dispatch loop may do), a halt, any side-table entry, an
-// off-boundary RIP, or the glue cap. Executed glue is indistinguishable from
-// native dispatch — ExecAt is Step minus the patch check, and glue has no
-// patch — so severing the walk at any point leaves the machine exactly where
-// the ordinary loop would pick it up. A genuine machine fault propagates;
-// native execution would die the same way.
-func (vm *VM) stitchNext(m *machine.Machine) (int, error) {
-	insts := m.Insts()
-	for g := 0; ; g++ {
-		idx, ok := m.InstIndex(m.RIP)
-		if !ok {
-			return -1, nil // next Step reports the boundary fault
-		}
-		if vm.sblocks[idx] != nil {
-			return idx, nil
-		}
-		if g == stitchGlueCap {
-			return -1, nil
-		}
-		op := insts[idx].Op
-		if op.IsFPArith() || op == isa.OpHalt || m.SeqBarrier(idx) {
-			return -1, nil
-		}
-		if err := m.ExecAt(idx); err != nil {
-			return -1, err
-		}
-	}
-}
-
-// degradeJITStitch records an injected stitch-link failure: the chain is
-// severed before entering the successor, whose state is untouched — the next
-// Step dispatches it through its own patch — so nothing is re-executed and
-// nothing is blacklisted; only the degradation is accounted.
-func (vm *VM) degradeJITStitch(m *machine.Machine, idx int) {
-	vm.Stats.Degradations++
-	vm.Stats.DegradeByCause[telemetry.DegradeJIT]++
-	if t := m.Telem; t != nil {
-		in := m.Insts()[idx]
-		t.Degradation(idx, in.Addr, in.Op, telemetry.DegradeJIT, m.Cycles)
-	}
 }
 
 // revalidateSB checks a superblock against the current side table. An
@@ -353,13 +204,8 @@ func (vm *VM) revalidateSB(m *machine.Machine, sb *superblock) bool {
 	if cur == sb.sideVer {
 		return true
 	}
-	if m.SiteBarrier(sb.entry) {
+	if m.SiteBarrier(sb.entry) || traceExtent(m, sb.entry, sb.n) != sb.n {
 		return false
-	}
-	for i := 1; i < len(sb.thunks); i++ {
-		if m.SeqBarrier(sb.entry + i) {
-			return false
-		}
 	}
 	sb.sideVer = cur
 	return true

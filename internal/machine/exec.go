@@ -515,21 +515,6 @@ func (m *Machine) SetCompareFlags(zf, pf, cf bool) {
 // Advance moves RIP past in (used by trap handlers after emulation).
 func (m *Machine) Advance(in isa.Inst) { m.advance(&in) }
 
-// ExecAt executes the instruction at dense-stream index idx exactly as the
-// dispatch loop would, minus the patch check: correctness sites, the NaN-load
-// extension, cost accounting, and retirement counters all behave as in Step.
-// It exists for the trace-JIT stitching walk, which carries execution across
-// the glue instructions between two superblocks without returning to Step;
-// callers must ensure the slot carries no patch (SeqBarrier is false), or the
-// patch's dispatch semantics would be silently skipped.
-func (m *Machine) ExecAt(idx int) error {
-	if idx < 0 || idx >= len(m.insts) {
-		return m.fault("ExecAt index %d out of range", idx)
-	}
-	m.curIdx = idx
-	return m.exec(&m.insts[idx], &m.slots[idx])
-}
-
 // ExecMasked executes one instruction natively with every MXCSR exception
 // masked and no side-table dispatch (only the static memory-operand count of
 // its slot, so it pays the same cost): the graceful-degradation escape hatch

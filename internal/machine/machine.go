@@ -61,9 +61,7 @@ func (c TrapCause) String() string {
 // The frame belongs to the machine and is valid only for the duration of the
 // handler call: the machine fills the same storage for its next delivery, so
 // a handler that needs anything from the frame afterwards must copy it (copy
-// *f, not f). A delivery nested inside a handler — a trap raised by an
-// instruction a patch handler executes through ExecAt — gets a frame of its
-// own, so the outer handler's frame never changes under it.
+// *f, not f).
 //
 // A handler may retire more than one instruction per delivery: after
 // emulating the faulting instruction it can keep walking the dense stream
@@ -98,11 +96,11 @@ type TrapHandler func(*TrapFrame) error
 // returns.
 type PatchHandler func(*TrapFrame) (handled bool, err error)
 
-// maxFrameDepth is the number of machine-owned trap frames: one for a patch
-// dispatch or trap delivery, one for a delivery nested inside it (a patch
-// handler executing glue through ExecAt). Deeper nesting, which only a
-// handler that itself calls Step can produce, falls back to a heap frame.
-const maxFrameDepth = 2
+// maxFrameDepth is the number of machine-owned trap frames: one, for the
+// patch dispatch or trap delivery in progress. No handler FPVM installs
+// nests a delivery; a nested one, which only a handler that itself calls
+// Step can produce, falls back to a heap frame.
+const maxFrameDepth = 1
 
 // Stats aggregates execution counters for the evaluation harness.
 type Stats struct {
@@ -115,7 +113,6 @@ type Stats struct {
 	PatchInvokes    uint64                  // trap-and-patch handler invocations
 	SBCompiled      uint64                  // superblocks compiled by the trace-JIT tier
 	SBHits          uint64                  // superblock entries executed (zero-delivery re-entries)
-	SBStitched      uint64                  // superblock entries reached by stitching (no patch dispatch at all)
 	SBInvalidations uint64                  // superblocks discarded on side-table/code-version changes
 	TrapByFlag      [fpu.FlagAll + 1]uint64 // FP trap counts indexed by the unmasked fpu.Flags set
 	Trap            trap.Stats              // delivery cost accounting

@@ -121,8 +121,9 @@ func viewOf(f *TrapFrame) frameView {
 
 // TestTrapFrameContract pins the frame ownership rule: every delivery sees a
 // frame describing its own trap, whatever an earlier handler wrote into the
-// machine-owned storage, and a delivery nested inside a patch handler leaves
-// the outer handler's frame untouched.
+// machine-owned storage, and a delivery nested inside a patch handler (one
+// that calls Step itself, so the nested frame comes from the heap fallback)
+// leaves the outer handler's frame untouched.
 func TestTrapFrameContract(t *testing.T) {
 	prog := asm.MustAssemble(`
 		movsd f0, =1.0
@@ -130,7 +131,7 @@ func TestTrapFrameContract(t *testing.T) {
 		divsd f0, f1     ; correctness site 7, then an FP trap (PE)
 		addsd f0, f1     ; patched: a two-instruction superblock-style hit
 		subsd f0, f1
-		trapc $5         ; glue the patch handler executes through ExecAt
+		trapc $5         ; glue the patch handler steps through itself
 		halt
 	`)
 	m, err := New(prog, nil)
@@ -164,9 +165,9 @@ func TestTrapFrameContract(t *testing.T) {
 		record(f)
 		outer := viewOf(f)
 		f.M.Advance(insts[4]) // retire addsd and subsd under one dispatch
-		// Carry on through the glue, as superblock stitching does: the trapc
-		// delivers a correctness trap nested inside this handler.
-		if err := f.M.ExecAt(5); err != nil {
+		// Step through the glue: the trapc delivers a correctness trap
+		// nested inside this handler.
+		if err := f.M.Step(); err != nil {
 			return false, err
 		}
 		if got := viewOf(f); got != outer {

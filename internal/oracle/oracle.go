@@ -88,17 +88,13 @@ type Options struct {
 	// Vanilla bit-exactness gate must STILL pass: that is the chaos suite's
 	// central invariant.
 	Inject *faultinject.Config
-	// StormThreshold, JITThreshold, StitchDepth, ArenaSoftCap, and
-	// ArenaHardCap pass through to fpvm.Config. JITThreshold > 0 arms the
-	// trace-JIT superblock tier on the virtualized side; its multi-retiring
-	// patch entries are absorbed by the same retirement-count
-	// resynchronization as sequence emulation, and the Vanilla bit-exactness
-	// gate must still pass. StitchDepth > 0 additionally chains adjacent
-	// superblocks at retirement (the jit+stitch tier), which retires even
-	// longer runs per delivery under the same resynchronization.
+	// StormThreshold, JITThreshold, ArenaSoftCap, and ArenaHardCap pass
+	// through to fpvm.Config. JITThreshold > 0 arms the trace-JIT superblock
+	// tier on the virtualized side; its multi-retiring patch entries are
+	// absorbed by the same retirement-count resynchronization as sequence
+	// emulation, and the Vanilla bit-exactness gate must still pass.
 	StormThreshold uint64
 	JITThreshold   int
-	StitchDepth    int
 	ArenaSoftCap   int
 	ArenaHardCap   int
 	// Sanitize attaches the numerical sanitizer to every virtualized run
@@ -214,7 +210,6 @@ type SystemReport struct {
 	// Trace-JIT accounting (Options.JITThreshold > 0).
 	SBCompiled      uint64 // superblocks compiled
 	SBHits          uint64 // zero-delivery superblock entries served
-	SBStitched      uint64 // entries reached by stitch links (no dispatch at all)
 	SBInvalidations uint64 // superblocks discarded on side-table/code changes
 	JITDegradations uint64 // failed superblock compiles absorbed as degradations
 	// Sanitizer accounting (Options.Sanitize).
@@ -337,7 +332,6 @@ func runSystem(t Target, sys arith.System, o Options) (*SystemReport, error) {
 		MaxSequenceLen: o.MaxSequenceLen,
 		StormThreshold: o.StormThreshold,
 		JITThreshold:   o.JITThreshold,
-		StitchDepth:    o.StitchDepth,
 		ArenaSoftCap:   o.ArenaSoftCap,
 		ArenaHardCap:   o.ArenaHardCap,
 	}
@@ -470,7 +464,6 @@ func runSystem(t Target, sys arith.System, o Options) (*SystemReport, error) {
 	sr.StormPatches = vm.Stats.StormPatches
 	sr.SBCompiled = vmach.Stats.SBCompiled
 	sr.SBHits = vmach.Stats.SBHits
-	sr.SBStitched = vmach.Stats.SBStitched
 	sr.SBInvalidations = vmach.Stats.SBInvalidations
 	sr.JITDegradations = vm.Stats.DegradeByCause[telemetry.DegradeJIT]
 	if san != nil {

@@ -115,24 +115,19 @@ func fuzzTarget(src string) Target {
 // loop wraps the chain in a hot counted loop (progen.FPLoopSource) so sites
 // cross realistic thresholds; jitT arms the trace-JIT superblock tier (plus
 // coalescing) at that threshold, putting the compile/bind/invalidate seam
-// under the same bit-identity oracle as the classic path; stitch arms
-// superblock chaining on top, so fuzzing also drives branch-to-hot-site
-// shapes through the link/sever seam.
+// under the same bit-identity oracle as the classic path.
 func FuzzDifferentialOracle(f *testing.F) {
 	for _, s := range progen.Seeds() {
-		f.Add(s, int(progen.DefaultFPLen), false, 0, 0)
-		f.Add(s, int(progen.DefaultFPLen), true, 3, 0)
-		f.Add(s, int(progen.DefaultFPLen), true, 2, 4)
+		f.Add(s, int(progen.DefaultFPLen), false, 0)
+		f.Add(s, int(progen.DefaultFPLen), true, 3)
+		f.Add(s, int(progen.DefaultFPLen), true, 2)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n int, loop bool, jitT, stitch int) {
+	f.Fuzz(func(t *testing.T, seed int64, n int, loop bool, jitT int) {
 		if n < 1 || n > 400 {
 			n = int(progen.DefaultFPLen)
 		}
 		if jitT < 0 || jitT > 64 {
 			jitT = 3
-		}
-		if stitch < 0 || stitch > 16 {
-			stitch = 4
 		}
 		r := rand.New(rand.NewSource(seed))
 		var src string
@@ -151,7 +146,6 @@ func FuzzDifferentialOracle(f *testing.F) {
 		if jitT > 0 {
 			opts.MaxSequenceLen = 8
 			opts.JITThreshold = jitT
-			opts.StitchDepth = stitch
 		}
 		rep, err := Run(fuzzTarget(src), opts)
 		if err != nil {
@@ -210,8 +204,6 @@ func TestJITBitIdenticalAllTargets(t *testing.T) {
 	}{
 		{"jit", Options{Systems: []arith.System{}, JITThreshold: 2}},
 		{"seqemu+jit", Options{Systems: []arith.System{}, MaxSequenceLen: 16, JITThreshold: 2}},
-		{"jit+stitch", Options{Systems: []arith.System{}, JITThreshold: 2, StitchDepth: 4}},
-		{"seqemu+jit+stitch", Options{Systems: []arith.System{}, MaxSequenceLen: 16, JITThreshold: 2, StitchDepth: 4}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -240,10 +232,10 @@ func TestJITBitIdenticalAllTargets(t *testing.T) {
 }
 
 // TestProgenThreeTierLockstep drives generated hot-loop programs through
-// every execution tier — classic interpretation, sequence emulation, the
-// trace-JIT, and the JIT with stitched chains — under the same oracle,
-// pinning the tier-for-tier bit-identity the differential harness promises
-// for arbitrary (generated) programs, not just the curated fig targets.
+// every execution tier — classic interpretation, sequence emulation, and the
+// trace-JIT — under the same oracle, pinning the tier-for-tier bit-identity
+// the differential harness promises for arbitrary (generated) programs, not
+// just the curated fig targets.
 func TestProgenThreeTierLockstep(t *testing.T) {
 	tiers := []struct {
 		name string
@@ -252,7 +244,6 @@ func TestProgenThreeTierLockstep(t *testing.T) {
 		{"interp", Options{Systems: []arith.System{}}},
 		{"seqemu", Options{Systems: []arith.System{}, MaxSequenceLen: 8}},
 		{"jit", Options{Systems: []arith.System{}, MaxSequenceLen: 8, JITThreshold: 2}},
-		{"jit+stitch", Options{Systems: []arith.System{}, MaxSequenceLen: 8, JITThreshold: 2, StitchDepth: 4}},
 	}
 	for _, seed := range progen.Seeds()[:4] {
 		src := progen.FPLoopSource(rand.New(rand.NewSource(seed)), 40, 24)

@@ -7,8 +7,7 @@ package sanitize_test
 // summation, whose compensation term shows a huge per-op shadow error by
 // design but never lets it reach anything the guest can observe. The same
 // expectations must hold across all execution tiers (interpreter, sequence
-// emulation, trace-JIT, JIT+stitching), pinning superblock multi-retire
-// PC attribution.
+// emulation, trace-JIT), pinning superblock multi-retire PC attribution.
 
 import (
 	"testing"
@@ -181,7 +180,6 @@ var tierConfigs = []struct {
 	{"interp", func(c *session.Config) {}},
 	{"seqemu", func(c *session.Config) { c.MaxSequenceLen = 16 }},
 	{"jit", func(c *session.Config) { c.JITThreshold = 2 }},
-	{"jit+stitch", func(c *session.Config) { c.JITThreshold = 2; c.StitchDepth = 4 }},
 }
 
 func build(t *testing.T, src string) *isa.Program {

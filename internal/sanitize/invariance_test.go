@@ -20,7 +20,6 @@ var invarianceTiers = []struct {
 	{"interp", func(o *oracle.Options) {}},
 	{"seqemu", func(o *oracle.Options) { o.MaxSequenceLen = 16 }},
 	{"jit", func(o *oracle.Options) { o.JITThreshold = 8 }},
-	{"jit+stitch", func(o *oracle.Options) { o.JITThreshold = 8; o.StitchDepth = 4 }},
 }
 
 func TestSanitizerInvariance(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 )
 
 // sharedHotSrc is the shared-cache workload: two trapping sites per iteration
-// (the inexact divsd and mulsd) so the warm cache publishes a two-entry trace
-// graph the stitch tier can chain, plus enough iterations for a storm-governed
-// tenant to trip its own patches mid-run.
+// (the inexact divsd and mulsd) so the warm cache publishes two traces, plus
+// enough iterations for a storm-governed tenant to trip its own patches
+// mid-run.
 const sharedHotSrc = `
 	mov r0, $0
 loop:
@@ -99,10 +99,11 @@ func TestSharedCacheWarmCheckouts(t *testing.T) {
 // TestSharedCacheIsolationUnderRace is the cross-tenant staleness suite: many
 // pooled tenants share one SBCache over the pointer-identical program while
 // some of them mutate their own side tables mid-run (storm-governor patches)
-// and others chain stitched traces. No tenant's mutation may leak a stale or
-// severed trace into a concurrent tenant — every run's guest-visible output
-// and retirement count must match the classic reference. Run under -race this
-// is also the data-race gate on the shared cache itself.
+// and others coalesce uncached traces around the adopted ones. No tenant's
+// mutation may leak a stale trace into a concurrent tenant — every run's
+// guest-visible output and retirement count must match the classic
+// reference. Run under -race this is also the data-race gate on the shared
+// cache itself.
 func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	prog := buildSharedHot(t)
 	base := baseConfig()
@@ -116,8 +117,8 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	cache := fpvm.NewSBCache()
 	variants := []Config{base, base, base}
 	variants[0].SBCache = cache // plain warm adopter
-	variants[1].SBCache = cache // stitched adopter
-	variants[1].StitchDepth = 4
+	variants[1].SBCache = cache // warm adopter that also coalesces
+	variants[1].MaxSequenceLen = 8
 	variants[2].SBCache = cache // storm tenant: mutates its side table mid-run
 	variants[2].StormThreshold = 4
 

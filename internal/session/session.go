@@ -67,13 +67,11 @@ type Config struct {
 	// NoPatch skips the §4.2 static analysis + correctness patching. The
 	// default mirrors the full pipeline, as the experiments harness does.
 	NoPatch bool
-	// MaxSequenceLen, StormThreshold, JITThreshold, StitchDepth,
-	// GCEveryNAllocs, ArenaSoftCap, ArenaHardCap, and Inject pass through to
-	// fpvm.Config.
+	// MaxSequenceLen, StormThreshold, JITThreshold, GCEveryNAllocs,
+	// ArenaSoftCap, ArenaHardCap, and Inject pass through to fpvm.Config.
 	MaxSequenceLen int
 	StormThreshold uint64
 	JITThreshold   int
-	StitchDepth    int
 	GCEveryNAllocs uint64
 	ArenaSoftCap   int
 	ArenaHardCap   int
@@ -319,7 +317,6 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 		MaxSequenceLen: cfg.MaxSequenceLen,
 		StormThreshold: cfg.StormThreshold,
 		JITThreshold:   cfg.JITThreshold,
-		StitchDepth:    cfg.StitchDepth,
 		SBCache:        cfg.SBCache,
 		ArenaSoftCap:   cfg.ArenaSoftCap,
 		ArenaHardCap:   cfg.ArenaHardCap,

@@ -27,7 +27,6 @@ type SiteRank struct {
 	// Trace-JIT attribution for superblocks rooted at this PC.
 	SBCompiles      uint64 `json:"sb_compiles,omitempty"`
 	SBHits          uint64 `json:"sb_hits,omitempty"`
-	SBStitches      uint64 `json:"sb_stitches,omitempty"`
 	SBRetired       uint64 `json:"sb_retired,omitempty"`
 	SBInvalidations uint64 `json:"sb_invalidations,omitempty"`
 
@@ -61,7 +60,6 @@ func (c *Collector) TopSites(n int) []SiteRank {
 
 			SBCompiles:      s.SBCompiles,
 			SBHits:          s.SBHits,
-			SBStitches:      s.SBStitches,
 			SBRetired:       s.SBRetired,
 			SBInvalidations: s.SBInvalidations,
 

@@ -233,7 +233,6 @@ type Site struct {
 	// Trace-JIT attribution: superblocks rooted at this PC.
 	SBCompiles      uint64 // superblocks compiled here
 	SBHits          uint64 // superblock entries served here (zero-delivery)
-	SBStitches      uint64 // entries served here via a stitch link (no patch dispatch)
 	SBRetired       uint64 // instructions retired by superblock entries here
 	SBInvalidations uint64 // superblocks discarded here
 
@@ -434,18 +433,6 @@ func (c *Collector) SBCompile(idx int, pc uint64, op isa.Op, traceLen int, cycle
 func (c *Collector) SBHit(idx int, pc uint64, op isa.Op, retired int) {
 	s := c.site(idx, pc, op)
 	s.SBHits++
-	s.SBRetired += uint64(retired)
-}
-
-// SBStitch attributes one stitched superblock entry (reached by chaining
-// from a predecessor trace, retiring retired instructions) to the site at
-// pc. Like SBHit it is aggregated into the site table only; a stitched entry
-// is also a hit, so the SBHits sum stays consistent with the machine's
-// aggregate counter.
-func (c *Collector) SBStitch(idx int, pc uint64, op isa.Op, retired int) {
-	s := c.site(idx, pc, op)
-	s.SBHits++
-	s.SBStitches++
 	s.SBRetired += uint64(retired)
 }
 
