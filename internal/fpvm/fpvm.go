@@ -107,7 +107,10 @@ type Config struct {
 	// writes, storm patches, or degradations never touch another tenant's
 	// traces or the published ones. Warm attachment changes modeled cycles
 	// (the warm-up deliveries and compile costs disappear) but never any
-	// guest-visible output. nil disables sharing and preserves behavior bit
+	// guest-visible output: an adopted trace, like every trace, runs only on
+	// a visit where its entry traps (session's
+	// TestTraceEntryContractAllTargets checks this on every fig target under
+	// MPFR-200 and posit32). nil disables sharing and preserves behavior bit
 	// for bit.
 	SBCache *SBCache
 	// Sanitize attaches the numerical sanitizer: the guest runs under the

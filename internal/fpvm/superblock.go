@@ -158,10 +158,11 @@ func (vm *VM) degradeJITCompile(m *machine.Machine, f *machine.TrapFrame) {
 }
 
 // sbHandler is the patch handler installed at a superblock's entry: validate
-// the cached trace, then run it, multi-retiring the run through
-// TrapFrame.Coalesced. Returning handled=false (after an invalidation) sends
-// the entry through native dispatch, where it re-traps into the uncached
-// path.
+// the cached trace, check the entry contract, then run it, multi-retiring the
+// run through TrapFrame.Coalesced. Returning handled=false sends the entry
+// through native dispatch: after an invalidation it re-traps into the
+// uncached path, and on a visit where it would not trap it retires natively,
+// exactly as it would without FPVM.
 func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
 	idx := f.Idx
 	if idx < 0 || idx >= len(vm.sblocks) || vm.sblocks[idx] == nil {
@@ -171,6 +172,13 @@ func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
 	sb := vm.sblocks[idx]
 	if m.CodeVersion() != sb.codeVer || !vm.revalidateSB(m, sb) {
 		vm.invalidateSB(m, idx)
+		return false, nil
+	}
+	// The entry contract: a trace starts only at an instruction that traps
+	// on this visit. Emulating an entry that native execution retires
+	// without a trap would hand the alternative arithmetic an operation the
+	// plain trap-and-emulate run never sees, and could change the output.
+	if !m.WouldTrap(idx) {
 		return false, nil
 	}
 

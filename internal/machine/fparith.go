@@ -13,24 +13,85 @@ type fpLaneResult struct {
 	valid bool // whether this lane writes back (compares don't)
 }
 
+// fpOutcome is the computed effect of an FP arithmetic instruction before it
+// retires: the lane results (or the compare or integer result) and the
+// condition flags the computation raised.
+type fpOutcome struct {
+	flags     fpu.Flags
+	lanes     [2]fpLaneResult
+	laneCount int
+	cmp       fpu.CompareResult
+	isCmp     bool
+	intResult int64
+	intDst    int // operand index of an integer destination (cvtsd2si), -1 if none
+}
+
 // execFPArith executes a floating point arithmetic instruction with precise
 // fault semantics: all lanes are computed, flags accumulated, and if any
 // event is unmasked in MXCSR the instruction does NOT retire — no result or
 // RFLAGS write happens — and the FP trap handler (FPVM) is invoked instead.
 func (m *Machine) execFPArith(in *isa.Inst) error {
-	var flags fpu.Flags
-	var lanes [2]fpLaneResult
-	var cmp fpu.CompareResult
-	isCmp := false
-	var intResult int64
-	intDst := -1 // operand index of an integer destination (cvtsd2si)
-
-	laneCount := 1
-	if in.Op.IsPacked() {
-		laneCount = 2
+	var r fpOutcome
+	if err := m.computeFP(in, &r); err != nil {
+		return err
 	}
 
-	for lane := 0; lane < laneCount; lane++ {
+	// Flags become sticky in MXCSR whether or not we trap (the paper's
+	// handler reads them to learn the trap cause, then clears them).
+	unmasked := m.MXCSR.Unmasked(r.flags)
+	m.MXCSR.SetFlags(r.flags)
+	if unmasked != 0 {
+		m.Stats.FPTraps++
+		m.Stats.TrapByFlag[unmasked&fpu.FlagAll]++
+		if m.FPTrap == nil {
+			return m.fault("unhandled FP exception %v at %v", unmasked, *in)
+		}
+		coalesced, err := m.deliverTrap(m.FPTrap, m.Delivery, CauseFPException, in, unmasked, 0)
+		if err != nil {
+			return err
+		}
+		// Multi-retire: a sequence-emulating handler may have retired a run
+		// of instructions beyond the faulting one (Coalesced of them), all
+		// inside the single delivery charged above.
+		m.Stats.Instructions += 1 + uint64(coalesced)
+		m.Stats.CoalescedFP += uint64(coalesced)
+		return nil
+	}
+	if err := m.commitFP(in, &r); err != nil {
+		return err
+	}
+	m.advance(in)
+	m.Stats.Instructions++
+	m.Stats.FPInstructions++
+	return nil
+}
+
+// WouldTrap reports whether executing the instruction at dense index idx now
+// would deliver an FP trap: it is FP arithmetic and, on the current operands,
+// raises an event unmasked in MXCSR. The check runs the same FP dispatch as
+// execution but changes no machine state. An instruction whose operand read
+// would fault reports false; executing it natively reports the fault.
+func (m *Machine) WouldTrap(idx int) bool {
+	if idx < 0 || idx >= len(m.insts) || !m.insts[idx].Op.IsFPArith() {
+		return false
+	}
+	var r fpOutcome
+	if m.computeFP(&m.insts[idx], &r) != nil {
+		return false
+	}
+	return m.MXCSR.Unmasked(r.flags) != 0
+}
+
+// computeFP computes every lane of an FP arithmetic instruction and the
+// condition flags it raises into r, without changing machine state.
+func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
+	r.intDst = -1
+	r.laneCount = 1
+	if in.Op.IsPacked() {
+		r.laneCount = 2
+	}
+
+	for lane := 0; lane < r.laneCount; lane++ {
 		switch in.Op {
 		case isa.OpAddsd, isa.OpSubsd, isa.OpMulsd, isa.OpDivsd, isa.OpMinsd,
 			isa.OpMaxsd, isa.OpAddpd, isa.OpSubpd, isa.OpMulpd, isa.OpDivpd,
@@ -50,9 +111,9 @@ func (m *Machine) execFPArith(in *isa.Inst) error {
 			if err != nil {
 				return err
 			}
-			r := fpBinary(in.Op, math.Float64frombits(abits), math.Float64frombits(bbits))
-			flags |= r.Flags
-			lanes[lane] = fpLaneResult{math.Float64bits(r.Value), true}
+			res := fpBinary(in.Op, math.Float64frombits(abits), math.Float64frombits(bbits))
+			r.flags |= res.Flags
+			r.lanes[lane] = fpLaneResult{math.Float64bits(res.Value), true}
 
 		case isa.OpSqrtsd, isa.OpSqrtpd, isa.OpFabs, isa.OpFneg, isa.OpFsin,
 			isa.OpFcos, isa.OpFtan, isa.OpFasin, isa.OpFacos, isa.OpFatan,
@@ -62,9 +123,9 @@ func (m *Machine) execFPArith(in *isa.Inst) error {
 			if err != nil {
 				return err
 			}
-			r := fpUnary(in.Op, math.Float64frombits(bits))
-			flags |= r.Flags
-			lanes[lane] = fpLaneResult{math.Float64bits(r.Value), true}
+			res := fpUnary(in.Op, math.Float64frombits(bits))
+			r.flags |= res.Flags
+			r.lanes[lane] = fpLaneResult{math.Float64bits(res.Value), true}
 
 		case isa.OpFmaddsd:
 			// dst = src1*src2 + dst
@@ -80,9 +141,9 @@ func (m *Machine) execFPArith(in *isa.Inst) error {
 			if err != nil {
 				return err
 			}
-			r := fpu.FMAdd(math.Float64frombits(abits), math.Float64frombits(bbits), math.Float64frombits(cbits))
-			flags |= r.Flags
-			lanes[lane] = fpLaneResult{math.Float64bits(r.Value), true}
+			res := fpu.FMAdd(math.Float64frombits(abits), math.Float64frombits(bbits), math.Float64frombits(cbits))
+			r.flags |= res.Flags
+			r.lanes[lane] = fpLaneResult{math.Float64bits(res.Value), true}
 
 		case isa.OpUcomisd, isa.OpComisd:
 			abits, err := m.readFPBits(in.Ops[0], lane)
@@ -94,85 +155,62 @@ func (m *Machine) execFPArith(in *isa.Inst) error {
 				return err
 			}
 			if in.Op == isa.OpUcomisd {
-				cmp = fpu.Ucomisd(math.Float64frombits(abits), math.Float64frombits(bbits))
+				r.cmp = fpu.Ucomisd(math.Float64frombits(abits), math.Float64frombits(bbits))
 			} else {
-				cmp = fpu.Comisd(math.Float64frombits(abits), math.Float64frombits(bbits))
+				r.cmp = fpu.Comisd(math.Float64frombits(abits), math.Float64frombits(bbits))
 			}
-			flags |= cmp.Flags
-			isCmp = true
+			r.flags |= r.cmp.Flags
+			r.isCmp = true
 
 		case isa.OpCvtsi2sd:
 			v, err := m.readInt(in.Ops[1])
 			if err != nil {
 				return err
 			}
-			r := fpu.Cvtsi2sd(v)
-			flags |= r.Flags
-			lanes[lane] = fpLaneResult{math.Float64bits(r.Value), true}
+			res := fpu.Cvtsi2sd(v)
+			r.flags |= res.Flags
+			r.lanes[lane] = fpLaneResult{math.Float64bits(res.Value), true}
 
 		case isa.OpCvtsd2si, isa.OpCvttsd2si:
 			bits, err := m.readFPBits(in.Ops[1], 0)
 			if err != nil {
 				return err
 			}
-			var r fpu.IntResult
+			var res fpu.IntResult
 			if in.Op == isa.OpCvttsd2si {
-				r = fpu.Cvttsd2si(math.Float64frombits(bits))
+				res = fpu.Cvttsd2si(math.Float64frombits(bits))
 			} else {
-				r = fpu.Cvtsd2si(math.Float64frombits(bits), m.MXCSR.RC())
+				res = fpu.Cvtsd2si(math.Float64frombits(bits), m.MXCSR.RC())
 			}
-			flags |= r.Flags
-			intResult = r.Value
-			intDst = 0
+			r.flags |= res.Flags
+			r.intResult = res.Value
+			r.intDst = 0
 
 		default:
 			return m.fault("unhandled FP op %v", in.Op)
 		}
 	}
+	return nil
+}
 
-	// Flags become sticky in MXCSR whether or not we trap (the paper's
-	// handler reads them to learn the trap cause, then clears them).
-	unmasked := m.MXCSR.Unmasked(flags)
-	m.MXCSR.SetFlags(flags)
-	if unmasked != 0 {
-		m.Stats.FPTraps++
-		m.Stats.TrapByFlag[unmasked&fpu.FlagAll]++
-		if m.FPTrap == nil {
-			return m.fault("unhandled FP exception %v at %v", unmasked, *in)
-		}
-		coalesced, err := m.deliverTrap(m.FPTrap, m.Delivery, CauseFPException, in, unmasked, 0)
-		if err != nil {
-			return err
-		}
-		// Multi-retire: a sequence-emulating handler may have retired a run
-		// of instructions beyond the faulting one (Coalesced of them), all
-		// inside the single delivery charged above.
-		m.Stats.Instructions += 1 + uint64(coalesced)
-		m.Stats.CoalescedFP += uint64(coalesced)
-		return nil
-	}
-
-	// Retire: write results.
+// commitFP retires a computed FP arithmetic instruction: it writes the
+// compare flags, the integer result, or the lane results.
+func (m *Machine) commitFP(in *isa.Inst, r *fpOutcome) error {
 	switch {
-	case isCmp:
-		m.Flags.ZF, m.Flags.PF, m.Flags.CF = cmp.ZF, cmp.PF, cmp.CF
+	case r.isCmp:
+		m.Flags.ZF, m.Flags.PF, m.Flags.CF = r.cmp.ZF, r.cmp.PF, r.cmp.CF
 		m.Flags.OF, m.Flags.SF = false, false
-	case intDst >= 0:
-		if err := m.writeInt(in.Ops[intDst], intResult); err != nil {
-			return err
-		}
+	case r.intDst >= 0:
+		return m.writeInt(in.Ops[r.intDst], r.intResult)
 	default:
-		for lane := 0; lane < laneCount; lane++ {
-			if lanes[lane].valid {
-				if err := m.writeFPBits(in.Ops[0], lane, lanes[lane].bits); err != nil {
+		for lane := 0; lane < r.laneCount; lane++ {
+			if r.lanes[lane].valid {
+				if err := m.writeFPBits(in.Ops[0], lane, r.lanes[lane].bits); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	m.advance(in)
-	m.Stats.Instructions++
-	m.Stats.FPInstructions++
 	return nil
 }
 

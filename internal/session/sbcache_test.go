@@ -2,12 +2,15 @@ package session
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/isa"
+	"fpvm/internal/posit"
 )
 
 // sharedHotSrc is the shared-cache workload: two trapping sites per iteration
@@ -159,4 +162,72 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	if s := cache.Stats(); s.Programs != 1 || s.Entries == 0 {
 		t.Fatalf("cache accounting off after race: %+v", s)
 	}
+}
+
+// TestTraceEntryContractAllTargets pins the trace entry contract end to end:
+// a trace starts only at an instruction that traps on this visit, so a
+// superblock never emulates an entry that native execution would retire
+// without a trap. Every fig target, under MPFR-200 and posit32, must print
+// exactly what plain trap-and-emulate prints, both on a cold JIT run and on a
+// warm run that adopts the cold run's traces from a shared SBCache. This is
+// the check behind fpvm.Config.SBCache's promise that warm attachment never
+// changes guest-visible output.
+func TestTraceEntryContractAllTargets(t *testing.T) {
+	targets, progs := buildTargets(t)
+	systems := []struct {
+		name string
+		make func() arith.System
+	}{
+		{"mpfr200", func() arith.System { return arith.NewMPFR(200) }},
+		{"posit32", func() arith.System { return arith.NewPosit(posit.Posit32) }},
+	}
+	for _, sys := range systems {
+		for i, tgt := range targets {
+			sys, prog := sys, progs[i]
+			t.Run(sys.name+"/"+tgt.Name, func(t *testing.T) {
+				t.Parallel()
+				plain := Config{System: sys.make(), MemSize: testMemSize}
+				jit := plain
+				jit.JITThreshold = 8
+				jit.SBCache = fpvm.NewSBCache()
+				var outs [3]string
+				for k, cfg := range []Config{plain, jit, jit} {
+					res, err := New().Run(prog, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Fault != "" || res.BudgetExhausted {
+						t.Fatalf("run %d did not halt cleanly: fault %q, budget %v", k, res.Fault, res.BudgetExhausted)
+					}
+					outs[k] = res.Output
+				}
+				if s := jit.SBCache.Stats(); s.Stores > 0 && s.Adopted == 0 {
+					t.Fatalf("warm run adopted nothing from %d published traces", s.Stores)
+				}
+				for k, name := range []string{"", "cold jit", "warm adopted"} {
+					if k > 0 && outs[k] != outs[0] {
+						t.Errorf("%s output differs from plain trap-and-emulate:\n%s", name, firstDiff(outs[0], outs[k]))
+					}
+				}
+			})
+		}
+	}
+}
+
+// firstDiff renders the first differing output line of two runs.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d: plain %q, got %q", i+1, wl, gl)
+		}
+	}
+	return "outputs differ"
 }
