@@ -27,10 +27,12 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The dispatch and trap-delivery microbenchmarks, run for a fixed short count
-# so they keep building and running (the numbers are not gated).
+# The dispatch, trap-delivery and superblock-entry microbenchmarks, run for a
+# fixed short count so they keep building and running (the numbers are not
+# gated).
 microbench:
 	$(GO) test -run '^$$' -bench 'StepDispatch|TrapDelivery' -benchtime 2000x ./internal/machine
+	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x ./internal/fpvm
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server.

@@ -401,13 +401,23 @@ func summarizeSanitize(r *sanitize.Report) *sanitizeSummary {
 	return sum
 }
 
+// maxRunBody bounds a POST /run body. The largest legitimate body is an
+// inline asm program, which is kilobytes; a larger body is refused with 413
+// before it is decoded.
+const maxRunBody = 1 << 20
+
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRunBody)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

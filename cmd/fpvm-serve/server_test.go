@@ -307,6 +307,31 @@ func TestServeSelftestAndSmokeExitClean(t *testing.T) {
 	}
 }
 
+// TestServeRunBodyLimit pins the /run body bound: a body one byte over
+// maxRunBody is refused with 413 and a typed message before it is decoded,
+// while a normal request, and one padded to exactly the limit, still run.
+func TestServeRunBodyLimit(t *testing.T) {
+	_, ts := testServer(t, serverConfig{Workers: 1})
+	body := `{"workload":"FBench"}`
+
+	code, _, raw := postRun(t, ts, body, nil)
+	if code != http.StatusOK {
+		t.Fatalf("normal request: %d %s", code, raw)
+	}
+	code, _, raw = postRun(t, ts, strings.Repeat(" ", maxRunBody-len(body))+body, nil)
+	if code != http.StatusOK {
+		t.Fatalf("request of exactly %d bytes: %d %s", maxRunBody, code, raw)
+	}
+	code, _, raw = postRun(t, ts, strings.Repeat(" ", maxRunBody+1-len(body))+body, nil)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized request: %d %s, want 413", code, raw)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal([]byte(raw), &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("413 body %q is not the typed size error", raw)
+	}
+}
+
 func TestServeBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := Run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
