@@ -69,17 +69,15 @@ func (m *Machine) execFPArith(in *isa.Inst) error {
 // WouldTrap reports whether executing the instruction at dense index idx now
 // would deliver an FP trap: it is FP arithmetic and, on the current operands,
 // raises an event unmasked in MXCSR. The check runs the same FP dispatch as
-// execution but changes no machine state. An instruction whose operand read
-// would fault reports false; executing it natively reports the fault.
+// execution but changes no machine state. An instruction that is not FP
+// arithmetic, or whose operand read would fault, reports false; executing it
+// natively delivers no FP trap.
 func (m *Machine) WouldTrap(idx int) bool {
-	if idx < 0 || idx >= len(m.insts) || !m.insts[idx].Op.IsFPArith() {
+	if idx < 0 || idx >= len(m.insts) {
 		return false
 	}
 	var r fpOutcome
-	if m.computeFP(&m.insts[idx], &r) != nil {
-		return false
-	}
-	return m.MXCSR.Unmasked(r.flags) != 0
+	return m.computeFP(&m.insts[idx], &r) == nil && m.MXCSR.Unmasked(r.flags) != 0
 }
 
 // computeFP computes every lane of an FP arithmetic instruction and the
