@@ -83,10 +83,11 @@ func (vm *VM) noteJIT(f *machine.TrapFrame) {
 
 // compileSB builds and installs the superblock rooted at f's site. The trace
 // is measured by traceExtent, as the trap handler's uncached trace is, so
-// both kinds share one stop-condition contract. Each instruction pays the full decode + bind cost
-// once, here; a compile failure — injected at the sb-compile seam or a
-// translate refusal — is classified as a DegradeJIT degradation and the site
-// is blacklisted, keeping its classic per-trap path.
+// both kinds share one stop-condition contract. Each instruction pays the
+// full decode + bind cost once, here; a compile failure — injected at the
+// sb-compile seam or a translate refusal — is classified as a DegradeJIT
+// degradation and the site is blacklisted, keeping its classic per-trap
+// path.
 func (vm *VM) compileSB(f *machine.TrapFrame) {
 	m := f.M
 	idx := f.Idx
