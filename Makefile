@@ -80,9 +80,7 @@ bench-smoke:
 # Canonical bench options: the configuration every checked-in BENCH_N.json is
 # produced under. The gate refuses to compare documents with different
 # options, so record and gate must agree. -jit entered at BENCH_7.json;
-# BENCH_10.json is the first record made without the superblock-stitching
-# rung, which was deleted, so it is the first baseline comparable under
-# these options.
+# BENCH_10.json is the first record made under exactly these options.
 BENCHOPTS = -quick -seqemu -jit -sessions 500 -load-j 16
 # Newest checked-in bench record (highest N).
 BENCHBASE = $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
