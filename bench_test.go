@@ -9,6 +9,7 @@ package fpvm_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 
 	"fpvm/internal/arith"
@@ -86,7 +87,7 @@ func BenchmarkFig10GC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vm := fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}, DisableGC: true})
+	vm := fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}, GCEveryNAllocs: math.MaxUint64})
 	if err := m.Run(0); err != nil {
 		b.Fatal(err)
 	}
@@ -228,26 +229,6 @@ func BenchmarkTrapAndPatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(c), "sim-cycles")
 	})
-}
-
-// BenchmarkAblationDecodeCache quantifies the decode cache (§4.1: "critical
-// to lowering latencies").
-func BenchmarkAblationDecodeCache(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		nm := "enabled"
-		if disabled {
-			nm = "disabled"
-		}
-		b.Run(nm, func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				m, _ := runUnder(b, "Lorenz Attractor/", arith.Vanilla{},
-					fpvm.Config{DisableDecodeCache: disabled})
-				cycles = m.Cycles
-			}
-			b.ReportMetric(float64(cycles), "sim-cycles")
-		})
-	}
 }
 
 // BenchmarkAblationGCEpoch sweeps the garbage collection epoch (allocation

@@ -85,7 +85,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		jit      = fs.Bool("jit", false, "enable the trace-JIT superblock tier; adds ablation columns to fig9/fig12 and jit rows to -json")
 		jitT     = fs.Int("jitthreshold", 8, "deliveries at one site before its run is compiled into a superblock (with -jit)")
 		topSites = fs.Int("topsites", 0, "with -json: attach trap telemetry and export the N hottest trap sites per record")
-		storm    = fs.Uint64("storm", 0, "trap-storm governor threshold: sites trapping more than N times are patched to demote and stay native (0 = off)")
 		sessions = fs.Int("sessions", 0, "with -json: attach a session-load record driving N runs through a pooled session (sessions/sec, p50/p99)")
 		loadJobs = fs.Int("load-j", 16, "with -sessions: concurrent load-harness workers")
 		outFile  = fs.String("out", "", "with -json: also write the document to this file (e.g. BENCH_6.json)")
@@ -128,7 +127,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			Workers:        *jobs,
 			MaxSequenceLen: maxSeq,
 			TopSites:       *topSites,
-			StormThreshold: *storm,
 			JITThreshold:   jitThresh,
 			Sessions:       *sessions,
 			LoadWorkers:    *loadJobs,
@@ -205,7 +203,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			Workers:        *jobs,
 			MaxSequenceLen: maxSeq,
 			TopSites:       *topSites,
-			StormThreshold: *storm,
 			JITThreshold:   jitThresh,
 		})
 		if err != nil {

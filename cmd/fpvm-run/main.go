@@ -12,7 +12,6 @@
 //	fpvm-run -oracle                          # differential oracle, all targets
 //	fpvm-run -oracle -workload "Three-Body"   # oracle on one workload
 //	fpvm-run -workload FBench -arith vanilla -faults seed=7,rate=0.001 -stats
-//	fpvm-run -workload FBench -arith mpfr -storm 2000 -stats
 //	fpvm-run -chaos -seeds 4                  # chaos suite, all targets
 //	fpvm-run -chaos -workload FBench -faults seed=9,rate=0.002
 package main
@@ -105,7 +104,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		jitThresh = fs.Int("jitthreshold", 8, "deliveries at one site before its run is compiled into a superblock (with -jit)")
 		traceOut  = fs.String("trace", "", "write the telemetry event stream (trap entry/exit, promotions, demotions, GC epochs, sequences) to this JSONL file")
 		topSites  = fs.Int("topsites", 0, "print the N hottest trap sites (per-PC hits, attributed cycles, exception flags) after the run")
-		storm     = fs.Uint64("storm", 0, "trap-storm governor threshold: sites trapping more than N times are patched to demote and stay native (0 = off)")
 		sanRun    = fs.Bool("sanitize", false, "numerical sanitizer: shadow every emulated FP op with high-precision and interval arithmetic and report ranked cancellation/error sites (results stay bit-identical)")
 		sanThresh = fs.Float64("sanitize-threshold", sanitize.DefaultThresholdBits, "lost-bits threshold above which a site is flagged (with -sanitize)")
 		sanPrec   = fs.Uint("sanitize-prec", 0, "high-precision shadow mantissa bits (0 = default, with -sanitize)")
@@ -163,11 +161,11 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *chaosRun {
-		return runChaos(stdout, stderr, *workload, injectCfg, *seeds, *storm, jitT, *maxInst, sanitizing)
+		return runChaos(stdout, stderr, *workload, injectCfg, *seeds, jitT, *maxInst, sanitizing)
 	}
 
 	if *oracleRun {
-		return runOracle(stdout, stderr, *workload, *asmFile, *prec, *maxInst, *noPatch, maxSeq, *storm, jitT, injectCfg)
+		return runOracle(stdout, stderr, *workload, *asmFile, *prec, *maxInst, *noPatch, maxSeq, jitT, injectCfg)
 	}
 
 	prog, err := loadProgram(*workload, *asmFile)
@@ -218,8 +216,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var vm *fpvm.VM
-	if *arithName == "" && (injectCfg != nil || *storm > 0 || jitT > 0) {
-		return fail(fmt.Errorf("-faults, -storm, and -jit act on the FPVM runtime; pick an -arith system"))
+	if *arithName == "" && (injectCfg != nil || jitT > 0) {
+		return fail(fmt.Errorf("-faults and -jit act on the FPVM runtime; pick an -arith system"))
 	}
 	var inj *faultinject.Injector
 	var san *sanitize.Sanitizer
@@ -252,7 +250,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		vm = fpvm.Attach(m, fpvm.Config{
 			System:         sys,
 			MaxSequenceLen: maxSeq,
-			StormThreshold: *storm,
 			JITThreshold:   jitT,
 			Inject:         inj,
 			Sanitize:       san,
@@ -289,9 +286,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 				s.CorrectTraps, s.Demotions)
 			fmt.Fprintf(stderr, "gc:           %d passes, %d freed, %d alive\n",
 				s.GC.Passes, s.GC.TotalFreed, vm.Arena.Live())
-			if s.Degradations > 0 || s.StormPatches > 0 {
-				fmt.Fprintf(stderr, "resilience:   %d degradations, %d storm patches (%d native retirements)\n",
-					s.Degradations, s.StormPatches, s.StormNative)
+			if s.Degradations > 0 {
+				fmt.Fprintf(stderr, "resilience:   %d degradations\n", s.Degradations)
 			}
 			if inj != nil {
 				fmt.Fprintf(stderr, "injected:     %s (%d boxes corrupted)\n",
@@ -367,7 +363,7 @@ func finishTelemetry(stdout, stderr io.Writer, telem *telemetry.Collector, trace
 // -workload or -asm is given, else over every workload and example — and
 // returns non-zero if any virtualized-vanilla run is not bit-identical to
 // native execution.
-func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, maxInst uint64, noPatch bool, maxSeq int, storm uint64, jitT int, inject *faultinject.Config) int {
+func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, maxInst uint64, noPatch bool, maxSeq int, jitT int, inject *faultinject.Config) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fpvm-run:", err)
 		return 1
@@ -398,7 +394,6 @@ func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, ma
 		MaxInst:        maxInst,
 		NoPatch:        noPatch,
 		MaxSequenceLen: maxSeq,
-		StormThreshold: storm,
 		JITThreshold:   jitT,
 		Inject:         inject,
 	}
@@ -429,14 +424,13 @@ func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, ma
 // hard degradation invariants. A -faults spec seeds the sweep: its seed
 // becomes the base seed, its highest seam rate the uniform error rate, and
 // its corrupt rate the corruption-tier rate.
-func runChaos(stdout, stderr io.Writer, workload string, inject *faultinject.Config, seeds int, storm uint64, jitT int, maxInst uint64, sanitize bool) int {
+func runChaos(stdout, stderr io.Writer, workload string, inject *faultinject.Config, seeds int, jitT int, maxInst uint64, sanitize bool) int {
 	opts := chaos.Options{
-		Seeds:          seeds,
-		StormThreshold: storm,
-		JITThreshold:   jitT,
-		MaxInst:        maxInst,
-		Sanitize:       sanitize,
-		Log:            stderr,
+		Seeds:        seeds,
+		JITThreshold: jitT,
+		MaxInst:      maxInst,
+		Sanitize:     sanitize,
+		Log:          stderr,
 	}
 	if workload != "" {
 		t, err := oracle.Lookup(workload)

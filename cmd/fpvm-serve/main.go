@@ -55,7 +55,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		memKiB    = fs.Int("mem-kib", 1024, "per-session guest memory in KiB")
 		arenaSoft = fs.Int("arena-soft", 0, "arena soft cap: forced GC above this many live shadows (0 = off)")
 		arenaHard = fs.Int("arena-hard", 0, "arena hard cap: degrade to native above this many live shadows (0 = off)")
-		storm     = fs.Uint64("storm", 0, "default trap-storm governor threshold (0 = off)")
 		maxRun    = fs.Duration("max-run-time", 0, "per-run wall-clock cap; expired runs are truncated and harvested with deadline_exceeded (0 = off)")
 		maxQueue  = fs.Int("max-queue", 0, "max requests waiting for a worker slot before shedding with 429 (0 = 4x workers)")
 		queueTO   = fs.Duration("queue-timeout", 0, "max wait for a worker slot before shedding with 429 (0 = 5s)")
@@ -89,7 +88,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		MemSize:         *memKiB << 10,
 		ArenaSoftCap:    *arenaSoft,
 		ArenaHardCap:    *arenaHard,
-		Storm:           *storm,
 		MaxRunTime:      *maxRun,
 		MaxQueue:        *maxQueue,
 		QueueTimeout:    *queueTO,
@@ -198,7 +196,7 @@ func runSmoke(stdout, stderr io.Writer, cfg serverConfig, target, arithName stri
 // wall-clock cap, a fast breaker), driven by the chaosload harness's
 // concurrent healthy and hostile tenant streams. The harness checks the
 // client-observable invariants; this driver adds the last one — a clean
-// drain on shutdown after the storm.
+// drain on shutdown after the campaign.
 func runChaosLoad(stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fpvm-serve:", err)
@@ -310,13 +308,12 @@ func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName s
 		return fail(err)
 	}
 	scfg := session.Config{
-		System:         sys,
-		MaxInst:        cfg.TenantQuota,
-		MemSize:        cfg.MemSize,
-		StormThreshold: cfg.Storm,
-		JITThreshold:   jit,
-		ArenaSoftCap:   cfg.ArenaSoftCap,
-		ArenaHardCap:   cfg.ArenaHardCap,
+		System:       sys,
+		MaxInst:      cfg.TenantQuota,
+		MemSize:      cfg.MemSize,
+		JITThreshold: jit,
+		ArenaSoftCap: cfg.ArenaSoftCap,
+		ArenaHardCap: cfg.ArenaHardCap,
 	}
 	if jit > 0 && !cfg.NoSharedSB {
 		scfg.SBCache = fpvm.NewSBCache()

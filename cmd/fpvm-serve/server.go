@@ -44,8 +44,6 @@ type serverConfig struct {
 	// error.
 	ArenaSoftCap int
 	ArenaHardCap int
-	// Storm is the default trap-storm governor threshold.
-	Storm uint64
 	// MaxRunTime caps each run's wall-clock execution (0 = no cap). The cap
 	// is enforced cooperatively: the machine checks a cancel flag at
 	// instruction-boundary checkpoints, so an expired run is truncated and
@@ -77,8 +75,8 @@ type serverConfig struct {
 	// workload shares compiled traces with every other tenant running the
 	// same program: the traces are a pure function of the immutable program
 	// text, so only the first session per workload pays the warm-up and
-	// compile. Per-tenant state (blacklists, storm patches, invalidations)
-	// stays private regardless.
+	// compile. Per-tenant state (blacklists, patches, invalidations) stays
+	// private regardless.
 	NoSharedSB bool
 }
 
@@ -255,8 +253,6 @@ type runRequest struct {
 	NoPatch bool `json:"no_patch,omitempty"`
 	// SeqLen enables sequence emulation with the given max run length.
 	SeqLen int `json:"seqlen,omitempty"`
-	// Storm overrides the server's trap-storm threshold (0 = server default).
-	Storm uint64 `json:"storm,omitempty"`
 	// JITThreshold enables the trace-JIT superblock tier: sites delivered
 	// more than this many times compile into cached superblocks (0 = off).
 	JITThreshold int `json:"jitthreshold,omitempty"`
@@ -297,7 +293,6 @@ type runResponse struct {
 	CorrectnessTraps uint64               `json:"correctness_traps"`
 	Emulated         uint64               `json:"emulated"`
 	Degradations     uint64               `json:"degradations"`
-	StormPatches     uint64               `json:"storm_patches"`
 	SBCompiled       uint64               `json:"sb_compiled,omitempty"`
 	SBHits           uint64               `json:"sb_hits,omitempty"`
 	SBInvalidations  uint64               `json:"sb_invalidations,omitempty"`
@@ -468,17 +463,12 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if granted == 0 || granted > s.cfg.TenantQuota {
 		granted = s.cfg.TenantQuota
 	}
-	storm := req.Storm
-	if storm == 0 {
-		storm = s.cfg.Storm
-	}
 	cfg := session.Config{
 		System:         sys,
 		MaxInst:        granted,
 		MemSize:        s.cfg.MemSize,
 		NoPatch:        req.NoPatch,
 		MaxSequenceLen: req.SeqLen,
-		StormThreshold: storm,
 		JITThreshold:   req.JITThreshold,
 		ArenaSoftCap:   s.cfg.ArenaSoftCap,
 		ArenaHardCap:   s.cfg.ArenaHardCap,
@@ -609,7 +599,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ts.sbHits.Add(res.Machine.SBHits)
 	s.sbCompiled.Add(res.Machine.SBCompiled)
 	s.sbHits.Add(res.Machine.SBHits)
-	if res.BudgetExhausted || res.DeadlineExceeded || res.VM.Degradations > 0 || res.VM.StormPatches > 0 {
+	if res.BudgetExhausted || res.DeadlineExceeded || res.VM.Degradations > 0 {
 		s.degraded.Add(1)
 	}
 	var sanSummary *sanitizeSummary
@@ -637,7 +627,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		CorrectnessTraps: res.VM.CorrectTraps,
 		Emulated:         res.VM.Emulated,
 		Degradations:     res.VM.Degradations,
-		StormPatches:     res.VM.StormPatches,
 		SBCompiled:       res.Machine.SBCompiled,
 		SBHits:           res.Machine.SBHits,
 		SBInvalidations:  res.Machine.SBInvalidations,

@@ -431,3 +431,24 @@ func TestServeNoSharedSB(t *testing.T) {
 		t.Errorf("shared_sb present with the cache disabled: %+v", *stats.SharedSB)
 	}
 }
+
+// TestServeIgnoresStormField pins what an old client's "storm" field does:
+// nothing. Request decoding is lenient, so the unknown field is ignored, and
+// a run that asks for it prints exactly what the same run without it prints.
+func TestServeIgnoresStormField(t *testing.T) {
+	_, ts := testServer(t, serverConfig{Workers: 2})
+	var outs [2]string
+	for i, body := range []string{
+		`{"workload":"FBench","arith":"mpfr","storm":64}`,
+		`{"workload":"FBench","arith":"mpfr"}`,
+	} {
+		code, rr, raw := postRun(t, ts, body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, code, raw)
+		}
+		outs[i] = rr.Output
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("the storm field changed the output:\nwith:    %q\nwithout: %q", outs[0], outs[1])
+	}
+}

@@ -50,9 +50,6 @@ type Options struct {
 	// CorruptRate is the NaN-box corruption probability for the corruption
 	// tier. 0 selects 1e-4. Negative disables the corruption tier.
 	CorruptRate float64
-	// StormThreshold arms the trap-storm governor during chaos runs (0
-	// leaves it off).
-	StormThreshold uint64
 	// JITThreshold arms the trace-JIT superblock tier during chaos runs (0
 	// leaves it off), exposing the compile/bind seam to fault injection.
 	JITThreshold int
@@ -97,7 +94,6 @@ func (f Failure) String() string {
 type Summary struct {
 	Runs         int
 	Degradations uint64
-	StormPatches uint64
 	// Trace-JIT accounting (Options.JITThreshold > 0): superblock compiles,
 	// discards, and injected compile failures absorbed as degradations.
 	SBCompiled      uint64
@@ -297,14 +293,13 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 		return oracle.Run(t, oracle.Options{
 			// Empty non-nil slice: Vanilla only. The bit-exactness gate is
 			// the invariant; shadow systems would only slow the sweep.
-			Systems:        []arith.System{},
-			MaxInst:        o.MaxInst,
-			Inject:         &cfg,
-			StormThreshold: o.StormThreshold,
-			JITThreshold:   o.JITThreshold,
-			ArenaSoftCap:   o.ArenaSoftCap,
-			ArenaHardCap:   o.ArenaHardCap,
-			Sanitize:       o.Sanitize,
+			Systems:      []arith.System{},
+			MaxInst:      o.MaxInst,
+			Inject:       &cfg,
+			JITThreshold: o.JITThreshold,
+			ArenaSoftCap: o.ArenaSoftCap,
+			ArenaHardCap: o.ArenaHardCap,
+			Sanitize:     o.Sanitize,
 		})
 	}()
 
@@ -313,7 +308,6 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 	case err == nil:
 		v = rep.Vanilla
 		s.Degradations += v.Degradations
-		s.StormPatches += v.StormPatches
 		s.SBCompiled += v.SBCompiled
 		s.SBInvalidations += v.SBInvalidations
 		s.JITDegradations += v.JITDegradations
@@ -348,8 +342,8 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 			verdict = "FAIL"
 		}
 		if v != nil {
-			fmt.Fprintf(o.Log, "chaos %-34s tier=%-7s seed=%-4d degradations=%-6d storm=%-3d inject[%s] %s\n",
-				t.Name, tier, seed, v.Degradations, v.StormPatches, v.InjectSummary, verdict)
+			fmt.Fprintf(o.Log, "chaos %-34s tier=%-7s seed=%-4d degradations=%-6d inject[%s] %s\n",
+				t.Name, tier, seed, v.Degradations, v.InjectSummary, verdict)
 		} else {
 			fmt.Fprintf(o.Log, "chaos %-34s tier=%-7s seed=%-4d %s (%v)\n",
 				t.Name, tier, seed, verdict, err)
@@ -367,8 +361,8 @@ func (s *Summary) WriteReport(w io.Writer) {
 	if !s.Ok() {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(w, "chaos: %s — %d runs, %d degradations absorbed, %d storm patches, %d invariant violations\n",
-		verdict, s.Runs, s.Degradations, s.StormPatches, len(s.Failures))
+	fmt.Fprintf(w, "chaos: %s — %d runs, %d degradations absorbed, %d invariant violations\n",
+		verdict, s.Runs, s.Degradations, len(s.Failures))
 	if s.SBCompiled > 0 || s.JITDegradations > 0 {
 		fmt.Fprintf(w, "chaos: jit tier — %d superblocks compiled, %d invalidated, %d compile faults degraded\n",
 			s.SBCompiled, s.SBInvalidations, s.JITDegradations)

@@ -25,13 +25,12 @@ func TestChaosQuick(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Targets:        targets,
-		Seeds:          2,
-		Rate:           1e-3,
-		StormThreshold: 500,
-		ArenaSoftCap:   1 << 14,
-		ArenaHardCap:   1 << 15,
-		Log:            &log,
+		Targets:      targets,
+		Seeds:        2,
+		Rate:         1e-3,
+		ArenaSoftCap: 1 << 14,
+		ArenaHardCap: 1 << 15,
+		Log:          &log,
 	})
 	if !s.Ok() {
 		s.WriteReport(&log)
@@ -66,14 +65,13 @@ func TestChaosJIT(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Targets:        targets,
-		Seeds:          3,
-		Rate:           1e-3,
-		StormThreshold: 500,
-		JITThreshold:   2,
-		ArenaSoftCap:   1 << 14,
-		ArenaHardCap:   1 << 15,
-		Log:            &log,
+		Targets:      targets,
+		Seeds:        3,
+		Rate:         1e-3,
+		JITThreshold: 2,
+		ArenaSoftCap: 1 << 14,
+		ArenaHardCap: 1 << 15,
+		Log:          &log,
 	})
 	if !s.Ok() {
 		s.WriteReport(&log)
@@ -143,15 +141,14 @@ func TestChaosFull(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Seeds:          2,
-		Rate:           5e-4,
-		CorruptRate:    1e-4,
-		PanicRate:      0.01,
-		StormThreshold: 2000,
-		JITThreshold:   4,
-		ArenaSoftCap:   1 << 16,
-		ArenaHardCap:   1 << 17,
-		Log:            &log,
+		Seeds:        2,
+		Rate:         5e-4,
+		CorruptRate:  1e-4,
+		PanicRate:    0.01,
+		JITThreshold: 4,
+		ArenaSoftCap: 1 << 16,
+		ArenaHardCap: 1 << 17,
+		Log:          &log,
 	})
 	t.Logf("\n%s", log.String())
 	if !s.Ok() {
@@ -184,15 +181,14 @@ func TestChaosSanitize(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Targets:        targets,
-		Seeds:          2,
-		Rate:           1e-3,
-		CorruptRate:    -1, // sanitizer reports are meaningless on corrupted boxes
-		StormThreshold: 500,
-		ArenaSoftCap:   1 << 14,
-		ArenaHardCap:   1 << 15,
-		Sanitize:       true,
-		Log:            &log,
+		Targets:      targets,
+		Seeds:        2,
+		Rate:         1e-3,
+		CorruptRate:  -1, // sanitizer reports are meaningless on corrupted boxes
+		ArenaSoftCap: 1 << 14,
+		ArenaHardCap: 1 << 15,
+		Sanitize:     true,
+		Log:          &log,
 	})
 	if !s.Ok() {
 		s.WriteReport(&log)

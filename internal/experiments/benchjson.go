@@ -147,11 +147,10 @@ func BenchJSONData(o Options) ([]BenchRow, error) {
 // produced under different options measure different configurations, and the
 // regression gate refuses to compare them.
 type BenchOptions struct {
-	Prec   uint   `json:"prec"`
-	Quick  bool   `json:"quick"`
-	SeqLen int    `json:"max_sequence_len"`
-	Storm  uint64 `json:"storm_threshold"`
-	JIT    int    `json:"jit_threshold"`
+	Prec   uint `json:"prec"`
+	Quick  bool `json:"quick"`
+	SeqLen int  `json:"max_sequence_len"`
+	JIT    int  `json:"jit_threshold"`
 }
 
 // SessionLoad is the pooled-session throughput record attached to a bench
@@ -217,7 +216,6 @@ func BenchDocData(o Options) (*BenchDoc, error) {
 			Prec:   o.Prec,
 			Quick:  o.Quick,
 			SeqLen: o.MaxSequenceLen,
-			Storm:  o.StormThreshold,
 			JIT:    o.JITThreshold,
 		},
 		Rows: rows,
@@ -288,7 +286,6 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 	cfg := session.Config{
 		System:         sys,
 		MemSize:        sessionLoadMemSize,
-		StormThreshold: o.StormThreshold,
 		GCEveryNAllocs: o.GCEveryNAllocs,
 	}
 	if o.JITThreshold > 0 {

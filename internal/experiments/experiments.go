@@ -52,10 +52,6 @@ type Options struct {
 	// the BenchJSON records. Telemetry is observational — the modeled cycle
 	// counts are identical with it on or off.
 	TopSites int
-	// StormThreshold arms the trap-storm governor in the virtualized runs:
-	// sites that trap more than this many times are patched to demote and
-	// stay native. 0 (the paper's configuration) leaves it off.
-	StormThreshold uint64
 	// JITThreshold arms the trace-JIT superblock tier in the virtualized
 	// runs: sites whose delivery count crosses this threshold are compiled
 	// into cached superblocks that re-enter with zero delivery, decode, and
@@ -191,7 +187,6 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		System:         sys,
 		GCEveryNAllocs: o.GCEveryNAllocs,
 		MaxSequenceLen: o.MaxSequenceLen,
-		StormThreshold: o.StormThreshold,
 		JITThreshold:   o.JITThreshold,
 	})
 	start := time.Now()

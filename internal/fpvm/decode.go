@@ -57,13 +57,11 @@ func (vm *VM) decode(idx int, in isa.Inst) (*decodedInst, error) {
 	if j := vm.inject; j != nil && j.Fire(faultinject.SeamDecode, in.Addr) {
 		return nil, degradeFault(telemetry.DegradeDecode, errInjected)
 	}
-	if !vm.cfg.DisableDecodeCache {
-		if d := vm.dcache[idx]; d != nil {
-			vm.Stats.DecodeHits++
-			vm.Stats.Cycles.Decode += vm.costs.DecodeHit
-			vm.M.Cycles += vm.costs.DecodeHit
-			return d, nil
-		}
+	if d := vm.dcache[idx]; d != nil {
+		vm.Stats.DecodeHits++
+		vm.Stats.Cycles.Decode += vm.costs.DecodeHit
+		vm.M.Cycles += vm.costs.DecodeHit
+		return d, nil
 	}
 	vm.Stats.DecodeMisses++
 	vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
@@ -74,9 +72,7 @@ func (vm *VM) decode(idx int, in isa.Inst) (*decodedInst, error) {
 		vm.freeDecoded(d)
 		return nil, err
 	}
-	if !vm.cfg.DisableDecodeCache {
-		vm.dcache[idx] = d
-	}
+	vm.dcache[idx] = d
 	return d, nil
 }
 

@@ -7,12 +7,7 @@
 // shadow arena hitting its hard cap, or an injected fault — is classified,
 // the frame's operands are demoted in place with the existing demote
 // machinery, the instruction is re-executed natively with masked IEEE
-// semantics (machine.ExecMasked), and the run continues. The same engine
-// powers the trap-storm governor: a site whose trap rate crosses
-// Config.StormThreshold is degraded once and then blacklisted with a
-// demote-and-stay-native patch, so a pathological hot site pays one
-// degradation instead of unbounded trap deliveries (the storms FlowFPX
-// instruments and FPSpy's individual-instruction mode was built to survive).
+// semantics (machine.ExecMasked), and the run continues.
 package fpvm
 
 import (
@@ -30,9 +25,6 @@ type DegradeCause = telemetry.DegradeCause
 
 // errInjected marks failures manufactured by the fault injector.
 var errInjected = errors.New("injected fault")
-
-// errStorm marks the delivery on which a site crossed the storm threshold.
-var errStorm = errors.New("trap-storm threshold crossed")
 
 // errArenaFull marks a shadow allocation refused at the arena hard cap.
 var errArenaFull = errors.New("shadow arena hard cap reached")
@@ -86,61 +78,4 @@ func (vm *VM) degrade(m *machine.Machine, in isa.Inst, idx int, cause DegradeCau
 		}
 	}
 	return m.ExecMasked(in)
-}
-
-// --- Trap-storm governor -----------------------------------------------------
-
-// stormDecayShift sets the hysteresis window: every StormThreshold<<shift
-// FP-trap deliveries, all per-site counters halve. A site must therefore
-// sustain its trap rate to cross the threshold — slow background accumulation
-// over a long run decays away instead of eventually blacklisting a site that
-// was never hot.
-const stormDecayShift = 3
-
-// noteStorm accounts one FP-trap delivery at the site idx and reports whether
-// the site just crossed the storm threshold. On crossing, the site is
-// blacklisted: a demote-and-stay-native patch is installed so subsequent
-// visits execute at patch-check cost with no delivery and no promotion.
-func (vm *VM) noteStorm(m *machine.Machine, idx int, in *isa.Inst) bool {
-	vm.stormTick++
-	if vm.stormTick >= vm.cfg.StormThreshold<<stormDecayShift {
-		vm.stormTick = 0
-		for i := range vm.stormCounts {
-			vm.stormCounts[i] >>= 1
-		}
-	}
-	if idx < 0 || idx >= len(vm.stormCounts) || vm.stormPatched[idx] {
-		return false
-	}
-	vm.stormCounts[idx]++
-	if uint64(vm.stormCounts[idx]) < vm.cfg.StormThreshold {
-		return false
-	}
-	vm.stormPatched[idx] = true
-	vm.Stats.StormPatches++
-	m.SetPatch(in.Addr, vm.stormPatchHandler)
-	if t := m.Telem; t != nil {
-		t.StormPatch(idx, in.Addr, in.Op, uint64(vm.stormCounts[idx]), m.Cycles)
-	}
-	return true
-}
-
-// stormPatchHandler services a blacklisted site: demote whatever boxes other
-// sites pushed into its operands, then execute natively masked. The site
-// never promotes again — the per-site analog of FPSpy's "individual
-// instruction mode" giving up on an instruction that traps too much.
-func (vm *VM) stormPatchHandler(f *machine.TrapFrame) (bool, error) {
-	vm.Stats.StormNative++
-	if f.M.Telem != nil {
-		vm.telemPC = f.Inst.Addr
-	}
-	for _, o := range f.Inst.Ops {
-		if err := vm.demoteOperand(f.M, o, f.Inst.Op.IsPacked()); err != nil {
-			return false, err
-		}
-	}
-	if err := f.M.ExecMasked(f.Inst); err != nil {
-		return false, err
-	}
-	return true, nil
 }

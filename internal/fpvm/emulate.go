@@ -50,7 +50,18 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 	// a degradable fault on lane 1 leaves the destination — which is
 	// also a source for binary ops — untouched for the degradation
 	// engine's native re-execution.
-	var results [2]uint64
+	err := vm.applyLanes(m, d)
+	for lane := 0; err == nil && lane < d.lanes; lane++ {
+		err = m.WriteOperandFP(d.dst, lane, vm.pending[lane])
+	}
+	vm.pending = [2]uint64{}
+	return err
+}
+
+// applyLanes computes and boxes every lane of an arithmetic instruction into
+// vm.pending. The buffer is a GC root (RunGC): lane 1's allocation may run a
+// soft-cap GC pass, which must not free lane 0's cell before it is written.
+func (vm *VM) applyLanes(m *machine.Machine, d *decodedInst) error {
 	for lane := 0; lane < d.lanes; lane++ {
 		// The per-VM scratch buffer keeps the hot path allocation-free
 		// (the seed allocated a fresh []arith.Value per lane per trap).
@@ -71,12 +82,7 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 		if err != nil {
 			return err
 		}
-		results[lane] = bits
-	}
-	for lane := 0; lane < d.lanes; lane++ {
-		if err := m.WriteOperandFP(d.dst, lane, results[lane]); err != nil {
-			return err
-		}
+		vm.pending[lane] = bits
 	}
 	return nil
 }

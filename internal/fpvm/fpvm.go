@@ -74,13 +74,6 @@ type Config struct {
 	// bind, and emulate cost but zero delivery cost. 0 disables coalescing
 	// and preserves the one-trap-one-instruction behavior bit for bit.
 	MaxSequenceLen int
-	// StormThreshold arms the trap-storm governor: a site whose per-site
-	// FP-trap count crosses this value (under a decaying window, so the rate
-	// must be sustained) is degraded once and then blacklisted with a
-	// demote-and-stay-native patch, capping the delivery cost a pathological
-	// hot site can charge. 0 disables the governor and preserves behavior bit
-	// for bit.
-	StormThreshold uint64
 	// ArenaSoftCap triggers a GC pass when the number of live shadow cells
 	// reaches it (in addition to the allocation-epoch trigger). 0 disables.
 	ArenaSoftCap int
@@ -94,7 +87,7 @@ type Config struct {
 	// thunks installed as a patch at the entry — so subsequent visits
 	// re-enter at patch-check cost with zero delivery, zero decode, and zero
 	// bind. Superblocks are invalidated on side-table writes, code-segment
-	// writes, storm patches, and Reattach, and any compile failure degrades
+	// writes, and Reattach, and any compile failure degrades
 	// the site back to the classic per-trap path. 0 disables the tier and
 	// preserves behavior bit for bit.
 	JITThreshold int
@@ -104,8 +97,8 @@ type Config struct {
 	// the session's own side table permits, so in a session pool only the
 	// first tenant per program pays compilation. Adopted blocks live in
 	// per-session wrappers with private version stamps — one tenant's code
-	// writes, storm patches, or degradations never touch another tenant's
-	// traces or the published ones. Warm attachment changes modeled cycles
+	// writes, patches, or degradations never touch another tenant's traces
+	// or the published ones. Warm attachment changes modeled cycles
 	// (the warm-up deliveries and compile costs disappear) but never any
 	// guest-visible output: an adopted trace, like every trace, runs only on
 	// a visit where its entry traps (session's
@@ -127,11 +120,6 @@ type Config struct {
 	// chaos suite). nil disables injection and preserves behavior bit for
 	// bit.
 	Inject *faultinject.Injector
-	// DisableDecodeCache forces a full decode on every trap (ablation).
-	DisableDecodeCache bool
-	// DisableGC turns garbage collection off entirely (ablation; memory
-	// grows without bound exactly as §4.1 warns).
-	DisableGC bool
 	// Costs overrides the component cost model (zero value = defaults).
 	Costs *Costs
 }
@@ -164,11 +152,9 @@ type Stats struct {
 	Coalesced  uint64                // instructions emulated with zero delivery cost
 	SeqLenHist [SeqLenBuckets]uint64 // histogram of per-delivery run lengths (faulting inst included)
 
-	// Resilience counters (graceful degradation and the storm governor).
+	// Resilience counters (graceful degradation).
 	Degradations   uint64 // emulation-path failures absorbed by native re-execution
 	DegradeByCause [telemetry.NumDegradeCauses]uint64
-	StormPatches   uint64 // sites blacklisted by the trap-storm governor
-	StormNative    uint64 // native executions at storm-patched sites
 
 	GC     GCStats
 	Cycles CycleBreakdown
@@ -186,6 +172,7 @@ type VM struct {
 	dcache  []*decodedInst // decode cache, one slot per instruction index
 	dfree   []*decodedInst // recycled decode-cache entries (session reuse)
 	scratch [3]arith.Value // reusable operand buffer for the emulation hot path
+	pending [2]uint64      // boxed lane results not yet written back (see applyLanes)
 	gcEvery uint64
 	lastGC  uint64 // arena alloc count at last GC
 	telemPC uint64 // PC that promote/demote/unbox events attribute to
@@ -205,13 +192,6 @@ type VM struct {
 	corrTrapFn machine.TrapHandler
 	extTrapFn  machine.TrapHandler
 	outFn      func(uint64) (string, bool)
-
-	// Trap-storm governor state (allocated only when Config.StormThreshold
-	// is set): per-site delivery counters under a decaying window, and the
-	// per-site promotion blacklist.
-	stormCounts  []uint32
-	stormPatched []bool
-	stormTick    uint64
 
 	// Trace-JIT tier state (allocated only when Config.JITThreshold is set):
 	// the per-entry-index superblock cache, the per-site delivery counters
@@ -237,7 +217,7 @@ func Attach(m *machine.Machine, cfg Config) *VM {
 // reusing every allocation the VM has accumulated: the shadow arena's slot
 // table, the decode cache (entries are recycled through a freelist and
 // re-translated on the next miss, so decode hit/miss accounting is identical
-// to a fresh Attach), the storm-governor tables, and the scratch buffers. A
+// to a fresh Attach), the trace-JIT tables, and the scratch buffers. A
 // reattached VM is bit-identical in behavior, stats, and modeled cycles to
 // one returned by Attach on a fresh machine.
 func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
@@ -287,22 +267,6 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 		vm.dcache = vm.dcache[:n]
 	} else {
 		vm.dcache = make([]*decodedInst, n)
-	}
-
-	vm.stormTick = 0
-	if cfg.StormThreshold > 0 {
-		if cap(vm.stormCounts) >= n {
-			vm.stormCounts = vm.stormCounts[:n]
-			clear(vm.stormCounts)
-			vm.stormPatched = vm.stormPatched[:n]
-			clear(vm.stormPatched)
-		} else {
-			vm.stormCounts = make([]uint32, n)
-			vm.stormPatched = make([]bool, n)
-		}
-	} else {
-		vm.stormCounts = nil
-		vm.stormPatched = nil
 	}
 
 	// Trace-JIT cache: re-armed empty for every (re)attach. The machine's
@@ -396,7 +360,7 @@ func (vm *VM) boxResult(v arith.Value) (uint64, error) {
 	if j := vm.inject; j != nil && j.Fire(faultinject.SeamArenaAlloc, vm.injectPC) {
 		return 0, degradeFault(telemetry.DegradeArena, errInjected)
 	}
-	if cap := vm.cfg.ArenaSoftCap; cap > 0 && vm.Arena.Live() >= cap && !vm.cfg.DisableGC {
+	if cap := vm.cfg.ArenaSoftCap; cap > 0 && vm.Arena.Live() >= cap {
 		// Re-collect only after some allocation volume since the last pass:
 		// if the live set itself sits at the cap, back-to-back passes would
 		// free nothing and thrash.

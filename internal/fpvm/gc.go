@@ -71,6 +71,10 @@ func (vm *VM) RunGC() {
 	for r := range m.R {
 		probe(uint64(m.R[r]))
 	}
+	// Lane results of the instruction being emulated, boxed but not yet
+	// written back: a soft-cap pass runs inside an allocation.
+	probe(vm.pending[0])
+	probe(vm.pending[1])
 	mem := m.Mem
 	lo := int(m.WritableBase()) &^ 7
 	if lo > len(mem) {

@@ -15,7 +15,7 @@
 // Correctness rests on the invalidation contract. A superblock is a cache of
 // what the interpreter would do, so anything that could change the
 // interpreter's behavior discards or revalidates it: side-table writes
-// (SetPatch / SetCorrectnessSite, including storm patches) advance the
+// (SetPatch / SetCorrectnessSite) advance the
 // machine's side-table version, code-segment writes advance its code version,
 // and VM.Reattach re-arms the cache empty. On entry the block compares both
 // versions; a moved code version is a hard invalidation, a moved side-table

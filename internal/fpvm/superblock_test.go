@@ -333,118 +333,6 @@ func TestJITReattachRearms(t *testing.T) {
 	}
 }
 
-// jitStormSrc interleaves the governors. Site A (divsd =3.0) heads a trace
-// that includes site B (the addsd). Phase 1 makes A hot through B; phase 2
-// enters B directly via its own loop, with B blacklisted from compiling, so
-// B's deliveries keep climbing until the storm governor patches it; phase 3
-// re-enters A, whose cached trace now contains a foreign (storm) patch.
-const jitStormSrc = `
-.text
-	mov r0, $0
-	mov r1, $0
-aloop:
-	movsd f0, =1.0
-	divsd f0, =3.0
-bsite:
-	addsd f0, =1.5
-	cmp r1, $1
-	je bret
-	inc r0
-	cmp r0, $10
-	jl aloop
-	cmp r2, $1
-	je done
-	mov r1, $1
-	mov r0, $0
-bloop:
-	movsd f0, =1.0
-	divsd f0, =7.0
-	jmp bsite
-bret:
-	inc r0
-	cmp r0, $10
-	jl bloop
-	mov r1, $0
-	mov r0, $5
-	mov r2, $1
-	jmp aloop
-done:
-	outf f0
-	halt
-`
-
-// TestJITStormPatchInvalidates is the governor-interaction test: a storm
-// patch landing inside a cached trace invalidates the superblock, the entry
-// falls back to the classic path, and the rebuild stops at the blacklisted
-// site — while every compile failure is accounted as a DegradeJIT
-// degradation, not an error.
-func TestJITStormPatchInvalidates(t *testing.T) {
-	native, _ := runNative(t, jitStormSrc)
-
-	prog := asm.MustAssemble(jitStormSrc)
-	// Force the compile seam to fail at both direct-entry divsd/addsd sites
-	// so neither can hide behind its own superblock; their deliveries then
-	// accumulate into the storm governor.
-	var bAddr, cAddr uint64
-	var out bytes.Buffer
-	m, err := machine.New(prog, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bAddr = findOpAddr(m, isa.OpAddsd)
-	for _, in := range m.Insts() {
-		if in.Op == isa.OpDivsd && in.Addr != findOpAddr(m, isa.OpDivsd) {
-			cAddr = in.Addr // the second divsd (phase-2 trap generator)
-		}
-	}
-	if cAddr == 0 {
-		t.Fatal("phase-2 divsd not found")
-	}
-	inj := faultinject.New(faultinject.Config{
-		Sites: map[uint64]faultinject.Seam{
-			bAddr: faultinject.SeamSBCompile,
-			cAddr: faultinject.SeamSBCompile,
-		},
-	})
-	// StormThreshold 8: B (3 phase-1 + phase-2 deliveries) and C (10 phase-2
-	// deliveries) cross it; A (3 phase-1 + 3 phase-3 deliveries) stays under,
-	// so A recompiles in phase 3 instead of storming itself.
-	vm := Attach(m, Config{
-		System:         arith.Vanilla{},
-		JITThreshold:   3,
-		StormThreshold: 8,
-		Inject:         inj,
-	})
-	if err := m.Run(0); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-
-	if out.String() != native {
-		t.Fatalf("output diverged:\nnative: %sfpvm:  %s", native, out.String())
-	}
-	// A compiled twice (initial [A,B] trace, then the post-invalidation [A]
-	// rebuild); B and C each burned one failed compile into the blacklist.
-	if m.Stats.SBCompiled != 2 {
-		t.Fatalf("SBCompiled = %d, want 2", m.Stats.SBCompiled)
-	}
-	if m.Stats.SBInvalidations != 1 {
-		t.Fatalf("SBInvalidations = %d, want 1", m.Stats.SBInvalidations)
-	}
-	if got := vm.Stats.DegradeByCause[telemetry.DegradeJIT]; got != 2 {
-		t.Fatalf("DegradeJIT = %d, want 2 (both blacklisted sites)", got)
-	}
-	if vm.Stats.StormPatches != 2 {
-		t.Fatalf("StormPatches = %d, want 2 (both blacklisted sites storm)", vm.Stats.StormPatches)
-	}
-	sb := sbAt(t, m, vm, isa.OpDivsd)
-	if sb == nil {
-		t.Fatal("no rebuilt superblock at site A")
-	}
-	if len(sb.thunks) != 1 {
-		t.Fatalf("rebuilt trace length %d, want 1 (stops at the storm patch)", len(sb.thunks))
-	}
-}
-
 // TestJITEntryBarrierBlacklisted: a correctness site at the would-be entry
 // must refuse compilation outright (its dispatch semantics cannot be
 // shadowed by a superblock patch) and blacklist the site.

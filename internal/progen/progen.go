@@ -77,7 +77,7 @@ func FPSource(r *rand.Rand, n int) string {
 
 // FPLoopSource wraps an FPSource-style chain in a counted loop of iters
 // passes. A straight-line FPSource program delivers at most one trap per
-// site, so it can never cross a realistic storm or trace-JIT threshold; the
+// site, so it can never cross a realistic trace-JIT threshold; the
 // loop makes every trap site in the chain hot (registers are re-seeded each
 // pass, but buf carries boxed values across iterations). Like FPSource, the
 // output always assembles and always runs to a clean halt.

@@ -67,10 +67,9 @@ type Config struct {
 	// NoPatch skips the §4.2 static analysis + correctness patching. The
 	// default mirrors the full pipeline, as the experiments harness does.
 	NoPatch bool
-	// MaxSequenceLen, StormThreshold, JITThreshold, GCEveryNAllocs,
-	// ArenaSoftCap, ArenaHardCap, and Inject pass through to fpvm.Config.
+	// MaxSequenceLen, JITThreshold, GCEveryNAllocs, ArenaSoftCap,
+	// ArenaHardCap, and Inject pass through to fpvm.Config.
 	MaxSequenceLen int
-	StormThreshold uint64
 	JITThreshold   int
 	GCEveryNAllocs uint64
 	ArenaSoftCap   int
@@ -315,7 +314,6 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 		System:         cfg.System,
 		GCEveryNAllocs: cfg.GCEveryNAllocs,
 		MaxSequenceLen: cfg.MaxSequenceLen,
-		StormThreshold: cfg.StormThreshold,
 		JITThreshold:   cfg.JITThreshold,
 		SBCache:        cfg.SBCache,
 		ArenaSoftCap:   cfg.ArenaSoftCap,

@@ -22,7 +22,6 @@ type SiteRank struct {
 	MaxRun       int     `json:"max_run,omitempty"`
 	Flags        string  `json:"flags,omitempty"`
 	Degradations uint64  `json:"degradations,omitempty"`
-	StormPatched bool    `json:"storm_patched,omitempty"`
 
 	// Trace-JIT attribution for superblocks rooted at this PC.
 	SBCompiles      uint64 `json:"sb_compiles,omitempty"`
@@ -56,7 +55,6 @@ func (c *Collector) TopSites(n int) []SiteRank {
 			Coalesced:    s.Coalesced,
 			MaxRun:       s.MaxRun,
 			Degradations: s.Degradations,
-			StormPatched: s.StormPatched,
 
 			SBCompiles:      s.SBCompiles,
 			SBHits:          s.SBHits,

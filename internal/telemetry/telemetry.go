@@ -61,16 +61,12 @@ const (
 	// with IEEE semantics instead of killing the run. Arg is the
 	// DegradeCause.
 	EvDegrade
-	// EvStormPatch records the trap-storm governor blacklisting a site: a
-	// demote-and-stay-native patch was installed so the site stops paying
-	// trap deliveries. Arg is the trap count that crossed the threshold.
-	EvStormPatch
 	// EvSBCompile records the trace-JIT tier compiling a superblock at a hot
 	// site: subsequent entries re-execute the trace with zero delivery, zero
 	// decode, and zero bind. Arg is the trace length in instructions.
 	EvSBCompile
 	// EvSBInvalidate records a cached superblock being discarded (side-table
-	// write, code-segment write, storm patch, or reattach). Arg is the number
+	// write, code-segment write, or reattach). Arg is the number
 	// of hits the block served before invalidation.
 	EvSBInvalidate
 )
@@ -96,8 +92,6 @@ func (k EventKind) String() string {
 		return "correctness"
 	case EvDegrade:
 		return "degrade"
-	case EvStormPatch:
-		return "storm-patch"
 	case EvSBCompile:
 		return "sb-compile"
 	case EvSBInvalidate:
@@ -129,9 +123,6 @@ const (
 	// DegradeMem: a guest memory operand access failed on the emulation
 	// path.
 	DegradeMem
-	// DegradeStorm: the trap-storm governor demoted a site that crossed its
-	// trap-rate threshold and blacklisted it from further promotion.
-	DegradeStorm
 	// DegradeJIT: the trace-JIT superblock compiler failed (injected fault at
 	// the sb-compile seam or an unexpected translate failure); the site keeps
 	// its classic per-trap path and is blacklisted from recompilation.
@@ -160,8 +151,6 @@ func (c DegradeCause) String() string {
 		return "gc-scan"
 	case DegradeMem:
 		return "mem-access"
-	case DegradeStorm:
-		return "storm"
 	case DegradeJIT:
 		return "jit-compile"
 	case DegradeSanitize:
@@ -228,7 +217,6 @@ type Site struct {
 	MaxRun       int       // longest coalesced run rooted at this PC
 	Flags        fpu.Flags // union of MXCSR condition flags seen at this PC
 	Degradations uint64    // graceful degradations rooted at this PC
-	StormPatched bool      // the storm governor blacklisted this site
 
 	// Trace-JIT attribution: superblocks rooted at this PC.
 	SBCompiles      uint64 // superblocks compiled here
@@ -405,16 +393,6 @@ func (c *Collector) Degradation(idx int, pc uint64, op isa.Op, cause DegradeCaus
 		Idx: int32(idx), PC: pc, Cycles: cycles, Arg: uint64(cause),
 	})
 	c.site(idx, pc, op).Degradations++
-}
-
-// StormPatch records the trap-storm governor blacklisting the site at pc
-// after traps deliveries crossed its threshold.
-func (c *Collector) StormPatch(idx int, pc uint64, op isa.Op, traps uint64, cycles uint64) {
-	c.ring.Record(Event{
-		Kind: EvStormPatch, Cause: CauseNone, Op: op,
-		Idx: int32(idx), PC: pc, Cycles: cycles, Arg: traps,
-	})
-	c.site(idx, pc, op).StormPatched = true
 }
 
 // SBCompile records the trace-JIT tier compiling a superblock of traceLen
