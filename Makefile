@@ -34,12 +34,13 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The dispatch, trap-delivery and superblock-entry microbenchmarks, run for a
-# fixed short count so they keep building and running (the numbers are not
-# gated).
+# The dispatch, trap-delivery, superblock-entry and session-alternation
+# microbenchmarks, run for a fixed short count so they keep building and
+# running (the numbers are not gated).
 microbench:
 	$(GO) test -run '^$$' -bench 'StepDispatch|TrapDelivery' -benchtime 2000x ./internal/machine
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x ./internal/fpvm
+	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x ./internal/session
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server.
@@ -123,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialOracle$$' -fuzztime $(FUZZTIME) ./internal/oracle
 	$(GO) test -run '^$$' -fuzz '^FuzzRawExecution$$' -fuzztime $(FUZZTIME) ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/sanitize
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

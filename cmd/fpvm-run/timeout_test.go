@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fpvm/internal/arith"
+	"fpvm/internal/patch"
 	"fpvm/internal/session"
 	"fpvm/internal/workloads"
 )
@@ -51,9 +52,13 @@ func TestTimeoutTruncatesLikeService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cancel := new(atomic.Bool)
 	cancel.Store(true) // pre-fired: the session stops at exactly its first checkpoint
-	res, err := session.New().Run(prog, session.Config{
+	res, err := session.New().Run(img, session.Config{
 		System:       arith.Vanilla{},
 		Cancel:       cancel,
 		PreemptEvery: n,

@@ -36,8 +36,10 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/chaosload"
 	"fpvm/internal/fpvm"
+	"fpvm/internal/isa"
 	"fpvm/internal/loadgen"
 	"fpvm/internal/oracle"
+	"fpvm/internal/patch"
 	"fpvm/internal/session"
 )
 
@@ -52,7 +54,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 8, "max concurrently executing sessions (excess requests queue)")
 		maxInst   = fs.Uint64("max-inst", 50_000_000, "per-request instruction quota ceiling")
 		quota     = fs.Uint64("tenant-quota", 0, "per-tenant instruction quota (0 = same as -max-inst)")
-		memKiB    = fs.Int("mem-kib", 1024, "per-session guest memory in KiB")
+		memKiB    = fs.Int("mem-kib", 1024, fmt.Sprintf("per-session guest memory in KiB (at most %d)", isa.MaxMemSize>>10))
 		arenaSoft = fs.Int("arena-soft", 0, "arena soft cap: forced GC above this many live shadows (0 = off)")
 		arenaHard = fs.Int("arena-hard", 0, "arena hard cap: degrade to native above this many live shadows (0 = off)")
 		maxRun    = fs.Duration("max-run-time", 0, "per-run wall-clock cap; expired runs are truncated and harvested with deadline_exceeded (0 = off)")
@@ -74,6 +76,10 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		prec      = fs.Uint("prec", 200, "MPFR precision for -selftest")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *memKiB<<10 > isa.MaxMemSize {
+		fmt.Fprintf(stderr, "fpvm-serve: -mem-kib %d exceeds the %d KiB guest memory maximum\n", *memKiB, isa.MaxMemSize>>10)
 		return 2
 	}
 	fail := func(err error) int {
@@ -275,8 +281,12 @@ func timeHealthyRun() (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		return 0, err
+	}
 	start := time.Now()
-	if _, err := session.New().Run(prog, session.Config{
+	if _, err := session.New().Run(img, session.Config{
 		System:  arith.Vanilla{},
 		MaxInst: 1 << 40,
 		MemSize: 256 << 10,
@@ -303,6 +313,10 @@ func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName s
 	if err != nil {
 		return fail(err)
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		return fail(err)
+	}
 	sys, err := arith.Select(arithName, prec)
 	if err != nil {
 		return fail(err)
@@ -319,7 +333,7 @@ func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName s
 		scfg.SBCache = fpvm.NewSBCache()
 	}
 	var pool session.Pool
-	rep := loadgen.Run(&pool, prog, scfg, loadgen.Options{Sessions: sessions, Workers: jobs})
+	rep := loadgen.Run(&pool, img, scfg, loadgen.Options{Sessions: sessions, Workers: jobs})
 	rep.Write(stdout)
 	if rep.Errors > 0 {
 		return fail(fmt.Errorf("%d of %d sessions failed", rep.Errors, rep.Sessions))

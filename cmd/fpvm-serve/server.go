@@ -16,6 +16,7 @@ import (
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/isa"
+	"fpvm/internal/machine"
 	"fpvm/internal/oracle"
 	"fpvm/internal/sanitize"
 	"fpvm/internal/session"
@@ -176,16 +177,18 @@ type tenantState struct {
 }
 
 // server is the multi-tenant execution service: a session pool, a bounded
-// worker semaphore, a program cache, and per-tenant accounting.
+// worker semaphore, a program image cache, and per-tenant accounting.
 type server struct {
-	cfg   serverConfig
-	pool  session.Pool
-	sem   chan struct{} // bounded worker pool: one token per running session
-	progs sync.Map      // target name → *isa.Program (shared immutable images)
+	cfg  serverConfig
+	pool session.Pool
+	sem  chan struct{} // bounded worker pool: one token per running session
+	// images holds one analyzed image per program content — bundled targets
+	// keyed by name, inline asm by the SHA-256 of its source — shared by
+	// every request for it.
+	images session.ImageCache
 
-	// sbcache is the server-wide warm superblock cache (nil when disabled);
-	// attached only to runs of pooled bundled programs, whose *isa.Program
-	// pointers are stable across requests.
+	// sbcache is the server-wide warm superblock cache (nil when disabled):
+	// runs publish and adopt traces on their images.
 	sbcache *fpvm.SBCache
 
 	mu      sync.Mutex
@@ -424,7 +427,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		tenant = "anonymous"
 	}
 
-	prog, pooled, err := s.program(req)
+	key, build, err := s.program(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -472,6 +475,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		JITThreshold:   req.JITThreshold,
 		ArenaSoftCap:   s.cfg.ArenaSoftCap,
 		ArenaHardCap:   s.cfg.ArenaHardCap,
+		SBCache:        s.sbcache,
 		Telemetry:      req.Trace,
 		TopSites:       req.TopSites,
 	}
@@ -480,13 +484,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		cfg.SanitizeThreshold = req.SanitizeThreshold
 		cfg.Certify = req.Certify
 	}
-	// Only pooled bundled programs share the warm cache: ad-hoc asm bodies
-	// have a fresh *isa.Program per request, so caching them would only grow
-	// the cache without ever hitting.
-	if pooled {
-		cfg.SBCache = s.sbcache
-	}
-
 	// Fault injection is an operator decision: the request-level spec is the
 	// chaos-load harness's hook and is rejected unless the server opted in.
 	if req.Faults != "" {
@@ -557,9 +554,18 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg.Cancel = &cancel
 
+	// The image is resolved under the worker slot, so assembling and
+	// analyzing a new program is bounded by -workers like the run itself.
+	img, err := s.images.Get(key, build)
+	if err != nil {
+		<-s.sem
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+
 	start := time.Now()
 	sess := s.pool.Get()
-	res, err := sess.Run(prog, cfg)
+	res, err := sess.Run(img, cfg)
 	runs := sess.Runs()
 	s.pool.Put(sess)
 	<-s.sem
@@ -643,35 +649,42 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// program resolves the request's program, caching bundled targets by name so
-// every request for the same target shares one immutable *isa.Program — that
-// pointer identity is what lets a warm session skip the predecode pass (and
-// what keys the shared superblock cache). pooled reports whether the program
-// came from that cache.
-func (s *server) program(req runRequest) (prog *isa.Program, pooled bool, err error) {
+// program resolves the request's program to its image-cache key and a
+// builder for a miss: bundled targets are keyed by name, inline asm by the
+// SHA-256 of its source. A program whose data segment cannot fit a session's
+// memory fails to build, so it is never analyzed or cached.
+func (s *server) program(req runRequest) (string, func() (*isa.Program, error), error) {
+	var key string
+	var build func() (*isa.Program, error)
 	switch {
 	case req.Workload != "" && req.Asm != "":
-		return nil, false, fmt.Errorf("workload and asm are mutually exclusive")
+		return "", nil, fmt.Errorf("workload and asm are mutually exclusive")
 	case req.Workload != "":
-		if p, ok := s.progs.Load(req.Workload); ok {
-			return p.(*isa.Program), true, nil
-		}
 		t, err := oracle.Lookup(req.Workload)
 		if err != nil {
-			return nil, false, err
+			return "", nil, err
 		}
-		prog, err := t.Build()
-		if err != nil {
-			return nil, false, err
-		}
-		actual, _ := s.progs.LoadOrStore(req.Workload, prog)
-		return actual.(*isa.Program), true, nil
+		key, build = t.Name, t.Build
 	case req.Asm != "":
-		prog, err = asm.Assemble(req.Asm)
-		return prog, false, err
+		key, build = session.AsmKey(req.Asm), func() (*isa.Program, error) { return asm.Assemble(req.Asm) }
 	default:
-		return nil, false, fmt.Errorf("one of workload or asm is required")
+		return "", nil, fmt.Errorf("one of workload or asm is required")
 	}
+	return key, func() (*isa.Program, error) {
+		prog, err := build()
+		if err != nil {
+			return nil, err
+		}
+		base := prog.DataBase
+		if base == 0 {
+			base = machine.DefaultDataBase
+		}
+		if base+uint64(len(prog.Data)) > uint64(s.cfg.MemSize) {
+			return nil, fmt.Errorf("data segment (%d bytes at %#x) exceeds the %d-byte session memory",
+				len(prog.Data), base, s.cfg.MemSize)
+		}
+		return prog, nil
+	}, nil
 }
 
 // recordBreakerFault charges one fault to the tenant's breaker and rolls the
@@ -761,10 +774,15 @@ type statsResponse struct {
 	SharedSB *sharedSBStats         `json:"shared_sb,omitempty"`
 	Pool     session.PoolStats      `json:"pool"`
 	Tenants  map[string]tenantStats `json:"tenants"`
+	// Images describes the program image cache: images built (each one
+	// analysis), lookups served by a cached image, evictions, and size.
+	Images session.ImageStats `json:"images"`
 }
 
 // sharedSBStats is the /stats view of the warm superblock cache.
 type sharedSBStats struct {
+	// Programs and Entries count the cached images that carry published
+	// traces and the traces they carry.
 	Programs int    `json:"programs"`
 	Entries  int    `json:"entries"`
 	Lookups  uint64 `json:"lookups"`
@@ -813,17 +831,17 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CertifyFailed:   s.certifyFailed.Load(),
 		Pool:            s.pool.Stats(),
 		Tenants:         make(map[string]tenantStats),
+		Images:          s.images.Stats(),
 	}
 	if s.sbcache != nil {
 		cs := s.sbcache.Stats()
 		sb := &sharedSBStats{
-			Programs: cs.Programs,
-			Entries:  cs.Entries,
-			Lookups:  cs.Lookups,
-			Hits:     cs.Hits,
-			Stores:   cs.Stores,
-			Adopted:  cs.Adopted,
+			Lookups: cs.Lookups,
+			Hits:    cs.Hits,
+			Stores:  cs.Stores,
+			Adopted: cs.Adopted,
 		}
+		sb.Programs, sb.Entries = s.images.Traces()
 		if cs.Lookups > 0 {
 			sb.HitRate = float64(cs.Hits) / float64(cs.Lookups)
 		}

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"fpvm/internal/progen"
+	"fpvm/internal/session"
 )
 
 // testServer returns an httptest server over a service with a small memory
@@ -451,4 +455,84 @@ func TestServeIgnoresStormField(t *testing.T) {
 	if outs[0] != outs[1] {
 		t.Fatalf("the storm field changed the output:\nwith:    %q\nwithout: %q", outs[0], outs[1])
 	}
+}
+
+// getStats fetches and decodes GET /stats.
+func getStats(t *testing.T, ts *httptest.Server) statsResponse {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
+// TestServeImageCache pins the image cache at the service edge: a bundled
+// target and an inline asm body are each assembled and analyzed once, a
+// repeated body reuses its image — warm superblocks included — and /stats
+// reports the traffic in its images block.
+func TestServeImageCache(t *testing.T) {
+	_, ts := testServer(t, serverConfig{Workers: 2})
+	src := progen.FPLoopSource(rand.New(rand.NewSource(1)), 24, 50)
+	asmBody := string(mustMarshal(t, map[string]any{"asm": src, "jitthreshold": 2}))
+	var outs [2]runResponse
+	for i := range outs {
+		code, rr, raw := postRun(t, ts, asmBody, nil)
+		if code != http.StatusOK {
+			t.Fatalf("asm run %d: %d %s", i, code, raw)
+		}
+		outs[i] = rr
+		if code, _, raw := postRun(t, ts, `{"workload":"FBench"}`, nil); code != http.StatusOK {
+			t.Fatalf("workload run %d: %d %s", i, code, raw)
+		}
+	}
+	if outs[0].SBCompiled == 0 || outs[1].SBCompiled != 0 || outs[1].SBHits == 0 {
+		t.Errorf("repeated asm body did not adopt the first run's traces: cold %+v, warm %+v", outs[0], outs[1])
+	}
+	if outs[1].Output != outs[0].Output {
+		t.Error("repeated asm body printed different output")
+	}
+	st := getStats(t, ts)
+	if st.Images != (session.ImageStats{Builds: 2, Hits: 2, Entries: 2}) {
+		t.Errorf("images block = %+v, want 2 builds, 2 hits, 2 entries", st.Images)
+	}
+	if st.SharedSB == nil || st.SharedSB.Programs != 1 || st.SharedSB.Entries == 0 {
+		t.Errorf("shared_sb does not count the asm image's traces: %+v", st.SharedSB)
+	}
+}
+
+// TestServeRejectsOversizedData pins the data bounds: a .zero past the
+// guest-memory ceiling is refused by the assembler before it allocates, and
+// a data segment that cannot fit the session memory is refused before it is
+// analyzed; both are client errors (400) and neither is cached.
+func TestServeRejectsOversizedData(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	for _, n := range []int{1 << 40, 300 << 10} {
+		body := string(mustMarshal(t, map[string]any{"asm": fmt.Sprintf(".data\nb: .zero %d\n.text\nhalt\n", n)}))
+		code, _, raw := postRun(t, ts, body, nil)
+		if code != http.StatusBadRequest || !strings.Contains(raw, "data segment") {
+			t.Errorf(".zero %d: %d %s, want 400 naming the data segment", n, code, raw)
+		}
+	}
+	if st := getStats(t, ts); st.Images.Entries != 0 {
+		t.Errorf("refused programs were cached: %+v", st.Images)
+	}
+	var out, errOut bytes.Buffer
+	if code := Run([]string{"-mem-kib", "1048576"}, &out, &errOut); code != 2 {
+		t.Errorf("-mem-kib over the ceiling: exit %d, want 2 (%s)", code, errOut.String())
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -152,6 +152,9 @@ func (p *parser) directive(s string) error {
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad .zero size %q", arg)
 		}
+		if have := uint64(len(p.b.data)); uint64(n) > isa.MaxMemSize-have {
+			return &DataLimitError{Size: have + uint64(n), Limit: isa.MaxMemSize}
+		}
 		p.b.DataZero("", int(n))
 	default:
 		return fmt.Errorf("unknown directive %s", name)

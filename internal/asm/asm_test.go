@@ -1,7 +1,10 @@
 package asm
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -344,5 +347,41 @@ func TestSplitOperandsBracketAware(t *testing.T) {
 	got := splitOperands("r0, [r1+r2*8], $5")
 	if len(got) != 3 || got[1] != "[r1+r2*8]" {
 		t.Errorf("splitOperands = %q", got)
+	}
+}
+
+// TestDataCeiling pins the data-segment bound: a .zero, or a data segment,
+// past isa.MaxMemSize is refused with a *DataLimitError before anything that
+// size is allocated.
+func TestDataCeiling(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Assemble(".data\nbuf: .zero 1099511627776\n.text\nhalt\n")
+	runtime.ReadMemStats(&after)
+	var le *DataLimitError
+	if !errors.As(err, &le) {
+		t.Fatalf("1 TiB .zero: err = %v, want *DataLimitError", err)
+	}
+	if le.Size != 1<<40 || le.Limit != isa.MaxMemSize {
+		t.Errorf("DataLimitError = %+v", *le)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refused .zero still allocated %d bytes", got)
+	}
+
+	// The bound is on the whole segment, not one directive.
+	src := fmt.Sprintf(".data\nx: .f64 1.0\nbuf: .zero %d\n.text\nhalt\n", isa.MaxMemSize)
+	if _, err := Assemble(src); !errors.As(err, &le) || le.Size != isa.MaxMemSize+8 {
+		t.Errorf("segment over the ceiling: err = %v", err)
+	}
+	b := NewBuilder()
+	b.DataF64("x", 1)
+	b.DataZero("buf", isa.MaxMemSize)
+	b.I(isa.OpHalt)
+	if _, err := b.Finish(); !errors.As(err, &le) {
+		t.Errorf("Builder.DataZero over the ceiling: err = %v", err)
+	}
+	if prog, err := Assemble(".data\nbuf: .zero 4096\n.text\nhalt\n"); err != nil || len(prog.Data) != 4096 {
+		t.Errorf(".zero under the ceiling: %v", err)
 	}
 }

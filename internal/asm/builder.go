@@ -117,10 +117,26 @@ func (b *Builder) DataI64(name string, vals ...int64) uint64 {
 }
 
 // DataZero reserves n zero bytes at a named data symbol; returns the offset.
+// A reservation that would take the data segment past isa.MaxMemSize is
+// recorded as a *DataLimitError (returned by Finish) and allocates nothing.
 func (b *Builder) DataZero(name string, n int) uint64 {
 	off := b.defineData(name, n)
-	b.data = append(b.data, make([]byte, n)...)
+	if n > 0 && uint64(n) <= isa.MaxMemSize-uint64(len(b.data)) {
+		b.data = append(b.data, make([]byte, n)...)
+	}
 	return off
+}
+
+// DataLimitError reports a data segment larger than isa.MaxMemSize, the
+// largest guest memory a machine accepts. No machine could load such a
+// program, so the assembler refuses it before allocating the segment.
+type DataLimitError struct {
+	Size  uint64 // the data segment size the source asked for, in bytes
+	Limit uint64 // isa.MaxMemSize
+}
+
+func (e *DataLimitError) Error() string {
+	return fmt.Sprintf("data segment of %d bytes exceeds the %d-byte guest memory maximum", e.Size, e.Limit)
 }
 
 func (b *Builder) defineData(name string, size int) uint64 {
@@ -130,7 +146,9 @@ func (b *Builder) defineData(name string, size int) uint64 {
 		}
 		b.dataSyms[name] = uint64(len(b.data))
 	}
-	_ = size
+	if size < 0 || uint64(size) > isa.MaxMemSize-uint64(len(b.data)) {
+		b.errs = append(b.errs, &DataLimitError{Size: uint64(len(b.data)) + uint64(size), Limit: isa.MaxMemSize})
+	}
 	return uint64(len(b.data))
 }
 

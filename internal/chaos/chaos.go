@@ -30,6 +30,7 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/oracle"
+	"fpvm/internal/patch"
 	"fpvm/internal/session"
 )
 
@@ -218,6 +219,11 @@ func (s *Summary) runPanicTier(t oracle.Target, seed uint64, pool *session.Pool,
 		fail("build", err.Error())
 		return
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		fail("build", err.Error())
+		return
+	}
 	icfg := faultinject.Config{Seed: seed}
 	icfg.Rate[faultinject.SeamRunPanic] = o.PanicRate
 	inj := faultinject.New(icfg)
@@ -228,7 +234,7 @@ func (s *Summary) runPanicTier(t oracle.Target, seed uint64, pool *session.Pool,
 				escaped = fmt.Sprint(r)
 			}
 		}()
-		res, err = pool.Run(prog, session.Config{
+		res, err = pool.Run(img, session.Config{
 			System:  arith.Vanilla{},
 			MaxInst: o.MaxInst,
 			Inject:  inj,

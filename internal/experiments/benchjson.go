@@ -8,6 +8,7 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/loadgen"
+	"fpvm/internal/patch"
 	"fpvm/internal/session"
 	"fpvm/internal/telemetry"
 	"fpvm/internal/workloads"
@@ -279,6 +280,10 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 	if err != nil {
 		return nil, err
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		return nil, err
+	}
 	// Vanilla still trap-and-emulates every FP instruction (boxing, arena,
 	// GC, patching all engaged) but adds no arithmetic cost of its own, so
 	// the record measures the session machinery rather than MPFR.
@@ -300,7 +305,7 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 		cfg.Cancel = new(atomic.Bool)
 	}
 	var pool session.Pool
-	rep := loadgen.Run(&pool, prog, cfg, loadgen.Options{
+	rep := loadgen.Run(&pool, img, cfg, loadgen.Options{
 		Sessions: o.Sessions,
 		Workers:  o.LoadWorkers,
 	})

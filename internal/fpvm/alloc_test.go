@@ -37,7 +37,7 @@ func TestVanillaTrapLoopAllocatesOnlyBoxes(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := m.Reset(prog, nil, 0); err != nil {
+		if err := m.Reset(m.Image(), nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		vm.Reattach(m, cfg)

@@ -91,11 +91,11 @@ type Config struct {
 	// the site back to the classic per-trap path. 0 disables the tier and
 	// preserves behavior bit for bit.
 	JITThreshold int
-	// SBCache attaches a shared read-mostly superblock cache, keyed by
-	// (pointer-identical immutable program, entry index): compiled traces are
-	// published to it and Reattach eagerly adopts every published trace that
-	// the session's own side table permits, so in a session pool only the
-	// first tenant per program pays compilation. Adopted blocks live in
+	// SBCache opts into sharing compiled superblocks through the loaded
+	// machine.Image: compiled traces are published on the image and Reattach
+	// eagerly adopts every trace published there that the session's own side
+	// table permits, so in a session pool only the first tenant per image
+	// pays compilation. Adopted blocks live in
 	// per-session wrappers with private version stamps — one tenant's code
 	// writes, patches, or degradations never touch another tenant's traces
 	// or the published ones. Warm attachment changes modeled cycles
@@ -306,7 +306,7 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	m.OutFilter = vm.outFn
 
 	// Shared warm cache: adopt every trace another session already published
-	// for this program, so this attach starts hot instead of recompiling.
+	// on this image, so this attach starts hot instead of recompiling.
 	// Must run last — it installs entry patches through vm.sbFn and stamps
 	// wrappers against the side table the caller has finished building.
 	if cfg.JITThreshold > 0 && cfg.SBCache != nil {

@@ -13,11 +13,22 @@ import (
 	"fpvm/internal/machine"
 )
 
-// newSBMachine builds a fresh machine over prog with its own output buffer.
-func newSBMachine(t *testing.T, prog *isa.Program) (*machine.Machine, *bytes.Buffer) {
+// sbImage assembles src into the program image every tenant of a test shares:
+// published traces live on the image.
+func sbImage(t *testing.T, src string) *machine.Image {
+	t.Helper()
+	img, err := machine.NewImage(asm.MustAssemble(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// newSBMachine builds a fresh machine over img with its own output buffer.
+func newSBMachine(t *testing.T, img *machine.Image) (*machine.Machine, *bytes.Buffer) {
 	t.Helper()
 	var out bytes.Buffer
-	m, err := machine.New(prog, &out)
+	m, err := machine.NewFromImage(img, &out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,16 +37,16 @@ func newSBMachine(t *testing.T, prog *isa.Program) (*machine.Machine, *bytes.Buf
 
 // TestSBCacheWarmAttach is the tentpole shared-cache contract: the first
 // session over a program compiles and publishes; a second session over the
-// pointer-identical program adopts at attach time, compiles nothing, serves
+// same image adopts at attach time, compiles nothing, serves
 // every entry from the shared trace, and produces bit-identical output at
 // strictly lower modeled cost.
 func TestSBCacheWarmAttach(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
-	prog := asm.MustAssemble(jitHotSrc)
+	img := sbImage(t, jitHotSrc)
 	cache := NewSBCache()
 	cfg := Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache}
 
-	mA, outA := newSBMachine(t, prog)
+	mA, outA := newSBMachine(t, img)
 	Attach(mA, cfg)
 	if err := mA.Run(0); err != nil {
 		t.Fatalf("cold run: %v", err)
@@ -46,11 +57,11 @@ func TestSBCacheWarmAttach(t *testing.T) {
 	if mA.Stats.SBCompiled != 1 {
 		t.Fatalf("cold session compiled %d blocks, want 1", mA.Stats.SBCompiled)
 	}
-	if s := cache.Stats(); s.Stores != 1 || s.Programs != 1 || s.Entries != 1 {
-		t.Fatalf("after cold run cache = %+v, want 1 store/program/entry", s)
+	if s := cache.Stats(); s.Stores != 1 || len(img.Traces()) != 1 {
+		t.Fatalf("after cold run cache = %+v with %d traces on the image, want 1 store/trace", s, len(img.Traces()))
 	}
 
-	mB, outB := newSBMachine(t, prog)
+	mB, outB := newSBMachine(t, img)
 	Attach(mB, cfg)
 	if err := mB.Run(0); err != nil {
 		t.Fatalf("warm run: %v", err)
@@ -80,17 +91,17 @@ func TestSBCacheWarmAttach(t *testing.T) {
 // trace its semantics forbid.
 func TestSBCacheBarrierRefusal(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
-	prog := asm.MustAssemble(jitHotSrc)
+	img := sbImage(t, jitHotSrc)
 	cache := NewSBCache()
 	cfg := Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache}
 
-	mA, _ := newSBMachine(t, prog)
+	mA, _ := newSBMachine(t, img)
 	Attach(mA, cfg)
 	if err := mA.Run(0); err != nil {
 		t.Fatal(err)
 	}
 
-	mB, outB := newSBMachine(t, prog)
+	mB, outB := newSBMachine(t, img)
 	if !mB.SetCorrectnessSite(traceBodyAddr(mB), 1) {
 		t.Fatal("SetCorrectnessSite refused the body address")
 	}
@@ -118,11 +129,11 @@ func TestSBCacheBarrierRefusal(t *testing.T) {
 // with zero compiles.
 func TestSBCacheInvalidationLocality(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
-	prog := asm.MustAssemble(jitHotSrc)
+	img := sbImage(t, jitHotSrc)
 	cache := NewSBCache()
 	cfg := Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache}
 
-	mA, _ := newSBMachine(t, prog)
+	mA, _ := newSBMachine(t, img)
 	Attach(mA, cfg)
 	if err := mA.Run(0); err != nil {
 		t.Fatal(err)
@@ -130,7 +141,7 @@ func TestSBCacheInvalidationLocality(t *testing.T) {
 
 	// Tenant B adopts, then mutates its own side table mid-run, discarding
 	// its private wrapper.
-	mB, outB := newSBMachine(t, prog)
+	mB, outB := newSBMachine(t, img)
 	Attach(mB, cfg)
 	err := mB.Run(uint64(jitHotPrelude + 10*jitHotInstsPerIter))
 	var be *machine.BudgetError
@@ -151,7 +162,7 @@ func TestSBCacheInvalidationLocality(t *testing.T) {
 
 	// Tenant C, clean side table: the shared entry must still be the full
 	// original trace, adoptable with zero compiles.
-	mC, outC := newSBMachine(t, prog)
+	mC, outC := newSBMachine(t, img)
 	Attach(mC, cfg)
 	if err := mC.Run(0); err != nil {
 		t.Fatal(err)
@@ -169,12 +180,12 @@ func TestSBCacheInvalidationLocality(t *testing.T) {
 }
 
 // TestSBCacheConcurrentTenants races many sessions over one shared cache and
-// pointer-identical program — some mutating their side tables mid-run — and
+// one image — some mutating their side tables mid-run — and
 // requires every tenant to produce the native output. Run under
 // -race this is the cross-tenant staleness check at the fpvm layer.
 func TestSBCacheConcurrentTenants(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
-	prog := asm.MustAssemble(jitHotSrc)
+	img := sbImage(t, jitHotSrc)
 	cache := NewSBCache()
 
 	const tenants = 12
@@ -186,7 +197,7 @@ func TestSBCacheConcurrentTenants(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var out bytes.Buffer
-			m, err := machine.New(prog, &out)
+			m, err := machine.NewFromImage(img, &out, 0)
 			if err != nil {
 				errs[i] = err
 				return
@@ -219,7 +230,7 @@ func TestSBCacheConcurrentTenants(t *testing.T) {
 			t.Fatalf("tenant %d output diverged:\nnative: %sfpvm:  %s", i, native, outs[i])
 		}
 	}
-	if s := cache.Stats(); s.Entries != 1 || s.Lookups != tenants {
-		t.Fatalf("cache accounting off after race: %+v", s)
+	if s := cache.Stats(); len(img.Traces()) != 1 || s.Lookups != tenants {
+		t.Fatalf("cache accounting off after race: %+v with %d traces on the image", s, len(img.Traces()))
 	}
 }

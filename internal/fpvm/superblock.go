@@ -138,10 +138,10 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	}
 	// Publish to the shared warm cache: the thunks are a pure function of the
 	// immutable program text, so another session attached to the same cache
-	// (and the same *isa.Program) can adopt them instead of recompiling. The
+	// and loading the same image can adopt them instead of recompiling. The
 	// slice itself is shared — it is read-only from here on — while version
 	// stamps and hit counts stay in each session's private wrapper.
-	vm.cfg.SBCache.publish(m.Prog, idx, sb.thunks)
+	vm.cfg.SBCache.publish(m.Image(), idx, sb.thunks)
 }
 
 // degradeJITCompile records a failed superblock compile. Unlike the main
@@ -221,7 +221,7 @@ func (vm *VM) revalidateSB(m *machine.Machine, sb *superblock) bool {
 }
 
 // invalidateSB discards the superblock at idx: the local cache entry is
-// dropped (a shared-cache original, if any, is untouched — it stays valid
+// dropped (a published original, if any, is untouched — it stays valid
 // for sessions whose side tables still permit it), the entry patch removed
 // (native dispatch resumes, re-trapping into the classic path), and the
 // site's threshold counter reset so it must prove itself hot again before

@@ -301,7 +301,7 @@ func TestJITReattachRearms(t *testing.T) {
 	}
 
 	var second bytes.Buffer
-	if err := m.Reset(prog, &second, 0); err != nil {
+	if err := m.Reset(m.Image(), &second, 0); err != nil {
 		t.Fatal(err)
 	}
 	vm.Reattach(m, cfg)

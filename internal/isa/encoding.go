@@ -153,6 +153,11 @@ func Decode(code []byte, addr uint64) (Inst, error) {
 	return inst, nil
 }
 
+// MaxMemSize is the largest guest memory a machine accepts, in bytes. A data
+// segment, which must fit in guest memory, can never be larger, so the
+// assembler refuses one that is before allocating it.
+const MaxMemSize = 64 << 20
+
 // Program is an encoded program image: code plus an initial data segment and
 // entry metadata, the unit that the assembler produces, the static analyzer
 // consumes, and the machine loads. It stands in for an ELF binary.

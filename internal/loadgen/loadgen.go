@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fpvm/internal/isa"
+	"fpvm/internal/machine"
 	"fpvm/internal/session"
 )
 
@@ -81,12 +81,11 @@ func (r *Report) Write(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Run drives opts.Sessions runs of prog under cfg through pool from
-// opts.Workers concurrent workers. Every run reuses the same *isa.Program
-// pointer, so warm sessions take the machine's predecode-skipping Reset fast
-// path — the steady state a serving deployment reaches once its program
-// cache is hot.
-func Run(pool *session.Pool, prog *isa.Program, cfg session.Config, opts Options) *Report {
+// Run drives opts.Sessions runs of img under cfg through pool from
+// opts.Workers concurrent workers. Every run shares the one image, so the
+// pool never re-predecodes or re-analyzes the program — the steady state a
+// serving deployment reaches once its image cache is hot.
+func Run(pool *session.Pool, img *machine.Image, cfg session.Config, opts Options) *Report {
 	opts = opts.withDefaults()
 	before := pool.Stats()
 	durs := make([]time.Duration, opts.Sessions)
@@ -104,7 +103,7 @@ func Run(pool *session.Pool, prog *isa.Program, cfg session.Config, opts Options
 					return
 				}
 				t0 := time.Now()
-				if res, err := pool.Run(prog, cfg); err != nil {
+				if res, err := pool.Run(img, cfg); err != nil {
 					errs.Add(1)
 				} else {
 					sbCompiled.Add(res.Machine.SBCompiled)

@@ -9,6 +9,7 @@ import (
 
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
+	"fpvm/internal/patch"
 	"fpvm/internal/session"
 )
 
@@ -24,9 +25,13 @@ func TestRunThroughPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pool session.Pool
 	cfg := session.Config{System: arith.Vanilla{}, MemSize: 64 << 10}
-	rep := Run(&pool, prog, cfg, Options{Sessions: 40, Workers: 4})
+	rep := Run(&pool, img, cfg, Options{Sessions: 40, Workers: 4})
 	if rep.Sessions != 40 || rep.Workers != 4 {
 		t.Fatalf("report shape wrong: %+v", rep)
 	}
@@ -63,9 +68,13 @@ func TestRunCountsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pool session.Pool
 	// Missing System makes every run fail at validation.
-	rep := Run(&pool, prog, session.Config{}, Options{Sessions: 10, Workers: 2})
+	rep := Run(&pool, img, session.Config{}, Options{Sessions: 10, Workers: 2})
 	if rep.Errors != 10 {
 		t.Fatalf("want 10 errors, got %d", rep.Errors)
 	}

@@ -81,7 +81,7 @@ func (c *CostModel) opCost(op isa.Op) uint64 {
 }
 
 // memOperands counts memory operands in an instruction for cost purposes.
-// Load stores the count in each instruction's side-table slot.
+// NewImage stores the count for every instruction of the image.
 func memOperands(in *isa.Inst) uint8 {
 	var n uint8
 	for _, o := range in.Ops {

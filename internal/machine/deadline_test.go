@@ -156,7 +156,7 @@ func TestResetClearsPreemption(t *testing.T) {
 	if err := m.Run(0); err == nil {
 		t.Fatal("expected a deadline truncation")
 	}
-	if err := m.Reset(m.Prog, m.Out, 0); err != nil {
+	if err := m.Reset(m.Image(), m.Out, 0); err != nil {
 		t.Fatalf("reset: %v", err)
 	}
 	if m.Preempt != nil || m.PreemptEvery != 0 {

@@ -121,9 +121,8 @@ type Stats struct {
 // instSlot is the per-instruction side table of the dense pipeline: one
 // bounds-checked array access at dispatch replaces the seed's three map
 // probes (decoded code, patch sites, correctness sites) per retired
-// instruction. memOps is static: it is computed once at Load from the
-// immutable predecoded stream, so the per-instruction memory cost needs no
-// operand walk.
+// instruction. patch and the site are per-run state; memOps is the image's
+// static count, copied in at Load so dispatch reads a single slot.
 type instSlot struct {
 	patch   PatchHandler // trap-and-patch handler, nil when unpatched
 	site    int64        // correctness-trap site id
@@ -141,10 +140,13 @@ type Machine struct {
 	MXCSR fpu.MXCSR
 	Mem   []byte
 
-	// Program image: a dense predecoded instruction stream (the "silicon"
-	// decoder), an addr→index table for control flow, and the per-index
-	// side table carrying patch and correctness-site slots.
+	// Program image: the shared, immutable Image (a dense predecoded
+	// instruction stream — the "silicon" decoder — and an addr→index table
+	// for control flow; insts and addrIdx alias its storage), plus this
+	// machine's own per-index side table carrying patch and correctness-site
+	// slots.
 	Prog     *isa.Program
+	img      *Image
 	insts    []isa.Inst
 	addrIdx  []int32 // code address → index into insts; -1 off-boundary
 	slots    []instSlot
@@ -213,10 +215,24 @@ func New(prog *isa.Program, out io.Writer) (*Machine, error) {
 // NewSized is New with an explicit memory size. Smaller machines make dense
 // session pools affordable (hundreds of concurrent guests); the GC scan cost
 // is proportional to writable memory, so cycle counts are only comparable
-// between runs that use the same geometry.
+// between runs that use the same geometry. It predecodes prog into a fresh
+// Image of its own; NewFromImage loads one that is already built.
 func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
+	img, err := NewImage(prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromImage(img, out, memSize)
+}
+
+// NewFromImage creates a machine like NewSized over an already-built image,
+// which it shares rather than copies.
+func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 	if memSize <= 0 {
 		memSize = DefaultMemSize
+	}
+	if memSize > isa.MaxMemSize {
+		return nil, fmt.Errorf("machine: memory size %d exceeds the %d-byte maximum", memSize, isa.MaxMemSize)
 	}
 	m := &Machine{
 		Mem:                 make([]byte, memSize),
@@ -227,27 +243,26 @@ func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
 		Out:                 out,
 	}
 	m.MXCSR = fpu.DefaultMXCSR
-	if err := m.Load(prog); err != nil {
+	if err := m.Load(img); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Reset returns the machine to the exact state NewSized(prog, out, memSize)
-// would produce — architectural state, cost model, delivery profile, stats,
-// and hooks all back to their defaults — while retaining every allocation:
-// the memory image, the dense instruction stream, the addr→index table, and
-// the side-table slots. This is what makes a machine cheaply
-// poolable: a reused machine is bit-identical to a fresh one, it just does
-// not pay the allocations again.
-//
-// When prog is pointer-identical to the currently loaded program the
-// predecode pass is skipped entirely (the dense stream is immutable program
-// text); callers that reuse a *isa.Program across runs must therefore not
-// mutate it. memSize <= 0 keeps the current memory size.
-func (m *Machine) Reset(prog *isa.Program, out io.Writer, memSize int) error {
-	if prog == nil {
-		return errors.New("machine: nil program")
+// Reset returns the machine to the exact state NewFromImage(img, out,
+// memSize) would produce — architectural state, cost model, delivery
+// profile, stats, and hooks all back to their defaults — while retaining
+// every allocation: the memory image and the side-table slots. This is what
+// makes a machine cheaply poolable: a reused machine is bit-identical to a
+// fresh one, it just does not pay the allocations again. The image itself is
+// adopted by pointer, so switching programs costs no predecode either.
+// memSize <= 0 keeps the current memory size.
+func (m *Machine) Reset(img *Image, out io.Writer, memSize int) error {
+	if img == nil {
+		return errors.New("machine: nil image")
+	}
+	if memSize > isa.MaxMemSize {
+		return fmt.Errorf("machine: memory size %d exceeds the %d-byte maximum", memSize, isa.MaxMemSize)
 	}
 	if memSize > 0 && memSize != len(m.Mem) {
 		m.Mem = make([]byte, memSize)
@@ -278,65 +293,48 @@ func (m *Machine) Reset(prog *isa.Program, out io.Writer, memSize int) error {
 	m.Delivery = trap.DeliverUserSignal
 	m.CorrectnessDelivery = trap.DeliverUserSignal
 	m.Out = out
-
-	if prog == m.Prog {
-		// Same immutable image: the predecoded stream and addr→index table
-		// are still exact. Only the side-table slots' patch handlers and
-		// correctness sites belong to the previous session; their static
-		// memory-operand counts stay.
-		for i := range m.slots {
-			m.slots[i] = instSlot{memOps: m.slots[i].memOps}
-		}
-		m.sideVer++
-		return m.loadData(prog)
-	}
-	return m.Load(prog)
+	return m.Load(img)
 }
 
-// Load installs a program image: code is predecoded once into the dense
-// instruction stream with its addr→index table and side-table slots, data
-// copied to its base, SP set to the top of memory, RIP to the entry point.
-// Any previously installed patch or correctness-site slots are discarded
-// with the old image.
-func (m *Machine) Load(prog *isa.Program) error {
-	if prog == nil {
-		return errors.New("machine: nil program")
+// Load installs a program image: the machine adopts img's predecoded stream
+// and addr→index table, clears its own side-table slots (any previously
+// installed patch or correctness site is discarded), copies the data segment
+// to its base, and sets SP to the top of memory and RIP to the entry point.
+// Correctness sites are not installed; see InstallSites.
+func (m *Machine) Load(img *Image) error {
+	if img == nil {
+		return errors.New("machine: nil image")
 	}
-	m.Prog = prog
-	m.insts = m.insts[:0]
-	if cap(m.addrIdx) >= len(prog.Code) {
-		m.addrIdx = m.addrIdx[:len(prog.Code)]
-	} else {
-		m.addrIdx = make([]int32, len(prog.Code))
-	}
-	for i := range m.addrIdx {
-		m.addrIdx[i] = -1
-	}
-	for addr := uint64(0); addr < uint64(len(prog.Code)); {
-		in, err := isa.Decode(prog.Code, addr)
-		if err != nil {
-			return fmt.Errorf("machine: predecode: %w", err)
-		}
-		m.addrIdx[addr] = int32(len(m.insts))
-		m.insts = append(m.insts, in)
-		addr += uint64(in.Len)
-	}
+	m.img, m.Prog = img, img.prog
+	m.insts, m.addrIdx = img.insts, img.addrIdx
 	if cap(m.slots) >= len(m.insts) {
 		m.slots = m.slots[:len(m.insts)]
-		clear(m.slots)
 	} else {
 		m.slots = make([]instSlot, len(m.insts))
 	}
-	for i := range m.insts {
-		m.slots[i].memOps = memOperands(&m.insts[i])
+	for i, n := range img.memOps {
+		m.slots[i] = instSlot{memOps: n}
 	}
 	m.sideVer++
-	return m.loadData(prog)
+	return m.loadData(img.prog)
+}
+
+// Image returns the loaded program image.
+func (m *Machine) Image() *Image { return m.img }
+
+// InstallSites installs every correctness site of the loaded image's table
+// (see NewImage) and returns how many there are.
+func (m *Machine) InstallSites() int {
+	for _, s := range m.img.sites {
+		m.slots[s.idx].site = s.id
+		m.slots[s.idx].hasSite = true
+	}
+	m.sideVer++
+	return len(m.img.sites)
 }
 
 // loadData installs the data segment, stack pointer, and entry point — the
-// per-run half of Load, shared with the Reset fast path that retains the
-// predecoded stream.
+// per-run half of Load.
 func (m *Machine) loadData(prog *isa.Program) error {
 	base := prog.DataBase
 	if base == 0 {
@@ -468,16 +466,7 @@ func (m *Machine) Run(maxInstructions uint64) error {
 
 // InstIndex returns the dense-stream index of the instruction starting at
 // addr, or false when addr is not an instruction boundary.
-func (m *Machine) InstIndex(addr uint64) (int, bool) {
-	if addr >= uint64(len(m.addrIdx)) {
-		return 0, false
-	}
-	i := m.addrIdx[addr]
-	if i < 0 {
-		return 0, false
-	}
-	return int(i), true
-}
+func (m *Machine) InstIndex(addr uint64) (int, bool) { return m.img.instIndex(addr) }
 
 // InstAt returns the predecoded instruction at addr.
 func (m *Machine) InstAt(addr uint64) (isa.Inst, bool) {

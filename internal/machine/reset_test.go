@@ -67,7 +67,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	firstOut, firstCycles := out1.String(), m.Cycles
 
 	var out2 bytes.Buffer
-	if err := m.Reset(prog, &out2, 64<<10); err != nil {
+	if err := m.Reset(m.Image(), &out2, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +114,7 @@ func TestResetRebindsNewProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := m.Reset(progB, &out, 0); err != nil {
+	if err := m.Reset(mustImage(t, progB), &out, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(0); err != nil {
@@ -134,8 +134,8 @@ func TestResetRebindsNewProgram(t *testing.T) {
 	}
 }
 
-// TestResetSameProgramSkipsNothingObservable pins that the pointer-identity
-// fast path (predecode skipped) is behaviorally invisible.
+// TestResetSameProgramSkipsNothingObservable pins that reloading the
+// machine's own image (no predecode) is behaviorally invisible.
 func TestResetSameProgramSkipsNothingObservable(t *testing.T) {
 	prog := resetProg(t)
 	var out bytes.Buffer
@@ -149,7 +149,7 @@ func TestResetSameProgramSkipsNothingObservable(t *testing.T) {
 	want := out.String()
 	for i := 0; i < 3; i++ {
 		out.Reset()
-		if err := m.Reset(prog, &out, 0); err != nil {
+		if err := m.Reset(m.Image(), &out, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Run(0); err != nil {
@@ -169,7 +169,7 @@ func TestResetGeometryChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Reset(prog, &bytes.Buffer{}, 128<<10); err != nil {
+	if err := m.Reset(m.Image(), &bytes.Buffer{}, 128<<10); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Mem) != 128<<10 {
@@ -178,7 +178,7 @@ func TestResetGeometryChange(t *testing.T) {
 	if int64(len(m.Mem)) != m.R[isa.RegSP] {
 		t.Errorf("stack pointer %d not at top of resized memory %d", m.R[isa.RegSP], len(m.Mem))
 	}
-	if err := m.Reset(prog, &bytes.Buffer{}, 1<<10); err == nil {
+	if err := m.Reset(m.Image(), &bytes.Buffer{}, 1<<10); err == nil {
 		t.Error("Reset accepted memory too small for the data segment")
 	}
 }

@@ -43,6 +43,18 @@ func Apply(prog *isa.Program, rep *vsa.Report) (*Patched, error) {
 	return p, nil
 }
 
+// NewImage analyzes prog and predecodes it into an immutable machine image
+// that carries the resulting correctness-site table — the ahead-of-time half
+// of the pipeline, run once per program. The image keeps the site table, not
+// the rest of the VSA report.
+func NewImage(prog *isa.Program) (*machine.Image, error) {
+	p, err := Apply(prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return machine.NewImage(prog, p.Sites)
+}
+
 // Install loads the correctness sites into a machine running the program,
 // populating the machine's per-instruction side-table slots.
 func (p *Patched) Install(m *machine.Machine) {

@@ -16,6 +16,8 @@ import (
 	"fpvm/internal/asm"
 	"fpvm/internal/examples"
 	"fpvm/internal/isa"
+	"fpvm/internal/machine"
+	"fpvm/internal/patch"
 	"fpvm/internal/sanitize"
 	"fpvm/internal/session"
 )
@@ -211,6 +213,16 @@ func nthPC(t *testing.T, prog *isa.Program, op isa.Op, n int) uint64 {
 	return 0
 }
 
+// mustImage analyzes and predecodes prog into the image a session runs.
+func mustImage(t testing.TB, prog *isa.Program) *machine.Image {
+	t.Helper()
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 func runSanitized(t *testing.T, prog *isa.Program, threshold float64, mut func(*session.Config)) session.Result {
 	t.Helper()
 	cfg := session.Config{
@@ -219,7 +231,7 @@ func runSanitized(t *testing.T, prog *isa.Program, threshold float64, mut func(*
 		SanitizeThreshold: threshold,
 	}
 	mut(&cfg)
-	res, err := session.New().Run(prog, cfg)
+	res, err := session.New().Run(mustImage(t, prog), cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -308,7 +320,7 @@ func TestCorpusAcrossTiers(t *testing.T) {
 				// Sanitizer-off differential: same tier, no sanitizer.
 				cfg := session.Config{System: arith.Vanilla{}}
 				tier.mut(&cfg)
-				plain, err := session.New().Run(prog, cfg)
+				plain, err := session.New().Run(mustImage(t, prog), cfg)
 				if err != nil {
 					t.Fatalf("%s: plain run: %v", tier.name, err)
 				}

@@ -36,15 +36,16 @@ func FuzzSanitize(f *testing.F) {
 		if err != nil {
 			t.Fatalf("progen program must assemble: %v", err)
 		}
+		img := mustImage(t, prog)
 		sess := session.New()
 
-		plain, err := sess.Run(prog, session.Config{System: arith.Vanilla{}})
+		plain, err := sess.Run(img, session.Config{System: arith.Vanilla{}})
 		if err != nil {
 			t.Fatalf("plain run: %v", err)
 		}
 
 		run := func(prec uint) session.Result {
-			res, err := sess.Run(prog, session.Config{
+			res, err := sess.Run(img, session.Config{
 				System:       arith.Vanilla{},
 				Certify:      true,
 				SanitizePrec: prec,

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fpvm/internal/isa"
+	"fpvm/internal/machine"
 )
 
 // DefaultQuarantineStreak is the consecutive-degraded-run threshold above
@@ -136,10 +136,10 @@ func (p *Pool) quarantine() {
 // back to the pool even when the run errors; a setup error leaves no
 // partially-bound state behind because the next Run resets everything first,
 // and Put's health ledger quarantines a session the error poisoned.
-func (p *Pool) Run(prog *isa.Program, cfg Config) (Result, error) {
+func (p *Pool) Run(img *machine.Image, cfg Config) (Result, error) {
 	s := p.Get()
 	defer p.Put(s)
-	return s.Run(prog, cfg)
+	return s.Run(img, cfg)
 }
 
 // Stats snapshots the pool counters.

@@ -14,7 +14,6 @@ import (
 	"fpvm/internal/asm"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpvm"
-	"fpvm/internal/isa"
 	"fpvm/internal/machine"
 	"fpvm/internal/patch"
 )
@@ -46,13 +45,13 @@ loop:
 	jmp loop
 `
 
-func mustProg(t *testing.T, src string) *isa.Program {
+func mustProg(t *testing.T, src string) *machine.Image {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	return p
+	return mustImage(t, p)
 }
 
 // panicInjector arms only the run-panic seam: the first FP trap delivery
@@ -227,11 +226,11 @@ func TestDeadlineMatchesManualPipeline(t *testing.T) {
 
 	// The manual pipeline, exactly as cmd/fpvm-run assembles it.
 	var out bytes.Buffer
-	m, err := machine.NewSized(prog, &out, testMemSize)
+	m, err := machine.NewSized(prog.Program(), &out, testMemSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := patch.Apply(prog, nil)
+	pt, err := patch.Apply(prog.Program(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"fpvm/internal/asm"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpvm"
-	"fpvm/internal/isa"
+	"fpvm/internal/machine"
 	"fpvm/internal/posit"
 	"fpvm/internal/telemetry"
 )
@@ -38,13 +38,13 @@ div:
 	halt
 `
 
-func buildSharedHot(t testing.TB) *isa.Program {
+func buildSharedHot(t testing.TB) *machine.Image {
 	t.Helper()
 	prog, err := asm.Assemble(sharedHotSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog
+	return mustImage(t, prog)
 }
 
 // TestSharedCacheWarmCheckouts pins the warm-pool contract at the session
@@ -103,7 +103,7 @@ func TestSharedCacheWarmCheckouts(t *testing.T) {
 }
 
 // TestSharedCacheIsolationUnderRace is the cross-tenant staleness suite: many
-// pooled tenants share one warm SBCache over the pointer-identical program.
+// pooled tenants share one warm SBCache over one program image.
 // Plain tenants adopt the published traces, coalescing tenants run uncached
 // traces around the adopted ones, and faulty tenants change their own VM and
 // machine state mid-trace: every allocation at the div entry fails, so each
@@ -132,7 +132,7 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	variants[2].SBCache = cache // faulty adopter: degrades inside the div trace
 	// An injector is stateful, so each run of the faulty tenant gets its own.
 	divFaults := faultinject.Config{Sites: map[uint64]faultinject.Seam{
-		prog.Symbols["div"]: faultinject.SeamArenaAlloc,
+		prog.Program().Symbols["div"]: faultinject.SeamArenaAlloc,
 	}}
 	faulty := func() Config {
 		cfg := variants[2]
@@ -194,8 +194,8 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if s := cache.Stats(); s.Programs != 1 || s.Entries != 2 {
-		t.Fatalf("cache accounting off after race: %+v", s)
+	if s := cache.Stats(); s.Stores != 2 || len(prog.Traces()) != 2 {
+		t.Fatalf("cache accounting off after race: %+v with %d traces on the image", s, len(prog.Traces()))
 	}
 }
 

@@ -28,9 +28,7 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpvm"
-	"fpvm/internal/isa"
 	"fpvm/internal/machine"
-	"fpvm/internal/patch"
 	"fpvm/internal/sanitize"
 	"fpvm/internal/telemetry"
 	"fpvm/internal/trap"
@@ -64,8 +62,9 @@ type Config struct {
 	// default, 4 MiB). Modeled GC cycles scale with writable memory, so
 	// results are only comparable across runs with equal geometry.
 	MemSize int
-	// NoPatch skips the §4.2 static analysis + correctness patching. The
-	// default mirrors the full pipeline, as the experiments harness does.
+	// NoPatch skips installing the image's §4.2 correctness sites. The
+	// default mirrors the full pipeline, as the experiments harness does, and
+	// requires an analyzed image (patch.NewImage).
 	NoPatch bool
 	// MaxSequenceLen, JITThreshold, GCEveryNAllocs, ArenaSoftCap,
 	// ArenaHardCap, and Inject pass through to fpvm.Config.
@@ -76,11 +75,10 @@ type Config struct {
 	ArenaHardCap   int
 	Inject         *faultinject.Injector
 	// SBCache, when non-nil, shares compiled superblocks across every session
-	// (and pool checkout) pointing at it: only the first session per cached
-	// program pays the warm-up and compile, later checkouts adopt the traces
-	// at attach time. Sharing is keyed by pointer-identical *isa.Program, so
-	// it composes with the session's own predecode/analysis caches. Requires
-	// JITThreshold > 0 to have any effect.
+	// (and pool checkout) pointing at it: only the first session per image
+	// pays the warm-up and compile, later checkouts adopt the traces that
+	// run published on the image. Requires JITThreshold > 0 to have any
+	// effect.
 	SBCache *fpvm.SBCache
 	// Delivery selects the trap delivery model (default user signal).
 	Delivery trap.Kind
@@ -129,8 +127,8 @@ type Result struct {
 	Machine machine.Stats
 	// VM is a copy of the FPVM runtime's counters.
 	VM fpvm.Stats
-	// CorrectnessSites is the number of §4.2 correctness traps installed by
-	// the static patcher (0 when Config.NoPatch).
+	// CorrectnessSites is the number of §4.2 correctness traps installed
+	// from the image's site table (0 when Config.NoPatch).
 	CorrectnessSites int
 	// BudgetExhausted reports that the run was truncated by Config.MaxInst.
 	// The rest of the Result still describes everything retired before the
@@ -192,13 +190,6 @@ type Session struct {
 	// engine; the pool's health ledger quarantines chronically degrading
 	// sessions (a possible slow corruption no single run proves).
 	degradedStreak int
-
-	// patched caches the static-analysis result for patchedProg. Programs
-	// are immutable and the analysis is deterministic, so re-running it for
-	// the same *isa.Program would produce the same site table; reinstalling
-	// the cached one is bit-identical and skips the per-run VSA fixpoint.
-	patched     *patch.Patched
-	patchedProg *isa.Program
 }
 
 // New returns an empty session. The machine and VM are materialized lazily
@@ -226,17 +217,18 @@ func (s *Session) Machine() *machine.Machine { return s.m }
 // VM exposes the session's FPVM runtime under the same validity caveat.
 func (s *Session) VM() *fpvm.VM { return s.vm }
 
-// Run executes prog under cfg on this session's pooled machine and harvests
-// the result. Passing the same *isa.Program pointer as the previous run
-// skips the predecode pass entirely (program images are immutable); the
-// session is reset to fresh-machine state either way.
+// Run executes img under cfg on this session's pooled machine and harvests
+// the result. The machine adopts the image by pointer — its predecoded
+// stream, correctness-site table and published traces are built once per
+// program and shared read-only — so switching programs costs no predecode and
+// no analysis; the session is reset to fresh-machine state either way.
 //
 // Run never lets a panic from the emulation stack escape: a panic anywhere
 // on the run path is recovered into a typed *PoisonedError and the session
 // latches poisoned — it refuses further runs, and Pool.Put destroys it
 // instead of pooling it. This is the fault-domain boundary: one guest's
 // worst case costs one session, never the process.
-func (s *Session) Run(prog *isa.Program, cfg Config) (res Result, err error) {
+func (s *Session) Run(img *machine.Image, cfg Config) (res Result, err error) {
 	if s.poisoned {
 		return Result{}, errPoisonedReuse
 	}
@@ -250,27 +242,30 @@ func (s *Session) Run(prog *isa.Program, cfg Config) (res Result, err error) {
 			}
 		}
 	}()
-	return s.run(prog, cfg)
+	return s.run(img, cfg)
 }
 
 // run is the unprotected run path; Run wraps it in the panic containment.
-func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
+func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 	if cfg.System == nil {
 		return Result{}, errors.New("session: Config.System is required")
 	}
-	if prog == nil {
-		return Result{}, errors.New("session: nil program")
+	if img == nil {
+		return Result{}, errors.New("session: nil image")
+	}
+	if !cfg.NoPatch && !img.Analyzed() {
+		return Result{}, errors.New("session: image has no correctness-site table (build it with patch.NewImage, or set NoPatch)")
 	}
 	s.out.Reset()
 
-	// Checkout step 1: the machine, reset to fresh-geometry state.
+	// Checkout step 1: the machine, reset to fresh-geometry state over img.
 	if s.m == nil {
-		m, err := machine.NewSized(prog, &s.out, cfg.MemSize)
+		m, err := machine.NewFromImage(img, &s.out, cfg.MemSize)
 		if err != nil {
 			return Result{}, err
 		}
 		s.m = m
-	} else if err := s.m.Reset(prog, &s.out, cfg.MemSize); err != nil {
+	} else if err := s.m.Reset(img, &s.out, cfg.MemSize); err != nil {
 		return Result{}, err
 	}
 	if cfg.Delivery != trap.DeliverUserSignal {
@@ -284,19 +279,11 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 		s.m.PreemptEvery = cfg.PreemptEvery
 	}
 
-	// Step 2: static analysis + correctness patching (§4.2), exactly as the
-	// one-shot pipeline applies it.
-	var patched *patch.Patched
+	// Step 2: correctness patching (§4.2) from the image's site table,
+	// exactly the sites the one-shot pipeline's analysis installs.
+	sites := 0
 	if !cfg.NoPatch {
-		if s.patched == nil || s.patchedProg != prog {
-			p, err := patch.Apply(prog, nil)
-			if err != nil {
-				return Result{}, fmt.Errorf("session: analysis: %w", err)
-			}
-			s.patched, s.patchedProg = p, prog
-		}
-		s.patched.Install(s.m)
-		patched = s.patched
+		sites = s.m.InstallSites()
 	}
 
 	// Step 3: telemetry, reset for this run when requested.
@@ -347,14 +334,12 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 	}
 	err := s.m.Run(maxInst)
 	res := Result{
-		Output:       s.out.String(),
-		Cycles:       s.m.Cycles,
-		Instructions: s.m.Stats.Instructions,
-		Machine:      s.m.Stats,
-		VM:           s.vm.Stats,
-	}
-	if patched != nil {
-		res.CorrectnessSites = len(patched.Sites)
+		Output:           s.out.String(),
+		Cycles:           s.m.Cycles,
+		Instructions:     s.m.Stats.Instructions,
+		Machine:          s.m.Stats,
+		VM:               s.vm.Stats,
+		CorrectnessSites: sites,
 	}
 	if err != nil {
 		var be *machine.BudgetError

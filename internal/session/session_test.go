@@ -24,18 +24,28 @@ func baseConfig() Config {
 	return Config{System: arith.Vanilla{}, MemSize: testMemSize}
 }
 
+// mustImage analyzes and predecodes prog into the image sessions run.
+func mustImage(t testing.TB, prog *isa.Program) *machine.Image {
+	t.Helper()
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 // buildTargets compiles every fig target once so all sessions share the same
 // immutable program images.
-func buildTargets(t *testing.T) ([]oracle.Target, []*isa.Program) {
+func buildTargets(t *testing.T) ([]oracle.Target, []*machine.Image) {
 	t.Helper()
 	targets := oracle.AllTargets()
-	progs := make([]*isa.Program, len(targets))
+	progs := make([]*machine.Image, len(targets))
 	for i, tgt := range targets {
 		p, err := tgt.Build()
 		if err != nil {
 			t.Fatalf("%s: build: %v", tgt.Name, err)
 		}
-		progs[i] = p
+		progs[i] = mustImage(t, p)
 	}
 	return targets, progs
 }
@@ -167,7 +177,7 @@ func TestSessionMatchesManualPipeline(t *testing.T) {
 	}
 
 	s := New()
-	res, err := s.Run(prog, baseConfig())
+	res, err := s.Run(mustImage(t, prog), baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestSessionMatchesManualPipeline(t *testing.T) {
 func TestConcurrentSessionsIsolated(t *testing.T) {
 	names := []string{"FBench", "Three-Body"}
 	refs := make(map[string]Result)
-	progs := make(map[string]*isa.Program)
+	progs := make(map[string]*machine.Image)
 	cfg := baseConfig()
 	cfg.Telemetry = true
 	cfg.TopSites = 3
@@ -205,8 +215,8 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs[n] = prog
-		ref, err := New().Run(prog, cfg)
+		progs[n] = mustImage(t, prog)
+		ref, err := New().Run(progs[n], cfg)
 		if err != nil {
 			t.Fatalf("%s: reference run: %v", n, err)
 		}
@@ -271,13 +281,13 @@ loop:
 	halt
 `
 
-func buildNoTrap(t testing.TB) *isa.Program {
+func buildNoTrap(t testing.TB) *machine.Image {
 	t.Helper()
 	prog, err := asm.Assemble(noTrapSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog
+	return mustImage(t, prog)
 }
 
 // TestSessionZeroAllocReuse pins the zero-steady-state-allocation contract:
@@ -287,7 +297,7 @@ func TestSessionZeroAllocReuse(t *testing.T) {
 	prog := buildNoTrap(t)
 	cfg := baseConfig()
 	s := New()
-	for i := 0; i < 3; i++ { // warm: machine, VM, analysis cache
+	for i := 0; i < 3; i++ { // warm: machine, VM
 		if _, err := s.Run(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +343,7 @@ func TestBudgetDegradesNeverKills(t *testing.T) {
 	}
 	cfg := baseConfig()
 	cfg.MaxInst = 1000
-	res, err := New().Run(prog, cfg)
+	res, err := New().Run(mustImage(t, prog), cfg)
 	if err != nil {
 		t.Fatalf("budget exhaustion must not error: %v", err)
 	}
@@ -355,7 +365,19 @@ func TestSessionConfigErrors(t *testing.T) {
 		t.Error("nil System accepted")
 	}
 	if _, err := New().Run(nil, baseConfig()); err == nil {
-		t.Error("nil program accepted")
+		t.Error("nil image accepted")
+	}
+	plain, err := machine.NewImage(prog.Program(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New().Run(plain, baseConfig()); err == nil {
+		t.Error("unanalyzed image accepted without NoPatch")
+	}
+	cfg := baseConfig()
+	cfg.NoPatch = true
+	if _, err := New().Run(plain, cfg); err != nil {
+		t.Errorf("unanalyzed image refused under NoPatch: %v", err)
 	}
 }
 
@@ -366,15 +388,17 @@ func TestSessionConfigErrors(t *testing.T) {
 // (output, cycles, all SB counters, final state) to a fresh session's.
 func TestPooledJITCrossTenantStale(t *testing.T) {
 	names := []string{"Lorenz Attractor", "FBench"}
-	progs := make([]*isa.Program, len(names))
+	progs := make([]*machine.Image, len(names))
 	for i, n := range names {
 		tgt, err := oracle.Lookup(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if progs[i], err = tgt.Build(); err != nil {
+		prog, err := tgt.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
+		progs[i] = mustImage(t, prog)
 	}
 	cfg := baseConfig()
 	cfg.MaxSequenceLen = 16
@@ -413,7 +437,7 @@ func TestPooledJITCrossTenantStale(t *testing.T) {
 func TestConcurrentPooledJITIsolated(t *testing.T) {
 	names := []string{"Lorenz Attractor", "FBench"}
 	refs := make(map[string]Result)
-	progs := make(map[string]*isa.Program)
+	progs := make(map[string]*machine.Image)
 	cfg := baseConfig()
 	cfg.MaxSequenceLen = 16
 	cfg.JITThreshold = 2
@@ -426,8 +450,8 @@ func TestConcurrentPooledJITIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs[n] = prog
-		ref, err := New().Run(prog, cfg)
+		progs[n] = mustImage(t, prog)
+		ref, err := New().Run(progs[n], cfg)
 		if err != nil {
 			t.Fatalf("%s: reference run: %v", n, err)
 		}
