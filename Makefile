@@ -65,12 +65,11 @@ oracle:
 # Chaos suite: every workload and example under seeded fault-injection
 # campaigns, enforcing the degradation invariants (no panics, termination,
 # error-tier bit-identity, no NaN-box leaks), plus the panic tier (injected
-# trap-handler panics contained as session quarantines) and the serving
-# stack's chaos-under-load campaign. Failures print the reproducing seed;
-# replay one with `fpvm-run -chaos -faults seed=N,...`.
+# trap-handler panics contained as session quarantines). Failures print the
+# reproducing seed; replay one with `fpvm-run -chaos -faults seed=N,...`.
+# The serving stack's chaos-under-load campaign is chaosload-smoke.
 chaos:
 	$(GO) test -run '^TestChaosFull$$' -v ./internal/chaos
-	$(GO) run ./cmd/fpvm-serve -chaosload
 
 # Chaos-under-load smoke: an ephemeral-port server with fault injection
 # armed, concurrent healthy + hostile tenant streams, hard resilience
@@ -83,13 +82,13 @@ chaosload-smoke:
 # ablations: exercises the -json path, the trap-coalescing runtime, and the
 # superblock tier end to end.
 bench-smoke:
-	$(GO) run ./cmd/fpvm-bench -json -quick -seqemu -jit > /dev/null
+	$(GO) run ./cmd/fpvm-bench -json -quick -seqlen 16 -jit 8 > /dev/null
 
 # Canonical bench options: the configuration every checked-in BENCH_N.json is
 # produced under. The gate refuses to compare documents with different
-# options, so record and gate must agree. -jit entered at BENCH_7.json;
+# options, so record and gate must agree. The JIT entered at BENCH_7.json;
 # BENCH_10.json is the first record made under exactly these options.
-BENCHOPTS = -quick -seqemu -jit -sessions 500 -load-j 16
+BENCHOPTS = -quick -seqlen 16 -jit 8 -sessions 500 -load-j 16
 # Newest checked-in bench record (highest N).
 BENCHBASE = $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
 

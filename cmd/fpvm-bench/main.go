@@ -7,7 +7,7 @@
 //	fpvm-bench                 # run every experiment
 //	fpvm-bench -exp fig12      # one experiment
 //	fpvm-bench -exp fig9 -prec 512 -quick
-//	fpvm-bench -seqemu -exp fig9,fig12   # with trap-coalescing ablation columns
+//	fpvm-bench -seqlen 16 -exp fig9,fig12   # with trap-coalescing ablation columns
 //	fpvm-bench -json -quick              # machine-readable per-workload records
 //	fpvm-bench -json -quick -topsites 5  # records with per-PC trap-site rankings
 //	fpvm-bench -list
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"fpvm/internal/experiments"
+	"fpvm/internal/fpvm"
 )
 
 // startProfiles arms the optional pprof outputs and returns a stop function
@@ -80,10 +81,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list experiments")
 		jobs     = fs.Int("j", 0, "experiment cells to run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 		jsonOut  = fs.Bool("json", false, "emit machine-readable per-workload records (cycles, traps, sequences, GC) instead of figure tables")
-		seqemu   = fs.Bool("seqemu", false, "enable sequence emulation (trap coalescing); adds ablation columns to fig9/fig12")
-		seqlen   = fs.Int("seqlen", 16, "max instructions coalesced per trap delivery (with -seqemu)")
-		jit      = fs.Bool("jit", false, "enable the trace-JIT superblock tier; adds ablation columns to fig9/fig12 and jit rows to -json")
-		jitT     = fs.Int("jitthreshold", 8, "deliveries at one site before its run is compiled into a superblock (with -jit)")
+		seqlen   = fs.Int("seqlen", 0, "sequence emulation: coalesce up to N straight-line FP instructions per trap delivery (0 = off); adds ablation columns to fig9/fig12")
+		jit      = fs.Int("jit", 0, "trace-JIT: compile a site's run into a superblock after N deliveries (0 = off); adds ablation columns to fig9/fig12 and jit rows to -json")
 		topSites = fs.Int("topsites", 0, "with -json: attach trap telemetry and export the N hottest trap sites per record")
 		sessions = fs.Int("sessions", 0, "with -json: attach a session-load record driving N runs through a pooled session (sessions/sec, p50/p99)")
 		loadJobs = fs.Int("load-j", 16, "with -sessions: concurrent load-harness workers")
@@ -103,15 +102,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	maxSeq := 0
-	if *seqemu {
-		maxSeq = *seqlen
-	}
-	jitThresh := 0
-	if *jit {
-		jitThresh = *jitT
-	}
-
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintf(stderr, "fpvm-bench: %v\n", err)
@@ -119,18 +109,17 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopProf()
 
+	opts := experiments.Options{
+		W:        stdout,
+		Prec:     *prec,
+		Quick:    *quick,
+		Workers:  *jobs,
+		VM:       fpvm.Config{MaxSequenceLen: *seqlen, JITThreshold: *jit},
+		TopSites: *topSites,
+	}
 	if *jsonOut || *gateFile != "" {
-		opts := experiments.Options{
-			W:              stdout,
-			Prec:           *prec,
-			Quick:          *quick,
-			Workers:        *jobs,
-			MaxSequenceLen: maxSeq,
-			TopSites:       *topSites,
-			JITThreshold:   jitThresh,
-			Sessions:       *sessions,
-			LoadWorkers:    *loadJobs,
-		}
+		opts.Sessions = *sessions
+		opts.LoadWorkers = *loadJobs
 		doc, err := experiments.BenchDocData(opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "fpvm-bench: %v\n", err)
@@ -196,16 +185,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout)
 		}
 		start := time.Now()
-		err := e.Run(experiments.Options{
-			W:              stdout,
-			Prec:           *prec,
-			Quick:          *quick,
-			Workers:        *jobs,
-			MaxSequenceLen: maxSeq,
-			TopSites:       *topSites,
-			JITThreshold:   jitThresh,
-		})
-		if err != nil {
+		if err := e.Run(opts); err != nil {
 			fmt.Fprintf(stderr, "fpvm-bench: %s: %v\n", e.ID, err)
 			return 1
 		}

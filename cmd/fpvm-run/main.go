@@ -98,10 +98,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		timeout   = fs.Duration("timeout", 0, "wall-clock deadline: the run is preempted at the next checkpoint, truncated at an instruction boundary with partial results and stats intact, and exits 0 (0 = none)")
 		spyMode   = fs.Bool("spy", false, "FPSpy mode: record FP events without changing results")
 		oracleRun = fs.Bool("oracle", false, "differential oracle: run native, FPVM+vanilla (must be bit-identical), and high-precision shadows, and report divergence")
-		seqemu    = fs.Bool("seqemu", false, "sequence emulation: coalesce straight-line FP runs into one trap delivery")
-		seqlen    = fs.Int("seqlen", 16, "max instructions coalesced per trap delivery (with -seqemu)")
-		jit       = fs.Bool("jit", false, "trace-JIT: compile hot trap sites into cached superblocks that re-enter with zero delivery/decode/bind")
-		jitThresh = fs.Int("jitthreshold", 8, "deliveries at one site before its run is compiled into a superblock (with -jit)")
+		seqlen    = fs.Int("seqlen", 0, "sequence emulation: coalesce up to N straight-line FP instructions into one trap delivery (0 = off)")
+		jit       = fs.Int("jit", 0, "trace-JIT: after N deliveries at one site, compile its run into a cached superblock that re-enters with zero delivery/decode/bind (0 = off)")
 		traceOut  = fs.String("trace", "", "write the telemetry event stream (trap entry/exit, promotions, demotions, GC epochs, sequences) to this JSONL file")
 		topSites  = fs.Int("topsites", 0, "print the N hottest trap sites (per-PC hits, attributed cycles, exception flags) after the run")
 		sanRun    = fs.Bool("sanitize", false, "numerical sanitizer: shadow every emulated FP op with high-precision and interval arithmetic and report ranked cancellation/error sites (results stay bit-identical)")
@@ -129,14 +127,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		*arithName = "vanilla"
 	}
 
-	maxSeq := 0
-	if *seqemu {
-		maxSeq = *seqlen
-	}
-	jitT := 0
-	if *jit {
-		jitT = *jitThresh
-	}
+	vmCfg := vmConfig(*seqlen, *jit, sanitizing, *sanPrec, *sanThresh, *certify)
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -161,11 +152,11 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *chaosRun {
-		return runChaos(stdout, stderr, *workload, injectCfg, *seeds, jitT, *maxInst, sanitizing)
+		return runChaos(stdout, stderr, *workload, injectCfg, *seeds, *maxInst, vmCfg)
 	}
 
 	if *oracleRun {
-		return runOracle(stdout, stderr, *workload, *asmFile, *prec, *maxInst, *noPatch, maxSeq, jitT, injectCfg)
+		return runOracle(stdout, stderr, *workload, *asmFile, *prec, *maxInst, *noPatch, vmCfg, injectCfg)
 	}
 
 	prog, err := loadProgram(*workload, *asmFile)
@@ -206,6 +197,13 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		m.Telem = telem
 	}
 
+	// FPSpy and native runs have no FPVM runtime for the VM settings to act
+	// on; refuse them rather than drop them silently.
+	vmFlags := injectCfg != nil || vmCfg.MaxSequenceLen > 0 || vmCfg.JITThreshold > 0 || vmCfg.Sanitize != nil
+	if vmFlags && (*spyMode || *arithName == "") {
+		return fail(fmt.Errorf("-faults, -seqlen, -jit and -sanitize act on the FPVM runtime; pick an -arith system without -spy"))
+	}
+
 	if *spyMode {
 		spy := fpvm.AttachSpy(m)
 		if err := runToDeadline(m, *maxInst, stderr); err != nil {
@@ -216,11 +214,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var vm *fpvm.VM
-	if *arithName == "" && (injectCfg != nil || jitT > 0) {
-		return fail(fmt.Errorf("-faults and -jit act on the FPVM runtime; pick an -arith system"))
-	}
 	var inj *faultinject.Injector
-	var san *sanitize.Sanitizer
 	if *arithName != "" {
 		sys, err := selectArith(*arithName, *prec)
 		if err != nil {
@@ -239,21 +233,9 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		if injectCfg != nil {
 			inj = faultinject.New(*injectCfg)
 		}
-		if sanitizing {
-			san = sanitize.New(sanitize.Options{
-				Primary:       sys,
-				Prec:          *sanPrec,
-				ThresholdBits: *sanThresh,
-				Certify:       *certify,
-			})
-		}
-		vm = fpvm.Attach(m, fpvm.Config{
-			System:         sys,
-			MaxSequenceLen: maxSeq,
-			JITThreshold:   jitT,
-			Inject:         inj,
-			Sanitize:       san,
-		})
+		vmCfg.System = sys
+		vmCfg.Inject = inj
+		vm = fpvm.Attach(m, vmCfg)
 		if *patchMode {
 			vm.PatchAllFPArith()
 		}
@@ -298,8 +280,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	rc := finishTelemetry(stdout, stderr, telem, *traceOut, *topSites)
-	if san != nil {
-		rep := san.Snapshot()
+	if sanitizing {
+		rep := vm.Sanitizer().Snapshot()
 		n := *topSites
 		if n <= 0 {
 			n = 10
@@ -313,6 +295,17 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return rc
+}
+
+// vmConfig maps the VM flags to the one fpvm.Config that the single run,
+// -oracle and -chaos all run under; each mode sets System (and Inject) for
+// its own runs.
+func vmConfig(seqLen, jit int, sanitizing bool, sanPrec uint, sanThresh float64, certify bool) fpvm.Config {
+	cfg := fpvm.Config{MaxSequenceLen: seqLen, JITThreshold: jit}
+	if sanitizing {
+		cfg.Sanitize = &sanitize.Options{Prec: sanPrec, ThresholdBits: sanThresh, Certify: certify}
+	}
+	return cfg
 }
 
 // runToDeadline runs the machine and degrades a deadline preemption the way
@@ -363,7 +356,7 @@ func finishTelemetry(stdout, stderr io.Writer, telem *telemetry.Collector, trace
 // -workload or -asm is given, else over every workload and example — and
 // returns non-zero if any virtualized-vanilla run is not bit-identical to
 // native execution.
-func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, maxInst uint64, noPatch bool, maxSeq int, jitT int, inject *faultinject.Config) int {
+func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, maxInst uint64, noPatch bool, vmCfg fpvm.Config, inject *faultinject.Config) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "fpvm-run:", err)
 		return 1
@@ -390,12 +383,11 @@ func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, ma
 	}
 
 	opts := oracle.Options{
-		Systems:        []arith.System{arith.NewMPFR(prec), arith.NewPosit(posit.Posit32)},
-		MaxInst:        maxInst,
-		NoPatch:        noPatch,
-		MaxSequenceLen: maxSeq,
-		JITThreshold:   jitT,
-		Inject:         inject,
+		Systems: []arith.System{arith.NewMPFR(prec), arith.NewPosit(posit.Posit32)},
+		MaxInst: maxInst,
+		NoPatch: noPatch,
+		VM:      vmCfg,
+		Inject:  inject,
 	}
 	failed := 0
 	for i, t := range targets {
@@ -424,13 +416,12 @@ func runOracle(stdout, stderr io.Writer, workload, asmFile string, prec uint, ma
 // hard degradation invariants. A -faults spec seeds the sweep: its seed
 // becomes the base seed, its highest seam rate the uniform error rate, and
 // its corrupt rate the corruption-tier rate.
-func runChaos(stdout, stderr io.Writer, workload string, inject *faultinject.Config, seeds int, jitT int, maxInst uint64, sanitize bool) int {
+func runChaos(stdout, stderr io.Writer, workload string, inject *faultinject.Config, seeds int, maxInst uint64, vmCfg fpvm.Config) int {
 	opts := chaos.Options{
-		Seeds:        seeds,
-		JITThreshold: jitT,
-		MaxInst:      maxInst,
-		Sanitize:     sanitize,
-		Log:          stderr,
+		Seeds:   seeds,
+		VM:      vmCfg,
+		MaxInst: maxInst,
+		Log:     stderr,
 	}
 	if workload != "" {
 		t, err := oracle.Lookup(workload)

@@ -55,7 +55,7 @@ func TestRunAsmUnderEachMode(t *testing.T) {
 		{"-asm", asm, "-arith", "vanilla"}, // FPVM trap-and-emulate
 		{"-asm", asm, "-arith", "mpfr", "-prec", "100"},
 		{"-asm", asm, "-arith", "vanilla", "-patch-mode"},
-		{"-asm", asm, "-arith", "vanilla", "-seqemu"},
+		{"-asm", asm, "-arith", "vanilla", "-seqlen", "16"},
 		{"-asm", asm, "-spy"},
 		{"-asm", asm, "-arith", "vanilla", "-delivery", "kernel"},
 		{"-asm", asm, "-arith", "vanilla", "-stats"},
@@ -96,6 +96,8 @@ func TestRunErrors(t *testing.T) {
 		{"unreadable asm", []string{"-asm", "/nonexistent/prog.s"}, 1},
 		{"unknown arith", []string{"-asm", asm, "-arith", "quaternion"}, 1},
 		{"unknown delivery", []string{"-asm", asm, "-delivery", "telepathy"}, 1},
+		{"native seqlen", []string{"-asm", asm, "-seqlen", "16"}, 1},
+		{"spy sanitize", []string{"-asm", asm, "-spy", "-sanitize"}, 1},
 		{"bad flag", []string{"-no-such-flag"}, 2},
 	}
 	for _, tt := range tests {
@@ -191,5 +193,32 @@ func TestRunOracleSingleWorkload(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("oracle output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestOracleAndChaosHonourVMFlags pins that -oracle and -chaos run under the
+// same VM configuration as a single run: the oracle's sanitized runs report
+// their sanitizer (and certification) summaries, and the chaos sweep
+// coalesces under -seqlen.
+func TestOracleAndChaosHonourVMFlags(t *testing.T) {
+	code, out, stderr := runCLI(t, "-oracle", "-workload", "FBench", "-certify")
+	if code != 0 {
+		t.Fatalf("-oracle -certify exited %d: %s", code, stderr)
+	}
+	// Vanilla plus the two shadow systems each report a sanitized run.
+	if n := strings.Count(out, "sanitize: "); n != 3 {
+		t.Errorf("-oracle -certify printed %d sanitizer summaries, want 3:\n%s", n, out)
+	}
+	if !strings.Contains(out, "certify: ") {
+		t.Errorf("-oracle -certify printed no certification summary:\n%s", out)
+	}
+
+	code, out, stderr = runCLI(t, "-chaos", "-workload", "example:quickstart/harmonic",
+		"-seeds", "1", "-seqlen", "16")
+	if code != 0 {
+		t.Fatalf("-chaos -seqlen exited %d: %s", code, stderr)
+	}
+	if !strings.Contains(out, "chaos: seqemu") {
+		t.Errorf("-chaos -seqlen 16 coalesced nothing:\n%s", out)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fpvm/internal/arith"
+	"fpvm/internal/fpvm"
 	"fpvm/internal/patch"
 	"fpvm/internal/session"
 	"fpvm/internal/workloads"
@@ -59,7 +60,7 @@ func TestTimeoutTruncatesLikeService(t *testing.T) {
 	cancel := new(atomic.Bool)
 	cancel.Store(true) // pre-fired: the session stops at exactly its first checkpoint
 	res, err := session.New().Run(img, session.Config{
-		System:       arith.Vanilla{},
+		Config:       fpvm.Config{System: arith.Vanilla{}},
 		Cancel:       cancel,
 		PreemptEvery: n,
 	})

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	fpvm-serve -addr :8080 -workers 16 -max-inst 50000000
-//	fpvm-serve -selftest -sessions 500 -j 16
+//	fpvm-serve -smoke -sessions 50 -j 16
 //
 // Endpoints:
 //
@@ -64,16 +64,12 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		brWindow  = fs.Duration("breaker-window", 0, "circuit-breaker sliding window (0 = 30s)")
 		brCool    = fs.Duration("breaker-cooldown", 0, "how long an open breaker fast-fails a tenant with 503 (0 = 10s)")
 		allowF    = fs.Bool("allow-faults", false, "honor the request-level fault-injection spec (chaos harness only)")
-		noShared  = fs.Bool("no-shared-sb", false, "disable the server-wide warm superblock cache (per-request JIT compiles stay private)")
-		jit       = fs.Int("jit", 0, "trace-JIT threshold for -selftest sessions (0 = off)")
-		selftest  = fs.Bool("selftest", false, "run the in-process load harness instead of serving")
 		smoke     = fs.Bool("smoke", false, "smoke test: start the server on an ephemeral port, fire -sessions concurrent HTTP requests, assert all 200s and a clean shutdown")
 		chaosLd   = fs.Bool("chaosload", false, "chaos-under-load test: serve on an ephemeral port with fault injection armed, drive healthy and hostile tenant streams concurrently, and enforce the resilience invariants")
-		sessions  = fs.Int("sessions", 500, "total session runs for -selftest (-smoke defaults to 50)")
-		jobs      = fs.Int("j", 16, "concurrent workers for -selftest/-smoke")
-		target    = fs.String("workload", "FBench", "target for -selftest (oracle spelling)")
-		arithName = fs.String("arith", "vanilla", "arithmetic system for -selftest")
-		prec      = fs.Uint("prec", 200, "MPFR precision for -selftest")
+		sessions  = fs.Int("sessions", 50, "total requests for -smoke")
+		jobs      = fs.Int("j", 16, "concurrent clients for -smoke")
+		target    = fs.String("workload", "FBench", "target for -smoke (oracle spelling)")
+		arithName = fs.String("arith", "vanilla", "arithmetic system for -smoke")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -92,8 +88,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		MaxInst:         *maxInst,
 		TenantQuota:     *quota,
 		MemSize:         *memKiB << 10,
-		ArenaSoftCap:    *arenaSoft,
-		ArenaHardCap:    *arenaHard,
+		VM:              fpvm.Config{ArenaSoftCap: *arenaSoft, ArenaHardCap: *arenaHard},
 		MaxRunTime:      *maxRun,
 		MaxQueue:        *maxQueue,
 		QueueTimeout:    *queueTO,
@@ -101,18 +96,10 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		BreakerWindow:   *brWindow,
 		BreakerCooldown: *brCool,
 		AllowFaults:     *allowF,
-		NoSharedSB:      *noShared,
 	}
 
-	if *selftest {
-		return runSelftest(stdout, stderr, cfg, *target, *arithName, *prec, *sessions, *jobs, *jit)
-	}
 	if *smoke {
-		n := *sessions
-		if !seen(fs, "sessions") {
-			n = 50
-		}
-		return runSmoke(stdout, stderr, cfg, *target, *arithName, n, *jobs)
+		return runSmoke(stdout, stderr, cfg, *target, *arithName, *sessions, *jobs)
 	}
 	if *chaosLd {
 		return runChaosLoad(stdout, stderr)
@@ -146,17 +133,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fpvm-serve: clean shutdown")
 	}
 	return 0
-}
-
-// seen reports whether a flag was explicitly set.
-func seen(fs *flag.FlagSet, name string) bool {
-	found := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			found = true
-		}
-	})
-	return found
 }
 
 // runSmoke is the serve-smoke CI stage: a real server on an ephemeral port,
@@ -287,56 +263,11 @@ func timeHealthyRun() (time.Duration, error) {
 	}
 	start := time.Now()
 	if _, err := session.New().Run(img, session.Config{
-		System:  arith.Vanilla{},
+		Config:  fpvm.Config{System: arith.Vanilla{}},
 		MaxInst: 1 << 40,
 		MemSize: 256 << 10,
 	}); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
-}
-
-// runSelftest drives the in-process load harness: N session runs of one
-// target through a shared pool, reporting sessions/sec and tail latency —
-// the same numbers the bench trajectory records.
-func runSelftest(stdout, stderr io.Writer, cfg serverConfig, target, arithName string, prec uint, sessions, jobs, jit int) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "fpvm-serve:", err)
-		return 1
-	}
-	cfg = cfg.withDefaults()
-	t, err := oracle.Lookup(target)
-	if err != nil {
-		return fail(err)
-	}
-	prog, err := t.Build()
-	if err != nil {
-		return fail(err)
-	}
-	img, err := patch.NewImage(prog)
-	if err != nil {
-		return fail(err)
-	}
-	sys, err := arith.Select(arithName, prec)
-	if err != nil {
-		return fail(err)
-	}
-	scfg := session.Config{
-		System:       sys,
-		MaxInst:      cfg.TenantQuota,
-		MemSize:      cfg.MemSize,
-		JITThreshold: jit,
-		ArenaSoftCap: cfg.ArenaSoftCap,
-		ArenaHardCap: cfg.ArenaHardCap,
-	}
-	if jit > 0 && !cfg.NoSharedSB {
-		scfg.SBCache = fpvm.NewSBCache()
-	}
-	var pool session.Pool
-	rep := loadgen.Run(&pool, img, scfg, loadgen.Options{Sessions: sessions, Workers: jobs})
-	rep.Write(stdout)
-	if rep.Errors > 0 {
-		return fail(fmt.Errorf("%d of %d sessions failed", rep.Errors, rep.Sessions))
-	}
-	return 0
 }

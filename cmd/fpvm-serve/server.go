@@ -40,11 +40,12 @@ type serverConfig struct {
 	TenantQuota uint64
 	// MemSize is the per-session guest memory size in bytes.
 	MemSize int
-	// ArenaSoftCap and ArenaHardCap bound each session's shadow arena; the
-	// hard cap trips the degradation engine (native re-execution), never an
-	// error.
-	ArenaSoftCap int
-	ArenaHardCap int
+	// VM is the FPVM configuration every run starts from: the operator sets
+	// the arena caps (the hard cap trips the degradation engine — native
+	// re-execution — never an error). Each request then sets System,
+	// MaxSequenceLen, JITThreshold, Sanitize and Inject, and the server
+	// attaches its shared superblock cache.
+	VM fpvm.Config
 	// MaxRunTime caps each run's wall-clock execution (0 = no cap). The cap
 	// is enforced cooperatively: the machine checks a cancel flag at
 	// instruction-boundary checkpoints, so an expired run is truncated and
@@ -71,14 +72,6 @@ type serverConfig struct {
 	// chaos-load harness's hook. Off by default: injection is an operator
 	// decision, never a tenant's.
 	AllowFaults bool
-	// NoSharedSB disables the server-wide warm superblock cache. By default
-	// every request that arms the trace-JIT tier on a cached (bundled)
-	// workload shares compiled traces with every other tenant running the
-	// same program: the traces are a pure function of the immutable program
-	// text, so only the first session per workload pays the warm-up and
-	// compile. Per-tenant state (blacklists, patches, invalidations) stays
-	// private regardless.
-	NoSharedSB bool
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -187,8 +180,12 @@ type server struct {
 	// every request for it.
 	images session.ImageCache
 
-	// sbcache is the server-wide warm superblock cache (nil when disabled):
-	// runs publish and adopt traces on their images.
+	// sbcache is the server-wide warm superblock cache: every request that
+	// arms the trace-JIT tier shares compiled traces with every other tenant
+	// running the same program. The traces are a pure function of the
+	// immutable program text, so only the first session per image pays the
+	// warm-up and compile; per-tenant state (blacklists, patches,
+	// invalidations) stays private.
 	sbcache *fpvm.SBCache
 
 	mu      sync.Mutex
@@ -216,15 +213,12 @@ type server struct {
 
 func newServer(cfg serverConfig) *server {
 	cfg = cfg.withDefaults()
-	s := &server{
+	return &server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.Workers),
+		sbcache: fpvm.NewSBCache(),
 		tenants: make(map[string]*tenantState),
 	}
-	if !cfg.NoSharedSB {
-		s.sbcache = fpvm.NewSBCache()
-	}
-	return s
 }
 
 // handler returns the service's route table.
@@ -467,22 +461,19 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		granted = s.cfg.TenantQuota
 	}
 	cfg := session.Config{
-		System:         sys,
-		MaxInst:        granted,
-		MemSize:        s.cfg.MemSize,
-		NoPatch:        req.NoPatch,
-		MaxSequenceLen: req.SeqLen,
-		JITThreshold:   req.JITThreshold,
-		ArenaSoftCap:   s.cfg.ArenaSoftCap,
-		ArenaHardCap:   s.cfg.ArenaHardCap,
-		SBCache:        s.sbcache,
-		Telemetry:      req.Trace,
-		TopSites:       req.TopSites,
+		Config:    s.cfg.VM,
+		MaxInst:   granted,
+		MemSize:   s.cfg.MemSize,
+		NoPatch:   req.NoPatch,
+		Telemetry: req.Trace,
+		TopSites:  req.TopSites,
 	}
+	cfg.System = sys
+	cfg.MaxSequenceLen = req.SeqLen
+	cfg.JITThreshold = req.JITThreshold
+	cfg.SBCache = s.sbcache
 	if req.Sanitize || req.Certify {
-		cfg.Sanitize = true
-		cfg.SanitizeThreshold = req.SanitizeThreshold
-		cfg.Certify = req.Certify
+		cfg.Sanitize = &sanitize.Options{ThresholdBits: req.SanitizeThreshold, Certify: req.Certify}
 	}
 	// Fault injection is an operator decision: the request-level spec is the
 	// chaos-load harness's hook and is rejected unless the server opted in.
@@ -770,7 +761,7 @@ type statsResponse struct {
 	SanitizeFlagged uint64 `json:"sanitize_flagged"`
 	CertifyRuns     uint64 `json:"certify_runs"`
 	CertifyFailed   uint64 `json:"certify_failed"`
-	// SharedSB describes the warm superblock cache (omitted when disabled).
+	// SharedSB describes the server-wide warm superblock cache.
 	SharedSB *sharedSBStats         `json:"shared_sb,omitempty"`
 	Pool     session.PoolStats      `json:"pool"`
 	Tenants  map[string]tenantStats `json:"tenants"`
@@ -833,20 +824,18 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Tenants:         make(map[string]tenantStats),
 		Images:          s.images.Stats(),
 	}
-	if s.sbcache != nil {
-		cs := s.sbcache.Stats()
-		sb := &sharedSBStats{
-			Lookups: cs.Lookups,
-			Hits:    cs.Hits,
-			Stores:  cs.Stores,
-			Adopted: cs.Adopted,
-		}
-		sb.Programs, sb.Entries = s.images.Traces()
-		if cs.Lookups > 0 {
-			sb.HitRate = float64(cs.Hits) / float64(cs.Lookups)
-		}
-		resp.SharedSB = sb
+	cs := s.sbcache.Stats()
+	sb := &sharedSBStats{
+		Lookups: cs.Lookups,
+		Hits:    cs.Hits,
+		Stores:  cs.Stores,
+		Adopted: cs.Adopted,
 	}
+	sb.Programs, sb.Entries = s.images.Traces()
+	if cs.Lookups > 0 {
+		sb.HitRate = float64(cs.Hits) / float64(cs.Lookups)
+	}
+	resp.SharedSB = sb
 	now := time.Now()
 	s.mu.Lock()
 	for name, ts := range s.tenants {

@@ -292,17 +292,8 @@ func TestServeConcurrentTenants(t *testing.T) {
 	}
 }
 
-func TestServeSelftestAndSmokeExitClean(t *testing.T) {
+func TestServeSmokeExitClean(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := Run([]string{"-selftest", "-sessions", "20", "-j", "4", "-mem-kib", "256"}, &out, &errOut); code != 0 {
-		t.Fatalf("-selftest exit %d: %s%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "sessions/sec") {
-		t.Errorf("selftest report missing throughput: %q", out.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
 	if code := Run([]string{"-smoke", "-sessions", "10", "-j", "4", "-mem-kib", "256"}, &out, &errOut); code != 0 {
 		t.Fatalf("-smoke exit %d: %s%s", code, out.String(), errOut.String())
 	}
@@ -341,8 +332,8 @@ func TestServeBadFlags(t *testing.T) {
 	if code := Run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag exit %d, want 2", code)
 	}
-	if code := Run([]string{"-selftest", "-workload", "NoSuchTarget"}, &out, &errOut); code != 1 {
-		t.Fatalf("bad selftest target exit %d, want 1", code)
+	if code := Run([]string{"-smoke", "-workload", "NoSuchTarget"}, &out, &errOut); code != 1 {
+		t.Fatalf("bad smoke target exit %d, want 1", code)
 	}
 }
 
@@ -405,34 +396,6 @@ func TestServeSharedWarmCache(t *testing.T) {
 	}
 	if bob.SBCompiled != 0 || bob.SBHits == 0 {
 		t.Errorf("bob superblock accounting wrong: %+v", bob)
-	}
-}
-
-// TestServeNoSharedSB pins the opt-out: with the cache disabled every
-// JIT-armed request compiles privately and /stats omits shared_sb.
-func TestServeNoSharedSB(t *testing.T) {
-	_, ts := testServer(t, serverConfig{Workers: 2, NoSharedSB: true})
-	body := `{"workload":"FBench","jitthreshold":2}`
-	for i := 0; i < 2; i++ {
-		code, rr, raw := postRun(t, ts, body, nil)
-		if code != http.StatusOK {
-			t.Fatalf("run %d: %d %s", i, code, raw)
-		}
-		if rr.SBCompiled == 0 {
-			t.Fatalf("run %d compiled nothing — sharing happened with the cache disabled", i)
-		}
-	}
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.SharedSB != nil {
-		t.Errorf("shared_sb present with the cache disabled: %+v", *stats.SharedSB)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 
 	"fpvm/internal/arith"
 	"fpvm/internal/faultinject"
+	"fpvm/internal/fpvm"
 	"fpvm/internal/oracle"
 	"fpvm/internal/patch"
 	"fpvm/internal/session"
@@ -51,12 +52,15 @@ type Options struct {
 	// CorruptRate is the NaN-box corruption probability for the corruption
 	// tier. 0 selects 1e-4. Negative disables the corruption tier.
 	CorruptRate float64
-	// JITThreshold arms the trace-JIT superblock tier during chaos runs (0
-	// leaves it off), exposing the compile/bind seam to fault injection.
-	JITThreshold int
-	// ArenaSoftCap / ArenaHardCap exercise arena-pressure handling (0 = off).
-	ArenaSoftCap int
-	ArenaHardCap int
+	// VM is the FPVM configuration of every run. The harness sets System
+	// (Vanilla) and Inject (a fresh seeded injector) for each run; everything
+	// else applies as given. JITThreshold > 0 exposes the compile seam to
+	// injection and arena caps exercise arena-pressure handling. A non-nil
+	// Sanitize attaches the numerical sanitizer to the error tier, exposing
+	// the sanitize seam: an injected sanitizer failure must truncate the
+	// report (typed degradation) while the guest run — still gated on full
+	// Vanilla bit-identity — is unharmed.
+	VM fpvm.Config
 	// PanicRate arms the panic tier (0 leaves it off): every target also runs
 	// through a shared session.Pool with the run-panic seam firing at this
 	// per-crossing probability. The seam panics inside the trap handler — a
@@ -66,11 +70,6 @@ type Options struct {
 	// quarantines every poisoned session and never re-pools one, and the
 	// pool's traffic ledger balances exactly at the end of the sweep.
 	PanicRate float64
-	// Sanitize attaches the numerical sanitizer to the error tier, exposing
-	// the sanitize seam: an injected sanitizer failure must truncate the
-	// report (typed degradation) while the guest run — still gated on full
-	// Vanilla bit-identity — is unharmed.
-	Sanitize bool
 	// MaxInst bounds each run (0 = 20M, far above any workload's length).
 	MaxInst uint64
 	// Log receives one line per run when non-nil.
@@ -95,12 +94,15 @@ func (f Failure) String() string {
 type Summary struct {
 	Runs         int
 	Degradations uint64
-	// Trace-JIT accounting (Options.JITThreshold > 0): superblock compiles,
+	// Coalesced sums the instructions sequence emulation retired inside a
+	// delivery (Options.VM.MaxSequenceLen > 0).
+	Coalesced uint64
+	// Trace-JIT accounting (Options.VM.JITThreshold > 0): superblock compiles,
 	// discards, and injected compile failures absorbed as degradations.
 	SBCompiled      uint64
 	SBInvalidations uint64
 	JITDegradations uint64
-	// Sanitizer accounting (Options.Sanitize): injected sanitize-seam faults
+	// Sanitizer accounting (Options.VM.Sanitize): injected sanitize-seam faults
 	// absorbed as report truncation, and how many runs ended truncated.
 	SanitizeDegradations uint64
 	SanitizeTruncated    uint64
@@ -149,14 +151,14 @@ func Run(o Options) *Summary {
 			// Error tier: seam faults only. Degradation must be invisible
 			// in the outputs — full Vanilla bit-identity plus the leak gate.
 			errCfg := faultinject.Config{Seed: seed}.UniformRate(o.Rate)
-			if o.JITThreshold > 0 {
+			if o.VM.JITThreshold > 0 {
 				// A superblock compile happens once per hot site, orders of
 				// magnitude rarer than the per-delivery seams; a uniform rate
 				// would practically never reach it. Boost just that seam so
 				// every sweep proves injected compile failures degrade cleanly.
 				errCfg.Rate[faultinject.SeamSBCompile] = 0.25
 			}
-			if o.Sanitize {
+			if o.VM.Sanitize != nil {
 				// The sanitize seam truncates once and then stops being
 				// crossed, so a high rate just means every sweep proves the
 				// truncation path instead of waiting for a rare fire.
@@ -234,11 +236,10 @@ func (s *Summary) runPanicTier(t oracle.Target, seed uint64, pool *session.Pool,
 				escaped = fmt.Sprint(r)
 			}
 		}()
-		res, err = pool.Run(img, session.Config{
-			System:  arith.Vanilla{},
-			MaxInst: o.MaxInst,
-			Inject:  inj,
-		})
+		cfg := session.Config{Config: o.VM, MaxInst: o.MaxInst}
+		cfg.System = arith.Vanilla{}
+		cfg.Inject = inj
+		res, err = pool.Run(img, cfg)
 		return
 	}()
 
@@ -299,13 +300,10 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 		return oracle.Run(t, oracle.Options{
 			// Empty non-nil slice: Vanilla only. The bit-exactness gate is
 			// the invariant; shadow systems would only slow the sweep.
-			Systems:      []arith.System{},
-			MaxInst:      o.MaxInst,
-			Inject:       &cfg,
-			JITThreshold: o.JITThreshold,
-			ArenaSoftCap: o.ArenaSoftCap,
-			ArenaHardCap: o.ArenaHardCap,
-			Sanitize:     o.Sanitize,
+			Systems: []arith.System{},
+			MaxInst: o.MaxInst,
+			VM:      o.VM,
+			Inject:  &cfg,
 		})
 	}()
 
@@ -314,6 +312,7 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 	case err == nil:
 		v = rep.Vanilla
 		s.Degradations += v.Degradations
+		s.Coalesced += v.Coalesced
 		s.SBCompiled += v.SBCompiled
 		s.SBInvalidations += v.SBInvalidations
 		s.JITDegradations += v.JITDegradations
@@ -369,6 +368,9 @@ func (s *Summary) WriteReport(w io.Writer) {
 	}
 	fmt.Fprintf(w, "chaos: %s — %d runs, %d degradations absorbed, %d invariant violations\n",
 		verdict, s.Runs, s.Degradations, len(s.Failures))
+	if s.Coalesced > 0 {
+		fmt.Fprintf(w, "chaos: seqemu — %d instructions coalesced into deliveries\n", s.Coalesced)
+	}
 	if s.SBCompiled > 0 || s.JITDegradations > 0 {
 		fmt.Fprintf(w, "chaos: jit tier — %d superblocks compiled, %d invalidated, %d compile faults degraded\n",
 			s.SBCompiled, s.SBInvalidations, s.JITDegradations)

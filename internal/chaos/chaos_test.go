@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"fpvm/internal/fpvm"
 	"fpvm/internal/oracle"
+	"fpvm/internal/sanitize"
 )
 
 // TestChaosQuick sweeps a fast subset of targets through both tiers with
@@ -25,12 +27,11 @@ func TestChaosQuick(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Targets:      targets,
-		Seeds:        2,
-		Rate:         1e-3,
-		ArenaSoftCap: 1 << 14,
-		ArenaHardCap: 1 << 15,
-		Log:          &log,
+		Targets: targets,
+		Seeds:   2,
+		Rate:    1e-3,
+		VM:      fpvm.Config{ArenaSoftCap: 1 << 14, ArenaHardCap: 1 << 15},
+		Log:     &log,
 	})
 	if !s.Ok() {
 		s.WriteReport(&log)
@@ -65,13 +66,11 @@ func TestChaosJIT(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Targets:      targets,
-		Seeds:        3,
-		Rate:         1e-3,
-		JITThreshold: 2,
-		ArenaSoftCap: 1 << 14,
-		ArenaHardCap: 1 << 15,
-		Log:          &log,
+		Targets: targets,
+		Seeds:   3,
+		Rate:    1e-3,
+		VM:      fpvm.Config{JITThreshold: 2, ArenaSoftCap: 1 << 14, ArenaHardCap: 1 << 15},
+		Log:     &log,
 	})
 	if !s.Ok() {
 		s.WriteReport(&log)
@@ -141,14 +140,12 @@ func TestChaosFull(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Seeds:        2,
-		Rate:         5e-4,
-		CorruptRate:  1e-4,
-		PanicRate:    0.01,
-		JITThreshold: 4,
-		ArenaSoftCap: 1 << 16,
-		ArenaHardCap: 1 << 17,
-		Log:          &log,
+		Seeds:       2,
+		Rate:        5e-4,
+		CorruptRate: 1e-4,
+		PanicRate:   0.01,
+		VM:          fpvm.Config{JITThreshold: 4, ArenaSoftCap: 1 << 16, ArenaHardCap: 1 << 17},
+		Log:         &log,
 	})
 	t.Logf("\n%s", log.String())
 	if !s.Ok() {
@@ -181,14 +178,16 @@ func TestChaosSanitize(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := Run(Options{
-		Targets:      targets,
-		Seeds:        2,
-		Rate:         1e-3,
-		CorruptRate:  -1, // sanitizer reports are meaningless on corrupted boxes
-		ArenaSoftCap: 1 << 14,
-		ArenaHardCap: 1 << 15,
-		Sanitize:     true,
-		Log:          &log,
+		Targets:     targets,
+		Seeds:       2,
+		Rate:        1e-3,
+		CorruptRate: -1, // sanitizer reports are meaningless on corrupted boxes
+		VM: fpvm.Config{
+			ArenaSoftCap: 1 << 14,
+			ArenaHardCap: 1 << 15,
+			Sanitize:     &sanitize.Options{},
+		},
+		Log: &log,
 	})
 	if !s.Ok() {
 		s.WriteReport(&log)

@@ -100,17 +100,17 @@ func benchRow(w workloads.Workload, sys string, seqLen, jit, topSites int, r *Ru
 }
 
 // BenchJSONData runs every benchmark under FPVM+MPFR with sequence emulation
-// off, then — when o.MaxSequenceLen > 0 — again with it on, then — when
-// o.JITThreshold > 0 — once more with the trace-JIT superblock tier stacked
+// off, then — when o.VM.MaxSequenceLen > 0 — again with it on, then — when
+// o.VM.JITThreshold > 0 — once more with the trace-JIT superblock tier stacked
 // on top, returning one record per run so the set forms a machine-readable
 // ablation ladder.
 func BenchJSONData(o Options) ([]BenchRow, error) {
 	o.defaults()
 	base := o
-	base.MaxSequenceLen = 0
-	base.JITThreshold = 0
+	base.VM.MaxSequenceLen = 0
+	base.VM.JITThreshold = 0
 	seqOnly := o
-	seqOnly.JITThreshold = 0
+	seqOnly.VM.JITThreshold = 0
 	cells, err := forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) ([]BenchRow, error) {
 		sys := arith.NewMPFR(o.Prec)
 		r, err := runPair(w, sys, base)
@@ -118,19 +118,19 @@ func BenchJSONData(o Options) ([]BenchRow, error) {
 			return nil, err
 		}
 		rows := []BenchRow{benchRow(w, sys.Name(), 0, 0, o.TopSites, r)}
-		if o.MaxSequenceLen > 0 {
+		if o.VM.MaxSequenceLen > 0 {
 			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, 0, o.TopSites, sr))
+			rows = append(rows, benchRow(w, sys.Name(), o.VM.MaxSequenceLen, 0, o.TopSites, sr))
 		}
-		if o.JITThreshold > 0 {
+		if o.VM.JITThreshold > 0 {
 			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, benchRow(w, sys.Name(), o.MaxSequenceLen, o.JITThreshold, o.TopSites, jr))
+			rows = append(rows, benchRow(w, sys.Name(), o.VM.MaxSequenceLen, o.VM.JITThreshold, o.TopSites, jr))
 		}
 		return rows, nil
 	})
@@ -189,7 +189,7 @@ type BenchDoc struct {
 	Rows        []BenchRow   `json:"rows"`
 	SessionLoad *SessionLoad `json:"session_load,omitempty"`
 	// SessionLoadShared repeats the session-load run with a shared warm
-	// superblock cache attached to the pool config (Options.JITThreshold > 0
+	// superblock cache attached to the pool config (Options.VM.JITThreshold > 0
 	// only): same workload, geometry, and concurrency, but only the first
 	// checkout compiles traces — the warm-pool column of the record.
 	SessionLoadShared *SessionLoad `json:"session_load_shared,omitempty"`
@@ -216,8 +216,8 @@ func BenchDocData(o Options) (*BenchDoc, error) {
 		Options: BenchOptions{
 			Prec:   o.Prec,
 			Quick:  o.Quick,
-			SeqLen: o.MaxSequenceLen,
-			JIT:    o.JITThreshold,
+			SeqLen: o.VM.MaxSequenceLen,
+			JIT:    o.VM.JITThreshold,
 		},
 		Rows: rows,
 	}
@@ -227,7 +227,7 @@ func BenchDocData(o Options) (*BenchDoc, error) {
 			return nil, err
 		}
 		doc.SessionLoad = sl
-		if o.JITThreshold > 0 {
+		if o.VM.JITThreshold > 0 {
 			warm, err := sessionLoadRecord(o, true, false)
 			if err != nil {
 				return nil, err
@@ -289,11 +289,10 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 	// the record measures the session machinery rather than MPFR.
 	sys := arith.Vanilla{}
 	cfg := session.Config{
-		System:         sys,
-		MemSize:        sessionLoadMemSize,
-		GCEveryNAllocs: o.GCEveryNAllocs,
+		Config:  fpvm.Config{System: sys, GCEveryNAllocs: o.VM.GCEveryNAllocs},
+		MemSize: sessionLoadMemSize,
 	}
-	if o.JITThreshold > 0 {
+	if o.VM.JITThreshold > 0 {
 		cfg.JITThreshold = sessionLoadJIT // see the constant: no seqemu, threshold 2
 	}
 	if shared {

@@ -33,8 +33,6 @@ type Options struct {
 	Prec uint
 	// Quick restricts the workload set and sizes for fast CI runs.
 	Quick bool
-	// GCEveryNAllocs overrides FPVM's GC epoch.
-	GCEveryNAllocs uint64
 	// Delivery selects the trap delivery model (default user signal).
 	Delivery trap.Kind
 	// Workers bounds the number of experiment cells run concurrently.
@@ -42,21 +40,19 @@ type Options struct {
 	// counts are identical at any setting. 0 means GOMAXPROCS; 1 is fully
 	// sequential.
 	Workers int
-	// MaxSequenceLen enables sequence emulation (trap coalescing) in the
-	// virtualized runs: after each delivery FPVM keeps emulating up to this
-	// many following straight-line FP instructions for free. 0 keeps the
-	// classic one-trap-one-instruction pipeline (the paper's configuration).
-	MaxSequenceLen int
+	// VM is the FPVM configuration of the virtualized runs. Each experiment
+	// sets System per run (the arithmetic system its table compares), and
+	// the ablation ladders (fig9, fig12, the bench records) switch
+	// MaxSequenceLen and JITThreshold off for their baseline columns; the
+	// zero value is the paper's configuration. MaxSequenceLen > 0 adds the
+	// sequence-emulation columns and JITThreshold > 0 the trace-JIT
+	// columns. Cells run concurrently, so Inject must stay nil.
+	VM fpvm.Config
 	// TopSites, when > 0, attaches a telemetry collector to every
 	// virtualized run and exports the N hottest trap sites per workload in
 	// the BenchJSON records. Telemetry is observational — the modeled cycle
 	// counts are identical with it on or off.
 	TopSites int
-	// JITThreshold arms the trace-JIT superblock tier in the virtualized
-	// runs: sites whose delivery count crosses this threshold are compiled
-	// into cached superblocks that re-enter with zero delivery, decode, and
-	// bind. 0 (the paper's configuration) leaves it off.
-	JITThreshold int
 	// Sessions, when > 0, attaches a session-load record to the BenchJSON
 	// document: the load harness drives this many runs through a shared
 	// session pool and reports sessions/sec and tail latency.
@@ -183,12 +179,9 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		telem = telemetry.NewCollector(0)
 		vm2.Telem = telem
 	}
-	vm := fpvm.Attach(vm2, fpvm.Config{
-		System:         sys,
-		GCEveryNAllocs: o.GCEveryNAllocs,
-		MaxSequenceLen: o.MaxSequenceLen,
-		JITThreshold:   o.JITThreshold,
-	})
+	cfg := o.VM
+	cfg.System = sys
+	vm := fpvm.Attach(vm2, cfg)
 	start := time.Now()
 	if err := vm2.Run(0); err != nil {
 		return nil, fmt.Errorf("%s under FPVM: %w", w.Name, err)

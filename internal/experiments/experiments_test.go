@@ -319,7 +319,7 @@ func TestNaNLoadEquivalence(t *testing.T) {
 // one-trap-one-instruction pipeline.
 func TestSeqEmuAblation(t *testing.T) {
 	o := opts()
-	o.MaxSequenceLen = 16
+	o.VM.MaxSequenceLen = 16
 	rows, err := Fig12Data(o)
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ const cyclesPerUs = 2100.0
 // Fig10Data measures GC statistics across the Figure 10 codes.
 func Fig10Data(o Options) ([]Fig10Row, error) {
 	o.defaults()
-	if o.GCEveryNAllocs == 0 {
-		o.GCEveryNAllocs = 20_000 // epoch small enough that every code collects
+	if o.VM.GCEveryNAllocs == 0 {
+		o.VM.GCEveryNAllocs = 20_000 // epoch small enough that every code collects
 	}
 	ws, err := selectWorkloads(fig9Workloads)
 	if err != nil {
@@ -59,15 +59,15 @@ func Fig10Data(o Options) ([]Fig10Row, error) {
 // second-order relative to delivery and emulation).
 func Fig10(o Options) error {
 	o.defaults()
-	if o.GCEveryNAllocs == 0 {
-		o.GCEveryNAllocs = 20_000
+	if o.VM.GCEveryNAllocs == 0 {
+		o.VM.GCEveryNAllocs = 20_000
 	}
 	rows, err := Fig10Data(o)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(o.W, "Figure 10: Garbage collector statistics (MPFR %d-bit, epoch=%d allocs)\n",
-		o.Prec, o.GCEveryNAllocs)
+		o.Prec, o.VM.GCEveryNAllocs)
 	fmt.Fprintf(o.W, "%-18s %7s %9s %10s %10s %10s %10s\n",
 		"benchmark", "passes", "alive", "freed", "allocs", "freed%", "latency(us)")
 	for _, r := range rows {

@@ -16,13 +16,13 @@ type Fig12Row struct {
 	Traps     uint64
 	FPFrac    float64 // dynamic FP instruction fraction (native)
 
-	// Sequence-emulation ablation, populated when Options.MaxSequenceLen > 0:
+	// Sequence-emulation ablation, populated when Options.VM.MaxSequenceLen > 0:
 	// the same benchmark with trap coalescing on. The main columns always
 	// describe the classic pipeline, so the pair is a direct on/off ablation.
 	SeqTraps    uint64  // FP traps with coalescing on
 	SeqSlowdown float64 // R815 slowdown with coalescing on
 
-	// Trace-JIT ablation, populated when Options.JITThreshold > 0: the same
+	// Trace-JIT ablation, populated when Options.VM.JITThreshold > 0: the same
 	// benchmark with the superblock tier on (stacked on coalescing when
 	// MaxSequenceLen > 0).
 	JITTraps    uint64  // residual warm-up deliveries with the JIT tier on
@@ -44,10 +44,10 @@ var fig12OnlyR815 = map[string]bool{
 func Fig12Data(o Options) ([]Fig12Row, error) {
 	o.defaults()
 	base := o
-	base.MaxSequenceLen = 0
-	base.JITThreshold = 0
+	base.VM.MaxSequenceLen = 0
+	base.VM.JITThreshold = 0
 	seqOnly := o
-	seqOnly.JITThreshold = 0
+	seqOnly.VM.JITThreshold = 0
 	return forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) (Fig12Row, error) {
 		r, err := runPair(w, arith.NewMPFR(o.Prec), base)
 		if err != nil {
@@ -66,7 +66,7 @@ func Fig12Data(o Options) ([]Fig12Row, error) {
 			}
 			row.Slowdown[p.Name] = r.SlowdownOn(p, trap.DeliverUserSignal)
 		}
-		if o.MaxSequenceLen > 0 {
+		if o.VM.MaxSequenceLen > 0 {
 			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
 			if err != nil {
 				return Fig12Row{}, err
@@ -78,7 +78,7 @@ func Fig12Data(o Options) ([]Fig12Row, error) {
 				}
 			}
 		}
-		if o.JITThreshold > 0 {
+		if o.VM.JITThreshold > 0 {
 			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
 			if err != nil {
 				return Fig12Row{}, err
@@ -115,8 +115,8 @@ func Fig12(o Options) error {
 		return err
 	}
 	fmt.Fprintf(o.W, "Figure 12: Summary of benchmark slowdowns (FPVM + MPFR %d-bit)\n", o.Prec)
-	seq := o.MaxSequenceLen > 0
-	jit := o.JITThreshold > 0
+	seq := o.VM.MaxSequenceLen > 0
+	jit := o.VM.JITThreshold > 0
 	hdr := "%-18s %-14s %10s %10s %10s %9s %7s"
 	args := []any{"benchmark", "specifics", "R815", "7220", "R730xd", "traps", "fp%"}
 	if seq {
@@ -153,11 +153,11 @@ func Fig12(o Options) error {
 	fmt.Fprintln(o.W, "\nSlowdowns are deterministic cycle-count ratios; the dynamic FP fraction and")
 	fmt.Fprintln(o.W, "per-op emulation cost drive the spread, as in the paper (IS lowest, CG/LU/MG highest).")
 	if seq {
-		fmt.Fprintf(o.W, "Sequence emulation (first |): MaxSequenceLen=%d; Δtraps is the delivery\n", o.MaxSequenceLen)
+		fmt.Fprintf(o.W, "Sequence emulation (first |): MaxSequenceLen=%d; Δtraps is the delivery\n", o.VM.MaxSequenceLen)
 		fmt.Fprintln(o.W, "reduction from coalescing straight-line FP runs into one trap each.")
 	}
 	if jit {
-		fmt.Fprintf(o.W, "Trace JIT: JITThreshold=%d; hot sites compile into superblocks that\n", o.JITThreshold)
+		fmt.Fprintf(o.W, "Trace JIT: JITThreshold=%d; hot sites compile into superblocks that\n", o.VM.JITThreshold)
 		fmt.Fprintln(o.W, "re-enter with zero delivery/decode/bind, leaving only warm-up traps behind.")
 	}
 	return nil

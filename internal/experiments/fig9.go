@@ -21,14 +21,14 @@ type Fig9Row struct {
 	Correctness float64 // amortized correctness-trap cost per FP trap
 	Total       float64
 
-	// Sequence-emulation ablation, populated when Options.MaxSequenceLen > 0.
+	// Sequence-emulation ablation, populated when Options.VM.MaxSequenceLen > 0.
 	// The main columns always describe the classic one-trap-one-instruction
 	// pipeline; these describe the same benchmark with coalescing on.
 	SeqTraps   uint64  // FP traps with coalescing on
 	SeqTotal   float64 // per-trap total with coalescing on (the run is amortized)
 	MeanSeqLen float64 // mean instructions retired per delivery
 
-	// Trace-JIT ablation, populated when Options.JITThreshold > 0: the same
+	// Trace-JIT ablation, populated when Options.VM.JITThreshold > 0: the same
 	// benchmark with the superblock tier on (stacked on coalescing when
 	// MaxSequenceLen > 0). JITTraps counts the residual deliveries — those
 	// before each hot site crossed the compile threshold — and SBHits the
@@ -69,7 +69,7 @@ func fig9Row(name string, r *RunResult) *Fig9Row {
 }
 
 // Fig9Data computes the Figure 9 breakdown for the paper's six codes using
-// MPFR at o.Prec bits (200 in the paper). With Options.MaxSequenceLen > 0 it
+// MPFR at o.Prec bits (200 in the paper). With Options.VM.MaxSequenceLen > 0 it
 // additionally runs each code with sequence emulation on and fills the
 // ablation columns.
 func Fig9Data(o Options) ([]Fig9Row, error) {
@@ -79,10 +79,10 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 		return nil, err
 	}
 	base := o
-	base.MaxSequenceLen = 0
-	base.JITThreshold = 0
+	base.VM.MaxSequenceLen = 0
+	base.VM.JITThreshold = 0
 	seqOnly := o
-	seqOnly.JITThreshold = 0
+	seqOnly.VM.JITThreshold = 0
 	cells, err := forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (*Fig9Row, error) {
 		r, err := runPair(w, arith.NewMPFR(o.Prec), base)
 		if err != nil {
@@ -92,7 +92,7 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 		if row == nil {
 			return row, nil
 		}
-		if o.MaxSequenceLen > 0 {
+		if o.VM.MaxSequenceLen > 0 {
 			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
 			if err != nil {
 				return nil, err
@@ -104,7 +104,7 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 				row.MeanSeqLen = float64(st.Traps+st.Coalesced) / float64(st.Traps)
 			}
 		}
-		if o.JITThreshold > 0 {
+		if o.VM.JITThreshold > 0 {
 			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
 			if err != nil {
 				return nil, err
@@ -139,8 +139,8 @@ func Fig9(o Options) error {
 		return err
 	}
 	fmt.Fprintf(o.W, "Figure 9: Average cost of virtualizing an FP instruction (cycles/trap, MPFR %d-bit)\n", o.Prec)
-	seq := o.MaxSequenceLen > 0
-	jit := o.JITThreshold > 0
+	seq := o.VM.MaxSequenceLen > 0
+	jit := o.VM.JITThreshold > 0
 	hdr := "%-18s %9s %9s %9s %7s %7s %9s %7s %11s %9s"
 	args := []any{"benchmark", "traps", "hardware", "kernel",
 		"decode", "bind", "emulate", "gc", "correctness", "TOTAL"}
@@ -168,11 +168,11 @@ func Fig9(o Options) error {
 	fmt.Fprintln(o.W, "\nNote: decode amortizes to near zero through the decode cache (hit rate ~100%);")
 	fmt.Fprintln(o.W, "correctness cost is significant only for Enzo, whose interleaved structs defeat VSA (§5.3).")
 	if seq {
-		fmt.Fprintf(o.W, "Sequence emulation (first |): MaxSequenceLen=%d; seqTOTAL includes the whole\n", o.MaxSequenceLen)
+		fmt.Fprintf(o.W, "Sequence emulation (first |): MaxSequenceLen=%d; seqTOTAL includes the whole\n", o.VM.MaxSequenceLen)
 		fmt.Fprintln(o.W, "coalesced run per delivery, so cycles per *instruction* fall by roughly the mean length.")
 	}
 	if jit {
-		fmt.Fprintf(o.W, "Trace JIT: JITThreshold=%d; jittraps are the residual warm-up deliveries,\n", o.JITThreshold)
+		fmt.Fprintf(o.W, "Trace JIT: JITThreshold=%d; jittraps are the residual warm-up deliveries,\n", o.VM.JITThreshold)
 		fmt.Fprintln(o.W, "sbhits the zero-delivery superblock entries that replaced the rest.")
 	}
 	return nil

@@ -110,18 +110,18 @@ type Config struct {
 	// sanitizer's wrapping arithmetic system, which carries a high-precision
 	// and an interval shadow beside every primary value, and the VM feeds it
 	// per-instruction PC attribution from every step of every trace, cached
-	// or not (see trace.go). When set it supersedes Config.System (the
-	// wrapper's primary is the architectural system); because the wrapper
-	// delegates every guest-visible decision and OpCycles to its primary,
-	// sanitizer-on is bit- and cycle-identical to sanitizer-off. nil disables
-	// sanitizing and preserves behavior bit for bit.
-	Sanitize *sanitize.Sanitizer
+	// or not (see trace.go). System is the wrapper's primary (the options'
+	// own Primary is ignored), and Certify inside the options arms interval
+	// certification. The VM builds the sanitizer and keeps it across
+	// Reattach; Sanitizer exposes it for the report snapshot. Because the
+	// wrapper delegates every guest-visible decision and OpCycles to its
+	// primary, sanitizer-on is bit- and cycle-identical to sanitizer-off.
+	// nil disables sanitizing and preserves behavior bit for bit.
+	Sanitize *sanitize.Options
 	// Inject attaches a fault injector to the runtime's seams (testing /
 	// chaos suite). nil disables injection and preserves behavior bit for
 	// bit.
 	Inject *faultinject.Injector
-	// Costs overrides the component cost model (zero value = defaults).
-	Costs *Costs
 }
 
 // CycleBreakdown accumulates cycles per runtime component (Figure 9).
@@ -182,7 +182,8 @@ type VM struct {
 	inject   *faultinject.Injector // nil = no injection (the common case)
 	injectPC uint64                // PC injected faults attribute to (maintained only when inject != nil)
 
-	san *sanitize.Sanitizer // nil = no sanitizer (the common case)
+	san     *sanitize.Sanitizer // nil = no sanitizer (the common case)
+	sanKeep *sanitize.Sanitizer // the sanitizer last built, reused by Reattach
 
 	// Hook closures, created once on first attach. Method values allocate at
 	// the point they are taken, so Reattach reinstalls these cached funcs
@@ -207,7 +208,7 @@ type VM struct {
 // and output hooks, and returns the VM. This is the moral equivalent of
 // LD_PRELOADing the FPVM shared library before starting the binary.
 func Attach(m *machine.Machine, cfg Config) *VM {
-	vm := &VM{Arena: NewArena()}
+	vm := &VM{Arena: NewArena(), costs: DefaultCosts()}
 	vm.Reattach(m, cfg)
 	return vm
 }
@@ -221,18 +222,22 @@ func Attach(m *machine.Machine, cfg Config) *VM {
 // reattached VM is bit-identical in behavior, stats, and modeled cycles to
 // one returned by Attach on a fresh machine.
 func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
-	if cfg.Sanitize != nil {
-		cfg.System = cfg.Sanitize.System()
-		// Callers install m.Telem before attaching; mirror sanitizer
-		// observations into the same site table -topsites ranks.
-		cfg.Sanitize.BindTelemetry(m.Telem)
-	}
 	if cfg.System == nil {
 		panic("fpvm: Config.System is required")
 	}
-	costs := DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
+	vm.san = nil
+	if cfg.Sanitize != nil {
+		o := *cfg.Sanitize
+		o.Primary = cfg.System
+		if vm.sanKeep == nil {
+			vm.sanKeep = sanitize.New(o)
+		} else {
+			vm.sanKeep.Reset(o)
+		}
+		vm.san = vm.sanKeep
+		// Callers install m.Telem before attaching; mirror sanitizer
+		// observations into the same site table -topsites ranks.
+		vm.san.BindTelemetry(m.Telem)
 	}
 	gcEvery := cfg.GCEveryNAllocs
 	if gcEvery == 0 {
@@ -240,15 +245,16 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	}
 	vm.M = m
 	vm.Sys = cfg.System
+	if vm.san != nil {
+		vm.Sys = vm.san.System()
+	}
 	vm.Stats = Stats{}
-	vm.costs = costs
 	vm.cfg = cfg
 	vm.gcEvery = gcEvery
 	vm.lastGC = 0
 	vm.telemPC = 0
 	vm.inject = cfg.Inject
 	vm.injectPC = 0
-	vm.san = cfg.Sanitize
 	vm.scratch = [3]arith.Value{}
 	vm.Arena.Reset()
 
@@ -474,6 +480,11 @@ func (vm *VM) handleExternalCall(f *machine.TrapFrame) error {
 	}
 	return nil
 }
+
+// Sanitizer returns the sanitizer armed by Config.Sanitize for the current
+// attachment, or nil when sanitizing is off. Its Snapshot is the run's
+// report; the sanitizer itself is reset by the next Reattach.
+func (vm *VM) Sanitizer() *sanitize.Sanitizer { return vm.san }
 
 // DetachInjector removes the fault injector, restoring fault-free operation
 // for run teardown (the process-exit analog): final demote/GC passes must

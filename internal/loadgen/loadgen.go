@@ -67,8 +67,7 @@ type Report struct {
 	SBCompiled uint64
 }
 
-// Write renders the one-line human summary used by -selftest and the bench
-// trajectory.
+// Write renders the one-line human summary fpvm-serve -smoke prints.
 func (r *Report) Write(w io.Writer) {
 	fmt.Fprintf(w, "loadgen: %d sessions, %d workers: %.0f sessions/sec, p50 %s, p99 %s, %d errors",
 		r.Sessions, r.Workers, r.PerSec, r.P50, r.P99, r.Errors)

@@ -9,6 +9,7 @@ import (
 
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
+	"fpvm/internal/fpvm"
 	"fpvm/internal/patch"
 	"fpvm/internal/session"
 )
@@ -30,7 +31,7 @@ func TestRunThroughPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pool session.Pool
-	cfg := session.Config{System: arith.Vanilla{}, MemSize: 64 << 10}
+	cfg := session.Config{Config: fpvm.Config{System: arith.Vanilla{}}, MemSize: 64 << 10}
 	rep := Run(&pool, img, cfg, Options{Sessions: 40, Workers: 4})
 	if rep.Sessions != 40 || rep.Workers != 4 {
 		t.Fatalf("report shape wrong: %+v", rep)

@@ -8,6 +8,7 @@ import (
 
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
+	"fpvm/internal/fpvm"
 	"fpvm/internal/isa"
 	"fpvm/internal/posit"
 	"fpvm/internal/progen"
@@ -144,8 +145,8 @@ func FuzzDifferentialOracle(f *testing.F) {
 			Systems: []arith.System{arith.NewPosit(posit.Posit32)},
 		}
 		if jitT > 0 {
-			opts.MaxSequenceLen = 8
-			opts.JITThreshold = jitT
+			opts.VM.MaxSequenceLen = 8
+			opts.VM.JITThreshold = jitT
 		}
 		rep, err := Run(fuzzTarget(src), opts)
 		if err != nil {
@@ -169,7 +170,7 @@ func TestVanillaBitExactWithCoalescing(t *testing.T) {
 	for _, tgt := range AllTargets() {
 		tgt := tgt
 		t.Run(tgt.Name, func(t *testing.T) {
-			rep, err := Run(tgt, Options{Systems: []arith.System{}, MaxSequenceLen: 16})
+			rep, err := Run(tgt, Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 16}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,8 +203,8 @@ func TestJITBitIdenticalAllTargets(t *testing.T) {
 		name string
 		o    Options
 	}{
-		{"jit", Options{Systems: []arith.System{}, JITThreshold: 2}},
-		{"seqemu+jit", Options{Systems: []arith.System{}, MaxSequenceLen: 16, JITThreshold: 2}},
+		{"jit", Options{Systems: []arith.System{}, VM: fpvm.Config{JITThreshold: 2}}},
+		{"seqemu+jit", Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 16, JITThreshold: 2}}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -242,8 +243,8 @@ func TestProgenThreeTierLockstep(t *testing.T) {
 		o    Options
 	}{
 		{"interp", Options{Systems: []arith.System{}}},
-		{"seqemu", Options{Systems: []arith.System{}, MaxSequenceLen: 8}},
-		{"jit", Options{Systems: []arith.System{}, MaxSequenceLen: 8, JITThreshold: 2}},
+		{"seqemu", Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 8}}},
+		{"jit", Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 8, JITThreshold: 2}}},
 	}
 	for _, seed := range progen.Seeds()[:4] {
 		src := progen.FPLoopSource(rand.New(rand.NewSource(seed)), 40, 24)
@@ -274,11 +275,11 @@ func TestJITReducesOracleTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Run(tgt, Options{Systems: []arith.System{}, MaxSequenceLen: 16})
+	seq, err := Run(tgt, Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jit, err := Run(tgt, Options{Systems: []arith.System{}, MaxSequenceLen: 16, JITThreshold: 4})
+	jit, err := Run(tgt, Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 16, JITThreshold: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestCoalescingReducesTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Run(tgt, Options{Systems: []arith.System{}, MaxSequenceLen: 16})
+	on, err := Run(tgt, Options{Systems: []arith.System{}, VM: fpvm.Config{MaxSequenceLen: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

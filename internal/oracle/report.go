@@ -41,8 +41,27 @@ func writeVerdict(w io.Writer, sr *SystemReport) {
 		fmt.Fprintf(w, " regs=%v flags=%v mem=%v output=%v\n",
 			sr.RegsIdentical, sr.FlagsIdentical, sr.MemIdentical, sr.OutputIdentical)
 	}
-	fmt.Fprintf(w, "  traps: %d fp, %d correctness, %d external; %d lanes emulated\n",
+	fmt.Fprintf(w, "  traps: %d fp, %d correctness, %d external; %d lanes emulated",
 		sr.FPTraps, sr.CorrectTraps, sr.ExtTraps, sr.Emulated)
+	if sr.Coalesced > 0 {
+		fmt.Fprintf(w, "; %d coalesced", sr.Coalesced)
+	}
+	fmt.Fprintln(w)
+	writeSanitize(w, sr)
+}
+
+// writeSanitize summarizes the sanitizer's report of a sanitized run.
+func writeSanitize(w io.Writer, sr *SystemReport) {
+	r := sr.SanitizeReport
+	if r == nil {
+		return
+	}
+	fmt.Fprintf(w, "  sanitize: %d samples over %d sites, %d flagged",
+		r.Samples, len(r.Sites), r.FlaggedSites)
+	if c := r.Certification; c != nil {
+		fmt.Fprintf(w, "; certify: %d of %d outputs proved", c.Proved, len(c.Outputs))
+	}
+	fmt.Fprintln(w)
 }
 
 func writeShadow(w io.Writer, sr *SystemReport) {
@@ -94,4 +113,5 @@ func writeShadow(w io.Writer, sr *SystemReport) {
 	for _, c := range CondClasses {
 		fmt.Fprintf(w, "  %-10s %10d\n", c.String(), sr.CondCover[c])
 	}
+	writeSanitize(w, sr)
 }

@@ -15,6 +15,7 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/examples"
+	"fpvm/internal/fpvm"
 	"fpvm/internal/isa"
 	"fpvm/internal/machine"
 	"fpvm/internal/patch"
@@ -225,11 +226,10 @@ func mustImage(t testing.TB, prog *isa.Program) *machine.Image {
 
 func runSanitized(t *testing.T, prog *isa.Program, threshold float64, mut func(*session.Config)) session.Result {
 	t.Helper()
-	cfg := session.Config{
-		System:            arith.Vanilla{},
-		Sanitize:          true,
-		SanitizeThreshold: threshold,
-	}
+	cfg := session.Config{Config: fpvm.Config{
+		System:   arith.Vanilla{},
+		Sanitize: &sanitize.Options{ThresholdBits: threshold},
+	}}
 	mut(&cfg)
 	res, err := session.New().Run(mustImage(t, prog), cfg)
 	if err != nil {
@@ -318,7 +318,7 @@ func TestCorpusAcrossTiers(t *testing.T) {
 				}
 
 				// Sanitizer-off differential: same tier, no sanitizer.
-				cfg := session.Config{System: arith.Vanilla{}}
+				cfg := session.Config{Config: fpvm.Config{System: arith.Vanilla{}}}
 				tier.mut(&cfg)
 				plain, err := session.New().Run(mustImage(t, prog), cfg)
 				if err != nil {

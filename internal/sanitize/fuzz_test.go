@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"fpvm/internal/arith"
+	"fpvm/internal/fpvm"
 	"fpvm/internal/progen"
 	"fpvm/internal/sanitize"
 	"fpvm/internal/session"
@@ -39,17 +40,16 @@ func FuzzSanitize(f *testing.F) {
 		img := mustImage(t, prog)
 		sess := session.New()
 
-		plain, err := sess.Run(img, session.Config{System: arith.Vanilla{}})
+		plain, err := sess.Run(img, session.Config{Config: fpvm.Config{System: arith.Vanilla{}}})
 		if err != nil {
 			t.Fatalf("plain run: %v", err)
 		}
 
 		run := func(prec uint) session.Result {
-			res, err := sess.Run(img, session.Config{
-				System:       arith.Vanilla{},
-				Certify:      true,
-				SanitizePrec: prec,
-			})
+			res, err := sess.Run(img, session.Config{Config: fpvm.Config{
+				System:   arith.Vanilla{},
+				Sanitize: &sanitize.Options{Certify: true, Prec: prec},
+			}})
 			if err != nil {
 				t.Fatalf("sanitized run (prec %d): %v", prec, err)
 			}

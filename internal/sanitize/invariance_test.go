@@ -11,6 +11,7 @@ import (
 
 	"fpvm/internal/arith"
 	"fpvm/internal/oracle"
+	"fpvm/internal/sanitize"
 )
 
 var invarianceTiers = []struct {
@@ -18,8 +19,8 @@ var invarianceTiers = []struct {
 	mut  func(*oracle.Options)
 }{
 	{"interp", func(o *oracle.Options) {}},
-	{"seqemu", func(o *oracle.Options) { o.MaxSequenceLen = 16 }},
-	{"jit", func(o *oracle.Options) { o.JITThreshold = 8 }},
+	{"seqemu", func(o *oracle.Options) { o.VM.MaxSequenceLen = 16 }},
+	{"jit", func(o *oracle.Options) { o.VM.JITThreshold = 8 }},
 }
 
 func TestSanitizerInvariance(t *testing.T) {
@@ -41,8 +42,7 @@ func TestSanitizerInvariance(t *testing.T) {
 				}
 
 				san := base
-				san.Sanitize = true
-				san.SanitizePrec = 64 // cheap shadow: invariance needs presence, not accuracy
+				san.VM.Sanitize = &sanitize.Options{Prec: 64} // cheap shadow: invariance needs presence, not accuracy
 				on, err := oracle.Run(tgt, san)
 				if err != nil {
 					t.Fatalf("sanitizer-on run: %v", err)
@@ -66,7 +66,7 @@ func TestSanitizerInvariance(t *testing.T) {
 				}
 				rep := on.Vanilla.SanitizeReport
 				if rep == nil {
-					t.Fatal("Options.Sanitize set but SanitizeReport is nil")
+					t.Fatal("Options.VM.Sanitize set but SanitizeReport is nil")
 				}
 				if on.Vanilla.Emulated > 0 && rep.Samples == 0 {
 					t.Errorf("run emulated %d scalars but the sanitizer observed none",

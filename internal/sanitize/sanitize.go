@@ -55,7 +55,8 @@ const (
 // Options configure a Sanitizer.
 type Options struct {
 	// Primary is the architectural arithmetic system the guest actually
-	// runs under (nil = arith.Vanilla{}).
+	// runs under (nil = arith.Vanilla{}). A VM armed through
+	// fpvm.Config.Sanitize sets it to Config.System.
 	Primary arith.System
 	// Prec is the high-precision shadow's mantissa bits (0 = DefaultPrec).
 	Prec uint

@@ -221,7 +221,7 @@ func TestTraceEntryContractAllTargets(t *testing.T) {
 			sys, prog := sys, progs[i]
 			t.Run(sys.name+"/"+tgt.Name, func(t *testing.T) {
 				t.Parallel()
-				plain := Config{System: sys.make(), MemSize: testMemSize}
+				plain := Config{Config: fpvm.Config{System: sys.make()}, MemSize: testMemSize}
 				jit := plain
 				jit.JITThreshold = 8
 				jit.SBCache = fpvm.NewSBCache()

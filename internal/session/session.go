@@ -25,8 +25,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"fpvm/internal/arith"
-	"fpvm/internal/faultinject"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/machine"
 	"fpvm/internal/sanitize"
@@ -34,12 +32,14 @@ import (
 	"fpvm/internal/trap"
 )
 
-// Config selects everything one run needs: the arithmetic system, the
-// resource envelope, and the observability attachments. The zero value of
-// every field except System is a sensible default.
+// Config selects everything one run needs: the VM settings, the resource
+// envelope, and the observability attachments. The zero value of every field
+// except System is a sensible default.
 type Config struct {
-	// System is the alternative arithmetic system (required).
-	System arith.System
+	// Config is the FPVM runtime configuration the session's VM is
+	// reattached with; System is required. A sanitized run (Sanitize
+	// non-nil) harvests its report into Result.Sanitize.
+	fpvm.Config
 	// MaxInst bounds the run's retired instructions. Exhausting the budget
 	// is a degradation, not a kill: the run stops at an instruction
 	// boundary, Result.BudgetExhausted is set, and everything executed so
@@ -66,44 +66,13 @@ type Config struct {
 	// default mirrors the full pipeline, as the experiments harness does, and
 	// requires an analyzed image (patch.NewImage).
 	NoPatch bool
-	// MaxSequenceLen, JITThreshold, GCEveryNAllocs, ArenaSoftCap,
-	// ArenaHardCap, and Inject pass through to fpvm.Config.
-	MaxSequenceLen int
-	JITThreshold   int
-	GCEveryNAllocs uint64
-	ArenaSoftCap   int
-	ArenaHardCap   int
-	Inject         *faultinject.Injector
-	// SBCache, when non-nil, shares compiled superblocks across every session
-	// (and pool checkout) pointing at it: only the first session per image
-	// pays the warm-up and compile, later checkouts adopt the traces that
-	// run published on the image. Requires JITThreshold > 0 to have any
-	// effect.
-	SBCache *fpvm.SBCache
 	// Delivery selects the trap delivery model (default user signal).
 	Delivery trap.Kind
 	// Telemetry attaches the session's collector to the run, enabling the
 	// JSONL event trace and the per-PC site table. TopSites > 0 implies it.
 	Telemetry bool
-	// TelemetryRing sizes the collector's event ring (0 = default).
-	TelemetryRing int
 	// TopSites, when > 0, exports the N hottest trap sites into the Result.
 	TopSites int
-	// Sanitize arms the numerical sanitizer: the guest runs under
-	// Config.System wrapped with high-precision and interval shadows, and
-	// Result.Sanitize carries the ranked per-PC report. Architectural
-	// results and modeled cycles are unchanged (the wrapper delegates
-	// both), so a sanitized run is bit-identical to an unsanitized one.
-	Sanitize bool
-	// SanitizeThreshold is the lost-bits flagging threshold
-	// (0 = sanitize.DefaultThresholdBits).
-	SanitizeThreshold float64
-	// SanitizePrec is the high-precision shadow's mantissa bits
-	// (0 = sanitize.DefaultPrec).
-	SanitizePrec uint
-	// Certify additionally records every guest output's interval enclosure
-	// and its containment verdict (implies Sanitize).
-	Certify bool
 }
 
 // DefaultMaxInst bounds a run whose Config.MaxInst is zero: high enough for
@@ -147,8 +116,8 @@ type Result struct {
 	// TraceJSONL is the drained telemetry event trace (Config.Telemetry),
 	// one JSON object per line, ready to stream to a client.
 	TraceJSONL []byte
-	// Sanitize is the numerical sanitizer's report (Config.Sanitize or
-	// Config.Certify); a snapshot, valid after the session is pooled again.
+	// Sanitize is the numerical sanitizer's report (Config.Sanitize); a
+	// snapshot, valid after the session is pooled again.
 	Sanitize *sanitize.Report
 }
 
@@ -180,7 +149,6 @@ type Session struct {
 	m     *machine.Machine
 	vm    *fpvm.VM
 	telem *telemetry.Collector
-	san   *sanitize.Sanitizer
 	out   bytes.Buffer
 	runs  uint64
 
@@ -289,7 +257,7 @@ func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 	// Step 3: telemetry, reset for this run when requested.
 	if cfg.Telemetry || cfg.TopSites > 0 {
 		if s.telem == nil {
-			s.telem = telemetry.NewCollector(cfg.TelemetryRing)
+			s.telem = telemetry.NewCollector(0)
 		} else {
 			s.telem.Reset()
 		}
@@ -297,34 +265,10 @@ func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 	}
 
 	// Step 4: the FPVM runtime, reattached over the reloaded program.
-	fcfg := fpvm.Config{
-		System:         cfg.System,
-		GCEveryNAllocs: cfg.GCEveryNAllocs,
-		MaxSequenceLen: cfg.MaxSequenceLen,
-		JITThreshold:   cfg.JITThreshold,
-		SBCache:        cfg.SBCache,
-		ArenaSoftCap:   cfg.ArenaSoftCap,
-		ArenaHardCap:   cfg.ArenaHardCap,
-		Inject:         cfg.Inject,
-	}
-	if cfg.Sanitize || cfg.Certify {
-		so := sanitize.Options{
-			Primary:       cfg.System,
-			Prec:          cfg.SanitizePrec,
-			ThresholdBits: cfg.SanitizeThreshold,
-			Certify:       cfg.Certify,
-		}
-		if s.san == nil {
-			s.san = sanitize.New(so)
-		} else {
-			s.san.Reset(so)
-		}
-		fcfg.Sanitize = s.san
-	}
 	if s.vm == nil {
-		s.vm = fpvm.Attach(s.m, fcfg)
+		s.vm = fpvm.Attach(s.m, cfg.Config)
 	} else {
-		s.vm.Reattach(s.m, fcfg)
+		s.vm.Reattach(s.m, cfg.Config)
 	}
 
 	// Step 5: run to halt, fault, or budget.
@@ -364,8 +308,8 @@ func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 			res.TraceJSONL = buf.Bytes()
 		}
 	}
-	if fcfg.Sanitize != nil {
-		rep := s.san.Snapshot()
+	if san := s.vm.Sanitizer(); san != nil {
+		rep := san.Snapshot()
 		res.Sanitize = &rep
 	}
 

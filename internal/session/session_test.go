@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fpvm/internal/arith"
@@ -14,6 +15,7 @@ import (
 	"fpvm/internal/machine"
 	"fpvm/internal/oracle"
 	"fpvm/internal/patch"
+	"fpvm/internal/sanitize"
 )
 
 // testMemSize keeps pooled guests small and GC scan costs comparable across
@@ -21,7 +23,7 @@ import (
 const testMemSize = 256 << 10
 
 func baseConfig() Config {
-	return Config{System: arith.Vanilla{}, MemSize: testMemSize}
+	return Config{Config: fpvm.Config{System: arith.Vanilla{}}, MemSize: testMemSize}
 }
 
 // mustImage analyzes and predecodes prog into the image sessions run.
@@ -145,6 +147,56 @@ func TestReusedSessionBitIdenticalAllTargets(t *testing.T) {
 	}
 	if got := reused.Runs(); got != uint64(2*len(targets)) {
 		t.Errorf("reused session recorded %d runs, want %d", got, 2*len(targets))
+	}
+}
+
+// TestObserversInvisibleAllTargets runs every fig target under Vanilla with
+// sequence emulation and the trace JIT both armed, once plain and once with
+// every observer attached together: the sanitizer, telemetry with a hot-site
+// ranking, and a cancel flag that never fires. The observed run must be
+// bit-identical to the plain one (output, cycles, every counter, final
+// state), and both must print exactly what native execution prints.
+func TestObserversInvisibleAllTargets(t *testing.T) {
+	targets, progs := buildTargets(t)
+	if len(targets) < 16 {
+		t.Fatalf("expected at least 16 fig targets, have %d", len(targets))
+	}
+	for i, tgt := range targets {
+		var nout bytes.Buffer
+		nm, err := machine.NewFromImage(progs[i], &nout, testMemSize)
+		if err != nil {
+			t.Fatalf("%s: native machine: %v", tgt.Name, err)
+		}
+		if err := nm.Run(0); err != nil {
+			t.Fatalf("%s: native run: %v", tgt.Name, err)
+		}
+
+		plainCfg := baseConfig()
+		plainCfg.MaxSequenceLen = 16
+		plainCfg.JITThreshold = 8
+		observedCfg := plainCfg
+		observedCfg.Sanitize = &sanitize.Options{Prec: 64}
+		observedCfg.Telemetry = true
+		observedCfg.TopSites = 5
+		observedCfg.Cancel = new(atomic.Bool)
+
+		plain, observed := New(), New()
+		pres, err := plain.Run(progs[i], plainCfg)
+		if err != nil {
+			t.Fatalf("%s: plain run: %v", tgt.Name, err)
+		}
+		ores, err := observed.Run(progs[i], observedCfg)
+		if err != nil {
+			t.Fatalf("%s: observed run: %v", tgt.Name, err)
+		}
+		if ores.Sanitize == nil || len(ores.TopSites) == 0 || ores.DeadlineExceeded {
+			t.Fatalf("%s: observers not attached as configured (sanitize %v, %d top sites, deadline %v)",
+				tgt.Name, ores.Sanitize != nil, len(ores.TopSites), ores.DeadlineExceeded)
+		}
+		requireIdentical(t, tgt.Name, pres, ores, plain.Machine(), observed.Machine())
+		if pres.Output != nout.String() {
+			t.Errorf("%s: output differs from native:\nnative: %q\nfpvm:   %q", tgt.Name, nout.String(), pres.Output)
+		}
 	}
 }
 
