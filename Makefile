@@ -34,11 +34,11 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The dispatch, trap-delivery, superblock-entry and session-alternation
-# microbenchmarks, run for a fixed short count so they keep building and
-# running (the numbers are not gated).
+# The dispatch, trap-delivery (Vanilla and MPFR-200), superblock-entry and
+# session-alternation microbenchmarks, run for a fixed short count so they
+# keep building and running (the numbers are not gated).
 microbench:
-	$(GO) test -run '^$$' -bench 'StepDispatch|TrapDelivery' -benchtime 2000x ./internal/machine
+	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x ./internal/machine
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x ./internal/fpvm
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x ./internal/session
 

@@ -2,7 +2,6 @@ package arith
 
 import (
 	"math"
-	"strconv"
 
 	"fpvm/internal/fpu"
 )
@@ -44,11 +43,8 @@ func roundBF16(v float64) float64 {
 func bf(v Value) float64 { return v.(float64) }
 
 // Apply computes in double and rounds once to bfloat16.
-func (s BFloat16System) Apply(op Op, args ...Value) Value {
-	van := Vanilla{}
-	exactArgs := make([]Value, len(args))
-	copy(exactArgs, args)
-	return roundBF16(van.Apply(op, exactArgs...).(float64))
+func (BFloat16System) Apply(op Op, args ...Value) Value {
+	return roundBF16(Vanilla{}.Apply(op, args...).(float64))
 }
 
 // FromFloat64 promotes (i.e. rounds to the bfloat16 lattice).
@@ -62,8 +58,7 @@ func (BFloat16System) FromInt64(i int64) Value { return roundBF16(float64(i)) }
 
 // ToInt64 converts with the given rounding control.
 func (BFloat16System) ToInt64(v Value, rc fpu.RoundingControl) (int64, bool) {
-	r := fpu.Cvtsd2si(bf(v), rc)
-	return r.Value, r.Flags&fpu.FlagInvalid == 0
+	return toInt64(bf(v), rc)
 }
 
 // Compare orders two values; NaNs are unordered.
@@ -75,9 +70,7 @@ func (BFloat16System) Compare(a, b Value) (int, bool) {
 func (BFloat16System) IsNaN(v Value) bool { return math.IsNaN(bf(v)) }
 
 // Format renders the value.
-func (BFloat16System) Format(v Value) string {
-	return strconv.FormatFloat(bf(v), 'g', -1, 64)
-}
+func (BFloat16System) Format(v Value) string { return format64(bf(v)) }
 
 // OpCycles: bfloat16 hardware is fast; model at double cost (the emulation
 // here computes in double anyway).

@@ -34,80 +34,90 @@ func (s *MPFRSystem) get(v Value) *mpfr.Float { return v.(*mpfr.Float) }
 
 func (s *MPFRSystem) new() *mpfr.Float { return mpfr.New(s.prec) }
 
-// Apply evaluates op at the configured precision.
+// Apply evaluates op at the configured precision into a new Float.
 func (s *MPFRSystem) Apply(op Op, args ...Value) Value {
+	var x [3]*mpfr.Float
+	for i, a := range args {
+		x[i] = s.get(a)
+	}
 	z := s.new()
-	a := func(i int) *mpfr.Float { return s.get(args[i]) }
+	s.apply(op, z, x[0], x[1], x[2])
+	return z
+}
+
+// apply evaluates op on a, b and c (only the first op.Arity() are read) and
+// writes the result into z, which must not alias an operand. It is the one
+// MPFR kernel behind both Apply and the mpfr.Float cells of a Store.
+func (s *MPFRSystem) apply(op Op, z, a, b, c *mpfr.Float) {
 	switch op {
 	case OpAdd:
-		z.Add(a(0), a(1), s.rnd)
+		z.Add(a, b, s.rnd)
 	case OpSub:
-		z.Sub(a(0), a(1), s.rnd)
+		z.Sub(a, b, s.rnd)
 	case OpMul:
-		z.Mul(a(0), a(1), s.rnd)
+		z.Mul(a, b, s.rnd)
 	case OpDiv:
-		z.Div(a(0), a(1), s.rnd)
+		z.Div(a, b, s.rnd)
 	case OpSqrt:
-		z.Sqrt(a(0), s.rnd)
+		z.Sqrt(a, s.rnd)
 	case OpFMA:
-		z.FMA(a(0), a(1), a(2), s.rnd)
+		z.FMA(a, b, c, s.rnd)
 	case OpMin:
 		// x64 semantics: NaN or tie → second operand.
-		if !a(0).IsNaN() && !a(1).IsNaN() && a(0).Cmp(a(1)) < 0 {
-			z.Set(a(0), s.rnd)
+		if !a.IsNaN() && !b.IsNaN() && a.Cmp(b) < 0 {
+			z.Set(a, s.rnd)
 		} else {
-			z.Set(a(1), s.rnd)
+			z.Set(b, s.rnd)
 		}
 	case OpMax:
-		if !a(0).IsNaN() && !a(1).IsNaN() && a(0).Cmp(a(1)) > 0 {
-			z.Set(a(0), s.rnd)
+		if !a.IsNaN() && !b.IsNaN() && a.Cmp(b) > 0 {
+			z.Set(a, s.rnd)
 		} else {
-			z.Set(a(1), s.rnd)
+			z.Set(b, s.rnd)
 		}
 	case OpAbs:
-		z.Abs(a(0), s.rnd)
+		z.Abs(a, s.rnd)
 	case OpNeg:
-		z.Neg(a(0), s.rnd)
+		z.Neg(a, s.rnd)
 	case OpSin:
-		z.Sin(a(0), s.rnd)
+		z.Sin(a, s.rnd)
 	case OpCos:
-		z.Cos(a(0), s.rnd)
+		z.Cos(a, s.rnd)
 	case OpTan:
-		z.Tan(a(0), s.rnd)
+		z.Tan(a, s.rnd)
 	case OpAsin:
-		z.Asin(a(0), s.rnd)
+		z.Asin(a, s.rnd)
 	case OpAcos:
-		z.Acos(a(0), s.rnd)
+		z.Acos(a, s.rnd)
 	case OpAtan:
-		z.Atan(a(0), s.rnd)
+		z.Atan(a, s.rnd)
 	case OpAtan2:
-		z.Atan2(a(0), a(1), s.rnd)
+		z.Atan2(a, b, s.rnd)
 	case OpExp:
-		z.Exp(a(0), s.rnd)
+		z.Exp(a, s.rnd)
 	case OpLog:
-		z.Log(a(0), s.rnd)
+		z.Log(a, s.rnd)
 	case OpLog2:
-		z.Log2(a(0), s.rnd)
+		z.Log2(a, s.rnd)
 	case OpLog10:
-		z.Log10(a(0), s.rnd)
+		z.Log10(a, s.rnd)
 	case OpPow:
-		z.Pow(a(0), a(1), s.rnd)
+		z.Pow(a, b, s.rnd)
 	case OpMod:
-		s.mod(z, a(0), a(1))
+		s.mod(z, a, b)
 	case OpHypot:
-		z.Hypot(a(0), a(1), s.rnd)
+		z.Hypot(a, b, s.rnd)
 	case OpFloor:
-		z.Floor(a(0))
+		z.Floor(a)
 	case OpCeil:
-		z.Ceil(a(0))
+		z.Ceil(a)
 	case OpRound:
-		z.Round(a(0))
+		z.Round(a)
 	case OpTrunc:
-		z.Trunc(a(0))
+		z.Trunc(a)
 	default:
 		panic("mpfr system: bad op " + op.String())
 	}
-	return z
 }
 
 // mod computes the truncated remainder a − trunc(a/b)·b.
@@ -149,23 +159,27 @@ func (s *MPFRSystem) FromInt64(i int64) Value {
 
 // ToInt64 converts with the given rounding control.
 func (s *MPFRSystem) ToInt64(v Value, rc fpu.RoundingControl) (int64, bool) {
-	var m mpfr.RoundingMode
+	return s.get(v).Int64(mpfrRounding(rc))
+}
+
+// mpfrRounding maps an x64 rounding control to the MPFR rounding mode.
+func mpfrRounding(rc fpu.RoundingControl) mpfr.RoundingMode {
 	switch rc {
 	case fpu.RCDown:
-		m = mpfr.RoundTowardNegative
+		return mpfr.RoundTowardNegative
 	case fpu.RCUp:
-		m = mpfr.RoundTowardPositive
+		return mpfr.RoundTowardPositive
 	case fpu.RCZero:
-		m = mpfr.RoundTowardZero
+		return mpfr.RoundTowardZero
 	default:
-		m = mpfr.RoundNearestEven
+		return mpfr.RoundNearestEven
 	}
-	return s.get(v).Int64(m)
 }
 
 // Compare orders two values; NaNs are unordered.
-func (s *MPFRSystem) Compare(a, b Value) (int, bool) {
-	x, y := s.get(a), s.get(b)
+func (s *MPFRSystem) Compare(a, b Value) (int, bool) { return compareMPFR(s.get(a), s.get(b)) }
+
+func compareMPFR(x, y *mpfr.Float) (int, bool) {
 	if x.IsNaN() || y.IsNaN() {
 		return 0, true
 	}

@@ -1,0 +1,95 @@
+package arith
+
+import (
+	"math"
+	"testing"
+
+	"fpvm/internal/fpu"
+	"fpvm/internal/posit"
+)
+
+// embedded is a System wrapper of the kind a tracer or the sanitizer is:
+// it embeds the System it forwards to.
+type embedded struct{ System }
+
+// TestStoreMatchesSystem runs every op over a set of operands through the
+// Store of each system and through the System's own boxed methods, and
+// requires the same result: the formatted value, its demotion and integer
+// conversion, and the comparison against each operand. Vanilla and bfloat16
+// take the float64 cells, MPFR-200 the mpfr.Float cells, and posit32,
+// interval and a wrapped Vanilla the boxed adapter.
+func TestStoreMatchesSystem(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, 1.0 / 3, 1e300, -1e-310, 7, math.Inf(1), math.NaN()}
+	systems := []System{
+		Vanilla{}, BFloat16System{}, NewMPFR(200), NewPosit(posit.Posit32),
+		IntervalSystem{}, embedded{Vanilla{}},
+	}
+	for _, sys := range systems {
+		st := StoreFor(sys, nil)
+		// The operands go into key cells far enough out to grow the store.
+		cell := func(i int) Cell { return KeyCell(uint64(5000 + i)) }
+		for i, v := range vals {
+			st.SetFloat64(0, v)
+			st.Move(cell(i), 0)
+		}
+		boxed := make([]Value, len(vals))
+		for i, v := range vals {
+			boxed[i] = sys.FromFloat64(v)
+		}
+		for op := Op(0); op < NumOps; op++ {
+			for i := range vals {
+				j, k := (i+3)%len(vals), (i+7)%len(vals)
+				st.Apply(op, NumScratch-1, cell(i), cell(j), cell(k))
+				want := sys.Apply(op, []Value{boxed[i], boxed[j], boxed[k]}[:op.Arity()]...)
+				if got, w := st.Format(NumScratch-1), sys.Format(want); got != w {
+					t.Errorf("%s %s(%g, %g, %g): store %s, system %s", sys.Name(), op, vals[i], vals[j], vals[k], got, w)
+					continue
+				}
+				if got, w := st.Float64(NumScratch-1), sys.ToFloat64(want); math.Float64bits(got) != math.Float64bits(w) {
+					t.Errorf("%s %s: demotes to %x, system %x", sys.Name(), op, math.Float64bits(got), math.Float64bits(w))
+				}
+				for _, rc := range []fpu.RoundingControl{fpu.RCNearest, fpu.RCZero} {
+					gi, gok := st.Int64(NumScratch-1, rc)
+					wi, wok := sys.ToInt64(want, rc)
+					if gi != wi || gok != wok {
+						t.Errorf("%s %s: Int64 %d %v, system %d %v", sys.Name(), op, gi, gok, wi, wok)
+					}
+				}
+				gord, gun := st.Compare(NumScratch-1, cell(j))
+				word, wun := sys.Compare(want, boxed[j])
+				if gord != word || gun != wun {
+					t.Errorf("%s %s: Compare %d %v, system %d %v", sys.Name(), op, gord, gun, word, wun)
+				}
+			}
+		}
+		for _, n := range []int64{0, -3, 1 << 60, math.MinInt64} {
+			st.SetInt64(1, n)
+			if got, w := st.Format(1), sys.Format(sys.FromInt64(n)); got != w {
+				t.Errorf("%s SetInt64(%d): store %s, system %s", sys.Name(), n, got, w)
+			}
+		}
+	}
+}
+
+// TestStoreForReuse pins the store selection: the previous store is kept
+// when it serves the next system (MPFR cells only at the same precision),
+// and a wrapper that embeds a typed system takes the boxed adapter.
+func TestStoreForReuse(t *testing.T) {
+	van := StoreFor(Vanilla{}, nil)
+	if StoreFor(BFloat16System{}, van) != van || StoreFor(Vanilla{}, van) != van {
+		t.Error("Vanilla and bfloat16 should reuse the float64 store")
+	}
+	mp := StoreFor(NewMPFR(200), van)
+	if StoreFor(NewMPFR(200), mp) != mp {
+		t.Error("a second MPFR-200 system should reuse the MPFR cells")
+	}
+	if StoreFor(NewMPFR(100), mp) == mp {
+		t.Error("another precision needs new MPFR cells")
+	}
+	if _, ok := StoreFor(embedded{Vanilla{}}, van).(*boxedStore); !ok {
+		t.Error("a wrapper that embeds Vanilla must take the boxed adapter")
+	}
+	if _, ok := StoreFor(NewPosit(posit.Posit32), mp).(*boxedStore); !ok {
+		t.Error("posit32 must take the boxed adapter")
+	}
+}

@@ -18,76 +18,85 @@ var _ System = Vanilla{}
 // Name returns "vanilla".
 func (Vanilla) Name() string { return "vanilla" }
 
-// Apply evaluates op in IEEE binary64 by dispatching to the same software
-// FPU kernels the native machine executes. Going through fpu (rather than
-// bare Go expressions) makes the §5.2 bit-exactness guarantee hold by
+// Apply evaluates op in IEEE binary64 through Float64Op.
+func (Vanilla) Apply(op Op, args ...Value) Value {
+	var x [3]float64
+	for i, a := range args {
+		x[i] = a.(float64)
+	}
+	return Float64Op(op, x[0], x[1], x[2]).Value
+}
+
+// Float64Op is the one IEEE binary64 kernel: it evaluates op on a, b and c
+// (only the first op.Arity() are read) and returns the value with the
+// exception flags it raises. Vanilla's Apply and its float64 cells, FPSpy's
+// retire and patch mode's native attempt all run through it. It dispatches to
+// the same software FPU kernels the native machine executes, rather than to
+// bare Go expressions, so the §5.2 bit-exactness guarantee holds by
 // construction, NaN payloads included: the differential oracle caught Go's
 // math package producing a different quiet-NaN payload (0x7FF8…001) than
 // the x64 indefinite QNaN the machine propagates.
-func (Vanilla) Apply(op Op, args ...Value) Value {
-	a := func(i int) float64 { return args[i].(float64) }
-	var r fpu.Result
+func Float64Op(op Op, a, b, c float64) fpu.Result {
 	switch op {
 	case OpAdd:
-		r = fpu.Add(a(0), a(1))
+		return fpu.Add(a, b)
 	case OpSub:
-		r = fpu.Sub(a(0), a(1))
+		return fpu.Sub(a, b)
 	case OpMul:
-		r = fpu.Mul(a(0), a(1))
+		return fpu.Mul(a, b)
 	case OpDiv:
-		r = fpu.Div(a(0), a(1))
+		return fpu.Div(a, b)
 	case OpSqrt:
-		r = fpu.Sqrt(a(0))
+		return fpu.Sqrt(a)
 	case OpFMA:
-		r = fpu.FMAdd(a(0), a(1), a(2))
+		return fpu.FMAdd(a, b, c)
 	case OpMin:
-		r = fpu.Min(a(0), a(1))
+		return fpu.Min(a, b)
 	case OpMax:
-		r = fpu.Max(a(0), a(1))
+		return fpu.Max(a, b)
 	case OpAbs:
-		r = fpu.Fabs(a(0))
+		return fpu.Fabs(a)
 	case OpNeg:
-		r = fpu.Fneg(a(0))
+		return fpu.Fneg(a)
 	case OpSin:
-		r = fpu.Fsin(a(0))
+		return fpu.Fsin(a)
 	case OpCos:
-		r = fpu.Fcos(a(0))
+		return fpu.Fcos(a)
 	case OpTan:
-		r = fpu.Ftan(a(0))
+		return fpu.Ftan(a)
 	case OpAsin:
-		r = fpu.Fasin(a(0))
+		return fpu.Fasin(a)
 	case OpAcos:
-		r = fpu.Facos(a(0))
+		return fpu.Facos(a)
 	case OpAtan:
-		r = fpu.Fatan(a(0))
+		return fpu.Fatan(a)
 	case OpAtan2:
-		r = fpu.Fatan2(a(0), a(1))
+		return fpu.Fatan2(a, b)
 	case OpExp:
-		r = fpu.Fexp(a(0))
+		return fpu.Fexp(a)
 	case OpLog:
-		r = fpu.Flog(a(0))
+		return fpu.Flog(a)
 	case OpLog2:
-		r = fpu.Flog2(a(0))
+		return fpu.Flog2(a)
 	case OpLog10:
-		r = fpu.Flog10(a(0))
+		return fpu.Flog10(a)
 	case OpPow:
-		r = fpu.Fpow(a(0), a(1))
+		return fpu.Fpow(a, b)
 	case OpMod:
-		r = fpu.Fmod(a(0), a(1))
+		return fpu.Fmod(a, b)
 	case OpHypot:
-		r = fpu.Fhypot(a(0), a(1))
+		return fpu.Fhypot(a, b)
 	case OpFloor:
-		r = fpu.Ffloor(a(0))
+		return fpu.Ffloor(a)
 	case OpCeil:
-		r = fpu.Fceil(a(0))
+		return fpu.Fceil(a)
 	case OpRound:
-		r = fpu.Fround(a(0))
+		return fpu.Fround(a)
 	case OpTrunc:
-		r = fpu.Ftrunc(a(0))
+		return fpu.Ftrunc(a)
 	default:
 		panic("vanilla: bad op " + op.String())
 	}
-	return r.Value
 }
 
 // FromFloat64 promotes an IEEE double (identity for Vanilla).
@@ -101,33 +110,25 @@ func (Vanilla) FromInt64(i int64) Value { return float64(i) }
 
 // ToInt64 converts to an integer with x64 cvtsd2si semantics.
 func (Vanilla) ToInt64(v Value, rc fpu.RoundingControl) (int64, bool) {
-	r := fpu.Cvtsd2si(v.(float64), rc)
+	return toInt64(v.(float64), rc)
+}
+
+// toInt64 is cvtsd2si under rc; ok is false for the integer indefinite.
+func toInt64(x float64, rc fpu.RoundingControl) (int64, bool) {
+	r := fpu.Cvtsd2si(x, rc)
 	return r.Value, r.Flags&fpu.FlagInvalid == 0
 }
 
 // Compare orders two doubles; NaNs are unordered.
-func (Vanilla) Compare(a, b Value) (int, bool) {
-	x, y := a.(float64), b.(float64)
-	if math.IsNaN(x) || math.IsNaN(y) {
-		return 0, true
-	}
-	switch {
-	case x < y:
-		return -1, false
-	case x > y:
-		return 1, false
-	default:
-		return 0, false
-	}
-}
+func (Vanilla) Compare(a, b Value) (int, bool) { return compare64(a.(float64), b.(float64)) }
 
 // IsNaN reports whether v is a NaN.
 func (Vanilla) IsNaN(v Value) bool { return math.IsNaN(v.(float64)) }
 
 // Format renders the value like printf %g.
-func (Vanilla) Format(v Value) string {
-	return strconv.FormatFloat(v.(float64), 'g', -1, 64)
-}
+func (Vanilla) Format(v Value) string { return format64(v.(float64)) }
+
+func format64(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // OpCycles reports the (small) cost of host-double emulation.
 func (Vanilla) OpCycles(op Op) uint64 {

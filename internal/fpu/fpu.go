@@ -6,13 +6,16 @@
 //
 // Inexact (PE) detection uses error-free transforms: 2Sum residuals for
 // add/sub, FMA residuals for mul/div/sqrt, falling back to exact
-// big.Float comparison on subnormal edge cases where the residual itself
-// can underflow.
+// big.Float comparison on subnormal quotients, where the residual itself
+// can underflow. A fused multiply-add, and a product in the subnormal
+// range, decide exactness on integer mantissas instead (fmaExact), so they
+// never allocate.
 package fpu
 
 import (
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Flags is the set of IEEE exception condition flags, with the same bit
@@ -277,11 +280,9 @@ func mulInexact(a, b, p float64) bool {
 		return a != 0 && b != 0
 	}
 	if isSubn(p) {
-		// The FMA residual can itself underflow to zero here; decide with
-		// exact arithmetic instead.
-		exact := new(big.Float).SetPrec(200)
-		exact.Mul(new(big.Float).SetPrec(200).SetFloat64(a), new(big.Float).SetPrec(200).SetFloat64(b))
-		return !exactBig(p, exact)
+		// The FMA residual can itself underflow to zero here; decide on
+		// the integer mantissas instead.
+		return !fmaExact(a, b, 0)
 	}
 	return math.FMA(a, b, -p) != 0
 }
@@ -379,10 +380,143 @@ func FMAdd(a, b, c float64) Result {
 	if isInff(a) || isInff(b) || isInff(c) {
 		return Result{r, f}
 	}
-	// Exactness: compare against exact product-and-sum.
-	exact := new(big.Float).SetPrec(300)
-	exact.Mul(new(big.Float).SetPrec(300).SetFloat64(a), new(big.Float).SetPrec(300).SetFloat64(b))
-	exact.Add(exact, new(big.Float).SetPrec(300).SetFloat64(c))
-	inexact := !exactBig(r, exact)
-	return Result{r, f | postFlags(r, inexact)}
+	return Result{r, f | postFlags(r, !fmaExact(a, b, c))}
+}
+
+// fmaExact reports whether a*b + c, for finite a, b and c, is a binary64
+// value: then the correctly rounded fma returns it exactly. It works on the
+// integer mantissas (a = ma·2^ea and so on), so it neither allocates nor
+// over- or underflows.
+func fmaExact(a, b, c float64) bool {
+	ma, ea := mantExp(a)
+	mb, eb := mantExp(b)
+	mc, ec := mantExp(c)
+	var p wide
+	p[1], p[0] = bits.Mul64(ma, mb)
+	if p.isZero() {
+		return true // the sum is c
+	}
+	e1 := ea + eb + p.trim()
+	if mc == 0 {
+		return p.representable(e1) // the sum is the product
+	}
+	c2 := wide{mc}
+	e2 := ec + c2.trim()
+	// Align both terms to the lower exponent lo. When one term's top bit is
+	// more than 160 bits above lo, the terms have different exponents, the
+	// lower one has at most 106 bits, and the sum keeps both its lowest bit
+	// (at lo) and a top bit above lo+159: far more than 53 bits apart.
+	lo := min(e1, e2)
+	if max(e1+p.bitLen(), e2+c2.bitLen())-lo > 160 {
+		return false
+	}
+	p.shl(uint(e1 - lo))
+	c2.shl(uint(e2 - lo))
+	if negP := math.Signbit(a) != math.Signbit(b); negP == math.Signbit(c) {
+		p.add(&c2)
+	} else if p.less(&c2) {
+		c2.sub(&p)
+		p = c2
+	} else {
+		p.sub(&c2)
+	}
+	if p.isZero() {
+		return true
+	}
+	e := lo + p.trim()
+	return p.representable(e)
+}
+
+// mantExp splits a finite x into an integer mantissa below 2^53 and an
+// exponent, x = ±m·2^e.
+func mantExp(x float64) (m uint64, e int) {
+	b := math.Float64bits(x)
+	m, be := b&fracMask, int(b>>52&0x7FF)
+	if be == 0 {
+		return m, -1074 // zero or subnormal
+	}
+	return m | 1<<52, be - 1075
+}
+
+// wide is a 192-bit unsigned integer, least significant word first: wide
+// enough for an fma's product (106 bits) or addend aligned to within 160
+// bits of each other, plus a carry.
+type wide [3]uint64
+
+func (w *wide) isZero() bool { return w[0]|w[1]|w[2] == 0 }
+
+func (w *wide) bitLen() int {
+	for i := 2; i >= 0; i-- {
+		if w[i] != 0 {
+			return 64*i + bits.Len64(w[i])
+		}
+	}
+	return 0
+}
+
+// trim shifts out the trailing zero bits of a nonzero w and returns their
+// number.
+func (w *wide) trim() int {
+	n := 0
+	for w[0] == 0 {
+		w[0], w[1], w[2] = w[1], w[2], 0
+		n += 64
+	}
+	t := bits.TrailingZeros64(w[0])
+	w.shr(uint(t))
+	return n + t
+}
+
+func (w *wide) shr(s uint) {
+	if s == 0 {
+		return
+	}
+	w[0] = w[0]>>s | w[1]<<(64-s)
+	w[1] = w[1]>>s | w[2]<<(64-s)
+	w[2] >>= s
+}
+
+// shl shifts w left by s <= 160 bits; the caller guarantees no bit leaves
+// the top word.
+func (w *wide) shl(s uint) {
+	for ; s >= 64; s -= 64 {
+		w[0], w[1], w[2] = 0, w[0], w[1]
+	}
+	if s > 0 {
+		w[2] = w[2]<<s | w[1]>>(64-s)
+		w[1] = w[1]<<s | w[0]>>(64-s)
+		w[0] <<= s
+	}
+}
+
+func (w *wide) add(x *wide) {
+	var c uint64
+	w[0], c = bits.Add64(w[0], x[0], 0)
+	w[1], c = bits.Add64(w[1], x[1], c)
+	w[2], _ = bits.Add64(w[2], x[2], c)
+}
+
+// sub sets w to w - x; w must not be less than x.
+func (w *wide) sub(x *wide) {
+	var b uint64
+	w[0], b = bits.Sub64(w[0], x[0], 0)
+	w[1], b = bits.Sub64(w[1], x[1], b)
+	w[2], _ = bits.Sub64(w[2], x[2], b)
+}
+
+func (w *wide) less(x *wide) bool {
+	for i := 2; i >= 0; i-- {
+		if w[i] != x[i] {
+			return w[i] < x[i]
+		}
+	}
+	return false
+}
+
+// representable reports whether w·2^e, w odd (trimmed), is a finite
+// binary64: at most 53 significant bits, lowest bit no lower than the
+// smallest subnormal's, magnitude below 2^1024.
+func (w *wide) representable(e int) bool {
+	n := w.bitLen()
+	return n <= 53 && e >= -1074 && e+n <= 1024
 }

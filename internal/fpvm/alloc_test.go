@@ -8,14 +8,39 @@ import (
 	"fpvm/internal/machine"
 )
 
-// TestVanillaTrapLoopAllocatesOnlyBoxes gates the engine around the
-// arithmetic: once a VM has run a program and been reattached to the reset
-// machine, a Vanilla trap-and-emulate loop allocates no more than the
-// float64 values arith.Vanilla boxes into arith.Value interfaces (one per
-// promoted operand and one per result). Delivery, decode, bind, NaN-boxing
-// and the arena allocate nothing.
-func TestVanillaTrapLoopAllocatesOnlyBoxes(t *testing.T) {
-	prog := asm.MustAssemble(`
+// warmTrapLoopAllocs runs prog once under sys to warm the VM (decode cache,
+// arena and shadow cells grow here), then reports how many allocations a
+// run allocates after the machine is reset and the VM reattached, and the
+// number of FP traps per run.
+func warmTrapLoopAllocs(t *testing.T, src string, sys arith.System) (allocs float64, traps uint64) {
+	t.Helper()
+	m, err := machine.New(asm.MustAssemble(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{System: sys}
+	vm := Attach(m, cfg)
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		if err := m.Reset(m.Image(), nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		vm.Reattach(m, cfg)
+		if err := m.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return allocs, m.Stats.FPTraps
+}
+
+// TestVanillaTrapLoopAllocatesNothing gates the whole trap-and-emulate path
+// under Vanilla: once a VM has run a program and been reattached to the
+// reset machine, delivery, decode, bind, promotion, the float64 cells,
+// NaN-boxing and the arena allocate nothing.
+func TestVanillaTrapLoopAllocatesNothing(t *testing.T) {
+	allocs, traps := warmTrapLoopAllocs(t, `
 		mov r0, $0
 		movsd f1, =3.0
 	loop:
@@ -26,31 +51,38 @@ func TestVanillaTrapLoopAllocatesOnlyBoxes(t *testing.T) {
 		cmp r0, $500
 		jl loop
 		halt
-	`)
-	m, err := machine.New(prog, nil)
-	if err != nil {
-		t.Fatal(err)
+	`, arith.Vanilla{})
+	if traps < 1000 {
+		t.Fatalf("FPTraps = %d, want at least 1000: the loop did not trap", traps)
 	}
-	cfg := Config{System: arith.Vanilla{}}
-	vm := Attach(m, cfg)
-	if err := m.Run(0); err != nil { // warm-up: decode cache and arena grow here
-		t.Fatal(err)
+	if allocs != 0 {
+		t.Errorf("a warm Vanilla run of %d FP traps allocates %.0f times, want 0", traps, allocs)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := m.Reset(m.Image(), nil, 0); err != nil {
-			t.Fatal(err)
-		}
-		vm.Reattach(m, cfg)
-		if err := m.Run(0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if m.Stats.FPTraps < 1000 {
-		t.Fatalf("FPTraps = %d, want at least 1000: the loop did not trap", m.Stats.FPTraps)
+}
+
+// TestMPFRTrapLoopAllocatesNothing is the same gate under MPFR-200: after a
+// Reattach, add, mul, div and sqrt compute into the mpfr.Float cells the
+// first run grew, so a warm run allocates nothing.
+func TestMPFRTrapLoopAllocatesNothing(t *testing.T) {
+	allocs, traps := warmTrapLoopAllocs(t, `
+		mov r0, $0
+		movsd f1, =3.0
+		movsd f3, =1.5
+	loop:
+		movsd f0, =1.0
+		divsd f0, f1     ; traps (PE): a boxed quotient
+		addsd f2, f0     ; a boxed operand traps every op below
+		mulsd f3, f0
+		sqrtsd f4, f0
+		inc r0
+		cmp r0, $500
+		jl loop
+		halt
+	`, arith.NewMPFR(200))
+	if traps < 2000 {
+		t.Fatalf("FPTraps = %d, want at least 2000: the loop did not trap", traps)
 	}
-	boxes := vm.Stats.Promotions + vm.Stats.Emulated
-	if allocs > float64(boxes) {
-		t.Errorf("a warm run allocates %.0f times for %d FP traps; arith.Vanilla boxes only %d values",
-			allocs, m.Stats.FPTraps, boxes)
+	if allocs != 0 {
+		t.Errorf("a warm MPFR-200 run of %d FP traps allocates %.0f times, want 0", traps, allocs)
 	}
 }

@@ -1,17 +1,15 @@
 package fpvm
 
-import (
-	"slices"
+import "slices"
 
-	"fpvm/internal/arith"
-)
-
-// Arena is FPVM's shadow-value allocator: a slot table whose indices are the
-// keys carried in NaN-boxes. The paper stores raw pointers in the boxes;
-// since the usable payload is 51 bits either way, a key-indexed table is the
-// variant its footnote 4 describes for platforms without pointer-sized
-// payloads, and it gives the garbage collector its "simple data structure
-// alongside a marked bit" (§4.1).
+// Arena is FPVM's shadow-cell allocator: it hands out the keys carried in
+// NaN-boxes and keeps their in-use and mark bits. The paper stores raw
+// pointers in the boxes; since the usable payload is 51 bits either way, a
+// key-indexed table is the variant its footnote 4 describes for platforms
+// without pointer-sized payloads, and it gives the garbage collector its
+// "simple data structure alongside a marked bit" (§4.1). The values
+// themselves live in the arithmetic system's arith.Store, in the cell
+// arith.KeyCell(key); the arena holds key bookkeeping only.
 type Arena struct {
 	// chunks hold the slot table in fixed-size blocks: key k lives in
 	// chunks[k>>arenaChunkShift][k&arenaChunkMask], and n keys have been
@@ -27,16 +25,13 @@ type Arena struct {
 	highWater int    // peak simultaneously-live cells
 }
 
-// arenaChunk is one fixed-size block of the slot table. The values and the
-// two bit arrays sit side by side rather than as one struct per slot: a
-// {value, bool, bool} struct pads to 24 bytes, these arrays take 18 per slot.
+// arenaChunk is one fixed-size block of the slot table.
 type arenaChunk struct {
-	vals   [arenaChunkSize]arith.Value
 	inUse  [arenaChunkSize]bool
 	marked [arenaChunkSize]bool
 }
 
-// Slot-table chunk geometry: 4096 slots (72 KiB) per chunk.
+// Slot-table chunk geometry: 4096 slots (8 KiB) per chunk.
 const (
 	arenaChunkShift = 12
 	arenaChunkSize  = 1 << arenaChunkShift
@@ -49,12 +44,10 @@ func NewArena() *Arena { return &Arena{} }
 // Reset empties the arena while retaining the slot table's chunks: after
 // Reset, Live() == 0, every counter is zero, and the next Alloc hands out
 // key 0 — the exact key sequence a fresh arena produces, so a pooled
-// session's NaN-box patterns are bit-identical to a fresh session's. Value
-// references are dropped so the Go GC can reclaim the previous session's
-// shadows; the chunks are kept for reuse.
+// session's NaN-box patterns are bit-identical to a fresh session's.
 func (a *Arena) Reset() {
 	for _, c := range a.chunks[:(a.n+arenaChunkMask)>>arenaChunkShift] {
-		*c = arenaChunk{} // release shadow-value references
+		*c = arenaChunk{}
 	}
 	a.n = 0
 	a.free = a.free[:0]
@@ -81,9 +74,9 @@ func (a *Arena) liveSlot(key uint64) (c *arenaChunk, i uint64) {
 	return nil, 0
 }
 
-// Alloc stores v and returns its key. Freed keys are reused last-freed
+// Alloc marks a key in use and returns it. Freed keys are reused last-freed
 // first; otherwise keys are handed out in increasing order.
-func (a *Arena) Alloc(v arith.Value) uint64 {
+func (a *Arena) Alloc() uint64 {
 	a.allocs++
 	a.live++
 	if a.live > a.highWater {
@@ -102,17 +95,14 @@ func (a *Arena) Alloc(v arith.Value) uint64 {
 		a.n++
 	}
 	c, i := a.slot(k)
-	c.vals[i] = v
 	c.inUse[i] = true
 	return k
 }
 
-// Get returns the shadow value for key, if allocated.
-func (a *Arena) Get(key uint64) (arith.Value, bool) {
-	if c, i := a.liveSlot(key); c != nil {
-		return c.vals[i], true
-	}
-	return nil, false
+// InUse reports whether key names an allocated cell.
+func (a *Arena) InUse(key uint64) bool {
+	c, _ := a.liveSlot(key)
+	return c != nil
 }
 
 // Live returns the number of currently allocated cells.
@@ -159,7 +149,6 @@ func (a *Arena) Sweep() (freed, alive int) {
 			alive++
 			continue
 		}
-		c.vals[i] = nil
 		c.inUse[i] = false
 		a.free = append(a.free, uint64(k))
 		freed++

@@ -3,8 +3,6 @@ package fpvm
 import (
 	"slices"
 	"testing"
-
-	"fpvm/internal/arith"
 )
 
 // arenaScript drives a across the first chunk boundary: it fills keys
@@ -17,15 +15,15 @@ func arenaScript(t *testing.T, a *Arena) []uint64 {
 	var keys []uint64
 	n := arenaChunkSize + 4
 	for i := 0; i < n; i++ {
-		keys = append(keys, a.Alloc(float64(i)))
+		keys = append(keys, a.Alloc())
 	}
 	for _, k := range []uint64{arenaChunkSize - 1, arenaChunkSize} {
-		if v, ok := a.Get(k); !ok || v != arith.Value(float64(k)) {
-			t.Errorf("Get(%d) = %v, %v; want %d, true", k, v, ok, k)
+		if !a.InUse(k) {
+			t.Errorf("InUse(%d) = false, want true", k)
 		}
 	}
-	if _, ok := a.Get(uint64(n)); ok {
-		t.Errorf("Get(%d) found a cell past the end", n)
+	if a.InUse(uint64(n)) {
+		t.Errorf("InUse(%d) found a cell past the end", n)
 	}
 
 	keep := func(k uint64) bool { return k%3 == 0 || k == arenaChunkSize-1 || k == arenaChunkSize }
@@ -48,8 +46,8 @@ func arenaScript(t *testing.T, a *Arena) []uint64 {
 		t.Errorf("Sweep = (%d freed, %d alive), Live %d; want (%d, %d)", freed, alive, a.Live(), n-wantAlive, wantAlive)
 	}
 	for k := uint64(0); k < uint64(n); k++ {
-		if _, ok := a.Get(k); ok != keep(k) {
-			t.Errorf("after Sweep, Get(%d) found = %v, want %v", k, ok, keep(k))
+		if ok := a.InUse(k); ok != keep(k) {
+			t.Errorf("after Sweep, InUse(%d) = %v, want %v", k, ok, keep(k))
 		}
 	}
 	// Sweep cleared the survivors' marks; marking them again and sweeping
@@ -64,7 +62,7 @@ func arenaScript(t *testing.T, a *Arena) []uint64 {
 	}
 
 	for i := 0; i < n-wantAlive+3; i++ {
-		keys = append(keys, a.Alloc(float64(-i)))
+		keys = append(keys, a.Alloc())
 	}
 	return keys
 }
@@ -104,7 +102,7 @@ func TestArenaChunkBoundary(t *testing.T) {
 		t.Errorf("Reset left counters behind: live %d allocs %d high %d reuses %d",
 			a.Live(), a.Allocs(), a.HighWater(), a.Reuses())
 	}
-	if _, ok := a.Get(0); ok {
+	if a.InUse(0) {
 		t.Error("Reset left key 0 allocated")
 	}
 	if got := arenaScript(t, a); !slices.Equal(got, want) {

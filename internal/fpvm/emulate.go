@@ -42,7 +42,7 @@ func (vm *VM) emulate(m *machine.Machine, d *decodedInst) error {
 	return nil
 }
 
-// runArith emulates an FP arithmetic instruction: one Sys.Apply per lane,
+// runArith emulates an FP arithmetic instruction: one Apply per lane,
 // results boxed and retired atomically.
 func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 	// Lane results are buffered and written only after every lane has
@@ -63,22 +63,20 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 // soft-cap GC pass, which must not free lane 0's cell before it is written.
 func (vm *VM) applyLanes(m *machine.Machine, d *decodedInst) error {
 	for lane := 0; lane < d.lanes; lane++ {
-		// The per-VM scratch buffer keeps the hot path allocation-free
-		// (the seed allocated a fresh []arith.Value per lane per trap).
-		args := vm.scratch[:len(d.srcs)]
+		var args [3]arith.Cell
 		for i, s := range d.srcs {
 			bits, err := vm.readFP(m, s, lane)
 			if err != nil {
 				return err
 			}
-			args[i] = vm.value(bits)
+			args[i] = vm.value(bits, i)
 		}
-		res := vm.Sys.Apply(d.aop, args...)
+		vm.cells.Apply(d.aop, resultCell, args[0], args[1], args[2])
 		vm.Stats.Emulated++
 		opCycles := vm.Sys.OpCycles(d.aop)
 		vm.Stats.Cycles.Emulate += opCycles
 		m.Cycles += opCycles
-		bits, err := vm.boxResult(res)
+		bits, err := vm.boxResult(resultCell)
 		if err != nil {
 			return err
 		}
@@ -97,12 +95,12 @@ func (vm *VM) runCompare(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	a, b := vm.value(abits), vm.value(bbits)
+	a, b := vm.value(abits, 0), vm.value(bbits, 1)
 	vm.Stats.Emulated++
 	cmpCycles := vm.Sys.OpCycles(arith.OpSub) // comparisons cost like a subtract
 	vm.Stats.Cycles.Emulate += cmpCycles
 	m.Cycles += cmpCycles
-	ord, unordered := vm.Sys.Compare(a, b)
+	ord, unordered := vm.cells.Compare(a, b)
 	switch {
 	case unordered:
 		m.SetCompareFlags(true, true, true)
@@ -122,13 +120,13 @@ func (vm *VM) runToInt(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	v := vm.value(bits)
+	v := vm.value(bits, 0)
 	vm.Stats.Emulated++
 	rc := m.MXCSR.RC()
 	if d.truncate {
 		rc = fpu.RCZero
 	}
-	i, ok := vm.Sys.ToInt64(v, rc)
+	i, ok := vm.cells.Int64(v, rc)
 	if !ok {
 		i = -1 << 63 // integer indefinite, as the hardware would produce
 	}
@@ -141,9 +139,9 @@ func (vm *VM) runFromInt(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	res := vm.Sys.FromInt64(iv)
+	vm.cells.SetInt64(resultCell, iv)
 	vm.Stats.Emulated++
-	bits, err := vm.boxResult(res)
+	bits, err := vm.boxResult(resultCell)
 	if err != nil {
 		return err
 	}

@@ -21,9 +21,8 @@ type Spy struct {
 	M     *machine.Machine
 	Stats SpyStats
 
-	costs   Costs
-	dcache  []*decodedInst // decode cache, one slot per instruction index
-	scratch [3]arith.Value
+	costs  Costs
+	dcache []*decodedInst // decode cache, one slot per instruction index
 }
 
 // SpyStats aggregates the recorded floating point events.
@@ -73,19 +72,18 @@ func (s *Spy) handle(f *machine.TrapFrame) error {
 
 	// Retire the instruction with IEEE results (the masked response the
 	// hardware would have produced had FPSpy not unmasked the exception).
-	van := arith.Vanilla{}
 	switch d.kind {
 	case kindArith:
 		for lane := 0; lane < d.lanes; lane++ {
-			args := s.scratch[:len(d.srcs)]
+			var x [3]float64
 			for i, src := range d.srcs {
 				bits, err := f.M.ReadOperandFP(src, lane)
 				if err != nil {
 					return err
 				}
-				args[i] = quietIEEE(bits)
+				x[i] = quietIEEE(bits)
 			}
-			res := van.Apply(d.aop, args...).(float64)
+			res := arith.Float64Op(d.aop, x[0], x[1], x[2]).Value
 			if err := f.M.WriteOperandFP(d.dst, lane, math.Float64bits(res)); err != nil {
 				return err
 			}

@@ -169,9 +169,9 @@ type VM struct {
 
 	costs   Costs
 	cfg     Config
+	cells   arith.Store    // shadow values: the scratch cells, then one cell per arena key
 	dcache  []*decodedInst // decode cache, one slot per instruction index
 	dfree   []*decodedInst // recycled decode-cache entries (session reuse)
-	scratch [3]arith.Value // reusable operand buffer for the emulation hot path
 	pending [2]uint64      // boxed lane results not yet written back (see applyLanes)
 	gcEvery uint64
 	lastGC  uint64 // arena alloc count at last GC
@@ -218,7 +218,7 @@ func Attach(m *machine.Machine, cfg Config) *VM {
 // reusing every allocation the VM has accumulated: the shadow arena's slot
 // table, the decode cache (entries are recycled through a freelist and
 // re-translated on the next miss, so decode hit/miss accounting is identical
-// to a fresh Attach), the trace-JIT tables, and the scratch buffers. A
+// to a fresh Attach), the trace-JIT tables, and the shadow cells. A
 // reattached VM is bit-identical in behavior, stats, and modeled cycles to
 // one returned by Attach on a fresh machine.
 func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
@@ -255,8 +255,8 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	vm.telemPC = 0
 	vm.inject = cfg.Inject
 	vm.injectPC = 0
-	vm.scratch = [3]arith.Value{}
 	vm.Arena.Reset()
+	vm.cells = arith.StoreFor(vm.Sys, vm.cells)
 
 	// Recycle the previous session's decode-cache entries, then resize the
 	// dense cache to the (possibly new) instruction stream. Every slot starts
@@ -327,41 +327,48 @@ func (vm *VM) outputFilter(bits uint64) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	val, ok := vm.Arena.Get(key)
-	if !ok {
+	if !vm.Arena.InUse(key) {
 		return "nan", true // universal NaN
 	}
 	vm.Stats.OutputHooks++
-	return vm.Sys.Format(val), true
+	return vm.cells.Format(arith.KeyCell(key)), true
 }
 
-// value materializes an operand lane as a shadow value: boxed operands are
-// looked up, plain doubles are promoted.
-func (vm *VM) value(bits uint64) arith.Value {
+// resultCell is the scratch cell an operation computes into before
+// boxResult moves the value into its arena cell; scratch cells below it
+// hold promoted operands, one per operand position.
+const resultCell arith.Cell = arith.NumScratch - 1
+
+// value materializes an operand lane as a shadow cell: a boxed operand names
+// its arena cell, and a plain double is promoted into scratch cell slot.
+func (vm *VM) value(bits uint64, slot int) arith.Cell {
 	if key, ok := nanbox.Unbox(bits); ok {
-		if v, ok := vm.Arena.Get(key); ok {
+		if vm.Arena.InUse(key) {
 			vm.Stats.Unboxings++
 			if t := vm.M.Telem; t != nil {
 				t.Unboxing(vm.telemPC, vm.M.Cycles)
 			}
-			return v
+			return arith.KeyCell(key)
 		}
 		// A signaling NaN with no shadow: a universal NaN (§2).
 		vm.Stats.UniversalNaN++
-		return vm.Sys.FromFloat64(math.NaN())
+		vm.cells.SetFloat64(arith.Cell(slot), math.NaN())
+		return arith.Cell(slot)
 	}
 	vm.Stats.Promotions++
 	if t := vm.M.Telem; t != nil {
 		t.Promotion(vm.telemPC, vm.M.Cycles)
 	}
-	return vm.Sys.FromFloat64(math.Float64frombits(bits))
+	vm.cells.SetFloat64(arith.Cell(slot), math.Float64frombits(bits))
+	return arith.Cell(slot)
 }
 
-// boxResult allocates a shadow cell for v and returns the NaN-boxed bits.
-// Arena pressure is absorbed rather than fatal: at the soft cap a GC pass
-// reclaims dead cells; at the hard cap the allocation fails with a degradable
-// fault so the caller's instruction re-executes natively instead of aborting.
-func (vm *VM) boxResult(v arith.Value) (uint64, error) {
+// boxResult allocates an arena key for the value in cell src, moves the
+// value into the key's cell and returns the NaN-boxed bits. Arena pressure
+// is absorbed rather than fatal: at the soft cap a GC pass reclaims dead
+// cells; at the hard cap the allocation fails with a degradable fault so the
+// caller's instruction re-executes natively instead of aborting.
+func (vm *VM) boxResult(src arith.Cell) (uint64, error) {
 	vm.M.Cycles += vm.costs.BoxAlloc
 	if j := vm.inject; j != nil && j.Fire(faultinject.SeamArenaAlloc, vm.injectPC) {
 		return 0, degradeFault(telemetry.DegradeArena, errInjected)
@@ -377,7 +384,8 @@ func (vm *VM) boxResult(v arith.Value) (uint64, error) {
 	if cap := vm.cfg.ArenaHardCap; cap > 0 && vm.Arena.Live() >= cap {
 		return 0, degradeFault(telemetry.DegradeArena, errArenaFull)
 	}
-	key := vm.Arena.Alloc(v)
+	key := vm.Arena.Alloc()
+	vm.cells.Move(arith.KeyCell(key), src)
 	bits := nanbox.Box(key)
 	if j := vm.inject; j != nil {
 		bits, _ = j.CorruptBox(bits)
@@ -385,26 +393,42 @@ func (vm *VM) boxResult(v arith.Value) (uint64, error) {
 	return bits, nil
 }
 
-// demoteBits converts a boxed pattern back to its IEEE double bits; plain
-// values pass through unchanged.
-func (vm *VM) demoteBits(bits uint64) (uint64, bool) {
+// Demoted returns the IEEE double bits a NaN-boxed pattern demotes to;
+// plain patterns pass through. It is read-only — no counter, cycle or
+// telemetry event moves — so it is the view of what DemoteAll would write,
+// and the only way to read a shadow cell from outside the VM.
+func (vm *VM) Demoted(bits uint64) uint64 {
+	out, _, _ := vm.demote(bits)
+	return out
+}
+
+// demote is Demoted plus whether the box named a live shadow cell.
+func (vm *VM) demote(bits uint64) (out uint64, boxed, shadow bool) {
 	key, ok := nanbox.Unbox(bits)
 	if !ok {
-		return bits, false
+		return bits, false, false
 	}
-	val, ok := vm.Arena.Get(key)
-	if !ok {
+	if !vm.Arena.InUse(key) {
 		// A universal NaN demotes to the x64 indefinite QNaN — the exact
 		// pattern masked hardware produces — not Go's math.NaN() bits, whose
 		// payload differs and would diverge from a native run bit-for-bit.
-		return fpu.QNaN(), true
+		return fpu.QNaN(), true, false
 	}
-	vm.Stats.Demotions++
-	vm.M.Cycles += vm.costs.Demote
-	if t := vm.M.Telem; t != nil {
-		t.Demotion(vm.telemPC, vm.M.Cycles)
+	return math.Float64bits(vm.cells.Float64(arith.KeyCell(key))), true, true
+}
+
+// demoteBits converts a boxed pattern back to its IEEE double bits, charging
+// the demotion of a live shadow; plain values pass through unchanged.
+func (vm *VM) demoteBits(bits uint64) (uint64, bool) {
+	out, boxed, shadow := vm.demote(bits)
+	if shadow {
+		vm.Stats.Demotions++
+		vm.M.Cycles += vm.costs.Demote
+		if t := vm.M.Telem; t != nil {
+			t.Demotion(vm.telemPC, vm.M.Cycles)
+		}
 	}
-	return math.Float64bits(vm.Sys.ToFloat64(val)), true
+	return out, boxed
 }
 
 // handleCorrectnessTrap services a site installed by the static patcher:

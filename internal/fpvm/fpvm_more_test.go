@@ -181,46 +181,48 @@ mask: .f64 -0.0, -0.0
 	}
 }
 
-// TestNativeFlagsAllOps sanity-checks the patch-mode postcondition oracle
-// across the whole op set.
+// TestNativeFlagsAllOps sanity-checks the patch-mode postcondition oracle,
+// the flags of arith.Float64Op, across the whole op set.
 func TestNativeFlagsAllOps(t *testing.T) {
 	cases := []struct {
 		op    arith.Op
-		args  []arith.Value
+		args  []float64
 		exact bool
 	}{
-		{arith.OpAdd, []arith.Value{1.0, 2.0}, true},
-		{arith.OpAdd, []arith.Value{0.1, 0.2}, false},
-		{arith.OpSub, []arith.Value{3.0, 1.0}, true},
-		{arith.OpMul, []arith.Value{2.0, 4.0}, true},
-		{arith.OpDiv, []arith.Value{1.0, 3.0}, false},
-		{arith.OpSqrt, []arith.Value{4.0}, true},
-		{arith.OpFMA, []arith.Value{2.0, 3.0, 4.0}, true},
-		{arith.OpMin, []arith.Value{1.0, 2.0}, true},
-		{arith.OpMax, []arith.Value{1.0, 2.0}, true},
-		{arith.OpAbs, []arith.Value{-1.0}, true},
-		{arith.OpNeg, []arith.Value{1.0}, true},
-		{arith.OpSin, []arith.Value{1.0}, false},
-		{arith.OpCos, []arith.Value{1.0}, false},
-		{arith.OpTan, []arith.Value{1.0}, false},
-		{arith.OpAsin, []arith.Value{0.5}, false},
-		{arith.OpAcos, []arith.Value{0.5}, false},
-		{arith.OpAtan, []arith.Value{0.5}, false},
-		{arith.OpAtan2, []arith.Value{1.0, 2.0}, false},
-		{arith.OpExp, []arith.Value{1.0}, false},
-		{arith.OpLog, []arith.Value{2.0}, false},
-		{arith.OpLog2, []arith.Value{8.0}, true},
-		{arith.OpLog10, []arith.Value{3.0}, false},
-		{arith.OpPow, []arith.Value{2.0, 10.0}, true},
-		{arith.OpMod, []arith.Value{7.0, 2.0}, true},
-		{arith.OpHypot, []arith.Value{1.0, 1.0}, false},
-		{arith.OpFloor, []arith.Value{2.5}, false},
-		{arith.OpCeil, []arith.Value{3.0}, true},
-		{arith.OpRound, []arith.Value{2.5}, false},
-		{arith.OpTrunc, []arith.Value{-2.0}, true},
+		{arith.OpAdd, []float64{1.0, 2.0}, true},
+		{arith.OpAdd, []float64{0.1, 0.2}, false},
+		{arith.OpSub, []float64{3.0, 1.0}, true},
+		{arith.OpMul, []float64{2.0, 4.0}, true},
+		{arith.OpDiv, []float64{1.0, 3.0}, false},
+		{arith.OpSqrt, []float64{4.0}, true},
+		{arith.OpFMA, []float64{2.0, 3.0, 4.0}, true},
+		{arith.OpMin, []float64{1.0, 2.0}, true},
+		{arith.OpMax, []float64{1.0, 2.0}, true},
+		{arith.OpAbs, []float64{-1.0}, true},
+		{arith.OpNeg, []float64{1.0}, true},
+		{arith.OpSin, []float64{1.0}, false},
+		{arith.OpCos, []float64{1.0}, false},
+		{arith.OpTan, []float64{1.0}, false},
+		{arith.OpAsin, []float64{0.5}, false},
+		{arith.OpAcos, []float64{0.5}, false},
+		{arith.OpAtan, []float64{0.5}, false},
+		{arith.OpAtan2, []float64{1.0, 2.0}, false},
+		{arith.OpExp, []float64{1.0}, false},
+		{arith.OpLog, []float64{2.0}, false},
+		{arith.OpLog2, []float64{8.0}, true},
+		{arith.OpLog10, []float64{3.0}, false},
+		{arith.OpPow, []float64{2.0, 10.0}, true},
+		{arith.OpMod, []float64{7.0, 2.0}, true},
+		{arith.OpHypot, []float64{1.0, 1.0}, false},
+		{arith.OpFloor, []float64{2.5}, false},
+		{arith.OpCeil, []float64{3.0}, true},
+		{arith.OpRound, []float64{2.5}, false},
+		{arith.OpTrunc, []float64{-2.0}, true},
 	}
 	for _, c := range cases {
-		flags := nativeFlags(c.op, c.args)
+		var x [3]float64
+		copy(x[:], c.args)
+		flags := arith.Float64Op(c.op, x[0], x[1], x[2]).Flags
 		if c.exact && flags != 0 {
 			t.Errorf("%v%v: flags %v, want exact", c.op, c.args, flags)
 		}
@@ -228,9 +230,12 @@ func TestNativeFlagsAllOps(t *testing.T) {
 			t.Errorf("%v%v: flags %v, want PE", c.op, c.args, flags)
 		}
 	}
-	if nativeFlags(arith.Op(200), nil)&fpu.FlagInvalid == 0 {
-		t.Error("unknown op should be invalid")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown op should panic")
+		}
+	}()
+	arith.Float64Op(arith.Op(200), 0, 0, 0)
 }
 
 // TestPatchModeWithPosit: patch mode composes with any arithmetic system.

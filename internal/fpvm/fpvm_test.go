@@ -463,8 +463,8 @@ z: .f64 0.0
 
 func TestArenaReuse(t *testing.T) {
 	a := NewArena()
-	k1 := a.Alloc(1.0)
-	k2 := a.Alloc(2.0)
+	k1 := a.Alloc()
+	k2 := a.Alloc()
 	if k1 == k2 {
 		t.Fatal("duplicate keys")
 	}
@@ -473,13 +473,13 @@ func TestArenaReuse(t *testing.T) {
 	if freed != 1 || alive != 1 {
 		t.Fatalf("sweep: freed=%d alive=%d", freed, alive)
 	}
-	if _, ok := a.Get(k1); ok {
+	if a.InUse(k1) {
 		t.Fatal("k1 should be freed")
 	}
-	if v, ok := a.Get(k2); !ok || v.(float64) != 2.0 {
+	if !a.InUse(k2) {
 		t.Fatal("k2 should survive")
 	}
-	k3 := a.Alloc(3.0)
+	k3 := a.Alloc()
 	if k3 != k1 {
 		t.Fatalf("freed slot not reused: got %d want %d", k3, k1)
 	}

@@ -100,22 +100,21 @@ func (vm *VM) patchDegrade(f *machine.TrapFrame, err error) (bool, error) {
 // tryNative executes an arithmetic instruction in IEEE doubles; it reports
 // ok=false (without side effects) if any postcondition event fired.
 func (vm *VM) tryNative(f *machine.TrapFrame, d *decodedInst) (bool, error) {
-	van := arith.Vanilla{}
 	var results [2]uint64
 	for lane := 0; lane < d.lanes; lane++ {
-		args := vm.scratch[:len(d.srcs)]
+		var x [3]float64
 		for i, s := range d.srcs {
 			bits, err := f.M.ReadOperandFP(s, lane)
 			if err != nil {
 				return false, err
 			}
-			args[i] = math.Float64frombits(bits)
+			x[i] = math.Float64frombits(bits)
 		}
-		flags := nativeFlags(d.aop, args)
-		if flags != 0 {
+		r := arith.Float64Op(d.aop, x[0], x[1], x[2])
+		if r.Flags != 0 {
 			return false, nil // postcondition failed: emulate instead
 		}
-		results[lane] = math.Float64bits(van.Apply(d.aop, args...).(float64))
+		results[lane] = math.Float64bits(r.Value)
 	}
 	for lane := 0; lane < d.lanes; lane++ {
 		if err := f.M.WriteOperandFP(d.dst, lane, results[lane]); err != nil {

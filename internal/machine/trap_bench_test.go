@@ -12,9 +12,22 @@ import (
 // BenchmarkTrapDelivery measures Vanilla trap-and-emulate of one divsd site:
 // one iteration is a trip around a three-instruction loop whose divide traps
 // (PE) and is delivered, decoded (cache hit), bound, emulated and NaN-boxed
-// by FPVM. The allocations it reports are arith.Vanilla's own float64 boxes
-// (two promoted operands, one result).
+// by FPVM. It reports 0 allocs/op: the operands and the result live in the
+// VM's float64 cells (the bytes/op left are the arena and cell tables
+// growing, one chunk per 1024 results, since no GC pass runs).
 func BenchmarkTrapDelivery(b *testing.B) {
+	benchTrapDelivery(b, arith.Vanilla{})
+}
+
+// BenchmarkTrapDeliveryMPFR is BenchmarkTrapDelivery under MPFR-200: the
+// divide computes into the VM's mpfr.Float cells, so it too reports
+// 0 allocs/op (the bytes/op are the cell table growing, one chunk of 1024
+// Floats and their mantissas per 1024 results).
+func BenchmarkTrapDeliveryMPFR(b *testing.B) {
+	benchTrapDelivery(b, arith.NewMPFR(200))
+}
+
+func benchTrapDelivery(b *testing.B, sys arith.System) {
 	m, err := machine.New(asm.MustAssemble(`
 		movsd f1, =3.0
 	loop:
@@ -25,7 +38,7 @@ func BenchmarkTrapDelivery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}})
+	fpvm.Attach(m, fpvm.Config{System: sys})
 	trip := func() {
 		for i := 0; i < 3; i++ {
 			if err := m.Step(); err != nil {

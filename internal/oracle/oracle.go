@@ -32,7 +32,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"fpvm/internal/arith"
@@ -476,7 +475,7 @@ func compareStep(sr *SystemReport, nm *machine.Machine, vm *fpvm.VM,
 	// NaN-box that reached an integer register compares as its shadow).
 	for i := range nm.R {
 		nb, vb := uint64(nm.R[i]), uint64(vmach.R[i])
-		if nb != vb && demotedBits(vm, vb) != nb {
+		if nb != vb && vm.Demoted(vb) != nb {
 			identical = false
 		}
 	}
@@ -484,7 +483,7 @@ func compareStep(sr *SystemReport, nm *machine.Machine, vm *fpvm.VM,
 	for i := range nm.F {
 		for l := 0; l < 2; l++ {
 			nb, vb := nm.F[i][l], vmach.F[i][l]
-			if nb != vb && demotedBits(vm, vb) != nb {
+			if nb != vb && vm.Demoted(vb) != nb {
 				identical = false
 			}
 		}
@@ -504,7 +503,7 @@ func compareStep(sr *SystemReport, nm *machine.Machine, vm *fpvm.VM,
 			if err1 != nil || err2 != nil {
 				continue
 			}
-			vb = demotedBits(vm, vb)
+			vb = vm.Demoted(vb)
 			rel := sanitize.RelError(nb, vb)
 			e := sr.OpErrors[aop]
 			if e == nil {
@@ -551,19 +550,4 @@ func drain(m *machine.Machine, maxInst uint64) error {
 		return nil
 	}
 	return m.Run(maxInst)
-}
-
-// demotedBits maps a NaN-boxed bit pattern to the IEEE double bits its
-// shadow value demotes to; unboxed patterns pass through. It never mutates
-// the VM: this is a read-only view of what DemoteAll would write.
-func demotedBits(vm *fpvm.VM, bits uint64) uint64 {
-	key, ok := nanbox.Unbox(bits)
-	if !ok {
-		return bits
-	}
-	v, ok := vm.Arena.Get(key)
-	if !ok {
-		return fpu.QNaN() // universal NaN demotes to the default qNaN
-	}
-	return math.Float64bits(vm.Sys.ToFloat64(v))
 }
