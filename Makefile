@@ -3,9 +3,10 @@ FUZZTIME ?= 30s
 # Minimum aggregate statement coverage (percent) over ./internal/...
 COVERFLOOR ?= 80
 
-.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke bench
+.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm bench
 
-# ci mirrors .github/workflows/ci.yml exactly.
+# ci runs the stages .github/workflows/ci.yml runs, in the same order; each
+# CI step calls one of these targets, so every command lives here only.
 ci: filesize fmt vet build test benchmark-test microbench race cover oracle chaos bench-gate serve-smoke chaosload-smoke sanitize-smoke fuzz-smoke
 
 # Tracked-file size guard: no file in the index may be larger than 1 MiB, so
@@ -119,10 +120,18 @@ sanitize-smoke:
 
 # Short coverage-guided fuzzing passes (beyond the checked-in seed corpus,
 # which already runs as part of `test`).
-fuzz-smoke:
+fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm
+
+fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialOracle$$' -fuzztime $(FUZZTIME) ./internal/oracle
+
+fuzz-machine:
 	$(GO) test -run '^$$' -fuzz '^FuzzRawExecution$$' -fuzztime $(FUZZTIME) ./internal/machine
+
+fuzz-sanitize:
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/sanitize
+
+fuzz-asm:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm
 
 bench:

@@ -280,7 +280,7 @@ func BenchmarkAblationDelivery(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog2, _ := w.Build()
 				m, _ := machine.New(prog2, io.Discard)
-				m.Delivery, m.CorrectnessDelivery = kind.k, kind.k
+				m.Delivery = kind.k
 				fpvm.Attach(m, fpvm.Config{System: arith.NewMPFR(200)})
 				if err := m.Run(0); err != nil {
 					b.Fatal(err)

@@ -171,9 +171,9 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	switch *delivery {
 	case "user-signal":
 	case "kernel":
-		m.Delivery, m.CorrectnessDelivery = trap.DeliverKernel, trap.DeliverKernel
+		m.Delivery = trap.DeliverKernel
 	case "user-to-user":
-		m.Delivery, m.CorrectnessDelivery = trap.DeliverUserToUser, trap.DeliverUserToUser
+		m.Delivery = trap.DeliverUserToUser
 	default:
 		return fail(fmt.Errorf("unknown delivery model %q", *delivery))
 	}

@@ -10,6 +10,7 @@ import (
 
 	"fpvm/internal/arith"
 	"fpvm/internal/fpvm"
+	"fpvm/internal/machine"
 	"fpvm/internal/patch"
 	"fpvm/internal/session"
 	"fpvm/internal/workloads"
@@ -18,28 +19,40 @@ import (
 var truncNote = regexp.MustCompile(`deadline exceeded at 0x[0-9a-f]+ after (\d+) instructions`)
 
 // TestTimeoutTruncatesLikeService pins the -timeout contract to the serving
-// stack's: both ride the same machine-level deadline checkpoints, so a CLI
-// run truncated at instruction boundary N harvests bit-identical state —
-// output, instruction count, modeled cycles — to a session (the service's
-// run path) canceled at the same boundary. The CLI's boundary is wall-clock
-// dependent, so the test reads it from the truncation note and replays the
-// session with that exact checkpoint interval and a pre-fired flag.
+// stack's: both ride the same machine-level deadline checkpoints, every
+// machine.DefaultPreemptEvery retired instructions, so a CLI run truncated
+// at a checkpoint harvests bit-identical state — output, instruction count,
+// modeled cycles — to a session (the service's run path) canceled at the
+// same boundary. A pre-fired session flag stops at the first checkpoint; the
+// CLI's boundary is wall-clock dependent, so the test reads it from the
+// truncation note and reruns the CLI (a 1 ns timer almost always fires
+// before the first checkpoint) until it stopped there too.
 func TestTimeoutTruncatesLikeService(t *testing.T) {
+	const every = machine.DefaultPreemptEvery
 	var out, errb bytes.Buffer
-	code := Run([]string{
-		"-workload", "Lorenz Attractor/", "-arith", "vanilla",
-		"-timeout", "1ns", "-stats",
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("-timeout run exited %d, want 0 (deadline degrades, never kills):\n%s", code, errb.String())
+	var n uint64
+	for attempt := 0; attempt < 5 && n != every; attempt++ {
+		out.Reset()
+		errb.Reset()
+		code := Run([]string{
+			"-workload", "Lorenz Attractor/", "-arith", "vanilla",
+			"-timeout", "1ns", "-stats",
+		}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("-timeout run exited %d, want 0 (deadline degrades, never kills):\n%s", code, errb.String())
+		}
+		m := truncNote.FindStringSubmatch(errb.String())
+		if m == nil {
+			t.Fatalf("no truncation note on stderr:\n%s", errb.String())
+		}
+		var err error
+		n, err = strconv.ParseUint(m[1], 10, 64)
+		if err != nil || n == 0 || n%every != 0 {
+			t.Fatalf("truncation boundary %q is not a checkpoint (every %d instructions)", m[1], every)
+		}
 	}
-	m := truncNote.FindStringSubmatch(errb.String())
-	if m == nil {
-		t.Fatalf("no truncation note on stderr:\n%s", errb.String())
-	}
-	n, err := strconv.ParseUint(m[1], 10, 64)
-	if err != nil || n == 0 {
-		t.Fatalf("bad truncation boundary %q", m[1])
+	if n != every {
+		t.Fatalf("CLI truncated at %d instructions in every attempt, never at the first checkpoint %d", n, every)
 	}
 	if !strings.Contains(errb.String(), "instructions:") || !strings.Contains(errb.String(), "cycles:") {
 		t.Fatalf("-stats did not print after truncation:\n%s", errb.String())
@@ -60,9 +73,8 @@ func TestTimeoutTruncatesLikeService(t *testing.T) {
 	cancel := new(atomic.Bool)
 	cancel.Store(true) // pre-fired: the session stops at exactly its first checkpoint
 	res, err := session.New().Run(img, session.Config{
-		Config:       fpvm.Config{System: arith.Vanilla{}},
-		Cancel:       cancel,
-		PreemptEvery: n,
+		Config: fpvm.Config{System: arith.Vanilla{}},
+		Cancel: cancel,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,9 @@ func (Vanilla) Apply(op Op, args ...Value) Value {
 
 // Float64Op is the one IEEE binary64 kernel: it evaluates op on a, b and c
 // (only the first op.Arity() are read) and returns the value with the
-// exception flags it raises. Vanilla's Apply and its float64 cells, FPSpy's
-// retire and patch mode's native attempt all run through it. It dispatches to
+// exception flags it raises. Vanilla's Apply and its float64 cells run
+// through it; native retirement (FPSpy, patch sites that do not trap) goes
+// through the machine's own FPU dispatch instead. It dispatches to
 // the same software FPU kernels the native machine executes, rather than to
 // bare Go expressions, so the §5.2 bit-exactness guarantee holds by
 // construction, NaN payloads included: the differential oracle caught Go's

@@ -106,31 +106,18 @@ func benchRow(w workloads.Workload, sys string, seqLen, jit, topSites int, r *Ru
 // ablation ladder.
 func BenchJSONData(o Options) ([]BenchRow, error) {
 	o.defaults()
-	base := o
-	base.VM.MaxSequenceLen = 0
-	base.VM.JITThreshold = 0
-	seqOnly := o
-	seqOnly.VM.JITThreshold = 0
 	cells, err := forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) ([]BenchRow, error) {
-		sys := arith.NewMPFR(o.Prec)
-		r, err := runPair(w, sys, base)
+		l, err := runLadder(w, o)
 		if err != nil {
 			return nil, err
 		}
-		rows := []BenchRow{benchRow(w, sys.Name(), 0, 0, o.TopSites, r)}
-		if o.VM.MaxSequenceLen > 0 {
-			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, benchRow(w, sys.Name(), o.VM.MaxSequenceLen, 0, o.TopSites, sr))
+		sys := arith.NewMPFR(o.Prec).Name()
+		rows := []BenchRow{benchRow(w, sys, 0, 0, o.TopSites, l.base)}
+		if l.seq != nil {
+			rows = append(rows, benchRow(w, sys, o.VM.MaxSequenceLen, 0, o.TopSites, l.seq))
 		}
-		if o.VM.JITThreshold > 0 {
-			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, benchRow(w, sys.Name(), o.VM.MaxSequenceLen, o.VM.JITThreshold, o.TopSites, jr))
+		if l.jit != nil {
+			rows = append(rows, benchRow(w, sys, o.VM.MaxSequenceLen, o.VM.JITThreshold, o.TopSites, l.jit))
 		}
 		return rows, nil
 	})

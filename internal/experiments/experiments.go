@@ -33,8 +33,6 @@ type Options struct {
 	Prec uint
 	// Quick restricts the workload set and sizes for fast CI runs.
 	Quick bool
-	// Delivery selects the trap delivery model (default user signal).
-	Delivery trap.Kind
 	// Workers bounds the number of experiment cells run concurrently.
 	// Each cell owns its machine, VM, and arena, so the simulated cycle
 	// counts are identical at any setting. 0 means GOMAXPROCS; 1 is fully
@@ -170,10 +168,6 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		return nil, err
 	}
 	patched.Install(vm2)
-	if o.Delivery != trap.DeliverUserSignal {
-		vm2.Delivery = o.Delivery
-		vm2.CorrectnessDelivery = o.Delivery
-	}
 	var telem *telemetry.Collector
 	if o.TopSites > 0 {
 		telem = telemetry.NewCollector(0)
@@ -200,6 +194,39 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		VirtCycles:   vm2.Cycles,
 		VirtWallNs:   wall.Nanoseconds(),
 	}, nil
+}
+
+// ladder is one workload's ablation ladder under FPVM+MPFR: the classic
+// one-trap-one-instruction pipeline, then sequence emulation alone (nil
+// unless o.VM.MaxSequenceLen > 0), then the full configuration with the
+// trace-JIT tier stacked on top (nil unless o.VM.JITThreshold > 0). Figures
+// 9 and 12 and the bench records all format the same ladder.
+type ladder struct {
+	base, seq, jit *RunResult
+}
+
+// runLadder runs w's ablation ladder at o.Prec bits.
+func runLadder(w workloads.Workload, o Options) (ladder, error) {
+	var l ladder
+	var err error
+	base := o
+	base.VM.MaxSequenceLen, base.VM.JITThreshold = 0, 0
+	if l.base, err = runPair(w, arith.NewMPFR(o.Prec), base); err != nil {
+		return l, err
+	}
+	if o.VM.MaxSequenceLen > 0 {
+		seq := o
+		seq.VM.JITThreshold = 0
+		if l.seq, err = runPair(w, arith.NewMPFR(o.Prec), seq); err != nil {
+			return l, err
+		}
+	}
+	if o.VM.JITThreshold > 0 {
+		if l.jit, err = runPair(w, arith.NewMPFR(o.Prec), o); err != nil {
+			return l, err
+		}
+	}
+	return l, nil
 }
 
 // selectWorkloads resolves a list of registry keys.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"fpvm/internal/arith"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
 )
@@ -43,16 +42,12 @@ var fig12OnlyR815 = map[string]bool{
 // trap delivery cost varies across profiles (see RunResult.SlowdownOn).
 func Fig12Data(o Options) ([]Fig12Row, error) {
 	o.defaults()
-	base := o
-	base.VM.MaxSequenceLen = 0
-	base.VM.JITThreshold = 0
-	seqOnly := o
-	seqOnly.VM.JITThreshold = 0
 	return forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) (Fig12Row, error) {
-		r, err := runPair(w, arith.NewMPFR(o.Prec), base)
+		l, err := runLadder(w, o)
 		if err != nil {
 			return Fig12Row{}, err
 		}
+		r := l.base
 		row := Fig12Row{
 			Name:      w.Name,
 			Specifics: w.Specifics,
@@ -66,30 +61,14 @@ func Fig12Data(o Options) ([]Fig12Row, error) {
 			}
 			row.Slowdown[p.Name] = r.SlowdownOn(p, trap.DeliverUserSignal)
 		}
-		if o.VM.MaxSequenceLen > 0 {
-			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
-			if err != nil {
-				return Fig12Row{}, err
-			}
+		if sr := l.seq; sr != nil {
 			row.SeqTraps = sr.VM.Stats.Traps
-			for _, p := range trap.Profiles() {
-				if p.Name == "R815" {
-					row.SeqSlowdown = sr.SlowdownOn(p, trap.DeliverUserSignal)
-				}
-			}
+			row.SeqSlowdown = sr.SlowdownOn(&trap.R815, trap.DeliverUserSignal)
 		}
-		if o.VM.JITThreshold > 0 {
-			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
-			if err != nil {
-				return Fig12Row{}, err
-			}
+		if jr := l.jit; jr != nil {
 			row.JITTraps = jr.VM.Stats.Traps
 			row.SBHits = jr.Virt.Stats.SBHits
-			for _, p := range trap.Profiles() {
-				if p.Name == "R815" {
-					row.JITSlowdown = jr.SlowdownOn(p, trap.DeliverUserSignal)
-				}
-			}
+			row.JITSlowdown = jr.SlowdownOn(&trap.R815, trap.DeliverUserSignal)
 		}
 		return row, nil
 	})

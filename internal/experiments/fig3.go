@@ -24,6 +24,6 @@ func Fig3(o Options) error {
 		fmt.Fprintf(o.W, "%-34s | %-28s | %-28s | %-38s | %s\n", r[0], r[1], r[2], r[3], r[4])
 	}
 	fmt.Fprintln(o.W, "\nThis repository implements trap-and-emulate (internal/fpvm), trap-and-patch")
-	fmt.Fprintln(o.W, "(fpvm.EnablePatchMode), and the static-analysis hybrid (internal/vsa + internal/patch).")
+	fmt.Fprintln(o.W, "(VM.PatchAllFPArith), and the static-analysis hybrid (internal/vsa + internal/patch).")
 	return nil
 }

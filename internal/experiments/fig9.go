@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"fpvm/internal/arith"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
 )
@@ -78,41 +77,28 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := o
-	base.VM.MaxSequenceLen = 0
-	base.VM.JITThreshold = 0
-	seqOnly := o
-	seqOnly.VM.JITThreshold = 0
 	cells, err := forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (*Fig9Row, error) {
-		r, err := runPair(w, arith.NewMPFR(o.Prec), base)
+		l, err := runLadder(w, o)
 		if err != nil {
 			return nil, err
 		}
-		row := fig9Row(w.Name, r)
+		row := fig9Row(w.Name, l.base)
 		if row == nil {
 			return row, nil
 		}
-		if o.VM.MaxSequenceLen > 0 {
-			sr, err := runPair(w, arith.NewMPFR(o.Prec), seqOnly)
-			if err != nil {
-				return nil, err
-			}
-			if srow := fig9Row(w.Name, sr); srow != nil {
-				st := sr.VM.Stats
+		if l.seq != nil {
+			if srow := fig9Row(w.Name, l.seq); srow != nil {
+				st := l.seq.VM.Stats
 				row.SeqTraps = srow.Traps
 				row.SeqTotal = srow.Total
 				row.MeanSeqLen = float64(st.Traps+st.Coalesced) / float64(st.Traps)
 			}
 		}
-		if o.VM.JITThreshold > 0 {
-			jr, err := runPair(w, arith.NewMPFR(o.Prec), o)
-			if err != nil {
-				return nil, err
-			}
-			if jrow := fig9Row(w.Name, jr); jrow != nil {
+		if l.jit != nil {
+			if jrow := fig9Row(w.Name, l.jit); jrow != nil {
 				row.JITTraps = jrow.Traps
 				row.JITTotal = jrow.Total
-				row.SBHits = jr.Virt.Stats.SBHits
+				row.SBHits = l.jit.Virt.Stats.SBHits
 			}
 		}
 		return row, nil

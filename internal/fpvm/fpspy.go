@@ -3,11 +3,8 @@ package fpvm
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
-	"fpvm/internal/arith"
-	"fpvm/internal/fpu"
 	"fpvm/internal/machine"
 )
 
@@ -20,9 +17,6 @@ import (
 type Spy struct {
 	M     *machine.Machine
 	Stats SpyStats
-
-	costs  Costs
-	dcache []*decodedInst // decode cache, one slot per instruction index
 }
 
 // SpyStats aggregates the recorded floating point events.
@@ -38,11 +32,7 @@ type SpyStats struct {
 // unmasked, and each trap is recorded and then retired with its IEEE
 // result. Outputs are bit-identical to an untraced run.
 func AttachSpy(m *machine.Machine) *Spy {
-	s := &Spy{
-		M:      m,
-		costs:  DefaultCosts(),
-		dcache: make([]*decodedInst, len(m.Insts())),
-	}
+	s := &Spy{M: m}
 	s.Stats.ByFlag = make(map[string]uint64)
 	s.Stats.ByOp = make(map[string]uint64)
 	s.Stats.BySite = make(map[uint64]uint64)
@@ -52,88 +42,21 @@ func AttachSpy(m *machine.Machine) *Spy {
 }
 
 // handle records the event and completes the faulting instruction with its
-// masked IEEE semantics ("allowing it to be executed as normal").
+// masked IEEE semantics ("allowing it to be executed as normal"): the
+// machine's masked native retire, the same one the degrade engine uses, so
+// the result is the one the hardware would have produced had FPSpy not
+// unmasked the exception.
 func (s *Spy) handle(f *machine.TrapFrame) error {
 	s.Stats.Events++
 	s.Stats.ByFlag[f.Flags.String()]++
 	s.Stats.ByOp[f.Inst.Op.String()]++
 	s.Stats.BySite[f.Inst.Addr]++
 	f.M.MXCSR.ClearFlags()
-
-	d := s.dcache[f.Idx]
-	if d == nil {
-		d = new(decodedInst)
-		if err := translate(f.Inst, d); err != nil {
-			return err // FPSpy has no emulator to fall back from
-		}
-		s.dcache[f.Idx] = d
-	}
-	s.M.Cycles += s.costs.DecodeHit + s.costs.Bind
-
-	// Retire the instruction with IEEE results (the masked response the
-	// hardware would have produced had FPSpy not unmasked the exception).
-	switch d.kind {
-	case kindArith:
-		for lane := 0; lane < d.lanes; lane++ {
-			var x [3]float64
-			for i, src := range d.srcs {
-				bits, err := f.M.ReadOperandFP(src, lane)
-				if err != nil {
-					return err
-				}
-				x[i] = quietIEEE(bits)
-			}
-			res := arith.Float64Op(d.aop, x[0], x[1], x[2]).Value
-			if err := f.M.WriteOperandFP(d.dst, lane, math.Float64bits(res)); err != nil {
-				return err
-			}
-		}
-	case kindCompare:
-		abits, err := f.M.ReadOperandFP(d.srcs[0], 0)
-		if err != nil {
-			return err
-		}
-		bbits, err := f.M.ReadOperandFP(d.srcs[1], 0)
-		if err != nil {
-			return err
-		}
-		c := fpu.Ucomisd(math.Float64frombits(abits), math.Float64frombits(bbits))
-		f.M.SetCompareFlags(c.ZF, c.PF, c.CF)
-	case kindToInt:
-		bits, err := f.M.ReadOperandFP(d.srcs[0], 0)
-		if err != nil {
-			return err
-		}
-		rc := f.M.MXCSR.RC()
-		if d.truncate {
-			rc = fpu.RCZero
-		}
-		r := fpu.Cvtsd2si(math.Float64frombits(bits), rc)
-		if err := f.M.WriteOperandInt(d.dst, r.Value); err != nil {
-			return err
-		}
-	case kindFromInt:
-		iv, err := f.M.ReadOperandInt(d.srcs[0])
-		if err != nil {
-			return err
-		}
-		r := fpu.Cvtsi2sd(iv)
-		if err := f.M.WriteOperandFP(d.dst, 0, math.Float64bits(r.Value)); err != nil {
-			return err
-		}
+	if err := f.M.ExecMasked(f.Inst); err != nil {
+		return err
 	}
 	s.Stats.Executed++
-	f.M.Advance(d.inst)
 	return nil
-}
-
-// quietIEEE converts operand bits to the float64 the hardware would consume
-// (signaling NaNs are quieted by the masked-IE response).
-func quietIEEE(bits uint64) float64 {
-	if fpu.IsSNaN(bits) {
-		return math.Float64frombits(fpu.Quiet(bits))
-	}
-	return math.Float64frombits(bits)
 }
 
 // Report writes an FPSpy-style summary: event totals by flag, by operation,

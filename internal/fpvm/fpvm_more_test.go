@@ -238,28 +238,6 @@ func TestNativeFlagsAllOps(t *testing.T) {
 	arith.Float64Op(arith.Op(200), 0, 0, 0)
 }
 
-// TestPatchModeWithPosit: patch mode composes with any arithmetic system.
-func TestPatchModeWithPosit(t *testing.T) {
-	src := `
-	movsd f0, =1.0
-	movsd f1, =3.0
-	divsd f0, f1
-	outf f0
-	halt
-`
-	prog := asm.MustAssemble(src)
-	var out bytes.Buffer
-	m, _ := machine.New(prog, &out)
-	vm := Attach(m, Config{System: arith.NewMPFR(100)})
-	vm.PatchAllFPArith()
-	if err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.String()) < 20 {
-		t.Fatalf("expected high-precision output, got %q", out.String())
-	}
-}
-
 // TestSpyHaltsOnMachineError: errors from operand access propagate.
 func TestOperandErrorPropagation(t *testing.T) {
 	// A divsd whose memory operand is out of bounds faults inside the

@@ -374,32 +374,6 @@ a: .f64 10.0
 	}
 }
 
-// TestPatchModeMatchesTrapMode runs the same program in both §3 modes and
-// compares results and costs.
-func TestPatchModeMatchesTrapMode(t *testing.T) {
-	trapOut, mTrap, _ := runFPVM(t, lorenzSrc, arith.Vanilla{}, Config{})
-
-	prog := asm.MustAssemble(lorenzSrc)
-	var out bytes.Buffer
-	m, _ := machine.New(prog, &out)
-	vm := Attach(m, Config{System: arith.Vanilla{}})
-	vm.PatchAllFPArith()
-	if err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != trapOut {
-		t.Fatalf("patch mode output %q != trap mode %q", out.String(), trapOut)
-	}
-	if m.Stats.PatchInvokes == 0 {
-		t.Fatal("no patch invocations")
-	}
-	// Patch mode avoids trap delivery: for code where nearly every FP op
-	// rounds, it must be cheaper than trap-and-emulate (§3.2).
-	if m.Cycles >= mTrap.Cycles {
-		t.Fatalf("patch mode (%d cycles) should beat trap mode (%d)", m.Cycles, mTrap.Cycles)
-	}
-}
-
 // TestDemoteAll checks final-state demotion restores pure IEEE memory.
 func TestDemoteAll(t *testing.T) {
 	src := `

@@ -22,14 +22,16 @@ import (
 //     dispatch plus ~2,600 of kernel signal path); coalescing is the
 //     software-only attack on it, so a basic block's worth of FP work pays for
 //     one trap instead of N. Each step still pays decode-cache + bind +
-//     emulate, but zero delivery, and the trace is not kept.
+//     emulate, but zero delivery, and the trace is not kept. A trap-and-patch
+//     site (patchmode.go) runs a one-step uncached trace without the delivery.
 //   - A cached trace is a superblock (superblock.go): the same run, compiled
 //     once into pre-decoded, pre-bound thunks and kept behind a patch at its
 //     entry. Each step pays only the thunk dispatch.
 //
 // Both kinds obey one entry contract: a trace starts only at an instruction
-// that traps on this visit. An uncached trace meets it by construction (it
-// starts at a delivered trap); a cached one checks it at entry (sbHandler).
+// that traps on this visit. The trap handler's trace meets it by construction
+// (it starts at a delivered trap); a patch site and a cached trace check it
+// at entry (patchSiteHandler, sbHandler).
 
 // SeqLenBuckets is the number of buckets in Stats.SeqLenHist. Bucket
 // boundaries are powers of two; SeqLenBucketLabel names them.

@@ -80,7 +80,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	// original instruction is then re-executed natively (§4.2).
 	if slot.hasSite && m.CorrectnessTrap != nil {
 		m.Stats.CorrectTraps++
-		if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, slot.site); err != nil {
+		if _, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, slot.site); err != nil {
 			return err
 		}
 	}
@@ -98,7 +98,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 			}
 			if isNaNPattern(bits) {
 				m.Stats.CorrectTraps++
-				if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, -2); err != nil {
+				if _, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, -2); err != nil {
 					return err
 				}
 				break
@@ -295,7 +295,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	case isa.OpCallext:
 		if m.ExternalTrap != nil {
 			m.Stats.ExtCallTraps++
-			if _, err := m.deliverTrap(m.ExternalTrap, m.CorrectnessDelivery, CauseExternalCall, in, 0, in.Ops[0].Imm); err != nil {
+			if _, err := m.deliverTrap(m.ExternalTrap, m.Delivery, CauseExternalCall, in, 0, in.Ops[0].Imm); err != nil {
 				return err
 			}
 		}
@@ -303,7 +303,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	case isa.OpTrapc:
 		if m.CorrectnessTrap != nil {
 			m.Stats.CorrectTraps++
-			if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, in.Ops[0].Imm); err != nil {
+			if _, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, in.Ops[0].Imm); err != nil {
 				return err
 			}
 		}

@@ -182,12 +182,11 @@ type Machine struct {
 	Telem *telemetry.Collector
 
 	// Cost accounting.
-	Cost                CostModel
-	Profile             *trap.CostProfile
-	Delivery            trap.Kind // delivery model for FP traps
-	CorrectnessDelivery trap.Kind
-	Cycles              uint64
-	Stats               Stats
+	Cost     CostModel
+	Profile  *trap.CostProfile
+	Delivery trap.Kind // delivery model for every trap (FP, correctness, callext)
+	Cycles   uint64
+	Stats    Stats
 
 	// Preempt, when non-nil, is the cooperative-preemption flag: Run re-checks
 	// it every PreemptEvery retired instructions (a checkpoint, not a per-step
@@ -235,12 +234,11 @@ func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 		return nil, fmt.Errorf("machine: memory size %d exceeds the %d-byte maximum", memSize, isa.MaxMemSize)
 	}
 	m := &Machine{
-		Mem:                 make([]byte, memSize),
-		Cost:                DefaultCostModel(),
-		Profile:             &trap.R815,
-		Delivery:            trap.DeliverUserSignal,
-		CorrectnessDelivery: trap.DeliverUserSignal,
-		Out:                 out,
+		Mem:      make([]byte, memSize),
+		Cost:     DefaultCostModel(),
+		Profile:  &trap.R815,
+		Delivery: trap.DeliverUserSignal,
+		Out:      out,
 	}
 	m.MXCSR = fpu.DefaultMXCSR
 	if err := m.Load(img); err != nil {
@@ -291,7 +289,6 @@ func (m *Machine) Reset(img *Image, out io.Writer, memSize int) error {
 	m.Cost = DefaultCostModel()
 	m.Profile = &trap.R815
 	m.Delivery = trap.DeliverUserSignal
-	m.CorrectnessDelivery = trap.DeliverUserSignal
 	m.Out = out
 	return m.Load(img)
 }

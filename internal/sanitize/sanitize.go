@@ -29,8 +29,9 @@
 // attaching the sanitizer never perturbs architectural results or the
 // deterministic cycle model: sanitizer-on is bit- and cycle-identical to
 // sanitizer-off. The VM feeds per-instruction PC attribution through
-// SetSite from all three retirement paths (trap delivery, sequence
-// coalescing, superblock thunks).
+// SetSite from its one trace executor, which retires every emulated
+// instruction: trap deliveries with their coalesced runs, patch sites and
+// superblock thunks.
 package sanitize
 
 import (
@@ -86,8 +87,8 @@ type Sanitizer struct {
 	certify    bool
 	maxOutputs int
 
-	// Current attribution site, fed by the VM's retirement paths via
-	// SetSite immediately before each instruction's Apply calls.
+	// Current attribution site, fed by the VM's trace executor via SetSite
+	// immediately before each instruction's Apply calls.
 	idx int
 	pc  uint64
 

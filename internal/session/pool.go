@@ -52,10 +52,6 @@ type PoolStats struct {
 // Pool is safe for concurrent use. A Session checked out of the pool is
 // owned exclusively by the caller until Put.
 type Pool struct {
-	// QuarantineStreak overrides the consecutive-degraded-run quarantine
-	// threshold (0 = DefaultQuarantineStreak). Set before first use.
-	QuarantineStreak int
-
 	p           sync.Pool
 	gets        atomic.Uint64
 	puts        atomic.Uint64
@@ -112,11 +108,7 @@ func (p *Pool) Put(s *Session) {
 		p.quarantine()
 		return
 	}
-	streak := p.QuarantineStreak
-	if streak <= 0 {
-		streak = DefaultQuarantineStreak
-	}
-	if s.DegradedStreak() >= streak {
+	if s.DegradedStreak() >= DefaultQuarantineStreak {
 		p.quarantine()
 		return
 	}

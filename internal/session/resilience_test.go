@@ -135,7 +135,7 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 
 func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 	prog := mustProg(t, fpSrc)
-	p := Pool{QuarantineStreak: 2}
+	var p Pool
 
 	// Decode faults at rate 1: every trap degrades, so every run extends the
 	// streak. Runs still complete (degradation re-executes natively).
@@ -148,7 +148,7 @@ func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 	}
 
 	s := p.Get()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultQuarantineStreak; i++ {
 		res, err := s.Run(prog, degrading(uint64(i)+1))
 		if err != nil {
 			t.Fatalf("degrading run %d: %v", i, err)
@@ -157,8 +157,8 @@ func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 			t.Fatalf("degrading run %d absorbed no degradations; the streak test needs them", i)
 		}
 	}
-	if got := s.DegradedStreak(); got != 2 {
-		t.Fatalf("DegradedStreak = %d, want 2", got)
+	if got := s.DegradedStreak(); got != DefaultQuarantineStreak {
+		t.Fatalf("DegradedStreak = %d, want %d", got, DefaultQuarantineStreak)
 	}
 	p.Put(s)
 	if st := p.Stats(); st.Quarantined != 1 || st.Poisoned != 0 {
@@ -167,7 +167,7 @@ func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 
 	// A clean run clears the streak: that session is pooled normally.
 	s2 := p.Get()
-	if _, err := s2.Run(prog, degrading(3)); err != nil {
+	if _, err := s2.Run(prog, degrading(DefaultQuarantineStreak+1)); err != nil {
 		t.Fatalf("single degrading run: %v", err)
 	}
 	if _, err := s2.Run(prog, baseConfig()); err != nil {
@@ -188,7 +188,6 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 	cancel.Store(true)
 	cfg := baseConfig()
 	cfg.Cancel = &cancel
-	cfg.PreemptEvery = 1000
 
 	res, err := New().Run(prog, cfg)
 	if err != nil {
@@ -200,8 +199,9 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 	if res.BudgetExhausted || res.Fault != "" {
 		t.Errorf("deadline truncation misclassified: budget=%v fault=%q", res.BudgetExhausted, res.Fault)
 	}
-	if res.Instructions < 1000 || res.Instructions >= 2000 {
-		t.Errorf("harvested %d instructions, want one checkpoint window [1000, 2000)", res.Instructions)
+	const every = machine.DefaultPreemptEvery
+	if res.Instructions < every || res.Instructions >= 2*every {
+		t.Errorf("harvested %d instructions, want one checkpoint window [%d, %d)", res.Instructions, every, 2*every)
 	}
 }
 
@@ -211,14 +211,12 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 // boundary with identical harvested stats, so CLI and service timeouts are
 // the same mechanism.
 func TestDeadlineMatchesManualPipeline(t *testing.T) {
-	const every = 2000
 	prog := mustProg(t, spinSrc)
 
 	var sc atomic.Bool
 	sc.Store(true)
 	cfg := baseConfig()
 	cfg.Cancel = &sc
-	cfg.PreemptEvery = every
 	res, err := New().Run(prog, cfg)
 	if err != nil || !res.DeadlineExceeded {
 		t.Fatalf("session run: err=%v deadline=%v", err, res.DeadlineExceeded)
@@ -239,7 +237,6 @@ func TestDeadlineMatchesManualPipeline(t *testing.T) {
 	var mc atomic.Bool
 	mc.Store(true)
 	m.Preempt = &mc
-	m.PreemptEvery = every
 	var de *machine.DeadlineError
 	if err := m.Run(DefaultMaxInst); !errors.As(err, &de) {
 		t.Fatalf("manual run = %v, want *DeadlineError", err)

@@ -29,7 +29,6 @@ import (
 	"fpvm/internal/machine"
 	"fpvm/internal/sanitize"
 	"fpvm/internal/telemetry"
-	"fpvm/internal/trap"
 )
 
 // Config selects everything one run needs: the VM settings, the resource
@@ -46,18 +45,14 @@ type Config struct {
 	// far is harvested. 0 means DefaultMaxInst.
 	MaxInst uint64
 	// Cancel, when non-nil, is the cooperative-preemption flag: the machine
-	// re-checks it every PreemptEvery retired instructions and, on observing
-	// it set, stops at that instruction boundary with
+	// re-checks it every machine.DefaultPreemptEvery retired instructions
+	// and, on observing it set, stops at that instruction boundary with
 	// Result.DeadlineExceeded and everything retired so far harvested —
 	// exactly the BudgetExhausted contract, driven by a deadline timer or a
 	// canceled request context instead of an instruction count. The flag may
 	// be shared read-only across concurrent sessions (one timer canceling a
 	// whole load wave) or owned per run (one request's deadline).
 	Cancel *atomic.Bool
-	// PreemptEvery is the deadline checkpoint interval in retired
-	// instructions (0 = machine.DefaultPreemptEvery). Only consulted when
-	// Cancel is non-nil.
-	PreemptEvery uint64
 	// MemSize is the machine's memory size in bytes (0 = the machine
 	// default, 4 MiB). Modeled GC cycles scale with writable memory, so
 	// results are only comparable across runs with equal geometry.
@@ -66,8 +61,6 @@ type Config struct {
 	// default mirrors the full pipeline, as the experiments harness does, and
 	// requires an analyzed image (patch.NewImage).
 	NoPatch bool
-	// Delivery selects the trap delivery model (default user signal).
-	Delivery trap.Kind
 	// Telemetry attaches the session's collector to the run, enabling the
 	// JSONL event trace and the per-PC site table. TopSites > 0 implies it.
 	Telemetry bool
@@ -236,15 +229,10 @@ func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 	} else if err := s.m.Reset(img, &s.out, cfg.MemSize); err != nil {
 		return Result{}, err
 	}
-	if cfg.Delivery != trap.DeliverUserSignal {
-		s.m.Delivery = cfg.Delivery
-		s.m.CorrectnessDelivery = cfg.Delivery
-	}
 	// Arm cooperative preemption for this run. Reset cleared the previous
 	// tenant's flag, so an unarmed run carries no stale deadline.
 	if cfg.Cancel != nil {
 		s.m.Preempt = cfg.Cancel
-		s.m.PreemptEvery = cfg.PreemptEvery
 	}
 
 	// Step 2: correctness patching (§4.2) from the image's site table,
