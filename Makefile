@@ -44,9 +44,11 @@ microbench:
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x ./internal/session
 
 # The concurrent layers under the race detector: the parallel experiment
-# harness, the pooled-session stack, and the multi-tenant server.
+# harness, the pooled-session stack, and the multi-tenant server, plus the
+# fpvm-layer cross-tenant check (many tenants sharing published traces).
 race:
 	$(GO) test -race ./internal/experiments ./internal/session ./internal/loadgen ./cmd/fpvm-serve
+	$(GO) test -race -run '^TestSBCacheConcurrentTenants$$' ./internal/fpvm
 
 # Coverage gate: the aggregate statement coverage of ./internal/... must not
 # fall below COVERFLOOR percent. The profile is left in coverage.out (CI

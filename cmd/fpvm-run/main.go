@@ -259,8 +259,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 					float64(s.Traps+s.Coalesced)/float64(s.Traps))
 			}
 			if ms := m.Stats; ms.SBCompiled > 0 || ms.SBHits > 0 {
-				fmt.Fprintf(stderr, "jit:          %d superblocks compiled, %d hits, %d invalidations\n",
-					ms.SBCompiled, ms.SBHits, ms.SBInvalidations)
+				fmt.Fprintf(stderr, "jit:          %d superblocks compiled, %d hits\n",
+					ms.SBCompiled, ms.SBHits)
 			}
 			fmt.Fprintf(stderr, "emulated:     %d scalars (promotions %d, unboxings %d)\n",
 				s.Emulated, s.Promotions, s.Unboxings)

@@ -84,6 +84,42 @@ func TestRunStatsOutput(t *testing.T) {
 	}
 }
 
+// TestPatchModeHonoursTiers: under -patch-mode a patched site that would
+// trap enters traces as a delivered trap does, so -seqlen and -jit take
+// effect: the stats report sequences and superblocks, and the modeled
+// cycles move away from plain trap-and-patch.
+func TestPatchModeHonoursTiers(t *testing.T) {
+	base := []string{"-workload", "Lorenz Attractor/", "-arith", "vanilla", "-patch-mode", "-stats"}
+	cycles := func(stderr string) string {
+		for _, line := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(line, "cycles:") {
+				return strings.TrimSpace(strings.TrimPrefix(line, "cycles:"))
+			}
+		}
+		t.Fatalf("-stats output has no cycles line:\n%s", stderr)
+		return ""
+	}
+	code, plainOut, plainErr := runCLI(t, base...)
+	if code != 0 {
+		t.Fatalf("plain -patch-mode exited %d: %s", code, plainErr)
+	}
+	code, tierOut, tierErr := runCLI(t, append(base, "-seqlen", "16", "-jit", "8")...)
+	if code != 0 {
+		t.Fatalf("-patch-mode -seqlen 16 -jit 8 exited %d: %s", code, tierErr)
+	}
+	for _, want := range []string{"seqemu:", "jit:"} {
+		if !strings.Contains(tierErr, want) {
+			t.Errorf("-patch-mode -seqlen 16 -jit 8 -stats missing %q:\n%s", want, tierErr)
+		}
+	}
+	if cycles(tierErr) == cycles(plainErr) {
+		t.Errorf("-seqlen 16 -jit 8 left patch-mode cycles at %s", cycles(plainErr))
+	}
+	if tierOut != plainOut {
+		t.Errorf("the tiers changed the output:\nplain: %q\ntiers: %q", plainOut, tierOut)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	asm := writeAsm(t, smokeAsm)
 	tests := []struct {

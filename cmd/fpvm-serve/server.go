@@ -184,8 +184,8 @@ type server struct {
 	// arms the trace-JIT tier shares compiled traces with every other tenant
 	// running the same program. The traces are a pure function of the
 	// immutable program text, so only the first session per image pays the
-	// warm-up and compile; per-tenant state (blacklists, patches,
-	// invalidations) stays private.
+	// warm-up and compile; per-tenant state (blacklists, patches) stays
+	// private.
 	sbcache *fpvm.SBCache
 
 	mu      sync.Mutex
@@ -292,7 +292,6 @@ type runResponse struct {
 	Degradations     uint64               `json:"degradations"`
 	SBCompiled       uint64               `json:"sb_compiled,omitempty"`
 	SBHits           uint64               `json:"sb_hits,omitempty"`
-	SBInvalidations  uint64               `json:"sb_invalidations,omitempty"`
 	BudgetGranted    uint64               `json:"budget_granted"`
 	BudgetExhausted  bool                 `json:"budget_exhausted"`
 	DeadlineExceeded bool                 `json:"deadline_exceeded,omitempty"`
@@ -626,7 +625,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Degradations:     res.VM.Degradations,
 		SBCompiled:       res.Machine.SBCompiled,
 		SBHits:           res.Machine.SBHits,
-		SBInvalidations:  res.Machine.SBInvalidations,
 		BudgetGranted:    granted,
 		BudgetExhausted:  res.BudgetExhausted,
 		DeadlineExceeded: res.DeadlineExceeded,

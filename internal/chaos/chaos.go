@@ -97,10 +97,9 @@ type Summary struct {
 	// Coalesced sums the instructions sequence emulation retired inside a
 	// delivery (Options.VM.MaxSequenceLen > 0).
 	Coalesced uint64
-	// Trace-JIT accounting (Options.VM.JITThreshold > 0): superblock compiles,
-	// discards, and injected compile failures absorbed as degradations.
+	// Trace-JIT accounting (Options.VM.JITThreshold > 0): superblock compiles
+	// and injected compile failures absorbed as degradations.
 	SBCompiled      uint64
-	SBInvalidations uint64
 	JITDegradations uint64
 	// Sanitizer accounting (Options.VM.Sanitize): injected sanitize-seam faults
 	// absorbed as report truncation, and how many runs ended truncated.
@@ -314,7 +313,6 @@ func (s *Summary) runOne(t oracle.Target, tier string, seed uint64,
 		s.Degradations += v.Degradations
 		s.Coalesced += v.Coalesced
 		s.SBCompiled += v.SBCompiled
-		s.SBInvalidations += v.SBInvalidations
 		s.JITDegradations += v.JITDegradations
 		s.SanitizeDegradations += v.SanitizeDegradations
 		if r := v.SanitizeReport; r != nil {
@@ -372,8 +370,8 @@ func (s *Summary) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "chaos: seqemu — %d instructions coalesced into deliveries\n", s.Coalesced)
 	}
 	if s.SBCompiled > 0 || s.JITDegradations > 0 {
-		fmt.Fprintf(w, "chaos: jit tier — %d superblocks compiled, %d invalidated, %d compile faults degraded\n",
-			s.SBCompiled, s.SBInvalidations, s.JITDegradations)
+		fmt.Fprintf(w, "chaos: jit tier — %d superblocks compiled, %d compile faults degraded\n",
+			s.SBCompiled, s.JITDegradations)
 	}
 	if s.SanitizeDegradations > 0 || s.SanitizeTruncated > 0 {
 		fmt.Fprintf(w, "chaos: sanitize — %d samples, %d injected faults truncated %d reports (guest runs unharmed)\n",

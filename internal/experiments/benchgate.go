@@ -24,11 +24,6 @@ const (
 	gateLorenzJITMax   = 5.0
 	gateLorenzWorkload = "Lorenz Attractor"
 
-	// gateWarmPoolSpeedup is the warm-pool acceptance bar, checked within the
-	// current document: the shared-cache session-load record must beat the
-	// cold-pool record's sessions/sec by at least this factor.
-	gateWarmPoolSpeedup = 1.2
-
 	// gateShedFloor is the resilience-overhead bar, checked within the
 	// current document: the session-load record with deadline checkpoints
 	// armed (never fired) must hold at least this fraction of the unarmed
@@ -108,7 +103,7 @@ func GateBench(base, cur *BenchDoc) []string {
 		}
 		// Superblock hit-rate gate: on JIT rows, the zero-delivery entries
 		// served must not shrink (deliveries creeping back in means the
-		// cache is being missed or invalidated more than the baseline).
+		// cache is being missed more than the baseline).
 		if old.JIT > 0 && float64(now.SBHits) < float64(old.SBHits)*gateSBHitSlack {
 			bad = append(bad, fmt.Sprintf("%s %s [%s seq=%d jit=%d]: superblock hits %d -> %d (>%.0f%% regression)",
 				old.Workload, old.Specifics, old.System, old.SeqLen, old.JIT,
@@ -129,7 +124,9 @@ func GateBench(base, cur *BenchDoc) []string {
 	}
 	// Warm-pool bar, within-document: the shared-cache record must prove the
 	// cache is doing its job — near-zero compiles after the first checkout
-	// and a wall-clock sessions/sec win over the cold pool.
+	// and fewer modeled cycles per session than the cold pool. Both are
+	// deterministic in outcome: a warm checkout skips the warm-up traces and
+	// the compiles, whatever the host's speed.
 	if cur.SessionLoadShared != nil && cur.SessionLoad != nil {
 		warm, cold := cur.SessionLoadShared, cur.SessionLoad
 		if warm.Errors > 0 {
@@ -147,10 +144,10 @@ func GateBench(base, cur *BenchDoc) []string {
 					warm.SBCompiled, warm.Sessions, limit, cold.SBCompiled))
 			}
 		}
-		if warm.PerSec < cold.PerSec*gateWarmPoolSpeedup {
+		if warm.MeanCycles >= cold.MeanCycles {
 			bad = append(bad, fmt.Sprintf(
-				"warm pool %.0f sessions/sec is not >=%.1fx the cold pool's %.0f",
-				warm.PerSec, gateWarmPoolSpeedup, cold.PerSec))
+				"warm pool %.0f modeled cycles per session is not below the cold pool's %.0f",
+				warm.MeanCycles, cold.MeanCycles))
 		}
 	} else if base.SessionLoadShared != nil && cur.SessionLoadShared == nil {
 		bad = append(bad, "warm session-load record disappeared from the bench")

@@ -203,3 +203,39 @@ func TestGateBenchSessionLoadShed(t *testing.T) {
 		t.Fatalf("pre-shed baseline should not disable the within-document bars: %v", bad)
 	}
 }
+
+// TestGateBenchWarmPool pins the within-document warm-pool bars: the
+// shared-cache record must compile at most the first wave's traces and
+// model fewer cycles per session than the cold record. Sessions/sec is not
+// compared: on a small host it moves with the load, not with the cache.
+func TestGateBenchWarmPool(t *testing.T) {
+	warmDoc := func() *BenchDoc {
+		d := gateDoc()
+		d.SessionLoad.SBCompiled = 500 * 4
+		d.SessionLoad.MeanCycles = 3_000_000
+		d.SessionLoadShared = &SessionLoad{Workload: "FBench/", System: "vanilla",
+			Sessions: 500, Workers: 16, PerSec: 300, SBCompiled: 4, MeanCycles: 1_500_000}
+		return d
+	}
+	if bad := GateBench(warmDoc(), warmDoc()); len(bad) != 0 {
+		t.Fatalf("a warm record slower in wall clock but cheaper in cycles failed the gate: %v", bad)
+	}
+
+	base, cur := warmDoc(), warmDoc()
+	cur.SessionLoadShared.MeanCycles = cur.SessionLoad.MeanCycles
+	if bad := GateBench(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "modeled cycles per session") {
+		t.Fatalf("warm record no cheaper than cold not caught: %v", bad)
+	}
+
+	cur = warmDoc()
+	cur.SessionLoadShared.SBCompiled = 4*16 + 1 // past the first-wave bound
+	if bad := GateBench(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "first-wave bound") {
+		t.Fatalf("warm compiles past the first wave not caught: %v", bad)
+	}
+
+	cur = warmDoc()
+	cur.SessionLoadShared = nil
+	if bad := GateBench(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "disappeared") {
+		t.Fatalf("missing warm record not caught: %v", bad)
+	}
+}

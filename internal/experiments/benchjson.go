@@ -42,9 +42,8 @@ type BenchRow struct {
 	SeqLenHist []uint64 `json:"seq_len_hist,omitempty"`
 
 	// Superblock (trace-JIT) counters, non-zero only on JIT > 0 rows.
-	SBCompiled      uint64 `json:"sb_compiled,omitempty"`
-	SBHits          uint64 `json:"sb_hits,omitempty"`
-	SBInvalidations uint64 `json:"sb_invalidations,omitempty"`
+	SBCompiled uint64 `json:"sb_compiled,omitempty"`
+	SBHits     uint64 `json:"sb_hits,omitempty"`
 
 	GCPasses       uint64 `json:"gc_passes"`
 	GCFreed        uint64 `json:"gc_freed"`
@@ -63,28 +62,27 @@ type BenchRow struct {
 func benchRow(w workloads.Workload, sys string, seqLen, jit, topSites int, r *RunResult) BenchRow {
 	st := r.VM.Stats
 	row := BenchRow{
-		Workload:        w.Name,
-		Specifics:       w.Specifics,
-		System:          sys,
-		SeqLen:          seqLen,
-		JIT:             jit,
-		SBCompiled:      r.Virt.Stats.SBCompiled,
-		SBHits:          r.Virt.Stats.SBHits,
-		SBInvalidations: r.Virt.Stats.SBInvalidations,
-		NativeCycles:    r.NativeCycles,
-		VirtCycles:      r.VirtCycles,
-		Slowdown:        r.Slowdown(),
-		Instructions:    r.Virt.Stats.Instructions,
-		FPTraps:         st.Traps,
-		CorrectTraps:    st.CorrectTraps,
-		Emulated:        st.Emulated,
-		Sequences:       st.Sequences,
-		Coalesced:       st.Coalesced,
-		GCPasses:        st.GC.Passes,
-		GCFreed:         st.GC.TotalFreed,
-		ArenaAllocs:     r.VM.Arena.Allocs(),
-		ArenaHighWater:  r.VM.Arena.HighWater(),
-		ArenaReuses:     r.VM.Arena.Reuses(),
+		Workload:       w.Name,
+		Specifics:      w.Specifics,
+		System:         sys,
+		SeqLen:         seqLen,
+		JIT:            jit,
+		SBCompiled:     r.Virt.Stats.SBCompiled,
+		SBHits:         r.Virt.Stats.SBHits,
+		NativeCycles:   r.NativeCycles,
+		VirtCycles:     r.VirtCycles,
+		Slowdown:       r.Slowdown(),
+		Instructions:   r.Virt.Stats.Instructions,
+		FPTraps:        st.Traps,
+		CorrectTraps:   st.CorrectTraps,
+		Emulated:       st.Emulated,
+		Sequences:      st.Sequences,
+		Coalesced:      st.Coalesced,
+		GCPasses:       st.GC.Passes,
+		GCFreed:        st.GC.TotalFreed,
+		ArenaAllocs:    r.VM.Arena.Allocs(),
+		ArenaHighWater: r.VM.Arena.HighWater(),
+		ArenaReuses:    r.VM.Arena.Reuses(),
 	}
 	if n := r.Virt.Stats.Instructions; n > 0 {
 		row.NsPerStep = float64(r.VirtWallNs) / float64(n)
@@ -165,6 +163,11 @@ type SessionLoad struct {
 	// (only the first checkout compiles); on the cold record it scales with
 	// Sessions.
 	SBCompiled uint64 `json:"sb_compiled,omitempty"`
+	// MeanCycles is the mean modeled cycles of a session that completed
+	// without an error. It is what the shared warm cache buys: a warm
+	// checkout skips the warm-up traces and the compiles, so the warm
+	// record's mean sits below the cold record's.
+	MeanCycles float64 `json:"mean_cycles,omitempty"`
 }
 
 // BenchDoc is the canonical machine-readable benchmark record (the checked-in
@@ -295,6 +298,10 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 		Sessions: o.Sessions,
 		Workers:  o.LoadWorkers,
 	})
+	var meanCycles float64
+	if ok := rep.Sessions - rep.Errors; ok > 0 {
+		meanCycles = float64(rep.Cycles) / float64(ok)
+	}
 	return &SessionLoad{
 		Workload:    sessionLoadWorkload,
 		System:      sys.Name(),
@@ -307,6 +314,7 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 		Fresh:       rep.Pool.News,
 		Quarantined: rep.Pool.Quarantined,
 		SBCompiled:  rep.SBCompiled,
+		MeanCycles:  meanCycles,
 	}, nil
 }
 

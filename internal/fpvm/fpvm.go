@@ -68,8 +68,8 @@ type Config struct {
 	// MaxSequenceLen bounds sequence emulation, the software amortization of
 	// trap delivery: after handling the faulting instruction the handler
 	// keeps walking the dense instruction stream and emulating while the
-	// next instruction is plain FP arithmetic or an FP move with no patch,
-	// correctness-site, or other side-table entry, up to this many extra
+	// next instruction is plain FP arithmetic or an FP move with no
+	// correctness site and no cached trace of its own, up to this many extra
 	// instructions per delivery. Each coalesced instruction pays decode,
 	// bind, and emulate cost but zero delivery cost. 0 disables coalescing
 	// and preserves the one-trap-one-instruction behavior bit for bit.
@@ -81,25 +81,24 @@ type Config struct {
 	// would exceed it degrades the faulting instruction to native execution
 	// instead of growing the arena (and never aborts the run). 0 disables.
 	ArenaHardCap int
-	// JITThreshold arms the trace-JIT superblock tier: when a site's FP-trap
-	// delivery count crosses this value, its coalesced straight-line run is
-	// compiled into a cached superblock — a pre-decoded, pre-bound trace of
-	// thunks installed as a patch at the entry — so subsequent visits
-	// re-enter at patch-check cost with zero delivery, zero decode, and zero
-	// bind. Superblocks are invalidated on side-table writes, code-segment
-	// writes, and Reattach, and any compile failure degrades
-	// the site back to the classic per-trap path. 0 disables the tier and
-	// preserves behavior bit for bit.
+	// JITThreshold arms the trace-JIT superblock tier: when a site's
+	// uncached-trace count crosses this value, its coalesced straight-line
+	// run is compiled into a cached superblock — a pre-decoded, pre-bound
+	// trace of thunks entered through the VM's patch handler — so subsequent
+	// visits re-enter at patch-check cost with zero delivery, zero decode,
+	// and zero bind. A superblock never goes stale within a run (see
+	// superblock.go), Reattach re-arms the cache empty, and any compile
+	// failure degrades the site back to its uncached path. 0 disables the
+	// tier and preserves behavior bit for bit.
 	JITThreshold int
 	// SBCache opts into sharing compiled superblocks through the loaded
 	// machine.Image: compiled traces are published on the image and Reattach
-	// eagerly adopts every trace published there that the session's own side
-	// table permits, so in a session pool only the first tenant per image
-	// pays compilation. Adopted blocks live in
-	// per-session wrappers with private version stamps — one tenant's code
-	// writes, patches, or degradations never touch another tenant's traces
-	// or the published ones. Warm attachment changes modeled cycles
-	// (the warm-up deliveries and compile costs disappear) but never any
+	// eagerly adopts every trace published there that has no correctness
+	// site of this session inside it (install the sites before attaching),
+	// so in a session pool only the first tenant per image pays compilation.
+	// One tenant's patches or degradations never touch another tenant's
+	// traces or the published ones. Warm attachment changes modeled cycles
+	// (the warm-up traces and compile costs disappear) but never any
 	// guest-visible output: an adopted trace, like every trace, runs only on
 	// a visit where its entry traps (session's
 	// TestTraceEntryContractAllTargets checks this on every fig target under
@@ -135,7 +134,7 @@ type CycleBreakdown struct {
 
 // Stats aggregates FPVM runtime counters.
 type Stats struct {
-	Traps        uint64 // FP exception traps handled
+	Traps        uint64 // FP traps handled by an uncached trace (delivered, or caught at a patch site)
 	Emulated     uint64 // scalar emulations performed (lanes)
 	DecodeHits   uint64
 	DecodeMisses uint64
@@ -187,20 +186,22 @@ type VM struct {
 
 	// Hook closures, created once on first attach. Method values allocate at
 	// the point they are taken, so Reattach reinstalls these cached funcs
-	// instead of re-taking vm.handleFPTrap etc. — keeping session reuse free
-	// of steady-state allocations.
+	// instead of re-taking vm.enterTrace etc. — keeping session reuse free
+	// of steady-state allocations. patchFn is the one handler of every patch
+	// slot the VM installs (trap-and-patch sites and cached-trace entries).
 	fpTrapFn   machine.TrapHandler
 	corrTrapFn machine.TrapHandler
 	extTrapFn  machine.TrapHandler
 	outFn      func(uint64) (string, bool)
+	patchFn    machine.PatchHandler
 
 	// Trace-JIT tier state (allocated only when Config.JITThreshold is set):
-	// the per-entry-index superblock cache, the per-site delivery counters
-	// toward the compile threshold, and the compile-failure blacklist.
-	sblocks   []*superblock
+	// the per-entry-index superblock cache, the per-site uncached-trace
+	// counters toward the compile threshold, and the compile-failure
+	// blacklist.
+	sblocks   []*trace
 	jitCounts []uint32
 	sbFailed  []bool
-	sbFn      machine.PatchHandler
 }
 
 // Attach installs FPVM underneath the program loaded in m: it unmasks all
@@ -288,7 +289,7 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 			vm.sbFailed = vm.sbFailed[:n]
 			clear(vm.sbFailed)
 		} else {
-			vm.sblocks = make([]*superblock, n)
+			vm.sblocks = make([]*trace, n)
 			vm.jitCounts = make([]uint32, n)
 			vm.sbFailed = make([]bool, n)
 		}
@@ -300,11 +301,11 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 
 	m.MXCSR.SetMasks(0) // unmask everything: rounding, NaN, overflow, ...
 	if vm.fpTrapFn == nil {
-		vm.fpTrapFn = vm.handleFPTrap
+		vm.fpTrapFn = vm.enterTrace
 		vm.corrTrapFn = vm.handleCorrectnessTrap
 		vm.extTrapFn = vm.handleExternalCall
 		vm.outFn = vm.outputFilter
-		vm.sbFn = vm.sbHandler
+		vm.patchFn = vm.patchHandler
 	}
 	m.FPTrap = vm.fpTrapFn
 	m.CorrectnessTrap = vm.corrTrapFn
@@ -312,9 +313,9 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	m.OutFilter = vm.outFn
 
 	// Shared warm cache: adopt every trace another session already published
-	// on this image, so this attach starts hot instead of recompiling.
-	// Must run last — it installs entry patches through vm.sbFn and stamps
-	// wrappers against the side table the caller has finished building.
+	// on this image, so this attach starts hot instead of recompiling. It
+	// checks each trace against the correctness sites the caller installed
+	// before attaching.
 	if cfg.JITThreshold > 0 && cfg.SBCache != nil {
 		vm.adoptShared(m)
 	}

@@ -1,24 +1,21 @@
 // The shared warm superblock cache: the pooled-session counterpart of the
 // trace-JIT tier. A superblock is compiled from the machine's immutable
 // predecoded instruction stream, so for a given program image the thunks are
-// a pure function of (entry index, stop-condition barriers at compile time) —
-// they carry no machine state, no side-table state, and no arithmetic-system
-// state. That makes a compiled trace safe to share across sessions running
-// the same image: it is published on the machine.Image itself, each session
-// wraps the shared thunk slice in its own superblock struct with private
-// version stamps, and all per-session mutation (revalidation restamps,
-// invalidation, hit counts) happens on the wrapper. The published thunks
-// themselves are read-only after publication — runners never write through
-// *decodedInst — so concurrent tenants can execute the same slice without
-// synchronization, and the traces live exactly as long as their image.
+// a pure function of the entry index and the compiling session's stop
+// conditions — they carry no machine state, no side-table state, and no
+// arithmetic-system state. That makes a compiled trace safe to share across
+// sessions running the same image: it is published on the machine.Image
+// itself and each session installs the shared trace at its entry in its own
+// cache. The published thunks are read-only after publication — runners never
+// write through *decodedInst — so concurrent tenants can execute the same
+// slice without synchronization, and the traces live exactly as long as
+// their image.
 //
-// Staleness cannot cross sessions by construction: a tenant's code writes
-// and SetPatch calls advance only its own machine's version counters, which
-// invalidate only its own wrappers. The published entry stays exactly what
-// the compiler produced from the immutable program text, which is always a
-// faithful trace for a freshly Reset machine; a session whose side table
-// forbids an entry (a correctness site or foreign patch inside the trace)
-// simply declines to adopt it at attach time.
+// Nothing a tenant does can make a shared trace stale: the image is
+// immutable, a tenant's correctness sites are fixed before its run starts,
+// and its patch slots belong to its own VM. A session whose correctness
+// sites fall inside a published trace simply declines to adopt it at attach
+// time.
 package fpvm
 
 import (
@@ -34,8 +31,8 @@ type SBCacheStats struct {
 	// rate a serving deployment watches).
 	Lookups uint64
 	Hits    uint64
-	// Stores counts published traces; Adopted counts wrapper installs handed
-	// to attaching sessions.
+	// Stores counts published traces; Adopted counts traces installed in
+	// attaching sessions.
 	Stores  uint64
 	Adopted uint64
 }
@@ -80,13 +77,15 @@ func (c *SBCache) Stats() SBCacheStats {
 	}
 }
 
-// adoptShared installs every trace published on m's image that this
-// session's side table permits, wrapping each shared thunk slice in a private
-// superblock. Adoption charges no modeled cycles — skipping the warm-up
-// deliveries and the compile is exactly the optimization — and increments no
-// SBCompiled counter, which is how the load harness proves warm checkouts
-// compile nothing. Version stamps are taken after every install so the
-// block's own SetPatch calls do not read as foreign side-table writes.
+// adoptShared installs every trace published on m's image that has no
+// correctness site inside it: such a site needs its own delivery, which a
+// trace running past it would skip. Published traces may overlap (an early
+// long trace may cross a site that later became its own entry); a trace
+// crossing another's entry executes that instruction identically, it just
+// skips the other's dispatch. Adoption charges no modeled cycles — skipping
+// the warm-up traces and the compile is exactly the optimization — and
+// increments no SBCompiled counter, which is how the load harness proves
+// warm checkouts compile nothing.
 func (vm *VM) adoptShared(m *machine.Machine) {
 	c := vm.cfg.SBCache
 	c.lookups.Add(1)
@@ -96,31 +95,18 @@ func (vm *VM) adoptShared(m *machine.Machine) {
 	}
 	c.hits.Add(1)
 	insts := m.Insts()
-	// Admission runs against the PRE-adoption side table for every candidate
-	// before any install: published traces legitimately overlap (an early
-	// long trace may cross a site that later became its own entry), so our
-	// own entry patches must not count as body barriers for each other —
-	// publication order would otherwise make the adopted set, and with it
-	// the warm run's modeled cycles, depend on which tenant compiled first.
-	// A thunk crossing a sibling entry executes that instruction
-	// identically, it just skips the sibling's dispatch.
-	var admit []*superblock
+	adopted := 0
+next:
 	for _, p := range published {
 		thunks := p.Trace.([]sbThunk)
-		// The same admission contract compileSB enforces, re-checked against
-		// THIS session's side table: no dispatch semantics may be shadowed.
-		if m.SeqBarrier(p.Entry) || traceExtent(m, p.Entry, len(thunks)) != len(thunks) {
-			continue
+		for _, in := range insts[p.Entry : p.Entry+len(thunks)] {
+			if _, site := m.CorrectnessSite(in.Addr); site {
+				continue next
+			}
 		}
-		admit = append(admit, &superblock{trace: trace{entry: p.Entry, n: len(thunks), thunks: thunks}})
+		m.SetPatch(insts[p.Entry].Addr, vm.patchFn)
+		vm.sblocks[p.Entry] = &trace{entry: p.Entry, n: len(thunks), thunks: thunks}
+		adopted++
 	}
-	for _, sb := range admit {
-		m.SetPatch(insts[sb.entry].Addr, vm.sbFn)
-		vm.sblocks[sb.entry] = sb
-	}
-	side, code := m.SideTableVersion(), m.CodeVersion()
-	for _, sb := range admit {
-		sb.sideVer, sb.codeVer = side, code
-	}
-	c.adopted.Add(uint64(len(admit)))
+	c.adopted.Add(uint64(adopted))
 }

@@ -89,12 +89,6 @@ func TestSeqStopConditions(t *testing.T) {
 			want: 0,
 		},
 		{
-			name: "patch site stops",
-			next: []string{"addsd f1, =1.5"},
-			prep: nil, // installed below via the VM, see special-case
-			want: 0,
-		},
-		{
 			name: "correctness site stops",
 			next: []string{"addsd f1, =1.5"},
 			prep: func(m *machine.Machine) {
@@ -131,16 +125,7 @@ func TestSeqStopConditions(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			src := seqProg(c.next...)
-			prep := c.prep
-			if c.name == "patch site stops" {
-				// A patch slot is a barrier exactly like a correctness site.
-				prep = func(m *machine.Machine) {
-					m.SetPatch(findOpAddr(m, isa.OpAddsd), func(*machine.TrapFrame) (bool, error) {
-						return false, nil // decline: fall back to normal dispatch
-					})
-				}
-			}
-			vm := runSeq(t, src, 16, prep)
+			vm := runSeq(t, src, 16, c.prep)
 			if vm.Stats.Traps == 0 {
 				t.Fatal("program never trapped; test premise broken")
 			}
@@ -151,7 +136,7 @@ func TestSeqStopConditions(t *testing.T) {
 			// Both tiers share one stop-condition contract: the superblock the
 			// trace-JIT compiles at the same entry must span exactly the
 			// instructions the first coalesced delivery retired.
-			_, mj, vmj := runSB(t, src, Config{MaxSequenceLen: 16, JITThreshold: 1}, prep)
+			_, mj, vmj := runSB(t, src, Config{MaxSequenceLen: 16, JITThreshold: 1}, c.prep)
 			sb := sbAt(t, mj, vmj, isa.OpDivsd)
 			if sb == nil {
 				t.Fatal("threshold 1 never compiled a superblock at the divsd entry")

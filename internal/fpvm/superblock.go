@@ -2,28 +2,23 @@
 // point between trap-and-emulate and static binary transformation. Sequence
 // emulation amortizes one delivery over a straight-line FP run but still pays
 // that delivery — plus a decode-cache probe and a bind — for every visit.
-// This tier eliminates all three: when a site's delivery count crosses
-// Config.JITThreshold, the coalesced run is compiled once into a superblock —
-// a flat slice of thunks, each holding a pre-decoded, pre-bound copy of its
-// instruction and a pre-resolved per-kind runner — and installed as a patch
-// at the entry. A later visit dispatches through the patch slot (one
-// bounds-checked compare, Cost.PatchCheck) and multi-retires the whole run
-// through the TrapFrame.Coalesced path with zero delivery, zero decode, and
-// zero bind; only the arithmetic system's own per-op cost and the boxing cost
-// remain, which is the §6 floor for any delivery mechanism.
+// This tier eliminates all three: when a site's uncached-trace count crosses
+// Config.JITThreshold, the run is compiled once into a superblock — a cached
+// trace whose flat slice of thunks each holds a pre-decoded, pre-bound copy
+// of its instruction and a pre-resolved per-kind runner — and the VM's patch
+// handler is installed at the entry. A later visit dispatches through the
+// patch slot (one bounds-checked compare, Cost.PatchCheck) and multi-retires
+// the whole run through the TrapFrame.Coalesced path with zero delivery, zero
+// decode, and zero bind; only the arithmetic system's own per-op cost and the
+// boxing cost remain, which is the §6 floor for any delivery mechanism.
 //
-// Correctness rests on the invalidation contract. A superblock is a cache of
-// what the interpreter would do, so anything that could change the
-// interpreter's behavior discards or revalidates it: side-table writes
-// (SetPatch / SetCorrectnessSite) advance the
-// machine's side-table version, code-segment writes advance its code version,
-// and VM.Reattach re-arms the cache empty. On entry the block compares both
-// versions; a moved code version is a hard invalidation, a moved side-table
-// version triggers revalidation (re-checking the stop-condition predicate
-// over the trace) and either restamps the block or discards it. A discarded
-// block's entry falls back to native dispatch, re-traps, and takes the
-// classic decode→bind→emulate path — the same fallback lattice the typed
-// degrade machinery provides for compile failures.
+// A superblock never goes stale, so nothing invalidates it. It caches what
+// the interpreter would do, and every input to that is fixed for the run:
+// the instruction stream is the immutable machine.Image, the correctness
+// sites are fixed once the run starts (Machine.SetCorrectnessSite refuses
+// after the first retired instruction), the patch slot belongs to the VM,
+// and a trace body dispatches no patch, so a later compile inside an older
+// trace's span leaves that trace exact. VM.Reattach re-arms the cache empty.
 package fpvm
 
 import (
@@ -45,17 +40,6 @@ type sbThunk struct {
 	run func(*VM, *machine.Machine, *decodedInst) error
 }
 
-// superblock is one cached trace: the trace (entry, thunks) plus its
-// validity stamps. sideVer/codeVer snapshot the machine's version counters at
-// compile (or last revalidation); hits counts zero-delivery entries served.
-type superblock struct {
-	trace
-
-	sideVer uint64
-	codeVer uint64
-	hits    uint64
-}
-
 // traceCap returns the superblock length bound in instructions (entry
 // included).
 func (vm *VM) traceCap() int {
@@ -65,9 +49,9 @@ func (vm *VM) traceCap() int {
 	return sbTraceCapDefault
 }
 
-// noteJIT accounts one successfully emulated FP-trap delivery at f's site
+// noteJIT accounts one cleanly emulated uncached trace rooted at f's site
 // toward the compile threshold, compiling a superblock on the crossing.
-// Called only from handleFPTrap after the whole delivery emulated cleanly, so
+// Called only from enterTrace after the trace's entry emulated cleanly, so
 // degrading sites never accumulate.
 func (vm *VM) noteJIT(f *machine.TrapFrame) {
 	idx := f.Idx
@@ -82,18 +66,18 @@ func (vm *VM) noteJIT(f *machine.TrapFrame) {
 }
 
 // compileSB builds and installs the superblock rooted at f's site. The trace
-// is measured by traceExtent, as the trap handler's uncached trace is, so
-// both kinds share one stop-condition contract. Each instruction pays the
-// full decode + bind cost once, here; a compile failure — injected at the
-// sb-compile seam or a translate refusal — is classified as a DegradeJIT
-// degradation and the site is blacklisted, keeping its classic per-trap
-// path.
+// is measured by traceExtent, as an uncached trace is, so both kinds share
+// one stop-condition contract. Each instruction pays the full decode + bind
+// cost once, here; a compile failure — injected at the sb-compile seam or a
+// translate refusal — is classified as a DegradeJIT degradation and the site
+// is blacklisted, keeping its uncached path.
 func (vm *VM) compileSB(f *machine.TrapFrame) {
 	m := f.M
 	idx := f.Idx
-	if m.SeqBarrier(idx) {
-		// A patch or correctness site at the entry demands its own dispatch
-		// semantics that a superblock patch would shadow; never compile here.
+	if _, site := m.CorrectnessSite(f.Inst.Addr); site {
+		// A correctness site at the entry needs its delivery before the
+		// instruction runs, which a patch at the entry would shadow; never
+		// compile here.
 		vm.sbFailed[idx] = true
 		return
 	}
@@ -103,7 +87,7 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	}
 
 	// Measure the trace: entry plus the straight-line run behind it.
-	n := traceExtent(m, idx, vm.traceCap())
+	n := vm.traceExtent(m, idx, vm.traceCap())
 	insts := m.Insts()
 
 	// Pre-decode and pre-bind every instruction of the trace into owned
@@ -111,7 +95,7 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	// fills it, so each decodedInst's srcs view stays pointed at its own
 	// inline buffer (append-style growth would copy the structs and dangle
 	// the views).
-	sb := &superblock{trace: trace{entry: idx, n: n, thunks: make([]sbThunk, n)}}
+	sb := &trace{entry: idx, n: n, thunks: make([]sbThunk, n)}
 	for i := range sb.thunks {
 		t := &sb.thunks[i]
 		vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
@@ -124,13 +108,10 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 		t.run = kindRunners[t.d.kind]
 	}
 
-	// Install: the entry patch makes the machine dispatch to sbHandler
-	// instead of executing (and re-trapping) the entry. The version snapshot
-	// is taken after our own SetPatch so the install does not immediately
-	// read as a foreign side-table write.
-	m.SetPatch(f.Inst.Addr, vm.sbFn)
-	sb.sideVer = m.SideTableVersion()
-	sb.codeVer = m.CodeVersion()
+	// Install: the VM's patch handler at the entry makes the machine enter
+	// the cached trace instead of executing (and re-trapping) the entry. A
+	// trap-and-patch site already carries the same handler.
+	m.SetPatch(f.Inst.Addr, vm.patchFn)
 	vm.sblocks[idx] = sb
 	m.Stats.SBCompiled++
 	if t := m.Telem; t != nil {
@@ -139,13 +120,12 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	// Publish to the shared warm cache: the thunks are a pure function of the
 	// immutable program text, so another session attached to the same cache
 	// and loading the same image can adopt them instead of recompiling. The
-	// slice itself is shared — it is read-only from here on — while version
-	// stamps and hit counts stay in each session's private wrapper.
+	// slice is shared read-only from here on.
 	vm.cfg.SBCache.publish(m.Image(), idx, sb.thunks)
 }
 
 // degradeJITCompile records a failed superblock compile. Unlike the main
-// degrade engine it re-executes nothing — the delivery that triggered the
+// degrade engine it re-executes nothing — the trace that triggered the
 // compile already emulated and retired its run, so machine state is exactly
 // the interpreted state — it only accounts the degradation and blacklists
 // the site from recompilation.
@@ -155,88 +135,5 @@ func (vm *VM) degradeJITCompile(m *machine.Machine, f *machine.TrapFrame) {
 	vm.Stats.DegradeByCause[telemetry.DegradeJIT]++
 	if t := m.Telem; t != nil {
 		t.Degradation(f.Idx, f.Inst.Addr, f.Inst.Op, telemetry.DegradeJIT, m.Cycles)
-	}
-}
-
-// sbHandler is the patch handler installed at a superblock's entry: validate
-// the cached trace, check the entry contract, then run it, multi-retiring the
-// run through TrapFrame.Coalesced. Returning handled=false sends the entry
-// through native dispatch: after an invalidation it re-traps into the
-// uncached path, and on a visit where it would not trap it retires natively,
-// exactly as it would without FPVM.
-func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
-	idx := f.Idx
-	if idx < 0 || idx >= len(vm.sblocks) || vm.sblocks[idx] == nil {
-		return false, nil
-	}
-	m := f.M
-	sb := vm.sblocks[idx]
-	if m.CodeVersion() != sb.codeVer || !vm.revalidateSB(m, sb) {
-		vm.invalidateSB(m, idx)
-		return false, nil
-	}
-	// The entry contract: a trace starts only at an instruction that traps
-	// on this visit. Emulating an entry that native execution retires
-	// without a trap would hand the alternative arithmetic an operation the
-	// plain trap-and-emulate run never sees, and could change the output.
-	if !m.WouldTrap(idx) {
-		return false, nil
-	}
-
-	sb.hits++
-	m.Stats.SBHits++
-	retired, _, err := vm.runTrace(m, &sb.trace)
-	if err != nil {
-		return false, err
-	}
-	if t := m.Telem; t != nil {
-		t.SBHit(idx, f.Inst.Addr, f.Inst.Op, retired)
-	}
-	f.Coalesced = retired - 1
-
-	// The trace allocates shadow cells like any emulation; keep the epoch GC
-	// running on the same trigger the trap path uses.
-	vm.maybeGC()
-	return true, nil
-}
-
-// revalidateSB checks a superblock against the current side table. An
-// unmoved version is exact. A moved version means some SetPatch /
-// SetCorrectnessSite happened since the snapshot — most are at unrelated
-// sites, so instead of cascade-invalidating on every write the block
-// re-checks its own trace: the entry must carry no correctness site (its
-// patch slot is the block's own) and every body instruction must still pass
-// the stop-condition predicate. A clean re-check restamps the snapshot; a
-// dirty one reports false and the caller discards the block.
-func (vm *VM) revalidateSB(m *machine.Machine, sb *superblock) bool {
-	cur := m.SideTableVersion()
-	if cur == sb.sideVer {
-		return true
-	}
-	if m.SiteBarrier(sb.entry) || traceExtent(m, sb.entry, sb.n) != sb.n {
-		return false
-	}
-	sb.sideVer = cur
-	return true
-}
-
-// invalidateSB discards the superblock at idx: the local cache entry is
-// dropped (a published original, if any, is untouched — it stays valid
-// for sessions whose side tables still permit it), the entry patch removed
-// (native dispatch resumes, re-trapping into the classic path), and the
-// site's threshold counter reset so it must prove itself hot again before
-// recompiling.
-func (vm *VM) invalidateSB(m *machine.Machine, idx int) {
-	sb := vm.sblocks[idx]
-	if sb == nil {
-		return
-	}
-	vm.sblocks[idx] = nil
-	vm.jitCounts[idx] = 0
-	in := m.Insts()[idx]
-	m.SetPatch(in.Addr, nil)
-	m.Stats.SBInvalidations++
-	if t := m.Telem; t != nil {
-		t.SBInvalidate(idx, in.Addr, in.Op, sb.hits, m.Cycles)
 	}
 }

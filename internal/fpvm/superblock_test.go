@@ -2,7 +2,6 @@ package fpvm
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,13 +34,6 @@ loop:
 	outf f2
 	halt
 `
-
-// jitHotInstsPerIter and jitHotPrelude describe jitHotSrc's shape for
-// budget-pause arithmetic: one prelude instruction, then seven per iteration.
-const (
-	jitHotPrelude      = 1
-	jitHotInstsPerIter = 7
-)
 
 // runSB assembles src, optionally customizes the machine, attaches under the
 // given config (System defaults to Vanilla), and runs to halt.
@@ -77,7 +69,7 @@ func traceBodyAddr(m *machine.Machine) uint64 {
 }
 
 // sbAt returns the cached superblock rooted at the unique instance of op.
-func sbAt(t *testing.T, m *machine.Machine, vm *VM, op isa.Op) *superblock {
+func sbAt(t *testing.T, m *machine.Machine, vm *VM, op isa.Op) *trace {
 	t.Helper()
 	idx, ok := m.InstIndex(findOpAddr(m, op))
 	if !ok {
@@ -126,8 +118,7 @@ func TestJITDisabledIsBitIdentical(t *testing.T) {
 
 // TestJITCompilesAndHits is the tentpole happy path: a hot Lorenz run
 // compiles at least one superblock, serves the loop from it with zero
-// deliveries, never invalidates, and still prints exactly what native
-// execution prints.
+// deliveries, and still prints exactly what native execution prints.
 func TestJITCompilesAndHits(t *testing.T) {
 	native, _ := runNative(t, lorenzSrc)
 	virt, m, _ := runSB(t, lorenzSrc, Config{MaxSequenceLen: 16, JITThreshold: 4}, nil)
@@ -139,9 +130,6 @@ func TestJITCompilesAndHits(t *testing.T) {
 	}
 	if m.Stats.SBHits == 0 {
 		t.Fatal("superblock never served a zero-delivery entry")
-	}
-	if m.Stats.SBInvalidations != 0 {
-		t.Fatalf("spurious invalidations on an undisturbed run: %d", m.Stats.SBInvalidations)
 	}
 }
 
@@ -168,106 +156,83 @@ func TestJITSingleSiteTrace(t *testing.T) {
 	if len(sb.thunks) != 3 {
 		t.Fatalf("trace length %d, want 3 (divsd + two moves)", len(sb.thunks))
 	}
-	if sb.hits != m.Stats.SBHits {
-		t.Fatalf("per-block hits %d disagree with machine stat %d", sb.hits, m.Stats.SBHits)
+}
+
+// TestJITCodeWriteKeepsTrace: a guest store below the data base, into the
+// shadow of the code segment, on every trip of a hot loop changes no
+// instruction — execution fetches only from the immutable image — so the
+// compiled trace stays installed and serves every trip past the threshold.
+func TestJITCodeWriteKeepsTrace(t *testing.T) {
+	src := strings.Replace(jitHotSrc, "\tinc r0\n", "\tmov [r1], r0\n\tinc r0\n", 1)
+	src = strings.Replace(src, "\tmov r0, $0\n", "\tmov r0, $0\n\tmov r1, $8\n", 1)
+	native, _ := runNative(t, src)
+	virt, m, vm := runSB(t, src, Config{JITThreshold: 3}, nil)
+	if virt != native {
+		t.Fatalf("output diverged:\nnative: %sfpvm:  %s", native, virt)
+	}
+	if got, err := m.ReadU64(8); err != nil || got != 49 || m.WritableBase() <= 8 {
+		t.Fatalf("premise broken: word at 8 = %d (%v), writable base %#x", got, err, m.WritableBase())
+	}
+	if m.Stats.SBCompiled != 1 || m.Stats.SBHits != 47 {
+		t.Fatalf("%d compiled, %d hits; want 1 and 47", m.Stats.SBCompiled, m.Stats.SBHits)
+	}
+	if sb := sbAt(t, m, vm, isa.OpDivsd); sb == nil || len(sb.thunks) != 3 {
+		t.Fatalf("trace at the divsd entry = %+v, want the installed 3-step trace", sb)
 	}
 }
 
-// pauseAfterIters runs m until the end of iteration n of jitHotSrc and
-// asserts the run is paused (not halted) at that instruction boundary.
-func pauseAfterIters(t *testing.T, m *machine.Machine, n int) {
-	t.Helper()
-	budget := uint64(jitHotPrelude + n*jitHotInstsPerIter)
-	err := m.Run(budget)
-	var be *machine.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("expected budget pause after %d iterations, got %v", n, err)
-	}
-	if got := m.Stats.Instructions; got != budget {
-		t.Fatalf("paused at %d retirements, want boundary %d", got, budget)
-	}
-}
+// overlapSrc has two trap sites, A (divsd f0) and B (divsd f1), where B is
+// the second step of A's trace [A, B, movsd]. Trips 0–9 enter at A, trips
+// 10–19 jump straight to B, and trips 20–29 enter at A again. Under
+// sequence emulation A's uncached traces cover B, so B counts toward the
+// threshold only from trip 10.
+const overlapSrc = `
+.text
+	mov r0, $0
+loop:
+	movsd f0, =1.0
+	movsd f1, =1.0
+	cmp r0, $10
+	jl viaA
+	cmp r0, $20
+	jl viaB
+viaA:
+	divsd f0, =3.0
+viaB:
+	divsd f1, =7.0
+	movsd f2, f1
+	inc r0
+	cmp r0, $30
+	jl loop
+	outf f0
+	outf f1
+	outf f2
+	halt
+`
 
-// sbInvalidationCase drives the pause → mutate → resume protocol: run
-// jitHotSrc far enough to compile and hit the superblock, apply a
-// side-table or code mutation, finish the run, and check the block was
-// discarded and rebuilt with the expected trace length — all bit-identical
-// to native output.
-func sbInvalidationCase(t *testing.T, mutate func(*machine.Machine), wantTraceLen int) {
-	t.Helper()
-	native, _ := runNative(t, jitHotSrc)
-
-	prog := asm.MustAssemble(jitHotSrc)
-	var out bytes.Buffer
-	m, err := machine.New(prog, &out)
-	if err != nil {
-		t.Fatal(err)
+// TestJITCompileInsideOlderTrace: compiling a trace at B, inside the span of
+// A's older trace, leaves A's trace installed at its full length. A's trace
+// runs B's instruction exactly as B's own trace does, it only skips B's
+// dispatch, so nothing about it went stale.
+func TestJITCompileInsideOlderTrace(t *testing.T) {
+	native, _ := runNative(t, overlapSrc)
+	virt, m, vm := runSB(t, overlapSrc, Config{MaxSequenceLen: 16, JITThreshold: 3}, nil)
+	if virt != native {
+		t.Fatalf("output diverged:\nnative: %sfpvm:  %s", native, virt)
 	}
-	vm := Attach(m, Config{System: arith.Vanilla{}, JITThreshold: 3})
-	pauseAfterIters(t, m, 20)
-	if m.Stats.SBCompiled != 1 || m.Stats.SBHits == 0 {
-		t.Fatalf("premise broken at pause: %d compiled, %d hits",
-			m.Stats.SBCompiled, m.Stats.SBHits)
+	idx, _ := m.InstIndex(findOpAddr(m, isa.OpDivsd))
+	a, b := vm.sblocks[idx], vm.sblocks[idx+1]
+	if a == nil || b == nil {
+		t.Fatalf("traces at A and B: %v, %v; want both installed", a != nil, b != nil)
 	}
-
-	mutate(m)
-
-	if err := m.Run(0); err != nil {
-		t.Fatalf("resume: %v", err)
+	if a.n != 3 || b.n != 2 {
+		t.Fatalf("trace lengths A=%d B=%d, want 3 and 2", a.n, b.n)
 	}
-	if out.String() != native {
-		t.Fatalf("output diverged after invalidation:\nnative: %sfpvm:  %s",
-			native, out.String())
+	// A compiles on trip 2 and B on trip 12; every other trip past them is
+	// a hit: 7 + 7 at first, then all 10 of trips 20–29 at A.
+	if m.Stats.SBCompiled != 2 || m.Stats.SBHits != 24 {
+		t.Fatalf("%d compiled, %d hits; want 2 and 24", m.Stats.SBCompiled, m.Stats.SBHits)
 	}
-	if m.Stats.SBInvalidations != 1 {
-		t.Fatalf("SBInvalidations = %d, want 1", m.Stats.SBInvalidations)
-	}
-	// The site must prove itself hot again, then recompile against the new
-	// side table / code version.
-	if m.Stats.SBCompiled != 2 {
-		t.Fatalf("SBCompiled = %d, want 2 (initial + rebuild)", m.Stats.SBCompiled)
-	}
-	sb := sbAt(t, m, vm, isa.OpDivsd)
-	if sb == nil {
-		t.Fatal("no rebuilt superblock at the divsd entry")
-	}
-	if len(sb.thunks) != wantTraceLen {
-		t.Fatalf("rebuilt trace length %d, want %d", len(sb.thunks), wantTraceLen)
-	}
-}
-
-// TestJITInvalidateOnPatch: a foreign patch installed mid-trace must fail
-// revalidation on the next entry; the rebuilt block stops at the new barrier.
-func TestJITInvalidateOnPatch(t *testing.T) {
-	sbInvalidationCase(t, func(m *machine.Machine) {
-		m.SetPatch(traceBodyAddr(m), func(*machine.TrapFrame) (bool, error) {
-			return false, nil // decline: dispatch proceeds natively
-		})
-	}, 1)
-}
-
-// TestJITInvalidateOnCorrectnessSite: a correctness site appearing inside the
-// cached trace is a stop condition the block no longer satisfies.
-func TestJITInvalidateOnCorrectnessSite(t *testing.T) {
-	sbInvalidationCase(t, func(m *machine.Machine) {
-		m.SetCorrectnessSite(traceBodyAddr(m), 1)
-	}, 1)
-}
-
-// TestJITInvalidateOnCodeWrite: any store below the writable base moves the
-// code version and hard-invalidates, even when the written bits are identical
-// — the tier does not inspect the write, only the version. The rebuilt block
-// re-traces the full run (no new barrier exists).
-func TestJITInvalidateOnCodeWrite(t *testing.T) {
-	sbInvalidationCase(t, func(m *machine.Machine) {
-		v, err := m.ReadU64(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.WriteU64(0, v); err != nil {
-			t.Fatal(err)
-		}
-	}, 3)
 }
 
 // TestJITReattachRearms: a pooled-style Reset+Reattach must start with a cold
@@ -391,8 +356,7 @@ func TestJITCompileFaultDegrades(t *testing.T) {
 }
 
 // TestJITTelemetry checks the tier's events land in the ring and the per-site
-// table: a compile, zero-delivery hits attributed to the entry, and an
-// invalidation after a mid-run side-table write.
+// table: a compile and zero-delivery hits attributed to the entry.
 func TestJITTelemetry(t *testing.T) {
 	prog := asm.MustAssemble(jitHotSrc)
 	var out bytes.Buffer
@@ -403,8 +367,6 @@ func TestJITTelemetry(t *testing.T) {
 	col := telemetry.NewCollector(0)
 	m.Telem = col
 	Attach(m, Config{System: arith.Vanilla{}, JITThreshold: 3})
-	pauseAfterIters(t, m, 20)
-	m.SetCorrectnessSite(traceBodyAddr(m), 1)
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +375,8 @@ func TestJITTelemetry(t *testing.T) {
 	if err := col.WriteJSONL(&trace); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range []string{"sb-compile", "sb-invalidate"} {
-		if !strings.Contains(trace.String(), ev) {
-			t.Errorf("JSONL trace missing %q event:\n%s", ev, trace.String())
-		}
+	if !strings.Contains(trace.String(), "sb-compile") {
+		t.Errorf("JSONL trace missing the sb-compile event:\n%s", trace.String())
 	}
 	ranks := col.TopSites(4)
 	var sbHits uint64

@@ -25,10 +25,10 @@ type modeRun struct {
 	sites   map[uint64]uint64 // sanitizer samples per PC (sanitized runs)
 }
 
-// runMode runs img under FPVM with sys, as fpvm-run does: correctness sites
+// runMode runs img under FPVM with cfg, as fpvm-run does: correctness sites
 // installed, then the VM, then (patchMode) a patch on every FP arithmetic
 // site.
-func runMode(t *testing.T, img *machine.Image, sys arith.System, patchMode, sanitized bool) modeRun {
+func runMode(t *testing.T, img *machine.Image, cfg fpvm.Config, patchMode bool) modeRun {
 	t.Helper()
 	var out bytes.Buffer
 	m, err := machine.NewFromImage(img, &out, 0)
@@ -36,10 +36,6 @@ func runMode(t *testing.T, img *machine.Image, sys arith.System, patchMode, sani
 		t.Fatal(err)
 	}
 	m.InstallSites()
-	cfg := fpvm.Config{System: sys}
-	if sanitized {
-		cfg.Sanitize = &sanitize.Options{}
-	}
 	vm := fpvm.Attach(m, cfg)
 	if patchMode {
 		vm.PatchAllFPArith()
@@ -50,7 +46,7 @@ func runMode(t *testing.T, img *machine.Image, sys arith.System, patchMode, sani
 	r := modeRun{out: out.String(), stats: vm.Stats, cycles: m.Cycles, patches: m.Stats.PatchInvokes}
 	r.stats.Cycles = fpvm.CycleBreakdown{}
 	r.stats.GC.LastCycles, r.stats.GC.LastWall = 0, 0
-	if sanitized {
+	if cfg.Sanitize != nil {
 		rep := vm.Sanitizer().Snapshot()
 		r.sites = make(map[uint64]uint64, len(rep.Sites))
 		for _, s := range rep.Sites {
@@ -74,10 +70,12 @@ const divideSrc = `
 // both §3 modes: trap-and-patch is trap-and-emulate without the delivery, so
 // the guest output and every non-cycle VM counter must be equal, and with
 // the sanitizer armed each emulated instruction must be attributed to its
-// own PC exactly as in trap mode. Vanilla runs sanitized; MPFR-200 and
-// posit32 check output and counters and are skipped under -short. On
-// Lorenz, where nearly every FP op rounds, patch mode must also be cheaper
-// than trap mode (§3.2).
+// own PC exactly as in trap mode. Each pair runs twice: with no trace tier,
+// and with sequence emulation and the JIT armed (the "+seq16jit8" rows),
+// where a patched site that would trap enters traces exactly as a delivered
+// trap does. Vanilla runs sanitized; MPFR-200 and posit32 check output and
+// counters and are skipped under -short. On Lorenz, where nearly every FP op
+// rounds, patch mode must also be cheaper than trap mode (§3.2).
 func TestPatchModeMatchesTrapMode(t *testing.T) {
 	systems := []struct {
 		name      string
@@ -97,6 +95,11 @@ func TestPatchModeMatchesTrapMode(t *testing.T) {
 	if _, err := oracle.Lookup(lorenz); err != nil {
 		t.Fatal(err)
 	}
+	tiers := []struct {
+		suffix string
+		seqLen int
+		jit    int
+	}{{"", 0, 0}, {"+seq16jit8", 16, 8}}
 	for _, tgt := range targets {
 		prog, err := tgt.Build()
 		if err != nil {
@@ -107,38 +110,47 @@ func TestPatchModeMatchesTrapMode(t *testing.T) {
 			t.Fatalf("%s: analysis: %v", tgt.Name, err)
 		}
 		for _, s := range systems {
-			t.Run(tgt.Name+"/"+s.name, func(t *testing.T) {
-				if testing.Short() && !s.sanitized {
-					t.Skip("MPFR-200 and posit32 rows run without -short")
-				}
-				trapRun := runMode(t, img, s.sys(), false, s.sanitized)
-				patchRun := runMode(t, img, s.sys(), true, s.sanitized)
-				if patchRun.patches == 0 {
-					t.Fatal("patch mode dispatched no patch site")
-				}
-				if patchRun.out != trapRun.out {
-					t.Fatalf("output differs:\npatch: %q\ntrap:  %q", patchRun.out, trapRun.out)
-				}
-				if tgt.Name == "divide" && s.name == "mpfr200" && len(patchRun.out) < 20 {
-					t.Errorf("patched MPFR-200 run printed %q, want a high-precision quotient", patchRun.out)
-				}
-				if patchRun.stats != trapRun.stats {
-					t.Errorf("VM stats differ:\npatch: %+v\ntrap:  %+v", patchRun.stats, trapRun.stats)
-				}
-				if s.sanitized {
-					if len(patchRun.sites) != len(trapRun.sites) {
-						t.Errorf("sanitizer sites: patch %d, trap %d", len(patchRun.sites), len(trapRun.sites))
+			for _, tier := range tiers {
+				t.Run(tgt.Name+"/"+s.name+tier.suffix, func(t *testing.T) {
+					if testing.Short() && !s.sanitized {
+						t.Skip("MPFR-200 and posit32 rows run without -short")
 					}
-					for pc, n := range trapRun.sites {
-						if patchRun.sites[pc] != n {
-							t.Errorf("sanitizer site %#x: patch %d samples, trap %d", pc, patchRun.sites[pc], n)
+					cfg := func() fpvm.Config {
+						c := fpvm.Config{System: s.sys(), MaxSequenceLen: tier.seqLen, JITThreshold: tier.jit}
+						if s.sanitized {
+							c.Sanitize = &sanitize.Options{}
+						}
+						return c
+					}
+					trapRun := runMode(t, img, cfg(), false)
+					patchRun := runMode(t, img, cfg(), true)
+					if patchRun.patches == 0 {
+						t.Fatal("patch mode dispatched no patch site")
+					}
+					if patchRun.out != trapRun.out {
+						t.Fatalf("output differs:\npatch: %q\ntrap:  %q", patchRun.out, trapRun.out)
+					}
+					if tgt.Name == "divide" && s.name == "mpfr200" && len(patchRun.out) < 20 {
+						t.Errorf("patched MPFR-200 run printed %q, want a high-precision quotient", patchRun.out)
+					}
+					if patchRun.stats != trapRun.stats {
+						t.Errorf("VM stats differ:\npatch: %+v\ntrap:  %+v", patchRun.stats, trapRun.stats)
+					}
+					if s.sanitized {
+						if len(patchRun.sites) != len(trapRun.sites) {
+							t.Errorf("sanitizer sites: patch %d, trap %d", len(patchRun.sites), len(trapRun.sites))
+						}
+						for pc, n := range trapRun.sites {
+							if patchRun.sites[pc] != n {
+								t.Errorf("sanitizer site %#x: patch %d samples, trap %d", pc, patchRun.sites[pc], n)
+							}
 						}
 					}
-				}
-				if tgt.Name == lorenz && patchRun.cycles >= trapRun.cycles {
-					t.Errorf("patch mode (%d cycles) should beat trap mode (%d)", patchRun.cycles, trapRun.cycles)
-				}
-			})
+					if tgt.Name == lorenz && patchRun.cycles >= trapRun.cycles {
+						t.Errorf("patch mode (%d cycles) should beat trap mode (%d)", patchRun.cycles, trapRun.cycles)
+					}
+				})
+			}
 		}
 	}
 }

@@ -10,28 +10,34 @@ import (
 )
 
 // Traces are how FPVM retires floating point work. A trace is a straight-line
-// run of instructions rooted at the instruction that trapped, and one
-// executor, runTrace, retires every trace, so sanitizer attribution,
-// telemetry PCs, fault seams and the degrade-and-cut path live in one place.
-// A trace comes in two kinds:
+// run of instructions rooted at an instruction that traps, and one executor,
+// runTrace, retires every trace, so sanitizer attribution, telemetry PCs,
+// fault seams and the degrade-and-cut path live in one place. A trace comes
+// in two kinds:
 //
-//   - An uncached trace is what the FP trap handler runs: the faulting
-//     instruction plus, under sequence emulation (Config.MaxSequenceLen), the
-//     following straight-line FP run coalesced into the same delivery. Figure
-//     9 shows per-trap cost dominated by delivery (~1,000 cycles of hardware
-//     dispatch plus ~2,600 of kernel signal path); coalescing is the
-//     software-only attack on it, so a basic block's worth of FP work pays for
-//     one trap instead of N. Each step still pays decode-cache + bind +
-//     emulate, but zero delivery, and the trace is not kept. A trap-and-patch
-//     site (patchmode.go) runs a one-step uncached trace without the delivery.
+//   - An uncached trace is the trapping instruction plus, under sequence
+//     emulation (Config.MaxSequenceLen), the following straight-line FP run
+//     coalesced behind it. Figure 9 shows per-trap cost dominated by
+//     delivery (~1,000 cycles of hardware dispatch plus ~2,600 of kernel
+//     signal path); coalescing is the software-only attack on it, so a basic
+//     block's worth of FP work pays for one trap instead of N. Each step
+//     still pays decode-cache + bind + emulate, and the trace is not kept.
 //   - A cached trace is a superblock (superblock.go): the same run, compiled
 //     once into pre-decoded, pre-bound thunks and kept behind a patch at its
 //     entry. Each step pays only the thunk dispatch.
 //
-// Both kinds obey one entry contract: a trace starts only at an instruction
-// that traps on this visit. The trap handler's trace meets it by construction
-// (it starts at a delivered trap); a patch site and a cached trace check it
-// at entry (patchSiteHandler, sbHandler).
+// Every trace is entered through enterTrace, from one of two hooks: the FP
+// trap handler (a delivered trap) and the VM's patch handler (a
+// trap-and-patch site or a cached trace's entry, on a visit where the
+// instruction would trap). Either way the cached trace runs if the site has
+// one; otherwise an uncached trace runs and counts toward the JIT threshold.
+// So trap-and-patch (patchmode.go) composes with sequence emulation and the
+// JIT exactly as trap-and-emulate does, minus the delivery.
+//
+// Both hooks keep one entry contract: a trace starts only at an instruction
+// that traps on this visit. A delivered trap meets it by construction; the
+// patch handler checks it (Machine.WouldTrap) and otherwise lets the
+// instruction retire natively.
 
 // SeqLenBuckets is the number of buckets in Stats.SeqLenHist. Bucket
 // boundaries are powers of two; SeqLenBucketLabel names them.
@@ -80,29 +86,34 @@ type trace struct {
 // that are (a) plain FP arithmetic or FP moves — anything else (integer
 // ops, branches, bitwise FP, I/O, callext/trapc, halt) must go back through
 // the machine's dispatcher; (b) in the same scalar/packed lane mode as the
-// faulting instruction; and (c) free of side-table entries (patch sites and
-// correctness sites carry their own required dispatch semantics).
-func coalescable(m *machine.Machine, idx int, op isa.Op, packed bool) bool {
-	if !op.IsFPArith() && !op.IsFPMove() {
+// entry; (c) free of a correctness site, whose delivery must precede the
+// instruction; and (d) not the entry of an installed cached trace, which
+// takes over from there. A trap-and-patch site is no stop: its patch is the
+// VM's own trace entry.
+func (vm *VM) coalescable(m *machine.Machine, idx int, packed bool) bool {
+	in := &m.Insts()[idx]
+	if !in.Op.IsFPArith() && !in.Op.IsFPMove() {
 		return false
 	}
-	if op.IsPacked() != packed {
+	if in.Op.IsPacked() != packed {
 		return false
 	}
-	return !m.SeqBarrier(idx)
+	if vm.sblocks != nil && vm.sblocks[idx] != nil {
+		return false
+	}
+	_, site := m.CorrectnessSite(in.Addr)
+	return !site
 }
 
-// traceExtent returns the length of the trace rooted at entry under the
-// current side table: the entry plus the coalescable run behind it, at most
-// limit instructions in all. Every trace is measured here — the trap
-// handler's uncached run, a superblock compile, and the revalidation and
-// adoption of a cached one — so all of them share one stop-condition
-// contract.
-func traceExtent(m *machine.Machine, entry, limit int) int {
+// traceExtent returns the length of the trace rooted at entry: the entry
+// plus the coalescable run behind it, at most limit instructions in all.
+// Every trace is measured here — an uncached run and a superblock compile —
+// so both share one stop-condition contract.
+func (vm *VM) traceExtent(m *machine.Machine, entry, limit int) int {
 	insts := m.Insts()
 	packed := insts[entry].Op.IsPacked()
 	end := entry + 1
-	for end < len(insts) && end-entry < limit && coalescable(m, end, insts[end].Op, packed) {
+	for end < len(insts) && end-entry < limit && vm.coalescable(m, end, packed) {
 		end++
 	}
 	return end - entry
@@ -156,15 +167,49 @@ func (vm *VM) runTrace(m *machine.Machine, tr *trace) (retired int, cut bool, er
 	return retired, false, nil
 }
 
-// handleFPTrap is the SIGFPE-analog entry point: it runs the faulting
-// instruction, plus the coalesced run behind it under sequence emulation, as
-// an uncached trace, counts the delivery toward the trace-JIT threshold, and
-// occasionally collects garbage (§4.1). Any degradable failure on that path —
-// unsupported form, injected fault, arena hard cap — falls back to the
-// graceful-degradation engine instead of killing the run.
-func (vm *VM) handleFPTrap(f *machine.TrapFrame) error {
-	vm.Stats.Traps++
+// patchHandler is the handler of every patch slot the VM installs: a
+// trap-and-patch site (PatchAllFPArith) and a cached trace's entry. It
+// checks the entry contract: a visit on which the instruction would not trap
+// retires natively (handled=false), exactly as it would without FPVM; one on
+// which it would trap enters a trace without a delivery.
+func (vm *VM) patchHandler(f *machine.TrapFrame) (bool, error) {
+	if !f.M.WouldTrap(f.Idx) {
+		return false, nil
+	}
+	return true, vm.enterTrace(f)
+}
+
+// enterTrace is the one trace entry, and the SIGFPE-analog handler the VM
+// installs as the machine's FP trap hook. It runs the cached trace rooted
+// at f's site if there is one. Otherwise it counts a trap and runs an
+// uncached trace of traceExtent length — the faulting instruction plus,
+// under sequence emulation, the coalesced run behind it — counts it toward
+// the trace-JIT threshold, and occasionally collects garbage (§4.1). Any
+// degradable failure on either path — unsupported form, injected fault,
+// arena hard cap — falls back to the graceful-degradation engine instead of
+// killing the run. f.Coalesced reports the instructions retired beyond the
+// entry.
+func (vm *VM) enterTrace(f *machine.TrapFrame) error {
 	m := f.M
+	if vm.sblocks != nil {
+		if sb := vm.sblocks[f.Idx]; sb != nil {
+			m.Stats.SBHits++
+			retired, _, err := vm.runTrace(m, sb)
+			if err != nil {
+				return err
+			}
+			if t := m.Telem; t != nil {
+				t.SBHit(f.Idx, f.Inst.Addr, f.Inst.Op, retired)
+			}
+			f.Coalesced = retired - 1
+			// The trace allocates shadow cells like any emulation; keep the
+			// epoch GC running on the same trigger.
+			vm.maybeGC()
+			return nil
+		}
+	}
+
+	vm.Stats.Traps++
 	// The run-panic seam models a runtime bug the degradation engine cannot
 	// classify: it escapes the VM on purpose. Only the session layer's
 	// recover() stands between this panic and the process — that containment
@@ -176,10 +221,7 @@ func (vm *VM) handleFPTrap(f *machine.TrapFrame) error {
 	// does in preparation for the next instruction.
 	m.MXCSR.ClearFlags()
 
-	tr := trace{entry: f.Idx, n: 1}
-	if vm.cfg.MaxSequenceLen > 0 {
-		tr.n = traceExtent(m, f.Idx, 1+vm.cfg.MaxSequenceLen)
-	}
+	tr := trace{entry: f.Idx, n: vm.traceExtent(m, f.Idx, 1+vm.cfg.MaxSequenceLen)}
 	retired, cut, err := vm.runTrace(m, &tr)
 	if retired > 1 {
 		vm.Stats.Coalesced += uint64(retired - 1)
@@ -190,22 +232,21 @@ func (vm *VM) handleFPTrap(f *machine.TrapFrame) error {
 	if cut && retired == 1 {
 		return nil // the faulting instruction itself degraded
 	}
+	f.Coalesced = retired - 1
 
 	if vm.cfg.MaxSequenceLen > 0 {
-		n := retired - 1
-		if n > 0 {
+		if retired > 1 {
 			vm.Stats.Sequences++
 			if t := m.Telem; t != nil {
 				t.Sequence(f.Idx, f.Inst.Addr, f.Inst.Op, retired, m.Cycles)
 			}
 		}
 		vm.Stats.SeqLenHist[seqBucket(retired)]++
-		f.Coalesced = n
 	}
 
-	// Count the delivery toward the site's compile threshold. A delivery
-	// whose faulting instruction degraded returned above, so a site that
-	// cannot emulate cleanly never accumulates.
+	// Count the trace toward the site's compile threshold. A trace whose
+	// entry degraded returned above, so a site that cannot emulate cleanly
+	// never accumulates.
 	if vm.cfg.JITThreshold > 0 {
 		vm.noteJIT(f)
 	}

@@ -65,6 +65,9 @@ type Report struct {
 	// warm SBCache this stays near the distinct-entry count of the program
 	// (only the first tenant compiles); without one it scales with Sessions.
 	SBCompiled uint64
+	// Cycles sums the modeled cycles of the runs that completed without an
+	// error.
+	Cycles uint64
 }
 
 // Write renders the one-line human summary fpvm-serve -smoke prints.
@@ -89,7 +92,7 @@ func Run(pool *session.Pool, img *machine.Image, cfg session.Config, opts Option
 	before := pool.Stats()
 	durs := make([]time.Duration, opts.Sessions)
 	var next, errs atomic.Int64
-	var sbCompiled atomic.Uint64
+	var sbCompiled, cycles atomic.Uint64
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
@@ -106,6 +109,7 @@ func Run(pool *session.Pool, img *machine.Image, cfg session.Config, opts Option
 					errs.Add(1)
 				} else {
 					sbCompiled.Add(res.Machine.SBCompiled)
+					cycles.Add(res.Cycles)
 				}
 				durs[i] = time.Since(t0)
 			}
@@ -114,6 +118,7 @@ func Run(pool *session.Pool, img *machine.Image, cfg session.Config, opts Option
 	wg.Wait()
 	rep := summarize(durs, time.Since(start), opts, int(errs.Load()))
 	rep.SBCompiled = sbCompiled.Load()
+	rep.Cycles = cycles.Load()
 	after := pool.Stats()
 	rep.Pool = session.PoolStats{
 		Gets:        after.Gets - before.Gets,

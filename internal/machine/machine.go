@@ -104,18 +104,17 @@ const maxFrameDepth = 1
 
 // Stats aggregates execution counters for the evaluation harness.
 type Stats struct {
-	Instructions    uint64                  // retired instructions (incl. emulated)
-	FPInstructions  uint64                  // retired FP-arithmetic instructions
-	FPTraps         uint64                  // delivered FP exception traps
-	CoalescedFP     uint64                  // instructions retired inside a trap delivery beyond the faulting one
-	CorrectTraps    uint64                  // delivered correctness traps
-	ExtCallTraps    uint64                  // delivered external-call traps
-	PatchInvokes    uint64                  // trap-and-patch handler invocations
-	SBCompiled      uint64                  // superblocks compiled by the trace-JIT tier
-	SBHits          uint64                  // superblock entries executed (zero-delivery re-entries)
-	SBInvalidations uint64                  // superblocks discarded on side-table/code-version changes
-	TrapByFlag      [fpu.FlagAll + 1]uint64 // FP trap counts indexed by the unmasked fpu.Flags set
-	Trap            trap.Stats              // delivery cost accounting
+	Instructions   uint64                  // retired instructions (incl. emulated)
+	FPInstructions uint64                  // retired FP-arithmetic instructions
+	FPTraps        uint64                  // delivered FP exception traps
+	CoalescedFP    uint64                  // instructions retired inside a trap delivery beyond the faulting one
+	CorrectTraps   uint64                  // delivered correctness traps
+	ExtCallTraps   uint64                  // delivered external-call traps
+	PatchInvokes   uint64                  // trap-and-patch handler invocations
+	SBCompiled     uint64                  // superblocks compiled by the trace-JIT tier
+	SBHits         uint64                  // superblock entries executed (zero-delivery re-entries)
+	TrapByFlag     [fpu.FlagAll + 1]uint64 // FP trap counts indexed by the unmasked fpu.Flags set
+	Trap           trap.Stats              // delivery cost accounting
 }
 
 // instSlot is the per-instruction side table of the dense pipeline: one
@@ -152,13 +151,6 @@ type Machine struct {
 	slots    []instSlot
 	curIdx   int    // index of the instruction currently being dispatched
 	dataBase uint64 // base of the writable data segment (code space below is read-only text)
-	// Version counters for caches (superblocks) built over the side table and
-	// code segment: sideVer advances on every side-table mutation (SetPatch,
-	// SetCorrectnessSite, Load, Reset), codeVer on every store into the
-	// code-segment shadow below the data base. A cached trace snapshots both
-	// and revalidates or discards itself when either has moved.
-	sideVer uint64
-	codeVer uint64
 
 	// frames are the machine-owned trap frames, one per delivery nesting
 	// level (see TrapFrame); frameDepth counts the levels in use.
@@ -312,7 +304,6 @@ func (m *Machine) Load(img *Image) error {
 	for i, n := range img.memOps {
 		m.slots[i] = instSlot{memOps: n}
 	}
-	m.sideVer++
 	return m.loadData(img.prog)
 }
 
@@ -326,7 +317,6 @@ func (m *Machine) InstallSites() int {
 		m.slots[s.idx].site = s.id
 		m.slots[s.idx].hasSite = true
 	}
-	m.sideVer++
 	return len(m.img.sites)
 }
 
@@ -375,16 +365,11 @@ func (m *Machine) ReadU64(addr uint64) (uint64, error) {
 }
 
 // WriteU64 stores 8 bytes little-endian at addr. A store below the data base
-// lands in the code-segment shadow: execution always fetches from the
-// immutable predecoded stream, but any cache compiled over that stream (the
-// trace-JIT superblocks) must treat the write as a code modification, so the
-// code version advances.
+// lands in the code-segment shadow and changes no instruction: execution
+// fetches only from the immutable predecoded stream.
 func (m *Machine) WriteU64(addr, v uint64) error {
 	if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
 		return m.fault("store out of bounds: %#x", addr)
-	}
-	if addr < m.dataBase {
-		m.codeVer++
 	}
 	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
 	return nil
@@ -479,28 +464,31 @@ func (m *Machine) InstAt(addr uint64) (isa.Inst, bool) {
 func (m *Machine) Insts() []isa.Inst { return m.insts }
 
 // SetPatch installs (or, with a nil handler, removes) a trap-and-patch site
-// at addr. It reports false when addr is not an instruction boundary.
+// at addr. It reports false when addr is not an instruction boundary. Under
+// an attached FPVM the patch slots are the VM's own: it is their only
+// writer, before and during a run.
 func (m *Machine) SetPatch(addr uint64, h PatchHandler) bool {
 	i, ok := m.InstIndex(addr)
 	if !ok {
 		return false
 	}
 	m.slots[i].patch = h
-	m.sideVer++
 	return true
 }
 
 // SetCorrectnessSite installs a correctness-trap site at addr; the machine
 // delivers a correctness trap before each execution of that instruction. It
-// reports false when addr is not an instruction boundary.
+// reports false, installing nothing, when addr is not an instruction
+// boundary or when the machine has retired an instruction since it was
+// built or last Reset: the correctness sites are fixed for the length of a
+// run, so a trace compiled over them never goes stale.
 func (m *Machine) SetCorrectnessSite(addr uint64, site int64) bool {
 	i, ok := m.InstIndex(addr)
-	if !ok {
+	if !ok || m.Stats.Instructions != 0 {
 		return false
 	}
 	m.slots[i].site = site
 	m.slots[i].hasSite = true
-	m.sideVer++
 	return true
 }
 
@@ -523,40 +511,6 @@ func (m *Machine) CorrectnessSiteCount() int {
 	}
 	return n
 }
-
-// SeqBarrier reports whether the instruction at dense index idx carries a
-// side-table entry — a trap-and-patch handler or a correctness site — that a
-// coalescing FP trap handler must not emulate past: those sites demand their
-// own dispatch through the machine (§4.2 virtualizability holes).
-func (m *Machine) SeqBarrier(idx int) bool {
-	if idx < 0 || idx >= len(m.slots) {
-		return true
-	}
-	return m.slots[idx].patch != nil || m.slots[idx].hasSite
-}
-
-// SiteBarrier reports whether the instruction at dense index idx carries a
-// correctness site. A cached trace that owns the patch slot at its own entry
-// uses this instead of SeqBarrier to revalidate the entry instruction —
-// its own patch handler is not a barrier to itself, but a correctness site
-// installed later must still get its delivery.
-func (m *Machine) SiteBarrier(idx int) bool {
-	if idx < 0 || idx >= len(m.slots) {
-		return true
-	}
-	return m.slots[idx].hasSite
-}
-
-// SideTableVersion returns the side-table mutation counter. It advances on
-// every SetPatch/SetCorrectnessSite/Load/Reset, so a cache built over the
-// side table can detect staleness with one comparison.
-func (m *Machine) SideTableVersion() uint64 { return m.sideVer }
-
-// CodeVersion returns the code-segment write counter (stores below the data
-// base). Execution fetches from the immutable predecoded stream, so a moved
-// code version means any compiled trace is no longer a faithful cache of
-// what a re-decoding interpreter would see.
-func (m *Machine) CodeVersion() uint64 { return m.codeVer }
 
 // WritableBase returns the base of writable program memory: the data segment
 // (and the heap/stack above it). Addresses below it shadow the read-only code

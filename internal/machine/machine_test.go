@@ -371,6 +371,40 @@ func TestCorrectnessSites(t *testing.T) {
 	}
 }
 
+// TestCorrectnessSitesFixedOnceRunning: once the machine has retired an
+// instruction, SetCorrectnessSite refuses and leaves the slot empty, so the
+// sites a cached trace was compiled against cannot change under it. Reset
+// starts a new run and accepts sites again.
+func TestCorrectnessSitesFixedOnceRunning(t *testing.T) {
+	m, err := New(asm.MustAssemble(`
+		mov r0, $1
+		mov r1, $2
+		halt
+	`), &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := m.Insts()[1].Addr
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if m.SetCorrectnessSite(second, 7) {
+		t.Fatal("SetCorrectnessSite accepted a site after the first retired instruction")
+	}
+	if _, ok := m.CorrectnessSite(second); ok || m.CorrectnessSiteCount() != 0 {
+		t.Fatal("a refused site left its slot filled")
+	}
+	if err := m.Reset(m.Image(), &bytes.Buffer{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !m.SetCorrectnessSite(second, 7) {
+		t.Fatal("SetCorrectnessSite refused a site after Reset")
+	}
+	if id, ok := m.CorrectnessSite(second); !ok || id != 7 {
+		t.Fatalf("CorrectnessSite = %d, %v; want 7, true", id, ok)
+	}
+}
+
 func TestTrapAndPatchMode(t *testing.T) {
 	prog := asm.MustAssemble(`
 		movsd f0, =1.0

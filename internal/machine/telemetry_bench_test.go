@@ -30,7 +30,7 @@ func newTrapMachine(b *testing.B) *Machine {
 	}
 	m.MXCSR.SetMasks(0) // unmask everything, as fpvm.Attach does
 	// Minimal emulation handler: clear the sticky flags and retire the
-	// faulting instruction, the skeleton of FPVM's handleFPTrap without the
+	// faulting instruction, the skeleton of FPVM's enterTrace without the
 	// arithmetic back-end, so delivery overhead dominates the measurement.
 	m.FPTrap = func(f *TrapFrame) error {
 		f.M.MXCSR.ClearFlags()

@@ -23,14 +23,16 @@ const trapLoopProg = `
 `
 
 // newTrapLoop returns a machine on trapLoopProg with every exception
-// unmasked, a minimal FP-trap handler that retires the divide, and RIP
-// parked at the loop head.
-func newTrapLoop(t *testing.T) *Machine {
+// unmasked, a minimal FP-trap handler that retires the divide, the path
+// under test installed by setup before the first instruction retires, and
+// RIP parked at the loop head.
+func newTrapLoop(t *testing.T, setup func(*testing.T, *Machine)) *Machine {
 	t.Helper()
 	m, err := New(asm.MustAssemble(trapLoopProg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setup(t, m)
 	m.MXCSR.SetMasks(0)
 	m.FPTrap = func(f *TrapFrame) error {
 		f.M.MXCSR.ClearFlags()
@@ -86,8 +88,7 @@ func TestTrapPathAllocatesNothing(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m := newTrapLoop(t)
-			c.setup(t, m)
+			m := newTrapLoop(t, c.setup)
 			a := testing.AllocsPerRun(200, func() {
 				for i := 0; i < 3; i++ { // one trip around the loop
 					if err := m.Step(); err != nil {

@@ -189,7 +189,6 @@ type SystemReport struct {
 	// Trace-JIT accounting (Options.VM.JITThreshold > 0).
 	SBCompiled      uint64 // superblocks compiled
 	SBHits          uint64 // zero-delivery superblock entries served
-	SBInvalidations uint64 // superblocks discarded on side-table/code changes
 	JITDegradations uint64 // failed superblock compiles absorbed as degradations
 	// Sanitizer accounting (Options.VM.Sanitize).
 	SanitizeReport       *sanitize.Report // ranked per-PC shadow report, nil when off
@@ -424,7 +423,6 @@ func runSystem(t Target, sys arith.System, o Options) (*SystemReport, error) {
 	sr.Degradations = vm.Stats.Degradations
 	sr.SBCompiled = vmach.Stats.SBCompiled
 	sr.SBHits = vmach.Stats.SBHits
-	sr.SBInvalidations = vmach.Stats.SBInvalidations
 	sr.JITDegradations = vm.Stats.DegradeByCause[telemetry.DegradeJIT]
 	if san := vm.Sanitizer(); san != nil {
 		rep := san.Snapshot()

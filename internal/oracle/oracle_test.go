@@ -115,8 +115,8 @@ func fuzzTarget(src string) Target {
 //
 // loop wraps the chain in a hot counted loop (progen.FPLoopSource) so sites
 // cross realistic thresholds; jitT arms the trace-JIT superblock tier (plus
-// coalescing) at that threshold, putting the compile/bind/invalidate seam
-// under the same bit-identity oracle as the classic path.
+// coalescing) at that threshold, putting the compile/bind seam under the
+// same bit-identity oracle as the classic path.
 func FuzzDifferentialOracle(f *testing.F) {
 	for _, s := range progen.Seeds() {
 		f.Add(s, int(progen.DefaultFPLen), false, 0)

@@ -111,9 +111,9 @@ func TestSharedCacheWarmCheckouts(t *testing.T) {
 // trace over the shared thunks. No tenant's state may leak into a concurrent
 // tenant: every run's guest-visible output and retirement count must match
 // the classic reference. Run under -race this is also the data-race gate on
-// the shared cache itself. A fully warm adopter never writes its side table
-// mid-run; the side-table-write edge (a trace body shadowed mid-run, then
-// revalidated) is raced at the fpvm layer by TestSBCacheConcurrentTenants.
+// the shared cache itself. Tenants whose correctness sites shadow a
+// published trace are raced at the fpvm layer by
+// TestSBCacheConcurrentTenants.
 func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	prog := buildSharedHot(t)
 	base := baseConfig()

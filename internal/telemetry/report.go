@@ -24,10 +24,9 @@ type SiteRank struct {
 	Degradations uint64  `json:"degradations,omitempty"`
 
 	// Trace-JIT attribution for superblocks rooted at this PC.
-	SBCompiles      uint64 `json:"sb_compiles,omitempty"`
-	SBHits          uint64 `json:"sb_hits,omitempty"`
-	SBRetired       uint64 `json:"sb_retired,omitempty"`
-	SBInvalidations uint64 `json:"sb_invalidations,omitempty"`
+	SBCompiles uint64 `json:"sb_compiles,omitempty"`
+	SBHits     uint64 `json:"sb_hits,omitempty"`
+	SBRetired  uint64 `json:"sb_retired,omitempty"`
 
 	// Numerical-sanitizer attribution (present when a sanitizer ran).
 	SanSamples uint64  `json:"san_samples,omitempty"`
@@ -56,10 +55,9 @@ func (c *Collector) TopSites(n int) []SiteRank {
 			MaxRun:       s.MaxRun,
 			Degradations: s.Degradations,
 
-			SBCompiles:      s.SBCompiles,
-			SBHits:          s.SBHits,
-			SBRetired:       s.SBRetired,
-			SBInvalidations: s.SBInvalidations,
+			SBCompiles: s.SBCompiles,
+			SBHits:     s.SBHits,
+			SBRetired:  s.SBRetired,
 
 			SanSamples: s.SanSamples,
 			SanFlagged: s.SanFlagged,

@@ -65,10 +65,6 @@ const (
 	// site: subsequent entries re-execute the trace with zero delivery, zero
 	// decode, and zero bind. Arg is the trace length in instructions.
 	EvSBCompile
-	// EvSBInvalidate records a cached superblock being discarded (side-table
-	// write, code-segment write, or reattach). Arg is the number
-	// of hits the block served before invalidation.
-	EvSBInvalidate
 )
 
 // String names the event kind as it appears in JSONL output.
@@ -94,8 +90,6 @@ func (k EventKind) String() string {
 		return "degrade"
 	case EvSBCompile:
 		return "sb-compile"
-	case EvSBInvalidate:
-		return "sb-invalidate"
 	default:
 		return "event?"
 	}
@@ -219,10 +213,9 @@ type Site struct {
 	Degradations uint64    // graceful degradations rooted at this PC
 
 	// Trace-JIT attribution: superblocks rooted at this PC.
-	SBCompiles      uint64 // superblocks compiled here
-	SBHits          uint64 // superblock entries served here (zero-delivery)
-	SBRetired       uint64 // instructions retired by superblock entries here
-	SBInvalidations uint64 // superblocks discarded here
+	SBCompiles uint64 // superblocks compiled here
+	SBHits     uint64 // superblock entries served here (zero-delivery)
+	SBRetired  uint64 // instructions retired by superblock entries here
 
 	// Numerical-sanitizer attribution (internal/sanitize mirrors its per-PC
 	// observations here when a sanitizer runs with telemetry attached).
@@ -412,16 +405,6 @@ func (c *Collector) SBHit(idx int, pc uint64, op isa.Op, retired int) {
 	s := c.site(idx, pc, op)
 	s.SBHits++
 	s.SBRetired += uint64(retired)
-}
-
-// SBInvalidate records a superblock rooted at pc being discarded after
-// serving hits entries.
-func (c *Collector) SBInvalidate(idx int, pc uint64, op isa.Op, hits uint64, cycles uint64) {
-	c.ring.Record(Event{
-		Kind: EvSBInvalidate, Cause: CauseNone, Op: op,
-		Idx: int32(idx), PC: pc, Cycles: cycles, Arg: hits,
-	})
-	c.site(idx, pc, op).SBInvalidations++
 }
 
 // Correctness records a correctness-trap demotion pass at pc with the static
