@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 # Minimum aggregate statement coverage (percent) over ./internal/...
 COVERFLOOR ?= 80
 
-.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm bench
+.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice bench
 
 # ci runs the stages .github/workflows/ci.yml runs, in the same order; each
 # CI step calls one of these targets, so every command lives here only.
@@ -122,7 +122,7 @@ sanitize-smoke:
 
 # Short coverage-guided fuzzing passes (beyond the checked-in seed corpus,
 # which already runs as part of `test`).
-fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm
+fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice
 
 fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialOracle$$' -fuzztime $(FUZZTIME) ./internal/oracle
@@ -135,6 +135,12 @@ fuzz-sanitize:
 
 fuzz-asm:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm
+
+# The configuration lattice beyond its tier-1 rows: one fuzzed lattice row
+# (program, and a value for every dimension) per iteration under the
+# invariant table (internal/lattice).
+fuzz-lattice:
+	$(GO) test -run '^$$' -fuzz '^FuzzLattice$$' -fuzztime $(FUZZTIME) ./internal/lattice
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

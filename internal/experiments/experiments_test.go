@@ -25,6 +25,7 @@ func TestFig3Runs(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	o := opts()
+	o.VM.MaxSequenceLen, o.VM.JITThreshold = 16, 8
 	rows, err := Fig9Data(o)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +46,9 @@ func TestFig9Shape(t *testing.T) {
 		// Decode must amortize to near zero via the cache.
 		if r.Decode > 100 {
 			t.Errorf("%s: decode %.1f cycles/trap — cache not effective", r.Name, r.Decode)
+		}
+		if !(r.JITTotal <= r.SeqTotal && r.SeqTotal <= r.Total) {
+			t.Errorf("%s: want jitTOTAL %.0f <= seqTOTAL %.0f <= TOTAL %.0f, all per base trap", r.Name, r.JITTotal, r.SeqTotal, r.Total)
 		}
 		if r.Name == "Enzo" {
 			enzoCorrectness = r.Correctness

@@ -150,3 +150,73 @@ func TestFMAddAllocatesNothing(t *testing.T) {
 		t.Errorf("FMAdd allocates %.0f times per call, want 0", n)
 	}
 }
+
+// exactOps pairs Mul, Div and Sqrt with their big.Float counterparts.
+var exactOps = map[string]struct {
+	fpu   func(a, b float64) Result
+	exact func(z, x, y *big.Float) *big.Float
+}{
+	"mul":  {Mul, (*big.Float).Mul},
+	"div":  {Div, (*big.Float).Quo},
+	"sqrt": {func(a, _ float64) Result { return Sqrt(a) }, func(z, x, _ *big.Float) *big.Float { return z.Sqrt(x) }},
+}
+
+// TestMulDivSqrtMatchExactOracle checks the value bits and the inexact flag
+// of Mul, Div and Sqrt against big.Float at 3,000 bits, over operand
+// families around 2^-1022 and in the subnormal range, where an FMA residual
+// underflows to zero. At that precision a product is exact, and a quotient
+// or square root that is not exact cannot round onto the binary64 rounding
+// boundary next to it. The first two rows are results an FMA-residual test
+// reported as exact.
+func TestMulDivSqrtMatchExactOracle(t *testing.T) {
+	type row struct {
+		op   string
+		a, b float64
+	}
+	rows := []row{
+		{"mul", 1 - 0x1p-53, 0x1p-1022},
+		{"sqrt", 3 * math.SmallestNonzeroFloat64, 0},
+		{"mul", 0x1p-1000, 0x1p-60},
+	}
+	rng := rand.New(rand.NewSource(10))
+	// near draws a random 53-bit mantissa at an exponent in [elo, ehi],
+	// rounded into the subnormal range below 2^-1022.
+	near := func(elo, ehi int) float64 {
+		return math.Ldexp(float64(rng.Int63n(1<<52)+1<<52), elo-52+rng.Intn(ehi-elo+1))
+	}
+	sub := func() float64 { return math.Float64frombits(rng.Uint64() & (1<<52 - 1)) }
+	for i := 0; i < 5000; i++ {
+		rows = append(rows,
+			row{"mul", near(-1030, -1016), near(-4, 4)},
+			row{"mul", sub(), math.Ldexp(float64(rng.Intn(64)+1), -rng.Intn(8))},
+			row{"div", near(-1022, -902), near(-2, 140)},
+			row{"div", sub(), near(-4, 4)},
+			row{"sqrt", sub(), 0},
+			row{"sqrt", near(-1030, -1016), 0})
+	}
+	fails := 0
+	for _, r := range rows {
+		x, y := new(big.Float).SetPrec(3000).SetFloat64(r.a), new(big.Float).SetPrec(3000).SetFloat64(r.b)
+		z := exactOps[r.op].exact(new(big.Float).SetPrec(3000), x, y)
+		want, acc := z.Float64()
+		inexact := z.Acc() != big.Exact || acc != big.Exact
+		if got := exactOps[r.op].fpu(r.a, r.b); math.Float64bits(got.Value) != math.Float64bits(want) ||
+			(got.Flags&FlagInexact != 0) != inexact {
+			t.Errorf("%s(%x, %x) = {%x %v}, oracle value %x inexact %v", r.op, math.Float64bits(r.a),
+				math.Float64bits(r.b), math.Float64bits(got.Value), got.Flags, math.Float64bits(want), inexact)
+			if fails++; fails > 20 {
+				t.Fatal("too many mismatches")
+			}
+		}
+	}
+}
+
+// TestMulDivSqrtAllocateNothing pins the allocation-free exactness check on
+// operands whose results sit at the subnormal boundary.
+func TestMulDivSqrtAllocateNothing(t *testing.T) {
+	for name, op := range exactOps {
+		if n := testing.AllocsPerRun(100, func() { op.fpu(3*math.SmallestNonzeroFloat64, 0.75) }); n != 0 {
+			t.Errorf("%s allocates %.0f times per call, want 0", name, n)
+		}
+	}
+}

@@ -4,17 +4,16 @@
 // fault signaling. This is the "hardware" whose exceptions drive FPVM's
 // trap-and-emulate engine (§4.1 of the paper).
 //
-// Inexact (PE) detection uses error-free transforms: 2Sum residuals for
-// add/sub, FMA residuals for mul/div/sqrt, falling back to exact
-// big.Float comparison on subnormal quotients, where the residual itself
-// can underflow. A fused multiply-add, and a product in the subnormal
-// range, decide exactness on integer mantissas instead (fmaExact), so they
-// never allocate.
+// Inexact (PE) detection uses 2Sum residuals for add/sub. Mul, div and
+// sqrt ask one question on integer mantissas, "is x·y exactly z?" (prodIs:
+// a·b = p, q·b = a, s·s = a), and a fused multiply-add checks a·b + c
+// the same way (fmaExact). An FMA residual would underflow to zero near the
+// subnormal range and report a rounded result as exact; the integer checks
+// cannot, and none of them allocates.
 package fpu
 
 import (
 	"math"
-	"math/big"
 	"math/bits"
 )
 
@@ -191,15 +190,8 @@ type Result struct {
 	Flags Flags
 }
 
-// exactBig reports whether got exactly equals the value of the big.Float
-// computation f (a slow path used only near subnormal boundaries).
-func exactBig(got float64, exact *big.Float) bool {
-	g := new(big.Float).SetPrec(200).SetFloat64(got)
-	return g.Cmp(exact) == 0
-}
-
 // postFlags computes OE/UE/PE for a finite-input operation with rounded
-// result r and a residual-based inexactness verdict.
+// result r and its inexactness verdict.
 func postFlags(r float64, inexact bool) Flags {
 	var f Flags
 	if isInff(r) {
@@ -269,22 +261,7 @@ func Mul(a, b float64) Result {
 	if isInff(a) || isInff(b) {
 		return Result{p, f}
 	}
-	return Result{p, f | postFlags(p, mulInexact(a, b, p))}
-}
-
-func mulInexact(a, b, p float64) bool {
-	if isInff(p) {
-		return true
-	}
-	if p == 0 {
-		return a != 0 && b != 0
-	}
-	if isSubn(p) {
-		// The FMA residual can itself underflow to zero here; decide on
-		// the integer mantissas instead.
-		return !fmaExact(a, b, 0)
-	}
-	return math.FMA(a, b, -p) != 0
+	return Result{p, f | postFlags(p, !prodIs(a, b, p))}
 }
 
 // Div executes divsd.
@@ -302,22 +279,7 @@ func Div(a, b float64) Result {
 		return Result{a / b, f}
 	}
 	q := a / b
-	return Result{q, f | postFlags(q, divInexact(a, b, q))}
-}
-
-func divInexact(a, b, q float64) bool {
-	if isInff(q) {
-		return true
-	}
-	if q == 0 {
-		return a != 0
-	}
-	if isSubn(q) {
-		exact := new(big.Float).SetPrec(200)
-		exact.Quo(new(big.Float).SetPrec(200).SetFloat64(a), new(big.Float).SetPrec(200).SetFloat64(b))
-		return !exactBig(q, exact)
-	}
-	return math.FMA(q, b, -a) != 0
+	return Result{q, f | postFlags(q, !prodIs(q, b, a))}
 }
 
 // Sqrt executes sqrtsd.
@@ -333,10 +295,7 @@ func Sqrt(a float64) Result {
 	if a == 0 || isInff(a) {
 		return Result{s, f}
 	}
-	if math.FMA(s, s, -a) != 0 {
-		f |= FlagInexact
-	}
-	return Result{s, f}
+	return Result{s, f | postFlags(s, !prodIs(s, s, a))}
 }
 
 // Min executes minsd with x64 semantics: min(a,b) = a < b ? a : b, and any
@@ -425,6 +384,28 @@ func fmaExact(a, b, c float64) bool {
 	}
 	e := lo + p.trim()
 	return p.representable(e)
+}
+
+// prodIs reports whether |x·y| is exactly |z|; every caller's signs agree
+// by construction. It compares the trimmed integer mantissa product and
+// exponent with z's, so it neither allocates nor underflows. An infinite
+// operand never makes an exact product (postFlags reports an infinite
+// result as an overflow before it looks at exactness).
+func prodIs(x, y, z float64) bool {
+	if isInff(x) || isInff(y) || isInff(z) {
+		return false
+	}
+	if x == 0 || y == 0 || z == 0 {
+		return (x == 0 || y == 0) && z == 0
+	}
+	mx, ex := mantExp(x)
+	my, ey := mantExp(y)
+	mz, ez := mantExp(z)
+	var p wide
+	p[1], p[0] = bits.Mul64(mx, my)
+	e := ex + ey + p.trim()
+	r := wide{mz}
+	return e == ez+r.trim() && p == r
 }
 
 // mantExp splits a finite x into an integer mantissa below 2^53 and an

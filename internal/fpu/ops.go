@@ -256,7 +256,7 @@ func powExact(a, b, r float64) bool {
 		return r == a
 	}
 	if b == 0.5 {
-		return math.FMA(r, r, -a) == 0
+		return prodIs(r, r, a)
 	}
 	if b == math.Trunc(b) && math.Abs(b) <= 64 && !isInff(a) && a != 0 {
 		// Exact integer power: up to 64 multiplications of a 53-bit
@@ -275,7 +275,7 @@ func powExact(a, b, r float64) bool {
 			}
 			exact.Quo(new(big.Float).SetPrec(4096).SetInt64(1), exact)
 		}
-		return exactBig(r, exact)
+		return new(big.Float).SetPrec(4096).SetFloat64(r).Cmp(exact) == 0
 	}
 	return false
 }

@@ -98,12 +98,12 @@ type Config struct {
 	// so in a session pool only the first tenant per image pays compilation.
 	// One tenant's patches or degradations never touch another tenant's
 	// traces or the published ones. Warm attachment changes modeled cycles
-	// (the warm-up traces and compile costs disappear) but never any
-	// guest-visible output: an adopted trace, like every trace, runs only on
-	// a visit where its entry traps (session's
-	// TestTraceEntryContractAllTargets checks this on every fig target under
-	// MPFR-200 and posit32). nil disables sharing and preserves behavior bit
-	// for bit.
+	// (the warm-up traces and compile costs disappear): an adopted trace,
+	// like every trace, runs only on a visit where its entry traps. Under
+	// Vanilla it never changes guest-visible output; under other systems
+	// the configuration lattice (internal/lattice) checks that on the
+	// curated programs. nil disables sharing and preserves behavior bit for
+	// bit.
 	SBCache *SBCache
 	// Sanitize attaches the numerical sanitizer: the guest runs under the
 	// sanitizer's wrapping arithmetic system, which carries a high-precision

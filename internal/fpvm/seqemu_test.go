@@ -189,35 +189,6 @@ func TestSeqMaxLenCap(t *testing.T) {
 	}
 }
 
-// TestSeqDisabledIsBitIdentical pins the off switch: MaxSequenceLen == 0
-// must reproduce the classic pipeline exactly — same output, same modeled
-// cycles, same trap count — as a config that never mentions the knob.
-func TestSeqDisabledIsBitIdentical(t *testing.T) {
-	run := func(cfg Config) (string, uint64, uint64) {
-		prog := asm.MustAssemble(lorenzSrc)
-		var out bytes.Buffer
-		m, err := machine.New(prog, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.System = arith.Vanilla{}
-		vm := Attach(m, cfg)
-		if err := m.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), m.Cycles, vm.Stats.Traps
-	}
-	o1, c1, t1 := run(Config{})
-	o2, c2, t2 := run(Config{MaxSequenceLen: 0})
-	if o1 != o2 || c1 != c2 || t1 != t2 {
-		t.Fatalf("MaxSequenceLen=0 differs from default: cycles %d vs %d, traps %d vs %d",
-			c1, c2, t1, t2)
-	}
-	if _, _, ts := run(Config{MaxSequenceLen: 32}); ts >= t1 {
-		t.Fatalf("coalescing should reduce traps: %d (on) vs %d (off)", ts, t1)
-	}
-}
-
 // TestSeqVanillaOutputIdentical is the correctness half of the tentpole:
 // with coalescing on, a Vanilla run must still print exactly what native
 // execution prints.

@@ -78,41 +78,27 @@ func sbAt(t *testing.T, m *machine.Machine, vm *VM, op isa.Op) *trace {
 	return vm.sblocks[idx]
 }
 
-// TestJITDisabledIsBitIdentical pins the off switch: JITThreshold == 0 must
-// reproduce the classic pipeline exactly — same output, same modeled cycles,
-// same trap count — while arming the tier must strictly beat sequence
-// emulation alone on both traps and cycles.
-func TestJITDisabledIsBitIdentical(t *testing.T) {
-	run := func(cfg Config) (string, uint64, uint64) {
-		prog := asm.MustAssemble(lorenzSrc)
-		var out bytes.Buffer
-		m, err := machine.New(prog, &out)
-		if err != nil {
-			t.Fatal(err)
+// TestTiersCutTrapsAndCycles pins what each tier buys on Lorenz, on a run
+// without faults: sequence emulation cuts traps, the trace JIT on top of it
+// cuts both traps and cycles further, none of them changes the output, and
+// none records a degradation.
+func TestTiersCutTrapsAndCycles(t *testing.T) {
+	outs, traps, cycles := []string{}, []uint64{}, []uint64{}
+	for _, cfg := range []Config{{}, {MaxSequenceLen: 16}, {MaxSequenceLen: 16, JITThreshold: 4}} {
+		out, m, vm := runFPVM(t, lorenzSrc, arith.Vanilla{}, cfg)
+		if vm.Stats.Degradations != 0 {
+			t.Errorf("%+v: zero-fault run recorded %d degradations", cfg, vm.Stats.Degradations)
 		}
-		cfg.System = arith.Vanilla{}
-		vm := Attach(m, cfg)
-		if err := m.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), m.Cycles, vm.Stats.Traps
+		outs, traps, cycles = append(outs, out), append(traps, vm.Stats.Traps), append(cycles, m.Cycles)
 	}
-	o1, c1, t1 := run(Config{})
-	o2, c2, t2 := run(Config{JITThreshold: 0})
-	if o1 != o2 || c1 != c2 || t1 != t2 {
-		t.Fatalf("JITThreshold=0 differs from default: cycles %d vs %d, traps %d vs %d",
-			c1, c2, t1, t2)
+	if outs[1] != outs[0] || outs[2] != outs[0] {
+		t.Fatalf("a tier changed the output:\nplain: %sseq:   %sjit:   %s", outs[0], outs[1], outs[2])
 	}
-	oSeq, cSeq, tSeq := run(Config{MaxSequenceLen: 16})
-	oJit, cJit, tJit := run(Config{MaxSequenceLen: 16, JITThreshold: 4})
-	if oSeq != oJit {
-		t.Fatalf("jit tier changed output:\nseq: %sjit: %s", oSeq, oJit)
+	if !(traps[2] < traps[1] && traps[1] < traps[0]) {
+		t.Errorf("traps plain %d, seqemu %d, jit %d: want each tier to cut them", traps[0], traps[1], traps[2])
 	}
-	if tJit >= tSeq {
-		t.Fatalf("jit tier did not cut traps: %d (jit) vs %d (seqemu)", tJit, tSeq)
-	}
-	if cJit >= cSeq {
-		t.Fatalf("jit tier did not cut cycles: %d (jit) vs %d (seqemu)", cJit, cSeq)
+	if cycles[2] >= cycles[1] {
+		t.Errorf("jit tier did not cut cycles: %d (jit) vs %d (seqemu)", cycles[2], cycles[1])
 	}
 }
 

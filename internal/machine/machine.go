@@ -181,17 +181,13 @@ type Machine struct {
 	Stats    Stats
 
 	// Preempt, when non-nil, is the cooperative-preemption flag: Run re-checks
-	// it every PreemptEvery retired instructions (a checkpoint, not a per-step
-	// poll) and returns a typed *DeadlineError when it is set. Another
+	// it every DefaultPreemptEvery retired instructions (a checkpoint, not a
+	// per-step poll) and returns a typed *DeadlineError when it is set. Another
 	// goroutine — a deadline timer, a canceled request context — stores true
 	// to stop the run at the next checkpoint with all state harvestable at an
 	// instruction boundary, exactly like a budget truncation. A nil flag is
 	// the default and costs nothing: the dispatch loop is unchanged.
 	Preempt *atomic.Bool
-	// PreemptEvery is the checkpoint interval in retired instructions
-	// (0 = DefaultPreemptEvery). Smaller intervals bound preemption latency
-	// tighter at the cost of more atomic loads per run.
-	PreemptEvery uint64
 
 	Out    io.Writer
 	halted bool
@@ -246,15 +242,18 @@ func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 // makes a machine cheaply poolable: a reused machine is bit-identical to a
 // fresh one, it just does not pay the allocations again. The image itself is
 // adopted by pointer, so switching programs costs no predecode either.
-// memSize <= 0 keeps the current memory size.
+// memSize <= 0 means DefaultMemSize, as for NewFromImage.
 func (m *Machine) Reset(img *Image, out io.Writer, memSize int) error {
 	if img == nil {
 		return errors.New("machine: nil image")
 	}
+	if memSize <= 0 {
+		memSize = DefaultMemSize
+	}
 	if memSize > isa.MaxMemSize {
 		return fmt.Errorf("machine: memory size %d exceeds the %d-byte maximum", memSize, isa.MaxMemSize)
 	}
-	if memSize > 0 && memSize != len(m.Mem) {
+	if memSize != len(m.Mem) {
 		m.Mem = make([]byte, memSize)
 	} else {
 		// Zero the whole image: guests may have written anywhere in bounds,
@@ -276,7 +275,6 @@ func (m *Machine) Reset(img *Image, out io.Writer, memSize int) error {
 	m.OutFilter = nil
 	m.Telem = nil
 	m.Preempt = nil
-	m.PreemptEvery = 0
 
 	m.Cost = DefaultCostModel()
 	m.Profile = &trap.R815
@@ -389,8 +387,8 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("machine fault at %#x: instruction budget exceeded (%d)", e.RIP, e.Budget)
 }
 
-// DefaultPreemptEvery is the deadline checkpoint interval when
-// Machine.PreemptEvery is zero: frequent enough that a preempted run stops
+// DefaultPreemptEvery is the deadline checkpoint interval in retired
+// instructions: frequent enough that a preempted run stops
 // within microseconds of wall clock, rare enough that the atomic load
 // vanishes against the per-instruction dispatch cost.
 const DefaultPreemptEvery = 10_000
@@ -415,19 +413,15 @@ func (e *DeadlineError) Error() string {
 // observes the flag set. It returns nil on a clean halt, *BudgetError when
 // the instruction budget ran out first, and *DeadlineError when preempted.
 //
-// Preemption is cooperative: the flag is re-checked every PreemptEvery
-// retired instructions, never mid-instruction, so a preempted run is always
-// left at an instruction boundary. Checkpoints charge no modeled cycles —
+// Preemption is cooperative: the flag is re-checked every
+// DefaultPreemptEvery retired instructions, never mid-instruction, so a
+// preempted run is always left at an instruction boundary. Checkpoints charge no modeled cycles —
 // an armed-but-never-fired flag leaves the run bit- and cycle-identical to
 // an unarmed one.
 func (m *Machine) Run(maxInstructions uint64) error {
-	every := m.PreemptEvery
-	if every == 0 {
-		every = DefaultPreemptEvery
-	}
 	var checkpoint uint64
 	if m.Preempt != nil {
-		checkpoint = m.Stats.Instructions + every
+		checkpoint = m.Stats.Instructions + DefaultPreemptEvery
 	}
 	for !m.halted {
 		if err := m.Step(); err != nil {
@@ -440,7 +434,7 @@ func (m *Machine) Run(maxInstructions uint64) error {
 			if m.Preempt.Load() {
 				return &DeadlineError{RIP: m.RIP, Instructions: m.Stats.Instructions}
 			}
-			checkpoint = m.Stats.Instructions + every
+			checkpoint = m.Stats.Instructions + DefaultPreemptEvery
 		}
 	}
 	return nil

@@ -114,7 +114,7 @@ func TestResetRebindsNewProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := m.Reset(mustImage(t, progB), &out, 0); err != nil {
+	if err := m.Reset(mustImage(t, progB), &out, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(0); err != nil {
@@ -149,7 +149,7 @@ func TestResetSameProgramSkipsNothingObservable(t *testing.T) {
 	want := out.String()
 	for i := 0; i < 3; i++ {
 		out.Reset()
-		if err := m.Reset(m.Image(), &out, 0); err != nil {
+		if err := m.Reset(m.Image(), &out, 64<<10); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Run(0); err != nil {
@@ -177,6 +177,9 @@ func TestResetGeometryChange(t *testing.T) {
 	}
 	if int64(len(m.Mem)) != m.R[isa.RegSP] {
 		t.Errorf("stack pointer %d not at top of resized memory %d", m.R[isa.RegSP], len(m.Mem))
+	}
+	if err := m.Reset(m.Image(), &bytes.Buffer{}, 0); err != nil || len(m.Mem) != DefaultMemSize {
+		t.Errorf("Reset with size 0: %v, %d bytes, want the default %d, as NewFromImage", err, len(m.Mem), DefaultMemSize)
 	}
 	if err := m.Reset(m.Image(), &bytes.Buffer{}, 1<<10); err == nil {
 		t.Error("Reset accepted memory too small for the data segment")

@@ -169,6 +169,11 @@ func (x *Float) Int64(rnd RoundingMode) (v int64, ok bool) {
 	if x.form == zero {
 		return 0, true
 	}
+	if x.exp > 64 {
+		// |x| >= 2^64; shifting the mantissa up to the units below would
+		// allocate exp bits.
+		return math.MinInt64, false
+	}
 	r := New(uint(x.effPrec()) + 2)
 	r.rint(x, rnd)
 	if r.form == zero {
