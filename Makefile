@@ -35,13 +35,14 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The dispatch, trap-delivery (Vanilla and MPFR-200), superblock-entry and
-# session-alternation microbenchmarks, run for a fixed short count so they
-# keep building and running (the numbers are not gated).
+# The dispatch (one sub-benchmark per hot instruction form), trap-delivery
+# (Vanilla and MPFR-200), superblock-entry and session-alternation
+# microbenchmarks, run for a fixed short count so they keep building and
+# running, with their allocations reported (the numbers are not gated).
 microbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x ./internal/machine
-	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x ./internal/fpvm
-	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x ./internal/session
+	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x -benchmem ./internal/machine
+	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x -benchmem ./internal/fpvm
+	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x -benchmem ./internal/session
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server, plus the

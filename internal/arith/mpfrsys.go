@@ -41,14 +41,31 @@ func (s *MPFRSystem) Apply(op Op, args ...Value) Value {
 		x[i] = s.get(a)
 	}
 	z := s.new()
-	s.apply(op, z, x[0], x[1], x[2])
+	var tmp *modScratch
+	if op == OpMod {
+		tmp = s.newModScratch()
+	}
+	s.apply(op, z, x[0], x[1], x[2], tmp)
 	return z
+}
+
+// modScratch holds fmod's two temporaries, the truncated quotient and its
+// product with the divisor, at the system's precision plus 64 bits. A Store
+// owns one and reuses it for every fmod; the boxed Apply makes a fresh one
+// per call. An MPFRSystem may be shared between VMs, so it holds none.
+type modScratch [2]mpfr.Float
+
+func (s *MPFRSystem) newModScratch() *modScratch {
+	tmp := new(modScratch)
+	mpfr.InitSlab(tmp[:], s.prec+64)
+	return tmp
 }
 
 // apply evaluates op on a, b and c (only the first op.Arity() are read) and
 // writes the result into z, which must not alias an operand. It is the one
-// MPFR kernel behind both Apply and the mpfr.Float cells of a Store.
-func (s *MPFRSystem) apply(op Op, z, a, b, c *mpfr.Float) {
+// MPFR kernel behind both Apply and the mpfr.Float cells of a Store. tmp is
+// the fmod scratch; only OpMod reads it.
+func (s *MPFRSystem) apply(op Op, z, a, b, c *mpfr.Float, tmp *modScratch) {
 	switch op {
 	case OpAdd:
 		z.Add(a, b, s.rnd)
@@ -104,7 +121,7 @@ func (s *MPFRSystem) apply(op Op, z, a, b, c *mpfr.Float) {
 	case OpPow:
 		z.Pow(a, b, s.rnd)
 	case OpMod:
-		s.mod(z, a, b)
+		s.mod(z, a, b, tmp)
 	case OpHypot:
 		z.Hypot(a, b, s.rnd)
 	case OpFloor:
@@ -120,8 +137,9 @@ func (s *MPFRSystem) apply(op Op, z, a, b, c *mpfr.Float) {
 	}
 }
 
-// mod computes the truncated remainder a − trunc(a/b)·b.
-func (s *MPFRSystem) mod(z, a, b *mpfr.Float) {
+// mod computes the truncated remainder a − trunc(a/b)·b, with the quotient
+// and product in tmp.
+func (s *MPFRSystem) mod(z, a, b *mpfr.Float, tmp *modScratch) {
 	if a.IsNaN() || b.IsNaN() || a.IsInf() || b.IsZero() {
 		z.SetNaN()
 		return
@@ -130,10 +148,9 @@ func (s *MPFRSystem) mod(z, a, b *mpfr.Float) {
 		z.Set(a, s.rnd)
 		return
 	}
-	q := mpfr.New(s.prec + 64)
+	q, t := &tmp[0], &tmp[1]
 	q.Div(a, b, mpfr.RoundTowardZero)
 	q.Trunc(q)
-	t := mpfr.New(s.prec + 64)
 	t.Mul(q, b, mpfr.RoundNearestEven)
 	z.Sub(a, t, s.rnd)
 }

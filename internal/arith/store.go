@@ -72,7 +72,10 @@ func StoreFor(sys System, prev Store) Store {
 	case *MPFRSystem:
 		s, ok := prev.(*mpfrStore)
 		if !ok || s.sys.prec != sys.prec {
-			s = &mpfrStore{cells: newCells(func(zs []mpfr.Float) { mpfr.InitSlab(zs, sys.prec) })}
+			s = &mpfrStore{
+				cells: newCells(func(zs []mpfr.Float) { mpfr.InitSlab(zs, sys.prec) }),
+				mod:   sys.newModScratch(),
+			}
 		}
 		s.sys = sys
 		return s
@@ -172,10 +175,11 @@ func compare64(x, y float64) (int, bool) {
 type mpfrStore struct {
 	cells[mpfr.Float]
 	sys *MPFRSystem
+	mod *modScratch // fmod's temporaries, this store's own
 }
 
 func (s *mpfrStore) Apply(op Op, dst, a, b, c Cell) {
-	s.sys.apply(op, s.at(dst), s.at(a), s.at(b), s.at(c))
+	s.sys.apply(op, s.at(dst), s.at(a), s.at(b), s.at(c), s.mod)
 }
 
 func (s *mpfrStore) SetFloat64(dst Cell, v float64) { s.at(dst).SetFloat64(v, s.sys.rnd) }

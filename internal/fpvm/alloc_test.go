@@ -61,8 +61,8 @@ func TestVanillaTrapLoopAllocatesNothing(t *testing.T) {
 }
 
 // TestMPFRTrapLoopAllocatesNothing is the same gate under MPFR-200: after a
-// Reattach, add, mul, div and sqrt compute into the mpfr.Float cells the
-// first run grew, so a warm run allocates nothing.
+// Reattach, add, mul, div, sqrt and fmod compute into the mpfr.Float cells
+// (and fmod's scratch) the first run grew, so a warm run allocates nothing.
 func TestMPFRTrapLoopAllocatesNothing(t *testing.T) {
 	allocs, traps := warmTrapLoopAllocs(t, `
 		mov r0, $0
@@ -74,6 +74,7 @@ func TestMPFRTrapLoopAllocatesNothing(t *testing.T) {
 		addsd f2, f0     ; a boxed operand traps every op below
 		mulsd f3, f0
 		sqrtsd f4, f0
+		fmod f5, f0, f1
 		inc r0
 		cmp r0, $500
 		jl loop

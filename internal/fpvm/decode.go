@@ -53,7 +53,7 @@ func (d *decodedInst) setSrcs(ops ...isa.Operand) {
 // of the seed's address-keyed map probe. A translation failure (non-FP or
 // unsupported form) is a degradable fault, never cached, so the degradation
 // engine can retire the instruction natively.
-func (vm *VM) decode(idx int, in isa.Inst) (*decodedInst, error) {
+func (vm *VM) decode(idx int, in *isa.Inst) (*decodedInst, error) {
 	if j := vm.inject; j != nil && j.Fire(faultinject.SeamDecode, in.Addr) {
 		return nil, degradeFault(telemetry.DegradeDecode, errInjected)
 	}
@@ -161,8 +161,8 @@ func ArithOp(op isa.Op) (arith.Op, bool) {
 // that set is a degradable fault — not a panic — so a mispatched or
 // misdelivered site degrades to native execution instead of killing the
 // process.
-func translate(in isa.Inst, d *decodedInst) error {
-	*d = decodedInst{inst: in, lanes: 1}
+func translate(in *isa.Inst, d *decodedInst) error {
+	*d = decodedInst{inst: *in, lanes: 1}
 	if in.Op.IsPacked() {
 		d.lanes = 2
 	}

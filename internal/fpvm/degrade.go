@@ -63,7 +63,7 @@ func asDegrade(err error) (DegradeCause, bool) {
 // the event, and let the run continue. RIP advances past in (ExecMasked
 // retires it), so the caller's delivery accounting is unchanged: the
 // degraded instruction retires exactly like an emulated one.
-func (vm *VM) degrade(m *machine.Machine, in isa.Inst, idx int, cause DegradeCause) error {
+func (vm *VM) degrade(m *machine.Machine, in *isa.Inst, idx int, cause DegradeCause) error {
 	vm.Stats.Degradations++
 	if int(cause) < len(vm.Stats.DegradeByCause) {
 		vm.Stats.DegradeByCause[cause]++
@@ -72,10 +72,10 @@ func (vm *VM) degrade(m *machine.Machine, in isa.Inst, idx int, cause DegradeCau
 		vm.telemPC = in.Addr
 		t.Degradation(idx, in.Addr, in.Op, cause, m.Cycles)
 	}
-	for _, o := range in.Ops {
-		if err := vm.demoteOperand(m, o, in.Op.IsPacked()); err != nil {
+	for i := range in.Ops {
+		if err := vm.demoteOperand(m, &in.Ops[i], in.Op.IsPacked()); err != nil {
 			return err
 		}
 	}
-	return m.ExecMasked(in)
+	return m.ExecMasked(idx)
 }

@@ -57,7 +57,7 @@ func TestNonFPInstructionDegrades(t *testing.T) {
 
 	// Deliver the integer add to the FP handler, as a mispatched or
 	// misdelivered site would.
-	in := m.Insts()[1]
+	in := &m.Insts()[1]
 	idx := 1
 	defer func() {
 		if r := recover(); r != nil {

@@ -38,7 +38,7 @@ func (vm *VM) emulate(m *machine.Machine, d *decodedInst) error {
 	if err := kindRunners[d.kind](vm, m, d); err != nil {
 		return err
 	}
-	m.Advance(d.inst)
+	m.Advance(&d.inst)
 	return nil
 }
 
@@ -52,7 +52,7 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 	// engine's native re-execution.
 	err := vm.applyLanes(m, d)
 	for lane := 0; err == nil && lane < d.lanes; lane++ {
-		err = m.WriteOperandFP(d.dst, lane, vm.pending[lane])
+		err = m.WriteOperandFP(&d.dst, lane, vm.pending[lane])
 	}
 	vm.pending = [2]uint64{}
 	return err
@@ -64,8 +64,8 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 func (vm *VM) applyLanes(m *machine.Machine, d *decodedInst) error {
 	for lane := 0; lane < d.lanes; lane++ {
 		var args [3]arith.Cell
-		for i, s := range d.srcs {
-			bits, err := vm.readFP(m, s, lane)
+		for i := range d.srcs {
+			bits, err := vm.readFP(m, &d.srcs[i], lane)
 			if err != nil {
 				return err
 			}
@@ -87,11 +87,11 @@ func (vm *VM) applyLanes(m *machine.Machine, d *decodedInst) error {
 
 // runCompare emulates ucomisd/comisd: the shadow comparison writes RFLAGS.
 func (vm *VM) runCompare(m *machine.Machine, d *decodedInst) error {
-	abits, err := vm.readFP(m, d.srcs[0], 0)
+	abits, err := vm.readFP(m, &d.srcs[0], 0)
 	if err != nil {
 		return err
 	}
-	bbits, err := vm.readFP(m, d.srcs[1], 0)
+	bbits, err := vm.readFP(m, &d.srcs[1], 0)
 	if err != nil {
 		return err
 	}
@@ -116,7 +116,7 @@ func (vm *VM) runCompare(m *machine.Machine, d *decodedInst) error {
 
 // runToInt emulates cvtsd2si/cvttsd2si: shadow → integer conversion.
 func (vm *VM) runToInt(m *machine.Machine, d *decodedInst) error {
-	bits, err := vm.readFP(m, d.srcs[0], 0)
+	bits, err := vm.readFP(m, &d.srcs[0], 0)
 	if err != nil {
 		return err
 	}
@@ -130,12 +130,12 @@ func (vm *VM) runToInt(m *machine.Machine, d *decodedInst) error {
 	if !ok {
 		i = -1 << 63 // integer indefinite, as the hardware would produce
 	}
-	return m.WriteOperandInt(d.dst, i)
+	return m.WriteOperandInt(&d.dst, i)
 }
 
 // runFromInt emulates cvtsi2sd: integer → shadow conversion.
 func (vm *VM) runFromInt(m *machine.Machine, d *decodedInst) error {
-	iv, err := m.ReadOperandInt(d.srcs[0])
+	iv, err := m.ReadOperandInt(&d.srcs[0])
 	if err != nil {
 		return err
 	}
@@ -145,7 +145,7 @@ func (vm *VM) runFromInt(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	return m.WriteOperandFP(d.dst, 0, bits)
+	return m.WriteOperandFP(&d.dst, 0, bits)
 }
 
 // runMove emulates movsd/movapd. Moves never fault and carry no arithmetic:
@@ -155,23 +155,23 @@ func (vm *VM) runFromInt(m *machine.Machine, d *decodedInst) error {
 // destination lane; movapd copies both lanes.
 func (vm *VM) runMove(m *machine.Machine, d *decodedInst) error {
 	if d.lanes == 1 {
-		bits, err := vm.readFP(m, d.srcs[0], 0)
+		bits, err := vm.readFP(m, &d.srcs[0], 0)
 		if err != nil {
 			return err
 		}
 		if d.dst.Kind == isa.KindFPReg && d.srcs[0].Kind == isa.KindMem {
-			if err := m.WriteOperandFP(d.dst, 1, 0); err != nil {
+			if err := m.WriteOperandFP(&d.dst, 1, 0); err != nil {
 				return err
 			}
 		}
-		return m.WriteOperandFP(d.dst, 0, bits)
+		return m.WriteOperandFP(&d.dst, 0, bits)
 	}
 	for lane := 0; lane < 2; lane++ {
-		bits, err := vm.readFP(m, d.srcs[0], lane)
+		bits, err := vm.readFP(m, &d.srcs[0], lane)
 		if err != nil {
 			return err
 		}
-		if err := m.WriteOperandFP(d.dst, lane, bits); err != nil {
+		if err := m.WriteOperandFP(&d.dst, lane, bits); err != nil {
 			return err
 		}
 	}
@@ -182,7 +182,7 @@ func (vm *VM) runMove(m *machine.Machine, d *decodedInst) error {
 // the guest-memory seam, where the fault injector can force a degradable
 // access failure; with no injector attached this is a plain read behind one
 // nil compare.
-func (vm *VM) readFP(m *machine.Machine, o isa.Operand, lane int) (uint64, error) {
+func (vm *VM) readFP(m *machine.Machine, o *isa.Operand, lane int) (uint64, error) {
 	if j := vm.inject; j != nil && o.Kind == isa.KindMem && j.Fire(faultinject.SeamMemAccess, vm.injectPC) {
 		return 0, degradeFault(telemetry.DegradeMem, errInjected)
 	}

@@ -52,7 +52,7 @@ func (s *Spy) handle(f *machine.TrapFrame) error {
 	s.Stats.ByOp[f.Inst.Op.String()]++
 	s.Stats.BySite[f.Inst.Addr]++
 	f.M.MXCSR.ClearFlags()
-	if err := f.M.ExecMasked(f.Inst); err != nil {
+	if err := f.M.ExecMasked(f.Idx); err != nil {
 		return err
 	}
 	s.Stats.Executed++

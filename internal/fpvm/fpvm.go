@@ -444,8 +444,8 @@ func (vm *VM) handleCorrectnessTrap(f *machine.TrapFrame) error {
 		vm.telemPC = f.Inst.Addr
 		t.Correctness(f.Idx, f.Inst.Addr, f.Inst.Op, f.Site, vm.M.Cycles)
 	}
-	for _, o := range f.Inst.Ops {
-		if err := vm.demoteOperand(f.M, o, f.Inst.Op.IsPacked()); err != nil {
+	for i := range f.Inst.Ops {
+		if err := vm.demoteOperand(f.M, &f.Inst.Ops[i], f.Inst.Op.IsPacked()); err != nil {
 			return err
 		}
 	}
@@ -453,7 +453,7 @@ func (vm *VM) handleCorrectnessTrap(f *machine.TrapFrame) error {
 }
 
 // demoteOperand demotes NaN-boxes reachable through one operand.
-func (vm *VM) demoteOperand(m *machine.Machine, o isa.Operand, packed bool) error {
+func (vm *VM) demoteOperand(m *machine.Machine, o *isa.Operand, packed bool) error {
 	lanes := 1
 	if packed {
 		lanes = 2

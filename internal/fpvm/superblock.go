@@ -7,7 +7,7 @@
 // trace whose flat slice of thunks each holds a pre-decoded, pre-bound copy
 // of its instruction and a pre-resolved per-kind runner — and the VM's patch
 // handler is installed at the entry. A later visit dispatches through the
-// patch slot (one bounds-checked compare, Cost.PatchCheck) and multi-retires
+// patch slot (one bounds-checked compare, CostModel.PatchCheck) and multi-retires
 // the whole run through the TrapFrame.Coalesced path with zero delivery, zero
 // decode, and zero bind; only the arithmetic system's own per-op cost and the
 // boxing cost remain, which is the §6 floor for any delivery mechanism.
@@ -101,7 +101,7 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 		vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
 		vm.Stats.Cycles.Bind += vm.costs.Bind
 		m.Cycles += vm.costs.DecodeMiss + vm.costs.Bind
-		if err := translate(insts[idx+i], &t.d); err != nil {
+		if err := translate(&insts[idx+i], &t.d); err != nil {
 			vm.degradeJITCompile(m, f)
 			return
 		}

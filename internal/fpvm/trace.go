@@ -147,7 +147,7 @@ func (vm *VM) runTrace(m *machine.Machine, tr *trace) (retired int, cut bool, er
 			vm.Stats.Cycles.Emulate += vm.costs.SBDispatch
 			m.Cycles += vm.costs.SBDispatch
 			if serr = t.run(vm, m, &t.d); serr == nil {
-				m.Advance(t.d.inst)
+				m.Advance(&t.d.inst)
 			}
 		default:
 			serr = vm.emulateOne(m, idx, in)
@@ -157,7 +157,7 @@ func (vm *VM) runTrace(m *machine.Machine, tr *trace) (retired int, cut bool, er
 			if !ok {
 				return retired, false, serr // genuine machine fault: native execution would die too
 			}
-			if derr := vm.degrade(m, *in, idx, cause); derr != nil {
+			if derr := vm.degrade(m, in, idx, cause); derr != nil {
 				return retired, false, derr
 			}
 			return retired + 1, true, nil
@@ -277,7 +277,7 @@ func (vm *VM) sanNote(m *machine.Machine, idx int, in *isa.Inst) {
 
 // emulateOne runs the full decode → bind → emulate path for one instruction.
 func (vm *VM) emulateOne(m *machine.Machine, idx int, in *isa.Inst) error {
-	d, err := vm.decode(idx, *in)
+	d, err := vm.decode(idx, in)
 	if err != nil {
 		return err
 	}

@@ -362,7 +362,7 @@ func NumOperands(op Op) int {
 // integer register file: base + index*scale + displacement. It is THE
 // addressing computation — the machine's executor and FPVM's operand binder
 // both delegate here, so the two can never silently diverge.
-func EffAddr(r *[NumIntRegs]int64, o Operand) uint64 {
+func EffAddr(r *[NumIntRegs]int64, o *Operand) uint64 {
 	var addr int64
 	if o.Base != RegNone {
 		addr = r[o.Base]
@@ -376,7 +376,7 @@ func EffAddr(r *[NumIntRegs]int64, o Operand) uint64 {
 // IntReadMemOperands returns the memory operands an integer instruction
 // reads (excluding pure writes). Shared by the static analyzer (sink
 // detection, §4.2) and the machine's trap-on-NaN-load mode (§6.2).
-func IntReadMemOperands(in Inst) []Operand {
+func IntReadMemOperands(in *Inst) []Operand {
 	var out []Operand
 	add := func(o Operand) {
 		if o.Kind == KindMem {

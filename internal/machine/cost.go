@@ -80,14 +80,19 @@ func (c *CostModel) opCost(op isa.Op) uint64 {
 	}
 }
 
-// memOperands counts memory operands in an instruction for cost purposes.
-// NewImage stores the count for every instruction of the image.
-func memOperands(in *isa.Inst) uint8 {
-	var n uint8
-	for _, o := range in.Ops {
-		if o.Kind == isa.KindMem {
-			n++
+// costModel is the one cost model every machine charges: NewImage folds it
+// into each instruction's charge, and Step charges its PatchCheck.
+var costModel = DefaultCostModel()
+
+// charge returns the modeled cycles of executing in natively: its opcode's
+// base cost plus MemAccess per memory operand it touches. NewImage computes
+// it once per instruction; dispatch adds it without looking at in again.
+func (c *CostModel) charge(in *isa.Inst) uint32 {
+	n := c.opCost(in.Op)
+	for i := range in.Ops {
+		if in.Ops[i].Kind == isa.KindMem {
+			n += c.MemAccess
 		}
 	}
-	return n
+	return uint32(n)
 }

@@ -1,94 +1,80 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"fpvm/internal/asm"
-	"fpvm/internal/isa"
 )
 
-// dispatchProg is a loop over a long straight-line integer body, giving the
-// fetch path a code footprint comparable to the real workloads (where the
-// seed's per-step map probes miss cache) while keeping the back-end cheap so
-// dispatch overhead dominates.
-func dispatchProg() string {
+// dispatchForms are the instruction forms that dominate native retirement
+// (NAS IS spends over 90% of its instructions in them), one straight-line
+// body line each; %d is the line number, for forms that need a label.
+var dispatchForms = []struct{ name, line string }{
+	{"add", "add r0, $1"},
+	{"load", "mov r1, [r2]"},
+	{"store", "mov [r2], r1"},
+	{"inc", "inc r1"},
+	{"and", "and r1, $255"},
+	{"cmp-jl", "cmp r1, $1\n\tjl l%d\nl%d:"},
+}
+
+// dispatchProg is a loop over a long straight-line body of one form, giving
+// the fetch path a code footprint comparable to the real workloads while
+// keeping the back-end cheap so dispatch overhead dominates.
+func dispatchProg(line string) string {
 	var sb strings.Builder
-	sb.WriteString("\tmov r0, $0\nloop:\n")
+	sb.WriteString(".data\ncell: .i64 0\n.text\n\tmov r0, $0\n\tmov r2, &cell\nloop:\n")
 	for i := 0; i < 1500; i++ {
-		sb.WriteString("\tadd r0, $1\n")
+		sb.WriteString("\t")
+		if strings.Contains(line, "%d") {
+			fmt.Fprintf(&sb, line, i, i)
+		} else {
+			sb.WriteString(line)
+		}
+		sb.WriteString("\n")
 	}
 	sb.WriteString("\tcmp r0, $1000000000\n\tjl loop\n\thalt\n")
 	return sb.String()
 }
 
-func newDispatchMachine(b *testing.B) *Machine {
-	b.Helper()
-	m, err := New(asm.MustAssemble(dispatchProg()), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// stepMap replicates the seed pipeline's per-step front-end: three map
-// probes (decoded code, patch sites, correctness sites) at every retirement.
-// It reuses the same exec back-end, so the benchmark delta is purely the
-// fetch mechanism: dense table walk vs map probes.
-func stepMap(m *Machine, decoded map[uint64]isa.Inst,
-	patches map[uint64]PatchHandler, sites map[uint64]int64) error {
-	if m.halted {
-		return nil
-	}
-	in, ok := decoded[m.RIP]
-	if !ok {
-		return m.fault("RIP not at an instruction boundary")
-	}
-	m.curIdx = int(m.addrIdx[m.RIP])
-	if ph := patches[m.RIP]; ph != nil {
-		m.Cycles += m.Cost.PatchCheck
-		m.Stats.PatchInvokes++
-		handled, err := ph(&TrapFrame{M: m, Cause: CauseFPException, Inst: in, Idx: m.curIdx})
-		if err != nil {
-			return err
-		}
-		if handled {
-			m.Stats.Instructions++
-			return nil
-		}
-	}
-	slot := instSlot{memOps: memOperands(&in)}
-	if s, ok := sites[in.Addr]; ok {
-		slot.site, slot.hasSite = s, true
-	}
-	return m.exec(&in, &slot)
-}
-
-// BenchmarkStepDispatch compares the dense predecoded fetch path against the
-// seed's map-keyed fetch path on the same machine and back-end.
+// BenchmarkStepDispatch measures one Step of each hot form on the dense
+// predecoded pipeline: fetch, the predecoded charge and class, and the
+// form's inline arm.
 func BenchmarkStepDispatch(b *testing.B) {
-	b.Run("dense", func(b *testing.B) {
-		m := newDispatchMachine(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	for _, f := range dispatchForms {
+		b.Run(f.name, func(b *testing.B) {
+			m, err := New(asm.MustAssemble(dispatchProg(f.line)), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestHotFormStepsAllocateNothing gates what BenchmarkStepDispatch reports:
+// a Step of any hot form allocates nothing.
+func TestHotFormStepsAllocateNothing(t *testing.T) {
+	for _, f := range dispatchForms {
+		m, err := New(asm.MustAssemble(dispatchProg(f.line)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
 			if err := m.Step(); err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a Step allocates %.1f times, want 0", f.name, allocs)
 		}
-	})
-	b.Run("map", func(b *testing.B) {
-		m := newDispatchMachine(b)
-		decoded := make(map[uint64]isa.Inst, len(m.insts))
-		for _, in := range m.insts {
-			decoded[in.Addr] = in
-		}
-		patches := make(map[uint64]PatchHandler)
-		sites := make(map[uint64]int64)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := stepMap(m, decoded, patches, sites); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

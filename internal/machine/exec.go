@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -12,12 +13,12 @@ import (
 // effAddr computes the effective address of a memory operand. The shared
 // isa.EffAddr is the single definition of addressing; FPVM's binder uses the
 // same helper.
-func (m *Machine) effAddr(o isa.Operand) uint64 {
+func (m *Machine) effAddr(o *isa.Operand) uint64 {
 	return isa.EffAddr(&m.R, o)
 }
 
 // readInt reads an integer operand (register, immediate, or memory).
-func (m *Machine) readInt(o isa.Operand) (int64, error) {
+func (m *Machine) readInt(o *isa.Operand) (int64, error) {
 	switch o.Kind {
 	case isa.KindIntReg:
 		return m.R[o.Reg], nil
@@ -32,7 +33,7 @@ func (m *Machine) readInt(o isa.Operand) (int64, error) {
 }
 
 // writeInt writes an integer result to a register or memory operand.
-func (m *Machine) writeInt(o isa.Operand, v int64) error {
+func (m *Machine) writeInt(o *isa.Operand, v int64) error {
 	switch o.Kind {
 	case isa.KindIntReg:
 		m.R[o.Reg] = v
@@ -46,7 +47,7 @@ func (m *Machine) writeInt(o isa.Operand, v int64) error {
 
 // readFPBits reads lane `lane` of an FP operand: FP register lane, or the
 // 8-byte word at addr+8*lane for memory.
-func (m *Machine) readFPBits(o isa.Operand, lane int) (uint64, error) {
+func (m *Machine) readFPBits(o *isa.Operand, lane int) (uint64, error) {
 	switch o.Kind {
 	case isa.KindFPReg:
 		return m.F[o.Reg][lane], nil
@@ -58,7 +59,7 @@ func (m *Machine) readFPBits(o isa.Operand, lane int) (uint64, error) {
 }
 
 // writeFPBits writes lane `lane` of an FP destination.
-func (m *Machine) writeFPBits(o isa.Operand, lane int, bits uint64) error {
+func (m *Machine) writeFPBits(o *isa.Operand, lane int, bits uint64) error {
 	switch o.Kind {
 	case isa.KindFPReg:
 		m.F[o.Reg][lane] = bits
@@ -73,7 +74,7 @@ func (m *Machine) writeFPBits(o isa.Operand, lane int, bits uint64) error {
 func (m *Machine) advance(in *isa.Inst) { m.RIP = in.Addr + uint64(in.Len) }
 
 // exec executes (or traps) one decoded instruction; slot is the per-index
-// side-table entry of in.
+// side-table entry of in, carrying its predecoded charge and class.
 func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	// Correctness-trap sites installed by the static patcher fire before
 	// the instruction executes; the handler demotes NaN-boxes and the
@@ -89,37 +90,94 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	// to load a NaN bit pattern (the cheap hardware check that replaces
 	// static analysis). The handler demotes in place; execution then
 	// proceeds, so genuine quiet-NaN data does not loop.
-	if m.TrapOnNaNLoad && m.CorrectnessTrap != nil && !in.Op.IsFPArith() &&
-		!in.Op.IsFPMove() && !in.Op.IsFPBitwise() {
-		for _, o := range isa.IntReadMemOperands(*in) {
-			bits, err := m.ReadU64(m.effAddr(o))
-			if err != nil {
-				break // the execution below reports the fault
-			}
-			if isNaNPattern(bits) {
-				m.Stats.CorrectTraps++
-				if _, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, -2); err != nil {
-					return err
-				}
-				break
-			}
+	if m.TrapOnNaNLoad && m.CorrectnessTrap != nil && slot.class != classFPArith &&
+		slot.class != classFPMove && slot.class != classFPBitwise {
+		if err := m.nanLoadTrap(in); err != nil {
+			return err
 		}
 	}
 
-	m.Cycles += m.Cost.opCost(in.Op) + m.Cost.MemAccess*uint64(slot.memOps)
+	m.Cycles += uint64(slot.charge)
 
-	op := in.Op
-	switch {
-	case op.IsFPArith():
+	// The hot integer forms: operand kinds fixed by the class, so each arm
+	// reads registers and immediates directly and touches memory through
+	// one bounds-checked load or store.
+	switch slot.class {
+	case classFPArith:
 		return m.execFPArith(in)
-	case op.IsFPMove():
+	case classFPMove:
 		return m.execFPMove(in)
-	case op.IsFPBitwise():
+	case classFPBitwise:
 		return m.execFPBitwise(in)
-	case op.IsBranch():
+	case classBranch:
 		return m.execBranch(in)
+	case classMovRR:
+		m.R[in.Ops[0].Reg] = m.R[in.Ops[1].Reg]
+	case classMovRI:
+		m.R[in.Ops[0].Reg] = in.Ops[1].Imm
+	case classMovRM:
+		addr := isa.EffAddr(&m.R, &in.Ops[1])
+		if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
+			return m.fault("load out of bounds: %#x", addr)
+		}
+		m.R[in.Ops[0].Reg] = int64(binary.LittleEndian.Uint64(m.Mem[addr:]))
+	case classMovMR:
+		addr := isa.EffAddr(&m.R, &in.Ops[0])
+		if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
+			return m.fault("store out of bounds: %#x", addr)
+		}
+		binary.LittleEndian.PutUint64(m.Mem[addr:], uint64(m.R[in.Ops[1].Reg]))
+	case classIncR:
+		r := &m.R[in.Ops[0].Reg]
+		*r++
+		m.setIntFlags(*r, false)
+	case classAddRR:
+		r := &m.R[in.Ops[0].Reg]
+		a, b := *r, m.R[in.Ops[1].Reg]
+		*r = a + b
+		m.setCmpFlagsAdd(a, b, *r)
+	case classAddRI:
+		r := &m.R[in.Ops[0].Reg]
+		a, b := *r, in.Ops[1].Imm
+		*r = a + b
+		m.setCmpFlagsAdd(a, b, *r)
+	case classAndRI:
+		r := &m.R[in.Ops[0].Reg]
+		*r &= in.Ops[1].Imm
+		m.setIntFlags(*r, true)
+	case classCmpRR:
+		m.setCmpFlags(m.R[in.Ops[0].Reg], m.R[in.Ops[1].Reg])
+	case classCmpRI:
+		m.setCmpFlags(m.R[in.Ops[0].Reg], in.Ops[1].Imm)
+	default:
+		return m.execInt(in)
 	}
+	m.advance(in)
+	m.Stats.Instructions++
+	return nil
+}
 
+// nanLoadTrap delivers the §6.2 correctness trap when one of the memory
+// words the integer instruction in reads holds a NaN bit pattern.
+func (m *Machine) nanLoadTrap(in *isa.Inst) error {
+	for _, o := range isa.IntReadMemOperands(in) {
+		bits, err := m.ReadU64(m.effAddr(&o))
+		if err != nil {
+			return nil // the execution reports the fault
+		}
+		if isNaNPattern(bits) {
+			m.Stats.CorrectTraps++
+			_, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, -2)
+			return err
+		}
+	}
+	return nil
+}
+
+// execInt executes every integer, I/O and control instruction that has no
+// hot form of its own, in any operand form.
+func (m *Machine) execInt(in *isa.Inst) error {
+	op := in.Op
 	switch op {
 	case isa.OpNop:
 		m.advance(in)
@@ -127,11 +185,11 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		m.halted = true
 		m.advance(in)
 	case isa.OpMov:
-		v, err := m.readInt(in.Ops[1])
+		v, err := m.readInt(&in.Ops[1])
 		if err != nil {
 			return err
 		}
-		if err := m.writeInt(in.Ops[0], v); err != nil {
+		if err := m.writeInt(&in.Ops[0], v); err != nil {
 			return err
 		}
 		m.advance(in)
@@ -139,43 +197,43 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		if in.Ops[1].Kind != isa.KindMem {
 			return m.fault("lea needs a memory source")
 		}
-		if err := m.writeInt(in.Ops[0], int64(m.effAddr(in.Ops[1]))); err != nil {
+		if err := m.writeInt(&in.Ops[0], int64(m.effAddr(&in.Ops[1]))); err != nil {
 			return err
 		}
 		m.advance(in)
 	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpImul,
 		isa.OpShl, isa.OpShr, isa.OpSar:
-		a, err := m.readInt(in.Ops[0])
+		a, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
-		b, err := m.readInt(in.Ops[1])
+		b, err := m.readInt(&in.Ops[1])
 		if err != nil {
 			return err
 		}
 		v := m.intALU(op, a, b)
-		if err := m.writeInt(in.Ops[0], v); err != nil {
+		if err := m.writeInt(&in.Ops[0], v); err != nil {
 			return err
 		}
 		m.advance(in)
 	case isa.OpIdiv:
-		a, err := m.readInt(in.Ops[0])
+		a, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
-		b, err := m.readInt(in.Ops[1])
+		b, err := m.readInt(&in.Ops[1])
 		if err != nil {
 			return err
 		}
 		if b == 0 {
 			return m.fault("integer divide by zero")
 		}
-		if err := m.writeInt(in.Ops[0], a/b); err != nil {
+		if err := m.writeInt(&in.Ops[0], a/b); err != nil {
 			return err
 		}
 		m.advance(in)
 	case isa.OpNeg, isa.OpNot, isa.OpInc, isa.OpDec:
-		a, err := m.readInt(in.Ops[0])
+		a, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -191,27 +249,27 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 			v = a - 1
 		}
 		m.setIntFlags(v, false)
-		if err := m.writeInt(in.Ops[0], v); err != nil {
+		if err := m.writeInt(&in.Ops[0], v); err != nil {
 			return err
 		}
 		m.advance(in)
 	case isa.OpCmp:
-		a, err := m.readInt(in.Ops[0])
+		a, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
-		b, err := m.readInt(in.Ops[1])
+		b, err := m.readInt(&in.Ops[1])
 		if err != nil {
 			return err
 		}
 		m.setCmpFlags(a, b)
 		m.advance(in)
 	case isa.OpTest:
-		a, err := m.readInt(in.Ops[0])
+		a, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
-		b, err := m.readInt(in.Ops[1])
+		b, err := m.readInt(&in.Ops[1])
 		if err != nil {
 			return err
 		}
@@ -219,7 +277,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		m.Flags.CF, m.Flags.OF = false, false
 		m.advance(in)
 	case isa.OpCall:
-		target, err := m.readInt(in.Ops[0])
+		target, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -237,7 +295,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		m.R[isa.RegSP] += 8
 		m.RIP = v
 	case isa.OpPush:
-		v, err := m.readInt(in.Ops[0])
+		v, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -252,12 +310,12 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 			return err
 		}
 		m.R[isa.RegSP] += 8
-		if err := m.writeInt(in.Ops[0], int64(v)); err != nil {
+		if err := m.writeInt(&in.Ops[0], int64(v)); err != nil {
 			return err
 		}
 		m.advance(in)
 	case isa.OpOutf:
-		bits, err := m.readFPBits(in.Ops[0], 0)
+		bits, err := m.readFPBits(&in.Ops[0], 0)
 		if err != nil {
 			return err
 		}
@@ -275,7 +333,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		}
 		m.advance(in)
 	case isa.OpOuti:
-		v, err := m.readInt(in.Ops[0])
+		v, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -284,7 +342,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		}
 		m.advance(in)
 	case isa.OpOutc:
-		v, err := m.readInt(in.Ops[0])
+		v, err := m.readInt(&in.Ops[0])
 		if err != nil {
 			return err
 		}
@@ -309,7 +367,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 		}
 		m.advance(in)
 	case isa.OpCycles:
-		if err := m.writeInt(in.Ops[0], int64(m.Cycles)); err != nil {
+		if err := m.writeInt(&in.Ops[0], int64(m.Cycles)); err != nil {
 			return err
 		}
 		m.advance(in)
@@ -382,8 +440,11 @@ func (m *Machine) setCmpFlagsAdd(a, b, v int64) {
 }
 
 func (m *Machine) execBranch(in *isa.Inst) error {
+	// Each flag is read in place: copying the struct would load the bytes
+	// the compare just stored one by one as a single wider word, which the
+	// store buffer cannot forward.
 	taken := false
-	f := m.Flags
+	f := &m.Flags
 	switch in.Op {
 	case isa.OpJmp:
 		taken = true
@@ -412,21 +473,24 @@ func (m *Machine) execBranch(in *isa.Inst) error {
 	case isa.OpJnp:
 		taken = !f.PF
 	}
-	if taken {
-		t, err := m.readInt(in.Ops[0])
+	switch o := &in.Ops[0]; {
+	case !taken:
+		m.advance(in)
+	case o.Kind == isa.KindImm:
+		m.RIP = uint64(o.Imm)
+	default:
+		t, err := m.readInt(o)
 		if err != nil {
 			return err
 		}
 		m.RIP = uint64(t)
-	} else {
-		m.advance(in)
 	}
 	m.Stats.Instructions++
 	return nil
 }
 
 func (m *Machine) execFPMove(in *isa.Inst) error {
-	dst, src := in.Ops[0], in.Ops[1]
+	dst, src := &in.Ops[0], &in.Ops[1]
 	switch in.Op {
 	case isa.OpMovsd:
 		bits, err := m.readFPBits(src, 0)
@@ -456,7 +520,7 @@ func (m *Machine) execFPMove(in *isa.Inst) error {
 }
 
 func (m *Machine) execFPBitwise(in *isa.Inst) error {
-	dst, src := in.Ops[0], in.Ops[1]
+	dst, src := &in.Ops[0], &in.Ops[1]
 	if dst.Kind != isa.KindFPReg {
 		return m.fault("%v needs an FP register destination", in.Op)
 	}
@@ -487,22 +551,22 @@ func (m *Machine) execFPBitwise(in *isa.Inst) error {
 // frame's register file and the process address space).
 
 // ReadOperandFP reads lane `lane` of an FP operand.
-func (m *Machine) ReadOperandFP(o isa.Operand, lane int) (uint64, error) {
+func (m *Machine) ReadOperandFP(o *isa.Operand, lane int) (uint64, error) {
 	return m.readFPBits(o, lane)
 }
 
 // WriteOperandFP writes lane `lane` of an FP operand.
-func (m *Machine) WriteOperandFP(o isa.Operand, lane int, bits uint64) error {
+func (m *Machine) WriteOperandFP(o *isa.Operand, lane int, bits uint64) error {
 	return m.writeFPBits(o, lane, bits)
 }
 
 // ReadOperandInt reads an integer operand.
-func (m *Machine) ReadOperandInt(o isa.Operand) (int64, error) {
+func (m *Machine) ReadOperandInt(o *isa.Operand) (int64, error) {
 	return m.readInt(o)
 }
 
 // WriteOperandInt writes an integer operand.
-func (m *Machine) WriteOperandInt(o isa.Operand, v int64) error {
+func (m *Machine) WriteOperandInt(o *isa.Operand, v int64) error {
 	return m.writeInt(o, v)
 }
 
@@ -513,11 +577,11 @@ func (m *Machine) SetCompareFlags(zf, pf, cf bool) {
 }
 
 // Advance moves RIP past in (used by trap handlers after emulation).
-func (m *Machine) Advance(in isa.Inst) { m.advance(&in) }
+func (m *Machine) Advance(in *isa.Inst) { m.advance(in) }
 
-// ExecMasked executes one instruction natively with every MXCSR exception
-// masked and no side-table dispatch (only the static memory-operand count of
-// its slot, so it pays the same cost): the graceful-degradation escape hatch
+// ExecMasked executes the instruction at dense index idx natively with every
+// MXCSR exception masked and no side-table dispatch (only the image's charge
+// for it, so it pays the same cost): the graceful-degradation escape hatch
 // (§4.1–4.2's guarantee that anything can be demoted and run as plain IEEE).
 // No trap of any kind is delivered — FP events take their masked IEEE
 // response, patch and correctness sites are bypassed, and the NaN-load
@@ -526,13 +590,14 @@ func (m *Machine) Advance(in isa.Inst) { m.advance(&in) }
 // retirement; cycle costs accrue normally. Genuine machine faults (bad
 // memory, bad opcode) still propagate: native execution would die the same
 // way, and degradation must never mask a real crash.
-func (m *Machine) ExecMasked(in isa.Inst) error {
+func (m *Machine) ExecMasked(idx int) error {
 	masks := m.MXCSR.Masks()
 	nanLoad := m.TrapOnNaNLoad
 	inst, fp := m.Stats.Instructions, m.Stats.FPInstructions
 	m.MXCSR.SetMasks(fpu.FlagAll)
 	m.TrapOnNaNLoad = false
-	err := m.exec(&in, &instSlot{memOps: memOperands(&in)})
+	slot := instSlot{instInfo: m.slots[idx].instInfo}
+	err := m.exec(&m.insts[idx], &slot)
 	m.MXCSR.SetMasks(masks)
 	m.TrapOnNaNLoad = nanLoad
 	m.Stats.Instructions, m.Stats.FPInstructions = inst, fp

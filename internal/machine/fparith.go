@@ -95,11 +95,9 @@ func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
 			isa.OpMaxsd, isa.OpAddpd, isa.OpSubpd, isa.OpMulpd, isa.OpDivpd,
 			isa.OpFmod, isa.OpFatan2, isa.OpFpow, isa.OpFhypot:
 			// Binary: dst = dst op src, or ternary dst = f(a, b).
-			var aop, bop isa.Operand
+			aop, bop := &in.Ops[0], &in.Ops[1]
 			if len(in.Ops) == 3 {
-				aop, bop = in.Ops[1], in.Ops[2]
-			} else {
-				aop, bop = in.Ops[0], in.Ops[1]
+				aop, bop = &in.Ops[1], &in.Ops[2]
 			}
 			abits, err := m.readFPBits(aop, lane)
 			if err != nil {
@@ -117,7 +115,7 @@ func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
 			isa.OpFcos, isa.OpFtan, isa.OpFasin, isa.OpFacos, isa.OpFatan,
 			isa.OpFexp, isa.OpFlog, isa.OpFlog2, isa.OpFlog10, isa.OpFfloor,
 			isa.OpFceil, isa.OpFround, isa.OpFtrunc:
-			bits, err := m.readFPBits(in.Ops[1], lane)
+			bits, err := m.readFPBits(&in.Ops[1], lane)
 			if err != nil {
 				return err
 			}
@@ -127,15 +125,15 @@ func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
 
 		case isa.OpFmaddsd:
 			// dst = src1*src2 + dst
-			abits, err := m.readFPBits(in.Ops[1], lane)
+			abits, err := m.readFPBits(&in.Ops[1], lane)
 			if err != nil {
 				return err
 			}
-			bbits, err := m.readFPBits(in.Ops[2], lane)
+			bbits, err := m.readFPBits(&in.Ops[2], lane)
 			if err != nil {
 				return err
 			}
-			cbits, err := m.readFPBits(in.Ops[0], lane)
+			cbits, err := m.readFPBits(&in.Ops[0], lane)
 			if err != nil {
 				return err
 			}
@@ -144,11 +142,11 @@ func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
 			r.lanes[lane] = fpLaneResult{math.Float64bits(res.Value), true}
 
 		case isa.OpUcomisd, isa.OpComisd:
-			abits, err := m.readFPBits(in.Ops[0], lane)
+			abits, err := m.readFPBits(&in.Ops[0], lane)
 			if err != nil {
 				return err
 			}
-			bbits, err := m.readFPBits(in.Ops[1], lane)
+			bbits, err := m.readFPBits(&in.Ops[1], lane)
 			if err != nil {
 				return err
 			}
@@ -161,7 +159,7 @@ func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
 			r.isCmp = true
 
 		case isa.OpCvtsi2sd:
-			v, err := m.readInt(in.Ops[1])
+			v, err := m.readInt(&in.Ops[1])
 			if err != nil {
 				return err
 			}
@@ -170,7 +168,7 @@ func (m *Machine) computeFP(in *isa.Inst, r *fpOutcome) error {
 			r.lanes[lane] = fpLaneResult{math.Float64bits(res.Value), true}
 
 		case isa.OpCvtsd2si, isa.OpCvttsd2si:
-			bits, err := m.readFPBits(in.Ops[1], 0)
+			bits, err := m.readFPBits(&in.Ops[1], 0)
 			if err != nil {
 				return err
 			}
@@ -199,11 +197,11 @@ func (m *Machine) commitFP(in *isa.Inst, r *fpOutcome) error {
 		m.Flags.ZF, m.Flags.PF, m.Flags.CF = r.cmp.ZF, r.cmp.PF, r.cmp.CF
 		m.Flags.OF, m.Flags.SF = false, false
 	case r.intDst >= 0:
-		return m.writeInt(in.Ops[r.intDst], r.intResult)
+		return m.writeInt(&in.Ops[r.intDst], r.intResult)
 	default:
 		for lane := 0; lane < r.laneCount; lane++ {
 			if r.lanes[lane].valid {
-				if err := m.writeFPBits(in.Ops[0], lane, r.lanes[lane].bits); err != nil {
+				if err := m.writeFPBits(&in.Ops[0], lane, r.lanes[lane].bits); err != nil {
 					return err
 				}
 			}

@@ -10,8 +10,7 @@ import (
 
 // Image is everything derived from one program that does not change while
 // the program runs: the dense predecoded instruction stream, its addr→index
-// table, the per-instruction memory-operand counts the cost model charges,
-// the §4.2 correctness-site table, and the traces the JIT tier has published
+// table, each instruction's modeled cycle charge and execution class, the §4.2 correctness-site table, and the traces the JIT tier has published
 // for it. It is the ahead-of-time half of the paper's pipeline (§4.2 runs
 // once per binary), built once per program content and shared read-only by
 // every machine that loads it: guests fetch from the immutable stream, and a
@@ -21,8 +20,8 @@ import (
 type Image struct {
 	prog    *isa.Program
 	insts   []isa.Inst
-	addrIdx []int32 // code address → index into insts; -1 off-boundary
-	memOps  []uint8 // memory operands per instruction (cost model)
+	addrIdx []int32    // code address → index into insts; -1 off-boundary
+	info    []instInfo // charge and class per instruction
 
 	// sites is the correctness-site table; analyzed reports whether one was
 	// supplied at all (an analyzed program may have none).
@@ -31,6 +30,87 @@ type Image struct {
 
 	mu     sync.Mutex
 	traces []PublishedTrace // append-only, in publication order
+}
+
+// instInfo is what dispatch needs to know about an instruction beyond the
+// instruction itself, computed once at predecode: the modeled cycles its
+// native execution charges and the class exec switches on.
+type instInfo struct {
+	charge uint32
+	class  execClass
+}
+
+// execClass is the arm of exec an instruction runs in. The FP classes and
+// branches have arms of their own; the hot integer forms (the operand kinds
+// fixed, so the arm reads and writes operands with no kind switch) cover
+// most native retirement; classInt is every other instruction, including
+// each one whose operand kinds fault.
+type execClass uint8
+
+const (
+	classInt execClass = iota
+	classFPArith
+	classFPMove
+	classFPBitwise
+	classBranch
+	classMovRR // mov r, r
+	classMovRI // mov r, $imm
+	classMovRM // mov r, [m]
+	classMovMR // mov [m], r
+	classIncR  // inc r
+	classAddRR // add r, r
+	classAddRI // add r, $imm
+	classAndRI // and r, $imm
+	classCmpRR // cmp r, r
+	classCmpRI // cmp r, $imm
+)
+
+// classify returns in's execution class.
+func classify(in *isa.Inst) execClass {
+	switch op := in.Op; {
+	case op.IsFPArith():
+		return classFPArith
+	case op.IsFPMove():
+		return classFPMove
+	case op.IsFPBitwise():
+		return classFPBitwise
+	case op.IsBranch():
+		return classBranch
+	}
+	var k0, k1 isa.OperandKind
+	if len(in.Ops) > 0 {
+		k0 = in.Ops[0].Kind
+	}
+	if len(in.Ops) > 1 {
+		k1 = in.Ops[1].Kind
+	}
+	type form struct {
+		op     isa.Op
+		k0, k1 isa.OperandKind
+	}
+	switch (form{in.Op, k0, k1}) {
+	case form{isa.OpMov, isa.KindIntReg, isa.KindIntReg}:
+		return classMovRR
+	case form{isa.OpMov, isa.KindIntReg, isa.KindImm}:
+		return classMovRI
+	case form{isa.OpMov, isa.KindIntReg, isa.KindMem}:
+		return classMovRM
+	case form{isa.OpMov, isa.KindMem, isa.KindIntReg}:
+		return classMovMR
+	case form{isa.OpInc, isa.KindIntReg, isa.KindNone}:
+		return classIncR
+	case form{isa.OpAdd, isa.KindIntReg, isa.KindIntReg}:
+		return classAddRR
+	case form{isa.OpAdd, isa.KindIntReg, isa.KindImm}:
+		return classAddRI
+	case form{isa.OpAnd, isa.KindIntReg, isa.KindImm}:
+		return classAndRI
+	case form{isa.OpCmp, isa.KindIntReg, isa.KindIntReg}:
+		return classCmpRR
+	case form{isa.OpCmp, isa.KindIntReg, isa.KindImm}:
+		return classCmpRI
+	}
+	return classInt
 }
 
 // imageSite is one correctness site: the dense index of the instruction it
@@ -70,9 +150,10 @@ func NewImage(prog *isa.Program, sites map[uint64]int64) (*Image, error) {
 		im.insts = append(im.insts, in)
 		addr += uint64(in.Len)
 	}
-	im.memOps = make([]uint8, len(im.insts))
+	im.info = make([]instInfo, len(im.insts))
 	for i := range im.insts {
-		im.memOps[i] = memOperands(&im.insts[i])
+		in := &im.insts[i]
+		im.info[i] = instInfo{charge: costModel.charge(in), class: classify(in)}
 	}
 	if sites != nil {
 		im.analyzed = true

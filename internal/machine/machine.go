@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"fpvm/internal/fpu"
@@ -72,7 +73,7 @@ func (c TrapCause) String() string {
 type TrapFrame struct {
 	M     *Machine
 	Cause TrapCause
-	Inst  isa.Inst  // the faulting/trapping instruction
+	Inst  *isa.Inst // the faulting/trapping instruction, in the image's immutable stream
 	Idx   int       // dense instruction index of Inst (see Machine.InstIndex)
 	Flags fpu.Flags // MXCSR condition flags observed (FP exceptions)
 	Site  int64     // correctness-trap site id (trapc immediate)
@@ -120,13 +121,13 @@ type Stats struct {
 // instSlot is the per-instruction side table of the dense pipeline: one
 // bounds-checked array access at dispatch replaces the seed's three map
 // probes (decoded code, patch sites, correctness sites) per retired
-// instruction. patch and the site are per-run state; memOps is the image's
-// static count, copied in at Load so dispatch reads a single slot.
+// instruction. patch and the site are per-run state; the charge and class
+// are the image's, copied in at Load so dispatch reads a single slot.
 type instSlot struct {
-	patch   PatchHandler // trap-and-patch handler, nil when unpatched
-	site    int64        // correctness-trap site id
-	hasSite bool         // whether a correctness site is installed
-	memOps  uint8        // memory operands of the instruction (cost model)
+	patch PatchHandler // trap-and-patch handler, nil when unpatched
+	site  int64        // correctness-trap site id
+	instInfo
+	hasSite bool // whether a correctness site is installed
 }
 
 // Machine is a single-core simulated CPU with flat memory.
@@ -173,8 +174,8 @@ type Machine struct {
 	// is strictly observational and never charges cycles.
 	Telem *telemetry.Collector
 
-	// Cost accounting.
-	Cost     CostModel
+	// Cost accounting. Native execution charges the image's per-instruction
+	// charge (DefaultCostModel); traps charge the delivery profile.
 	Profile  *trap.CostProfile
 	Delivery trap.Kind // delivery model for every trap (FP, correctness, callext)
 	Cycles   uint64
@@ -223,7 +224,6 @@ func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 	}
 	m := &Machine{
 		Mem:      make([]byte, memSize),
-		Cost:     DefaultCostModel(),
 		Profile:  &trap.R815,
 		Delivery: trap.DeliverUserSignal,
 		Out:      out,
@@ -236,8 +236,7 @@ func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 }
 
 // Reset returns the machine to the exact state NewFromImage(img, out,
-// memSize) would produce — architectural state, cost model, delivery
-// profile, stats, and hooks all back to their defaults — while retaining
+// memSize) would produce — architectural state, delivery profile, stats, and hooks all back to their defaults — while retaining
 // every allocation: the memory image and the side-table slots. This is what
 // makes a machine cheaply poolable: a reused machine is bit-identical to a
 // fresh one, it just does not pay the allocations again. The image itself is
@@ -276,7 +275,6 @@ func (m *Machine) Reset(img *Image, out io.Writer, memSize int) error {
 	m.Telem = nil
 	m.Preempt = nil
 
-	m.Cost = DefaultCostModel()
 	m.Profile = &trap.R815
 	m.Delivery = trap.DeliverUserSignal
 	m.Out = out
@@ -299,8 +297,8 @@ func (m *Machine) Load(img *Image) error {
 	} else {
 		m.slots = make([]instSlot, len(m.insts))
 	}
-	for i, n := range img.memOps {
-		m.slots[i] = instSlot{memOps: n}
+	for i, info := range img.info {
+		m.slots[i] = instSlot{instInfo: info}
 	}
 	return m.loadData(img.prog)
 }
@@ -418,24 +416,34 @@ func (e *DeadlineError) Error() string {
 // preempted run is always left at an instruction boundary. Checkpoints charge no modeled cycles —
 // an armed-but-never-fired flag leaves the run bit- and cycle-identical to
 // an unarmed one.
+//
+// The loop makes one compare per step, against the stop count: the smaller
+// of the budget and the next checkpoint.
 func (m *Machine) Run(maxInstructions uint64) error {
-	var checkpoint uint64
+	budget := maxInstructions
+	if budget == 0 {
+		budget = math.MaxUint64
+	}
+	checkpoint := uint64(math.MaxUint64)
 	if m.Preempt != nil {
 		checkpoint = m.Stats.Instructions + DefaultPreemptEvery
 	}
+	stop := min(budget, checkpoint)
 	for !m.halted {
 		if err := m.Step(); err != nil {
 			return err
 		}
-		if maxInstructions > 0 && m.Stats.Instructions >= maxInstructions {
+		if m.Stats.Instructions < stop {
+			continue
+		}
+		if m.Stats.Instructions >= budget {
 			return &BudgetError{RIP: m.RIP, Budget: maxInstructions}
 		}
-		if checkpoint != 0 && m.Stats.Instructions >= checkpoint {
-			if m.Preempt.Load() {
-				return &DeadlineError{RIP: m.RIP, Instructions: m.Stats.Instructions}
-			}
-			checkpoint = m.Stats.Instructions + DefaultPreemptEvery
+		if m.Preempt.Load() {
+			return &DeadlineError{RIP: m.RIP, Instructions: m.Stats.Instructions}
 		}
+		checkpoint = m.Stats.Instructions + DefaultPreemptEvery
+		stop = min(budget, checkpoint)
 	}
 	return nil
 }
@@ -527,7 +535,7 @@ func (m *Machine) pushFrame(cause TrapCause, in *isa.Inst, flags fpu.Flags, site
 	m.frameDepth++
 	// Field stores rather than a composite literal: the literal would be
 	// built on the stack and block-copied into the frame.
-	f.M, f.Cause, f.Inst, f.Idx = m, cause, *in, m.curIdx
+	f.M, f.Cause, f.Inst, f.Idx = m, cause, in, m.curIdx
 	f.Flags, f.Site, f.Coalesced = flags, site, 0
 	return f
 }
@@ -595,17 +603,22 @@ func (m *Machine) Step() error {
 	if m.halted {
 		return nil
 	}
-	if m.RIP >= uint64(len(m.addrIdx)) || m.addrIdx[m.RIP] < 0 {
+	if m.RIP >= uint64(len(m.addrIdx)) {
 		return m.fault("RIP not at an instruction boundary")
 	}
-	idx := int(m.addrIdx[m.RIP])
+	i := m.addrIdx[m.RIP]
+	if i < 0 {
+		return m.fault("RIP not at an instruction boundary")
+	}
+	idx := int(i)
 	in := &m.insts[idx]
+	slot := &m.slots[idx]
 	m.curIdx = idx
 
 	// Trap-and-patch: a patched site bypasses fetch/execute and runs the
 	// patch's handler after a cheap inline check (§3.2).
-	if ph := m.slots[idx].patch; ph != nil {
-		m.Cycles += m.Cost.PatchCheck
+	if ph := slot.patch; ph != nil {
+		m.Cycles += costModel.PatchCheck
 		m.Stats.PatchInvokes++
 		handled, coalesced, err := m.dispatchPatch(ph, in)
 		if err != nil {
@@ -622,5 +635,5 @@ func (m *Machine) Step() error {
 		// Fall through: execute natively below.
 	}
 
-	return m.exec(in, &m.slots[idx])
+	return m.exec(in, slot)
 }

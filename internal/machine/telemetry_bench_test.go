@@ -34,7 +34,7 @@ func newTrapMachine(b *testing.B) *Machine {
 	// arithmetic back-end, so delivery overhead dominates the measurement.
 	m.FPTrap = func(f *TrapFrame) error {
 		f.M.MXCSR.ClearFlags()
-		f.M.advance(&f.Inst)
+		f.M.advance(f.Inst)
 		return nil
 	}
 	return m

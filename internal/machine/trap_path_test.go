@@ -165,7 +165,7 @@ func TestTrapFrameContract(t *testing.T) {
 	m.SetPatch(insts[3].Addr, func(f *TrapFrame) (bool, error) {
 		record(f)
 		outer := viewOf(f)
-		f.M.Advance(insts[4]) // retire addsd and subsd under one dispatch
+		f.M.Advance(&insts[4]) // retire addsd and subsd under one dispatch
 		// Step through the glue: the trapc delivers a correctness trap
 		// nested inside this handler.
 		if err := f.M.Step(); err != nil {
@@ -206,9 +206,9 @@ func TestTrapFrameContract(t *testing.T) {
 }
 
 // TestExecMaskedChargesMemoryCost pins ExecMasked to the dispatch loop's
-// cost: its slot carries no side-table entries, but the same static
-// memory-operand count, so a degraded instruction costs what native
-// execution of it costs.
+// cost: it bypasses the side-table entries but charges the image's charge
+// for the instruction, memory operand included, so a degraded instruction
+// costs what native execution of it costs.
 func TestExecMaskedChargesMemoryCost(t *testing.T) {
 	prog := asm.MustAssemble(`
 	.data
@@ -228,10 +228,11 @@ func TestExecMaskedChargesMemoryCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := masked.ExecMasked(masked.Insts()[0]); err != nil {
+	if err := masked.ExecMasked(0); err != nil {
 		t.Fatal(err)
 	}
-	want := masked.Cost.FPAddMul + masked.Cost.MemAccess
+	c := DefaultCostModel()
+	want := c.FPAddMul + c.MemAccess
 	if native.Cycles != want || masked.Cycles != want {
 		t.Errorf("cycles: Step %d, ExecMasked %d; want %d for both", native.Cycles, masked.Cycles, want)
 	}

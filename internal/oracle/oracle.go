@@ -338,15 +338,15 @@ func runSystem(t Target, sys arith.System, o Options) (*SystemReport, error) {
 			return bail(fmt.Errorf("virtualized: %w", err))
 		}
 		var pc uint64
-		var in isa.Inst
+		var in *isa.Inst
 		stepped := false
 		for nm.Stats.Instructions < vmach.Stats.Instructions && !nm.Halted() {
 			pc = nm.RIP
-			var ok bool
-			in, ok = nm.InstAt(pc)
+			idx, ok := nm.InstIndex(pc)
 			if !ok {
 				return bail(fmt.Errorf("native RIP %#x off instruction boundary", pc))
 			}
+			in = &nm.Insts()[idx]
 			if err := nm.Step(); err != nil {
 				return bail(fmt.Errorf("native: %w", err))
 			}
@@ -465,7 +465,7 @@ func countBoxed(m *machine.Machine) int {
 // machines just retired. It reports false when a Vanilla-fatal (bit-level)
 // divergence was found.
 func compareStep(sr *SystemReport, nm *machine.Machine, vm *fpvm.VM,
-	in isa.Inst, pc uint64, vanilla bool, tol float64) bool {
+	in *isa.Inst, pc uint64, vanilla bool, tol float64) bool {
 	vmach := vm.M
 	identical := true
 
@@ -494,7 +494,7 @@ func compareStep(sr *SystemReport, nm *machine.Machine, vm *fpvm.VM,
 		if in.Op.IsPacked() {
 			lanes = 2
 		}
-		dst := in.Ops[0]
+		dst := &in.Ops[0]
 		for l := 0; l < lanes; l++ {
 			nb, err1 := nm.ReadOperandFP(dst, l)
 			vb, err2 := vmach.ReadOperandFP(dst, l)
@@ -536,7 +536,7 @@ func compareStep(sr *SystemReport, nm *machine.Machine, vm *fpvm.VM,
 	return !(vanilla && !identical)
 }
 
-func (sr *SystemReport) noteDivergence(pc uint64, in isa.Inst, rel float64) {
+func (sr *SystemReport) noteDivergence(pc uint64, in *isa.Inst, rel float64) {
 	sr.FirstDivergencePC = int64(pc)
 	sr.FirstDivergenceOp = in.Op.String()
 	_ = rel

@@ -592,7 +592,7 @@ func (a *analyzer) classify(rep *Report) {
 		case in.Op.IsFPArith() || in.Op.IsFPMove():
 			continue // FP world: boxes are welcome there
 		}
-		reads := isa.IntReadMemOperands(in)
+		reads := isa.IntReadMemOperands(&in)
 		if in.Op == isa.OpPop || in.Op == isa.OpRet {
 			// Implicit stack read at [sp]: an integer pop of a spilled
 			// FP box is exactly the Figure 6 scenario.
