@@ -118,13 +118,13 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	case classMovRM:
 		addr := isa.EffAddr(&m.R, &in.Ops[1])
 		if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
-			return m.fault("load out of bounds: %#x", addr)
+			return m.boundsFault("load", addr)
 		}
 		m.R[in.Ops[0].Reg] = int64(binary.LittleEndian.Uint64(m.Mem[addr:]))
 	case classMovMR:
 		addr := isa.EffAddr(&m.R, &in.Ops[0])
 		if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
-			return m.fault("store out of bounds: %#x", addr)
+			return m.boundsFault("store", addr)
 		}
 		binary.LittleEndian.PutUint64(m.Mem[addr:], uint64(m.R[in.Ops[1].Reg]))
 	case classIncR:

@@ -355,9 +355,15 @@ func (m *Machine) fault(format string, args ...any) error {
 // ReadU64 loads 8 bytes little-endian from addr.
 func (m *Machine) ReadU64(addr uint64) (uint64, error) {
 	if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
-		return 0, m.fault("load out of bounds: %#x", addr)
+		return 0, m.boundsFault("load", addr)
 	}
 	return binary.LittleEndian.Uint64(m.Mem[addr:]), nil
+}
+
+// boundsFault is the fault of an out-of-bounds load or store: of ReadU64 and
+// WriteU64, and of exec's inline memory forms.
+func (m *Machine) boundsFault(access string, addr uint64) error {
+	return m.fault("%s out of bounds: %#x", access, addr)
 }
 
 // WriteU64 stores 8 bytes little-endian at addr. A store below the data base
@@ -365,7 +371,7 @@ func (m *Machine) ReadU64(addr uint64) (uint64, error) {
 // fetches only from the immutable predecoded stream.
 func (m *Machine) WriteU64(addr, v uint64) error {
 	if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
-		return m.fault("store out of bounds: %#x", addr)
+		return m.boundsFault("store", addr)
 	}
 	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
 	return nil
