@@ -10,7 +10,8 @@ import (
 
 // Image is everything derived from one program that does not change while
 // the program runs: the dense predecoded instruction stream, its addr→index
-// table, each instruction's modeled cycle charge and execution class, the §4.2 correctness-site table, and the traces the JIT tier has published
+// table, each instruction's modeled cycle charge and execution class, the
+// §4.2 correctness-site table, and the traces the JIT tier has published
 // for it. It is the ahead-of-time half of the paper's pipeline (§4.2 runs
 // once per binary), built once per program content and shared read-only by
 // every machine that loads it: guests fetch from the immutable stream, and a

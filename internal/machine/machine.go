@@ -236,11 +236,12 @@ func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 }
 
 // Reset returns the machine to the exact state NewFromImage(img, out,
-// memSize) would produce — architectural state, delivery profile, stats, and hooks all back to their defaults — while retaining
-// every allocation: the memory image and the side-table slots. This is what
-// makes a machine cheaply poolable: a reused machine is bit-identical to a
-// fresh one, it just does not pay the allocations again. The image itself is
-// adopted by pointer, so switching programs costs no predecode either.
+// memSize) would produce — architectural state, delivery profile, stats,
+// and hooks all back to their defaults — while retaining every allocation:
+// the memory image and the side-table slots. This is what makes a machine
+// cheaply poolable: a reused machine is bit-identical to a fresh one, it
+// just does not pay the allocations again. The image itself is adopted by
+// pointer, so switching programs costs no predecode either.
 // memSize <= 0 means DefaultMemSize, as for NewFromImage.
 func (m *Machine) Reset(img *Image, out io.Writer, memSize int) error {
 	if img == nil {
