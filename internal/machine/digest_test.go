@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"fpvm/internal/asm"
+	"fpvm/internal/fpu"
 	"fpvm/internal/progen"
 )
 
@@ -164,15 +166,19 @@ func execDigests(t *testing.T) []string {
 			name := strings.ReplaceAll(row, "\n\t", "; ")
 			lines = append(lines, fmt.Sprintf("%s %s %s", hotFormDigest(t, row, mode), mode, name))
 		}
+		for _, row := range fpArithRows {
+			lines = append(lines, fmt.Sprintf("%s %s fp %s", fpArithDigest(t, row, mode), mode, row))
+		}
 	}
 	return lines
 }
 
 // TestRawExecutionDigest pins the executor's exact semantics, not just its
 // freedom from panics: the seeded progen.Raw corpus natively and under the
-// permissive trap handlers, and each hot integer and branch form in every
+// permissive trap handlers, each hot integer and branch form in every
 // operand shape, including out-of-bounds loads and stores and wrong-kind
-// operand faults. Each final state (registers, flags, MXCSR, RIP, cycles,
+// operand faults, and each FP arithmetic form on operands around every
+// exponent, NaN and rounding edge the FPU distinguishes. Each final state (registers, flags, MXCSR, RIP, cycles,
 // counters, memory, output and error text) must hash to the recorded
 // digest. A change to dispatch must leave every line in place; the test
 // prints each mismatch, and every computed line when the file is missing.
@@ -198,4 +204,91 @@ func TestRawExecutionDigest(t *testing.T) {
 			t.Errorf("digest mismatch:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
+}
+
+// fpFamilies are the operand values of the FP-arithmetic digest rows: the
+// ordinary values, both edges of the exponent window |x| in [2^-480, 2^481)
+// (just inside and just outside, each sign), the normal/subnormal boundary
+// at 2^-1022, the subnormals, ±0, ±Inf, quiet and signaling NaNs, and the
+// sNaN pattern of a NaN-box (key 5).
+var fpFamilies = []uint64{
+	math.Float64bits(1), math.Float64bits(3), math.Float64bits(-1.0 / 3),
+	math.Float64bits(0.1), math.Float64bits(1 + 0x1p-52), math.Float64bits(-7),
+	math.Float64bits(0x1p-480), math.Float64bits(0x1.8p-480), math.Float64bits(-0x1.0000000000001p-480),
+	math.Float64bits(math.Nextafter(0x1p-480, 0)), math.Float64bits(-math.Nextafter(0x1p-480, 0)),
+	math.Float64bits(math.Nextafter(0x1p481, 0)), math.Float64bits(-0x1.8p480), math.Float64bits(0x1p481),
+	math.Float64bits(-0x1p481), math.Float64bits(0x1.0000000000001p481),
+	math.Float64bits(0x1p-1022), math.Float64bits(math.Nextafter(0x1p-1022, 0)),
+	math.Float64bits(-math.Nextafter(0x1p-1022, 1)), math.Float64bits(0x1p-1074),
+	math.Float64bits(-3 * 0x1p-1074), math.Float64bits(0x1p1023), math.Float64bits(math.MaxFloat64),
+	0, 1 << 63, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+	0x7FF8000000000000, 0xFFF8000000000123, 0x7FF0000000000001, 0x7FF0000000000006,
+}
+
+// fpIntFamilies are the integer operands of the cvtsi2sd rows: zero, small
+// values, both sides of 2^53 and the int64 extremes.
+var fpIntFamilies = []int64{0, 1, -1, 3, 1 << 53, 1<<53 + 1, -(1<<53 + 1), 1<<62 + 1, math.MaxInt64, math.MinInt64}
+
+// fpArithRows are the instruction forms of the FP-arithmetic digest rows:
+// every scalar and packed arithmetic op, the fused multiply-add, both
+// compares and the three conversions. f0 is the destination (and the first
+// source of a two-operand form), f1 and f2 the other sources, r1 the integer
+// side of a conversion.
+var fpArithRows = []string{
+	"addsd f0, f1", "subsd f0, f1", "mulsd f0, f1", "divsd f0, f1",
+	"sqrtsd f0, f1", "minsd f0, f1", "maxsd f0, f1",
+	"addpd f0, f1", "subpd f0, f1", "mulpd f0, f1", "divpd f0, f1", "sqrtpd f0, f1",
+	"fmaddsd f0, f1, f2", "ucomisd f0, f1", "comisd f0, f1",
+	"cvtsi2sd f0, r1", "cvtsd2si r1, f1", "cvttsd2si r1, f1",
+}
+
+// fpArithDigest runs one FP-arithmetic row on every operand combination
+// under mode and folds each final-state digest into one: every ordered pair
+// of fpFamilies as (f0, f1), with the swapped pair in the upper lane, f2
+// the family after the pair's, and, for cvtsd2si and cvtsi2sd, each of the
+// four rounding controls. The state hash covers the value bits and MXCSR.
+func fpArithDigest(t *testing.T, row string, mode digestMode) string {
+	t.Helper()
+	img, err := NewImage(asm.MustAssemble(row+"\n\thalt\n"), nil)
+	if err != nil {
+		t.Fatalf("%q: %v", row, err)
+	}
+	h := sha256.New()
+	run := func(set func(m *Machine), rc fpu.RoundingControl) {
+		var out bytes.Buffer
+		m, err := NewFromImage(img, &out, 4096)
+		if err != nil {
+			t.Fatalf("%q: %v", row, err)
+		}
+		mode.arm(m)
+		m.MXCSR.SetRC(rc)
+		set(m)
+		err = m.Run(10)
+		fmt.Fprintf(h, "%s\n", stateDigest(m, out.Bytes(), err))
+	}
+	rcs := []fpu.RoundingControl{fpu.RCNearest}
+	if strings.HasPrefix(row, "cvtsd2si") || strings.HasPrefix(row, "cvtsi2sd") {
+		rcs = append(rcs, fpu.RCDown, fpu.RCUp, fpu.RCZero)
+	}
+	for _, rc := range rcs {
+		if strings.HasPrefix(row, "cvtsi2sd") {
+			for _, v := range fpIntFamilies {
+				run(func(m *Machine) { m.R[1] = v; m.F[0] = [2]uint64{fpFamilies[0], fpFamilies[1]} }, rc)
+			}
+			continue
+		}
+		n := len(fpFamilies)
+		for i, a := range fpFamilies {
+			for j, b := range fpFamilies {
+				c := fpFamilies[(i+j+1)%n]
+				run(func(m *Machine) {
+					m.F[0] = [2]uint64{a, b}
+					m.F[1] = [2]uint64{b, a}
+					m.F[2] = [2]uint64{c, c}
+					m.R[1] = 12345
+				}, rc)
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
