@@ -151,21 +151,25 @@ func TestFMAddAllocatesNothing(t *testing.T) {
 	}
 }
 
-// exactOps pairs Mul, Div and Sqrt with their big.Float counterparts.
+// exactOps pairs Add, Sub, Mul, Div and Sqrt with their big.Float
+// counterparts.
 var exactOps = map[string]struct {
 	fpu   func(a, b float64) Result
 	exact func(z, x, y *big.Float) *big.Float
 }{
+	"add":  {Add, (*big.Float).Add},
+	"sub":  {Sub, (*big.Float).Sub},
 	"mul":  {Mul, (*big.Float).Mul},
 	"div":  {Div, (*big.Float).Quo},
 	"sqrt": {func(a, _ float64) Result { return Sqrt(a) }, func(z, x, _ *big.Float) *big.Float { return z.Sqrt(x) }},
 }
 
 // TestMulDivSqrtMatchExactOracle checks the value bits and the inexact flag
-// of Mul, Div and Sqrt against big.Float at 3,000 bits, over operand
-// families around 2^-1022 and in the subnormal range, where an FMA residual
-// underflows to zero. At that precision a product is exact, and a quotient
-// or square root that is not exact cannot round onto the binary64 rounding
+// of Add, Sub, Mul, Div and Sqrt against big.Float at 3,000 bits, over
+// operand families around 2^-1022 and in the subnormal range, where an FMA
+// residual underflows to zero, and at both edges of the fast-path exponent
+// window. At that precision a sum or product is exact, and a quotient or
+// square root that is not exact cannot round onto the binary64 rounding
 // boundary next to it. The first two rows are results an FMA-residual test
 // reported as exact.
 func TestMulDivSqrtMatchExactOracle(t *testing.T) {
@@ -192,7 +196,19 @@ func TestMulDivSqrtMatchExactOracle(t *testing.T) {
 			row{"div", near(-1022, -902), near(-2, 140)},
 			row{"div", sub(), near(-4, 4)},
 			row{"sqrt", sub(), 0},
-			row{"sqrt", near(-1030, -1016), 0})
+			row{"sqrt", near(-1030, -1016), 0},
+			row{"add", near(-1030, -1016), near(-1030, -960)},
+			row{"sub", sub(), near(-1076, -1016)},
+			row{"add", near(-1100, -1000), -near(-1100, -1000)})
+	}
+	// The window edges, 2^-480 and 2^481, each side, against each other and
+	// against values far from them, for every op.
+	edges := []float64{0x1p-480, math.Nextafter(0x1p-480, 0), math.Nextafter(0x1p481, 0), 0x1p481}
+	for i := 0; i < 2000; i++ {
+		e := edges[rng.Intn(len(edges))] * (1 + float64(rng.Intn(1<<20))*0x1p-52)
+		for op := range exactOps {
+			rows = append(rows, row{op, e, near(-490, 490)}, row{op, near(-490, 490), e}, row{op, e, -edges[rng.Intn(len(edges))]})
+		}
 	}
 	fails := 0
 	for _, r := range rows {

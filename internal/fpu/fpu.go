@@ -4,12 +4,23 @@
 // fault signaling. This is the "hardware" whose exceptions drive FPVM's
 // trap-and-emulate engine (§4.1 of the paper).
 //
-// Inexact (PE) detection uses 2Sum residuals for add/sub. Mul, div and
-// sqrt ask one question on integer mantissas, "is x·y exactly z?" (prodIs:
-// a·b = p, q·b = a, s·s = a), and a fused multiply-add checks a·b + c
-// the same way (fmaExact). An FMA residual would underflow to zero near the
-// subnormal range and report a rounded result as exact; the integer checks
-// cannot, and none of them allocates.
+// Add, Sub, Mul, Div and Sqrt first try a fast path: when every operand's
+// magnitude lies in the exponent window [2^-480, 2^481) (inWindow, one
+// unsigned compare per operand), the op computes the hardware result and
+// decides PE from an exact residual, the 2Sum error term for add/sub and an
+// FMA residual (a·b - p, q·b - a, s·s - a) for mul, div and sqrt. Inside
+// the window no result or residual can overflow, underflow or go
+// subnormal, so the residual is the exact rounding error and PE is the
+// only flag the op can raise. Every other operand (zero, subnormal,
+// Inf, NaN, a NaN-box, or a magnitude outside the window) takes the exact
+// path below.
+//
+// On the exact path, inexact (PE) detection uses 2Sum residuals for
+// add/sub. Mul, div and sqrt ask one question on integer mantissas, "is
+// x·y exactly z?" (prodIs: a·b = p, q·b = a, s·s = a), and a fused
+// multiply-add checks a·b + c the same way (fmaExact). An FMA residual
+// would underflow to zero near the subnormal range and report a rounded
+// result as exact; the integer checks cannot, and none of them allocates.
 package fpu
 
 import (
@@ -206,8 +217,58 @@ func postFlags(r float64, inexact bool) Flags {
 	return f
 }
 
+// The fast-path exponent window: biased exponents winLo through
+// winLo+winSpan-1 (543–1503), that is |x| in [2^-480, 2^481). For operands
+// inside it:
+//   - a sum or difference is a multiple of 2^-532 (the lowest bit an
+//     operand can have), so a nonzero one is normal, and its magnitude
+//     stays below 2^482;
+//   - a product lies in [2^-960, 2^962) and its residual a·b - p is a
+//     multiple of 2^-1064, so the FMA computes it exactly;
+//   - a quotient lies in (2^-961, 2^961), and its remainder a - q·b is a
+//     multiple of about |a|·2^-105 >= 2^-586;
+//   - a square root lies in [2^-240, 2^241), and its remainder a - s·s is
+//     a multiple of about a·2^-106.
+//
+// Every result is then normal and finite, and every residual is exact, so
+// it is zero exactly when the result is. The window rules out zero,
+// subnormals, Inf and NaN (NaN-boxes included) by construction.
+const (
+	winLo   = 543
+	winSpan = 1504 - winLo
+)
+
+// inWindow reports whether |x| lies in the fast-path window.
+func inWindow(x float64) bool {
+	return (math.Float64bits(x)>>52&0x7FF)-winLo < winSpan
+}
+
+// inexactIf returns PE when the residual is nonzero.
+func inexactIf(residual float64) Flags {
+	if residual != 0 {
+		return FlagInexact
+	}
+	return 0
+}
+
+// twoSum returns the rounding error of s = a + b (2Sum). The explicit
+// conversions keep the compiler from fusing any step into an FMA.
+func twoSum(a, b, s float64) float64 {
+	t := float64(s - a)
+	return float64(a-float64(s-t)) + float64(b-t)
+}
+
 // Add executes addsd.
 func Add(a, b float64) Result {
+	if inWindow(a) && inWindow(b) {
+		s := float64(a + b)
+		return Result{s, inexactIf(twoSum(a, b, s))}
+	}
+	return addExact(a, b)
+}
+
+// addExact is Add for any operands.
+func addExact(a, b float64) Result {
 	f := operandFlags(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		return Result{propagateNaN(a, b), f}
@@ -215,7 +276,7 @@ func Add(a, b float64) Result {
 	if isInff(a) && isInff(b) && math.Signbit(a) != math.Signbit(b) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
-	s := a + b
+	s := float64(a + b)
 	if isInff(a) || isInff(b) {
 		return Result{s, f}
 	}
@@ -224,6 +285,15 @@ func Add(a, b float64) Result {
 
 // Sub executes subsd.
 func Sub(a, b float64) Result {
+	if inWindow(a) && inWindow(b) {
+		s := float64(a - b)
+		return Result{s, inexactIf(twoSum(a, -b, s))}
+	}
+	return subExact(a, b)
+}
+
+// subExact is Sub for any operands.
+func subExact(a, b float64) Result {
 	f := operandFlags(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		return Result{propagateNaN(a, b), f}
@@ -231,7 +301,7 @@ func Sub(a, b float64) Result {
 	if isInff(a) && isInff(b) && math.Signbit(a) == math.Signbit(b) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
-	s := a - b
+	s := float64(a - b)
 	if isInff(a) || isInff(b) {
 		return Result{s, f}
 	}
@@ -243,13 +313,20 @@ func addInexact(a, b, s float64) bool {
 	if isInff(s) {
 		return true
 	}
-	t := s - a
-	err := (a - (s - t)) + (b - t)
-	return err != 0
+	return twoSum(a, b, s) != 0
 }
 
 // Mul executes mulsd.
 func Mul(a, b float64) Result {
+	if inWindow(a) && inWindow(b) {
+		p := float64(a * b)
+		return Result{p, inexactIf(math.FMA(a, b, -p))}
+	}
+	return mulExact(a, b)
+}
+
+// mulExact is Mul for any operands.
+func mulExact(a, b float64) Result {
 	f := operandFlags(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		return Result{propagateNaN(a, b), f}
@@ -257,7 +334,7 @@ func Mul(a, b float64) Result {
 	if (a == 0 && isInff(b)) || (b == 0 && isInff(a)) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
-	p := a * b
+	p := float64(a * b)
 	if isInff(a) || isInff(b) {
 		return Result{p, f}
 	}
@@ -266,6 +343,15 @@ func Mul(a, b float64) Result {
 
 // Div executes divsd.
 func Div(a, b float64) Result {
+	if inWindow(a) && inWindow(b) {
+		q := float64(a / b)
+		return Result{q, inexactIf(math.FMA(q, b, -a))}
+	}
+	return divExact(a, b)
+}
+
+// divExact is Div for any operands.
+func divExact(a, b float64) Result {
 	f := operandFlags(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		return Result{propagateNaN(a, b), f}
@@ -278,12 +364,22 @@ func Div(a, b float64) Result {
 	case isInff(a), isInff(b):
 		return Result{a / b, f}
 	}
-	q := a / b
+	q := float64(a / b)
 	return Result{q, f | postFlags(q, !prodIs(q, b, a))}
 }
 
-// Sqrt executes sqrtsd.
+// Sqrt executes sqrtsd. Its window test keeps the sign bit, so a negative
+// operand takes the exact path (and raises IE there).
 func Sqrt(a float64) Result {
+	if math.Float64bits(a)>>52-winLo < winSpan {
+		s := math.Sqrt(a)
+		return Result{s, inexactIf(math.FMA(s, s, -a))}
+	}
+	return sqrtExact(a)
+}
+
+// sqrtExact is Sqrt for any operand.
+func sqrtExact(a float64) Result {
 	f := operandFlags(a)
 	if isNaNf(a) {
 		return Result{propagateNaN(a), f}

@@ -371,15 +371,3 @@ func TestDivZeroSigns(t *testing.T) {
 		t.Error("-1/-0 should be +Inf")
 	}
 }
-
-func BenchmarkAdd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Add(1.5, 2.5e-7)
-	}
-}
-
-func BenchmarkMulInexact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Mul(0.1, 0.7)
-	}
-}
