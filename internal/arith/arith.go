@@ -120,6 +120,7 @@ type System interface {
 	// OpCycles estimates the cycle cost of one scalar operation in this
 	// system, used by the simulator's deterministic cost model. The
 	// estimates for MPFR are calibrated against the measured curve of
-	// Figure 11.
+	// Figure 11. It must be a pure function of the system and op: FPVM
+	// reads it once per op when it attaches.
 	OpCycles(op Op) uint64
 }

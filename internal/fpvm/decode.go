@@ -6,6 +6,7 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/isa"
+	"fpvm/internal/machine"
 	"fpvm/internal/telemetry"
 )
 
@@ -22,10 +23,10 @@ const (
 
 // decodedInst is FPVM's decoder-independent instruction representation: the
 // Go analog of the paper's `struct instruction` — a simplified op code, the
-// operand slots in emulation order, and any special details. Entries live
-// in the decode cache keyed by code address. The struct is fixed-size: srcs
-// is always a view into the inline srcbuf array, so a decodedInst can be
-// recycled through the VM's freelist across sessions without allocating.
+// operand slots in emulation order, and any special details. The struct is
+// fixed-size: srcs is always a view into the inline srcbuf array, so a
+// decodedInst can be recycled through the VM's freelist across sessions
+// without allocating (and must not be copied once srcs is set).
 type decodedInst struct {
 	inst   isa.Inst
 	kind   instKind
@@ -39,6 +40,26 @@ type decodedInst struct {
 	truncate    bool // cvttsd2si
 }
 
+// step is the one executable form of an instruction inside a trace: the
+// decoded (and, by the paper's terms, bound) instruction plus the per-kind
+// runner resolved when it was decoded. A decode-cache entry is a step, and a
+// cached trace is a slice of them, so an uncached step and a cached one run
+// the same way and differ only in their modeled charges and fault seams
+// (runTrace).
+type step struct {
+	d   decodedInst
+	run func(*VM, *machine.Machine, *decodedInst) error
+}
+
+// compile translates in into st and resolves its runner.
+func (st *step) compile(in *isa.Inst) error {
+	if err := translate(in, &st.d); err != nil {
+		return err
+	}
+	st.run = kindRunners[st.d.kind]
+	return nil
+}
+
 // setSrcs records the source operands in emulation order into the inline
 // buffer and points srcs at it.
 func (d *decodedInst) setSrcs(ops ...isa.Operand) {
@@ -46,60 +67,56 @@ func (d *decodedInst) setSrcs(ops ...isa.Operand) {
 	d.srcs = d.srcbuf[:n]
 }
 
-// decode translates a machine instruction into FPVM's representation,
+// decode returns the step for the instruction at dense index idx,
 // consulting the decode cache first (§4.1: "this decode cache is critical
 // to lowering latencies"). The cache is a dense side table keyed by the
 // machine's instruction index — a single bounds-checked slot access instead
 // of the seed's address-keyed map probe. A translation failure (non-FP or
 // unsupported form) is a degradable fault, never cached, so the degradation
 // engine can retire the instruction natively.
-func (vm *VM) decode(idx int, in *isa.Inst) (*decodedInst, error) {
+func (vm *VM) decode(idx int, in *isa.Inst) (*step, error) {
 	if j := vm.inject; j != nil && j.Fire(faultinject.SeamDecode, in.Addr) {
 		return nil, degradeFault(telemetry.DegradeDecode, errInjected)
 	}
-	if d := vm.dcache[idx]; d != nil {
+	if st := vm.dcache[idx]; st != nil {
 		vm.Stats.DecodeHits++
 		vm.Stats.Cycles.Decode += vm.costs.DecodeHit
 		vm.M.Cycles += vm.costs.DecodeHit
-		return d, nil
+		return st, nil
 	}
 	vm.Stats.DecodeMisses++
 	vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
 	vm.M.Cycles += vm.costs.DecodeMiss
 
-	d := vm.newDecoded()
-	if err := translate(in, d); err != nil {
-		vm.freeDecoded(d)
+	st := vm.newStep()
+	if err := st.compile(in); err != nil {
+		vm.dfree = append(vm.dfree, st)
 		return nil, err
 	}
-	vm.dcache[idx] = d
-	return d, nil
+	vm.dcache[idx] = st
+	return st, nil
 }
 
-// newDecoded returns a zeroed decodedInst, recycling one from the freelist
-// when available so a reused session's decode misses allocate nothing.
-func (vm *VM) newDecoded() *decodedInst {
+// newStep returns a step for decode to fill, recycling one from the
+// freelist when available so a reused session's decode misses allocate
+// nothing.
+func (vm *VM) newStep() *step {
 	if n := len(vm.dfree); n > 0 {
-		d := vm.dfree[n-1]
+		st := vm.dfree[n-1]
 		vm.dfree[n-1] = nil
 		vm.dfree = vm.dfree[:n-1]
-		return d
+		return st
 	}
-	return new(decodedInst)
-}
-
-// freeDecoded returns d to the freelist for a later newDecoded.
-func (vm *VM) freeDecoded(d *decodedInst) {
-	vm.dfree = append(vm.dfree, d)
+	return new(step)
 }
 
 // bind charges the operand-binding cost. The actual address resolution
 // happens lazily through the machine's operand accessors, but the paper's
 // binder pre-resolves pointers; the cost is what matters for Figure 9.
-func (vm *VM) bind(d *decodedInst) error {
+func (vm *VM) bind(in *isa.Inst) error {
 	vm.Stats.Cycles.Bind += vm.costs.Bind
 	vm.M.Cycles += vm.costs.Bind
-	if j := vm.inject; j != nil && j.Fire(faultinject.SeamBind, d.inst.Addr) {
+	if j := vm.inject; j != nil && j.Fire(faultinject.SeamBind, in.Addr) {
 		return degradeFault(telemetry.DegradeBind, errInjected)
 	}
 	return nil

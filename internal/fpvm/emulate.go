@@ -9,37 +9,20 @@ import (
 	"fpvm/internal/telemetry"
 )
 
-// kindRunners dispatches a decoded instruction to its per-kind emulation
-// body. The table is shared by the interpreter (emulate) and the trace-JIT
-// tier: a superblock thunk pre-resolves its runner at compile time, so
-// re-entry skips the switch along with decode and bind.
+// kindRunners maps an instruction kind to its emulation body. A step
+// resolves its runner once, when it is decoded (step.compile), so neither an
+// uncached nor a cached step dispatches on the kind again. Each runner is
+// §4.1's emulator for its kind: it executes the decoded instruction in the
+// alternative arithmetic system, one scalar operation per vector lane;
+// results are boxed into the destination, compares write RFLAGS and
+// conversions cross the IEEE/shadow boundary. The caller (runTrace) retires
+// the instruction by advancing RIP past it.
 var kindRunners = [...]func(*VM, *machine.Machine, *decodedInst) error{
 	kindArith:   (*VM).runArith,
 	kindCompare: (*VM).runCompare,
 	kindToInt:   (*VM).runToInt,
 	kindFromInt: (*VM).runFromInt,
 	kindMove:    (*VM).runMove,
-}
-
-// emulate executes one decoded instruction in the alternative arithmetic
-// system and retires it: results are boxed into the destination, compares
-// write RFLAGS, conversions cross the IEEE/shadow boundary, and RIP
-// advances past the instruction. This is §4.1's emulator: one scalar
-// function per abstract operation, invoked once per vector lane. It is
-// called both for the faulting instruction of a trap and for every
-// instruction coalesced into the same delivery by sequence emulation.
-func (vm *VM) emulate(m *machine.Machine, d *decodedInst) error {
-	if j := vm.inject; j != nil && j.Fire(faultinject.SeamEmulate, d.inst.Addr) {
-		return degradeFault(telemetry.DegradeEmulate, errInjected)
-	}
-	vm.Stats.Cycles.Emulate += vm.costs.EmulateBase
-	m.Cycles += vm.costs.EmulateBase
-
-	if err := kindRunners[d.kind](vm, m, d); err != nil {
-		return err
-	}
-	m.Advance(&d.inst)
-	return nil
 }
 
 // runArith emulates an FP arithmetic instruction: one Apply per lane,
@@ -52,7 +35,11 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 	// engine's native re-execution.
 	err := vm.applyLanes(m, d)
 	for lane := 0; err == nil && lane < d.lanes; lane++ {
-		err = m.WriteOperandFP(&d.dst, lane, vm.pending[lane])
+		if d.dst.Kind == isa.KindFPReg {
+			m.F[d.dst.Reg][lane] = vm.pending[lane]
+		} else {
+			err = m.WriteOperandFP(&d.dst, lane, vm.pending[lane])
+		}
 	}
 	vm.pending = [2]uint64{}
 	return err
@@ -62,6 +49,7 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 // vm.pending. The buffer is a GC root (RunGC): lane 1's allocation may run a
 // soft-cap GC pass, which must not free lane 0's cell before it is written.
 func (vm *VM) applyLanes(m *machine.Machine, d *decodedInst) error {
+	opCycles := vm.opCycles[d.aop]
 	for lane := 0; lane < d.lanes; lane++ {
 		var args [3]arith.Cell
 		for i := range d.srcs {
@@ -73,7 +61,6 @@ func (vm *VM) applyLanes(m *machine.Machine, d *decodedInst) error {
 		}
 		vm.cells.Apply(d.aop, resultCell, args[0], args[1], args[2])
 		vm.Stats.Emulated++
-		opCycles := vm.Sys.OpCycles(d.aop)
 		vm.Stats.Cycles.Emulate += opCycles
 		m.Cycles += opCycles
 		bits, err := vm.boxResult(resultCell)
@@ -97,7 +84,7 @@ func (vm *VM) runCompare(m *machine.Machine, d *decodedInst) error {
 	}
 	a, b := vm.value(abits, 0), vm.value(bbits, 1)
 	vm.Stats.Emulated++
-	cmpCycles := vm.Sys.OpCycles(arith.OpSub) // comparisons cost like a subtract
+	cmpCycles := vm.opCycles[arith.OpSub] // comparisons cost like a subtract
 	vm.Stats.Cycles.Emulate += cmpCycles
 	m.Cycles += cmpCycles
 	ord, unordered := vm.cells.Compare(a, b)
@@ -178,11 +165,13 @@ func (vm *VM) runMove(m *machine.Machine, d *decodedInst) error {
 	return nil
 }
 
-// readFP reads one FP operand lane for the emulator. Memory operands cross
-// the guest-memory seam, where the fault injector can force a degradable
-// access failure; with no injector attached this is a plain read behind one
-// nil compare.
+// readFP reads one FP operand lane for the emulator. A register lane is
+// read in place; a memory operand crosses the guest-memory seam, where the
+// fault injector can force a degradable access failure.
 func (vm *VM) readFP(m *machine.Machine, o *isa.Operand, lane int) (uint64, error) {
+	if o.Kind == isa.KindFPReg {
+		return m.F[o.Reg][lane], nil
+	}
 	if j := vm.inject; j != nil && o.Kind == isa.KindMem && j.Fire(faultinject.SeamMemAccess, vm.injectPC) {
 		return 0, degradeFault(telemetry.DegradeMem, errInjected)
 	}

@@ -168,13 +168,16 @@ type VM struct {
 
 	costs   Costs
 	cfg     Config
-	cells   arith.Store    // shadow values: the scratch cells, then one cell per arena key
-	dcache  []*decodedInst // decode cache, one slot per instruction index
-	dfree   []*decodedInst // recycled decode-cache entries (session reuse)
-	pending [2]uint64      // boxed lane results not yet written back (see applyLanes)
+	cells   arith.Store // shadow values: the scratch cells, then one cell per arena key
+	dcache  []*step     // decode cache, one slot per instruction index
+	dfree   []*step     // recycled decode-cache entries (session reuse)
+	pending [2]uint64   // boxed lane results not yet written back (see applyLanes)
 	gcEvery uint64
 	lastGC  uint64 // arena alloc count at last GC
-	telemPC uint64 // PC that promote/demote/unbox events attribute to
+	// opCycles is Sys.OpCycles per op, read once per attach (OpCycles is a
+	// pure function of the system and the op).
+	opCycles [arith.NumOps]uint64
+	telemPC  uint64 // PC that promote/demote/unbox events attribute to
 	// (maintained by the trap handlers only while a telemetry collector is
 	// attached to the machine; see M.Telem)
 
@@ -258,14 +261,17 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	vm.injectPC = 0
 	vm.Arena.Reset()
 	vm.cells = arith.StoreFor(vm.Sys, vm.cells)
+	for op := range vm.opCycles {
+		vm.opCycles[op] = vm.Sys.OpCycles(arith.Op(op))
+	}
 
 	// Recycle the previous session's decode-cache entries, then resize the
 	// dense cache to the (possibly new) instruction stream. Every slot starts
 	// nil: the first trap at a site is a decode miss exactly as on a fresh
 	// VM, it just fills a recycled struct instead of allocating one.
-	for i, d := range vm.dcache {
-		if d != nil {
-			vm.dfree = append(vm.dfree, d)
+	for i, st := range vm.dcache {
+		if st != nil {
+			vm.dfree = append(vm.dfree, st)
 			vm.dcache[i] = nil
 		}
 	}
@@ -273,7 +279,7 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	if cap(vm.dcache) >= n {
 		vm.dcache = vm.dcache[:n]
 	} else {
-		vm.dcache = make([]*decodedInst, n)
+		vm.dcache = make([]*step, n)
 	}
 
 	// Trace-JIT cache: re-armed empty for every (re)attach. The machine's

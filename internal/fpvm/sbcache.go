@@ -54,12 +54,12 @@ func NewSBCache() *SBCache { return &SBCache{} }
 
 // publish stores a freshly compiled trace on img at entry. First writer
 // wins: a concurrent tenant compiling the same entry produced identical
-// thunks (both translated the same immutable instruction run).
-func (c *SBCache) publish(img *machine.Image, entry int, thunks []sbThunk) {
-	if c == nil || len(thunks) == 0 {
+// steps (both translated the same immutable instruction run).
+func (c *SBCache) publish(img *machine.Image, entry int, steps []step) {
+	if c == nil || len(steps) == 0 {
 		return
 	}
-	if img.PublishTrace(entry, thunks) {
+	if img.PublishTrace(entry, steps) {
 		c.stores.Add(1)
 	}
 }
@@ -98,14 +98,14 @@ func (vm *VM) adoptShared(m *machine.Machine) {
 	adopted := 0
 next:
 	for _, p := range published {
-		thunks := p.Trace.([]sbThunk)
-		for _, in := range insts[p.Entry : p.Entry+len(thunks)] {
+		steps := p.Trace.([]step)
+		for _, in := range insts[p.Entry : p.Entry+len(steps)] {
 			if _, site := m.CorrectnessSite(in.Addr); site {
 				continue next
 			}
 		}
 		m.SetPatch(insts[p.Entry].Addr, vm.patchFn)
-		vm.sblocks[p.Entry] = &trace{entry: p.Entry, n: len(thunks), thunks: thunks}
+		vm.sblocks[p.Entry] = &trace{entry: p.Entry, n: len(steps), steps: steps}
 		adopted++
 	}
 	c.adopted.Add(uint64(adopted))

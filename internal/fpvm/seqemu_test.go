@@ -141,7 +141,7 @@ func TestSeqStopConditions(t *testing.T) {
 			if sb == nil {
 				t.Fatal("threshold 1 never compiled a superblock at the divsd entry")
 			}
-			if got, want := len(sb.thunks), 1+int(c.want); got != want {
+			if got, want := len(sb.steps), 1+int(c.want); got != want {
 				t.Fatalf("superblock trace length %d, want %d (1 + coalesced run)", got, want)
 			}
 		})

@@ -4,7 +4,7 @@
 // that delivery — plus a decode-cache probe and a bind — for every visit.
 // This tier eliminates all three: when a site's uncached-trace count crosses
 // Config.JITThreshold, the run is compiled once into a superblock — a cached
-// trace whose flat slice of thunks each holds a pre-decoded, pre-bound copy
+// trace whose flat slice of steps each holds a pre-decoded, pre-bound copy
 // of its instruction and a pre-resolved per-kind runner — and the VM's patch
 // handler is installed at the entry. A later visit dispatches through the
 // patch slot (one bounds-checked compare, CostModel.PatchCheck) and multi-retires
@@ -31,14 +31,6 @@ import (
 // disabled (Config.MaxSequenceLen = 0); with it enabled, the trace cap
 // matches the coalescing cap so both tiers retire identical runs.
 const sbTraceCapDefault = 64
-
-// sbThunk is one pre-compiled step of a superblock: an owned decoded
-// instruction (decode done, operand slots resolved into the inline buffer —
-// the paper's "bound" form) and the per-kind runner resolved at compile time.
-type sbThunk struct {
-	d   decodedInst
-	run func(*VM, *machine.Machine, *decodedInst) error
-}
 
 // traceCap returns the superblock length bound in instructions (entry
 // included).
@@ -91,21 +83,19 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	insts := m.Insts()
 
 	// Pre-decode and pre-bind every instruction of the trace into owned
-	// thunks. The slice is allocated at its final length before translation
+	// steps. The slice is allocated at its final length before translation
 	// fills it, so each decodedInst's srcs view stays pointed at its own
 	// inline buffer (append-style growth would copy the structs and dangle
 	// the views).
-	sb := &trace{entry: idx, n: n, thunks: make([]sbThunk, n)}
-	for i := range sb.thunks {
-		t := &sb.thunks[i]
+	sb := &trace{entry: idx, n: n, steps: make([]step, n)}
+	for i := range sb.steps {
 		vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
 		vm.Stats.Cycles.Bind += vm.costs.Bind
 		m.Cycles += vm.costs.DecodeMiss + vm.costs.Bind
-		if err := translate(&insts[idx+i], &t.d); err != nil {
+		if err := sb.steps[i].compile(&insts[idx+i]); err != nil {
 			vm.degradeJITCompile(m, f)
 			return
 		}
-		t.run = kindRunners[t.d.kind]
 	}
 
 	// Install: the VM's patch handler at the entry makes the machine enter
@@ -115,13 +105,13 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	vm.sblocks[idx] = sb
 	m.Stats.SBCompiled++
 	if t := m.Telem; t != nil {
-		t.SBCompile(idx, f.Inst.Addr, f.Inst.Op, len(sb.thunks), m.Cycles)
+		t.SBCompile(idx, f.Inst.Addr, f.Inst.Op, len(sb.steps), m.Cycles)
 	}
-	// Publish to the shared warm cache: the thunks are a pure function of the
+	// Publish to the shared warm cache: the steps are a pure function of the
 	// immutable program text, so another session attached to the same cache
 	// and loading the same image can adopt them instead of recompiling. The
 	// slice is shared read-only from here on.
-	vm.cfg.SBCache.publish(m.Image(), idx, sb.thunks)
+	vm.cfg.SBCache.publish(m.Image(), idx, sb.steps)
 }
 
 // degradeJITCompile records a failed superblock compile. Unlike the main

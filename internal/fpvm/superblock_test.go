@@ -139,8 +139,8 @@ func TestJITSingleSiteTrace(t *testing.T) {
 	if sb == nil {
 		t.Fatal("no superblock cached at the divsd entry")
 	}
-	if len(sb.thunks) != 3 {
-		t.Fatalf("trace length %d, want 3 (divsd + two moves)", len(sb.thunks))
+	if len(sb.steps) != 3 {
+		t.Fatalf("trace length %d, want 3 (divsd + two moves)", len(sb.steps))
 	}
 }
 
@@ -162,7 +162,7 @@ func TestJITCodeWriteKeepsTrace(t *testing.T) {
 	if m.Stats.SBCompiled != 1 || m.Stats.SBHits != 47 {
 		t.Fatalf("%d compiled, %d hits; want 1 and 47", m.Stats.SBCompiled, m.Stats.SBHits)
 	}
-	if sb := sbAt(t, m, vm, isa.OpDivsd); sb == nil || len(sb.thunks) != 3 {
+	if sb := sbAt(t, m, vm, isa.OpDivsd); sb == nil || len(sb.steps) != 3 {
 		t.Fatalf("trace at the divsd entry = %+v, want the installed 3-step trace", sb)
 	}
 }

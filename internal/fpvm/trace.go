@@ -23,8 +23,13 @@ import (
 //     block's worth of FP work pays for one trap instead of N. Each step
 //     still pays decode-cache + bind + emulate, and the trace is not kept.
 //   - A cached trace is a superblock (superblock.go): the same run, compiled
-//     once into pre-decoded, pre-bound thunks and kept behind a patch at its
-//     entry. Each step pays only the thunk dispatch.
+//     once into pre-decoded, pre-bound steps and kept behind a patch at its
+//     entry. Each step pays only the superblock dispatch.
+//
+// Both kinds run the same step form (decode.go): a decode-cache entry is
+// the decoded instruction plus its pre-resolved runner, exactly what a
+// superblock holds per instruction, so the two kinds differ only in how a
+// step is found and what it is charged.
 //
 // Every trace is entered through enterTrace, from one of two hooks: the FP
 // trap handler (a delivered trap) and the VM's patch handler (a
@@ -72,13 +77,12 @@ func SeqLenBucketLabel(i int) string {
 }
 
 // trace is a straight-line run of n instructions starting at dense index
-// entry. thunks is nil for an uncached trace, which decodes and binds each
-// step through the decode cache as it goes; a cached trace carries one
-// pre-compiled thunk per step.
+// entry. steps is nil for an uncached trace, which finds each step in the
+// decode cache as it goes; a cached trace carries its own steps.
 type trace struct {
-	entry  int
-	n      int
-	thunks []sbThunk
+	entry int
+	n     int
+	steps []step
 }
 
 // coalescable is the conservative stop-condition predicate, mirroring the
@@ -120,12 +124,12 @@ func (vm *VM) traceExtent(m *machine.Machine, entry, limit int) int {
 }
 
 // runTrace is the trace executor. Each step attributes itself to its own PC
-// (telemetry, fault injection, sanitizer) and retires: an uncached step
-// through decode → bind → emulate, a cached step through its thunk at
-// SBDispatch cost. A degradable fault retires the step natively through the
-// degrade engine and cuts the trace there; the degraded step counts as
-// retired. A genuine machine fault propagates with the steps retired before
-// it.
+// (telemetry, fault injection, sanitizer), is found and charged — an
+// uncached step through prepare (decode → bind → emulator dispatch), a
+// cached step at SBDispatch cost — and runs its runner. A degradable fault
+// retires the step natively through the degrade engine and cuts the trace
+// there; the degraded step counts as retired. A genuine machine fault
+// propagates with the steps retired before it.
 func (vm *VM) runTrace(m *machine.Machine, tr *trace) (retired int, cut bool, err error) {
 	insts := m.Insts()
 	for i := 0; i < tr.n; i++ {
@@ -140,31 +144,61 @@ func (vm *VM) runTrace(m *machine.Machine, tr *trace) (retired int, cut bool, er
 		if vm.san != nil {
 			vm.sanNote(m, idx, in)
 		}
+		var st *step
 		var serr error
-		switch {
-		case tr.thunks != nil:
-			t := &tr.thunks[i]
+		if tr.steps != nil {
+			st = &tr.steps[i]
 			vm.Stats.Cycles.Emulate += vm.costs.SBDispatch
 			m.Cycles += vm.costs.SBDispatch
-			if serr = t.run(vm, m, &t.d); serr == nil {
-				m.Advance(&t.d.inst)
-			}
-		default:
-			serr = vm.emulateOne(m, idx, in)
+		} else {
+			st, serr = vm.prepare(m, idx, in)
 		}
-		if serr != nil {
-			cause, ok := asDegrade(serr)
-			if !ok {
-				return retired, false, serr // genuine machine fault: native execution would die too
+		if serr == nil {
+			if serr = st.run(vm, m, &st.d); serr == nil {
+				m.Advance(in)
+				retired++
+				continue
 			}
-			if derr := vm.degrade(m, in, idx, cause); derr != nil {
-				return retired, false, derr
-			}
-			return retired + 1, true, nil
 		}
-		retired++
+		cause, ok := asDegrade(serr)
+		if !ok {
+			return retired, false, serr // genuine machine fault: native execution would die too
+		}
+		if derr := vm.degrade(m, in, idx, cause); derr != nil {
+			return retired, false, derr
+		}
+		return retired + 1, true, nil
 	}
 	return retired, false, nil
+}
+
+// prepare finds and charges an uncached step: decode through the cache,
+// bind, and the emulator's dispatch, each behind its fault seam. Without an
+// injector, a decode-cache hit is charged in one block: nothing observes the
+// machine's cycle count between the three charges.
+func (vm *VM) prepare(m *machine.Machine, idx int, in *isa.Inst) (*step, error) {
+	c := &vm.costs
+	if st := vm.dcache[idx]; st != nil && vm.inject == nil {
+		vm.Stats.DecodeHits++
+		vm.Stats.Cycles.Decode += c.DecodeHit
+		vm.Stats.Cycles.Bind += c.Bind
+		vm.Stats.Cycles.Emulate += c.EmulateBase
+		m.Cycles += c.DecodeHit + c.Bind + c.EmulateBase
+		return st, nil
+	}
+	st, err := vm.decode(idx, in)
+	if err != nil {
+		return nil, err
+	}
+	if err := vm.bind(in); err != nil {
+		return nil, err
+	}
+	if j := vm.inject; j != nil && j.Fire(faultinject.SeamEmulate, in.Addr) {
+		return nil, degradeFault(telemetry.DegradeEmulate, errInjected)
+	}
+	vm.Stats.Cycles.Emulate += c.EmulateBase
+	m.Cycles += c.EmulateBase
+	return st, nil
 }
 
 // patchHandler is the handler of every patch slot the VM installs: a
@@ -221,7 +255,10 @@ func (vm *VM) enterTrace(f *machine.TrapFrame) error {
 	// does in preparation for the next instruction.
 	m.MXCSR.ClearFlags()
 
-	tr := trace{entry: f.Idx, n: vm.traceExtent(m, f.Idx, 1+vm.cfg.MaxSequenceLen)}
+	tr := trace{entry: f.Idx, n: 1}
+	if vm.cfg.MaxSequenceLen > 0 {
+		tr.n = vm.traceExtent(m, f.Idx, 1+vm.cfg.MaxSequenceLen)
+	}
 	retired, cut, err := vm.runTrace(m, &tr)
 	if retired > 1 {
 		vm.Stats.Coalesced += uint64(retired - 1)
@@ -273,18 +310,6 @@ func (vm *VM) sanNote(m *machine.Machine, idx int, in *isa.Inst) {
 		return
 	}
 	vm.san.SetSite(idx, in.Addr)
-}
-
-// emulateOne runs the full decode → bind → emulate path for one instruction.
-func (vm *VM) emulateOne(m *machine.Machine, idx int, in *isa.Inst) error {
-	d, err := vm.decode(idx, in)
-	if err != nil {
-		return err
-	}
-	if err := vm.bind(d); err != nil {
-		return err
-	}
-	return vm.emulate(m, d)
 }
 
 // maybeGC runs the epoch collector once enough shadow cells have been

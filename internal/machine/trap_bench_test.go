@@ -9,14 +9,22 @@ import (
 	"fpvm/internal/machine"
 )
 
-// BenchmarkTrapDelivery measures Vanilla trap-and-emulate of one divsd site:
-// one iteration is a trip around a three-instruction loop whose divide traps
-// (PE) and is delivered, decoded (cache hit), bound, emulated and NaN-boxed
-// by FPVM. It reports 0 allocs/op: the operands and the result live in the
-// VM's float64 cells (the bytes/op left are the arena and cell tables
-// growing, one chunk per 1024 results, since no GC pass runs).
+// BenchmarkTrapDelivery measures Vanilla trap-and-emulate, one
+// sub-benchmark per machine.TrapForms form: add, mul, div and sqrt, each
+// with a promoted register, a NaN-boxed register and a memory source. One
+// iteration is a trip around the form's three-instruction loop, whose op
+// traps (PE, or IE on a boxed source) and is delivered, decoded (cache
+// hit), bound, emulated and NaN-boxed by FPVM. Each reports 0 allocs/op:
+// the operands and the result live in the VM's float64 cells (the bytes/op
+// left are the arena and cell tables growing, one chunk per 1024 results,
+// since no GC pass runs). "div/reg" is the one loop this benchmark timed
+// before it had sub-benchmarks.
 func BenchmarkTrapDelivery(b *testing.B) {
-	benchTrapDelivery(b, arith.Vanilla{})
+	for _, fm := range machine.TrapForms() {
+		b.Run(fm.Name, func(b *testing.B) {
+			benchTrapDelivery(b, fm.Src, fm.Prelude, arith.Vanilla{})
+		})
+	}
 }
 
 // BenchmarkTrapDeliveryMPFR is BenchmarkTrapDelivery under MPFR-200: the
@@ -24,17 +32,19 @@ func BenchmarkTrapDelivery(b *testing.B) {
 // 0 allocs/op (the bytes/op are the cell table growing, one chunk of 1024
 // Floats and their mantissas per 1024 results).
 func BenchmarkTrapDeliveryMPFR(b *testing.B) {
-	benchTrapDelivery(b, arith.NewMPFR(200))
-}
-
-func benchTrapDelivery(b *testing.B, sys arith.System) {
-	m, err := machine.New(asm.MustAssemble(`
+	benchTrapDelivery(b, `
 		movsd f1, =3.0
 	loop:
 		movsd f0, =1.0
 		divsd f0, f1
 		jmp loop
-	`), nil)
+	`, 1, arith.NewMPFR(200))
+}
+
+// benchTrapDelivery times trips around the three-instruction loop that
+// follows prelude instructions of src, under FPVM with sys.
+func benchTrapDelivery(b *testing.B, src string, prelude int, sys arith.System) {
+	m, err := machine.New(asm.MustAssemble(src), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,9 +56,12 @@ func benchTrapDelivery(b *testing.B, sys arith.System) {
 			}
 		}
 	}
-	if err := m.Step(); err != nil { // the constant load before the loop
-		b.Fatal(err)
+	for i := 0; i < prelude; i++ {
+		if err := m.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	base := m.Stats.FPTraps
 	trip() // warm the decode cache
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,7 +69,7 @@ func benchTrapDelivery(b *testing.B, sys arith.System) {
 		trip()
 	}
 	b.StopTimer()
-	if want := uint64(b.N) + 1; m.Stats.FPTraps != want {
-		b.Fatalf("FPTraps = %d, want %d: the divide did not trap every trip", m.Stats.FPTraps, want)
+	if want := uint64(b.N) + 1; m.Stats.FPTraps-base != want {
+		b.Fatalf("FPTraps = %d, want %d: the op did not trap every trip", m.Stats.FPTraps-base, want)
 	}
 }

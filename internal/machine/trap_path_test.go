@@ -59,9 +59,54 @@ func loopAddr(t *testing.T, m *Machine, op isa.Op) uint64 {
 	return 0
 }
 
+// TrapForm is one operand form of a trapping FP op. Its program ends in an
+// endless three-instruction loop whose second instruction traps on every
+// trip: a constant load into f0, then the op with f0 as its destination.
+type TrapForm struct {
+	Name    string // "<op>/<form>", e.g. "div/reg"
+	Src     string // the program
+	Prelude int    // instructions before the loop
+	Boxed   bool   // the source is the NaN-box the prelude's divide leaves in f1
+}
+
+// TrapForms returns the forms the trap-path benchmarks and allocation gates
+// cover: add, mul, div and sqrt, each with a promoted register source
+// ("reg", f1 = 3.0), a NaN-boxed register source ("boxed", f1 = 3/7, which
+// traps under FPVM and is boxed) and a memory source ("mem", a data word
+// holding 3.0). Every result is inexact, so a plain source traps on PE and
+// a boxed one on IE.
+func TrapForms() []TrapForm {
+	var forms []TrapForm
+	for _, op := range []struct{ name, mnemonic, f0 string }{
+		{"add", "addsd", "0.1"}, {"mul", "mulsd", "0.1"}, {"div", "divsd", "1.0"}, {"sqrt", "sqrtsd", "1.0"},
+	} {
+		for _, form := range []struct {
+			name, src string
+			boxed     bool
+		}{{"reg", "f1", false}, {"boxed", "f1", true}, {"mem", "[x]", false}} {
+			prelude := "\tmovsd f1, =3.0\n\tmovsd f3, =7.0\n"
+			n := 2
+			if form.boxed {
+				prelude += "\tdivsd f1, f3\n"
+				n++
+			}
+			forms = append(forms, TrapForm{
+				Name: op.name + "/" + form.name,
+				Src: ".data\nx: .f64 3.0\n.text\n" + prelude + "loop:\n\tmovsd f0, =" + op.f0 +
+					"\n\t" + op.mnemonic + " f0, " + form.src + "\n\tjmp loop\n",
+				Prelude: n,
+				Boxed:   form.boxed,
+			})
+		}
+	}
+	return forms
+}
+
 // TestTrapPathAllocatesNothing gates the three delivery paths of a warm
 // machine: a trapping Step whose handler only advances RIP, a patched site,
-// and a correctness-site delivery each allocate nothing.
+// and a correctness-site delivery each allocate nothing. The trapping Step
+// is also gated on every TrapForms form, with the boxed source's NaN-box
+// written into f1 directly (the minimal handler boxes nothing).
 func TestTrapPathAllocatesNothing(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -101,6 +146,43 @@ func TestTrapPathAllocatesNothing(t *testing.T) {
 			}
 			if c.delivered(t, m) == 0 {
 				t.Error("the path under test never ran")
+			}
+		})
+	}
+	for _, fm := range TrapForms() {
+		t.Run("form/"+fm.Name, func(t *testing.T) {
+			m, err := New(asm.MustAssemble(fm.Src), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.MXCSR.SetMasks(0)
+			m.FPTrap = func(f *TrapFrame) error {
+				f.M.MXCSR.ClearFlags()
+				f.M.Advance(f.Inst)
+				return nil
+			}
+			for i := 0; i < fm.Prelude; i++ {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fm.Boxed {
+				m.F[1][0] = 0x7FF0000000000006 // the NaN-box of key 5
+			}
+			before := m.Stats.FPTraps
+			const trips = 200
+			a := testing.AllocsPerRun(trips, func() {
+				for i := 0; i < 3; i++ {
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if a != 0 {
+				t.Errorf("%.1f allocations per loop trip, want 0", a)
+			}
+			if got := m.Stats.FPTraps - before; got != trips+1 {
+				t.Errorf("%d FP traps in %d trips, want one per trip", got, trips+1)
 			}
 		})
 	}
