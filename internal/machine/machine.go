@@ -557,19 +557,19 @@ func (m *Machine) popFrame() { m.frameDepth-- }
 func (m *Machine) deliverTrap(h TrapHandler, k trap.Kind, cause TrapCause, in *isa.Inst, flags fpu.Flags, site int64) (int, error) {
 	f := m.pushFrame(cause, in, flags, site)
 	defer m.popFrame()
-	m.Stats.Trap.Record(m.Profile, k)
+	entry, exit := m.Stats.Trap.Record(m.Profile, k)
 	if m.Telem == nil {
-		m.Cycles += m.Profile.EntryCycles(k)
+		m.Cycles += entry
 		err := h(f)
-		m.Cycles += m.Profile.ExitCycles(k)
+		m.Cycles += exit
 		return f.Coalesced, err
 	}
 	tc := telemetryCause(f.Cause)
 	before := m.Cycles
-	m.Cycles += m.Profile.EntryCycles(k)
+	m.Cycles += entry
 	m.Telem.TrapEnter(tc, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags, m.Cycles)
 	err := h(f)
-	m.Cycles += m.Profile.ExitCycles(k)
+	m.Cycles += exit
 	m.Telem.TrapExit(tc, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags,
 		m.Cycles-before, f.Coalesced, m.Cycles)
 	return f.Coalesced, err

@@ -174,14 +174,17 @@ type Stats struct {
 	ExitCycles  uint64 // total cycles spent returning
 }
 
-// Record charges one delivery round trip to the stats. The machine calls it
-// once per deliverTrap, so under sequence emulation a whole coalesced run of
-// instructions is charged exactly one round trip — that amortization is the
-// entire point of coalescing.
-func (s *Stats) Record(p *CostProfile, k Kind) {
+// Record charges one delivery round trip to the stats and returns its entry
+// and exit cycles. The machine calls it once per deliverTrap, so under
+// sequence emulation a whole coalesced run of instructions is charged
+// exactly one round trip — that amortization is the entire point of
+// coalescing.
+func (s *Stats) Record(p *CostProfile, k Kind) (entry, exit uint64) {
+	entry, exit = p.EntryCycles(k), p.ExitCycles(k)
 	s.Delivered++
-	s.EntryCycles += p.EntryCycles(k)
-	s.ExitCycles += p.ExitCycles(k)
+	s.EntryCycles += entry
+	s.ExitCycles += exit
+	return entry, exit
 }
 
 // TotalCycles returns all cycles attributed to trap delivery.
