@@ -8,9 +8,9 @@ import (
 
 // Gate tolerances. The modeled numbers (cycles, traps) are deterministic
 // functions of the program and configuration, so the tolerance only absorbs
-// float formatting; wall-clock ns-per-step is machine- and load-dependent,
-// so its gate is a coarse tripwire for catastrophic slowdowns, not a
-// precision instrument.
+// float formatting; wall-clock ns-per-step is machine- and load-dependent
+// (a row's value is the median of benchSamples runs), so its gate is a
+// coarse tripwire for catastrophic slowdowns, not a precision instrument.
 const (
 	gateCycleSlack  = 1.01 // modeled cycles may grow at most 1%
 	gateTrapSlack   = 1.01 // trap counts may grow at most 1%

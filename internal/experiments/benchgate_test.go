@@ -239,3 +239,20 @@ func TestGateBenchWarmPool(t *testing.T) {
 		t.Fatalf("missing warm record not caught: %v", bad)
 	}
 }
+
+// TestMedian pins the sample reduction behind a row's ns_per_step: one slow
+// sample out of three does not move it.
+func TestMedian(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{309, 1489, 300}, 309},
+		{[]float64{5}, 5},
+		{[]float64{4, 1, 3, 2}, 2.5},
+	} {
+		if got := median(c.xs); got != c.want {
+			t.Errorf("median(%v) = %v, want %v", c.xs, got, c.want)
+		}
+	}
+}

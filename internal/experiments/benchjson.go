@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"fpvm/internal/arith"
@@ -29,7 +30,8 @@ type BenchRow struct {
 	VirtCycles   uint64  `json:"virt_cycles"`
 	Slowdown     float64 `json:"slowdown"`
 	// NsPerStep is host wall-clock nanoseconds per retired instruction of
-	// the virtualized run — the only machine-dependent number in the row.
+	// the virtualized run, the median of benchSamples runs — the only
+	// machine-dependent number in the row.
 	NsPerStep float64 `json:"ns_per_step"`
 
 	Instructions uint64 `json:"instructions"`
@@ -97,25 +99,44 @@ func benchRow(w workloads.Workload, sys string, seqLen, jit, topSites int, r *Ru
 	return row
 }
 
+// benchSamples is how many times BenchJSONData runs each workload's ladder.
+// A row's ns_per_step is the median of the samples, since one sample taken
+// while other rows run in parallel can be several times the row's usual
+// time; every modeled number repeats exactly and comes from the first.
+const benchSamples = 3
+
 // BenchJSONData runs every benchmark under FPVM+MPFR with sequence emulation
 // off, then — when o.VM.MaxSequenceLen > 0 — again with it on, then — when
 // o.VM.JITThreshold > 0 — once more with the trace-JIT superblock tier stacked
 // on top, returning one record per run so the set forms a machine-readable
-// ablation ladder.
+// ablation ladder. Each ladder runs benchSamples times (see NsPerStep).
 func BenchJSONData(o Options) ([]BenchRow, error) {
 	o.defaults()
+	sys := arith.NewMPFR(o.Prec).Name()
 	cells, err := forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) ([]BenchRow, error) {
-		l, err := runLadder(w, o)
-		if err != nil {
-			return nil, err
+		var rows []BenchRow
+		var ns [][]float64
+		for s := 0; s < benchSamples; s++ {
+			l, err := runLadder(w, o)
+			if err != nil {
+				return nil, err
+			}
+			sample := []BenchRow{benchRow(w, sys, 0, 0, o.TopSites, l.base)}
+			if l.seq != nil {
+				sample = append(sample, benchRow(w, sys, o.VM.MaxSequenceLen, 0, o.TopSites, l.seq))
+			}
+			if l.jit != nil {
+				sample = append(sample, benchRow(w, sys, o.VM.MaxSequenceLen, o.VM.JITThreshold, o.TopSites, l.jit))
+			}
+			if s == 0 {
+				rows, ns = sample, make([][]float64, len(sample))
+			}
+			for i, r := range sample {
+				ns[i] = append(ns[i], r.NsPerStep)
+			}
 		}
-		sys := arith.NewMPFR(o.Prec).Name()
-		rows := []BenchRow{benchRow(w, sys, 0, 0, o.TopSites, l.base)}
-		if l.seq != nil {
-			rows = append(rows, benchRow(w, sys, o.VM.MaxSequenceLen, 0, o.TopSites, l.seq))
-		}
-		if l.jit != nil {
-			rows = append(rows, benchRow(w, sys, o.VM.MaxSequenceLen, o.VM.JITThreshold, o.TopSites, l.jit))
+		for i := range rows {
+			rows[i].NsPerStep = median(ns[i])
 		}
 		return rows, nil
 	})
@@ -127,6 +148,17 @@ func BenchJSONData(o Options) ([]BenchRow, error) {
 		rows = append(rows, c...)
 	}
 	return rows, nil
+}
+
+// median returns the median of xs (the mean of the middle two for an even
+// count); it reorders xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // BenchOptions is the comparability key of a bench document: two documents
