@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 # Minimum aggregate statement coverage (percent) over ./internal/...
 COVERFLOOR ?= 80
 
-.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice bench
+.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice fuzz-fpu bench
 
 # ci runs the stages .github/workflows/ci.yml runs, in the same order; each
 # CI step calls one of these targets, so every command lives here only.
@@ -36,11 +36,14 @@ benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The dispatch (one sub-benchmark per hot instruction form), trap-delivery
-# (Vanilla and MPFR-200), superblock-entry and session-alternation
-# microbenchmarks, run for a fixed short count so they keep building and
-# running, with their allocations reported (the numbers are not gated).
+# (Vanilla per op and operand form, and MPFR-200), FPU (each fast-pathed op
+# inside and outside its exponent window), superblock-entry and
+# session-alternation microbenchmarks, run for a fixed short count so they
+# keep building and running, with their allocations reported (the numbers
+# are not gated).
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x -benchmem ./internal/machine
+	$(GO) test -run '^$$' -bench '^BenchmarkOps$$' -benchtime 2000x -benchmem ./internal/fpu
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x -benchmem ./internal/fpvm
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x -benchmem ./internal/session
 
@@ -123,7 +126,7 @@ sanitize-smoke:
 
 # Short coverage-guided fuzzing passes (beyond the checked-in seed corpus,
 # which already runs as part of `test`).
-fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice
+fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice fuzz-fpu
 
 fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialOracle$$' -fuzztime $(FUZZTIME) ./internal/oracle
@@ -136,6 +139,12 @@ fuzz-sanitize:
 
 fuzz-asm:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME) ./internal/asm
+
+# The FPU's exponent-window fast path against its exact path: add, sub, mul,
+# div and sqrt on arbitrary operand bits must agree bit for bit on the value
+# and all six flags (checked-in corpus at the window edges).
+fuzz-fpu:
+	$(GO) test -run '^$$' -fuzz '^FuzzFPU$$' -fuzztime $(FUZZTIME) ./internal/fpu
 
 # The configuration lattice beyond its tier-1 rows: one fuzzed lattice row
 # (program, and a value for every dimension) per iteration under the
