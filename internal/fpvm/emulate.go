@@ -166,18 +166,12 @@ func (vm *VM) runMove(m *machine.Machine, d *decodedInst) error {
 }
 
 // readFP reads one FP operand lane for the emulator. A register lane is
-// read in place; any other operand goes through readFPOperand.
+// read in place; a memory operand crosses the guest-memory seam, where the
+// fault injector can force a degradable access failure.
 func (vm *VM) readFP(m *machine.Machine, o *isa.Operand, lane int) (uint64, error) {
 	if o.Kind == isa.KindFPReg {
 		return m.F[o.Reg][lane], nil
 	}
-	return vm.readFPOperand(m, o, lane)
-}
-
-// readFPOperand reads a non-register FP operand lane. A memory operand
-// crosses the guest-memory seam, where the fault injector can force a
-// degradable access failure.
-func (vm *VM) readFPOperand(m *machine.Machine, o *isa.Operand, lane int) (uint64, error) {
 	if j := vm.inject; j != nil && o.Kind == isa.KindMem && j.Fire(faultinject.SeamMemAccess, vm.injectPC) {
 		return 0, degradeFault(telemetry.DegradeMem, errInjected)
 	}
