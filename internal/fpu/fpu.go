@@ -251,17 +251,16 @@ func inexactIf(residual float64) Flags {
 	return 0
 }
 
-// twoSum returns the rounding error of s = a + b (2Sum). The explicit
-// conversions keep the compiler from fusing any step into an FMA.
+// twoSum returns the rounding error of s = a + b (2Sum).
 func twoSum(a, b, s float64) float64 {
-	t := float64(s - a)
-	return float64(a-float64(s-t)) + float64(b-t)
+	t := s - a
+	return (a - (s - t)) + (b - t)
 }
 
 // Add executes addsd.
 func Add(a, b float64) Result {
 	if inWindow(a) && inWindow(b) {
-		s := float64(a + b)
+		s := a + b
 		return Result{s, inexactIf(twoSum(a, b, s))}
 	}
 	return addExact(a, b)
@@ -276,7 +275,7 @@ func addExact(a, b float64) Result {
 	if isInff(a) && isInff(b) && math.Signbit(a) != math.Signbit(b) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
-	s := float64(a + b)
+	s := a + b
 	if isInff(a) || isInff(b) {
 		return Result{s, f}
 	}
@@ -286,7 +285,7 @@ func addExact(a, b float64) Result {
 // Sub executes subsd.
 func Sub(a, b float64) Result {
 	if inWindow(a) && inWindow(b) {
-		s := float64(a - b)
+		s := a - b
 		return Result{s, inexactIf(twoSum(a, -b, s))}
 	}
 	return subExact(a, b)
@@ -301,7 +300,7 @@ func subExact(a, b float64) Result {
 	if isInff(a) && isInff(b) && math.Signbit(a) == math.Signbit(b) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
-	s := float64(a - b)
+	s := a - b
 	if isInff(a) || isInff(b) {
 		return Result{s, f}
 	}
@@ -319,6 +318,8 @@ func addInexact(a, b, s float64) bool {
 // Mul executes mulsd.
 func Mul(a, b float64) Result {
 	if inWindow(a) && inWindow(b) {
+		// The conversion rounds the product, so the compiler cannot fuse
+		// it into the residual's FMA and leave the residual zero.
 		p := float64(a * b)
 		return Result{p, inexactIf(math.FMA(a, b, -p))}
 	}
@@ -334,7 +335,7 @@ func mulExact(a, b float64) Result {
 	if (a == 0 && isInff(b)) || (b == 0 && isInff(a)) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
-	p := float64(a * b)
+	p := a * b
 	if isInff(a) || isInff(b) {
 		return Result{p, f}
 	}
@@ -344,7 +345,7 @@ func mulExact(a, b float64) Result {
 // Div executes divsd.
 func Div(a, b float64) Result {
 	if inWindow(a) && inWindow(b) {
-		q := float64(a / b)
+		q := a / b
 		return Result{q, inexactIf(math.FMA(q, b, -a))}
 	}
 	return divExact(a, b)
@@ -364,7 +365,7 @@ func divExact(a, b float64) Result {
 	case isInff(a), isInff(b):
 		return Result{a / b, f}
 	}
-	q := float64(a / b)
+	q := a / b
 	return Result{q, f | postFlags(q, !prodIs(q, b, a))}
 }
 
