@@ -65,9 +65,18 @@ cover:
 		{ echo "coverage $$total% is below the $(COVERFLOOR)% floor"; exit 1; }
 
 # Differential oracle over every workload and example: native vs
-# FPVM+vanilla must be bit-identical, with MPFR and posit shadow reports.
+# FPVM+vanilla must be bit-identical, with MPFR and posit shadow reports. The
+# whole report must also equal ORACLEGOLDEN byte for byte: every number in it
+# is modeled, so any difference is a change of behaviour. After a change that
+# moves the report on purpose, re-record it with
+#   go run ./cmd/fpvm-run -oracle > internal/oracle/testdata/oracle.golden
+# and say in CHANGES.md which lines moved and why.
+ORACLEGOLDEN = internal/oracle/testdata/oracle.golden
 oracle:
-	$(GO) run ./cmd/fpvm-run -oracle
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/fpvm-run -oracle > "$$out" || { cat "$$out"; exit 1; }; \
+	diff -u $(ORACLEGOLDEN) "$$out" || { echo "oracle report differs from $(ORACLEGOLDEN)"; exit 1; }; \
+	tail -1 "$$out"
 
 # Chaos suite: every workload and example under seeded fault-injection
 # campaigns, enforcing the degradation invariants (no panics, termination,
