@@ -38,6 +38,7 @@ import (
 	"fpvm/internal/patch"
 	"fpvm/internal/posit"
 	"fpvm/internal/sanitize"
+	"fpvm/internal/session"
 	"fpvm/internal/telemetry"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
@@ -164,37 +165,9 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	m, err := machine.New(prog, stdout)
-	if err != nil {
-		return fail(err)
-	}
-	switch *delivery {
-	case "user-signal":
-	case "kernel":
-		m.Delivery = trap.DeliverKernel
-	case "user-to-user":
-		m.Delivery = trap.DeliverUserToUser
-	default:
+	kind, ok := deliveryKinds[*delivery]
+	if !ok {
 		return fail(fmt.Errorf("unknown delivery model %q", *delivery))
-	}
-
-	// -timeout arms the same cooperative checkpoints the serving stack uses
-	// for request deadlines (DESIGN.md §13): a timer goroutine stores the
-	// flag, Run observes it at an instruction boundary, and the truncated
-	// run is harvested like a budget exhaustion rather than killed.
-	if *timeout > 0 {
-		cancel := new(atomic.Bool)
-		timer := time.AfterFunc(*timeout, func() { cancel.Store(true) })
-		defer timer.Stop()
-		m.Preempt = cancel
-	}
-
-	// Telemetry: attach the collector before any handler is installed so
-	// every delivery in the run is attributed.
-	var telem *telemetry.Collector
-	if *traceOut != "" || *topSites > 0 {
-		telem = telemetry.NewCollector(0)
-		m.Telem = telem
 	}
 
 	// FPSpy and native runs have no FPVM runtime for the VM settings to act
@@ -204,6 +177,68 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-faults, -seqlen, -jit and -sanitize act on the FPVM runtime; pick an -arith system without -spy"))
 	}
 
+	// -timeout arms the same cooperative checkpoints the serving stack uses
+	// for request deadlines (DESIGN.md §13): a timer goroutine stores the
+	// flag, Run observes it at an instruction boundary, and the truncated
+	// run is harvested like a budget exhaustion rather than killed.
+	var cancel *atomic.Bool
+	if *timeout > 0 {
+		cancel = new(atomic.Bool)
+		timer := time.AfterFunc(*timeout, func() { cancel.Store(true) })
+		defer timer.Stop()
+	}
+	telemetryOn := *traceOut != "" || *topSites > 0
+
+	var m *machine.Machine
+	var vm *fpvm.VM
+	var inj *faultinject.Injector
+	if *spyMode || *arithName == "" {
+		if m, err = machine.New(prog, stdout); err != nil {
+			return fail(err)
+		}
+		m.Preempt = cancel
+		if telemetryOn {
+			m.Telem = telemetry.NewCollector(0)
+		}
+	} else {
+		sys, err := arith.Select(*arithName, *prec)
+		if err != nil {
+			return fail(err)
+		}
+		// One analysis: its report feeds -stats, its sites the image.
+		var sites map[uint64]int64
+		if !*noPatch {
+			p, err := patch.Apply(prog, nil)
+			if err != nil {
+				return fail(fmt.Errorf("static analysis: %w", err))
+			}
+			if *stats {
+				p.Summary(stderr)
+			}
+			sites = p.Sites
+		}
+		img, err := machine.NewImage(prog, sites)
+		if err != nil {
+			return fail(err)
+		}
+		if injectCfg != nil {
+			inj = faultinject.New(*injectCfg)
+		}
+		cfg := session.Config{Config: vmCfg, Cancel: cancel, NoPatch: *noPatch, Telemetry: telemetryOn}
+		cfg.System = sys
+		cfg.Inject = inj
+		s := session.New()
+		if err := s.Load(img, stdout, cfg); err != nil {
+			return fail(err)
+		}
+		m, vm = s.Machine(), s.VM()
+		if *patchMode {
+			vm.PatchAllFPArith()
+		}
+	}
+	m.Delivery = kind
+	telem := m.Telem
+
 	if *spyMode {
 		spy := fpvm.AttachSpy(m)
 		if err := runToDeadline(m, *maxInst, stderr); err != nil {
@@ -211,34 +246,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		}
 		spy.Report(stderr, 10)
 		return finishTelemetry(stdout, stderr, telem, *traceOut, *topSites)
-	}
-
-	var vm *fpvm.VM
-	var inj *faultinject.Injector
-	if *arithName != "" {
-		sys, err := selectArith(*arithName, *prec)
-		if err != nil {
-			return fail(err)
-		}
-		if !*noPatch {
-			p, err := patch.Apply(prog, nil)
-			if err != nil {
-				return fail(fmt.Errorf("static analysis: %w", err))
-			}
-			p.Install(m)
-			if *stats {
-				p.Summary(stderr)
-			}
-		}
-		if injectCfg != nil {
-			inj = faultinject.New(*injectCfg)
-		}
-		vmCfg.System = sys
-		vmCfg.Inject = inj
-		vm = fpvm.Attach(m, vmCfg)
-		if *patchMode {
-			vm.PatchAllFPArith()
-		}
 	}
 
 	if err := runToDeadline(m, *maxInst, stderr); err != nil {
@@ -295,6 +302,13 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return rc
+}
+
+// deliveryKinds maps -delivery to the machine's trap delivery model.
+var deliveryKinds = map[string]trap.Kind{
+	"user-signal":  trap.DeliverUserSignal,
+	"kernel":       trap.DeliverKernel,
+	"user-to-user": trap.DeliverUserToUser,
 }
 
 // vmConfig maps the VM flags to the one fpvm.Config that the single run,
@@ -474,10 +488,6 @@ func loadProgram(workload, asmFile string) (*isa.Program, error) {
 	default:
 		return nil, fmt.Errorf("one of -workload or -asm is required")
 	}
-}
-
-func selectArith(name string, prec uint) (arith.System, error) {
-	return arith.Select(name, prec)
 }
 
 func hitRate(hits, misses uint64) float64 {

@@ -22,16 +22,17 @@
 //	internal/nanbox, internal/arith, internal/fpvm  the paper's core
 //	internal/vsa, internal/patch                    static analysis + patching
 //	internal/asm, internal/workloads                toolchain + benchmarks
+//	internal/session                                the load step + pooled runs
 //	internal/experiments                            table/figure regeneration
 //
-// Quick start:
+// Quick start (NewMachine, AnalyzeAndPatch and Attach below are the one-shot
+// form of the same pipeline):
 //
 //	prog, _ := asm.Assemble(src)             // or workloads.Get(...)
-//	m, _ := machine.New(prog, os.Stdout)
-//	patched, _ := patch.Apply(prog, nil)     // static analysis (§4.2)
-//	patched.Install(m)
-//	vm := fpvm.Attach(m, fpvm.Config{System: arith.NewMPFR(200)})
-//	err := m.Run(0)
+//	img, _ := patch.NewImage(prog)           // static analysis (§4.2), once
+//	cfg := session.Config{Config: fpvm.Config{System: arith.NewMPFR(200)}}
+//	res, _ := session.New().Run(img, cfg)    // Load, run, harvest
+//	fmt.Print(res.Output)
 package fpvm
 
 import (

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/loadgen"
+	"fpvm/internal/machine"
 	"fpvm/internal/patch"
 	"fpvm/internal/session"
 	"fpvm/internal/telemetry"
@@ -93,8 +93,8 @@ func benchRow(w workloads.Workload, sys string, seqLen, jit, topSites int, r *Ru
 		row.SeqLenHist = make([]uint64, fpvm.SeqLenBuckets)
 		copy(row.SeqLenHist, st.SeqLenHist[:])
 	}
-	if r.Telem != nil && topSites > 0 {
-		row.TopSites = r.Telem.TopSites(topSites)
+	if t := r.Virt.Telem; t != nil && topSites > 0 {
+		row.TopSites = t.TopSites(topSites)
 	}
 	return row
 }
@@ -113,11 +113,11 @@ const benchSamples = 3
 func BenchJSONData(o Options) ([]BenchRow, error) {
 	o.defaults()
 	sys := arith.NewMPFR(o.Prec).Name()
-	cells, err := forEachCell(o.Workers, allFig12(o), func(_ int, w workloads.Workload) ([]BenchRow, error) {
+	cells, err := forEachWorkload(o.Workers, allFig12(o), func(w workloads.Workload, img *machine.Image) ([]BenchRow, error) {
 		var rows []BenchRow
 		var ns [][]float64
 		for s := 0; s < benchSamples; s++ {
-			l, err := runLadder(w, o)
+			l, err := runLadder(w, img, o)
 			if err != nil {
 				return nil, err
 			}
@@ -348,15 +348,4 @@ func sessionLoadRecord(o Options, shared, shed bool) (*SessionLoad, error) {
 		SBCompiled:  rep.SBCompiled,
 		MeanCycles:  meanCycles,
 	}, nil
-}
-
-// BenchJSON writes the full bench document to o.W as indented JSON.
-func BenchJSON(o Options) error {
-	doc, err := BenchDocData(o)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(o.W)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

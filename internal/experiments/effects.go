@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fpvm/internal/arith"
+	"fpvm/internal/machine"
 	"fpvm/internal/workloads"
 )
 
@@ -27,12 +28,12 @@ func EffectsData(o Options) ([]EffectsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (EffectsRow, error) {
-		van, err := runPair(w, arith.Vanilla{}, o)
+	return forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (EffectsRow, error) {
+		van, err := runPair(w, img, arith.Vanilla{}, o)
 		if err != nil {
 			return EffectsRow{}, err
 		}
-		mp, err := runPair(w, arith.NewMPFR(o.Prec), o)
+		mp, err := runPair(w, img, arith.NewMPFR(o.Prec), o)
 		if err != nil {
 			return EffectsRow{}, err
 		}

@@ -13,14 +13,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"fpvm/internal/arith"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/machine"
 	"fpvm/internal/patch"
-	"fpvm/internal/telemetry"
+	"fpvm/internal/session"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
 )
@@ -112,8 +111,6 @@ type RunResult struct {
 	Native       *machine.Machine
 	Virt         *machine.Machine
 	VM           *fpvm.VM
-	Patched      *patch.Patched
-	Telem        *telemetry.Collector // non-nil when Options.TopSites > 0
 	NativeCycles uint64
 	VirtCycles   uint64
 	// VirtWallNs is the host wall-clock time of the virtualized run. Unlike
@@ -138,15 +135,27 @@ func (r *RunResult) SlowdownOn(p *trap.CostProfile, k trap.Kind) float64 {
 	return float64(adjusted) / float64(r.NativeCycles)
 }
 
-// runPair executes a workload natively and under FPVM (with static analysis
-// and patching applied first, as the hybrid design requires).
-func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, error) {
+// workloadImage builds and analyzes w once: the image every run of w in one
+// experiment cell loads.
+func workloadImage(w workloads.Workload) (*machine.Image, error) {
 	prog, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		return nil, fmt.Errorf("%s analysis: %w", w.Name, err)
+	}
+	return img, nil
+}
+
+// runPair executes w's image natively and under FPVM with sys. The native
+// machine loads img with no correctness sites; the virtualized one is
+// checked out through a session's load step, which installs them first, as
+// the hybrid design requires.
+func runPair(w workloads.Workload, img *machine.Image, sys arith.System, o Options) (*RunResult, error) {
 	var nout bytes.Buffer
-	nm, err := machine.New(prog, &nout)
+	nm, err := machine.NewFromImage(img, &nout, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -154,28 +163,14 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		return nil, fmt.Errorf("%s native: %w", w.Name, err)
 	}
 
-	vprog, err := w.Build()
-	if err != nil {
-		return nil, err
-	}
-	patched, err := patch.Apply(vprog, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s analysis: %w", w.Name, err)
-	}
-	var vout bytes.Buffer
-	vm2, err := machine.New(vprog, &vout)
-	if err != nil {
-		return nil, err
-	}
-	patched.Install(vm2)
-	var telem *telemetry.Collector
-	if o.TopSites > 0 {
-		telem = telemetry.NewCollector(0)
-		vm2.Telem = telem
-	}
-	cfg := o.VM
+	cfg := session.Config{Config: o.VM, TopSites: o.TopSites}
 	cfg.System = sys
-	vm := fpvm.Attach(vm2, cfg)
+	s := session.New()
+	var vout bytes.Buffer
+	if err := s.Load(img, &vout, cfg); err != nil {
+		return nil, err
+	}
+	vm2 := s.Machine()
 	start := time.Now()
 	if err := vm2.Run(0); err != nil {
 		return nil, fmt.Errorf("%s under FPVM: %w", w.Name, err)
@@ -187,9 +182,7 @@ func runPair(w workloads.Workload, sys arith.System, o Options) (*RunResult, err
 		VirtOut:      vout.String(),
 		Native:       nm,
 		Virt:         vm2,
-		VM:           vm,
-		Patched:      patched,
-		Telem:        telem,
+		VM:           s.VM(),
 		NativeCycles: nm.Cycles,
 		VirtCycles:   vm2.Cycles,
 		VirtWallNs:   wall.Nanoseconds(),
@@ -205,24 +198,24 @@ type ladder struct {
 	base, seq, jit *RunResult
 }
 
-// runLadder runs w's ablation ladder at o.Prec bits.
-func runLadder(w workloads.Workload, o Options) (ladder, error) {
+// runLadder runs w's ablation ladder at o.Prec bits, every rung over img.
+func runLadder(w workloads.Workload, img *machine.Image, o Options) (ladder, error) {
 	var l ladder
 	var err error
 	base := o
 	base.VM.MaxSequenceLen, base.VM.JITThreshold = 0, 0
-	if l.base, err = runPair(w, arith.NewMPFR(o.Prec), base); err != nil {
+	if l.base, err = runPair(w, img, arith.NewMPFR(o.Prec), base); err != nil {
 		return l, err
 	}
 	if o.VM.MaxSequenceLen > 0 {
 		seq := o
 		seq.VM.JITThreshold = 0
-		if l.seq, err = runPair(w, arith.NewMPFR(o.Prec), seq); err != nil {
+		if l.seq, err = runPair(w, img, arith.NewMPFR(o.Prec), seq); err != nil {
 			return l, err
 		}
 	}
 	if o.VM.JITThreshold > 0 {
-		if l.jit, err = runPair(w, arith.NewMPFR(o.Prec), o); err != nil {
+		if l.jit, err = runPair(w, img, arith.NewMPFR(o.Prec), o); err != nil {
 			return l, err
 		}
 	}
@@ -262,8 +255,8 @@ func Validation(o Options) error {
 		traps    uint64
 		emulated uint64
 	}
-	rows, err := forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (valRow, error) {
-		r, err := runPair(w, arith.Vanilla{}, o)
+	rows, err := forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (valRow, error) {
+		r, err := runPair(w, img, arith.Vanilla{}, o)
 		if err != nil {
 			return valRow{}, err
 		}
@@ -289,20 +282,4 @@ func Validation(o Options) error {
 	}
 	fmt.Fprintln(o.W, "all benchmarks bit-identical under FPVM+Vanilla")
 	return nil
-}
-
-// sortedKeys returns map keys in sorted order (stable table output).
-func sortedKeys[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// runPairForTest exposes the paired runner for white-box tests and benches.
-func runPairForTest(w workloads.Workload, o Options) (*RunResult, error) {
-	o.defaults()
-	return runPair(w, arith.NewMPFR(o.Prec), o)
 }

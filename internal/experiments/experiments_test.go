@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpvm/internal/arith"
 	"fpvm/internal/trap"
 )
 
@@ -247,7 +248,11 @@ func TestDeliveryAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := runPairForTest(ws[0], o)
+	img, err := workloadImage(ws[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := runPair(ws[0], img, arith.NewMPFR(200), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fpvm/internal/arith"
+	"fpvm/internal/machine"
 	"fpvm/internal/workloads"
 )
 
@@ -31,8 +32,8 @@ func Fig10Data(o Options) ([]Fig10Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (Fig10Row, error) {
-		r, err := runPair(w, arith.NewMPFR(o.Prec), o)
+	return forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (Fig10Row, error) {
+		r, err := runPair(w, img, arith.NewMPFR(o.Prec), o)
 		if err != nil {
 			return Fig10Row{}, err
 		}

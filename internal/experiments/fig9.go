@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"fpvm/internal/machine"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
 )
@@ -77,8 +78,8 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells, err := forEachCell(o.Workers, ws, func(_ int, w workloads.Workload) (*Fig9Row, error) {
-		l, err := runLadder(w, o)
+	cells, err := forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (*Fig9Row, error) {
+		l, err := runLadder(w, img, o)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"fpvm/internal/fpvm"
 	"fpvm/internal/machine"
 	"fpvm/internal/patch"
+	"fpvm/internal/session"
 )
 
 // bitHackSrc is the paper's Figure 6 idiom made hot: a frexp-style exponent
@@ -91,8 +92,13 @@ func NaNLoadData(o Options) (*NaNLoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		return nil, err
+	}
+	res.AnalysisSinks = img.SiteCount()
 	var nout bytes.Buffer
-	nm, err := machine.New(prog, &nout)
+	nm, err := machine.NewFromImage(img, &nout, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -101,26 +107,17 @@ func NaNLoadData(o Options) (*NaNLoadResult, error) {
 	}
 	res.NativeOut = nout.String()
 
+	// Each configuration checks the one image out through a session's load
+	// step; the unpatched and hardware runs skip its correctness sites.
 	runCfg := func(usePatch, useHW bool) (string, *machine.Machine, error) {
-		p2, err := asm.Assemble(bitHackSrc)
-		if err != nil {
-			return "", nil, err
-		}
 		var out bytes.Buffer
-		m, err := machine.New(p2, &out)
-		if err != nil {
+		cfg := session.Config{Config: fpvm.Config{System: arith.Vanilla{}}, NoPatch: !usePatch}
+		s := session.New()
+		if err := s.Load(img, &out, cfg); err != nil {
 			return "", nil, err
 		}
-		if usePatch {
-			pp, err := patch.Apply(p2, nil)
-			if err != nil {
-				return "", nil, err
-			}
-			pp.Install(m)
-			res.AnalysisSinks = len(pp.Rep.Sinks)
-		}
+		m := s.Machine()
 		m.TrapOnNaNLoad = useHW
-		fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}})
 		if err := m.Run(0); err != nil {
 			return "", nil, err
 		}

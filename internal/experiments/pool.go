@@ -3,15 +3,26 @@ package experiments
 import (
 	"runtime"
 	"sync"
+
+	"fpvm/internal/machine"
+	"fpvm/internal/workloads"
 )
 
-// forEachCell runs fn over every item on a bounded worker pool and returns
-// the results in input order. Each experiment cell owns its machine, VM, and
-// arena, so cells are independent and the *simulated* cycle counts are
-// identical to a sequential run — only wall-clock time changes. workers <= 0
-// selects GOMAXPROCS. Errors do not cancel in-flight cells (they are short);
-// the first error in input order is returned after all workers drain.
-func forEachCell[T, R any](workers int, items []T, fn func(int, T) (R, error)) ([]R, error) {
+// forEachWorkload runs fn over every workload on a bounded worker pool, each
+// with the one image built from it (workloadImage), and returns the results
+// in input order. Each experiment cell owns its machines, VMs, and arenas,
+// so cells are independent and the *simulated* cycle counts are identical to
+// a sequential run — only wall-clock time changes. workers <= 0 selects
+// GOMAXPROCS. Errors do not cancel in-flight cells (they are short); the
+// first error in input order is returned after all workers drain.
+func forEachWorkload[R any](workers int, items []workloads.Workload, fn func(workloads.Workload, *machine.Image) (R, error)) ([]R, error) {
+	cell := func(i int) (r R, err error) {
+		img, err := workloadImage(items[i])
+		if err != nil {
+			return r, err
+		}
+		return fn(items[i], img)
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -21,8 +32,8 @@ func forEachCell[T, R any](workers int, items []T, fn func(int, T) (R, error)) (
 	results := make([]R, len(items))
 	errs := make([]error, len(items))
 	if workers <= 1 {
-		for i, it := range items {
-			results[i], errs[i] = fn(i, it)
+		for i := range items {
+			results[i], errs[i] = cell(i)
 		}
 	} else {
 		idx := make(chan int)
@@ -32,7 +43,7 @@ func forEachCell[T, R any](workers int, items []T, fn func(int, T) (R, error)) (
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					results[i], errs[i] = fn(i, items[i])
+					results[i], errs[i] = cell(i)
 				}
 			}()
 		}

@@ -41,7 +41,11 @@ func TestSeedIdenticalCycles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := runPair(w[0], c.sys, Options{})
+			img, err := workloadImage(w[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := runPair(w[0], img, c.sys, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

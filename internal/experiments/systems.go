@@ -36,9 +36,13 @@ func SystemsData(o Options) ([]SystemsRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	img, err := workloadImage(ws[0])
+	if err != nil {
+		return nil, err
+	}
 	var rows []SystemsRow
 	for _, sys := range systems {
-		r, err := runPair(ws[0], sys, o)
+		r, err := runPair(ws[0], img, sys, o)
 		if err != nil {
 			return nil, err
 		}

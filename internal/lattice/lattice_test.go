@@ -336,9 +336,9 @@ func vmConfig(r row, sys arith.System) fpvm.Config {
 	return cfg
 }
 
-// pollute returns the machine and VM of a session that ran another program
-// under another system, memory size and set of tiers.
-func pollute(t testing.TB) (*machine.Machine, *fpvm.VM) {
+// pollute returns a session that ran another program under another system,
+// memory size and set of tiers.
+func pollute(t testing.TB) *session.Session {
 	prog, err := progenTarget(100).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func pollute(t testing.TB) (*machine.Machine, *fpvm.VM) {
 	if _, err := s.Run(img, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return s.Machine(), s.VM()
+	return s
 }
 
 // run executes tg under r. A warm row runs on an image of its own, after a
@@ -376,45 +376,30 @@ func run(t testing.TB, r row, tg *target) harvest {
 	return h
 }
 
-// runOn is the session pipeline spelled out so the machine modes fit in,
-// with the oracle's teardown: demote every box, then collect.
+// runOn checks img out through the session's load step, on a fresh session
+// or a polluted one, sets the machine modes Config does not carry, and runs
+// it with the oracle's teardown: demote every box, then collect.
 func runOn(t testing.TB, r row, tg *target, img *machine.Image, cache *fpvm.SBCache) harvest {
-	var out bytes.Buffer
-	var m *machine.Machine
-	var vm *fpvm.VM
-	var err error
+	s := session.New()
 	if r[dReuse] != 0 {
-		m, vm = pollute(t)
-		err = m.Reset(img, &out, memSize[r[dMem]])
-	} else {
-		m, err = machine.NewFromImage(img, &out, memSize[r[dMem]])
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Delivery = []trap.Kind{trap.DeliverUserSignal, trap.DeliverKernel, trap.DeliverUserToUser}[r[dDelivery]]
-	if r[dCancel] != 0 {
-		m.Preempt = new(atomic.Bool)
-	}
-	if r[dNoPatch] == 0 {
-		m.InstallSites()
-	}
-	var telem *telemetry.Collector
-	if r[dTelemetry] != 0 {
-		telem = telemetry.NewCollector(0)
-		m.Telem = telem
+		s = pollute(t)
 	}
 	sys := []arith.System{arith.Vanilla{}, arith.NewMPFR(200), arith.NewPosit(posit.Posit32)}[r[dSystem]]
 	if r[dStore] != 0 {
 		sys = passThrough{sys}
 	}
-	cfg := vmConfig(r, sys)
+	cfg := session.Config{Config: vmConfig(r, sys), MemSize: memSize[r[dMem]],
+		NoPatch: r[dNoPatch] != 0, Telemetry: r[dTelemetry] != 0}
 	cfg.SBCache = cache
-	if vm == nil {
-		vm = fpvm.Attach(m, cfg)
-	} else {
-		vm.Reattach(m, cfg)
+	if r[dCancel] != 0 {
+		cfg.Cancel = new(atomic.Bool)
 	}
+	var out bytes.Buffer
+	if err := s.Load(img, &out, cfg); err != nil {
+		t.Fatal(err)
+	}
+	m, vm := s.Machine(), s.VM()
+	m.Delivery = []trap.Kind{trap.DeliverUserSignal, trap.DeliverKernel, trap.DeliverUserToUser}[r[dDelivery]]
 	if r[dPatchMode] != 0 {
 		vm.PatchAllFPArith()
 	}
@@ -435,7 +420,7 @@ func runOn(t testing.TB, r row, tg *target, img *machine.Image, cache *fpvm.SBCa
 			h.sites[s.PC] += s.Samples
 		}
 	}
-	if telem != nil {
+	if telem := m.Telem; telem != nil {
 		h.events, h.topSites = telem.Ring().Total(), len(telem.TopSites(5))
 	}
 	vm.DetachInjector()

@@ -148,7 +148,7 @@ func hotFormDigest(t *testing.T, row string, mode digestMode) string {
 		t.Fatalf("%q: %v", row, err)
 	}
 	var out bytes.Buffer
-	m, err := NewSized(prog, &out, hotFormMemSize)
+	m, err := newSized(prog, &out, hotFormMemSize)
 	if err != nil {
 		t.Fatalf("%q: %v", row, err)
 	}

@@ -112,11 +112,11 @@ func TestInstallSites(t *testing.T) {
 // TestMemSizeCeiling pins isa.MaxMemSize as the machine's memory limit.
 func TestMemSizeCeiling(t *testing.T) {
 	prog := resetProg(t)
-	if _, err := NewSized(prog, nil, isa.MaxMemSize+1); err == nil ||
+	if _, err := newSized(prog, nil, isa.MaxMemSize+1); err == nil ||
 		!strings.Contains(err.Error(), "maximum") {
-		t.Errorf("NewSized over the ceiling: %v", err)
+		t.Errorf("NewFromImage over the ceiling: %v", err)
 	}
-	m, err := NewSized(prog, nil, 64<<10)
+	m, err := newSized(prog, nil, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,26 +195,22 @@ type Machine struct {
 }
 
 // New creates a machine with default geometry, cost model, and the R815
-// delivery profile, and loads prog.
+// delivery profile, and loads prog. It predecodes prog into a fresh Image of
+// its own; NewFromImage loads one that is already built.
 func New(prog *isa.Program, out io.Writer) (*Machine, error) {
-	return NewSized(prog, out, DefaultMemSize)
-}
-
-// NewSized is New with an explicit memory size. Smaller machines make dense
-// session pools affordable (hundreds of concurrent guests); the GC scan cost
-// is proportional to writable memory, so cycle counts are only comparable
-// between runs that use the same geometry. It predecodes prog into a fresh
-// Image of its own; NewFromImage loads one that is already built.
-func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
 	img, err := NewImage(prog, nil)
 	if err != nil {
 		return nil, err
 	}
-	return NewFromImage(img, out, memSize)
+	return NewFromImage(img, out, 0)
 }
 
-// NewFromImage creates a machine like NewSized over an already-built image,
-// which it shares rather than copies.
+// NewFromImage creates a machine like New over an already-built image, which
+// it shares rather than copies, with memSize bytes of memory (<= 0 means
+// DefaultMemSize). Smaller machines make dense session pools affordable
+// (hundreds of concurrent guests); the GC scan cost is proportional to
+// writable memory, so cycle counts are only comparable between runs that use
+// the same geometry.
 func NewFromImage(img *Image, out io.Writer, memSize int) (*Machine, error) {
 	if memSize <= 0 {
 		memSize = DefaultMemSize

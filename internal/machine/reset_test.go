@@ -3,12 +3,22 @@ package machine
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"fpvm/internal/asm"
 	"fpvm/internal/isa"
 )
+
+// newSized is New with a memory size of memSize bytes.
+func newSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
+	img, err := NewImage(prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromImage(img, out, memSize)
+}
 
 // resetProg is a small program that dirties registers, memory, and output.
 func resetProg(t *testing.T) *isa.Program {
@@ -54,7 +64,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	prog := resetProg(t)
 
 	var out1 bytes.Buffer
-	m, err := NewSized(prog, &out1, 64<<10)
+	m, err := newSized(prog, &out1, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +82,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 
 	var fout bytes.Buffer
-	fresh, err := NewSized(prog, &fout, 64<<10)
+	fresh, err := newSized(prog, &fout, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +116,7 @@ func TestResetMatchesFresh(t *testing.T) {
 func TestResetRebindsNewProgram(t *testing.T) {
 	progA, progB := resetProg(t), otherProg(t)
 	var out bytes.Buffer
-	m, err := NewSized(progA, &out, 64<<10)
+	m, err := newSized(progA, &out, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestResetRebindsNewProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref bytes.Buffer
-	fresh, err := NewSized(progB, &ref, 64<<10)
+	fresh, err := newSized(progB, &ref, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestResetRebindsNewProgram(t *testing.T) {
 func TestResetSameProgramSkipsNothingObservable(t *testing.T) {
 	prog := resetProg(t)
 	var out bytes.Buffer
-	m, err := NewSized(prog, &out, 64<<10)
+	m, err := newSized(prog, &out, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +175,7 @@ func TestResetSameProgramSkipsNothingObservable(t *testing.T) {
 // too-small error path.
 func TestResetGeometryChange(t *testing.T) {
 	prog := resetProg(t)
-	m, err := NewSized(prog, &bytes.Buffer{}, 64<<10)
+	m, err := newSized(prog, &bytes.Buffer{}, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +200,7 @@ func TestResetGeometryChange(t *testing.T) {
 // errors.As, and still matching the degradation engine's textual contract.
 func TestBudgetError(t *testing.T) {
 	prog := resetProg(t)
-	m, err := NewSized(prog, &bytes.Buffer{}, 64<<10)
+	m, err := newSized(prog, &bytes.Buffer{}, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

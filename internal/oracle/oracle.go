@@ -44,6 +44,7 @@ import (
 	"fpvm/internal/patch"
 	"fpvm/internal/posit"
 	"fpvm/internal/sanitize"
+	"fpvm/internal/session"
 	"fpvm/internal/telemetry"
 )
 
@@ -52,8 +53,9 @@ type Target struct {
 	// Name identifies the program in reports ("workload:NAS CG/Class S",
 	// "example:quickstart/harmonic", ...).
 	Name string
-	// Build assembles a fresh program image. It is called once per machine
-	// so no state is shared between the native and virtualized runs.
+	// Build assembles the program. Run calls it once and analyzes the result
+	// once; every machine of the run, native or virtualized, loads the one
+	// image built from it, which no run mutates.
 	Build func() (*isa.Program, error)
 }
 
@@ -66,7 +68,7 @@ type Options struct {
 	Systems []arith.System
 	// MaxInst bounds each run's retirements (0 = the 200M default).
 	MaxInst uint64
-	// NoPatch skips static analysis + correctness patching (ablation; the
+	// NoPatch skips installing the §4.2 correctness sites (ablation; the
 	// default mirrors the real pipeline and exercises demotion traps).
 	NoPatch bool
 	// VM is the FPVM configuration of every virtualized run. The harness
@@ -236,13 +238,19 @@ func Run(t Target, o Options) (*Report, error) {
 		shadows = DefaultSystems()
 	}
 
-	// Native reference run (standalone, for the report header).
+	// One image per target: built and analyzed here, loaded by every machine.
 	prog, err := t.Build()
 	if err != nil {
 		return nil, fmt.Errorf("oracle %s: %w", t.Name, err)
 	}
+	img, err := patch.NewImage(prog)
+	if err != nil {
+		return nil, fmt.Errorf("oracle %s: static analysis: %w", t.Name, err)
+	}
+
+	// Native reference run (standalone, for the report header).
 	var nout bytes.Buffer
-	nm, err := machine.New(prog, &nout)
+	nm, err := machine.NewFromImage(img, &nout, 0)
 	if err != nil {
 		return nil, fmt.Errorf("oracle %s: %w", t.Name, err)
 	}
@@ -257,12 +265,12 @@ func Run(t Target, o Options) (*Report, error) {
 		NativeOutput:         nout.String(),
 	}
 
-	rep.Vanilla, err = runSystem(t, arith.Vanilla{}, o)
+	rep.Vanilla, err = runSystem(t.Name, img, arith.Vanilla{}, o)
 	if err != nil {
 		return nil, err
 	}
 	for _, sys := range shadows {
-		sr, err := runSystem(t, sys, o)
+		sr, err := runSystem(t.Name, img, sys, o)
 		if err != nil {
 			return nil, err
 		}
@@ -271,45 +279,32 @@ func Run(t Target, o Options) (*Report, error) {
 	return rep, nil
 }
 
-// runSystem executes the target natively and under FPVM with sys, in
-// lockstep, and compares per instruction and at the end.
-func runSystem(t Target, sys arith.System, o Options) (*SystemReport, error) {
+// runSystem executes img natively and under FPVM with sys, in lockstep, and
+// compares per instruction and at the end. The native machine loads img
+// with no correctness sites; the virtualized one is checked out through a
+// session's load step, as every served run is.
+func runSystem(name string, img *machine.Image, sys arith.System, o Options) (*SystemReport, error) {
 	bail := func(err error) (*SystemReport, error) {
-		return nil, fmt.Errorf("oracle %s [%s]: %w", t.Name, sys.Name(), err)
+		return nil, fmt.Errorf("oracle %s [%s]: %w", name, sys.Name(), err)
 	}
 
-	nprog, err := t.Build()
-	if err != nil {
-		return bail(err)
-	}
-	vprog, err := t.Build()
-	if err != nil {
-		return bail(err)
-	}
 	var nout, vout bytes.Buffer
-	nm, err := machine.New(nprog, &nout)
+	nm, err := machine.NewFromImage(img, &nout, 0)
 	if err != nil {
 		return bail(err)
 	}
-	vmach, err := machine.New(vprog, &vout)
-	if err != nil {
-		return bail(err)
-	}
-	if !o.NoPatch {
-		patched, err := patch.Apply(vprog, nil)
-		if err != nil {
-			return bail(fmt.Errorf("static analysis: %w", err))
-		}
-		patched.Install(vmach)
-	}
-	cfg := o.VM
+	cfg := session.Config{Config: o.VM, NoPatch: o.NoPatch}
 	cfg.System = sys
 	var inj *faultinject.Injector
 	if o.Inject != nil {
 		inj = faultinject.New(*o.Inject)
 	}
 	cfg.Inject = inj
-	vm := fpvm.Attach(vmach, cfg)
+	s := session.New()
+	if err := s.Load(img, &vout, cfg); err != nil {
+		return bail(err)
+	}
+	vmach, vm := s.Machine(), s.VM()
 
 	sr := &SystemReport{
 		System:            sys.Name(),

@@ -309,3 +309,29 @@ func TestCoalescingReducesTraps(t *testing.T) {
 			on.Vanilla.FPTraps, off.Vanilla.FPTraps)
 	}
 }
+
+// TestRunBuildsOnce pins that an oracle run builds and analyzes its target
+// once, however many machines it runs: the native header run and both sides
+// of every system's lockstep all load the one image.
+func TestRunBuildsOnce(t *testing.T) {
+	tg, err := Lookup("example:quickstart/harmonic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	build := tg.Build
+	tg.Build = func() (*isa.Program, error) {
+		builds++
+		return build()
+	}
+	rep, err := Run(tg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || len(rep.Shadows) != len(DefaultSystems()) {
+		t.Fatalf("run: ok=%v with %d shadow reports", rep.Ok(), len(rep.Shadows))
+	}
+	if builds != 1 {
+		t.Errorf("Target.Build called %d times, want 1", builds)
+	}
+}

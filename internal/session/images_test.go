@@ -1,8 +1,9 @@
-package session
+package session_test
 
 import (
 	"errors"
 	"fmt"
+	"fpvm/internal/session"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -35,14 +36,14 @@ func targetBuilder(t testing.TB, name string) func() (*isa.Program, error) {
 // checkout is a cache hit, the build counter — one VSA run per build — stays
 // put, and every run repeats the first run of its program bit for bit.
 func TestImageReuseAlternatingPrograms(t *testing.T) {
-	var cache ImageCache
+	var cache session.ImageCache
 	builds := map[string]func() (*isa.Program, error){
 		"FBench": targetBuilder(t, "FBench"),
 		"Enzo":   targetBuilder(t, "Enzo/Cosmology Sim."),
 	}
 	names := []string{"FBench", "Enzo"}
-	first := map[string]Result{}
-	s := New()
+	first := map[string]session.Result{}
+	s := session.New()
 	for round := 0; round < 6; round++ {
 		name := names[round%2]
 		img, err := cache.Get(name, builds[name])
@@ -74,14 +75,14 @@ func TestImageReuseAlternatingPrograms(t *testing.T) {
 // when requested concurrently; different bodies get different images; and a
 // body that fails to assemble is reported to every caller and not cached.
 func TestImageCacheContentKeys(t *testing.T) {
-	var cache ImageCache
+	var cache session.ImageCache
 	rng := rand.New(rand.NewSource(1))
 	srcA := progen.FPLoopSource(rng, 12, 4)
 	srcB := progen.FPLoopSource(rng, 12, 4)
-	if srcA == srcB || AsmKey(srcA) == AsmKey(srcB) {
+	if srcA == srcB || session.AsmKey(srcA) == session.AsmKey(srcB) {
 		t.Fatal("premise broken: the two bodies are identical")
 	}
-	if AsmKey(srcA) != AsmKey(string([]byte(srcA))) {
+	if session.AsmKey(srcA) != session.AsmKey(string([]byte(srcA))) {
 		t.Fatal("AsmKey depends on more than the source bytes")
 	}
 
@@ -92,7 +93,7 @@ func TestImageCacheContentKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			src := string([]byte(srcA)) // a distinct string with the same bytes
-			img, err := cache.Get(AsmKey(src), asmBuilder(src))
+			img, err := cache.Get(session.AsmKey(src), asmBuilder(src))
 			if err != nil {
 				t.Error(err)
 			}
@@ -105,7 +106,7 @@ func TestImageCacheContentKeys(t *testing.T) {
 			t.Fatalf("request %d for the same body got a different image", i)
 		}
 	}
-	other, err := cache.Get(AsmKey(srcB), asmBuilder(srcB))
+	other, err := cache.Get(session.AsmKey(srcB), asmBuilder(srcB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestImageCacheContentKeys(t *testing.T) {
 
 	bad := "frobnicate f0\n"
 	for i := 0; i < 2; i++ {
-		if _, err := cache.Get(AsmKey(bad), asmBuilder(bad)); err == nil {
+		if _, err := cache.Get(session.AsmKey(bad), asmBuilder(bad)); err == nil {
 			t.Fatal("a body that fails to assemble produced an image")
 		}
 	}
@@ -145,33 +146,33 @@ func TestImageCacheContentKeys(t *testing.T) {
 // ImageCacheCapacity built images, the one evicted is the least recently
 // used, and a build that fails evicts nothing.
 func TestImageCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	var cache ImageCache
+	var cache session.ImageCache
 	src := func(i int) string { return fmt.Sprintf("mov r0, $%d\nouti r0\nhalt\n", i) }
 	get := func(i int) *machine.Image {
-		img, err := cache.Get(AsmKey(src(i)), asmBuilder(src(i)))
+		img, err := cache.Get(session.AsmKey(src(i)), asmBuilder(src(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return img
 	}
 	first := get(0)
-	for i := 1; i < ImageCacheCapacity; i++ {
+	for i := 1; i < session.ImageCacheCapacity; i++ {
 		get(i)
 	}
 	if get(0) != first { // a hit, which also makes body 0 the most recent
 		t.Fatal("full cache rebuilt a cached image")
 	}
 	bad := "frobnicate f0\n"
-	if _, err := cache.Get(AsmKey(bad), asmBuilder(bad)); err == nil {
+	if _, err := cache.Get(session.AsmKey(bad), asmBuilder(bad)); err == nil {
 		t.Fatal("a body that fails to assemble produced an image")
 	}
-	if st := cache.Stats(); st.Entries != ImageCacheCapacity || st.Evictions != 0 {
+	if st := cache.Stats(); st.Entries != session.ImageCacheCapacity || st.Evictions != 0 {
 		t.Fatalf("a failed build evicted an image: %+v", st)
 	}
-	get(ImageCacheCapacity) // evicts body 1, the least recently used
+	get(session.ImageCacheCapacity) // evicts body 1, the least recently used
 	st := cache.Stats()
-	if st.Entries != ImageCacheCapacity || st.Evictions != 1 {
-		t.Fatalf("cache = %+v, want %d entries and 1 eviction", st, ImageCacheCapacity)
+	if st.Entries != session.ImageCacheCapacity || st.Evictions != 1 {
+		t.Fatalf("cache = %+v, want %d entries and 1 eviction", st, session.ImageCacheCapacity)
 	}
 	if get(0) != first {
 		t.Error("the most recently used image was evicted")
@@ -193,20 +194,20 @@ func TestEvictedImageInUseRunsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := New()
+	fresh := session.New()
 	ref, err := fresh.Run(mustImage(t, prog), baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var cache ImageCache
+	var cache session.ImageCache
 	img, err := cache.Get("lorenz", build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New()
+	s := session.New()
 	started := make(chan struct{})
-	done := make(chan Result)
+	done := make(chan session.Result)
 	go func(img *machine.Image) {
 		close(started)
 		res, err := s.Run(img, baseConfig())
@@ -217,9 +218,9 @@ func TestEvictedImageInUseRunsBitIdentical(t *testing.T) {
 	}(img)
 	img = nil // the running session holds the only other reference
 	<-started
-	for i := 0; i < ImageCacheCapacity; i++ {
+	for i := 0; i < session.ImageCacheCapacity; i++ {
 		body := fmt.Sprintf("mov r0, $%d\nouti r0\nhalt\n", i)
-		if _, err := cache.Get(AsmKey(body), asmBuilder(body)); err != nil {
+		if _, err := cache.Get(session.AsmKey(body), asmBuilder(body)); err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()
@@ -228,7 +229,7 @@ func TestEvictedImageInUseRunsBitIdentical(t *testing.T) {
 	if st := cache.Stats(); st.Evictions == 0 {
 		t.Fatalf("premise broken: nothing was evicted (%+v)", st)
 	}
-	if _, err := cache.Get("lorenz", build); err != nil || cache.Stats().Builds != ImageCacheCapacity+2 {
+	if _, err := cache.Get("lorenz", build); err != nil || cache.Stats().Builds != session.ImageCacheCapacity+2 {
 		t.Fatalf("evicted image was not rebuilt: %v, %+v", err, cache.Stats())
 	}
 	requireIdentical(t, "Lorenz Attractor", ref, res, fresh.Machine(), s.Machine())
@@ -237,7 +238,7 @@ func TestEvictedImageInUseRunsBitIdentical(t *testing.T) {
 // TestImageCacheFailedBuildWaiters: concurrent requests for a key whose
 // build fails all see the error.
 func TestImageCacheFailedBuildWaiters(t *testing.T) {
-	var cache ImageCache
+	var cache session.ImageCache
 	release := make(chan struct{})
 	want := errors.New("no such program")
 	var wg sync.WaitGroup
@@ -269,13 +270,13 @@ func TestImageCacheFailedBuildWaiters(t *testing.T) {
 // resolves a request. With the images built, an op is a cache hit plus a
 // reset and a run: no assembly, no analysis, no predecode.
 func BenchmarkSessionAlternate(b *testing.B) {
-	var cache ImageCache
+	var cache session.ImageCache
 	rng := rand.New(rand.NewSource(1))
 	srcs := []string{progen.FPLoopSource(rng, 60, 100), progen.FPLoopSource(rng, 60, 100)}
-	var pool Pool
+	var pool session.Pool
 	cfg := baseConfig()
 	for _, src := range srcs { // build both images before timing
-		img, err := cache.Get(AsmKey(src), asmBuilder(src))
+		img, err := cache.Get(session.AsmKey(src), asmBuilder(src))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func BenchmarkSessionAlternate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := srcs[i%2]
-		img, err := cache.Get(AsmKey(src), asmBuilder(src))
+		img, err := cache.Get(session.AsmKey(src), asmBuilder(src))
 		if err != nil {
 			b.Fatal(err)
 		}

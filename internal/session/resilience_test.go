@@ -1,9 +1,10 @@
-package session
+package session_test
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"fpvm/internal/session"
 	"reflect"
 	"strings"
 	"sync"
@@ -65,12 +66,12 @@ func panicInjector(seed uint64) *faultinject.Injector {
 
 func TestPanicContainedAsPoisonedError(t *testing.T) {
 	prog := mustProg(t, fpSrc)
-	s := New()
+	s := session.New()
 	cfg := baseConfig()
 	cfg.Inject = panicInjector(1)
 
 	_, err := s.Run(prog, cfg)
-	var pe *PoisonedError
+	var pe *session.PoisonedError
 	if !errors.As(err, &pe) {
 		t.Fatalf("Run with run-panic armed = %v, want *PoisonedError", err)
 	}
@@ -86,14 +87,14 @@ func TestPanicContainedAsPoisonedError(t *testing.T) {
 
 	// Defense in depth: a poisoned session refuses to run again even if a
 	// caller bypasses the pool.
-	if _, err := s.Run(prog, baseConfig()); !errors.Is(err, errPoisonedReuse) {
-		t.Errorf("poisoned reuse = %v, want errPoisonedReuse", err)
+	if _, err := s.Run(prog, baseConfig()); !errors.Is(err, session.ErrPoisonedReuse) {
+		t.Errorf("poisoned reuse = %v, want ErrPoisonedReuse", err)
 	}
 }
 
 func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 	prog := mustProg(t, fpSrc)
-	var p Pool
+	var p session.Pool
 
 	// Warm the pool with one clean run.
 	if _, err := p.Run(prog, baseConfig()); err != nil {
@@ -135,11 +136,11 @@ func TestPoolQuarantinesPoisonedSession(t *testing.T) {
 
 func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 	prog := mustProg(t, fpSrc)
-	var p Pool
+	var p session.Pool
 
 	// Decode faults at rate 1: every trap degrades, so every run extends the
 	// streak. Runs still complete (degradation re-executes natively).
-	degrading := func(seed uint64) Config {
+	degrading := func(seed uint64) session.Config {
 		cfg := baseConfig()
 		icfg := faultinject.Config{Seed: seed}
 		icfg.Rate[faultinject.SeamDecode] = 1
@@ -148,7 +149,7 @@ func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 	}
 
 	s := p.Get()
-	for i := 0; i < DefaultQuarantineStreak; i++ {
+	for i := 0; i < session.DefaultQuarantineStreak; i++ {
 		res, err := s.Run(prog, degrading(uint64(i)+1))
 		if err != nil {
 			t.Fatalf("degrading run %d: %v", i, err)
@@ -157,8 +158,8 @@ func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 			t.Fatalf("degrading run %d absorbed no degradations; the streak test needs them", i)
 		}
 	}
-	if got := s.DegradedStreak(); got != DefaultQuarantineStreak {
-		t.Fatalf("DegradedStreak = %d, want %d", got, DefaultQuarantineStreak)
+	if got := s.DegradedStreak(); got != session.DefaultQuarantineStreak {
+		t.Fatalf("DegradedStreak = %d, want %d", got, session.DefaultQuarantineStreak)
 	}
 	p.Put(s)
 	if st := p.Stats(); st.Quarantined != 1 || st.Poisoned != 0 {
@@ -167,7 +168,7 @@ func TestPoolQuarantinesChronicDegrader(t *testing.T) {
 
 	// A clean run clears the streak: that session is pooled normally.
 	s2 := p.Get()
-	if _, err := s2.Run(prog, degrading(DefaultQuarantineStreak+1)); err != nil {
+	if _, err := s2.Run(prog, degrading(session.DefaultQuarantineStreak+1)); err != nil {
 		t.Fatalf("single degrading run: %v", err)
 	}
 	if _, err := s2.Run(prog, baseConfig()); err != nil {
@@ -189,7 +190,7 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Cancel = &cancel
 
-	res, err := New().Run(prog, cfg)
+	res, err := session.New().Run(prog, cfg)
 	if err != nil {
 		t.Fatalf("deadline run errored: %v", err)
 	}
@@ -207,7 +208,7 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 
 // TestDeadlineMatchesManualPipeline pins that the session layer adds nothing
 // to the deadline semantics: a session-truncated run and a hand-assembled
-// machine+patch+VM pipeline (the fpvm-run shape) stop at the same instruction
+// machine+patch+VM pipeline (the one-shot shape) stop at the same instruction
 // boundary with identical harvested stats, so CLI and service timeouts are
 // the same mechanism.
 func TestDeadlineMatchesManualPipeline(t *testing.T) {
@@ -217,14 +218,18 @@ func TestDeadlineMatchesManualPipeline(t *testing.T) {
 	sc.Store(true)
 	cfg := baseConfig()
 	cfg.Cancel = &sc
-	res, err := New().Run(prog, cfg)
+	res, err := session.New().Run(prog, cfg)
 	if err != nil || !res.DeadlineExceeded {
 		t.Fatalf("session run: err=%v deadline=%v", err, res.DeadlineExceeded)
 	}
 
-	// The manual pipeline, exactly as cmd/fpvm-run assembles it.
+	// The manual pipeline, assembled by hand as the one-shot root API does.
+	raw, err := machine.NewImage(prog.Program(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
-	m, err := machine.NewSized(prog.Program(), &out, testMemSize)
+	m, err := machine.NewFromImage(raw, &out, testMemSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +243,7 @@ func TestDeadlineMatchesManualPipeline(t *testing.T) {
 	mc.Store(true)
 	m.Preempt = &mc
 	var de *machine.DeadlineError
-	if err := m.Run(DefaultMaxInst); !errors.As(err, &de) {
+	if err := m.Run(session.DefaultMaxInst); !errors.As(err, &de) {
 		t.Fatalf("manual run = %v, want *DeadlineError", err)
 	}
 
@@ -260,7 +265,7 @@ func TestDeadlineMatchesManualPipeline(t *testing.T) {
 // NaN-box state is reachable from the replacement.
 func TestQuarantineStateNeverLeaks(t *testing.T) {
 	prog := mustProg(t, fpSrc)
-	var p Pool
+	var p session.Pool
 
 	baseline, err := p.Run(prog, baseConfig())
 	if err != nil {
@@ -299,7 +304,7 @@ func TestQuarantineStateNeverLeaks(t *testing.T) {
 // balances exactly once the pool is idle.
 func TestPoolQuarantineRace(t *testing.T) {
 	prog := mustProg(t, fpSrc)
-	var p Pool
+	var p session.Pool
 	const (
 		workers = 8
 		iters   = 25
@@ -326,7 +331,7 @@ func TestPoolQuarantineRace(t *testing.T) {
 				res, err := s.Run(prog, cfg)
 				switch {
 				case poisonRun:
-					var pe *PoisonedError
+					var pe *session.PoisonedError
 					if !errors.As(err, &pe) {
 						errs <- fmt.Errorf("poison run: err=%v, want *PoisonedError", err)
 					} else {

@@ -1,7 +1,8 @@
-package session
+package session_test
 
 import (
 	"fmt"
+	"fpvm/internal/session"
 	"strings"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func TestSharedCacheWarmCheckouts(t *testing.T) {
 	base := baseConfig()
 	base.JITThreshold = 2
 
-	ref, err := New().Run(prog, base)
+	ref, err := session.New().Run(prog, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSharedCacheWarmCheckouts(t *testing.T) {
 
 	shared := base
 	shared.SBCache = fpvm.NewSBCache()
-	var pool Pool
+	var pool session.Pool
 	first, err := pool.Run(prog, shared)
 	if err != nil {
 		t.Fatal(err)
@@ -119,13 +120,13 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	base := baseConfig()
 	base.JITThreshold = 2
 
-	ref, err := New().Run(prog, base)
+	ref, err := session.New().Run(prog, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := fpvm.NewSBCache()
-	variants := []Config{base, base, base}
+	variants := []session.Config{base, base, base}
 	variants[0].SBCache = cache // plain warm adopter
 	variants[1].SBCache = cache // warm adopter that also coalesces
 	variants[1].MaxSequenceLen = 8
@@ -134,7 +135,7 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	divFaults := faultinject.Config{Sites: map[uint64]faultinject.Seam{
 		prog.Program().Symbols["div"]: faultinject.SeamArenaAlloc,
 	}}
-	faulty := func() Config {
+	faulty := func() session.Config {
 		cfg := variants[2]
 		cfg.Inject = faultinject.New(divFaults)
 		return cfg
@@ -142,7 +143,7 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 
 	// Warm the cache before the race, so every faulty run adopts both
 	// traces at attach and its faults land inside the shared thunks.
-	var pool Pool
+	var pool session.Pool
 	warm, err := pool.Run(prog, variants[0])
 	if err != nil {
 		t.Fatal(err)
@@ -221,13 +222,13 @@ func TestTraceEntryContractAllTargets(t *testing.T) {
 			sys, prog := sys, progs[i]
 			t.Run(sys.name+"/"+tgt.Name, func(t *testing.T) {
 				t.Parallel()
-				plain := Config{Config: fpvm.Config{System: sys.make()}, MemSize: testMemSize}
+				plain := session.Config{Config: fpvm.Config{System: sys.make()}, MemSize: testMemSize}
 				jit := plain
 				jit.JITThreshold = 8
 				jit.SBCache = fpvm.NewSBCache()
 				var outs [3]string
-				for k, cfg := range []Config{plain, jit, jit} {
-					res, err := New().Run(prog, cfg)
+				for k, cfg := range []session.Config{plain, jit, jit} {
+					res, err := session.New().Run(prog, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"sync/atomic"
 
@@ -132,7 +133,7 @@ func (e *PoisonedError) Error() string {
 	return fmt.Sprintf("session poisoned: panic during run: %s", e.PanicValue)
 }
 
-// errPoisonedReuse is returned by Run on a session already poisoned — a
+// errPoisonedReuse is returned by Run and Load on a session already poisoned — a
 // defense-in-depth check; the pool never hands one out.
 var errPoisonedReuse = errors.New("session: poisoned session cannot run again")
 
@@ -154,7 +155,7 @@ type Session struct {
 }
 
 // New returns an empty session. The machine and VM are materialized lazily
-// on the first Run, sized by its Config.
+// on the first Load, sized by its Config.
 func New() *Session { return &Session{} }
 
 // Runs reports how many runs this session has completed — >0 means Run is
@@ -171,8 +172,9 @@ func (s *Session) Poisoned() bool { return s.poisoned }
 func (s *Session) DegradedStreak() int { return s.degradedStreak }
 
 // Machine exposes the session's machine for post-run inspection (tests
-// compare full architectural state against fresh runs). The machine is only
-// valid until the next Run or pool checkout.
+// compare full architectural state against fresh runs), or the machine Load
+// just checked out. The machine is only valid until the next Run, Load or
+// pool checkout.
 func (s *Session) Machine() *machine.Machine { return s.m }
 
 // VM exposes the session's FPVM runtime under the same validity caveat.
@@ -190,9 +192,6 @@ func (s *Session) VM() *fpvm.VM { return s.vm }
 // instead of pooling it. This is the fault-domain boundary: one guest's
 // worst case costs one session, never the process.
 func (s *Session) Run(img *machine.Image, cfg Config) (res Result, err error) {
-	if s.poisoned {
-		return Result{}, errPoisonedReuse
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.poisoned = true
@@ -206,43 +205,47 @@ func (s *Session) Run(img *machine.Image, cfg Config) (res Result, err error) {
 	return s.run(img, cfg)
 }
 
-// run is the unprotected run path; Run wraps it in the panic containment.
-func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
+// Load checks img out onto this session under cfg, ready to run, with the
+// guest's stdout going to out; it is the one checkout every harness shares.
+// It creates the machine over img or Resets it (same geometry either way),
+// arms Cancel, installs the image's correctness sites unless NoPatch,
+// attaches the telemetry collector if asked, and attaches or reattaches the
+// VM. The order matters: a shared SBCache adopts only traces without a
+// site, and a sanitizer binds the collector, both when the VM attaches.
+// Afterwards Machine and VM are the loaded pair, on which a caller may set
+// what Config does not carry (delivery model, patch mode) before running
+// them. Load does not recover panics; Run does.
+func (s *Session) Load(img *machine.Image, out io.Writer, cfg Config) error {
+	if s.poisoned {
+		return errPoisonedReuse
+	}
 	if cfg.System == nil {
-		return Result{}, errors.New("session: Config.System is required")
+		return errors.New("session: Config.System is required")
 	}
 	if img == nil {
-		return Result{}, errors.New("session: nil image")
+		return errors.New("session: nil image")
 	}
 	if !cfg.NoPatch && !img.Analyzed() {
-		return Result{}, errors.New("session: image has no correctness-site table (build it with patch.NewImage, or set NoPatch)")
+		return errors.New("session: image has no correctness-site table (build it with patch.NewImage, or set NoPatch)")
 	}
-	s.out.Reset()
 
-	// Checkout step 1: the machine, reset to fresh-geometry state over img.
 	if s.m == nil {
-		m, err := machine.NewFromImage(img, &s.out, cfg.MemSize)
+		m, err := machine.NewFromImage(img, out, cfg.MemSize)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		s.m = m
-	} else if err := s.m.Reset(img, &s.out, cfg.MemSize); err != nil {
-		return Result{}, err
+	} else if err := s.m.Reset(img, out, cfg.MemSize); err != nil {
+		return err
 	}
-	// Arm cooperative preemption for this run. Reset cleared the previous
-	// tenant's flag, so an unarmed run carries no stale deadline.
+	// Reset cleared the previous tenant's flag, so an unarmed run carries no
+	// stale deadline.
 	if cfg.Cancel != nil {
 		s.m.Preempt = cfg.Cancel
 	}
-
-	// Step 2: correctness patching (§4.2) from the image's site table,
-	// exactly the sites the one-shot pipeline's analysis installs.
-	sites := 0
 	if !cfg.NoPatch {
-		sites = s.m.InstallSites()
+		s.m.InstallSites()
 	}
-
-	// Step 3: telemetry, reset for this run when requested.
 	if cfg.Telemetry || cfg.TopSites > 0 {
 		if s.telem == nil {
 			s.telem = telemetry.NewCollector(0)
@@ -251,27 +254,35 @@ func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 		}
 		s.m.Telem = s.telem
 	}
-
-	// Step 4: the FPVM runtime, reattached over the reloaded program.
 	if s.vm == nil {
 		s.vm = fpvm.Attach(s.m, cfg.Config)
 	} else {
 		s.vm.Reattach(s.m, cfg.Config)
 	}
+	return nil
+}
 
-	// Step 5: run to halt, fault, or budget.
+// run is the unprotected run path: Load, run to halt, fault or budget, and
+// harvest. Run wraps it in the panic containment.
+func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
+	s.out.Reset()
+	if err := s.Load(img, &s.out, cfg); err != nil {
+		return Result{}, err
+	}
 	maxInst := cfg.MaxInst
 	if maxInst == 0 {
 		maxInst = DefaultMaxInst
 	}
 	err := s.m.Run(maxInst)
 	res := Result{
-		Output:           s.out.String(),
-		Cycles:           s.m.Cycles,
-		Instructions:     s.m.Stats.Instructions,
-		Machine:          s.m.Stats,
-		VM:               s.vm.Stats,
-		CorrectnessSites: sites,
+		Output:       s.out.String(),
+		Cycles:       s.m.Cycles,
+		Instructions: s.m.Stats.Instructions,
+		Machine:      s.m.Stats,
+		VM:           s.vm.Stats,
+	}
+	if !cfg.NoPatch {
+		res.CorrectnessSites = img.SiteCount()
 	}
 	if err != nil {
 		var be *machine.BudgetError
@@ -286,7 +297,7 @@ func (s *Session) run(img *machine.Image, cfg Config) (Result, error) {
 		}
 	}
 
-	// Step 6: harvest observability artifacts.
+	// Harvest the observability artifacts.
 	if cfg.TopSites > 0 && s.telem != nil {
 		res.TopSites = s.telem.TopSites(cfg.TopSites)
 	}

@@ -1,8 +1,9 @@
-package session
+package session_test
 
 import (
 	"bytes"
 	"fmt"
+	"fpvm/internal/session"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,8 @@ import (
 // every run in this file (modeled cycles depend on memory geometry).
 const testMemSize = 256 << 10
 
-func baseConfig() Config {
-	return Config{Config: fpvm.Config{System: arith.Vanilla{}}, MemSize: testMemSize}
+func baseConfig() session.Config {
+	return session.Config{Config: fpvm.Config{System: arith.Vanilla{}}, MemSize: testMemSize}
 }
 
 // mustImage analyzes and predecodes prog into the image sessions run.
@@ -76,7 +77,7 @@ func snapshot(m *machine.Machine) machineState {
 
 // requireIdentical asserts two runs of the same program are bit-identical in
 // results, counters, and final architectural state.
-func requireIdentical(t *testing.T, name string, fresh, reused Result, fm, rm *machine.Machine) {
+func requireIdentical(t *testing.T, name string, fresh, reused session.Result, fm, rm *machine.Machine) {
 	t.Helper()
 	// GC.LastWall is a host wall-clock measurement — the one field of the
 	// stats that is legitimately nondeterministic.
@@ -121,7 +122,7 @@ func TestReusedSessionBitIdenticalAllTargets(t *testing.T) {
 	if len(targets) < 16 {
 		t.Fatalf("expected at least 16 fig targets, have %d", len(targets))
 	}
-	reused := New()
+	reused := session.New()
 	for i, tgt := range targets {
 		// Dirty the pooled session with a different program (and different
 		// memory geometry on odd rounds) before the measured run.
@@ -134,7 +135,7 @@ func TestReusedSessionBitIdenticalAllTargets(t *testing.T) {
 			t.Fatalf("%s: polluter run: %v", tgt.Name, err)
 		}
 
-		fresh := New()
+		fresh := session.New()
 		fres, err := fresh.Run(progs[i], baseConfig())
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", tgt.Name, err)
@@ -180,7 +181,7 @@ func TestObserversInvisibleAllTargets(t *testing.T) {
 		observedCfg.TopSites = 5
 		observedCfg.Cancel = new(atomic.Bool)
 
-		plain, observed := New(), New()
+		plain, observed := session.New(), session.New()
 		pres, err := plain.Run(progs[i], plainCfg)
 		if err != nil {
 			t.Fatalf("%s: plain run: %v", tgt.Name, err)
@@ -201,8 +202,9 @@ func TestObserversInvisibleAllTargets(t *testing.T) {
 }
 
 // TestSessionMatchesManualPipeline pins that a Session's fresh run equals
-// the literal one-shot pipeline (machine.NewSized + patch + fpvm.Attach)
-// assembled by hand — the session layer adds orchestration, not behavior.
+// the literal one-shot pipeline assembled by hand (a machine over a bare
+// image, patch.Apply's sites installed one by one, fpvm.Attach) — the
+// session's load step adds orchestration, not behavior.
 func TestSessionMatchesManualPipeline(t *testing.T) {
 	tgt, err := oracle.Lookup("FBench")
 	if err != nil {
@@ -213,8 +215,12 @@ func TestSessionMatchesManualPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	raw, err := machine.NewImage(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
-	m, err := machine.NewSized(prog, &out, testMemSize)
+	m, err := machine.NewFromImage(raw, &out, testMemSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,7 @@ func TestSessionMatchesManualPipeline(t *testing.T) {
 		t.Fatalf("manual pipeline: %v", err)
 	}
 
-	s := New()
+	s := session.New()
 	res, err := s.Run(mustImage(t, prog), baseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +259,7 @@ func TestSessionMatchesManualPipeline(t *testing.T) {
 // session ever observed a neighbor's NaN-boxes or telemetry events.
 func TestConcurrentSessionsIsolated(t *testing.T) {
 	names := []string{"FBench", "Three-Body"}
-	refs := make(map[string]Result)
+	refs := make(map[string]session.Result)
 	progs := make(map[string]*machine.Image)
 	cfg := baseConfig()
 	cfg.Telemetry = true
@@ -268,7 +274,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		progs[n] = mustImage(t, prog)
-		ref, err := New().Run(progs[n], cfg)
+		ref, err := session.New().Run(progs[n], cfg)
 		if err != nil {
 			t.Fatalf("%s: reference run: %v", n, err)
 		}
@@ -276,7 +282,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 		refs[n] = ref
 	}
 
-	var pool Pool
+	var pool session.Pool
 	const workers, iters = 8, 8
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
@@ -348,7 +354,7 @@ func buildNoTrap(t testing.TB) *machine.Image {
 func TestSessionZeroAllocReuse(t *testing.T) {
 	prog := buildNoTrap(t)
 	cfg := baseConfig()
-	s := New()
+	s := session.New()
 	for i := 0; i < 3; i++ { // warm: machine, VM
 		if _, err := s.Run(prog, cfg); err != nil {
 			t.Fatal(err)
@@ -369,7 +375,7 @@ func TestSessionZeroAllocReuse(t *testing.T) {
 func BenchmarkSessionReuse(b *testing.B) {
 	prog := buildNoTrap(b)
 	cfg := baseConfig()
-	s := New()
+	s := session.New()
 	if _, err := s.Run(prog, cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +401,7 @@ func TestBudgetDegradesNeverKills(t *testing.T) {
 	}
 	cfg := baseConfig()
 	cfg.MaxInst = 1000
-	res, err := New().Run(mustImage(t, prog), cfg)
+	res, err := session.New().Run(mustImage(t, prog), cfg)
 	if err != nil {
 		t.Fatalf("budget exhaustion must not error: %v", err)
 	}
@@ -413,22 +419,22 @@ func TestBudgetDegradesNeverKills(t *testing.T) {
 // TestSessionConfigErrors pins the required-field validation.
 func TestSessionConfigErrors(t *testing.T) {
 	prog := buildNoTrap(t)
-	if _, err := New().Run(prog, Config{}); err == nil {
+	if _, err := session.New().Run(prog, session.Config{}); err == nil {
 		t.Error("nil System accepted")
 	}
-	if _, err := New().Run(nil, baseConfig()); err == nil {
+	if _, err := session.New().Run(nil, baseConfig()); err == nil {
 		t.Error("nil image accepted")
 	}
 	plain, err := machine.NewImage(prog.Program(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New().Run(plain, baseConfig()); err == nil {
+	if _, err := session.New().Run(plain, baseConfig()); err == nil {
 		t.Error("unanalyzed image accepted without NoPatch")
 	}
 	cfg := baseConfig()
 	cfg.NoPatch = true
-	if _, err := New().Run(plain, cfg); err != nil {
+	if _, err := session.New().Run(plain, cfg); err != nil {
 		t.Errorf("unanalyzed image refused under NoPatch: %v", err)
 	}
 }
@@ -456,7 +462,7 @@ func TestPooledJITCrossTenantStale(t *testing.T) {
 	cfg.MaxSequenceLen = 16
 	cfg.JITThreshold = 2
 
-	reused := New()
+	reused := session.New()
 	for round := 0; round < 4; round++ {
 		prog := progs[round%len(progs)]
 		// Alternate the guest geometry so the dense caches resize between
@@ -465,7 +471,7 @@ func TestPooledJITCrossTenantStale(t *testing.T) {
 		if round%2 == 1 {
 			rcfg.MemSize = 512 << 10
 		}
-		fresh := New()
+		fresh := session.New()
 		fres, err := fresh.Run(prog, rcfg)
 		if err != nil {
 			t.Fatalf("round %d: fresh run: %v", round, err)
@@ -488,7 +494,7 @@ func TestPooledJITCrossTenantStale(t *testing.T) {
 // goroutines or pooled reuses.
 func TestConcurrentPooledJITIsolated(t *testing.T) {
 	names := []string{"Lorenz Attractor", "FBench"}
-	refs := make(map[string]Result)
+	refs := make(map[string]session.Result)
 	progs := make(map[string]*machine.Image)
 	cfg := baseConfig()
 	cfg.MaxSequenceLen = 16
@@ -503,7 +509,7 @@ func TestConcurrentPooledJITIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		progs[n] = mustImage(t, prog)
-		ref, err := New().Run(progs[n], cfg)
+		ref, err := session.New().Run(progs[n], cfg)
 		if err != nil {
 			t.Fatalf("%s: reference run: %v", n, err)
 		}
@@ -514,7 +520,7 @@ func TestConcurrentPooledJITIsolated(t *testing.T) {
 		refs[n] = ref
 	}
 
-	var pool Pool
+	var pool session.Pool
 	const workers, iters = 8, 8
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
@@ -554,7 +560,7 @@ func TestConcurrentPooledJITIsolated(t *testing.T) {
 // traffic.
 func TestPoolReuse(t *testing.T) {
 	prog := buildNoTrap(t)
-	var pool Pool
+	var pool session.Pool
 	for i := 0; i < 5; i++ {
 		if _, err := pool.Run(prog, baseConfig()); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,9 @@
-package session
+package session_test
 
 import (
 	"bytes"
 	"fmt"
+	"fpvm/internal/session"
 	"testing"
 
 	"fpvm/internal/arith"
@@ -107,7 +108,7 @@ func TestStoreChoiceInvisibleAllTargets(t *testing.T) {
 				bcfg := cfg
 				bcfg.System = wrapped
 
-				typed, boxed := New(), New()
+				typed, boxed := session.New(), session.New()
 				tres, err := typed.Run(img, cfg)
 				if err != nil {
 					t.Fatalf("%s: typed run: %v", name, err)
@@ -135,7 +136,7 @@ func TestStoreChoiceInvisibleAllTargets(t *testing.T) {
 // requires each run to be bit-identical to a fresh session's.
 func TestPooledSessionAcrossStoreKinds(t *testing.T) {
 	names := []string{"FBench", "Lorenz Attractor", "NAS CG/Class S"}
-	pooled := New()
+	pooled := session.New()
 	for _, sys := range []arith.System{arith.Vanilla{}, arith.NewMPFR(200), arith.NewPosit(posit.Posit32), arith.Vanilla{}} {
 		for _, n := range names {
 			tgt, err := oracle.Lookup(n)
@@ -150,7 +151,7 @@ func TestPooledSessionAcrossStoreKinds(t *testing.T) {
 			cfg := baseConfig()
 			cfg.System = sys
 			cfg.MaxSequenceLen, cfg.JITThreshold = 16, 8
-			fresh := New()
+			fresh := session.New()
 			fres, err := fresh.Run(img, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: fresh run: %v", n, sys.Name(), err)
