@@ -37,15 +37,17 @@ benchmark-test:
 
 # The dispatch (one sub-benchmark per hot instruction form), trap-delivery
 # (Vanilla per op and operand form, and MPFR-200), FPU (each fast-pathed op
-# inside and outside its exponent window), superblock-entry and
-# session-alternation microbenchmarks, run for a fixed short count so they
-# keep building and running, with their allocations reported (the numbers
-# are not gated).
+# inside and outside its exponent window), superblock-entry,
+# session-alternation and set-up (analysis and image build per Figure 12
+# workload) microbenchmarks, run for a fixed short count so they keep
+# building and running, with their allocations reported (the numbers are not
+# gated).
 microbench:
 	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x -benchmem ./internal/machine
 	$(GO) test -run '^$$' -bench '^BenchmarkOps$$' -benchtime 2000x -benchmem ./internal/fpu
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x -benchmem ./internal/fpvm
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x -benchmem ./internal/session
+	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime 20x -benchmem ./internal/patch
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server, plus the

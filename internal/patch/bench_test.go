@@ -4,9 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"fpvm/internal/machine"
 	"fpvm/internal/patch"
 	"fpvm/internal/workloads"
 )
+
+// imageSink keeps each benchmarked image live, so the build is not elided.
+var imageSink *machine.Image
 
 // BenchmarkAnalyze times the ahead-of-time half of the pipeline for each
 // Figure 12 workload: the §4.2 value-set analysis and the image build
@@ -21,9 +25,11 @@ func BenchmarkAnalyze(b *testing.B) {
 		b.Run(strings.TrimSpace(w.Name+" "+w.Specifics), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := patch.NewImage(prog); err != nil {
+				img, err := patch.NewImage(prog)
+				if err != nil {
 					b.Fatal(err)
 				}
+				imageSink = img
 			}
 		})
 	}
