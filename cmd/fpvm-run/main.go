@@ -237,7 +237,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	m.Delivery = kind
-	telem := m.Telem
 
 	if *spyMode {
 		spy := fpvm.AttachSpy(m)
@@ -245,7 +244,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		spy.Report(stderr, 10)
-		return finishTelemetry(stdout, stderr, telem, *traceOut, *topSites)
+		return finishTelemetry(stdout, stderr, m.Telem, *traceOut, *topSites)
 	}
 
 	if err := runToDeadline(m, *maxInst, stderr); err != nil {
@@ -286,7 +285,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 				m.Stats.Trap.TotalCycles(), m.Stats.Trap.Delivered)
 		}
 	}
-	rc := finishTelemetry(stdout, stderr, telem, *traceOut, *topSites)
+	rc := finishTelemetry(stdout, stderr, m.Telem, *traceOut, *topSites)
 	if sanitizing {
 		rep := vm.Sanitizer().Snapshot()
 		n := *topSites
