@@ -83,37 +83,3 @@ func TestTranscendentalFaithfulness(t *testing.T) {
 		}
 	}
 }
-
-// TestBasicOpsCorrectlyRoundedProperty cross-checks that Add/Sub/Mul/Div/
-// Sqrt at precision p equal the higher-precision result rounded to p —
-// the definition of correct rounding, which these operations DO guarantee.
-func TestBasicOpsCorrectlyRoundedProperty(t *testing.T) {
-	const prec = 96
-	r := rand.New(rand.NewSource(91))
-	x, y := New(200), New(200)
-	for i := 0; i < 2000; i++ {
-		x.SetFloat64((r.Float64()-0.5)*1e10, RoundNearestEven)
-		x.Sqrt(x, RoundNearestEven) // fill the mantissa
-		if r.Intn(2) == 0 {
-			x.Neg(x, RoundNearestEven)
-		}
-		y.SetFloat64(r.Float64()*1e3+1e-3, RoundNearestEven)
-		y.Sqrt(y, RoundNearestEven)
-
-		for _, rnd := range []RoundingMode{RoundNearestEven, RoundTowardZero,
-			RoundTowardPositive, RoundTowardNegative, RoundNearestAway} {
-			direct := New(prec)
-			direct.Div(x, y, rnd)
-
-			wide := New(400)
-			wide.Div(x, y, RoundNearestEven)
-			narrowed := New(prec)
-			narrowed.Set(wide, rnd)
-
-			if direct.Cmp(narrowed) != 0 {
-				t.Fatalf("Div not correctly rounded under %v: %s vs %s",
-					rnd, direct, narrowed)
-			}
-		}
-	}
-}
