@@ -96,15 +96,17 @@ func TestStoreForReuse(t *testing.T) {
 
 // TestMPFRStoreAllocatesNothing is the MPFR-200 zero-allocation gate at the
 // store: once the cells exist, the basic ops, floor and fmod compute in
-// place (fmod's quotient and product live in the store's own scratch).
-// The transcendentals still allocate temporaries inside the kernels.
+// place (fmod's quotient and product live in the store's own scratch), and
+// the transcendentals keep their temporaries on the stack.
 func TestMPFRStoreAllocatesNothing(t *testing.T) {
 	st := StoreFor(NewMPFR(200), nil)
 	st.SetFloat64(1, 1)
 	st.SetFloat64(2, 3)
 	st.Apply(OpDiv, 3, 1, 2, 0) // a full 200-bit mantissa
 	st.SetFloat64(2, 0x1p-6)
-	for _, op := range []Op{OpAdd, OpSub, OpMul, OpDiv, OpFMA, OpSqrt, OpFloor, OpMod} {
+	for _, op := range []Op{OpAdd, OpSub, OpMul, OpDiv, OpFMA, OpSqrt, OpFloor, OpMod,
+		OpSin, OpCos, OpTan, OpExp, OpLog, OpAtan, OpAsin, OpAcos,
+		OpAtan2, OpLog2, OpLog10, OpPow, OpHypot} {
 		if n := testing.AllocsPerRun(100, func() { st.Apply(op, 0, 3, 2, 1) }); n != 0 {
 			t.Errorf("MPFR-200 store %s allocates %.0f times per call, want 0", op, n)
 		}

@@ -61,8 +61,9 @@ func TestVanillaTrapLoopAllocatesNothing(t *testing.T) {
 }
 
 // TestMPFRTrapLoopAllocatesNothing is the same gate under MPFR-200: after a
-// Reattach, add, mul, div, sqrt and fmod compute into the mpfr.Float cells
-// (and fmod's scratch) the first run grew, so a warm run allocates nothing.
+// Reattach, add, mul, div, sqrt, fmod and a transcendental (fatan) compute
+// into the mpfr.Float cells (and fmod's scratch) the first run grew, with
+// fatan's temporaries on the stack, so a warm run allocates nothing.
 func TestMPFRTrapLoopAllocatesNothing(t *testing.T) {
 	allocs, traps := warmTrapLoopAllocs(t, `
 		mov r0, $0
@@ -75,6 +76,7 @@ func TestMPFRTrapLoopAllocatesNothing(t *testing.T) {
 		mulsd f3, f0
 		sqrtsd f4, f0
 		fmod f5, f0, f1
+		fatan f6, f0
 		inc r0
 		cmp r0, $500
 		jl loop

@@ -4,7 +4,7 @@ import "fpvm/internal/mpnat"
 
 // unitExp returns the exponent E of x's unit so that x = ±mant * 2^E.
 func (x *Float) unitExp() int64 {
-	return x.exp - int64(x.mant.BitLen())
+	return x.exp - int64(nbits(x.mant))
 }
 
 // Add sets z to x + y rounded to z's precision and returns the ternary value.
@@ -65,82 +65,83 @@ func (z *Float) addSpecial(x, y *Float, negY bool, rnd RoundingMode) (int, bool)
 
 // addMant computes (-1)^negA * Ma * 2^Ea + (-1)^negB * Mb * 2^Eb, rounds to
 // z's precision, and returns the ternary value. Both mantissas must be
-// nonzero. This is the shared engine behind Add, Sub, and FMA.
-func (z *Float) addMant(negA bool, ma mpnat.Nat, ea int64, negB bool, mb mpnat.Nat, eb int64, rnd RoundingMode) int {
+// nonzero with their top words nonzero. This is the shared engine behind
+// Add, Sub, and FMA.
+func (z *Float) addMant(negA bool, ma []uint64, ea int64, negB bool, mb []uint64, eb int64, rnd RoundingMode) int {
 	// Order so that a is the operand with the higher most-significant bit.
-	higha := ea + int64(ma.BitLen())
-	highb := eb + int64(mb.BitLen())
-	if higha < highb || (higha == highb && absCmp(ma, ea, mb, eb) < 0) {
+	bla, blb := int64(nbits(ma)), int64(nbits(mb))
+	higha, highb := ea+bla, eb+blb
+	if higha < highb {
 		ma, mb = mb, ma
 		ea, eb = eb, ea
 		negA, negB = negB, negA
 		higha, highb = highb, higha
+		bla = blb
 	}
 
+	// Far-apart shortcut: b is worth less than an eighth of a unit of a
+	// extended by s bits, where the extended mantissa has at least prec+3
+	// bits.
 	prec := int64(z.effPrec())
-	sameSign := negA == negB
-
-	// Far-apart shortcut: b is entirely below a's guard+sticky region.
-	// Extend a by s bits so the extended mantissa has at least prec+3 bits
-	// (satisfying setRounded's sticky contract) and b is worth strictly
-	// less than one unit of the extended a.
-	bla := int64(ma.BitLen())
-	s := int64(3)
-	if prec+3-bla > s {
-		s = prec + 3 - bla
-	}
-	if gap := higha - highb; gap >= bla+s {
-		var buf [scratchWords]uint64
-		m := mpnat.Nat(buf[:0]).Shl(ma, uint(s))
-		if sameSign {
-			// Value is m + eps with 0 < eps < 1 unit.
-			return z.setRounded(negA, m, ea-s, true, rnd)
+	s := max(3, prec+3-bla)
+	if higha-highb >= bla+s {
+		if negA == negB {
+			// a + ε rounds like a with a sticky bit: ε is below a's guard
+			// bit, or below half a unit of the result when a is shorter.
+			return z.setRounded(negA, ma, ea, true, rnd)
 		}
-		// Value is m - eps = (m-1) + (1-eps) with 0 < 1-eps < 1 unit.
-		return z.setRounded(negA, m.Sub(m, mpnat.Nat{1}), ea-s, true, rnd)
+		// a - ε = (a·2^s - 1) + (1 - ε) in units of 2^(ea-s), 0 < 1-ε < 1.
+		var buf [2*stackWords + 2]uint64
+		m := words(buf[:], len(ma)+int(s/64)+1)
+		shlInto(m, ma, int(s))
+		mpnat.SubWordN(m, m, 1)
+		return z.setRounded(negA, m, ea-s, true, rnd)
 	}
 
-	// Exact path: align to the common unit and add/subtract precisely.
-	// The shift amounts are bounded by the gap check above plus operand
-	// precisions, so this cannot blow up. Only the operand above the
-	// common unit needs shifting.
-	var shbuf, sumbuf [scratchWords]uint64
-	unit, sa, sb := alignUnits(shbuf[:0], ma, ea, mb, eb)
-	sum := mpnat.Nat(sumbuf[:0])
-	if sameSign {
-		return z.setRounded(negA, sum.Add(sa, sb), unit, false, rnd)
+	// Exact path: shift the operand with the higher unit up to the other's
+	// unit, add or subtract in place, and round once. The gap test above
+	// bounds the shift by the operands' and the result's precisions.
+	hi, lo, negHi, negLo, d := ma, mb, negA, negB, ea-eb
+	unit := eb
+	if d < 0 {
+		hi, lo, negHi, negLo, d = mb, ma, negB, negA, -d
+		unit = ea
 	}
-	switch sa.Cmp(sb) {
-	case 0:
+	var buf [3 * stackWords]uint64
+	sum := words(buf[:], max(len(lo), int(d/64)+len(hi)+1)+1)
+	shlInto(sum, hi, int(d))
+	neg := negHi
+	if negHi == negLo {
+		mpnat.AddN(sum, sum, lo)
+	} else if mpnat.SubN(sum, sum, lo) != 0 {
+		// |lo| > |hi|: negate the two's-complement difference.
+		for i, w := range sum {
+			sum[i] = ^w
+		}
+		mpnat.AddWordN(sum, sum, 1)
+		neg = negLo
+	}
+	if isZeroN(sum) {
 		// Exact cancellation: IEEE sum of opposite values is +0 (RTN: -0).
 		z.setZero(rnd == RoundTowardNegative)
 		return 0
-	case 1:
-		return z.setRounded(negA, sum.Sub(sa, sb), unit, false, rnd)
-	default:
-		return z.setRounded(negB, sum.Sub(sb, sa), unit, false, rnd)
 	}
-}
-
-// alignUnits rescales Ma * 2^Ea and Mb * 2^Eb to the common unit
-// min(Ea, Eb), returning it and the two integer mantissas. The operand
-// above the unit is shifted into buf's storage; the other is returned as is.
-func alignUnits(buf mpnat.Nat, ma mpnat.Nat, ea int64, mb mpnat.Nat, eb int64) (unit int64, sa, sb mpnat.Nat) {
-	switch {
-	case ea > eb:
-		return eb, buf.Shl(ma, uint(ea-eb)), mb
-	case eb > ea:
-		return ea, ma, buf.Shl(mb, uint(eb-ea))
-	}
-	return ea, ma, mb
+	return z.setRounded(neg, sum, unit, false, rnd)
 }
 
 // absCmp compares |Ma * 2^Ea| with |Mb * 2^Eb| given both have the same
-// most-significant-bit position.
-func absCmp(ma mpnat.Nat, ea int64, mb mpnat.Nat, eb int64) int {
-	var buf [scratchWords]uint64
-	_, sa, sb := alignUnits(buf[:0], ma, ea, mb, eb)
-	return sa.Cmp(sb)
+// most-significant-bit position: the shorter mantissa is shifted up to the
+// longer one's bit length and the words are compared.
+func absCmp(ma []uint64, mb []uint64) int {
+	d := nbits(ma) - nbits(mb)
+	sign := 1
+	if d < 0 {
+		ma, mb, d, sign = mb, ma, -d, -1
+	}
+	var buf [stackWords]uint64
+	b := words(buf[:], len(ma))
+	shlInto(b, mb, d)
+	return sign * mpnat.CmpN(ma, b)
 }
 
 // Cmp compares x and y and returns -1, 0, or +1. It returns 0 if either
@@ -189,7 +190,7 @@ func (x *Float) cmpAbs(y *Float) int {
 	case x.exp > y.exp:
 		return 1
 	}
-	return absCmp(x.mant, x.unitExp(), y.mant, y.unitExp())
+	return absCmp(x.mant, y.mant)
 }
 
 // CmpAbs compares |x| and |y|, returning -1, 0, or +1; NaNs compare as 0.

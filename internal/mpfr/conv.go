@@ -56,55 +56,38 @@ func (x *Float) Float64(rnd RoundingMode) float64 {
 			return x.tinyFloat64(rnd)
 		}
 	}
-	t := New(uint(effPrec))
+	var tb [1]uint64
+	t := local(uint(effPrec), tb[:])
 	t.Set(x, rnd)
 	if t.form == zero {
 		return math.Copysign(0, float64(sign1(x.neg)))
 	}
-	exp, mant := t.exp, t.mant
+	// t's mantissa is one word of effPrec bits.
+	exp, mant := t.exp, t.mant[0]
 
 	if exp > 1024 {
 		return overflowFloat64(x.neg, rnd)
 	}
+	var bits uint64
+	if t.neg {
+		bits = 1 << 63
+	}
 	if exp >= -1021 {
-		// Normal number: need exactly 53 mantissa bits.
-		m53 := mpnat.Shl(mant, uint(53-mant.BitLen()))
-		lo, _ := m53.Uint64()
-		if mant.BitLen() > 53 {
-			panic("mpfr: internal: mantissa wider than 53 bits")
-		}
+		// Normal number: exactly 53 mantissa bits, the top one implicit.
 		biased := uint64(exp-1) + 1023
-		bits := uint64(0)
-		if t.neg {
-			bits = 1 << 63
-		}
-		bits |= biased << 52
-		bits |= lo & (1<<52 - 1)
+		bits |= biased<<52 | mant<<(53-effPrec)&(1<<52-1)
 		return math.Float64frombits(bits)
 	}
 	// Subnormal: value = f * 2^-1074 with f = mant aligned to unit 2^-1074.
-	shift := t.unitExp() + 1074
-	var f uint64
-	if shift >= 0 {
-		fm := mpnat.Shl(mant, uint(shift))
-		f, _ = fm.Uint64()
+	// Rounding may have bumped f to 2^52, the smallest normal: its bits
+	// are the same.
+	f := mant
+	if shift := t.unitExp() + 1074; shift >= 0 {
+		f <<= uint(shift)
 	} else {
-		fm := mpnat.Shr(mant, uint(-shift))
-		f, _ = fm.Uint64()
+		f >>= uint(-shift)
 	}
-	if f >= 1<<52 {
-		// Rounding bumped it into the normal range (2^-1022).
-		bits := uint64(1) << 52
-		if t.neg {
-			bits |= 1 << 63
-		}
-		return math.Float64frombits(bits)
-	}
-	bits := f
-	if t.neg {
-		bits |= 1 << 63
-	}
-	return math.Float64frombits(bits)
+	return math.Float64frombits(bits | f)
 }
 
 // tinyFloat64 handles |x| at or below half the smallest subnormal.
@@ -119,12 +102,8 @@ func (x *Float) tinyFloat64(rnd RoundingMode) float64 {
 	case RoundNearestEven, RoundNearestAway:
 		// Ties: |x| must exceed 2^-1075 to round to the min subnormal.
 		// |x| == 2^-1075 exactly ties to even → 0 (RNE) or away (RNA).
-		half := New(2)
-		half.form = finite
-		half.neg = false
-		half.mant = mpnat.Shl(mpnat.Nat{1}, 1)
-		half.exp = -1074 // value 2^-1075
-		c := x.cmpAbs(half)
+		half := Float{prec: 2, form: finite, exp: -1074, mant: mpnat.Nat{2}} // 2^-1075
+		c := x.cmpAbs(&half)
 		up = c > 0 || (c == 0 && rnd == RoundNearestAway)
 	}
 	if !up {
@@ -174,22 +153,24 @@ func (x *Float) Int64(rnd RoundingMode) (v int64, ok bool) {
 		// allocate exp bits.
 		return math.MinInt64, false
 	}
-	r := New(uint(x.effPrec()) + 2)
+	var rb [stackWords]uint64
+	r := local(uint(x.effPrec())+2, rb[:])
 	r.rint(x, rnd)
 	if r.form == zero {
 		return 0, true
 	}
-	// r = mant * 2^unitExp with unitExp >= 0 for integers.
-	ue := r.unitExp()
-	m := r.mant
-	if ue > 0 {
-		m = mpnat.Shl(m, uint(ue))
-	} else if ue < 0 {
-		m = mpnat.Shr(m, uint(-ue))
-	}
-	u, fits := m.Uint64()
-	if !fits {
+	if r.exp > 64 {
 		return math.MinInt64, false
+	}
+	// r = mant * 2^unitExp is an integer below 2^64: its bits above the
+	// unit are one word.
+	u := r.mant[0] << uint(max(0, r.unitExp()))
+	if ue := r.unitExp(); ue < 0 {
+		i, off := int(-ue/64), uint(-ue%64)
+		u = r.mant[i] >> off
+		if off != 0 && i+1 < len(r.mant) {
+			u |= r.mant[i+1] << (64 - off)
+		}
 	}
 	if r.neg {
 		if u > 1<<63 {
@@ -249,13 +230,13 @@ func (z *Float) rint(x *Float, rnd RoundingMode) int {
 	}
 	// Split integer and fraction parts of the mantissa.
 	fracBits := uint(-ue)
-	var buf [scratchWords]uint64
+	var buf [stackWords]uint64
 	intPart := mpnat.Nat(buf[:0]).Shr(x.mant, fracBits)
 	guard := x.mant.Bit(int(fracBits)-1) == 1
 	sticky := lowBitsNonzero(x.mant, int(fracBits)-1)
 	up := false
 	if guard || sticky {
-		up = roundUpDecision(x.neg, guard, sticky, intPart, rnd)
+		up = roundUpDecision(x.neg, guard, sticky, intPart.Bit(0) == 1, rnd)
 	}
 	if up {
 		intPart = intPart.AddWord(intPart, 1)

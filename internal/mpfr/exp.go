@@ -4,6 +4,8 @@ package mpfr
 // prec + guard bits and then rounded once to the destination precision.
 // They are faithful (< 1 ulp error) rather than correctly rounded; GNU MPFR
 // offers correct rounding via Ziv's loop, which FPVM does not rely on.
+// Their temporaries are stack-resident Floats (see local), so at the
+// precisions stackWords covers they allocate nothing.
 
 const transGuardBits = 64
 
@@ -40,56 +42,57 @@ func (z *Float) Exp(x *Float, rnd RoundingMode) int {
 	}
 
 	// Range reduction: x = k·ln2 + r with |r| <= ln2/2, e^x = 2^k · e^r.
-	ln2 := New(wp + 64)
+	var ln2b, kfb, rb, klb, erb [stackWords]uint64
+	ln2 := local(wp+64, ln2b[:])
 	ln2.Ln2(RoundNearestEven)
-	kf := New(64)
-	kf.Div(x, ln2, RoundNearestEven)
+	kf := local(64, kfb[:])
+	kf.Div(x, &ln2, RoundNearestEven)
 	k, _ := kf.Int64(RoundNearestEven)
-	r := New(wp + 64)
-	kl := New(wp + 64)
+	r := local(wp+64, rb[:])
+	kl := local(wp+64, klb[:])
 	kl.SetInt64(k, RoundNearestEven)
-	kl.Mul(kl, ln2, RoundNearestEven)
-	r.Sub(x, kl, RoundNearestEven)
+	kl.Mul(&kl, &ln2, RoundNearestEven)
+	r.Sub(x, &kl, RoundNearestEven)
 
-	er := expSmall(r, wp)
+	er := local(wp, erb[:])
+	expSmall(&er, &r, wp)
 	er.exp += k // multiply by 2^k
-	return z.Set(er, rnd)
+	return z.Set(&er, rnd)
 }
 
-// expSmall computes e^r for |r| <= 1 at precision wp using further binary
-// reduction (r' = r / 2^j, square j times) plus the Taylor series.
-func expSmall(r *Float, wp uint) *Float {
+// expSmall sets s, of precision wp, to e^r for |r| <= 1 using further
+// binary reduction (r' = r / 2^j, square j times) plus the Taylor series.
+func expSmall(s, r *Float, wp uint) {
 	const j = 16
-	rr := New(wp)
+	var rrb [stackWords]uint64
+	rr := local(wp, rrb[:])
 	rr.Set(r, RoundNearestEven)
 	if rr.form == finite {
 		rr.exp -= j // divide by 2^j
 	}
-	s := expTaylor(rr, wp)
+	expTaylor(s, &rr, wp)
 	for i := 0; i < j; i++ {
 		s.Sqr(s, RoundNearestEven)
 	}
-	return s
 }
 
-// expTaylor computes e^t by direct Taylor summation; |t| must be tiny
-// (<= 2^-8 or so) for fast convergence.
-func expTaylor(t *Float, wp uint) *Float {
-	sum := New(wp)
+// expTaylor sets sum, of precision wp, to e^t by direct Taylor summation;
+// |t| must be tiny (<= 2^-8 or so) for fast convergence.
+func expTaylor(sum, t *Float, wp uint) {
+	var termb, nfb [stackWords]uint64
 	sum.SetUint64(1, RoundNearestEven)
-	term := New(wp)
+	term := local(wp, termb[:])
 	term.SetUint64(1, RoundNearestEven)
-	nf := New(wp)
+	nf := local(wp, nfb[:])
 	for n := int64(1); ; n++ {
-		term.Mul(term, t, RoundNearestEven)
+		term.Mul(&term, t, RoundNearestEven)
 		nf.SetInt64(n, RoundNearestEven)
-		term.Div(term, nf, RoundNearestEven)
+		term.Div(&term, &nf, RoundNearestEven)
 		if term.form == zero || term.exp < sum.exp-int64(wp)-2 {
 			break
 		}
-		sum.Add(sum, term, RoundNearestEven)
+		sum.Add(sum, &term, RoundNearestEven)
 	}
-	return sum
 }
 
 // Expm1 sets z to e^x − 1 with good accuracy near zero.
@@ -109,33 +112,35 @@ func (z *Float) Expm1(x *Float, rnd RoundingMode) int {
 		return 0
 	}
 	wp := z.wprec()
+	var sumb, termb, nfb, xsb [stackWords]uint64
 	if x.exp <= -2 {
 		// |x| < 1/2: Taylor of expm1 directly avoids cancellation.
-		sum := New(wp + 64)
-		term := New(wp + 64)
+		sum := local(wp+64, sumb[:])
+		term := local(wp+64, termb[:])
 		term.SetUint64(1, RoundNearestEven)
-		nf := New(wp + 64)
-		xs := New(wp + 64)
+		nf := local(wp+64, nfb[:])
+		xs := local(wp+64, xsb[:])
 		xs.Set(x, RoundNearestEven)
 		for n := int64(1); ; n++ {
-			term.Mul(term, xs, RoundNearestEven)
+			term.Mul(&term, &xs, RoundNearestEven)
 			nf.SetInt64(n, RoundNearestEven)
-			term.Div(term, nf, RoundNearestEven)
+			term.Div(&term, &nf, RoundNearestEven)
 			if n == 1 {
-				sum.Set(term, RoundNearestEven)
+				sum.Set(&term, RoundNearestEven)
 				continue
 			}
 			if term.form == zero || (sum.form == finite && term.exp < sum.exp-int64(wp)-2) {
 				break
 			}
-			sum.Add(sum, term, RoundNearestEven)
+			sum.Add(&sum, &term, RoundNearestEven)
 		}
-		return z.Set(sum, rnd)
+		return z.Set(&sum, rnd)
 	}
-	e := New(wp + 64)
+	var oneb [1]uint64
+	e := local(wp+64, sumb[:])
 	e.Exp(x, RoundNearestEven)
-	one := New(8)
+	one := local(8, oneb[:])
 	one.SetUint64(1, RoundNearestEven)
-	e.Sub(e, one, RoundNearestEven)
-	return z.Set(e, rnd)
+	e.Sub(&e, &one, RoundNearestEven)
+	return z.Set(&e, rnd)
 }

@@ -82,15 +82,6 @@ type Float struct {
 	mant mpnat.Nat // exactly prec bits when form == finite, MSB set
 }
 
-// scratchWords sizes the stack buffers the basic operations compute in:
-// 16 words hold a shifted operand of an add or a dividend's divisor, and
-// twice that a double-width product or a shifted dividend, at up to about
-// 500 bits of precision. That covers the 200-bit hot path including the
-// transcendentals' guard precisions, so it never touches the heap for
-// intermediates. Wider operands still work: the mpnat kernels fall back to
-// fresh storage when a buffer is too small.
-const scratchWords = 16
-
 // inlineWords is the mantissa size New allocates together with a Float:
 // 256 bits cover the 200-bit precision of the paper's evaluation, so a
 // boxed result is one allocation instead of two.
@@ -110,6 +101,14 @@ func New(prec uint) *Float {
 		return &b.f
 	}
 	return &Float{prec: p, form: nan}
+}
+
+// local returns a NaN of precision prec whose mantissa lives in buf. The
+// transcendentals keep their temporaries this way, each over a local
+// array, so that both stay on the stack; a mantissa wider than buf moves
+// to the heap on its first write.
+func local(prec uint, buf []uint64) Float {
+	return Float{prec: clampPrec(prec), form: nan, mant: buf[:0]}
 }
 
 // InitSlab sets every Float of zs to a NaN of precision prec. The mantissas
@@ -158,9 +157,9 @@ func (z *Float) SetPrec(prec uint, rnd RoundingMode) *Float {
 		z.prec = p
 		return z
 	}
-	mant, exp, neg := z.mant, z.exp, z.neg
+	mant, ue, neg := z.mant, z.unitExp(), z.neg
 	z.prec = p
-	z.setRounded(neg, mant, exp-int64(mant.BitLen()), false, rnd)
+	z.setRounded(neg, mant, ue, false, rnd)
 	return z
 }
 
@@ -250,7 +249,7 @@ func (z *Float) Set(x *Float, rnd RoundingMode) int {
 		z.setZero(x.neg)
 		return 0
 	}
-	return z.setRounded(x.neg, x.mant, x.exp-int64(x.mant.BitLen()), false, rnd)
+	return z.setRounded(x.neg, x.mant, x.unitExp(), false, rnd)
 }
 
 // Copy sets z to x exactly, adopting x's precision, and returns z.
@@ -262,7 +261,12 @@ func (z *Float) Copy(x *Float) *Float {
 	z.form = x.form
 	z.neg = x.neg
 	z.exp = x.exp
-	z.mant = z.mant.Set(x.mant)
+	if n := len(x.mant); cap(z.mant) < n {
+		z.mant = make(mpnat.Nat, n)
+	} else {
+		z.mant = z.mant[:n]
+	}
+	copy(z.mant, x.mant)
 	return z
 }
 

@@ -273,7 +273,7 @@ func (x *Float) scaledDigits(n, e10 int64) (string, bool) {
 	ue := x.unitExp()
 	p10 := n - 1 - e10 // multiply by 10^p10
 
-	var numBuf, denBuf, powBuf [2 * scratchWords]uint64
+	var numBuf, denBuf, powBuf [4 * stackWords]uint64
 	num, den := x.mant, mpnat.Nat(denBuf[:0]).SetUint64(1)
 	if p10 >= 0 {
 		num = mpnat.Nat(numBuf[:0]).Mul(num, pow10Nat(powBuf[:0], p10))
@@ -285,7 +285,7 @@ func (x *Float) scaledDigits(n, e10 int64) (string, bool) {
 	} else {
 		den = den.Shl(den, uint(-ue))
 	}
-	var qBuf, rBuf, scratch [2 * scratchWords]uint64
+	var qBuf, rBuf, scratch [4 * stackWords]uint64
 	q, r := mpnat.Nat(qBuf[:0]).DivMod(rBuf[:0], num, den, scratch[:0])
 	// Round half up on the remainder (formatting choice; ties are unlikely
 	// to matter for diagnostics and EXPERIMENTS output).
@@ -306,8 +306,8 @@ func natDecimal(v mpnat.Nat) string {
 	}
 	// Peel off base-10^19 chunks, least significant first, dividing a copy
 	// of v in place.
-	var buf [2 * scratchWords]uint64
-	var chunks [2 * scratchWords]uint64
+	var buf [4 * stackWords]uint64
+	var chunks [4 * stackWords]uint64
 	var rb [1]uint64
 	q, r := mpnat.Nat(buf[:0]).Set(v), mpnat.Nat(rb[:0])
 	ten19 := mpnat.Nat{10_000_000_000_000_000_000}

@@ -24,10 +24,12 @@ func (z *Float) Log(x *Float, rnd RoundingMode) int {
 		return 0
 	}
 	wp := z.wprec() + 64
+	var mb, numb, denb, tb, lnmb, ln2b, kfb [stackWords]uint64
+	var oneb [1]uint64
 
 	// Write x = m · 2^k with m ∈ [1, 2).
 	k := x.exp - 1
-	m := New(wp)
+	m := local(wp, mb[:])
 	m.Set(x, RoundNearestEven)
 	m.exp = 1 // now m ∈ [1, 2)
 
@@ -35,57 +37,58 @@ func (z *Float) Log(x *Float, rnd RoundingMode) int {
 	// ln m = 2^j · ln m^(1/2^j).
 	const j = 8
 	for i := 0; i < j; i++ {
-		m.Sqrt(m, RoundNearestEven)
+		m.Sqrt(&m, RoundNearestEven)
 	}
 
 	// atanh series: ln m = 2·atanh((m−1)/(m+1)).
-	one := New(8)
+	one := local(8, oneb[:])
 	one.SetUint64(1, RoundNearestEven)
-	num := New(wp)
-	den := New(wp)
-	num.Sub(m, one, RoundNearestEven)
-	den.Add(m, one, RoundNearestEven)
-	t := New(wp)
-	t.Div(num, den, RoundNearestEven)
+	num := local(wp, numb[:])
+	den := local(wp, denb[:])
+	num.Sub(&m, &one, RoundNearestEven)
+	den.Add(&m, &one, RoundNearestEven)
+	t := local(wp, tb[:])
+	t.Div(&num, &den, RoundNearestEven)
 
-	lnm := atanhSmall(t, wp)
+	lnm := local(wp, lnmb[:])
+	atanhSmall(&lnm, &t, wp)
 	lnm.exp += j + 1 // times 2^j (sqrt undo) times 2 (atanh identity)
 
 	// ln x = k·ln2 + ln m.
 	if k != 0 {
-		ln2 := New(wp)
+		ln2 := local(wp, ln2b[:])
 		ln2.Ln2(RoundNearestEven)
-		kf := New(wp)
+		kf := local(wp, kfb[:])
 		kf.SetInt64(k, RoundNearestEven)
-		kf.Mul(kf, ln2, RoundNearestEven)
-		lnm.Add(lnm, kf, RoundNearestEven)
+		kf.Mul(&kf, &ln2, RoundNearestEven)
+		lnm.Add(&lnm, &kf, RoundNearestEven)
 	}
-	return z.Set(lnm, rnd)
+	return z.Set(&lnm, rnd)
 }
 
-// atanhSmall computes atanh(t) = t + t³/3 + t⁵/5 + ... for tiny |t|.
-func atanhSmall(t *Float, wp uint) *Float {
-	sum := New(wp)
+// atanhSmall sets sum, of precision wp, to atanh(t) = t + t³/3 + t⁵/5 + ...
+// for tiny |t|.
+func atanhSmall(sum, t *Float, wp uint) {
 	sum.Set(t, RoundNearestEven)
 	if t.form != finite {
-		return sum
+		return
 	}
-	t2 := New(wp)
+	var t2b, powb, termb, dfb [stackWords]uint64
+	t2 := local(wp, t2b[:])
 	t2.Sqr(t, RoundNearestEven)
-	pow := New(wp)
+	pow := local(wp, powb[:])
 	pow.Set(t, RoundNearestEven)
-	term := New(wp)
-	df := New(wp)
+	term := local(wp, termb[:])
+	df := local(wp, dfb[:])
 	for n := int64(1); ; n++ {
-		pow.Mul(pow, t2, RoundNearestEven)
+		pow.Mul(&pow, &t2, RoundNearestEven)
 		df.SetInt64(2*n+1, RoundNearestEven)
-		term.Div(pow, df, RoundNearestEven)
+		term.Div(&pow, &df, RoundNearestEven)
 		if term.form == zero || term.exp < sum.exp-int64(wp)-2 {
 			break
 		}
-		sum.Add(sum, term, RoundNearestEven)
+		sum.Add(sum, &term, RoundNearestEven)
 	}
-	return sum
 }
 
 // Log2 sets z to the base-2 logarithm of x.
@@ -95,31 +98,34 @@ func (z *Float) Log2(x *Float, rnd RoundingMode) int {
 		return z.SetInt64(x.exp-1, rnd)
 	}
 	wp := z.wprec() + 64
-	ln := New(wp)
+	var lnb, ln2b [stackWords]uint64
+	ln := local(wp, lnb[:])
 	ln.Log(x, RoundNearestEven)
 	if ln.form != finite {
-		return z.Set(ln, rnd)
+		return z.Set(&ln, rnd)
 	}
-	ln2 := New(wp)
+	ln2 := local(wp, ln2b[:])
 	ln2.Ln2(RoundNearestEven)
-	ln.Div(ln, ln2, RoundNearestEven)
-	return z.Set(ln, rnd)
+	ln.Div(&ln, &ln2, RoundNearestEven)
+	return z.Set(&ln, rnd)
 }
 
 // Log10 sets z to the base-10 logarithm of x.
 func (z *Float) Log10(x *Float, rnd RoundingMode) int {
 	wp := z.wprec() + 64
-	ln := New(wp)
+	var lnb, ln10b [stackWords]uint64
+	var tenb [1]uint64
+	ln := local(wp, lnb[:])
 	ln.Log(x, RoundNearestEven)
 	if ln.form != finite {
-		return z.Set(ln, rnd)
+		return z.Set(&ln, rnd)
 	}
-	ten := New(8)
+	ten := local(8, tenb[:])
 	ten.SetUint64(10, RoundNearestEven)
-	ln10 := New(wp)
-	ln10.Log(ten, RoundNearestEven)
-	ln.Div(ln, ln10, RoundNearestEven)
-	return z.Set(ln, rnd)
+	ln10 := local(wp, ln10b[:])
+	ln10.Log(&ten, RoundNearestEven)
+	ln.Div(&ln, &ln10, RoundNearestEven)
+	return z.Set(&ln, rnd)
 }
 
 // Log1p sets z to log(1+x) with good accuracy near zero.
@@ -136,25 +142,28 @@ func (z *Float) Log1p(x *Float, rnd RoundingMode) int {
 		return 0
 	}
 	wp := z.wprec() + 64
-	one := New(8)
+	var denb, tb, rb [stackWords]uint64
+	var oneb, twob [1]uint64
+	one := local(8, oneb[:])
 	one.SetUint64(1, RoundNearestEven)
 	if x.form == finite && x.exp <= -2 {
 		// |x| < 1/2: use atanh form, log1p(x) = 2·atanh(x/(2+x)).
-		den := New(wp)
-		two := New(8)
+		den := local(wp, denb[:])
+		two := local(8, twob[:])
 		two.SetUint64(2, RoundNearestEven)
-		den.Add(two, x, RoundNearestEven)
-		t := New(wp)
-		t.Div(x, den, RoundNearestEven)
-		r := atanhSmall(t, wp)
+		den.Add(&two, x, RoundNearestEven)
+		t := local(wp, tb[:])
+		t.Div(x, &den, RoundNearestEven)
+		r := local(wp, rb[:])
+		atanhSmall(&r, &t, wp)
 		if r.form == finite {
 			r.exp++
 		}
-		return z.Set(r, rnd)
+		return z.Set(&r, rnd)
 	}
-	s := New(wp)
-	s.Add(one, x, RoundNearestEven)
-	r := New(wp)
-	r.Log(s, RoundNearestEven)
-	return z.Set(r, rnd)
+	s := local(wp, denb[:])
+	s.Add(&one, x, RoundNearestEven)
+	r := local(wp, rb[:])
+	r.Log(&s, RoundNearestEven)
+	return z.Set(&r, rnd)
 }

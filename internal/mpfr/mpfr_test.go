@@ -838,6 +838,7 @@ func TestHypot(t *testing.T) {
 func BenchmarkAdd200(b *testing.B)  { benchOp(b, 200, (*Float).Add) }
 func BenchmarkMul200(b *testing.B)  { benchOp(b, 200, (*Float).Mul) }
 func BenchmarkDiv200(b *testing.B)  { benchOp(b, 200, (*Float).Div) }
+func BenchmarkDiv264(b *testing.B)  { benchOp(b, 264, (*Float).Div) }
 func BenchmarkAdd2048(b *testing.B) { benchOp(b, 2048, (*Float).Add) }
 func BenchmarkMul2048(b *testing.B) { benchOp(b, 2048, (*Float).Mul) }
 func BenchmarkDiv2048(b *testing.B) { benchOp(b, 2048, (*Float).Div) }
@@ -856,14 +857,18 @@ func benchOp(b *testing.B, prec uint, op func(z, x, y *Float, rnd RoundingMode) 
 	}
 }
 
-func BenchmarkSqrt200(b *testing.B) { benchUnary(b, "2.71828182845904523536", (*Float).Sqrt) }
-func BenchmarkSin200(b *testing.B)  { benchUnary(b, "0.7853981633974483", (*Float).Sin) }
-func BenchmarkLog200(b *testing.B)  { benchUnary(b, "2.71828182845904523536", (*Float).Log) }
-func BenchmarkAsin200(b *testing.B) { benchUnary(b, "0.7853981633974483", (*Float).Asin) }
-func BenchmarkAtan200(b *testing.B) { benchUnary(b, "0.7853981633974483", (*Float).Atan) }
+// Sqrt264 and Div264 run at the working precision of Log and Atan for a
+// 200-bit result.
+func BenchmarkSqr200(b *testing.B)  { benchUnary(b, 200, "2.71828182845904523536", (*Float).Sqr) }
+func BenchmarkSqrt200(b *testing.B) { benchUnary(b, 200, "2.71828182845904523536", (*Float).Sqrt) }
+func BenchmarkSqrt264(b *testing.B) { benchUnary(b, 264, "2.71828182845904523536", (*Float).Sqrt) }
+func BenchmarkSin200(b *testing.B)  { benchUnary(b, 200, "0.7853981633974483", (*Float).Sin) }
+func BenchmarkLog200(b *testing.B)  { benchUnary(b, 200, "2.71828182845904523536", (*Float).Log) }
+func BenchmarkAsin200(b *testing.B) { benchUnary(b, 200, "0.7853981633974483", (*Float).Asin) }
+func BenchmarkAtan200(b *testing.B) { benchUnary(b, 200, "0.7853981633974483", (*Float).Atan) }
 
-func benchUnary(b *testing.B, arg string, op func(z, x *Float, rnd RoundingMode) int) {
-	x, z := New(200), New(200)
+func benchUnary(b *testing.B, prec uint, arg string, op func(z, x *Float, rnd RoundingMode) int) {
+	x, z := New(prec), New(prec)
 	x.SetString(arg, RoundNearestEven)
 	b.ReportAllocs()
 	b.ResetTimer()

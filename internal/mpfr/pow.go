@@ -40,9 +40,10 @@ func (z *Float) Pow(x, y *Float, rnd RoundingMode) int {
 
 	if y.form == inf {
 		// |x| vs 1 decides.
-		one := New(8)
+		var oneb [1]uint64
+		one := local(8, oneb[:])
 		one.SetUint64(1, RoundNearestEven)
-		c := x.cmpAbs(one)
+		c := x.cmpAbs(&one)
 		switch {
 		case c == 0:
 			return z.SetUint64(1, rnd) // pow(±1, ±Inf) = 1
@@ -67,25 +68,21 @@ func (z *Float) Pow(x, y *Float, rnd RoundingMode) int {
 	// General case: z = ± exp(y · ln |x|). A negative base reaches here only
 	// with an integer exponent too large for powInt (|y| ≥ 2^20); the sign
 	// of the result is then decided by the exponent's parity.
-	ax := x
-	negOut := false
-	if x.neg {
-		ax = New(uint(x.effPrec()))
-		ax.Set(x, RoundNearestEven)
-		ax.neg = false
-		negOut = yOdd
-	}
+	var axb, lxb, prodb, rb [stackWords]uint64
+	ax := local(uint(x.effPrec()), axb[:])
+	ax.Abs(x, RoundNearestEven)
+	negOut := x.neg && yOdd
 	wp := z.wprec() + 64
-	lx := New(wp)
-	lx.Log(ax, RoundNearestEven)
-	prod := New(wp)
-	prod.Mul(y, lx, RoundNearestEven)
-	r := New(wp)
-	r.Exp(prod, RoundNearestEven)
+	lx := local(wp, lxb[:])
+	lx.Log(&ax, RoundNearestEven)
+	prod := local(wp, prodb[:])
+	prod.Mul(y, &lx, RoundNearestEven)
+	r := local(wp, rb[:])
+	r.Exp(&prod, RoundNearestEven)
 	if negOut {
 		r.neg = !r.neg
 	}
-	return z.Set(r, rnd)
+	return z.Set(&r, rnd)
 }
 
 // intExponent reports whether y is an integer, its value (when it fits in
@@ -131,9 +128,10 @@ func saturateInt64(neg bool) int64 {
 // precision, handling negative n by inversion.
 func (z *Float) powInt(x *Float, n int64, rnd RoundingMode) int {
 	wp := z.wprec() + 64
-	acc := New(wp)
+	var accb, baseb [stackWords]uint64
+	acc := local(wp, accb[:])
 	acc.SetUint64(1, RoundNearestEven)
-	base := New(wp)
+	base := local(wp, baseb[:])
 	base.Set(x, RoundNearestEven)
 	m := n
 	if m < 0 {
@@ -141,17 +139,18 @@ func (z *Float) powInt(x *Float, n int64, rnd RoundingMode) int {
 	}
 	for m > 0 {
 		if m&1 == 1 {
-			acc.Mul(acc, base, RoundNearestEven)
+			acc.Mul(&acc, &base, RoundNearestEven)
 		}
-		base.Sqr(base, RoundNearestEven)
+		base.Sqr(&base, RoundNearestEven)
 		m >>= 1
 	}
 	if n < 0 {
-		one := New(8)
+		var oneb [1]uint64
+		one := local(8, oneb[:])
 		one.SetUint64(1, RoundNearestEven)
-		acc.Div(one, acc, RoundNearestEven)
+		acc.Div(&one, &acc, RoundNearestEven)
 	}
-	return z.Set(acc, rnd)
+	return z.Set(&acc, rnd)
 }
 
 // Hypot sets z to sqrt(x² + y²) without undue overflow for moderate inputs.
@@ -165,13 +164,14 @@ func (z *Float) Hypot(x, y *Float, rnd RoundingMode) int {
 		return 0
 	}
 	wp := z.wprec() + 32
-	xx := New(wp)
-	yy := New(wp)
+	var xxb, yyb, sb, rb [stackWords]uint64
+	xx := local(wp, xxb[:])
+	yy := local(wp, yyb[:])
 	xx.Sqr(x, RoundNearestEven)
 	yy.Sqr(y, RoundNearestEven)
-	s := New(wp)
-	s.Add(xx, yy, RoundNearestEven)
-	r := New(wp)
-	r.Sqrt(s, RoundNearestEven)
-	return z.Set(r, rnd)
+	s := local(wp, sb[:])
+	s.Add(&xx, &yy, RoundNearestEven)
+	r := local(wp, rb[:])
+	r.Sqrt(&s, RoundNearestEven)
+	return z.Set(&r, rnd)
 }

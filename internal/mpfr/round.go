@@ -1,25 +1,37 @@
 package mpfr
 
-import "fpvm/internal/mpnat"
+import (
+	"math/bits"
 
-// setRounded sets z to (-1)^neg * m * 2^exp2, where m is an arbitrary-length
-// integer mantissa, rounded to z's precision with mode rnd. stickyExtra
-// indicates that nonzero bits below m were already discarded by the caller.
-// It returns the MPFR-style ternary value: 0 exact, +1 if z > exact value,
-// -1 if z < exact value.
+	"fpvm/internal/mpnat"
+)
+
+// setRounded sets z to (-1)^neg * m * 2^exp2, where m is an integer
+// mantissa of any length given as little-endian words, rounded to z's
+// precision with mode rnd. sticky indicates that nonzero bits below m were
+// already discarded by the caller. It returns the MPFR-style ternary value:
+// 0 exact, +1 if z > exact value, -1 if z < exact value.
 //
 // This is the single rounding point for the whole package: every arithmetic
 // operation reduces to producing an exact (or guard+sticky-annotated)
-// integer mantissa and calling setRounded.
+// integer mantissa and calling setRounded. The basic operations pass m
+// with its top word nonzero, because a finite mantissa is exactly prec
+// bits and fixes the length of their results, so m's bit length comes
+// from its top word; zero top words are dropped first. Shifting m to z's
+// precision, reading the guard and sticky bits and incrementing are one
+// pass over the words, written straight into z's mantissa.
 //
-// Contract: when stickyExtra is true the caller must supply a mantissa m
-// with BitLen(m) >= prec+1, so that the guard bit (the first bit below the
-// retained precision) is part of m and only strictly-lower bits were
-// discarded. Every caller in this package keeps >= 2 guard bits.
-func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, rnd RoundingMode) int {
-	m = m.Norm()
-	if m.IsZero() {
-		if stickyExtra {
+// Contract: when sticky is true the caller must supply either a mantissa
+// m with at least prec+1 bits, so that the guard bit (the first bit below
+// the retained precision) is part of m and only strictly-lower bits were
+// discarded, or one of at most prec bits whose discarded tail is below
+// half a unit in m's last place.
+func (z *Float) setRounded(neg bool, m []uint64, exp2 int64, sticky bool, rnd RoundingMode) int {
+	for len(m) > 0 && m[len(m)-1] == 0 {
+		m = m[:len(m)-1]
+	}
+	if len(m) == 0 {
+		if sticky {
 			// The entire value was discarded bits: round as if from a tiny
 			// nonzero magnitude. This only happens for callers that shifted
 			// everything out; produce the smallest representable step or
@@ -31,35 +43,60 @@ func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, 
 	}
 
 	prec := int(z.effPrec())
-	bl := m.BitLen()
+	pw := (prec + 63) / 64
+	bl := 64*(len(m)-1) + bits.Len64(m[len(m)-1])
 	shift := bl - prec
 
 	// The guard and sticky bits are read before z.mant is written: m may be
 	// z.mant itself (SetPrec rounds in place).
-	inexact := false
-	roundUp := false
-	if shift <= 0 {
-		z.mant = z.mant.Shl(m, uint(-shift))
-		inexact = stickyExtra
-		if stickyExtra {
-			roundUp = roundUpDecision(neg, false, true, z.mant, rnd)
+	guard, odd := false, false
+	if shift > 0 {
+		guard = bitAt(m, shift-1)
+		odd = bitAt(m, shift)
+		sticky = sticky || lowBitsNonzero(m, shift-1)
+	}
+	inexact := guard || sticky
+	roundUp := inexact && roundUpDecision(neg, guard, sticky, odd, rnd)
+	var carry uint64
+	if roundUp {
+		carry = 1
+	}
+
+	if cap(z.mant) < pw {
+		z.mant = make(mpnat.Nat, pw)
+	} else {
+		z.mant = z.mant[:pw]
+	}
+	zm := z.mant
+	if shift >= 0 {
+		// Bottom up, adding the increment as the words go by, since z.mant
+		// may be m itself shifted down.
+		k, off := shift/64, uint(shift%64)
+		for i := range zm {
+			w := m[k+i] >> off
+			if off != 0 && k+i+1 < len(m) {
+				w |= m[k+i+1] << (64 - off)
+			}
+			zm[i], carry = bits.Add64(w, 0, carry)
 		}
 	} else {
-		guard := m.Bit(shift-1) == 1
-		sticky := stickyExtra
-		if !sticky {
-			// Any nonzero bit below the guard bit?
-			sticky = lowBitsNonzero(m, shift-1)
+		// Top down, since z.mant may be m itself shifted up. The shifted m
+		// has exactly prec bits, so its words end at pw.
+		k, n := -shift/64, len(m)
+		out := mpnat.ShlN(zm[k:k+n], m, uint(-shift%64))
+		if k+n < pw {
+			zm[k+n] = out
 		}
-		inexact = guard || sticky
-		z.mant = z.mant.Shr(m, uint(shift))
-		if inexact {
-			roundUp = roundUpDecision(neg, guard, sticky, z.mant, rnd)
-		}
+		clear(zm[:k])
+		carry = mpnat.AddWordN(zm, zm, carry)
 	}
 
 	exp := exp2 + int64(bl)
-	if roundUp && incMant(z.mant, prec) {
+	if carry != 0 || zm[pw-1]>>((prec-1)%64+1) != 0 {
+		// The increment carried out of the top bit: m was all ones, and
+		// the rounded value 2^prec is 2^(prec-1) one exponent up.
+		clear(zm)
+		zm[pw-1] = 1 << ((prec - 1) % 64)
 		exp++
 	}
 
@@ -77,31 +114,10 @@ func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, 
 	return -1
 }
 
-// incMant adds one unit in the last place to the prec-bit mantissa m in
-// place. If that carries out of the top bit (m was all ones), m becomes
-// 2^(prec-1) — the rounded-up value 2^prec with one bit shifted out — and
-// incMant reports true so the caller can bump the exponent.
-func incMant(m mpnat.Nat, prec int) bool {
-	carried := true
-	for i := range m {
-		m[i]++
-		if m[i] != 0 {
-			carried = false
-			break
-		}
-	}
-	if !carried && m.BitLen() <= prec {
-		return false
-	}
-	clear(m)
-	m[(prec-1)/64] = 1 << ((prec - 1) % 64)
-	return true
-}
-
 // roundUpDecision decides whether to increment the truncated mantissa.
 // guard is the first discarded bit, sticky whether any lower bit is set,
-// mant the truncated mantissa (needed for ties-to-even).
-func roundUpDecision(neg, guard, sticky bool, mant mpnat.Nat, rnd RoundingMode) bool {
+// odd the truncated mantissa's last bit (needed for ties-to-even).
+func roundUpDecision(neg, guard, sticky, odd bool, rnd RoundingMode) bool {
 	switch rnd {
 	case RoundTowardZero:
 		return false
@@ -118,12 +134,17 @@ func roundUpDecision(neg, guard, sticky bool, mant mpnat.Nat, rnd RoundingMode) 
 		if sticky {
 			return true
 		}
-		return mant.Bit(0) == 1 // tie: round to even
+		return odd // tie: round to even
 	}
 }
 
+// bitAt reports whether bit i of m is set; i must be below 64·len(m).
+func bitAt(m []uint64, i int) bool {
+	return m[i/64]>>(uint(i)%64)&1 != 0
+}
+
 // lowBitsNonzero reports whether any of bits [0, n) of m is nonzero.
-func lowBitsNonzero(m mpnat.Nat, n int) bool {
+func lowBitsNonzero(m []uint64, n int) bool {
 	if n <= 0 {
 		return false
 	}
@@ -159,12 +180,9 @@ func (z *Float) roundUnderflowSticky(neg bool, exp2 int64, rnd RoundingMode) int
 		}
 		return -1
 	}
-	// Smallest magnitude step at the caller's scale.
-	z.form = finite
-	z.neg = neg
-	prec := int64(z.effPrec())
-	z.mant = z.mant.Shl(mpnat.Nat{1}, uint(prec-1))
-	z.exp = exp2 + 1
+	// Smallest magnitude step at the caller's scale: exactly 2^exp2.
+	one := [1]uint64{1}
+	z.setRounded(neg, one[:], exp2, false, rnd)
 	if neg {
 		return -1
 	}

@@ -26,19 +26,12 @@ func (z Nat) Add(x, y Nat) Nat {
 	if len(x) < len(y) {
 		x, y = y, x
 	}
-	m, n := len(x), len(y)
+	m := len(x)
 	if m == 0 {
 		return z[:0]
 	}
 	z = z.make(m + 1)
-	var c uint64
-	for i := 0; i < n; i++ {
-		z[i], c = bits.Add64(x[i], y[i], c)
-	}
-	for i := n; i < m; i++ {
-		z[i], c = bits.Add64(x[i], 0, c)
-	}
-	z[m] = c
+	z[m] = AddN(z, x, y)
 	return z.Norm()
 }
 
@@ -53,15 +46,8 @@ func (z Nat) Sub(x, y Nat) Nat {
 	if x.Cmp(y) < 0 {
 		panic("mpnat: Sub underflow")
 	}
-	m, n := len(x), len(y)
-	z = z.make(m)
-	var b uint64
-	for i := 0; i < n; i++ {
-		z[i], b = bits.Sub64(x[i], y[i], b)
-	}
-	for i := n; i < m; i++ {
-		z[i], b = bits.Sub64(x[i], 0, b)
-	}
+	z = z.make(len(x))
+	SubN(z, x, y)
 	return z.Norm()
 }
 
@@ -72,82 +58,26 @@ func (z Nat) Shl(x Nat, s uint) Nat {
 	if m == 0 {
 		return z[:0]
 	}
-	limbs, off := int(s/64), s%64
-	n := m + limbs
-	var top uint64
-	if off != 0 {
-		top = x[m-1] >> (64 - off)
-	}
-	if top != 0 {
-		n++
-	}
-	z = z.make(n)
-	// Write from the top down, so z may be x.
-	if off == 0 {
-		copy(z[limbs:], x)
-	} else {
-		if top != 0 {
-			z[n-1] = top
-		}
-		for i := m - 1; i > 0; i-- {
-			z[limbs+i] = x[i]<<off | x[i-1]>>(64-off)
-		}
-		z[limbs] = x[0] << off
-	}
+	limbs := int(s / 64)
+	z = z.make(m + limbs + 1)
+	// ShlN writes from the top down, so z may be x.
+	z[m+limbs] = ShlN(z[limbs:], x, s%64)
 	clear(z[:limbs])
-	return z
+	return z.Norm()
 }
 
 // Shr sets z = x >> s (bits shifted out are discarded) and returns z.
 func (z Nat) Shr(x Nat, s uint) Nat {
 	x = x.Norm()
-	m := len(x)
-	limbs, off := int(s/64), s%64
-	if limbs >= m {
+	limbs := int(s / 64)
+	if limbs >= len(x) {
 		return z[:0]
 	}
-	n := m - limbs
-	if off != 0 && x[m-1]>>off == 0 {
-		n-- // the top word shifts out entirely
-	}
-	z = z.make(n)
-	// Write from the bottom up, so z may be x.
-	if off == 0 {
-		copy(z, x[limbs:])
-		return z
-	}
-	for i := 0; i < n; i++ {
-		w := x[limbs+i] >> off
-		if limbs+i+1 < m {
-			w |= x[limbs+i+1] << (64 - off)
-		}
-		z[i] = w
-	}
-	return z
+	z = z.make(len(x) - limbs)
+	// ShrN writes from the bottom up, so z may be x.
+	ShrN(z, x[limbs:], s%64)
+	return z.Norm()
 }
-
-// shlVU sets z[:len(x)] = x << s for s < 64 and returns the bits shifted out
-// of the top word. z may be x.
-func shlVU(z, x Nat, s uint) uint64 {
-	if s == 0 {
-		copy(z, x)
-		return 0
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	c := x[len(x)-1] >> (64 - s)
-	for i := len(x) - 1; i > 0; i-- {
-		z[i] = x[i]<<s | x[i-1]>>(64-s)
-	}
-	z[0] = x[0] << s
-	return c
-}
-
-// karatsubaThreshold is the limb count above which Mul switches from
-// schoolbook multiplication to Karatsuba. Chosen empirically; the exact
-// value only matters for large-precision performance, not correctness.
-const karatsubaThreshold = 24
 
 // Mul sets z = x * y and returns z.
 func (z Nat) Mul(x, y Nat) Nat {
@@ -159,7 +89,7 @@ func (z Nat) Mul(x, y Nat) Nat {
 		z = nil
 	}
 	z = z.make(len(x) + len(y))
-	mulInto(z, x, y)
+	MulN(z, x, y)
 	return z.Norm()
 }
 
@@ -171,44 +101,8 @@ func (z Nat) MulWord(x Nat, w uint64) Nat {
 		return z[:0]
 	}
 	z = z.make(m + 1)
-	var carry uint64
-	for i := 0; i < m; i++ {
-		hi, lo := bits.Mul64(x[i], w)
-		var c uint64
-		z[i], c = bits.Add64(lo, carry, 0)
-		carry = hi + c
-	}
-	z[m] = carry
+	z[m] = mulWordN(z, x, w)
 	return z.Norm()
-}
-
-// mulSchoolbook sets z = x * y for len(z) == len(x)+len(y).
-func mulSchoolbook(z, x, y Nat) {
-	clear(z)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		var carry uint64
-		for j, yj := range y {
-			hi, lo := bits.Mul64(xi, yj)
-			s, c1 := bits.Add64(lo, z[i+j], 0)
-			s, c2 := bits.Add64(s, carry, 0)
-			z[i+j] = s
-			carry = hi + c1 + c2
-		}
-		z[i+len(y)] += carry
-	}
-}
-
-// mulInto sets z = x * y for len(z) == len(x)+len(y). z must not alias x
-// or y. It writes only into z, which keeps its storage off the heap.
-func mulInto(z, x, y Nat) {
-	if len(x) < karatsubaThreshold || len(y) < karatsubaThreshold {
-		mulSchoolbook(z, x, y)
-		return
-	}
-	mulKaratsuba(z, x, y)
 }
 
 // split returns the low half words of x and the rest, each normalized.
@@ -242,9 +136,11 @@ func mulKaratsuba(z, x, y Nat) {
 	y0, y1 := split(y, half)
 
 	clear(z)
-	mulInto(z[:len(x0)+len(y0)], x0, y0)
+	if len(x0) > 0 && len(y0) > 0 {
+		MulN(z[:len(x0)+len(y0)], x0, y0)
+	}
 	if len(x1) > 0 && len(y1) > 0 {
-		mulInto(z[2*half:2*half+len(x1)+len(y1)], x1, y1)
+		MulN(z[2*half:2*half+len(x1)+len(y1)], x1, y1)
 	}
 	z1 := Mul(Add(x0, x1), Add(y0, y1))
 	z1 = z1.Sub(z1, z[:2*half])
@@ -252,11 +148,7 @@ func mulKaratsuba(z, x, y Nat) {
 	addAt(z, z1, half)
 }
 
-// Sqr sets z = x * x and returns z. It uses a dedicated squaring kernel: the
-// cross partial products x[i]*x[j] (i != j) are symmetric, so they are
-// computed once and doubled, roughly halving the multiply work relative to
-// Mul(x, x). GMP's mpn layer makes the same specialization (mpn_sqr), and
-// mpfr's exponentiation loops lean on it heavily.
+// Sqr sets z = x * x and returns z, through SqrN's squaring kernel.
 func (z Nat) Sqr(x Nat) Nat {
 	x = x.Norm()
 	if len(x) == 0 {
@@ -266,68 +158,8 @@ func (z Nat) Sqr(x Nat) Nat {
 		z = nil
 	}
 	z = z.make(2 * len(x))
-	sqrInto(z, x)
+	SqrN(z, x)
 	return z.Norm()
-}
-
-// sqrInto sets z = x² for len(z) == 2·len(x). z must not alias x.
-func sqrInto(z, x Nat) {
-	if len(x) < karatsubaThreshold {
-		sqrSchoolbook(z, x)
-		return
-	}
-	sqrKaratsuba(z, x)
-}
-
-// sqrSchoolbook sets z = x² for len(z) == 2·len(x) via the
-// triangle-and-double decomposition:
-//
-//	x² = 2 * Σ_{i<j} x[i]x[j]·B^(i+j)  +  Σ_i x[i]²·B^(2i)
-//
-// Only the strictly-upper triangle of cross products is materialized; the
-// doubling is a one-bit shift of the accumulated triangle; the diagonal of
-// 128-bit squares is added last.
-func sqrSchoolbook(z, x Nat) {
-	n := len(x)
-	clear(z)
-
-	// Upper triangle: z += x[i] * x[j] at limb offset i+j for every j > i.
-	for i := 0; i < n-1; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		var carry uint64
-		for j := i + 1; j < n; j++ {
-			hi, lo := bits.Mul64(xi, x[j])
-			s, c1 := bits.Add64(lo, z[i+j], 0)
-			s, c2 := bits.Add64(s, carry, 0)
-			z[i+j] = s
-			carry = hi + c1 + c2
-		}
-		z[i+n] += carry
-	}
-
-	// Double the triangle: z <<= 1 in place.
-	var top uint64
-	for i := range z {
-		w := z[i]
-		z[i] = w<<1 | top
-		top = w >> 63
-	}
-
-	// Diagonal: z += Σ x[i]² at limb offset 2i.
-	var carry uint64
-	for i := 0; i < n; i++ {
-		hi, lo := bits.Mul64(x[i], x[i])
-		s, c := bits.Add64(z[2*i], lo, carry)
-		z[2*i] = s
-		s, c2 := bits.Add64(z[2*i+1], hi, c)
-		z[2*i+1] = s
-		carry = c2
-	}
-	// carry can only propagate into limbs above 2n-1 if the square
-	// overflowed 2n limbs, which it cannot: (B^n - 1)² < B^(2n).
 }
 
 // sqrKaratsuba sets z = x² for len(z) == 2·len(x), recursing with three
@@ -338,8 +170,12 @@ func sqrKaratsuba(z, x Nat) {
 	x0, x1 := split(x, half)
 
 	clear(z)
-	sqrInto(z[:2*len(x0)], x0)
-	sqrInto(z[2*half:2*half+2*len(x1)], x1)
+	if len(x0) > 0 {
+		SqrN(z[:2*len(x0)], x0)
+	}
+	if len(x1) > 0 {
+		SqrN(z[2*half:2*half+2*len(x1)], x1)
+	}
 	z1 := Sqr(Add(x0, x1))
 	z1 = z1.Sub(z1, z[:2*half])
 	z1 = z1.Sub(z1, z[2*half:])

@@ -203,3 +203,132 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestSqrtRemNVsBig checks the precision-doubling square root on
+// normalized inputs of 1 to 60 root words, including the edges of the
+// normalization range and the neighbours of perfect squares, where the
+// final correction step decides the root.
+func TestSqrtRemNVsBig(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	check := func(a Nat) {
+		t.Helper()
+		n := len(a) / 2
+		ba := toBig(a)
+		want := new(big.Int).Sqrt(ba)
+		wantRem := new(big.Int).Sub(ba, new(big.Int).Mul(want, want))
+		s, w := make(Nat, n), append(Nat(nil), a...)
+		rh := SqrtRemN(s, w, make(Nat, n/2+1))
+		rem := append(Nat(nil), w[:n]...)
+		rem = append(rem, rh)
+		if toBig(s).Cmp(want) != 0 || toBig(rem).Cmp(wantRem) != 0 {
+			t.Fatalf("SqrtRemN(%x) = %x, %x; want %x, %x", ba, toBig(s), toBig(rem), want, wantRem)
+		}
+	}
+	for n := 1; n <= 60; n++ {
+		for i := 0; i < 20; i++ {
+			a := randLimbs(r, 2*n)
+			a[2*n-1] |= 1 << 62
+			if i%4 == 1 {
+				a[2*n-1] &^= 1 << 63 // the smallest top words
+			}
+			check(a)
+			// (k±1)² and k²-1 around a root k with its top bit set.
+			k := randLimbs(r, n)
+			k[n-1] |= 1 << 63
+			for _, v := range []Nat{Sqr(k), Sub(Sqr(k), Nat{1}), Add(Sqr(k), Shl(k, 1))} {
+				if len(v) == 2*n {
+					check(v)
+				}
+			}
+		}
+		ones := make(Nat, 2*n)
+		for i := range ones {
+			ones[i] = ^uint64(0)
+		}
+		check(ones)
+		check(Shl(Nat{1}, uint(128*n-2)))
+	}
+}
+
+// TestSqrtRem2Edges checks the one-word root at the edges of its seed:
+// roots near 2^63 and 2^64-1, where math.Sqrt's estimate is clamped.
+func TestSqrtRem2Edges(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	his := []uint64{1 << 62, 1<<62 + 1, 1<<63 - 1, 1 << 63, ^uint64(0) - 1<<14, ^uint64(0) - 2, ^uint64(0) - 1, ^uint64(0)}
+	for i := 0; i < 200; i++ {
+		his = append(his, ^uint64(0)-uint64(r.Intn(1<<16)), r.Uint64()|1<<62)
+	}
+	for _, hi := range his {
+		for _, lo := range []uint64{0, 1, 1 << 63, ^uint64(0), r.Uint64()} {
+			a := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+			a.Or(a, new(big.Int).SetUint64(lo))
+			want := new(big.Int).Sqrt(a)
+			s, rlo, rhi := sqrtRem2(hi, lo)
+			rem := new(big.Int).Lsh(new(big.Int).SetUint64(rhi), 64)
+			rem.Or(rem, new(big.Int).SetUint64(rlo))
+			if want.Cmp(new(big.Int).SetUint64(s)) != 0 || rem.Cmp(a.Sub(a, want.Mul(want, want))) != 0 {
+				t.Fatalf("sqrtRem2(%#x, %#x) = %#x, rem %v", hi, lo, s, rem)
+			}
+		}
+	}
+}
+
+// TestDivRemNVsBig checks the unnormalizing division kernel: quotient top
+// word, low quotient words and remainder, for divisors of 1 to 30 words
+// whose top word has its top bit set.
+func TestDivRemNVsBig(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for n := 1; n <= 30; n++ {
+		for i := 0; i < 40; i++ {
+			v := randLimbs(r, n)
+			v[n-1] |= 1 << 63
+			u := randLimbs(r, n+r.Intn(12))
+			if i%5 == 0 {
+				copy(u[len(u)-n:], v) // top words equal to v: the qh = 1 edge
+			}
+			bu, bv := toBig(u), toBig(v)
+			q := make(Nat, len(u)-n+1)
+			w := append(Nat(nil), u...)
+			q[len(u)-n] = DivRemN(q[:len(u)-n], w, v)
+			wantQ, wantR := new(big.Int).QuoRem(bu, bv, new(big.Int))
+			if toBig(q).Cmp(wantQ) != 0 || toBig(w[:n]).Cmp(wantR) != 0 {
+				t.Fatalf("DivRemN(%x, %x) = %x rem %x; want %x rem %x", bu, bv, toBig(q), toBig(w[:n]), wantQ, wantR)
+			}
+		}
+	}
+}
+
+// TestMulNSqrNVsBig checks the schoolbook and Karatsuba paths of MulN and
+// SqrN on operands whose top words may be zero, as mpfr passes them.
+func TestMulNSqrNVsBig(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	for i := 0; i < 200; i++ {
+		x, y := randLimbs(r, 1+r.Intn(60)), randLimbs(r, 1+r.Intn(60))
+		if i%3 == 0 {
+			x[len(x)-1] = 0
+		}
+		z := make(Nat, len(x)+len(y))
+		MulN(z, x, y)
+		if want := new(big.Int).Mul(toBig(x), toBig(y)); toBig(z).Cmp(want) != 0 {
+			t.Fatalf("MulN(%x, %x) = %x, want %x", toBig(x), toBig(y), toBig(z), want)
+		}
+		s := make(Nat, 2*len(x))
+		SqrN(s, x)
+		if want := new(big.Int).Mul(toBig(x), toBig(x)); toBig(s).Cmp(want) != 0 {
+			t.Fatalf("SqrN(%x) = %x, want %x", toBig(x), toBig(s), want)
+		}
+	}
+}
+
+// BenchmarkSqrtRem times the square root with remainder of an 8-word
+// (512-bit) value, the size mpfr's Sqrt computes at 200 bits.
+func BenchmarkSqrtRem(b *testing.B) {
+	r := rand.New(rand.NewSource(29))
+	x := randLimbs(r, 8)
+	root, rem, s := make(Nat, 0, 4), make(Nat, 0, 9), make(Nat, 0, 4*8+12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root.SqrtRem(rem, x, s)
+	}
+}

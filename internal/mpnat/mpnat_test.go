@@ -265,7 +265,7 @@ func TestSqrtFloorSmall(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		s := SqrtFloor(FromUint64(i))
 		got, _ := s.Uint64()
-		want := uint64(isqrt64(i))
+		want := new(big.Int).Sqrt(new(big.Int).SetUint64(i)).Uint64()
 		if got != want {
 			t.Errorf("SqrtFloor(%d) = %d, want %d", i, got, want)
 		}
