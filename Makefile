@@ -38,8 +38,10 @@ benchmark-test:
 # The dispatch (one sub-benchmark per hot instruction form), trap-delivery
 # (Vanilla per op and operand form, and MPFR-200), FPU (each fast-pathed op
 # inside and outside its exponent window), superblock-entry,
-# session-alternation and set-up (analysis and image build per Figure 12
-# workload) microbenchmarks, run for a fixed short count so they keep
+# session-alternation, set-up (analysis and image build per Figure 12
+# workload) and MPFR kernel (basic ops and transcendentals at 200 bits,
+# Sqrt and Div at Log's and Atan's 264-bit working precision, mpnat's
+# square root) microbenchmarks, run for a fixed short count so they keep
 # building and running, with their allocations reported (the numbers are not
 # gated).
 microbench:
@@ -48,6 +50,7 @@ microbench:
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x -benchmem ./internal/fpvm
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x -benchmem ./internal/session
 	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime 20x -benchmem ./internal/patch
+	$(GO) test -run '^$$' -bench '^Benchmark((Add|Mul|Sqr|Div|Sqrt|Sin|Log|Asin|Atan)200|(Sqrt|Div)264|SqrtRem)$$' -benchtime 2000x -benchmem ./internal/mpfr ./internal/mpnat
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server, plus the

@@ -8,7 +8,6 @@ import (
 	"fpvm/internal/arith"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/loadgen"
-	"fpvm/internal/machine"
 	"fpvm/internal/patch"
 	"fpvm/internal/session"
 	"fpvm/internal/telemetry"
@@ -113,7 +112,7 @@ const benchSamples = 3
 func BenchJSONData(o Options) ([]BenchRow, error) {
 	o.defaults()
 	sys := arith.NewMPFR(o.Prec).Name()
-	cells, err := forEachWorkload(o.Workers, allFig12(o), func(w workloads.Workload, img *machine.Image) ([]BenchRow, error) {
+	cells, err := forEachWorkload(o.Workers, allFig12(o), func(w workloads.Workload, img *cellImage) ([]BenchRow, error) {
 		var rows []BenchRow
 		var ns [][]float64
 		for s := 0; s < benchSamples; s++ {

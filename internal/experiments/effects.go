@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"fpvm/internal/arith"
-	"fpvm/internal/machine"
 	"fpvm/internal/workloads"
 )
 
@@ -28,7 +27,7 @@ func EffectsData(o Options) ([]EffectsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (EffectsRow, error) {
+	return forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *cellImage) (EffectsRow, error) {
 		van, err := runPair(w, img, arith.Vanilla{}, o)
 		if err != nil {
 			return EffectsRow{}, err

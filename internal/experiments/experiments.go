@@ -135,9 +135,18 @@ func (r *RunResult) SlowdownOn(p *trap.CostProfile, k trap.Kind) float64 {
 	return float64(adjusted) / float64(r.NativeCycles)
 }
 
-// workloadImage builds and analyzes w once: the image every run of w in one
-// experiment cell loads.
-func workloadImage(w workloads.Workload) (*machine.Image, error) {
+// cellImage is one workload's image with its native reference: every run
+// of the workload in one experiment cell loads the image and compares
+// against the one native run over it, which depends on nothing else.
+type cellImage struct {
+	img       *machine.Image
+	native    *machine.Machine
+	nativeOut string
+}
+
+// workloadImage builds and analyzes w once and runs it natively once: the
+// image and reference every run of w in one experiment cell shares.
+func workloadImage(w workloads.Workload) (*cellImage, error) {
 	prog, err := w.Build()
 	if err != nil {
 		return nil, err
@@ -146,14 +155,7 @@ func workloadImage(w workloads.Workload) (*machine.Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s analysis: %w", w.Name, err)
 	}
-	return img, nil
-}
-
-// runPair executes w's image natively and under FPVM with sys. The native
-// machine loads img with no correctness sites; the virtualized one is
-// checked out through a session's load step, which installs them first, as
-// the hybrid design requires.
-func runPair(w workloads.Workload, img *machine.Image, sys arith.System, o Options) (*RunResult, error) {
+	// The native machine loads img with no correctness sites.
 	var nout bytes.Buffer
 	nm, err := machine.NewFromImage(img, &nout, 0)
 	if err != nil {
@@ -162,12 +164,19 @@ func runPair(w workloads.Workload, img *machine.Image, sys arith.System, o Optio
 	if err := nm.Run(0); err != nil {
 		return nil, fmt.Errorf("%s native: %w", w.Name, err)
 	}
+	return &cellImage{img: img, native: nm, nativeOut: nout.String()}, nil
+}
 
+// runPair runs w's image under FPVM with sys and pairs it with the cell's
+// native reference. The virtualized machine is checked out through a
+// session's load step, which installs the correctness sites first, as the
+// hybrid design requires.
+func runPair(w workloads.Workload, c *cellImage, sys arith.System, o Options) (*RunResult, error) {
 	cfg := session.Config{Config: o.VM, TopSites: o.TopSites}
 	cfg.System = sys
 	s := session.New()
 	var vout bytes.Buffer
-	if err := s.Load(img, &vout, cfg); err != nil {
+	if err := s.Load(c.img, &vout, cfg); err != nil {
 		return nil, err
 	}
 	vm2 := s.Machine()
@@ -178,12 +187,12 @@ func runPair(w workloads.Workload, img *machine.Image, sys arith.System, o Optio
 	wall := time.Since(start)
 	return &RunResult{
 		Workload:     w,
-		NativeOut:    nout.String(),
+		NativeOut:    c.nativeOut,
 		VirtOut:      vout.String(),
-		Native:       nm,
+		Native:       c.native,
 		Virt:         vm2,
 		VM:           s.VM(),
-		NativeCycles: nm.Cycles,
+		NativeCycles: c.native.Cycles,
 		VirtCycles:   vm2.Cycles,
 		VirtWallNs:   wall.Nanoseconds(),
 	}, nil
@@ -199,7 +208,7 @@ type ladder struct {
 }
 
 // runLadder runs w's ablation ladder at o.Prec bits, every rung over img.
-func runLadder(w workloads.Workload, img *machine.Image, o Options) (ladder, error) {
+func runLadder(w workloads.Workload, img *cellImage, o Options) (ladder, error) {
 	var l ladder
 	var err error
 	base := o
@@ -255,7 +264,7 @@ func Validation(o Options) error {
 		traps    uint64
 		emulated uint64
 	}
-	rows, err := forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (valRow, error) {
+	rows, err := forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *cellImage) (valRow, error) {
 		r, err := runPair(w, img, arith.Vanilla{}, o)
 		if err != nil {
 			return valRow{}, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fpvm/internal/arith"
-	"fpvm/internal/machine"
 	"fpvm/internal/workloads"
 )
 
@@ -32,7 +31,7 @@ func Fig10Data(o Options) ([]Fig10Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (Fig10Row, error) {
+	return forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *cellImage) (Fig10Row, error) {
 		r, err := runPair(w, img, arith.NewMPFR(o.Prec), o)
 		if err != nil {
 			return Fig10Row{}, err

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"fpvm/internal/machine"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
 )
@@ -43,7 +42,7 @@ var fig12OnlyR815 = map[string]bool{
 // trap delivery cost varies across profiles (see RunResult.SlowdownOn).
 func Fig12Data(o Options) ([]Fig12Row, error) {
 	o.defaults()
-	return forEachWorkload(o.Workers, allFig12(o), func(w workloads.Workload, img *machine.Image) (Fig12Row, error) {
+	return forEachWorkload(o.Workers, allFig12(o), func(w workloads.Workload, img *cellImage) (Fig12Row, error) {
 		l, err := runLadder(w, img, o)
 		if err != nil {
 			return Fig12Row{}, err

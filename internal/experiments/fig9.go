@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"fpvm/internal/machine"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
 )
@@ -78,7 +77,7 @@ func Fig9Data(o Options) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells, err := forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *machine.Image) (*Fig9Row, error) {
+	cells, err := forEachWorkload(o.Workers, ws, func(w workloads.Workload, img *cellImage) (*Fig9Row, error) {
 		l, err := runLadder(w, img, o)
 		if err != nil {
 			return nil, err

@@ -4,18 +4,18 @@ import (
 	"runtime"
 	"sync"
 
-	"fpvm/internal/machine"
 	"fpvm/internal/workloads"
 )
 
 // forEachWorkload runs fn over every workload on a bounded worker pool, each
-// with the one image built from it (workloadImage), and returns the results
-// in input order. Each experiment cell owns its machines, VMs, and arenas,
-// so cells are independent and the *simulated* cycle counts are identical to
-// a sequential run — only wall-clock time changes. workers <= 0 selects
+// with the one image built from it and its native reference (workloadImage),
+// and returns the results in input order. Each experiment cell owns its
+// machines, VMs, and arenas, so cells are independent and the *simulated*
+// cycle counts are identical to a sequential run — only wall-clock time
+// changes. workers <= 0 selects
 // GOMAXPROCS. Errors do not cancel in-flight cells (they are short); the
 // first error in input order is returned after all workers drain.
-func forEachWorkload[R any](workers int, items []workloads.Workload, fn func(workloads.Workload, *machine.Image) (R, error)) ([]R, error) {
+func forEachWorkload[R any](workers int, items []workloads.Workload, fn func(workloads.Workload, *cellImage) (R, error)) ([]R, error) {
 	cell := func(i int) (r R, err error) {
 		img, err := workloadImage(items[i])
 		if err != nil {

@@ -79,7 +79,14 @@ func (s *Spy) Report(w io.Writer, topSites int) {
 	for a, n := range s.Stats.BySite {
 		sites = append(sites, site{a, n})
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].n > sites[j].n })
+	// Most events first; ties by address, so the report does not depend on
+	// map iteration order.
+	sort.Slice(sites, func(i, j int) bool {
+		if sites[i].n != sites[j].n {
+			return sites[i].n > sites[j].n
+		}
+		return sites[i].addr < sites[j].addr
+	})
 	if topSites > len(sites) {
 		topSites = len(sites)
 	}
@@ -90,11 +97,17 @@ func (s *Spy) Report(w io.Writer, topSites int) {
 	}
 }
 
+// sortedCountKeys returns m's keys by descending count, ties by name.
 func sortedCountKeys(m map[string]uint64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] })
+	sort.Slice(keys, func(i, j int) bool {
+		if m[keys[i]] != m[keys[j]] {
+			return m[keys[i]] > m[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
 	return keys
 }

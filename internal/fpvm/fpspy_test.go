@@ -2,6 +2,7 @@ package fpvm
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,5 +116,68 @@ func TestSpyCountsMatchFPVM(t *testing.T) {
 	}
 	if spy.Stats.Events == 0 {
 		t.Fatal("no events")
+	}
+}
+
+// TestSpyReportDeterministic: rows with equal counts print in one order on
+// every call, ops and flags by name and sites by address, so two runs of
+// the same program give byte-equal reports.
+func TestSpyReportDeterministic(t *testing.T) {
+	prog := asm.MustAssemble(`
+		movsd f0, =1.0
+		movsd f1, =3.0
+		divsd f0, f1
+		addsd f0, f1
+		mulsd f0, f1
+		subsd f0, f1
+		halt
+	`)
+	m, _ := machine.New(prog, nil)
+	spy := &Spy{M: m}
+	spy.Stats = SpyStats{
+		Events: 42,
+		ByFlag: map[string]uint64{"PE": 7, "OE|PE": 7, "ZE": 7, "IE": 9, "UE|PE": 1},
+		ByOp:   map[string]uint64{"subsd": 5, "mulsd": 5, "divsd": 5, "addsd": 5, "sqrtsd": 9, "fsin": 1},
+		BySite: map[uint64]uint64{},
+	}
+	// Sites in ascending address order; even positions get 3 events and
+	// odd ones 2, so each count is a tie.
+	addrs := []uint64{0x00, 0x08, 0x10, 0x18, 0x20, 0x28}
+	for i, a := range addrs {
+		spy.Stats.BySite[a] = uint64(3 - i%2)
+	}
+	var first bytes.Buffer
+	spy.Report(&first, len(addrs))
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		spy.Report(&again, len(addrs))
+		if again.String() != first.String() {
+			t.Fatalf("report %d differs:\n%s\nwant:\n%s", i, again.String(), first.String())
+		}
+	}
+	want := []string{"IE", "OE|PE", "PE", "ZE", "UE|PE", "sqrtsd", "addsd", "divsd", "mulsd", "subsd", "fsin"}
+	rest := first.String()
+	for _, w := range want {
+		i := strings.Index(rest, "  "+w+" ")
+		if i < 0 {
+			t.Fatalf("row %q missing or out of order in:\n%s", w, first.String())
+		}
+		rest = rest[i+len(w):]
+	}
+	// Sites: the count-3 sites by ascending address, then the count-2 ones.
+	var order []uint64
+	for i := 0; i < len(addrs); i += 2 {
+		order = append(order, addrs[i])
+	}
+	for i := 1; i < len(addrs); i += 2 {
+		order = append(order, addrs[i])
+	}
+	rest = first.String()[strings.Index(first.String(), "hottest"):]
+	for _, a := range order {
+		i := strings.Index(rest, fmt.Sprintf("  %#06x ", a))
+		if i < 0 {
+			t.Fatalf("site %#x missing or out of order in:\n%s", a, first.String())
+		}
+		rest = rest[i+1:]
 	}
 }

@@ -71,13 +71,21 @@ func (z *Float) setRounded(neg bool, m []uint64, exp2 int64, sticky bool, rnd Ro
 	if shift >= 0 {
 		// Bottom up, adding the increment as the words go by, since z.mant
 		// may be m itself shifted down.
-		k, off := shift/64, uint(shift%64)
-		for i := range zm {
-			w := m[k+i] >> off
-			if off != 0 && k+i+1 < len(m) {
-				w |= m[k+i+1] << (64 - off)
+		src, off := m[shift>>6:], uint(shift)&63
+		if off == 0 {
+			for i := range zm {
+				zm[i], carry = bits.Add64(src[i], 0, carry)
 			}
-			zm[i], carry = bits.Add64(w, 0, carry)
+		} else {
+			top := pw - 1
+			for i := 0; i < top; i++ {
+				zm[i], carry = bits.Add64(src[i]>>off|src[i+1]<<(64-off), 0, carry)
+			}
+			w := src[top] >> off
+			if top+1 < len(src) {
+				w |= src[top+1] << (64 - off)
+			}
+			zm[top], carry = bits.Add64(w, 0, carry)
 		}
 	} else {
 		// Top down, since z.mant may be m itself shifted up. The shifted m
@@ -92,7 +100,7 @@ func (z *Float) setRounded(neg bool, m []uint64, exp2 int64, sticky bool, rnd Ro
 	}
 
 	exp := exp2 + int64(bl)
-	if carry != 0 || zm[pw-1]>>((prec-1)%64+1) != 0 {
+	if roundUp && (carry != 0 || zm[pw-1]>>((prec-1)%64+1) != 0) {
 		// The increment carried out of the top bit: m was all ones, and
 		// the rounded value 2^prec is 2^(prec-1) one exponent up.
 		clear(zm)
