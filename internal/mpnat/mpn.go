@@ -5,14 +5,6 @@ import (
 	"math/bits"
 )
 
-// The mpn primitives below work on caller-owned words of explicit length,
-// the way GMP's mpn functions do: the operands' lengths are the slices'
-// lengths, nothing is normalized (a top word may be zero), nothing is
-// allocated, and carries, borrows and shifted-out bits come back as return
-// values instead of growing a result. The Nat methods are normalizing
-// wrappers over them; package mpfr calls them directly, because a finite
-// mantissa's length is fixed by its precision.
-
 // AddN sets z[:len(x)] = x + y for len(x) >= len(y) and returns the carry
 // out of the top word (0 or 1). z may be x or y.
 func AddN(z, x, y []uint64) uint64 {

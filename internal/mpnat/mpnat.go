@@ -2,19 +2,44 @@
 // integer) arithmetic on 64-bit limbs. It is the low-level kernel beneath
 // package mpfr, playing the role GMP's mpn layer plays beneath GNU MPFR.
 //
+// It has two layers. The mpn primitives (AddN, SubN, AddWordN, SubWordN,
+// CmpN, ShlN, ShrN, MulN, SqrN, DivRemN, SqrtRemN) work on caller-owned
+// []uint64 words of explicit length, as GMP's mpn functions do: an
+// operand's length is its slice's length, a top word may be zero, nothing
+// is normalized or allocated, and carries, borrows and shifted-out bits
+// are return values. The Nat type's methods are thin normalizing wrappers
+// over them. Package mpfr calls the primitives directly, because a finite
+// mantissa's length is fixed by its precision.
+//
 // A Nat is a little-endian limb slice: word i holds bits [64*i, 64*i+64) of
 // the value. The canonical form has no trailing zero limbs; the zero value
-// (nil or empty slice) represents 0. Every operation returns a canonical
+// (nil or empty slice) represents 0. Every Nat operation returns a canonical
 // result.
+//
+// # Primitive aliasing
+//
+//   - AddN, SubN, AddWordN, SubWordN: z may be the same slice (same first
+//     word) as x and/or y.
+//   - ShlN writes from the top down: z may be x, or start at a higher word
+//     of x's array. ShrN writes from the bottom up: z may be x, or start at
+//     a lower word of x's array.
+//   - MulN, SqrN, DivRemN, SqrtRemN: the destinations (and SqrtRemN's
+//     scratch) must not overlap the operands or one another. DivRemN and
+//     SqrtRemN consume their dividend or radicand, which becomes the
+//     remainder.
 //
 // # Destination passing
 //
-// Each operation is a method in math/big's style, z = z.Op(x, y): the result
-// is written into z's storage when its capacity suffices and into a fresh
-// slice otherwise, and the result is returned — callers must use the return
-// value, never z itself. A caller that keeps its destinations (and, for
-// DivMod and SqrtRem, a scratch slice) from one call to the next therefore
-// computes without allocating; package mpfr passes slices of stack arrays.
+// Each Nat operation is a method in math/big's style, z = z.Op(x, y): the
+// result is written into z's storage when its capacity suffices and into a
+// fresh slice otherwise, and the result is returned — callers must use the
+// return value, never z itself. A caller that keeps its destinations (and,
+// for DivMod and SqrtRem, a scratch slice) from one call to the next
+// therefore computes without allocating. DivMod needs capacity
+// len(x)-len(y)+1 in z, len(x)+1 in r and len(y) in scratch; SqrtRem needs
+// (len(x)+1)/2 in z, len(x)+1 in r and 4·len(x)+12 in scratch, of which it
+// uses the shifted radicand, SqrtRemN's quotient words and the root's
+// square.
 //
 // Aliasing rules:
 //
