@@ -149,8 +149,7 @@ func (x *Float) Int64(rnd RoundingMode) (v int64, ok bool) {
 		return 0, true
 	}
 	if x.exp > 64 {
-		// |x| >= 2^64; shifting the mantissa up to the units below would
-		// allocate exp bits.
+		// |x| >= 2^64 is out of range in every rounding mode.
 		return math.MinInt64, false
 	}
 	var rb [stackWords]uint64
@@ -162,10 +161,12 @@ func (x *Float) Int64(rnd RoundingMode) (v int64, ok bool) {
 	if r.exp > 64 {
 		return math.MinInt64, false
 	}
-	// r = mant * 2^unitExp is an integer below 2^64: its bits above the
-	// unit are one word.
-	u := r.mant[0] << uint(max(0, r.unitExp()))
-	if ue := r.unitExp(); ue < 0 {
+	// r = mant * 2^unitExp is an integer below 2^64: its bits from the
+	// unit up are one word.
+	u := r.mant[0]
+	if ue := r.unitExp(); ue >= 0 {
+		u <<= uint(ue)
+	} else {
 		i, off := int(-ue/64), uint(-ue%64)
 		u = r.mant[i] >> off
 		if off != 0 && i+1 < len(r.mant) {

@@ -5,10 +5,12 @@ import "math/bits"
 // DivMod sets z = x / y and r = x mod y and returns them as (q, r). It
 // panics when y is 0.
 //
-// It normalizes the divisor into scratch and the dividend, with a guard
-// word for the bits shifted out of its top, into r, runs DivRemN, and
-// shifts the remainder back; so the call runs without allocating when z
-// has capacity len(x)-len(y)+1, r len(x)+1 and scratch len(y).
+// A one-word divisor takes DivWordN. A longer one is normalized into
+// scratch and the dividend, with a guard word for the bits shifted out of
+// its top, into r; DivRemN divides them and the remainder is shifted back.
+// So the call runs without allocating when z has capacity
+// len(x)-len(y)+1, r len(x)+1 and scratch len(y); a one-word divisor needs
+// only capacity len(x) in z and 1 in r.
 func (z Nat) DivMod(r, x, y, scratch Nat) (q, rem Nat) {
 	x, y = x.Norm(), y.Norm()
 	if len(y) == 0 {
@@ -24,6 +26,12 @@ func (z Nat) DivMod(r, x, y, scratch Nat) (q, rem Nat) {
 	}
 	if x.Cmp(y) < 0 {
 		return z[:0], r.Set(x)
+	}
+	if len(y) == 1 {
+		w := y[0] // read before z, which may be y, is written
+		q = z.make(len(x))
+		rw := DivWordN(q, x, w)
+		return q.Norm(), r.SetUint64(rw)
 	}
 	n := len(y)
 	shift := uint(bits.LeadingZeros64(y[n-1]))

@@ -197,6 +197,11 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { q.DivMod(rem, x, y, s) }); a != 0 {
 			t.Errorf("DivMod of %d by %d words allocates %.0f times", n, len(y), a)
 		}
+		// A one-word divisor needs no scratch and one word of remainder.
+		q1, r1, w := make(Nat, 0, n), make(Nat, 0, 1), Nat{r.Uint64() | 1}
+		if a := testing.AllocsPerRun(20, func() { q1.DivMod(r1, x, w, nil) }); a != 0 {
+			t.Errorf("DivMod of %d words by one word allocates %.0f times", n, a)
+		}
 		root, rem, s := make(Nat, 0, (n+1)/2), make(Nat, 0, n+1), make(Nat, 0, 4*n+12)
 		if a := testing.AllocsPerRun(20, func() { root.SqrtRem(rem, x, s) }); a != 0 {
 			t.Errorf("SqrtRem of %d words allocates %.0f times", n, a)

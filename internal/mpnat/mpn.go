@@ -214,6 +214,17 @@ func SqrN(z, x []uint64) {
 	// No carry leaves the top word: (B^n - 1)² < B^(2n).
 }
 
+// DivWordN sets q[:len(x)] = x / w for a nonzero word w and returns the
+// remainder. q may be x.
+func DivWordN(q, x []uint64, w uint64) uint64 {
+	q = q[:len(x)]
+	var r uint64
+	for i := len(x) - 1; i >= 0; i-- {
+		q[i], r = bits.Div64(r, x[i], w)
+	}
+	return r
+}
+
 // DivRemN divides u by v, which must be normalized (top bit of its top
 // word set) and no longer than u. It writes the low len(u)-len(v) quotient
 // words into q, returns the top quotient word (0 or 1), and leaves the

@@ -3,11 +3,11 @@
 // package mpfr, playing the role GMP's mpn layer plays beneath GNU MPFR.
 //
 // It has two layers. The mpn primitives (AddN, SubN, AddWordN, SubWordN,
-// CmpN, ShlN, ShrN, MulN, SqrN, DivRemN, SqrtRemN) work on caller-owned
-// []uint64 words of explicit length, as GMP's mpn functions do: an
-// operand's length is its slice's length, a top word may be zero, nothing
-// is normalized or allocated, and carries, borrows and shifted-out bits
-// are return values. The Nat type's methods are thin normalizing wrappers
+// CmpN, ShlN, ShrN, MulN, SqrN, DivWordN, DivRemN, SqrtRemN) work on
+// caller-owned []uint64 words of explicit length, as GMP's mpn functions
+// do: an operand's length is its slice's length, a top word may be zero,
+// nothing is normalized or allocated, and carries, borrows and
+// shifted-out bits are return values. The Nat type's methods are thin normalizing wrappers
 // over them. Package mpfr calls the primitives directly, because a finite
 // mantissa's length is fixed by its precision.
 //
@@ -18,8 +18,8 @@
 //
 // # Primitive aliasing
 //
-//   - AddN, SubN, AddWordN, SubWordN: z may be the same slice (same first
-//     word) as x and/or y.
+//   - AddN, SubN, AddWordN, SubWordN, DivWordN: z (q) may be the same
+//     slice (same first word) as x and/or y.
 //   - ShlN writes from the top down: z may be x, or start at a higher word
 //     of x's array. ShrN writes from the bottom up: z may be x, or start at
 //     a lower word of x's array.
@@ -36,7 +36,8 @@
 // return value, never z itself. A caller that keeps its destinations (and,
 // for DivMod and SqrtRem, a scratch slice) from one call to the next
 // therefore computes without allocating. DivMod needs capacity
-// len(x)-len(y)+1 in z, len(x)+1 in r and len(y) in scratch; SqrtRem needs
+// len(x)-len(y)+1 in z, len(x)+1 in r and len(y) in scratch (a one-word
+// divisor: len(x) in z and 1 in r); SqrtRem needs
 // (len(x)+1)/2 in z, len(x)+1 in r and 4·len(x)+12 in scratch, of which it
 // uses the shifted radicand, SqrtRemN's quotient words and the root's
 // square.
