@@ -36,9 +36,11 @@ func (c *constCache) get(z mpnat.Nat, bits uint, compute func(uint) mpnat.Nat) m
 }
 
 // Pi sets z to π rounded to z's precision and returns the ternary value.
+// Its fixed-point value at prec+32 bits fits buf for every precision
+// stackWords covers.
 func (z *Float) Pi(rnd RoundingMode) int {
 	wp := uint(z.effPrec()) + 32
-	var buf [stackWords]uint64
+	var buf [stackWords + 1]uint64
 	fx := piCache.get(buf[:0], wp, computePi)
 	return z.setRounded(false, fx, -int64(wp), true, rnd)
 }
@@ -46,7 +48,7 @@ func (z *Float) Pi(rnd RoundingMode) int {
 // Ln2 sets z to ln(2) rounded to z's precision and returns the ternary value.
 func (z *Float) Ln2(rnd RoundingMode) int {
 	wp := uint(z.effPrec()) + 32
-	var buf [stackWords]uint64
+	var buf [stackWords + 1]uint64
 	fx := ln2Cache.get(buf[:0], wp, computeLn2)
 	return z.setRounded(false, fx, -int64(wp), true, rnd)
 }
