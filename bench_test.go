@@ -12,13 +12,13 @@ import (
 	"math"
 	"testing"
 
+	fpvmapi "fpvm"
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/experiments"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/machine"
 	"fpvm/internal/mpfr"
-	"fpvm/internal/patch"
 	"fpvm/internal/posit"
 	"fpvm/internal/trap"
 	"fpvm/internal/workloads"
@@ -36,16 +36,14 @@ func runUnder(b *testing.B, key string, sys arith.System, cfg fpvm.Config) (*mac
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := machine.New(prog, io.Discard)
+	m, err := fpvmapi.NewMachine(prog, io.Discard)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if sys != nil {
-		p, err := patch.Apply(prog, nil)
-		if err != nil {
+		if _, err := fpvmapi.AnalyzeAndPatch(prog, m); err != nil {
 			b.Fatal(err)
 		}
-		p.Install(m)
 		cfg.System = sys
 		fv := fpvm.Attach(m, cfg)
 		if err := m.Run(0); err != nil {

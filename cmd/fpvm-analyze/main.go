@@ -17,7 +17,6 @@ import (
 	"fpvm/internal/asm"
 	"fpvm/internal/isa"
 	"fpvm/internal/patch"
-	"fpvm/internal/vsa"
 	"fpvm/internal/workloads"
 )
 
@@ -65,22 +64,18 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	rep, err := vsa.Analyze(prog, 0)
-	if err != nil {
-		return fail(err)
-	}
-	p, err := patch.Apply(prog, rep)
+	p, err := patch.Apply(prog)
 	if err != nil {
 		return fail(err)
 	}
 	p.Summary(stdout)
 	if *verbose {
 		fmt.Fprintln(stdout, "sources:")
-		for _, s := range rep.Sources {
+		for _, s := range p.Rep.Sources {
 			fmt.Fprintf(stdout, "  %#06x  %v\n", s.Addr, s.Inst)
 		}
 		fmt.Fprintln(stdout, "externals:")
-		for _, s := range rep.Externals {
+		for _, s := range p.Rep.Externals {
 			fmt.Fprintf(stdout, "  %#06x  %v\n", s.Addr, s.Inst)
 		}
 	}

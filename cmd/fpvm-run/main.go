@@ -208,7 +208,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		// One analysis: its report feeds -stats, its sites the image.
 		var sites map[uint64]int64
 		if !*noPatch {
-			p, err := patch.Apply(prog, nil)
+			p, err := patch.Apply(prog)
 			if err != nil {
 				return fail(fmt.Errorf("static analysis: %w", err))
 			}

@@ -9,12 +9,10 @@ import (
 	"log"
 	"os"
 
+	"fpvm"
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/examples"
-	"fpvm/internal/fpvm"
-	"fpvm/internal/machine"
-	"fpvm/internal/patch"
 	"fpvm/internal/posit"
 )
 
@@ -29,7 +27,7 @@ func run(sys arith.System) (string, *fpvm.VM, error) {
 		return "", nil, err
 	}
 	out := &capture{}
-	m, err := machine.New(prog, out)
+	m, err := fpvm.NewMachine(prog, out)
 	if err != nil {
 		return "", nil, err
 	}
@@ -37,11 +35,9 @@ func run(sys arith.System) (string, *fpvm.VM, error) {
 	if sys != nil {
 		// Static analysis + correctness patching, then attach FPVM —
 		// exactly the paper's hybrid pipeline.
-		p, err := patch.Apply(prog, nil)
-		if err != nil {
+		if _, err := fpvm.AnalyzeAndPatch(prog, m); err != nil {
 			return "", nil, err
 		}
-		p.Install(m)
 		vm = fpvm.Attach(m, fpvm.Config{System: sys})
 	}
 	if err := m.Run(0); err != nil {

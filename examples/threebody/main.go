@@ -11,10 +11,8 @@ import (
 	"strconv"
 	"strings"
 
+	"fpvm"
 	"fpvm/internal/arith"
-	"fpvm/internal/fpvm"
-	"fpvm/internal/machine"
-	"fpvm/internal/patch"
 	"fpvm/internal/posit"
 	"fpvm/internal/workloads"
 )
@@ -29,17 +27,15 @@ func run(sys arith.System) ([]float64, *fpvm.VM, error) {
 		return nil, nil, err
 	}
 	var out bytes.Buffer
-	m, err := machine.New(prog, &out)
+	m, err := fpvm.NewMachine(prog, &out)
 	if err != nil {
 		return nil, nil, err
 	}
 	var vm *fpvm.VM
 	if sys != nil {
-		p, err := patch.Apply(prog, nil)
-		if err != nil {
+		if _, err := fpvm.AnalyzeAndPatch(prog, m); err != nil {
 			return nil, nil, err
 		}
-		p.Install(m)
 		vm = fpvm.Attach(m, fpvm.Config{System: sys})
 	}
 	if err := m.Run(0); err != nil {

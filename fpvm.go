@@ -26,7 +26,8 @@
 //	internal/experiments                            table/figure regeneration
 //
 // Quick start (NewMachine, AnalyzeAndPatch and Attach below are the one-shot
-// form of the same pipeline):
+// form of the same pipeline). Correctness sites come only from an analyzed
+// image, so they are fixed before the program starts, as in the paper:
 //
 //	prog, _ := asm.Assemble(src)             // or workloads.Get(...)
 //	img, _ := patch.NewImage(prog)           // static analysis (§4.2), once
@@ -36,6 +37,7 @@
 package fpvm
 
 import (
+	"errors"
 	"io"
 
 	"fpvm/internal/arith"
@@ -75,14 +77,27 @@ func NewMachine(prog *Program, out io.Writer) (*Machine, error) {
 // underflow, or touch a NaN-boxed value.
 func Attach(m *Machine, cfg Config) *VM { return fpvm.Attach(m, cfg) }
 
-// AnalyzeAndPatch runs the §4.2 static value-set analysis and installs
-// correctness traps at every sink, returning the patch report.
+// AnalyzeAndPatch runs the §4.2 static value-set analysis on prog and
+// reloads m, which must be a machine created with prog that has neither run
+// nor been attached, over an image of prog carrying a correctness trap at
+// every sink; the image shares the instructions m already predecoded. It
+// returns the patch report.
 func AnalyzeAndPatch(prog *Program, m *Machine) (*patch.Patched, error) {
-	p, err := patch.Apply(prog, nil)
+	if prog != m.Prog || m.Stats.Instructions != 0 || m.FPTrap != nil || m.CorrectnessTrap != nil {
+		return nil, errors.New("fpvm: AnalyzeAndPatch needs a fresh machine created with prog, before Attach")
+	}
+	p, err := patch.Apply(prog)
 	if err != nil {
 		return nil, err
 	}
-	p.Install(m)
+	img, err := m.Image().WithSites(p.Sites)
+	if err == nil {
+		err = m.Load(img)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m.InstallSites()
 	return p, nil
 }
 

@@ -4,6 +4,8 @@ package fpvm_test
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -204,5 +206,97 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if vm.Stats.Traps == 0 {
 		t.Error("default config virtualized no FP instructions")
+	}
+}
+
+// sinkProg stores a NaN-boxed quotient and reads it back as an integer: one
+// §4.2 sink, so AnalyzeAndPatch installs one correctness site.
+const sinkProg = `
+.data
+a: .f64 1.0
+slot: .zero 8
+.text
+	movsd f0, [a]
+	divsd f0, =3.0
+	movsd [slot], f0
+	mov r0, [slot]
+	outi r0
+	halt
+`
+
+// TestAnalyzeAndPatchLoadsAnalyzedImage pins the one-shot pipeline's load:
+// AnalyzeAndPatch reloads the machine over an image carrying the sites,
+// sharing the instructions NewMachine predecoded, and the patched run reads
+// the IEEE bits at the sink.
+func TestAnalyzeAndPatchLoadsAnalyzedImage(t *testing.T) {
+	prog, err := asm.Assemble(sinkProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	m, err := fpvm.NewMachine(prog, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, insts := m.Image(), m.Insts()
+	p, err := fpvm.AnalyzeAndPatch(prog, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Sites) != 1 || m.Image().SiteCount() != 1 {
+		t.Fatalf("sites: report %d, image %d; want 1 each", len(p.Sites), m.Image().SiteCount())
+	}
+	for addr := range p.Sites {
+		if _, ok := m.CorrectnessSite(addr); !ok {
+			t.Fatalf("the sink at %#x carries no installed site", addr)
+		}
+	}
+	if m.Image() == before || !m.Image().Analyzed() {
+		t.Fatal("the machine was not reloaded over an analyzed image")
+	}
+	if &m.Insts()[0] != &insts[0] {
+		t.Error("the analyzed image predecoded the program again instead of sharing the machine's instructions")
+	}
+	fpvm.Attach(m, fpvm.Config{System: fpvm.NewVanillaSystem()})
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.TrimSpace(out.String()), strconv.FormatUint(math.Float64bits(1.0/3.0), 10); got != want {
+		t.Errorf("patched sink printed %s, want the IEEE bits of 1/3 (%s)", got, want)
+	}
+}
+
+// TestAnalyzeAndPatchRefusesLateCalls: the sites are fixed for a run, so
+// AnalyzeAndPatch refuses a machine that has retired an instruction, one
+// with a runtime already attached, and a program other than the machine's.
+func TestAnalyzeAndPatchRefusesLateCalls(t *testing.T) {
+	prog := buildAPIProg(t)
+	newM := func() *fpvm.Machine {
+		m, err := fpvm.NewMachine(prog, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	ran := newM()
+	if err := ran.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fpvm.AnalyzeAndPatch(prog, ran); err == nil {
+		t.Error("AnalyzeAndPatch accepted a machine that has already run")
+	}
+
+	attached := newM()
+	fpvm.Attach(attached, fpvm.Config{System: fpvm.NewVanillaSystem()})
+	if _, err := fpvm.AnalyzeAndPatch(prog, attached); err == nil {
+		t.Error("AnalyzeAndPatch accepted a machine with a runtime attached")
+	}
+
+	if _, err := fpvm.AnalyzeAndPatch(buildAPIProg(t), newM()); err == nil {
+		t.Error("AnalyzeAndPatch accepted a program the machine was not created with")
+	}
+	if _, err := fpvm.AnalyzeAndPatch(prog, newM()); err != nil {
+		t.Errorf("AnalyzeAndPatch on a fresh machine: %v", err)
 	}
 }

@@ -112,8 +112,8 @@ arr: .zero 32
 	}
 	var out bytes.Buffer
 	m, _ := machine.New(prog, &out)
+	loadSites(m, map[uint64]int64{sink: 1})
 	vm := Attach(m, Config{System: arith.Vanilla{}})
-	m.SetCorrectnessSite(sink, 1)
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ mask: .f64 -0.0, -0.0
 	}
 	var out bytes.Buffer
 	m, _ := machine.New(prog, &out)
+	loadSites(m, map[uint64]int64{site: 1})
 	vm := Attach(m, Config{System: arith.Vanilla{}})
-	m.SetCorrectnessSite(site, 1)
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,21 @@ func runNative(t *testing.T, src string) (string, *machine.Machine) {
 	return out.String(), m
 }
 
+// loadSites reloads m over an image of its program that carries the
+// correctness-site table sites, as an analyzed image does, and installs it:
+// the image is the only way a site reaches a machine. Call it before Attach.
+// Like findOpAddr it panics instead of taking a testing.T, for prep closures.
+func loadSites(m *machine.Machine, sites map[uint64]int64) {
+	img, err := m.Image().WithSites(sites)
+	if err == nil {
+		err = m.Load(img)
+	}
+	if err != nil {
+		panic(err)
+	}
+	m.InstallSites()
+}
+
 func runFPVM(t *testing.T, src string, sys arith.System, cfg Config) (string, *machine.Machine, *VM) {
 	t.Helper()
 	prog := asm.MustAssemble(src)
@@ -269,8 +284,8 @@ slot: .zero 8
 	// integer sees the IEEE bits of 1/3.
 	var out2 bytes.Buffer
 	m2, _ := machine.New(prog, &out2)
+	loadSites(m2, map[uint64]int64{sink: 1})
 	vm2 := Attach(m2, Config{System: arith.Vanilla{}})
-	m2.SetCorrectnessSite(sink, 1)
 	if err := m2.Run(0); err != nil {
 		t.Fatal(err)
 	}

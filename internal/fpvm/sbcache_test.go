@@ -23,6 +23,21 @@ func sbImage(t *testing.T, src string) *machine.Image {
 	return img
 }
 
+// bodySiteImage returns jitHotSrc's image carrying one correctness site, on
+// the first body instruction of its cached trace. A machine loaded over it
+// without InstallSites is a NoPatch run, free to compile and publish a trace
+// across the site; one that installs it must not adopt that trace.
+func bodySiteImage(t *testing.T) *machine.Image {
+	t.Helper()
+	plain := sbImage(t, jitHotSrc)
+	m, _ := newSBMachine(t, plain)
+	img, err := plain.WithSites(map[uint64]int64{traceBodyAddr(m): 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 // newSBMachine builds a fresh machine over img with its own output buffer.
 func newSBMachine(t *testing.T, img *machine.Image) (*machine.Machine, *bytes.Buffer) {
 	t.Helper()
@@ -85,12 +100,13 @@ func TestSBCacheWarmAttach(t *testing.T) {
 }
 
 // TestSBCacheBarrierRefusal: a session whose side table shadows the published
-// trace (a correctness site inside the body) must decline adoption and take
+// trace (a correctness site inside the body, installed from the image that a
+// NoPatch session published the trace on) must decline adoption and take
 // the classic compile path against its own barriers — never execute a shared
 // trace its semantics forbid.
 func TestSBCacheBarrierRefusal(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
-	img := sbImage(t, jitHotSrc)
+	img := bodySiteImage(t)
 	cache := NewSBCache()
 	cfg := Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache}
 
@@ -101,8 +117,8 @@ func TestSBCacheBarrierRefusal(t *testing.T) {
 	}
 
 	mB, outB := newSBMachine(t, img)
-	if !mB.SetCorrectnessSite(traceBodyAddr(mB), 1) {
-		t.Fatal("SetCorrectnessSite refused the body address")
+	if mB.InstallSites() != 1 {
+		t.Fatal("the image carries no body site")
 	}
 	vmB := Attach(mB, cfg)
 	entry, _ := mB.InstIndex(findOpAddr(mB, isa.OpDivsd))
@@ -123,13 +139,13 @@ func TestSBCacheBarrierRefusal(t *testing.T) {
 }
 
 // TestSBCacheConcurrentTenants races many sessions over one shared cache and
-// one image — some with a correctness site inside the published trace,
-// installed before the run — and requires every tenant to produce the native
-// output. Run under -race (make race) this is the cross-tenant check at the
-// fpvm layer.
+// one image — some installing the image's correctness site inside the
+// published trace, the rest running without it — and requires every tenant
+// to produce the native output. Run under -race (make race) this is the
+// cross-tenant check at the fpvm layer.
 func TestSBCacheConcurrentTenants(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
-	img := sbImage(t, jitHotSrc)
+	img := bodySiteImage(t)
 	cache := NewSBCache()
 
 	const tenants = 12
@@ -150,7 +166,7 @@ func TestSBCacheConcurrentTenants(t *testing.T) {
 				// Mutating tenant: a correctness site shadows the trace body,
 				// so this tenant declines the shared trace and compiles its
 				// own.
-				m.SetCorrectnessSite(traceBodyAddr(m), 1)
+				m.InstallSites()
 			}
 			Attach(m, Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache})
 			if err := m.Run(0); err != nil {

@@ -92,7 +92,7 @@ func TestSeqStopConditions(t *testing.T) {
 			name: "correctness site stops",
 			next: []string{"addsd f1, =1.5"},
 			prep: func(m *machine.Machine) {
-				m.SetCorrectnessSite(findOpAddr(m, isa.OpAddsd), 1)
+				loadSites(m, map[uint64]int64{findOpAddr(m, isa.OpAddsd): 1})
 			},
 			want: 0,
 		},
@@ -102,7 +102,7 @@ func TestSeqStopConditions(t *testing.T) {
 			name: "barrier mid-trace cuts run",
 			next: []string{"addsd f1, =1.5", "mulsd f1, =1.25"},
 			prep: func(m *machine.Machine) {
-				m.SetCorrectnessSite(findOpAddr(m, isa.OpMulsd), 1)
+				loadSites(m, map[uint64]int64{findOpAddr(m, isa.OpMulsd): 1})
 			},
 			want: 1,
 		},

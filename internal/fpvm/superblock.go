@@ -15,10 +15,11 @@
 // A superblock never goes stale, so nothing invalidates it. It caches what
 // the interpreter would do, and every input to that is fixed for the run:
 // the instruction stream is the immutable machine.Image, the correctness
-// sites are fixed once the run starts (Machine.SetCorrectnessSite refuses
-// after the first retired instruction), the patch slot belongs to the VM,
-// and a trace body dispatches no patch, so a later compile inside an older
-// trace's span leaves that trace exact. VM.Reattach re-arms the cache empty.
+// sites come only from the image's site table (Machine.InstallSites, at
+// load, before the VM attaches; no machine API sets one site), the patch
+// slot belongs to the VM, and a trace body dispatches no patch, so a later
+// compile inside an older trace's span leaves that trace exact.
+// VM.Reattach re-arms the cache empty.
 package fpvm
 
 import (

@@ -290,7 +290,7 @@ func TestJITReattachRearms(t *testing.T) {
 func TestJITEntryBarrierBlacklisted(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
 	virt, m, vm := runSB(t, jitHotSrc, Config{JITThreshold: 3}, func(m *machine.Machine) {
-		m.SetCorrectnessSite(findOpAddr(m, isa.OpDivsd), 1)
+		loadSites(m, map[uint64]int64{findOpAddr(m, isa.OpDivsd): 1})
 	})
 	if virt != native {
 		t.Fatalf("output diverged:\nnative: %sfpvm:  %s", native, virt)

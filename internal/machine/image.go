@@ -133,7 +133,8 @@ type PublishedTrace struct {
 // site table (instruction address → site id) that loaders install with
 // InstallSites; nil means the program was not analyzed, which a loader that
 // requires the table can detect with Analyzed. Every site must sit on an
-// instruction boundary.
+// instruction boundary. The image is the only source of a machine's
+// correctness sites, so they are fixed for every run over it.
 func NewImage(prog *isa.Program, sites map[uint64]int64) (*Image, error) {
 	if prog == nil {
 		return nil, errors.New("machine: nil program")
@@ -156,18 +157,28 @@ func NewImage(prog *isa.Program, sites map[uint64]int64) (*Image, error) {
 		in := &im.insts[i]
 		im.info[i] = instInfo{charge: costModel.charge(in), class: classify(in)}
 	}
-	if sites != nil {
-		im.analyzed = true
-		im.sites = make([]imageSite, 0, len(sites))
-		for addr, id := range sites {
-			idx, ok := im.instIndex(addr)
-			if !ok {
-				return nil, fmt.Errorf("machine: correctness site %#x is not an instruction boundary", addr)
-			}
-			im.sites = append(im.sites, imageSite{idx, id})
-		}
+	if sites == nil {
+		return im, nil
 	}
-	return im, nil
+	return im.WithSites(sites)
+}
+
+// WithSites returns an image of the same program carrying the correctness
+// site table sites, the one place a site address is resolved. It shares im's
+// predecoded stream, addr→index table and charges, so nothing is decoded
+// again, and starts with no published traces. Every site must sit on an
+// instruction boundary.
+func (im *Image) WithSites(sites map[uint64]int64) (*Image, error) {
+	out := &Image{prog: im.prog, insts: im.insts, addrIdx: im.addrIdx, info: im.info,
+		analyzed: true, sites: make([]imageSite, 0, len(sites))}
+	for addr, id := range sites {
+		idx, ok := im.instIndex(addr)
+		if !ok {
+			return nil, fmt.Errorf("machine: correctness site %#x is not an instruction boundary", addr)
+		}
+		out.sites = append(out.sites, imageSite{idx, id})
+	}
+	return out, nil
 }
 
 // Program returns the program the image was built from.

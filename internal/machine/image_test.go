@@ -64,9 +64,10 @@ func TestImageSharedAcrossMachines(t *testing.T) {
 	}
 }
 
-// TestInstallSites pins the image's correctness-site table: NewImage maps
-// addresses to instructions once, InstallSites puts every site into the
-// loading machine's own slots, and Reset clears them again.
+// TestInstallSites pins the image's correctness-site table: NewImage (or
+// WithSites over an already-predecoded image) maps addresses to instructions
+// once, InstallSites puts every site into the loading machine's own slots,
+// and Reset clears them again.
 func TestInstallSites(t *testing.T) {
 	prog := resetProg(t)
 	plain := mustImage(t, prog)
@@ -85,7 +86,7 @@ func TestInstallSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CorrectnessSiteCount() != 0 {
+	if _, ok := m.CorrectnessSite(second); ok {
 		t.Fatal("Load installed sites without InstallSites")
 	}
 	if n := m.InstallSites(); n != 1 {
@@ -97,8 +98,19 @@ func TestInstallSites(t *testing.T) {
 	if err := m.Reset(img, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m.CorrectnessSiteCount() != 0 {
+	if _, ok := m.CorrectnessSite(second); ok {
 		t.Fatal("Reset kept the previous run's sites")
+	}
+
+	shared, err := plain.WithSites(map[uint64]int64{second: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shared.Analyzed() || shared.SiteCount() != 1 || &shared.insts[0] != &plain.insts[0] {
+		t.Fatal("WithSites did not share the predecoded stream under one site")
+	}
+	if _, err := plain.WithSites(map[uint64]int64{second + 1: 1}); err == nil {
+		t.Error("WithSites accepted a site off an instruction boundary")
 	}
 
 	if _, err := NewImage(prog, map[uint64]int64{second + 1: 1}); err == nil {

@@ -31,12 +31,6 @@ x: .zero 8
 		t.Fatal(err)
 	}
 
-	// Plant a quiet NaN in x so the NaN-load extension fires.
-	nan := math.Float64bits(math.NaN())
-	if err := m.WriteU64(DefaultDataBase, nan); err != nil {
-		t.Fatal(err)
-	}
-
 	// Locate the integer load.
 	var movAddr uint64
 	found := false
@@ -55,6 +49,14 @@ x: .zero 8
 		t.Fatalf("InstIndex(%#x) not a boundary", movAddr)
 	}
 
+	loadSites(t, m, map[uint64]int64{movAddr: 7})
+
+	// Plant a quiet NaN in x so the NaN-load extension fires.
+	nan := math.Float64bits(math.NaN())
+	if err := m.WriteU64(DefaultDataBase, nan); err != nil {
+		t.Fatal(err)
+	}
+
 	patchCalls := 0
 	if !m.SetPatch(movAddr, func(f *TrapFrame) (bool, error) {
 		patchCalls++
@@ -64,9 +66,6 @@ x: .zero 8
 		return false, nil // preconditions "fail": execute natively
 	}) {
 		t.Fatal("SetPatch refused the mov address")
-	}
-	if !m.SetCorrectnessSite(movAddr, 7) {
-		t.Fatal("SetCorrectnessSite refused the mov address")
 	}
 	m.TrapOnNaNLoad = true
 

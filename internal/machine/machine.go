@@ -304,7 +304,9 @@ func (m *Machine) Load(img *Image) error {
 func (m *Machine) Image() *Image { return m.img }
 
 // InstallSites installs every correctness site of the loaded image's table
-// (see NewImage) and returns how many there are.
+// (see NewImage) and returns how many there are. It is the only way a site
+// reaches a machine: the sites a run sees are the image's, fixed before the
+// first instruction retires, so a trace compiled over them never goes stale.
 func (m *Machine) InstallSites() int {
 	for _, s := range m.img.sites {
 		m.slots[s.idx].site = s.id
@@ -481,22 +483,6 @@ func (m *Machine) SetPatch(addr uint64, h PatchHandler) bool {
 	return true
 }
 
-// SetCorrectnessSite installs a correctness-trap site at addr; the machine
-// delivers a correctness trap before each execution of that instruction. It
-// reports false, installing nothing, when addr is not an instruction
-// boundary or when the machine has retired an instruction since it was
-// built or last Reset: the correctness sites are fixed for the length of a
-// run, so a trace compiled over them never goes stale.
-func (m *Machine) SetCorrectnessSite(addr uint64, site int64) bool {
-	i, ok := m.InstIndex(addr)
-	if !ok || m.Stats.Instructions != 0 {
-		return false
-	}
-	m.slots[i].site = site
-	m.slots[i].hasSite = true
-	return true
-}
-
 // CorrectnessSite returns the site id installed at addr, if any.
 func (m *Machine) CorrectnessSite(addr uint64) (int64, bool) {
 	i, ok := m.InstIndex(addr)
@@ -504,17 +490,6 @@ func (m *Machine) CorrectnessSite(addr uint64) (int64, bool) {
 		return 0, false
 	}
 	return m.slots[i].site, true
-}
-
-// CorrectnessSiteCount returns how many correctness sites are installed.
-func (m *Machine) CorrectnessSiteCount() int {
-	n := 0
-	for i := range m.slots {
-		if m.slots[i].hasSite {
-			n++
-		}
-	}
-	return n
 }
 
 // WritableBase returns the base of writable program memory: the data segment

@@ -351,8 +351,7 @@ func TestCorrectnessSites(t *testing.T) {
 		halt
 	`)
 	m, _ := New(prog, &bytes.Buffer{})
-	// Find the mov instruction address (entry).
-	m.SetCorrectnessSite(0, 7)
+	loadSites(t, m, map[uint64]int64{0: 7}) // the mov at the entry
 	var seen []int64
 	m.CorrectnessTrap = func(f *TrapFrame) error {
 		seen = append(seen, f.Site)
@@ -371,38 +370,19 @@ func TestCorrectnessSites(t *testing.T) {
 	}
 }
 
-// TestCorrectnessSitesFixedOnceRunning: once the machine has retired an
-// instruction, SetCorrectnessSite refuses and leaves the slot empty, so the
-// sites a cached trace was compiled against cannot change under it. Reset
-// starts a new run and accepts sites again.
-func TestCorrectnessSitesFixedOnceRunning(t *testing.T) {
-	m, err := New(asm.MustAssemble(`
-		mov r0, $1
-		mov r1, $2
-		halt
-	`), &bytes.Buffer{})
+// loadSites reloads m over an image of its program that carries the
+// correctness-site table sites, as an analyzed image does, and installs it:
+// the image is the only way a site reaches a machine.
+func loadSites(t *testing.T, m *Machine, sites map[uint64]int64) {
+	t.Helper()
+	img, err := m.Image().WithSites(sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := m.Insts()[1].Addr
-	if err := m.Step(); err != nil {
+	if err := m.Load(img); err != nil {
 		t.Fatal(err)
 	}
-	if m.SetCorrectnessSite(second, 7) {
-		t.Fatal("SetCorrectnessSite accepted a site after the first retired instruction")
-	}
-	if _, ok := m.CorrectnessSite(second); ok || m.CorrectnessSiteCount() != 0 {
-		t.Fatal("a refused site left its slot filled")
-	}
-	if err := m.Reset(m.Image(), &bytes.Buffer{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !m.SetCorrectnessSite(second, 7) {
-		t.Fatal("SetCorrectnessSite refused a site after Reset")
-	}
-	if id, ok := m.CorrectnessSite(second); !ok || id != 7 {
-		t.Fatalf("CorrectnessSite = %d, %v; want 7, true", id, ok)
-	}
+	m.InstallSites()
 }
 
 func TestTrapAndPatchMode(t *testing.T) {

@@ -127,7 +127,7 @@ func TestTrapPathAllocatesNothing(t *testing.T) {
 			})
 		}, func(_ *testing.T, m *Machine) uint64 { return m.Stats.PatchInvokes }},
 		{"correctness-site", func(t *testing.T, m *Machine) {
-			m.SetCorrectnessSite(loopAddr(t, m, isa.OpMov), 3)
+			loadSites(t, m, map[uint64]int64{loopAddr(t, m, isa.OpMov): 3})
 			m.CorrectnessTrap = func(*TrapFrame) error { return nil }
 		}, func(_ *testing.T, m *Machine) uint64 { return m.Stats.CorrectTraps }},
 	}
@@ -232,7 +232,7 @@ func TestTrapFrameContract(t *testing.T) {
 		f.Coalesced = 99 // scribble: the next delivery must not see it
 		f.Site = 99
 	}
-	m.SetCorrectnessSite(insts[2].Addr, 7)
+	loadSites(t, m, map[uint64]int64{insts[2].Addr: 7})
 	m.CorrectnessTrap = func(f *TrapFrame) error {
 		record(f)
 		return nil

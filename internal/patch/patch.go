@@ -1,7 +1,7 @@
 // Package patch turns a VSA report into the correctness traps of §4.2: the
-// e9patch analog. Each sink instruction is registered as a correctness site
-// so that the machine delivers a trap to FPVM immediately before executing
-// it; FPVM demotes any NaN-boxed operand in place and the instruction is
+// e9patch analog. Each sink instruction becomes a correctness site in the
+// program's machine.Image, so that every machine loaded over the image
+// delivers a trap to FPVM immediately before executing it; FPVM demotes any NaN-boxed operand in place and the instruction is
 // then re-executed natively — the paper's "explicitly trap to FPVM ... and
 // re-execute the instruction by using the x64's trap mode to do single
 // instruction stepping".
@@ -23,14 +23,12 @@ type Patched struct {
 	Rep   *vsa.Report
 }
 
-// Apply analyzes prog (if rep is nil) and produces the patched image.
-func Apply(prog *isa.Program, rep *vsa.Report) (*Patched, error) {
-	if rep == nil {
-		var err error
-		rep, err = vsa.Analyze(prog, 0)
-		if err != nil {
-			return nil, err
-		}
+// Apply runs the §4.2 value-set analysis on prog and numbers its sinks as
+// correctness sites.
+func Apply(prog *isa.Program) (*Patched, error) {
+	rep, err := vsa.Analyze(prog, 0)
+	if err != nil {
+		return nil, err
 	}
 	p := &Patched{
 		Prog:  prog,
@@ -48,19 +46,11 @@ func Apply(prog *isa.Program, rep *vsa.Report) (*Patched, error) {
 // of the pipeline, run once per program. The image keeps the site table, not
 // the rest of the VSA report.
 func NewImage(prog *isa.Program) (*machine.Image, error) {
-	p, err := Apply(prog, nil)
+	p, err := Apply(prog)
 	if err != nil {
 		return nil, err
 	}
 	return machine.NewImage(prog, p.Sites)
-}
-
-// Install loads the correctness sites into a machine running the program,
-// populating the machine's per-instruction side-table slots.
-func (p *Patched) Install(m *machine.Machine) {
-	for addr, site := range p.Sites {
-		m.SetCorrectnessSite(addr, site)
-	}
 }
 
 // Summary writes a human-readable report of what was patched.

@@ -10,7 +10,6 @@ import (
 	"fpvm/internal/asm"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/machine"
-	"fpvm/internal/vsa"
 )
 
 const holeSrc = `
@@ -28,7 +27,7 @@ slot: .zero 8
 
 func TestApplyAndInstall(t *testing.T) {
 	prog := asm.MustAssemble(holeSrc)
-	p, err := Apply(prog, nil)
+	p, err := Apply(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +37,21 @@ func TestApplyAndInstall(t *testing.T) {
 	if len(p.Rep.Sources) != 1 {
 		t.Fatalf("sources = %d", len(p.Rep.Sources))
 	}
-	m, err := machine.New(prog, nil)
+	img, err := NewImage(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Install(m)
-	if m.CorrectnessSiteCount() != 1 {
-		t.Fatal("Install did not set correctness sites")
+	m, err := machine.NewFromImage(img, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.InstallSites(); n != 1 {
+		t.Fatalf("InstallSites installed %d, want the image's 1", n)
+	}
+	for addr, id := range p.Sites {
+		if got, ok := m.CorrectnessSite(addr); !ok || got != id {
+			t.Errorf("site %#x = %d, %v; want Apply's id %d", addr, got, ok, id)
+		}
 	}
 }
 
@@ -53,18 +60,19 @@ func TestApplyAndInstall(t *testing.T) {
 func TestEndToEndCorrectness(t *testing.T) {
 	runWith := func(install bool) int64 {
 		prog := asm.MustAssemble(holeSrc)
-		var out bytes.Buffer
-		m, err := machine.New(prog, &out)
+		img, err := machine.NewImage(prog, nil)
+		if install {
+			img, err = NewImage(prog)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if install {
-			p, err := Apply(prog, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Install(m)
+		var out bytes.Buffer
+		m, err := machine.NewFromImage(img, &out, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.InstallSites()
 		fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}})
 		if err := m.Run(0); err != nil {
 			t.Fatal(err)
@@ -108,24 +116,9 @@ func fmtSscan(s string, v *int64) (int, error) {
 	return 1, nil
 }
 
-func TestApplyWithProvidedReport(t *testing.T) {
-	prog := asm.MustAssemble(holeSrc)
-	rep, err := vsa.Analyze(prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Apply(prog, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rep != rep {
-		t.Error("provided report should be used as-is")
-	}
-}
-
 func TestSummaryOutput(t *testing.T) {
 	prog := asm.MustAssemble(holeSrc)
-	p, err := Apply(prog, nil)
+	p, err := Apply(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +138,7 @@ func TestCleanProgramNoSites(t *testing.T) {
 		outi r0
 		halt
 	`)
-	p, err := Apply(prog, nil)
+	p, err := Apply(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +163,7 @@ s2: .zero 8
 	outi r1
 	halt
 	`)
-	p, err := Apply(prog, nil)
+	p, err := Apply(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"fpvm/internal/session"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	fpvmapi "fpvm"
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/machine"
-	"fpvm/internal/patch"
+	"fpvm/internal/session"
 )
 
 // fpSrc is a small FP guest: a few hundred trap deliveries, then a clean
@@ -207,8 +207,8 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 }
 
 // TestDeadlineMatchesManualPipeline pins that the session layer adds nothing
-// to the deadline semantics: a session-truncated run and a hand-assembled
-// machine+patch+VM pipeline (the one-shot shape) stop at the same instruction
+// to the deadline semantics: a session-truncated run and the root one-shot
+// API (NewMachine, AnalyzeAndPatch, Attach) stop at the same instruction
 // boundary with identical harvested stats, so CLI and service timeouts are
 // the same mechanism.
 func TestDeadlineMatchesManualPipeline(t *testing.T) {
@@ -218,43 +218,38 @@ func TestDeadlineMatchesManualPipeline(t *testing.T) {
 	sc.Store(true)
 	cfg := baseConfig()
 	cfg.Cancel = &sc
+	cfg.MemSize = 0 // the one-shot machine's default geometry
 	res, err := session.New().Run(prog, cfg)
 	if err != nil || !res.DeadlineExceeded {
 		t.Fatalf("session run: err=%v deadline=%v", err, res.DeadlineExceeded)
 	}
 
-	// The manual pipeline, assembled by hand as the one-shot root API does.
-	raw, err := machine.NewImage(prog.Program(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The root one-shot API at the same geometry.
 	var out bytes.Buffer
-	m, err := machine.NewFromImage(raw, &out, testMemSize)
+	m, err := fpvmapi.NewMachine(prog.Program(), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := patch.Apply(prog.Program(), nil)
-	if err != nil {
+	if _, err := fpvmapi.AnalyzeAndPatch(prog.Program(), m); err != nil {
 		t.Fatal(err)
 	}
-	pt.Install(m)
-	fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}})
+	fpvmapi.Attach(m, fpvm.Config{System: arith.Vanilla{}})
 	var mc atomic.Bool
 	mc.Store(true)
 	m.Preempt = &mc
 	var de *machine.DeadlineError
 	if err := m.Run(session.DefaultMaxInst); !errors.As(err, &de) {
-		t.Fatalf("manual run = %v, want *DeadlineError", err)
+		t.Fatalf("one-shot run = %v, want *DeadlineError", err)
 	}
 
 	if res.Instructions != m.Stats.Instructions {
-		t.Errorf("instructions: session %d vs manual %d", res.Instructions, m.Stats.Instructions)
+		t.Errorf("instructions: session %d vs one-shot %d", res.Instructions, m.Stats.Instructions)
 	}
 	if res.Cycles != m.Cycles {
-		t.Errorf("cycles: session %d vs manual %d", res.Cycles, m.Cycles)
+		t.Errorf("cycles: session %d vs one-shot %d", res.Cycles, m.Cycles)
 	}
 	if res.Output != out.String() {
-		t.Errorf("output diverged: session %q vs manual %q", res.Output, out.String())
+		t.Errorf("output diverged: session %q vs one-shot %q", res.Output, out.String())
 	}
 }
 

@@ -3,12 +3,12 @@ package session_test
 import (
 	"bytes"
 	"fmt"
-	"fpvm/internal/session"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	fpvmapi "fpvm"
 	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/fpvm"
@@ -17,6 +17,7 @@ import (
 	"fpvm/internal/oracle"
 	"fpvm/internal/patch"
 	"fpvm/internal/sanitize"
+	"fpvm/internal/session"
 )
 
 // testMemSize keeps pooled guests small and GC scan costs comparable across
@@ -202,9 +203,9 @@ func TestObserversInvisibleAllTargets(t *testing.T) {
 }
 
 // TestSessionMatchesManualPipeline pins that a Session's fresh run equals
-// the literal one-shot pipeline assembled by hand (a machine over a bare
-// image, patch.Apply's sites installed one by one, fpvm.Attach) — the
-// session's load step adds orchestration, not behavior.
+// the root one-shot API (fpvm.NewMachine, AnalyzeAndPatch, Attach) at the
+// same default geometry: the session's load step adds orchestration, not
+// behavior, and both take their correctness sites from an analyzed image.
 func TestSessionMatchesManualPipeline(t *testing.T) {
 	tgt, err := oracle.Lookup("FBench")
 	if err != nil {
@@ -215,40 +216,39 @@ func TestSessionMatchesManualPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := machine.NewImage(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	m, err := machine.NewFromImage(raw, &out, testMemSize)
+	m, err := fpvmapi.NewMachine(prog, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := patch.Apply(prog, nil)
+	p, err := fpvmapi.AnalyzeAndPatch(prog, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Install(m)
-	vm := fpvm.Attach(m, fpvm.Config{System: arith.Vanilla{}})
+	vm := fpvmapi.Attach(m, fpvm.Config{System: arith.Vanilla{}})
 	if err := m.Run(0); err != nil {
-		t.Fatalf("manual pipeline: %v", err)
+		t.Fatalf("one-shot pipeline: %v", err)
 	}
 
-	s := session.New()
-	res, err := s.Run(mustImage(t, prog), baseConfig())
+	cfg := baseConfig()
+	cfg.MemSize = 0 // the one-shot machine's default geometry
+	res, err := session.New().Run(mustImage(t, prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.CorrectnessSites != len(p.Sites) {
+		t.Errorf("correctness sites: one-shot %d, session %d", len(p.Sites), res.CorrectnessSites)
+	}
 	if res.Output != out.String() {
-		t.Errorf("output diverged from manual pipeline:\nmanual:  %q\nsession: %q", out.String(), res.Output)
+		t.Errorf("output diverged from one-shot pipeline:\none-shot: %q\nsession:  %q", out.String(), res.Output)
 	}
 	if res.Cycles != m.Cycles {
-		t.Errorf("cycles diverged from manual pipeline: manual %d, session %d", m.Cycles, res.Cycles)
+		t.Errorf("cycles diverged from one-shot pipeline: one-shot %d, session %d", m.Cycles, res.Cycles)
 	}
 	want := vm.Stats
 	want.GC.LastWall, res.VM.GC.LastWall = 0, 0 // host wall clock, nondeterministic
 	if res.VM != want {
-		t.Errorf("VM stats diverged from manual pipeline:\nmanual:  %+v\nsession: %+v", want, res.VM)
+		t.Errorf("VM stats diverged from one-shot pipeline:\none-shot: %+v\nsession:  %+v", want, res.VM)
 	}
 }
 

@@ -119,45 +119,44 @@ func entryState() regState {
 
 // isBot reports whether the state is unreached (⊥ everywhere). SP is never
 // ⊥ on any reachable path, so it serves as the sentinel.
-func (s regState) isBot() bool { return s.regs[isa.RegSP].IsBot() }
+func (s *regState) isBot() bool { return s.regs[isa.RegSP].IsBot() }
 
-func (s regState) join(t regState) regState {
-	if s.isBot() {
-		return t
-	}
-	if t.isBot() {
-		return s
-	}
-	r := s
-	for i := range r.regs {
-		r.regs[i] = s.regs[i].Join(t.regs[i])
-	}
-	r.joinCmp(t)
-	return r
+// join merges t into s in place (s = s ⊔ t) and reports whether s changed
+// as equal sees it; widenWith merges with AbsVal.widenTo instead. Both work
+// on the analyzer's own state arrays, so no whole state is copied.
+func (s *regState) join(t *regState) bool { return s.merge(t, nil, false) }
+
+func (s *regState) widenWith(t *regState, thresholds []int64) bool {
+	return s.merge(t, thresholds, true)
 }
 
-func (r *regState) joinCmp(t regState) {
-	if !r.cmpValid || !t.cmpValid || r.cmpReg != t.cmpReg ||
-		r.cmpRhsIsReg != t.cmpRhsIsReg ||
-		(r.cmpRhsIsReg && r.cmpRhsReg != t.cmpRhsReg) ||
-		(!r.cmpRhsIsReg && r.cmpConst != t.cmpConst) {
-		r.cmpValid = false
-	}
-}
-
-func (s regState) widenWith(t regState, thresholds []int64) regState {
+// merge: an unreached s takes t whole and an unreached t leaves s alone;
+// otherwise only the registers and cmpValid can change.
+func (s *regState) merge(t *regState, thresholds []int64, widen bool) bool {
 	if s.isBot() {
-		return t
+		changed := !s.equal(t)
+		*s = *t
+		return changed
 	}
 	if t.isBot() {
-		return s
+		return false
 	}
-	r := s
-	for i := range r.regs {
-		r.regs[i] = s.regs[i].widenTo(t.regs[i], thresholds)
+	changed := false
+	for i := range s.regs {
+		var v AbsVal
+		if widen {
+			v = s.regs[i].widenTo(t.regs[i], thresholds)
+		} else {
+			v = s.regs[i].Join(t.regs[i])
+		}
+		changed = changed || v != s.regs[i]
+		s.regs[i] = v
 	}
-	r.joinCmp(t)
-	return r
+	if s.cmpValid && (!t.cmpValid || s.cmpReg != t.cmpReg || s.cmpRhsIsReg != t.cmpRhsIsReg ||
+		(s.cmpRhsIsReg && s.cmpRhsReg != t.cmpRhsReg) || (!s.cmpRhsIsReg && s.cmpConst != t.cmpConst)) {
+		s.cmpValid, changed = false, true
+	}
+	return changed
 }
 
 // collectThresholds harvests the constants compared against registers: the
@@ -181,7 +180,7 @@ func (a *analyzer) collectThresholds() {
 	sort.Slice(a.thresholds, func(i, j int) bool { return a.thresholds[i] < a.thresholds[j] })
 }
 
-func (s regState) equal(t regState) bool {
+func (s *regState) equal(t *regState) bool {
 	if s.cmpValid != t.cmpValid ||
 		(s.cmpValid && (s.cmpReg != t.cmpReg || s.cmpConst != t.cmpConst)) {
 		return false
@@ -194,14 +193,15 @@ func (s regState) equal(t regState) bool {
 	return true
 }
 
-// refineBranch narrows the compared register on a conditional edge.
-func (s regState) refineBranch(op isa.Op, taken bool) regState {
+// refineBranch narrows the compared register on a conditional edge, in
+// place.
+func (s *regState) refineBranch(op isa.Op, taken bool) {
 	if !s.cmpValid {
-		return s
+		return
 	}
 	v := s.regs[s.cmpReg]
 	if v.kind != vRange || v.base != baseNone {
-		return s
+		return
 	}
 	// Against a register: use the bound of the right-hand side's range
 	// (e.g. "cmp r2, r3; jl" taken means r2 <= max(r3) - 1).
@@ -209,7 +209,7 @@ func (s regState) refineBranch(op isa.Op, taken bool) regState {
 	if s.cmpRhsIsReg {
 		rv := s.regs[s.cmpRhsReg]
 		if rv.kind != vRange || rv.base != baseNone {
-			return s
+			return
 		}
 		cLo, cHi = rv.lo, rv.hi
 	} else {
@@ -241,7 +241,7 @@ func (s regState) refineBranch(op isa.Op, taken bool) regState {
 		case isa.OpJne:
 			cond = isa.OpJe
 		default:
-			return s
+			return
 		}
 	}
 	switch cond {
@@ -256,17 +256,15 @@ func (s regState) refineBranch(op isa.Op, taken bool) regState {
 	case isa.OpJe:
 		apply(cLo, cHi)
 	case isa.OpJne:
-		return s // punctured ranges are not representable
+		return // punctured ranges are not representable
 	default:
-		return s
+		return
 	}
 	if lo > hi {
 		// Contradiction: the edge is infeasible; keep a degenerate value.
 		lo, hi = cLo, cHi
 	}
-	nv := Range(lo, hi, v.stride)
-	s.regs[s.cmpReg] = nv
-	return s
+	s.regs[s.cmpReg] = Range(lo, hi, v.stride)
 }
 
 type analyzer struct {
@@ -275,6 +273,7 @@ type analyzer struct {
 	idxByAddr  map[uint64]int
 	in         []regState
 	visits     []int
+	succ       []int // successors' scratch, reused by every call
 	imprecise  bool
 	thresholds []int64 // widening thresholds from cmp-immediate constants
 	capped     bool    // fixpoint hit the iteration budget
@@ -299,6 +298,10 @@ func (a *analyzer) fixpoint(rep *Report, maxIters int) {
 		a.in[i] = entryState()
 		work = append(work, i)
 	}
+	// out is the popped instruction's out-state and edge its refinement
+	// along one conditional edge; each successor's in-state is merged in
+	// place.
+	var out, edge regState
 	steps := 0
 	for len(work) > 0 {
 		steps++
@@ -309,29 +312,32 @@ func (a *analyzer) fixpoint(rep *Report, maxIters int) {
 		}
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := a.transfer(a.insts[i], a.in[i])
-		in := a.insts[i]
+		in := &a.insts[i]
+		out = a.in[i]
+		a.transfer(in, &out)
 		isCond := in.Op.IsBranch() && in.Op != isa.OpJmp
-		for _, succ := range a.successors(i) {
-			edge := out
+		a.succ = a.successors(i, a.succ[:0])
+		for _, succ := range a.succ {
+			e := &out
 			if isCond {
 				// The branch target is the taken edge; the textually next
 				// instruction is the fallthrough.
 				taken := !(a.insts[succ].Addr == in.Addr+uint64(in.Len))
-				edge = out.refineBranch(in.Op, taken)
+				edge = out
+				edge.refineBranch(in.Op, taken)
+				e = &edge
 			}
-			var merged regState
 			a.visits[succ]++
 			// Widen only along back edges (loop heads): every cycle
 			// contains one, so termination is preserved, while values
 			// that merely flow forward through a loop stay precise.
+			var changed bool
 			if succ <= i && a.visits[succ] > widenAfter {
-				merged = a.in[succ].widenWith(edge, a.thresholds)
+				changed = a.in[succ].widenWith(e, a.thresholds)
 			} else {
-				merged = a.in[succ].join(edge)
+				changed = a.in[succ].join(e)
 			}
-			if !merged.equal(a.in[succ]) {
-				a.in[succ] = merged
+			if changed {
 				work = append(work, succ)
 			}
 		}
@@ -356,40 +362,45 @@ func (a *analyzer) narrow(rounds int) {
 	}
 	preds := make([][]edge, len(a.insts))
 	for i := range a.insts {
-		in := a.insts[i]
+		in := &a.insts[i]
 		isCond := in.Op.IsBranch() && in.Op != isa.OpJmp
-		for _, succ := range a.successors(i) {
+		a.succ = a.successors(i, a.succ[:0])
+		for _, succ := range a.succ {
 			taken := isCond && a.insts[succ].Addr != in.Addr+uint64(in.Len)
 			preds[succ] = append(preds[succ], edge{i, taken, in.Op, isCond})
 		}
 	}
 	entryIdx, hasEntry := a.idxByAddr[a.prog.Entry]
+	entry := entryState()
+	var merged, out regState
 	for r := 0; r < rounds; r++ {
 		for i := range a.insts {
 			if len(preds[i]) == 0 {
 				continue // entry or call-target-only nodes keep their state
 			}
-			merged := botState()
+			// merged is built apart from a.in[i]: a self-loop edge reads
+			// the old state.
+			merged = botState()
 			for _, e := range preds[i] {
-				out := a.transfer(a.insts[e.from], a.in[e.from])
+				out = a.in[e.from]
+				a.transfer(&a.insts[e.from], &out)
 				if e.isCond {
-					out = out.refineBranch(e.cond, e.taken)
+					out.refineBranch(e.cond, e.taken)
 				}
-				merged = merged.join(out)
+				merged.join(&out)
 			}
 			if hasEntry && i == entryIdx {
-				merged = merged.join(entryState())
+				merged.join(&entry)
 			}
 			a.in[i] = merged
 		}
 	}
 }
 
-// successors returns the CFG edges out of instruction i.
-func (a *analyzer) successors(i int) []int {
-	in := a.insts[i]
+// successors appends the CFG edges out of instruction i to out.
+func (a *analyzer) successors(i int, out []int) []int {
+	in := &a.insts[i]
 	next, hasNext := a.idxByAddr[in.Addr+uint64(in.Len)]
-	var out []int
 
 	target := func() (int, bool) {
 		if len(in.Ops) != 1 || in.Ops[0].Kind != isa.KindImm {
@@ -434,8 +445,9 @@ func (a *analyzer) successors(i int) []int {
 	return out
 }
 
-// transfer applies one instruction's effect to the register state.
-func (a *analyzer) transfer(in isa.Inst, s regState) regState {
+// transfer applies one instruction's effect to the register state s, in
+// place.
+func (a *analyzer) transfer(in *isa.Inst, s *regState) {
 	val := func(o isa.Operand) AbsVal {
 		switch o.Kind {
 		case isa.KindIntReg:
@@ -544,11 +556,10 @@ func (a *analyzer) transfer(in isa.Inst, s regState) regState {
 		s.regs[isa.RegSP] = sp
 		s.cmpValid = false
 	}
-	return s
 }
 
 // memAddr evaluates a memory operand's effective address abstractly.
-func (a *analyzer) memAddr(o isa.Operand, s regState) AbsVal {
+func (a *analyzer) memAddr(o isa.Operand, s *regState) AbsVal {
 	addr := Const(int64(o.Disp))
 	if o.Base != isa.RegNone {
 		addr = addr.add(s.regs[o.Base])
@@ -574,7 +585,7 @@ func (a *analyzer) classify(rep *Report) {
 		}
 		if (in.Op.IsFPMove() || in.Op.IsFPArith()) && len(in.Ops) > 0 &&
 			in.Ops[0].Kind == isa.KindMem {
-			addr := a.memAddr(in.Ops[0], a.in[i])
+			addr := a.memAddr(in.Ops[0], &a.in[i])
 			rep.Sources = append(rep.Sources, Site{in.Addr, in, "fp-store"})
 			a.taintRange(taint, addr, width)
 		}
@@ -599,7 +610,7 @@ func (a *analyzer) classify(rep *Report) {
 			reads = append(reads, isa.Mem(isa.RegSP, 0))
 		}
 		for _, o := range reads {
-			addr := a.memAddr(o, a.in[i])
+			addr := a.memAddr(o, &a.in[i])
 			if a.mayReadTaint(taint, addr, 8) {
 				rep.Sinks = append(rep.Sinks, Site{in.Addr, in, "int-load"})
 				break
@@ -642,7 +653,7 @@ func (a *analyzer) mayReadTaint(taint *IntervalSet, addr AbsVal, width int64) bo
 func (a *analyzer) collectStores() {
 	a.stores = &IntervalSet{}
 	for i, in := range a.insts {
-		s := a.in[i]
+		s := &a.in[i]
 		record := func(o isa.Operand, width int64) {
 			addr := a.memAddr(o, s)
 			if addr.kind != vRange {
@@ -688,7 +699,7 @@ func writesFirstOperand(op isa.Op) bool {
 
 // roLoad returns the value range of an 8-byte load when the address range
 // lies wholly inside never-written static data; otherwise ⊤.
-func (a *analyzer) roLoad(o isa.Operand, s regState) AbsVal {
+func (a *analyzer) roLoad(o isa.Operand, s *regState) AbsVal {
 	if !a.useROData || a.storeAll {
 		return Top()
 	}
