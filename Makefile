@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 # Minimum aggregate statement coverage (percent) over ./internal/...
 COVERFLOOR ?= 80
 
-.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice fuzz-fpu bench
+.PHONY: ci filesize fmt vet build test benchmark-test microbench race cover oracle chaos chaosload-smoke bench-smoke bench-gate bench-record serve-smoke sanitize-smoke fuzz-smoke fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice fuzz-fpu fuzz-serve bench
 
 # ci runs the stages .github/workflows/ci.yml runs, in the same order; each
 # CI step calls one of these targets, so every command lives here only.
@@ -140,7 +140,7 @@ sanitize-smoke:
 
 # Short coverage-guided fuzzing passes (beyond the checked-in seed corpus,
 # which already runs as part of `test`).
-fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice fuzz-fpu
+fuzz-smoke: fuzz-oracle fuzz-machine fuzz-sanitize fuzz-asm fuzz-lattice fuzz-fpu fuzz-serve
 
 fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialOracle$$' -fuzztime $(FUZZTIME) ./internal/oracle
@@ -165,6 +165,15 @@ fuzz-fpu:
 # invariant table (internal/lattice).
 fuzz-lattice:
 	$(GO) test -run '^$$' -fuzz '^FuzzLattice$$' -fuzztime $(FUZZTIME) ./internal/lattice
+
+# The service edge: arbitrary POST /run bodies through fpvm-serve's handler
+# must each end in a client status (200, 400, 403, 413, 429 or 503) without a
+# panic (seed corpus: a named workload, inline asm, an over-cap
+# precision, an over-long tenant, empty and oversized bodies, a fault spec).
+# Minimizing a new input is capped at 200 runs: the default 60 s
+# minimization of a grown 1 MiB body would take most of the fuzz time.
+fuzz-serve:
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRun$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./cmd/fpvm-serve
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -189,7 +189,10 @@ type server struct {
 	sbcache *fpvm.SBCache
 
 	mu      sync.Mutex
-	tenants map[string]*tenantState
+	tenants map[string]*tenantState // at most maxTenants names
+	// overflow is the one accounting row, breaker included, that every
+	// tenant name past the first maxTenants shares.
+	overflow tenantState
 
 	requests   atomic.Uint64
 	errors     atomic.Uint64
@@ -397,6 +400,32 @@ func summarizeSanitize(r *sanitize.Report) *sanitizeSummary {
 // before it is decoded.
 const maxRunBody = 1 << 20
 
+// Request limits, refused with 400 before any session checkout. maxPrec is
+// the top of the Figure 11 precision sweep: the MPFR cells grow in chunks of
+// 1024 Floats, 2 MiB of mantissa words per chunk at this precision, and
+// adaptive escalates to 16× it. maxTenantName bounds the accounting identity
+// a client may name.
+const (
+	maxPrec       = 16384
+	maxTenantName = 64
+)
+
+// maxTenants bounds the tenant table: every distinct name past the first
+// maxTenants is charged to one shared overflow row, so a client inventing
+// names cannot grow the table or /stats without bound, and is still served.
+const maxTenants = 1024
+
+// limitError is a request field over one of the constant request limits; the
+// handler answers it with 400.
+type limitError struct {
+	field    string
+	got, max uint64
+}
+
+func (e *limitError) Error() string {
+	return fmt.Sprintf("%s %d exceeds the limit of %d", e.field, e.got, e.max)
+}
+
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -418,6 +447,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if tenant == "" {
 		tenant = "anonymous"
+	}
+	if err := checkLimits(req, tenant); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	key, build, err := s.program(req)
@@ -697,11 +730,28 @@ func retryAfter(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
+// checkLimits refuses a request whose precision or tenant name is over its
+// constant limit, with a typed *limitError.
+func checkLimits(req runRequest, tenant string) error {
+	if req.Prec > maxPrec {
+		return &limitError{"prec", uint64(req.Prec), maxPrec}
+	}
+	if len(tenant) > maxTenantName {
+		return &limitError{"tenant name length", uint64(len(tenant)), maxTenantName}
+	}
+	return nil
+}
+
+// tenant returns name's accounting row, adding one while the table has room
+// and the shared overflow row after that.
 func (s *server) tenant(name string) *tenantState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts, ok := s.tenants[name]
 	if !ok {
+		if len(s.tenants) >= maxTenants {
+			return &s.overflow
+		}
 		ts = &tenantState{}
 		s.tenants[name] = ts
 	}
@@ -763,6 +813,9 @@ type statsResponse struct {
 	SharedSB *sharedSBStats         `json:"shared_sb,omitempty"`
 	Pool     session.PoolStats      `json:"pool"`
 	Tenants  map[string]tenantStats `json:"tenants"`
+	// TenantOverflow is the shared row of every tenant name past the
+	// first maxTenants, present once the table is full.
+	TenantOverflow *tenantStats `json:"tenant_overflow,omitempty"`
 	// Images describes the program image cache: images built (each one
 	// analysis), lookups served by a cached image, evictions, and size.
 	Images session.ImageStats `json:"images"`
@@ -837,24 +890,33 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.mu.Lock()
 	for name, ts := range s.tenants {
-		open, trips := ts.breaker.snapshot(now)
-		resp.Tenants[name] = tenantStats{
-			Requests:     ts.requests.Load(),
-			Instructions: ts.instructions.Load(),
-			BudgetHits:   ts.budgetHits.Load(),
-			DeadlineHits: ts.deadlineHits.Load(),
-			Poisons:      ts.poisons.Load(),
-			Rejected:     ts.rejected.Load(),
-			BreakerOpen:  open,
-			BreakerTrips: trips,
-			SBCompiled:   ts.sbCompiled.Load(),
-			SBHits:       ts.sbHits.Load(),
-			SanitizeRuns: ts.sanitizeRuns.Load(),
-			CertifyRuns:  ts.certifyRuns.Load(),
-		}
+		resp.Tenants[name] = ts.stats(now)
+	}
+	if len(s.tenants) >= maxTenants {
+		o := s.overflow.stats(now)
+		resp.TenantOverflow = &o
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// stats reads the row for /stats.
+func (ts *tenantState) stats(now time.Time) tenantStats {
+	open, trips := ts.breaker.snapshot(now)
+	return tenantStats{
+		Requests:     ts.requests.Load(),
+		Instructions: ts.instructions.Load(),
+		BudgetHits:   ts.budgetHits.Load(),
+		DeadlineHits: ts.deadlineHits.Load(),
+		Poisons:      ts.poisons.Load(),
+		Rejected:     ts.rejected.Load(),
+		BreakerOpen:  open,
+		BreakerTrips: trips,
+		SBCompiled:   ts.sbCompiled.Load(),
+		SBHits:       ts.sbHits.Load(),
+		SanitizeRuns: ts.sanitizeRuns.Load(),
+		CertifyRuns:  ts.certifyRuns.Load(),
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
