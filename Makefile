@@ -40,8 +40,9 @@ benchmark-test:
 # inside and outside its exponent window), superblock-entry,
 # session-alternation, set-up (analysis and image build per Figure 12
 # workload) and MPFR kernel (basic ops and transcendentals at 200 bits,
-# Sqrt and Div at Log's and Atan's 264-bit working precision, mpnat's
-# square root) microbenchmarks, run for a fixed short count so they keep
+# Sqrt and Div at Log's and Atan's 264-bit working precision, decimal text,
+# mpnat's square root) and MPFR-200 store (promote, multiply, box into a new
+# key cell) microbenchmarks, run for a fixed short count so they keep
 # building and running, with their allocations reported (the numbers are not
 # gated).
 microbench:
@@ -50,7 +51,8 @@ microbench:
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x -benchmem ./internal/fpvm
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x -benchmem ./internal/session
 	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime 20x -benchmem ./internal/patch
-	$(GO) test -run '^$$' -bench '^Benchmark((Add|Mul|Sqr|Div|Sqrt|Sin|Log|Asin|Atan)200|(Sqrt|Div)264|SqrtRem)$$' -benchtime 2000x -benchmem ./internal/mpfr ./internal/mpnat
+	$(GO) test -run '^$$' -bench '^Benchmark((Add|Mul|Sqr|Div|Sqrt|Sin|Log|Asin|Atan|Text)200|(Sqrt|Div)264|SqrtRem)$$' -benchtime 2000x -benchmem ./internal/mpfr ./internal/mpnat
+	$(GO) test -run '^$$' -bench '^BenchmarkMPFRStoreBox$$' -benchtime 2000x -benchmem ./internal/arith
 
 # The concurrent layers under the race detector: the parallel experiment
 # harness, the pooled-session stack, and the multi-tenant server, plus the

@@ -112,3 +112,25 @@ func TestMPFRStoreAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMPFRStoreBox is one emulated MPFR-200 multiply as the VM boxes
+// it: two doubles promoted into scratch cells, the product into the result
+// cell, and the result moved into a new key cell. Every storeEpoch
+// iterations it starts a fresh store, as each one-shot run does, so the
+// cost of growing the cell table is counted and the heap stays bounded.
+func BenchmarkMPFRStoreBox(b *testing.B) {
+	const storeEpoch = 1 << 17
+	sys := NewMPFR(200)
+	var st Store
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := uint64(i % storeEpoch)
+		if k == 0 {
+			st = StoreFor(sys, nil)
+		}
+		st.SetFloat64(0, 1.0/3)
+		st.SetFloat64(1, float64(i))
+		st.Apply(OpMul, NumScratch-1, 0, 1, 0)
+		st.Move(KeyCell(k), NumScratch-1)
+	}
+}

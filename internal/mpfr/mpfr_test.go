@@ -867,6 +867,19 @@ func BenchmarkLog200(b *testing.B)  { benchUnary(b, 200, "2.71828182845904523536
 func BenchmarkAsin200(b *testing.B) { benchUnary(b, 200, "0.7853981633974483", (*Float).Asin) }
 func BenchmarkAtan200(b *testing.B) { benchUnary(b, 200, "0.7853981633974483", (*Float).Atan) }
 
+// BenchmarkText200 formats a full-width 200-bit value at full precision,
+// as the hijacked output path does for every MPFR-200 print.
+func BenchmarkText200(b *testing.B) {
+	x, y := New(200), New(200)
+	x.SetInt64(1, RoundNearestEven)
+	y.SetInt64(3, RoundNearestEven)
+	x.Div(x, y, RoundNearestEven)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = x.Text(0)
+	}
+}
+
 func benchUnary(b *testing.B, prec uint, arg string, op func(z, x *Float, rnd RoundingMode) int) {
 	x, z := New(prec), New(prec)
 	x.SetString(arg, RoundNearestEven)
