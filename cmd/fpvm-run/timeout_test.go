@@ -19,45 +19,16 @@ import (
 var truncNote = regexp.MustCompile(`deadline exceeded at 0x[0-9a-f]+ after (\d+) instructions`)
 
 // TestTimeoutTruncatesLikeService pins the -timeout contract to the serving
-// stack's: both ride the same machine-level deadline checkpoints, every
-// machine.DefaultPreemptEvery retired instructions, so a CLI run truncated
-// at a checkpoint harvests bit-identical state — output, instruction count,
-// modeled cycles — to a session (the service's run path) canceled at the
-// same boundary. A pre-fired session flag stops at the first checkpoint; the
-// CLI's boundary is wall-clock dependent, so the test reads it from the
-// truncation note and reruns the CLI (a 1 ns timer almost always fires
-// before the first checkpoint) until it stopped there too.
+// stack's: both ride the same machine-level deadline checks — every
+// machine.DefaultPreemptEvery retired instructions and before each FP-trap
+// delivery and patch-slot entry — so a CLI run truncated at a boundary
+// harvests bit-identical state — output, instruction count, modeled
+// cycles — to a session (the service's run path) canceled at the same
+// boundary. A pre-fired session flag stops at the first boundary, Lorenz's
+// first FP trap; the CLI's boundary is wall-clock dependent, so the test
+// reads it from the truncation note and reruns the CLI (a 1 ns timer almost
+// always fires before the first trap) until it stopped there too.
 func TestTimeoutTruncatesLikeService(t *testing.T) {
-	const every = machine.DefaultPreemptEvery
-	var out, errb bytes.Buffer
-	var n uint64
-	for attempt := 0; attempt < 5 && n != every; attempt++ {
-		out.Reset()
-		errb.Reset()
-		code := Run([]string{
-			"-workload", "Lorenz Attractor/", "-arith", "vanilla",
-			"-timeout", "1ns", "-stats",
-		}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("-timeout run exited %d, want 0 (deadline degrades, never kills):\n%s", code, errb.String())
-		}
-		m := truncNote.FindStringSubmatch(errb.String())
-		if m == nil {
-			t.Fatalf("no truncation note on stderr:\n%s", errb.String())
-		}
-		var err error
-		n, err = strconv.ParseUint(m[1], 10, 64)
-		if err != nil || n == 0 || n%every != 0 {
-			t.Fatalf("truncation boundary %q is not a checkpoint (every %d instructions)", m[1], every)
-		}
-	}
-	if n != every {
-		t.Fatalf("CLI truncated at %d instructions in every attempt, never at the first checkpoint %d", n, every)
-	}
-	if !strings.Contains(errb.String(), "instructions:") || !strings.Contains(errb.String(), "cycles:") {
-		t.Fatalf("-stats did not print after truncation:\n%s", errb.String())
-	}
-
 	w, ok := workloads.Get("Lorenz Attractor/")
 	if !ok {
 		t.Fatal("Lorenz Attractor/ workload missing")
@@ -71,7 +42,7 @@ func TestTimeoutTruncatesLikeService(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel := new(atomic.Bool)
-	cancel.Store(true) // pre-fired: the session stops at exactly its first checkpoint
+	cancel.Store(true) // pre-fired: the session stops at exactly its first boundary
 	res, err := session.New().Run(img, session.Config{
 		Config: fpvm.Config{System: arith.Vanilla{}},
 		Cancel: cancel,
@@ -82,8 +53,35 @@ func TestTimeoutTruncatesLikeService(t *testing.T) {
 	if !res.DeadlineExceeded {
 		t.Fatal("session run did not report DeadlineExceeded")
 	}
-	if res.Instructions != n {
-		t.Fatalf("session truncated at %d instructions, CLI at %d", res.Instructions, n)
+	if res.Instructions == 0 || res.Instructions >= machine.DefaultPreemptEvery || res.Machine.FPTraps != 0 {
+		t.Fatalf("pre-fired session stopped after %d instructions and %d traps, want before its first trap", res.Instructions, res.Machine.FPTraps)
+	}
+
+	var out, errb bytes.Buffer
+	var n uint64
+	for attempt := 0; attempt < 5 && n != res.Instructions; attempt++ {
+		out.Reset()
+		errb.Reset()
+		code := Run([]string{
+			"-workload", "Lorenz Attractor/", "-arith", "vanilla",
+			"-timeout", "1ns", "-stats",
+		}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("-timeout run exited %d, want 0 (deadline degrades, never kills):\n%s", code, errb.String())
+		}
+		m := truncNote.FindStringSubmatch(errb.String())
+		if m == nil {
+			t.Fatalf("no truncation note on stderr:\n%s", errb.String())
+		}
+		if n, err = strconv.ParseUint(m[1], 10, 64); err != nil || n == 0 {
+			t.Fatalf("bad truncation boundary %q", m[1])
+		}
+	}
+	if n != res.Instructions {
+		t.Fatalf("CLI truncated at %d instructions in every attempt, never at the first boundary %d", n, res.Instructions)
+	}
+	if !strings.Contains(errb.String(), "instructions:") || !strings.Contains(errb.String(), "cycles:") {
+		t.Fatalf("-stats did not print after truncation:\n%s", errb.String())
 	}
 	if got := out.String(); got != res.Output {
 		t.Fatalf("truncated guest output diverged:\nCLI:     %q\nsession: %q", got, res.Output)

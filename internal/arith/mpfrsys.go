@@ -53,18 +53,16 @@ func (s *MPFRSystem) Apply(op Op, args ...Value) Value {
 // product with the divisor, at the system's precision plus 64 bits. A Store
 // owns one and reuses it for every fmod; the boxed Apply makes a fresh one
 // per call. An MPFRSystem may be shared between VMs, so it holds none.
-type modScratch [2]mpfr.Float
+type modScratch [2]*mpfr.Float
 
 func (s *MPFRSystem) newModScratch() *modScratch {
-	tmp := new(modScratch)
-	mpfr.InitSlab(tmp[:], s.prec+64)
-	return tmp
+	return &modScratch{mpfr.New(s.prec + 64), mpfr.New(s.prec + 64)}
 }
 
 // apply evaluates op on a, b and c (only the first op.Arity() are read) and
 // writes the result into z, which must not alias an operand. It is the one
-// MPFR kernel behind both Apply and the mpfr.Float cells of a Store. tmp is
-// the fmod scratch; only OpMod reads it.
+// MPFR kernel behind both Apply and the mpfr.Table records of a Store. tmp
+// is the fmod scratch; only OpMod reads it.
 func (s *MPFRSystem) apply(op Op, z, a, b, c *mpfr.Float, tmp *modScratch) {
 	switch op {
 	case OpAdd:
@@ -148,7 +146,7 @@ func (s *MPFRSystem) mod(z, a, b *mpfr.Float, tmp *modScratch) {
 		z.Set(a, s.rnd)
 		return
 	}
-	q, t := &tmp[0], &tmp[1]
+	q, t := tmp[0], tmp[1]
 	q.Div(a, b, mpfr.RoundTowardZero)
 	q.Trunc(q)
 	t.Mul(q, b, mpfr.RoundNearestEven)

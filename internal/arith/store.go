@@ -53,44 +53,41 @@ type Store interface {
 
 // StoreFor returns a Store serving sys: prev itself, cells kept, when it is
 // of the kind sys needs, and a new Store otherwise. Vanilla and bfloat16
-// keep float64 cells and MPFR keeps mpfr.Float cells with their mantissa
-// storage allocated per chunk. Every other System — posit, interval,
-// adaptive, and any wrapper such as the sanitizer's or a tracer — goes
-// through one boxed adapter that stores Values and calls sys. The choice is
-// by concrete type, so a wrapper that embeds a System is never bypassed.
-// Only the one Store is kept, so a VM holds the cells of the system it last
-// ran and no other.
+// keep float64 cells and MPFR keeps its values in an mpfr.Table of flat,
+// pointer-free records. Every other System — posit, interval, adaptive, and
+// any wrapper such as the sanitizer's or a tracer — goes through one boxed
+// adapter that stores Values and calls sys. The choice is by concrete type,
+// so a wrapper that embeds a System is never bypassed. Only the one Store is
+// kept, so a VM holds the cells of the system it last ran and no other.
 func StoreFor(sys System, prev Store) Store {
 	switch sys := sys.(type) {
 	case Vanilla, BFloat16System:
 		s, ok := prev.(*f64Store)
 		if !ok {
-			s = &f64Store{cells: newCells[float64](nil)}
+			s = &f64Store{cells: newCells[float64]()}
 		}
 		_, s.bf16 = sys.(BFloat16System)
 		return s
 	case *MPFRSystem:
 		s, ok := prev.(*mpfrStore)
 		if !ok || s.sys.prec != sys.prec {
-			s = &mpfrStore{
-				cells: newCells(func(zs []mpfr.Float) { mpfr.InitSlab(zs, sys.prec) }),
-				mod:   sys.newModScratch(),
-			}
+			s = &mpfrStore{tab: mpfr.NewTable(sys.prec), mod: sys.newModScratch()}
+			s.tab.Grow(NumScratch - 1)
 		}
 		s.sys = sys
 		return s
 	default:
 		s, ok := prev.(*boxedStore)
 		if !ok {
-			s = &boxedStore{cells: newCells[Value](nil)}
+			s = &boxedStore{cells: newCells[Value]()}
 		}
 		s.reset(sys)
 		return s
 	}
 }
 
-// Cell-table chunk geometry: 1024 cells per chunk, 8 KiB of float64s,
-// 16 KiB of Values, or 72 KiB of MPFR-200 Floats with their mantissas.
+// Cell-table chunk geometry: 1024 cells per chunk, 8 KiB of float64s or
+// 16 KiB of Values. The MPFR table has the same geometry of its own.
 const (
 	cellChunkShift = 10
 	cellChunkSize  = 1 << cellChunkShift
@@ -98,14 +95,13 @@ const (
 )
 
 // cells is a table of T grown in fixed-size chunks, so growing never copies
-// a cell and a cell's address is stable (an mpfr.Float must stay in place).
+// a cell.
 type cells[T any] struct {
 	chunks [][]T
-	init   func([]T) // prepares a new chunk; nil leaves zero values
 }
 
-func newCells[T any](init func([]T)) cells[T] {
-	c := cells[T]{init: init}
+func newCells[T any]() cells[T] {
+	var c cells[T]
 	c.grow(NumScratch - 1)
 	return c
 }
@@ -116,11 +112,7 @@ func (c *cells[T]) at(i Cell) *T { return &c.chunks[i>>cellChunkShift][i&cellChu
 // grow adds chunks until cell i exists and returns it.
 func (c *cells[T]) grow(i Cell) *T {
 	for int(i>>cellChunkShift) >= len(c.chunks) {
-		chunk := make([]T, cellChunkSize)
-		if c.init != nil {
-			c.init(chunk)
-		}
-		c.chunks = append(c.chunks, chunk)
+		c.chunks = append(c.chunks, make([]T, cellChunkSize))
 	}
 	return c.at(i)
 }
@@ -170,30 +162,68 @@ func compare64(x, y float64) (int, bool) {
 	}
 }
 
-// mpfrStore keeps MPFR values in place; Move swaps two cells' Floats, so a
-// boxed result hands its storage to the scratch cell it came from.
+// mpfrStore keeps MPFR values as records of an mpfr.Table: one header word
+// and the mantissa each, with no pointer for the Go GC to trace. An
+// operation binds Float views, on the stack, over the records it reads and
+// the one it writes, and Move copies a record.
 type mpfrStore struct {
-	cells[mpfr.Float]
+	tab *mpfr.Table
 	sys *MPFRSystem
 	mod *modScratch // fmod's temporaries, this store's own
 }
 
 func (s *mpfrStore) Apply(op Op, dst, a, b, c Cell) {
-	s.sys.apply(op, s.at(dst), s.at(a), s.at(b), s.at(c), s.mod)
+	var z, x, y, w mpfr.Float
+	s.tab.Bind(&z, uint64(dst))
+	switch op.Arity() {
+	case 3:
+		s.tab.Bind(&w, uint64(c))
+		fallthrough
+	case 2:
+		s.tab.Bind(&y, uint64(b))
+		fallthrough
+	default:
+		s.tab.Bind(&x, uint64(a))
+	}
+	s.sys.apply(op, &z, &x, &y, &w, s.mod)
+	s.tab.Commit(uint64(dst), &z)
 }
 
-func (s *mpfrStore) SetFloat64(dst Cell, v float64) { s.at(dst).SetFloat64(v, s.sys.rnd) }
-func (s *mpfrStore) SetInt64(dst Cell, i int64)     { s.at(dst).SetInt64(i, s.sys.rnd) }
-func (s *mpfrStore) Move(dst, src Cell)             { s.grow(dst).Swap(s.at(src)) }
-func (s *mpfrStore) Float64(c Cell) float64         { return s.at(c).Float64(mpfr.RoundNearestEven) }
+func (s *mpfrStore) SetFloat64(dst Cell, v float64) { s.tab.SetFloat64(uint64(dst), v, s.sys.rnd) }
+
+func (s *mpfrStore) SetInt64(dst Cell, i int64) {
+	var z mpfr.Float
+	s.tab.Bind(&z, uint64(dst))
+	z.SetInt64(i, s.sys.rnd)
+	s.tab.Commit(uint64(dst), &z)
+}
+
+func (s *mpfrStore) Move(dst, src Cell) { s.tab.Move(uint64(dst), uint64(src)) }
+
+func (s *mpfrStore) Float64(c Cell) float64 {
+	var x mpfr.Float
+	s.tab.Bind(&x, uint64(c))
+	return x.Float64(mpfr.RoundNearestEven)
+}
 
 func (s *mpfrStore) Int64(c Cell, rc fpu.RoundingControl) (int64, bool) {
-	return s.at(c).Int64(mpfrRounding(rc))
+	var x mpfr.Float
+	s.tab.Bind(&x, uint64(c))
+	return x.Int64(mpfrRounding(rc))
 }
 
-func (s *mpfrStore) Compare(a, b Cell) (int, bool) { return compareMPFR(s.at(a), s.at(b)) }
+func (s *mpfrStore) Compare(a, b Cell) (int, bool) {
+	var x, y mpfr.Float
+	s.tab.Bind(&x, uint64(a))
+	s.tab.Bind(&y, uint64(b))
+	return compareMPFR(&x, &y)
+}
 
-func (s *mpfrStore) Format(c Cell) string { return s.at(c).Text(0) }
+func (s *mpfrStore) Format(c Cell) string {
+	var x mpfr.Float
+	s.tab.Bind(&x, uint64(c))
+	return x.Text(0)
+}
 
 // boxedStore is the adapter for every System without typed cells: it keeps
 // each shadow as the System's own Value and forwards each operation.

@@ -2,6 +2,7 @@ package arith
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fpvm/internal/fpu"
@@ -110,6 +111,31 @@ func TestMPFRStoreAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { st.Apply(op, 0, 3, 2, 1) }); n != 0 {
 			t.Errorf("MPFR-200 store %s allocates %.0f times per call, want 0", op, n)
 		}
+	}
+}
+
+// TestMPFRCellFootprint bounds the heap an MPFR-200 cell costs: the epoch
+// GC keeps up to GCEveryNAllocs cells live, so this sets a VM's footprint.
+// A cell is one header word and four mantissa words, 40 bytes; a Float
+// header with a separate mantissa slab took 72.
+func TestMPFRCellFootprint(t *testing.T) {
+	const n = 100_000
+	st := StoreFor(NewMPFR(200), nil)
+	st.SetFloat64(0, 1.0/3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := uint64(0); k < n; k++ {
+		st.Move(KeyCell(k), 0)
+		st.SetFloat64(0, float64(k))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(st)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("an MPFR-200 cell costs %.1f bytes of heap", per)
+	if per > 41 {
+		t.Errorf("an MPFR-200 cell costs %.1f bytes of heap, want at most 41", per)
 	}
 }
 

@@ -104,7 +104,7 @@ func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
 	// one bounds-checked load or store.
 	switch slot.class {
 	case classFPArith:
-		return m.execFPArith(in)
+		return m.execFPArith(in, slot.charge)
 	case classFPMove:
 		return m.execFPMove(in)
 	case classFPBitwise:

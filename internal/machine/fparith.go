@@ -30,15 +30,27 @@ type fpOutcome struct {
 // fault semantics: all lanes are computed, flags accumulated, and if any
 // event is unmasked in MXCSR the instruction does NOT retire — no result or
 // RFLAGS write happens — and the FP trap handler (FPVM) is invoked instead.
-func (m *Machine) execFPArith(in *isa.Inst) error {
+//
+// A fired deadline stops the run before the trap is delivered: one delivery
+// can emulate for far longer than a checkpoint interval of native
+// instructions takes (a transcendental at thousands of bits takes tens of
+// milliseconds). computeFP changes no state, so giving back charge, the
+// instruction's cycles that exec added, leaves the machine as it was before
+// the instruction. The analysis places no correctness site on FP
+// arithmetic, so no trap was delivered for it either.
+func (m *Machine) execFPArith(in *isa.Inst, charge uint32) error {
 	var r fpOutcome
 	if err := m.computeFP(in, &r); err != nil {
 		return err
 	}
 
+	unmasked := m.MXCSR.Unmasked(r.flags)
+	if unmasked != 0 && m.Preempt != nil && m.Preempt.Load() {
+		m.Cycles -= uint64(charge)
+		return m.deadline()
+	}
 	// Flags become sticky in MXCSR whether or not we trap (the paper's
 	// handler reads them to learn the trap cause, then clears them).
-	unmasked := m.MXCSR.Unmasked(r.flags)
 	m.MXCSR.SetFlags(r.flags)
 	if unmasked != 0 {
 		m.Stats.FPTraps++

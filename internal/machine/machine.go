@@ -183,7 +183,8 @@ type Machine struct {
 
 	// Preempt, when non-nil, is the cooperative-preemption flag: Run re-checks
 	// it every DefaultPreemptEvery retired instructions (a checkpoint, not a
-	// per-step poll) and returns a typed *DeadlineError when it is set. Another
+	// per-step poll) and before each FP-trap delivery and patch-slot entry,
+	// and returns a typed *DeadlineError when it is set. Another
 	// goroutine — a deadline timer, a canceled request context — stores true
 	// to stop the run at the next checkpoint with all state harvestable at an
 	// instruction boundary, exactly like a budget truncation. A nil flag is
@@ -397,7 +398,7 @@ func (e *BudgetError) Error() string {
 const DefaultPreemptEvery = 10_000
 
 // DeadlineError is returned by Run when the cooperative-preemption flag was
-// observed set at a checkpoint. Like BudgetError — and unlike a FaultError —
+// observed set at a checkpoint, an FP-trap delivery or a patch-slot entry. Like BudgetError — and unlike a FaultError —
 // it does not mean the guest died: the machine stopped at an instruction
 // boundary with registers, memory, stats, and modeled cycles all consistent
 // and harvestable, which is what lets a serving layer turn a deadline or a
@@ -411,16 +412,28 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("machine fault at %#x: deadline exceeded (%d instructions retired)", e.RIP, e.Instructions)
 }
 
+// preempted reports whether the preemption flag is armed and set.
+func (m *Machine) preempted() bool { return m.Preempt != nil && m.Preempt.Load() }
+
+// deadline is the error of a run stopped by the preemption flag at the
+// current instruction boundary.
+func (m *Machine) deadline() error {
+	return &DeadlineError{RIP: m.RIP, Instructions: m.Stats.Instructions}
+}
+
 // Run executes until halt, a fault, maxInstructions retirements
 // (0 = unlimited), or — when Preempt is armed — a deadline checkpoint that
 // observes the flag set. It returns nil on a clean halt, *BudgetError when
 // the instruction budget ran out first, and *DeadlineError when preempted.
 //
 // Preemption is cooperative: the flag is re-checked every
-// DefaultPreemptEvery retired instructions, never mid-instruction, so a
-// preempted run is always left at an instruction boundary. Checkpoints charge no modeled cycles —
-// an armed-but-never-fired flag leaves the run bit- and cycle-identical to
-// an unarmed one.
+// DefaultPreemptEvery retired instructions and before each FP-trap delivery
+// and patch-slot entry, never mid-instruction, so a preempted run is always
+// left at an instruction boundary, in the state a budget of the same
+// instruction count leaves. The trap-side checks bound a run's overshoot by
+// one delivery (one emulated op, or one trace) rather than by ten thousand of
+// them. Checkpoints charge no modeled cycles — an armed-but-never-fired flag
+// leaves the run bit- and cycle-identical to an unarmed one.
 //
 // The loop makes one compare per step, against the stop count: the smaller
 // of the budget and the next checkpoint.
@@ -596,6 +609,9 @@ func (m *Machine) Step() error {
 	// Trap-and-patch: a patched site bypasses fetch/execute and runs the
 	// patch's handler after a cheap inline check (§3.2).
 	if ph := slot.patch; ph != nil {
+		if m.preempted() {
+			return m.deadline()
+		}
 		m.Cycles += costModel.PatchCheck
 		m.Stats.PatchInvokes++
 		handled, coalesced, err := m.dispatchPatch(ph, in)

@@ -111,24 +111,6 @@ func local(prec uint, buf []uint64) Float {
 	return Float{prec: clampPrec(prec), form: nan, mant: buf[:0]}
 }
 
-// InitSlab sets every Float of zs to a NaN of precision prec. The mantissas
-// are consecutive slices of one backing array, so a table of n Floats costs
-// two allocations rather than n, and each keeps its storage for as long as
-// the table lives. The Floats must stay in place, like any Float.
-func InitSlab(zs []Float, prec uint) {
-	p := clampPrec(prec)
-	w := int(p+63) / 64
-	buf := make([]uint64, len(zs)*w)
-	for i := range zs {
-		zs[i] = Float{prec: p, form: nan, mant: buf[i*w : i*w : (i+1)*w]}
-	}
-}
-
-// Swap exchanges the values of z and x, mantissa storage included: each
-// storage still belongs to exactly one Float, and no mantissa word is
-// copied.
-func (z *Float) Swap(x *Float) { *z, *x = *x, *z }
-
 func clampPrec(prec uint) uint32 {
 	if prec < MinPrec {
 		prec = MinPrec

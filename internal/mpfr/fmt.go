@@ -150,18 +150,33 @@ func (x *Float) Text(digits int) string {
 		digits = int(float64(x.effPrec())*0.30103) + 2
 	}
 
-	dec, e10 := x.decimalDigits(digits)
-	var b strings.Builder
+	// The digits go in after a free byte, and the first one then moves
+	// down into it in front of the point. The buffer holds a 256-bit
+	// value's text, so up to that precision the string is the one
+	// allocation.
+	var buf [112]byte
+	b := buf[:0]
 	if x.neg {
-		b.WriteByte('-')
+		b = append(b, '-')
 	}
-	b.WriteByte(dec[0])
-	if len(dec) > 1 {
-		b.WriteByte('.')
-		b.WriteString(dec[1:])
+	at := len(b)
+	b, e10 := x.decimalDigits(b[:at+1], digits)
+	b[at], b[at+1] = b[at+1], '.'
+	if digits == 1 {
+		b = b[:at+1]
 	}
-	fmt.Fprintf(&b, "e%+03d", e10)
-	return b.String()
+	b = append(b, 'e')
+	if e10 < 0 {
+		b = append(b, '-')
+		e10 = -e10
+	} else {
+		b = append(b, '+')
+	}
+	if e10 < 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(e10), 10)
+	return string(b)
 }
 
 // String formats x with enough digits to distinguish values at x's precision.
@@ -175,32 +190,39 @@ func (x *Float) String() string { return x.Text(0) }
 // exponents take the floating-point scaling path instead.
 const exactScaleLimit = 1 << 14
 
-// decimalDigits returns exactly n decimal digits of |x| (rounded to nearest)
-// and the decimal exponent e10 such that |x| ≈ 0.D... × 10^(e10+1), i.e.
-// the first digit has weight 10^e10.
-func (x *Float) decimalDigits(n int) (string, int) {
+// decimalDigits appends exactly n decimal digits of |x| (rounded to
+// nearest) to dst and returns it with the decimal exponent e10 such that
+// |x| ≈ 0.D... × 10^(e10+1), i.e. the first digit has weight 10^e10.
+func (x *Float) decimalDigits(dst []byte, n int) ([]byte, int) {
 	// Estimate the decimal exponent from the binary exponent.
 	// |x| ∈ [2^(exp-1), 2^exp) so log10|x| ∈ [(exp-1)·log10 2, exp·log10 2).
 	e10 := int64(float64(x.exp-1) * 0.30102999566398119521)
 	huge := x.exp > exactScaleLimit || x.exp < -exactScaleLimit
 
+	// The scaled value has n digits when it is in [10^(n-1), 10^n); it is
+	// checked against both ends before any digit is written.
+	var loBuf, hiBuf, qBuf [4 * stackWords]uint64
+	lo := pow10Nat(loBuf[:0], int64(n-1))
+	hi := mpnat.Nat(hiBuf[:0]).MulWord(lo, 10)
 	for {
-		var digits string
-		var ok bool
+		var q mpnat.Nat
 		if huge {
-			digits, ok = x.approxDigits(int64(n), e10)
+			var ok bool
+			if q, ok = x.approxDigits(int64(n), e10); !ok {
+				e10++
+				continue
+			}
 		} else {
-			digits, ok = x.scaledDigits(int64(n), e10)
+			q = x.scaledDigits(qBuf[:0], int64(n), e10)
 		}
-		if !ok {
-			e10++ // estimate was low: produced too many digits
-			continue
-		}
-		if len(digits) < n {
+		switch {
+		case q.Cmp(hi) >= 0:
+			e10++ // estimate was low: too many digits
+		case q.Cmp(lo) < 0:
 			e10-- // estimate was high
-			continue
+		default:
+			return appendDecimal(dst, q), int(e10)
 		}
-		return digits, int(e10)
 	}
 }
 
@@ -226,7 +248,7 @@ func powTen(p int64, prec uint) *Float {
 // on the digit count rather than the exponent magnitude. The guard bits make
 // all n digits correct except possibly the last ulp — the documented
 // tolerance of the formatting path.
-func (x *Float) approxDigits(n, e10 int64) (string, bool) {
+func (x *Float) approxDigits(n, e10 int64) (mpnat.Nat, bool) {
 	p10 := e10 + 1 - n // y = |x| / 10^p10 is an n-digit integer
 	wp := uint(n)*4 + 64
 	ax := New(wp)
@@ -250,7 +272,7 @@ func (x *Float) approxDigits(n, e10 int64) (string, bool) {
 	switch {
 	case ue >= 0:
 		if ue > exactScaleLimit {
-			return "", false // estimate far off; let the caller re-aim
+			return nil, false // estimate far off; let the caller re-aim
 		}
 		q = mpnat.Shl(y.mant, uint(ue))
 	default:
@@ -260,16 +282,12 @@ func (x *Float) approxDigits(n, e10 int64) (string, bool) {
 			q = mpnat.AddWord(q, 1) // round half up, as scaledDigits does
 		}
 	}
-	ds := natDecimal(q)
-	if int64(len(ds)) > n {
-		return "", false
-	}
-	return ds, true
+	return q, true
 }
 
-// scaledDigits computes round(|x| / 10^(e10+1-n)) as a decimal string,
-// returning ok=false if the result has more than n digits.
-func (x *Float) scaledDigits(n, e10 int64) (string, bool) {
+// scaledDigits computes round(|x| / 10^(e10+1-n)) exactly, into z's
+// storage when it is large enough.
+func (x *Float) scaledDigits(z mpnat.Nat, n, e10 int64) mpnat.Nat {
 	ue := x.unitExp()
 	p10 := n - 1 - e10 // multiply by 10^p10
 
@@ -280,53 +298,72 @@ func (x *Float) scaledDigits(n, e10 int64) (string, bool) {
 	} else {
 		den = pow10Nat(den, -p10)
 	}
+	if ue < 0 && p10 >= 0 {
+		// The divisor is 2^-ue: the quotient is a shift, rounded half up
+		// on the first bit shifted out, as the remainder test below does.
+		q := z.Shr(num, uint(-ue))
+		if num.Bit(int(-ue)-1) == 1 {
+			q = q.AddWord(q, 1)
+		}
+		return q
+	}
 	if ue >= 0 {
 		num = mpnat.Nat(numBuf[:0]).Shl(num, uint(ue))
 	} else {
 		den = den.Shl(den, uint(-ue))
 	}
-	var qBuf, rBuf, scratch [4 * stackWords]uint64
-	q, r := mpnat.Nat(qBuf[:0]).DivMod(rBuf[:0], num, den, scratch[:0])
+	var rBuf, scratch [4 * stackWords]uint64
+	q, r := z.DivMod(rBuf[:0], num, den, scratch[:0])
 	// Round half up on the remainder (formatting choice; ties are unlikely
 	// to matter for diagnostics and EXPERIMENTS output).
 	if r = r.Shl(r, 1); r.Cmp(den) >= 0 {
 		q = q.AddWord(q, 1)
 	}
-	s := natDecimal(q)
-	if int64(len(s)) > n {
-		return "", false
-	}
-	return s, true
+	return q
 }
 
-// natDecimal converts a Nat to its decimal string.
-func natDecimal(v mpnat.Nat) string {
-	if v.IsZero() {
-		return "0"
+// digitPairs holds the two decimal digits of 0 through 99.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendDecimal appends v in decimal to dst. It peels base-10^19 chunks off
+// a copy of v, least significant first, with the one-word divide in place.
+func appendDecimal(dst []byte, v mpnat.Nat) []byte {
+	v = v.Norm()
+	if len(v) == 0 {
+		return append(dst, '0')
 	}
-	// Peel off base-10^19 chunks, least significant first, dividing a copy
-	// of v in place.
-	var buf [4 * stackWords]uint64
-	var chunks [4 * stackWords]uint64
-	var rb [1]uint64
-	q, r := mpnat.Nat(buf[:0]).Set(v), mpnat.Nat(rb[:0])
-	ten19 := mpnat.Nat{10_000_000_000_000_000_000}
-	digits := chunks[:0]
-	for len(q) != 0 {
-		q, r = q.DivMod(r, q, ten19, nil)
-		rw, _ := r.Uint64()
-		digits = append(digits, rw)
-	}
-	b := make([]byte, 0, 20*len(digits))
-	b = strconv.AppendUint(b, digits[len(digits)-1], 10)
-	for i := len(digits) - 2; i >= 0; i-- {
-		var c [19]byte
-		w := digits[i]
-		for k := 18; k >= 0; k-- {
-			c[k] = byte('0' + w%10)
-			w /= 10
+	const ten19 = 10_000_000_000_000_000_000
+	var qb, cb [4 * stackWords]uint64
+	q := append(qb[:0], v...)
+	chunks := cb[:0]
+	for len(q) > 0 {
+		chunks = append(chunks, mpnat.DivWordN(q, q, ten19))
+		for len(q) > 0 && q[len(q)-1] == 0 {
+			q = q[:len(q)-1]
 		}
-		b = append(b, c[:]...)
 	}
-	return string(b)
+	dst = strconv.AppendUint(dst, chunks[len(chunks)-1], 10)
+	for i := len(chunks) - 2; i >= 0; i-- {
+		// Each lower chunk is 19 digits, leading zeros included, written
+		// two at a time from the right.
+		n := len(dst)
+		dst = append(dst, "0000000000000000000"...)
+		c, w := dst[n:], chunks[i]
+		for k := 17; k > 0; k -= 2 {
+			d := w % 100 * 2
+			w /= 100
+			c[k], c[k+1] = digitPairs[d], digitPairs[d+1]
+		}
+		c[0] = byte('0' + w)
+	}
+	return dst
 }

@@ -867,6 +867,27 @@ func BenchmarkLog200(b *testing.B)  { benchUnary(b, 200, "2.71828182845904523536
 func BenchmarkAsin200(b *testing.B) { benchUnary(b, 200, "0.7853981633974483", (*Float).Asin) }
 func BenchmarkAtan200(b *testing.B) { benchUnary(b, 200, "0.7853981633974483", (*Float).Atan) }
 
+// TestTextShortDigits pins the digit count of short texts: a value whose
+// decimal exponent the binary exponent overestimates scales to 0 at the
+// estimate, which has no significant digit, so the next exponent down is
+// the right one (Text(1) of 0.3 once printed "0e+00").
+func TestTextShortDigits(t *testing.T) {
+	for _, tc := range []struct {
+		v      float64
+		digits int
+		want   string
+	}{
+		{0.3, 1, "3e-01"}, {0.03, 1, "3e-02"}, {3, 1, "3e+00"}, {-0.3, 1, "-3e-01"},
+		{0.3, 2, "3.0e-01"}, {123456, 3, "1.23e+05"}, {1e-300, 2, "1.0e-300"},
+	} {
+		x := New(53)
+		x.SetFloat64(tc.v, RoundNearestEven)
+		if got := x.Text(tc.digits); got != tc.want {
+			t.Errorf("Text(%d) of %g = %q, want %q", tc.digits, tc.v, got, tc.want)
+		}
+	}
+}
+
 // BenchmarkText200 formats a full-width 200-bit value at full precision,
 // as the hijacked output path does for every MPFR-200 print.
 func BenchmarkText200(b *testing.B) {
