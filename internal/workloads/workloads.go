@@ -91,8 +91,13 @@ func Names() []string {
 	return out
 }
 
+// sources holds each workload's assembly text by the short name buildSrc
+// was given, so a test can pin the text every workload assembles.
+var sources = map[string]string{}
+
 // buildSrc assembles a source string, wrapping errors with the workload name.
 func buildSrc(name, src string) func() (*isa.Program, error) {
+	sources[name] = src
 	return func() (*isa.Program, error) {
 		p, err := asm.Assemble(src)
 		if err != nil {

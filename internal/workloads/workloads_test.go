@@ -2,6 +2,9 @@ package workloads
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -128,6 +131,41 @@ func TestCGSourceDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if got := cgSource(200, 8, 15, 12345); got != want {
 			t.Fatalf("cgSource call %d generated different text", i+2)
+		}
+	}
+}
+
+// sourceDigests are the SHA-256 digests of every workload's assembly text,
+// by the short name its registration gives buildSrc. A change to how the
+// text is generated must leave every digest as it is.
+var sourceDigests = map[string]string{
+	"cg.A":      "04d8fc4af23ba2c48209810e933ab110359e26cf5d01d2beb5281eb4c61978eb",
+	"cg.S":      "17bb28b06d7938cb008877ce7cdd6eb2d98804ea09707fbb03c0e5c9128807b0",
+	"enzo":      "788b7a8260dcf8769785d33bf29a3e1d9018da376fe0f28458192a52f6eef25c",
+	"ep.S":      "f207a622812ceee921166e5a942b622627f31612477acc24c9151ac5cbb864e5",
+	"fbench":    "2fb790199353248b7cabce60e1c8db7c7ac270f7c91deb8d0877cd9e4dd09880",
+	"is.S":      "d5377f42d60c8718aee6e625e7f342368d5b1cb83a4ba21dc412542000afe183",
+	"lorenz":    "29515c0239b38fd45bd088ce61e237d0e70a5d97f14b363a71bc1801e4d1fd75",
+	"lu.S":      "f32bad9b7d2a5b91fecb1511742317f17fd2c9317a380496a49a875ca40f3129",
+	"mg.S":      "19ff3c6433b30270faa7c3fb0e35c84a119f12f4da18cb07c8a92adaf17312c0",
+	"miniaero":  "31682d6ac7c31fee5f2d72164a1b19d72f8918557ff4c0428cdb310378ff9236",
+	"threebody": "ccb73d077508583f2ad740d75a53a6ea7ac6ca45786fb810f47bbebb5247d26c",
+}
+
+// TestSourceDigests pins the assembly text of every registered workload.
+func TestSourceDigests(t *testing.T) {
+	if len(sources) != len(registry) {
+		t.Errorf("%d workload sources for %d registered workloads", len(sources), len(registry))
+	}
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(sources[name])))
+		if want := sourceDigests[name]; got != want {
+			t.Errorf("%s: source text digest %s, want %s", name, got, want)
 		}
 	}
 }
