@@ -13,6 +13,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"fpvm/internal/asm"
 	"fpvm/internal/isa"
@@ -109,42 +110,38 @@ func buildSrc(name, src string) func() (*isa.Program, error) {
 
 // f64Data renders float64 values as a .f64 data directive block.
 func f64Data(label string, vals []float64) string {
-	s := label + ":\n"
-	for i := 0; i < len(vals); i += 8 {
-		end := i + 8
-		if end > len(vals) {
-			end = len(vals)
-		}
-		s += "\t.f64 "
-		for j := i; j < end; j++ {
-			if j > i {
-				s += ", "
-			}
-			s += fmt.Sprintf("%.17g", vals[j])
-		}
-		s += "\n"
-	}
-	return s
+	return dataBlock(label, ".f64", 8, len(vals), func(b []byte, j int) []byte {
+		return strconv.AppendFloat(b, vals[j], 'g', 17, 64)
+	})
 }
 
 // i64Data renders int64 values as a .i64 data directive block.
 func i64Data(label string, vals []int64) string {
-	s := label + ":\n"
-	for i := 0; i < len(vals); i += 12 {
-		end := i + 12
-		if end > len(vals) {
-			end = len(vals)
-		}
-		s += "\t.i64 "
-		for j := i; j < end; j++ {
+	return dataBlock(label, ".i64", 12, len(vals), func(b []byte, j int) []byte {
+		return strconv.AppendInt(b, vals[j], 10)
+	})
+}
+
+// dataBlock renders n values as a data directive block under label,
+// perLine values to a directive, each appended by value. It writes into one
+// growing buffer: a string concatenated per value would be copied once per
+// value, quadratic in the block's size.
+func dataBlock(label, directive string, perLine, n int, value func(b []byte, j int) []byte) string {
+	b := append(make([]byte, 0, len(label)+2+n*24), label...)
+	b = append(b, ":\n"...)
+	for i := 0; i < n; i += perLine {
+		b = append(b, '\t')
+		b = append(b, directive...)
+		b = append(b, ' ')
+		for j := i; j < min(i+perLine, n); j++ {
 			if j > i {
-				s += ", "
+				b = append(b, ", "...)
 			}
-			s += fmt.Sprintf("%d", vals[j])
+			b = value(b, j)
 		}
-		s += "\n"
+		b = append(b, '\n')
 	}
-	return s
+	return string(b)
 }
 
 // lcg is the deterministic generator used to synthesize workload data
