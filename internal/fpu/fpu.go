@@ -165,23 +165,49 @@ func Quiet(bits uint64) uint64 { return bits | quietBit }
 // QNaN returns the default quiet NaN bit pattern.
 func QNaN() uint64 { return qnanBits }
 
-func isSNaNf(v float64) bool { return IsSNaN(math.Float64bits(v)) }
-func isNaNf(v float64) bool  { return math.IsNaN(v) }
-func isSubn(v float64) bool  { return IsSubnormal(math.Float64bits(v)) }
-func isInff(v float64) bool  { return math.IsInf(v, 0) }
+func isNaNf(v float64) bool { return math.IsNaN(v) }
+func isSubn(v float64) bool { return IsSubnormal(math.Float64bits(v)) }
+func isInff(v float64) bool { return math.IsInf(v, 0) }
+
+// operandFlag returns the DE/IE flags source operand v contributes: DE for
+// a subnormal, IE for a signaling NaN.
+func operandFlag(v float64) Flags {
+	bits := math.Float64bits(v)
+	var f Flags
+	if IsSubnormal(bits) {
+		f |= FlagDenormal
+	}
+	if IsSNaN(bits) {
+		f |= FlagInvalid
+	}
+	return f
+}
+
+// operandFlags2 returns the DE/IE flags of two source operands. The
+// two-operand ops call it rather than operandFlags: without the variadic
+// slice and its loop it inlines, and under Vanilla nearly every trapping op
+// has a NaN-boxed operand that takes this exit.
+func operandFlags2(a, b float64) Flags { return operandFlag(a) | operandFlag(b) }
 
 // operandFlags returns the DE/IE flags contributed by source operands.
 func operandFlags(vals ...float64) Flags {
 	var f Flags
 	for _, v := range vals {
-		if isSubn(v) {
-			f |= FlagDenormal
-		}
-		if isSNaNf(v) {
-			f |= FlagInvalid
-		}
+		f |= operandFlag(v)
 	}
 	return f
+}
+
+// propagateNaN2 is propagateNaN of two operands, for the reason
+// operandFlags2 is operandFlags of two.
+func propagateNaN2(a, b float64) float64 {
+	if isNaNf(a) {
+		return math.Float64frombits(Quiet(math.Float64bits(a)))
+	}
+	if isNaNf(b) {
+		return math.Float64frombits(Quiet(math.Float64bits(b)))
+	}
+	return math.Float64frombits(qnanBits)
 }
 
 // propagateNaN returns the quieted NaN the hardware would produce from the
@@ -268,9 +294,9 @@ func Add(a, b float64) Result {
 
 // addExact is Add for any operands.
 func addExact(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	if isInff(a) && isInff(b) && math.Signbit(a) != math.Signbit(b) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
@@ -293,9 +319,9 @@ func Sub(a, b float64) Result {
 
 // subExact is Sub for any operands.
 func subExact(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	if isInff(a) && isInff(b) && math.Signbit(a) == math.Signbit(b) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
@@ -328,9 +354,9 @@ func Mul(a, b float64) Result {
 
 // mulExact is Mul for any operands.
 func mulExact(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	if (a == 0 && isInff(b)) || (b == 0 && isInff(a)) {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
@@ -353,9 +379,9 @@ func Div(a, b float64) Result {
 
 // divExact is Div for any operands.
 func divExact(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	switch {
 	case isInff(a) && isInff(b), a == 0 && b == 0:
@@ -381,7 +407,7 @@ func Sqrt(a float64) Result {
 
 // sqrtExact is Sqrt for any operand.
 func sqrtExact(a float64) Result {
-	f := operandFlags(a)
+	f := operandFlag(a)
 	if isNaNf(a) {
 		return Result{propagateNaN(a), f}
 	}
@@ -398,7 +424,7 @@ func sqrtExact(a float64) Result {
 // Min executes minsd with x64 semantics: min(a,b) = a < b ? a : b, and any
 // NaN (or equal-magnitude tie) yields the second operand.
 func Min(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		return Result{b, f}
 	}
@@ -410,7 +436,7 @@ func Min(a, b float64) Result {
 
 // Max executes maxsd with x64 semantics.
 func Max(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		return Result{b, f}
 	}

@@ -24,7 +24,7 @@ func Comisd(a, b float64) CompareResult {
 }
 
 func compare(a, b float64, signalQuiet bool) CompareResult {
-	f := operandFlags(a, b) // IE for sNaN, DE for subnormals
+	f := operandFlags2(a, b) // IE for sNaN, DE for subnormals
 	if isNaNf(a) || isNaNf(b) {
 		if signalQuiet {
 			f |= FlagInvalid
@@ -51,7 +51,7 @@ type IntResult struct {
 // Out-of-range, NaN, and infinite inputs produce the "integer indefinite"
 // value (MinInt64) with IE set, as on x64.
 func Cvtsd2si(v float64, rc RoundingControl) IntResult {
-	f := operandFlags(v)
+	f := operandFlag(v)
 	if isNaNf(v) || isInff(v) {
 		return IntResult{indefInt, f | FlagInvalid}
 	}
@@ -99,7 +99,7 @@ func Cvtsi2sd(v int64) Result {
 // input (quiet NaNs propagate silently), DE on subnormal input, and PE
 // unless the caller proves exactness.
 func unary(v float64, fn func(float64) float64, exactWhen func(in, out float64) bool) Result {
-	f := operandFlags(v)
+	f := operandFlag(v)
 	if isNaNf(v) {
 		return Result{propagateNaN(v), f}
 	}
@@ -122,7 +122,7 @@ func unary(v float64, fn func(float64) float64, exactWhen func(in, out float64) 
 // Fabs computes |v|. Exact; signals nothing, but still traps FPVM via the
 // arithmetic path (unlike the xorpd idiom, which is the analysis hole).
 func Fabs(v float64) Result {
-	f := operandFlags(v)
+	f := operandFlag(v)
 	if isNaNf(v) {
 		return Result{propagateNaN(v), f}
 	}
@@ -131,7 +131,7 @@ func Fabs(v float64) Result {
 
 // Fneg computes -v. Exact.
 func Fneg(v float64) Result {
-	f := operandFlags(v)
+	f := operandFlag(v)
 	if isNaNf(v) {
 		return Result{propagateNaN(v), f}
 	}
@@ -180,7 +180,7 @@ func Fatan(v float64) Result {
 // Fexp computes e^v; overflow sets OE+PE.
 func Fexp(v float64) Result {
 	if isInff(v) {
-		f := operandFlags(v)
+		f := operandFlag(v)
 		if v > 0 {
 			return Result{v, f}
 		}
@@ -197,7 +197,7 @@ func Flog2(v float64) Result { return logLike(v, math.Log2) }
 func Flog10(v float64) Result { return logLike(v, math.Log10) }
 
 func logLike(v float64, fn func(float64) float64) Result {
-	f := operandFlags(v)
+	f := operandFlag(v)
 	switch {
 	case isNaNf(v):
 		return Result{propagateNaN(v), f}
@@ -222,12 +222,12 @@ func isExactLog(in, out float64) bool {
 
 // Fpow computes a^b with IEEE pow special cases delegated to math.Pow.
 func Fpow(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	// pow(x, 0) = 1 and pow(1, y) = 1 even for NaN partners (IEEE).
 	r := math.Pow(a, b)
 	if isNaNf(r) {
 		if isNaNf(a) || isNaNf(b) {
-			return Result{propagateNaN(a, b), f}
+			return Result{propagateNaN2(a, b), f}
 		}
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
 	}
@@ -282,9 +282,9 @@ func powExact(a, b, r float64) bool {
 
 // Fatan2 computes atan2(a, b).
 func Fatan2(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	r := math.Atan2(a, b)
 	if r != 0 {
@@ -295,12 +295,12 @@ func Fatan2(a, b float64) Result {
 
 // Fhypot computes hypot(a, b).
 func Fhypot(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
 		if isInff(a) || isInff(b) {
 			return Result{math.Inf(1), f}
 		}
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	r := math.Hypot(a, b)
 	// Exact when one operand is zero or the result reproduces a simple case.
@@ -316,9 +316,9 @@ func Fhypot(a, b float64) Result {
 
 // Fmod computes the C fmod (truncated remainder); always exact when defined.
 func Fmod(a, b float64) Result {
-	f := operandFlags(a, b)
+	f := operandFlags2(a, b)
 	if isNaNf(a) || isNaNf(b) {
-		return Result{propagateNaN(a, b), f}
+		return Result{propagateNaN2(a, b), f}
 	}
 	if isInff(a) || b == 0 {
 		return Result{math.Float64frombits(qnanBits), f | FlagInvalid}
@@ -328,7 +328,7 @@ func Fmod(a, b float64) Result {
 
 // roundLike handles floor/ceil/round/trunc: PE iff the value changed.
 func roundLike(v float64, fn func(float64) float64) Result {
-	f := operandFlags(v)
+	f := operandFlag(v)
 	if isNaNf(v) {
 		return Result{propagateNaN(v), f}
 	}
