@@ -35,7 +35,9 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The dispatch (one sub-benchmark per hot instruction form), trap-delivery
+# The dispatch (BenchmarkStepDispatch and BenchmarkRunDispatch: one
+# sub-benchmark per hot instruction form, one Step call or Run over the
+# dispatch loop), trap-delivery
 # (Vanilla per op and operand form, and MPFR-200), FPU (each fast-pathed op
 # inside and outside its exponent window), superblock-entry,
 # session-alternation, set-up (analysis and image build per Figure 12
@@ -46,7 +48,7 @@ benchmark-test:
 # building and running, with their allocations reported (the numbers are not
 # gated).
 microbench:
-	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x -benchmem ./internal/machine
+	$(GO) test -run '^$$' -bench '^Benchmark(StepDispatch|RunDispatch|TrapDelivery|TrapDeliveryMPFR)$$' -benchtime 2000x -benchmem ./internal/machine
 	$(GO) test -run '^$$' -bench '^BenchmarkOps$$' -benchtime 2000x -benchmem ./internal/fpu
 	$(GO) test -run '^$$' -bench 'TraceEntry' -benchtime 2000x -benchmem ./internal/fpvm
 	$(GO) test -run '^$$' -bench 'SessionAlternate' -benchtime 200x -benchmem ./internal/session

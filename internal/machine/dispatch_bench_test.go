@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,6 +56,25 @@ func BenchmarkStepDispatch(b *testing.B) {
 				if err := m.Step(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunDispatch measures Run over the same programs: one op is one
+// retired instruction of the form, run inside the dispatch loop rather than
+// one Step call per instruction.
+func BenchmarkRunDispatch(b *testing.B) {
+	for _, f := range dispatchForms {
+		b.Run(f.name, func(b *testing.B) {
+			m, err := New(asm.MustAssemble(dispatchProg(f.line)), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := m.Run(uint64(b.N)); !errors.As(err, new(*BudgetError)) {
+				b.Fatalf("Run(%d) = %v, want the budget exhausted", b.N, err)
 			}
 		})
 	}

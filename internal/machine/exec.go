@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -73,88 +72,24 @@ func (m *Machine) writeFPBits(o *isa.Operand, lane int, bits uint64) error {
 
 func (m *Machine) advance(in *isa.Inst) { m.RIP = in.Addr + uint64(in.Len) }
 
-// exec executes (or traps) one decoded instruction; slot is the per-index
-// side-table entry of in, carrying its predecoded charge and class.
-func (m *Machine) exec(in *isa.Inst, slot *instSlot) error {
-	// Correctness-trap sites installed by the static patcher fire before
-	// the instruction executes; the handler demotes NaN-boxes and the
-	// original instruction is then re-executed natively (§4.2).
-	if slot.hasSite && m.CorrectnessTrap != nil {
-		m.Stats.CorrectTraps++
-		if _, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, slot.site); err != nil {
-			return err
-		}
-	}
-
-	// §6.2 hardware extension: trap when an integer instruction is about
-	// to load a NaN bit pattern (the cheap hardware check that replaces
-	// static analysis). The handler demotes in place; execution then
-	// proceeds, so genuine quiet-NaN data does not loop.
-	if m.TrapOnNaNLoad && m.CorrectnessTrap != nil && slot.class != classFPArith &&
-		slot.class != classFPMove && slot.class != classFPBitwise {
-		if err := m.nanLoadTrap(in); err != nil {
-			return err
-		}
-	}
-
-	m.Cycles += uint64(slot.charge)
-
-	// The hot integer forms: operand kinds fixed by the class, so each arm
-	// reads registers and immediates directly and touches memory through
-	// one bounds-checked load or store.
-	switch slot.class {
+// exec executes (or traps) one decoded instruction natively; f is its
+// compact form, carrying its charge and class. Every integer form, hot or
+// not, runs here through execInt: the dispatch loop sends a hot form here
+// only when it cannot run inline (a patch declined it, a site or the
+// NaN-load extension trapped first, or its load or store faults).
+func (m *Machine) exec(in *isa.Inst, f *form) error {
+	m.Cycles += uint64(f.charge)
+	switch f.class {
 	case classFPArith:
-		return m.execFPArith(in, slot.charge)
+		return m.execFPArith(in, f.charge)
 	case classFPMove:
 		return m.execFPMove(in)
 	case classFPBitwise:
 		return m.execFPBitwise(in)
-	case classBranch:
+	case classBranch, classJump:
 		return m.execBranch(in)
-	case classMovRR:
-		m.R[in.Ops[0].Reg] = m.R[in.Ops[1].Reg]
-	case classMovRI:
-		m.R[in.Ops[0].Reg] = in.Ops[1].Imm
-	case classMovRM:
-		addr := isa.EffAddr(&m.R, &in.Ops[1])
-		if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
-			return m.boundsFault("load", addr)
-		}
-		m.R[in.Ops[0].Reg] = int64(binary.LittleEndian.Uint64(m.Mem[addr:]))
-	case classMovMR:
-		addr := isa.EffAddr(&m.R, &in.Ops[0])
-		if addr >= uint64(len(m.Mem)) || uint64(len(m.Mem))-addr < 8 {
-			return m.boundsFault("store", addr)
-		}
-		binary.LittleEndian.PutUint64(m.Mem[addr:], uint64(m.R[in.Ops[1].Reg]))
-	case classIncR:
-		r := &m.R[in.Ops[0].Reg]
-		*r++
-		m.setIntFlags(*r, false)
-	case classAddRR:
-		r := &m.R[in.Ops[0].Reg]
-		a, b := *r, m.R[in.Ops[1].Reg]
-		*r = a + b
-		m.setCmpFlagsAdd(a, b, *r)
-	case classAddRI:
-		r := &m.R[in.Ops[0].Reg]
-		a, b := *r, in.Ops[1].Imm
-		*r = a + b
-		m.setCmpFlagsAdd(a, b, *r)
-	case classAndRI:
-		r := &m.R[in.Ops[0].Reg]
-		*r &= in.Ops[1].Imm
-		m.setIntFlags(*r, true)
-	case classCmpRR:
-		m.setCmpFlags(m.R[in.Ops[0].Reg], m.R[in.Ops[1].Reg])
-	case classCmpRI:
-		m.setCmpFlags(m.R[in.Ops[0].Reg], in.Ops[1].Imm)
-	default:
-		return m.execInt(in)
 	}
-	m.advance(in)
-	m.Stats.Instructions++
-	return nil
+	return m.execInt(in)
 }
 
 // nanLoadTrap delivers the §6.2 correctness trap when one of the memory
@@ -439,42 +374,46 @@ func (m *Machine) setCmpFlagsAdd(a, b, v int64) {
 	m.Flags.PF = false
 }
 
-func (m *Machine) execBranch(in *isa.Inst) error {
-	// Each flag is read in place: copying the struct would load the bytes
-	// the compare just stored one by one as a single wider word, which the
-	// store buffer cannot forward.
-	taken := false
+// taken reports whether the jump op is taken on the current flags. Each
+// flag is read in place: copying the struct would load the bytes the
+// compare just stored one by one as a single wider word, which the store
+// buffer cannot forward.
+func (m *Machine) taken(op isa.Op) bool {
 	f := &m.Flags
-	switch in.Op {
+	switch op {
 	case isa.OpJmp:
-		taken = true
+		return true
 	case isa.OpJe:
-		taken = f.ZF
+		return f.ZF
 	case isa.OpJne:
-		taken = !f.ZF
+		return !f.ZF
 	case isa.OpJl:
-		taken = f.SF != f.OF
+		return f.SF != f.OF
 	case isa.OpJle:
-		taken = f.ZF || f.SF != f.OF
+		return f.ZF || f.SF != f.OF
 	case isa.OpJg:
-		taken = !f.ZF && f.SF == f.OF
+		return !f.ZF && f.SF == f.OF
 	case isa.OpJge:
-		taken = f.SF == f.OF
+		return f.SF == f.OF
 	case isa.OpJb:
-		taken = f.CF
+		return f.CF
 	case isa.OpJbe:
-		taken = f.CF || f.ZF
+		return f.CF || f.ZF
 	case isa.OpJa:
-		taken = !f.CF && !f.ZF
+		return !f.CF && !f.ZF
 	case isa.OpJae:
-		taken = !f.CF
+		return !f.CF
 	case isa.OpJp:
-		taken = f.PF
+		return f.PF
 	case isa.OpJnp:
-		taken = !f.PF
+		return !f.PF
 	}
+	return false
+}
+
+func (m *Machine) execBranch(in *isa.Inst) error {
 	switch o := &in.Ops[0]; {
-	case !taken:
+	case !m.taken(in.Op):
 		m.advance(in)
 	case o.Kind == isa.KindImm:
 		m.RIP = uint64(o.Imm)
@@ -580,26 +519,21 @@ func (m *Machine) SetCompareFlags(zf, pf, cf bool) {
 func (m *Machine) Advance(in *isa.Inst) { m.advance(in) }
 
 // ExecMasked executes the instruction at dense index idx natively with every
-// MXCSR exception masked and no side-table dispatch (only the image's charge
-// for it, so it pays the same cost): the graceful-degradation escape hatch
+// MXCSR exception masked through exec alone, bypassing the general path's
+// patch, correctness site and NaN-load check (only the image's charge for
+// it, so it pays the same cost): the graceful-degradation escape hatch
 // (§4.1–4.2's guarantee that anything can be demoted and run as plain IEEE).
-// No trap of any kind is delivered — FP events take their masked IEEE
-// response, patch and correctness sites are bypassed, and the NaN-load
-// extension is suppressed for the one instruction. Retirement counters are
-// left untouched because the caller's trap delivery already accounts for the
-// retirement; cycle costs accrue normally. Genuine machine faults (bad
-// memory, bad opcode) still propagate: native execution would die the same
-// way, and degradation must never mask a real crash.
+// No FP trap is delivered — FP events take their masked IEEE response.
+// Retirement counters are left untouched because the caller's trap delivery
+// already accounts for the retirement; cycle costs accrue normally. Genuine
+// machine faults (bad memory, bad opcode) still propagate: native execution
+// would die the same way, and degradation must never mask a real crash.
 func (m *Machine) ExecMasked(idx int) error {
 	masks := m.MXCSR.Masks()
-	nanLoad := m.TrapOnNaNLoad
 	inst, fp := m.Stats.Instructions, m.Stats.FPInstructions
 	m.MXCSR.SetMasks(fpu.FlagAll)
-	m.TrapOnNaNLoad = false
-	slot := instSlot{instInfo: m.slots[idx].instInfo}
-	err := m.exec(&m.insts[idx], &slot)
+	err := m.exec(&m.insts[idx], &m.img.forms[idx])
 	m.MXCSR.SetMasks(masks)
-	m.TrapOnNaNLoad = nanLoad
 	m.Stats.Instructions, m.Stats.FPInstructions = inst, fp
 	return err
 }

@@ -10,7 +10,7 @@ import (
 
 // Image is everything derived from one program that does not change while
 // the program runs: the dense predecoded instruction stream, its addr→index
-// table, each instruction's modeled cycle charge and execution class, the
+// table, each instruction's compact form (what the dispatch loop reads), the
 // §4.2 correctness-site table, and the traces the JIT tier has published
 // for it. It is the ahead-of-time half of the paper's pipeline (§4.2 runs
 // once per binary), built once per program content and shared read-only by
@@ -21,8 +21,8 @@ import (
 type Image struct {
 	prog    *isa.Program
 	insts   []isa.Inst
-	addrIdx []int32    // code address → index into insts; -1 off-boundary
-	info    []instInfo // charge and class per instruction
+	addrIdx []int32 // code address → index into insts; -1 off-boundary
+	forms   []form  // compact form per instruction
 
 	// sites is the correctness-site table; analyzed reports whether one was
 	// supplied at all (an analyzed program may have none).
@@ -33,40 +33,98 @@ type Image struct {
 	traces []PublishedTrace // append-only, in publication order
 }
 
-// instInfo is what dispatch needs to know about an instruction beyond the
-// instruction itself, computed once at predecode: the modeled cycles its
-// native execution charges and the class exec switches on.
-type instInfo struct {
-	charge uint32
+// form is an instruction's compact predecoded form, computed once per
+// image: its execution class, the modeled cycles its native execution
+// charges, and every operand field a hot form reads, so the dispatch loop
+// runs a hot form without touching the isa.Inst or its operand slice.
+type form struct {
 	class  execClass
+	op     isa.Op // the branch condition of classJump
+	r0, r1 uint8  // register numbers of the first and second operand
+	// The memory operand's addressing (base and index are isa.RegNone when
+	// absent), for classMovRM and classMovMR.
+	base, index, scale uint8
+	charge             uint32
+	disp               int32
+	// imm is the immediate operand; for classJump, the dense index of the
+	// target instruction.
+	imm int64
 }
 
-// execClass is the arm of exec an instruction runs in. The FP classes and
-// branches have arms of their own; the hot integer forms (the operand kinds
-// fixed, so the arm reads and writes operands with no kind switch) cover
-// most native retirement; classInt is every other instruction, including
-// each one whose operand kinds fault.
+// addr returns the effective address of f's memory operand: isa.EffAddr
+// over the fields predecode copied out of the operand.
+func (f *form) addr(r *[isa.NumIntRegs]int64) uint64 {
+	var a int64
+	if f.base != isa.RegNone {
+		a = r[f.base&regMask]
+	}
+	if f.index != isa.RegNone {
+		a += r[f.index&regMask] * int64(f.scale)
+	}
+	return uint64(a + int64(f.disp))
+}
+
+// regMask masks a predecoded register number into range. Decode rejects
+// any number outside it, so the mask changes nothing; it lets the compiler
+// drop the register file's bounds check.
+const regMask = isa.NumIntRegs - 1
+
+// execClass says how an instruction runs. The classes from classJump on are
+// the hot forms, which the dispatch loop runs inline (operand kinds fixed, so
+// each reads registers and immediates directly and touches memory through
+// one bounds-checked load or store); every other class takes the general
+// path, exec, which has an arm for the FP classes and branches and runs
+// every integer form, hot or not, through execInt.
 type execClass uint8
 
 const (
-	classInt execClass = iota
+	classInt execClass = iota // every other instruction, including each one whose operand kinds fault
 	classFPArith
 	classFPMove
 	classFPBitwise
-	classBranch
-	classMovRR // mov r, r
-	classMovRI // mov r, $imm
-	classMovRM // mov r, [m]
-	classMovMR // mov [m], r
-	classIncR  // inc r
-	classAddRR // add r, r
-	classAddRI // add r, $imm
-	classAndRI // and r, $imm
-	classCmpRR // cmp r, r
-	classCmpRI // cmp r, $imm
+	classBranch // a jump through a register or memory, or to an address that is not an instruction boundary
+	classJump   // a jump to an immediate instruction boundary
+	classMovRR  // mov r, r
+	classMovRI  // mov r, $imm
+	classMovRM  // mov r, [m]
+	classMovMR  // mov [m], r
+	classIncR   // inc r
+	classAddRR  // add r, r
+	classAddRI  // add r, $imm
+	classAndRI  // and r, $imm
+	classCmpRR  // cmp r, r
+	classCmpRI  // cmp r, $imm
 )
 
-// classify returns in's execution class.
+// predecode returns the compact form of in; instIndex resolves a jump
+// target to its dense index.
+func predecode(in *isa.Inst, instIndex func(addr uint64) (int, bool)) form {
+	f := form{class: classify(in), op: in.Op, charge: costModel.charge(in)}
+	for i := range in.Ops {
+		switch o := &in.Ops[i]; o.Kind {
+		case isa.KindIntReg:
+			if i == 0 {
+				f.r0 = o.Reg
+			} else {
+				f.r1 = o.Reg
+			}
+		case isa.KindImm:
+			f.imm = o.Imm
+		case isa.KindMem:
+			f.base, f.index, f.scale, f.disp = o.Base, o.Index, o.Scale, o.Disp
+		}
+	}
+	if f.class == classBranch && in.Ops[0].Kind == isa.KindImm {
+		if t, ok := instIndex(uint64(in.Ops[0].Imm)); ok {
+			f.class, f.imm = classJump, int64(t)
+		}
+	}
+	return f
+}
+
+// classify returns in's execution class; a jump to an immediate is
+// classBranch here, and predecode makes it classJump when its target is an
+// instruction boundary.
 func classify(in *isa.Inst) execClass {
 	switch op := in.Op; {
 	case op.IsFPArith():
@@ -85,30 +143,30 @@ func classify(in *isa.Inst) execClass {
 	if len(in.Ops) > 1 {
 		k1 = in.Ops[1].Kind
 	}
-	type form struct {
+	type opForm struct {
 		op     isa.Op
 		k0, k1 isa.OperandKind
 	}
-	switch (form{in.Op, k0, k1}) {
-	case form{isa.OpMov, isa.KindIntReg, isa.KindIntReg}:
+	switch (opForm{in.Op, k0, k1}) {
+	case opForm{isa.OpMov, isa.KindIntReg, isa.KindIntReg}:
 		return classMovRR
-	case form{isa.OpMov, isa.KindIntReg, isa.KindImm}:
+	case opForm{isa.OpMov, isa.KindIntReg, isa.KindImm}:
 		return classMovRI
-	case form{isa.OpMov, isa.KindIntReg, isa.KindMem}:
+	case opForm{isa.OpMov, isa.KindIntReg, isa.KindMem}:
 		return classMovRM
-	case form{isa.OpMov, isa.KindMem, isa.KindIntReg}:
+	case opForm{isa.OpMov, isa.KindMem, isa.KindIntReg}:
 		return classMovMR
-	case form{isa.OpInc, isa.KindIntReg, isa.KindNone}:
+	case opForm{isa.OpInc, isa.KindIntReg, isa.KindNone}:
 		return classIncR
-	case form{isa.OpAdd, isa.KindIntReg, isa.KindIntReg}:
+	case opForm{isa.OpAdd, isa.KindIntReg, isa.KindIntReg}:
 		return classAddRR
-	case form{isa.OpAdd, isa.KindIntReg, isa.KindImm}:
+	case opForm{isa.OpAdd, isa.KindIntReg, isa.KindImm}:
 		return classAddRI
-	case form{isa.OpAnd, isa.KindIntReg, isa.KindImm}:
+	case opForm{isa.OpAnd, isa.KindIntReg, isa.KindImm}:
 		return classAndRI
-	case form{isa.OpCmp, isa.KindIntReg, isa.KindIntReg}:
+	case opForm{isa.OpCmp, isa.KindIntReg, isa.KindIntReg}:
 		return classCmpRR
-	case form{isa.OpCmp, isa.KindIntReg, isa.KindImm}:
+	case opForm{isa.OpCmp, isa.KindIntReg, isa.KindImm}:
 		return classCmpRI
 	}
 	return classInt
@@ -152,10 +210,9 @@ func NewImage(prog *isa.Program, sites map[uint64]int64) (*Image, error) {
 		im.insts = append(im.insts, in)
 		addr += uint64(in.Len)
 	}
-	im.info = make([]instInfo, len(im.insts))
+	im.forms = make([]form, len(im.insts))
 	for i := range im.insts {
-		in := &im.insts[i]
-		im.info[i] = instInfo{charge: costModel.charge(in), class: classify(in)}
+		im.forms[i] = predecode(&im.insts[i], im.instIndex)
 	}
 	if sites == nil {
 		return im, nil
@@ -165,11 +222,11 @@ func NewImage(prog *isa.Program, sites map[uint64]int64) (*Image, error) {
 
 // WithSites returns an image of the same program carrying the correctness
 // site table sites, the one place a site address is resolved. It shares im's
-// predecoded stream, addr→index table and charges, so nothing is decoded
+// predecoded stream, addr→index table and forms, so nothing is decoded
 // again, and starts with no published traces. Every site must sit on an
 // instruction boundary.
 func (im *Image) WithSites(sites map[uint64]int64) (*Image, error) {
-	out := &Image{prog: im.prog, insts: im.insts, addrIdx: im.addrIdx, info: im.info,
+	out := &Image{prog: im.prog, insts: im.insts, addrIdx: im.addrIdx, forms: im.forms,
 		analyzed: true, sites: make([]imageSite, 0, len(sites))}
 	for addr, id := range sites {
 		idx, ok := im.instIndex(addr)

@@ -118,16 +118,16 @@ type Stats struct {
 	Trap           trap.Stats              // delivery cost accounting
 }
 
-// instSlot is the per-instruction side table of the dense pipeline: one
-// bounds-checked array access at dispatch replaces the seed's three map
-// probes (decoded code, patch sites, correctness sites) per retired
-// instruction. patch and the site are per-run state; the charge and class
-// are the image's, copied in at Load so dispatch reads a single slot.
+// instSlot is the per-instruction entry the dispatch loop reads: the image's
+// compact form, copied in at Load so the loop reads one slot per
+// instruction, and the per-run patch and correctness site. While a patch or
+// a site is installed the slot's class is classInt, which sends the
+// instruction down the general path (the image keeps its real class).
 type instSlot struct {
-	patch PatchHandler // trap-and-patch handler, nil when unpatched
-	site  int64        // correctness-trap site id
-	instInfo
-	hasSite bool // whether a correctness site is installed
+	form
+	patch   PatchHandler // trap-and-patch handler, nil when unpatched
+	site    int64        // correctness-trap site id
+	hasSite bool         // whether a correctness site is installed
 }
 
 // Machine is a single-core simulated CPU with flat memory.
@@ -148,10 +148,10 @@ type Machine struct {
 	Prog     *isa.Program
 	img      *Image
 	insts    []isa.Inst
-	addrIdx  []int32 // code address → index into insts; -1 off-boundary
-	slots    []instSlot
-	curIdx   int    // index of the instruction currently being dispatched
-	dataBase uint64 // base of the writable data segment (code space below is read-only text)
+	addrIdx  []int32    // code address → index into insts; -1 off-boundary
+	slots    []instSlot // one per instruction, and a general-path one past the last
+	curIdx   int        // index of the instruction currently being dispatched
+	dataBase uint64     // base of the writable data segment (code space below is read-only text)
 
 	// frames are the machine-owned trap frames, one per delivery nesting
 	// level (see TrapFrame); frameDepth counts the levels in use.
@@ -290,14 +290,17 @@ func (m *Machine) Load(img *Image) error {
 	}
 	m.img, m.Prog = img, img.prog
 	m.insts, m.addrIdx = img.insts, img.addrIdx
-	if cap(m.slots) >= len(m.insts) {
-		m.slots = m.slots[:len(m.insts)]
+	// The slot past the last instruction is where the loop lands when
+	// execution runs off the end of the code: a zero slot, general path.
+	if n := len(m.insts) + 1; cap(m.slots) >= n {
+		m.slots = m.slots[:n]
 	} else {
-		m.slots = make([]instSlot, len(m.insts))
+		m.slots = make([]instSlot, n)
 	}
-	for i, info := range img.info {
-		m.slots[i] = instSlot{instInfo: info}
+	for i, f := range img.forms {
+		m.slots[i] = instSlot{form: f}
 	}
+	m.slots[len(m.insts)] = instSlot{}
 	return m.loadData(img.prog)
 }
 
@@ -312,8 +315,19 @@ func (m *Machine) InstallSites() int {
 	for _, s := range m.img.sites {
 		m.slots[s.idx].site = s.id
 		m.slots[s.idx].hasSite = true
+		m.setSlotClass(s.idx)
 	}
 	return len(m.img.sites)
+}
+
+// setSlotClass sets slot i's class: the image's, or classInt while a patch
+// or correctness site is installed there.
+func (m *Machine) setSlotClass(i int) {
+	s := &m.slots[i]
+	s.class = m.img.forms[i].class
+	if s.patch != nil || s.hasSite {
+		s.class = classInt
+	}
 }
 
 // loadData installs the data segment, stack pointer, and entry point — the
@@ -435,8 +449,9 @@ func (m *Machine) deadline() error {
 // them. Checkpoints charge no modeled cycles — an armed-but-never-fired flag
 // leaves the run bit- and cycle-identical to an unarmed one.
 //
-// The loop makes one compare per step, against the stop count: the smaller
-// of the budget and the next checkpoint.
+// Run is the budget and checkpoint wrapper around the dispatch loop: the
+// loop runs to the stop count, the smaller of the budget and the next
+// checkpoint, and Run decides there whether to stop or go on.
 func (m *Machine) Run(maxInstructions uint64) error {
 	budget := maxInstructions
 	if budget == 0 {
@@ -448,7 +463,7 @@ func (m *Machine) Run(maxInstructions uint64) error {
 	}
 	stop := min(budget, checkpoint)
 	for !m.halted {
-		if err := m.Step(); err != nil {
+		if err := m.run(stop); err != nil {
 			return err
 		}
 		if m.Stats.Instructions < stop {
@@ -493,6 +508,7 @@ func (m *Machine) SetPatch(addr uint64, h PatchHandler) bool {
 		return false
 	}
 	m.slots[i].patch = h
+	m.setSlotClass(i)
 	return true
 }
 
@@ -581,27 +597,132 @@ func telemetryCause(c TrapCause) telemetry.Cause {
 	}
 }
 
-// Step executes one dispatch (or delivers a trap for it). Fetch is one
-// bounds-checked table access into the dense stream; the patch and
-// correctness side tables ride in the same per-index slot.
+// Step executes one dispatch (or delivers a trap for it): the dispatch loop
+// with a stop of one retirement.
 //
 // Contract: a Step normally retires exactly one guest instruction, but when
 // an FP trap handler performs sequence emulation it may retire a whole
 // straight-line run (1 + TrapFrame.Coalesced instructions) under one
 // delivery. Callers that count on one-instruction granularity (lockstep
 // comparators) must resynchronize on Stats.Instructions, not on Step calls.
-func (m *Machine) Step() error {
+func (m *Machine) Step() error { return m.run(m.Stats.Instructions + 1) }
+
+// run is the dispatch loop, the one place instructions execute: it runs from
+// RIP until the machine halts, a dispatch fails, or Stats.Instructions
+// reaches stop. Every dispatch retires at least one instruction, so it stops
+// exactly at stop unless a handler retires several at once.
+//
+// The loop walks dense instruction indices. A hot form (see execClass) runs
+// inline: it moves to the next index or to its jump's target, adds its
+// charge and counts itself, with RIP, Cycles and Stats.Instructions held in
+// locals. Everything else takes the general path, dispatch: a slot with a
+// patch or a correctness site, the FP classes, the integer forms that are
+// not hot, indirect jumps, a hot load or store out of bounds (dispatch
+// repeats it and faults), and every instruction while the NaN-load
+// extension is on. The loop stores the locals before dispatch, so a handler
+// sees exactly the state a Step at that instruction would show it, and
+// after it re-derives the index from RIP once. At every exit RIP, Cycles
+// and Stats are what the same instructions dispatched one Step at a time
+// leave.
+func (m *Machine) run(stop uint64) error {
 	if m.halted {
 		return nil
 	}
-	if m.RIP >= uint64(len(m.addrIdx)) {
+	idx, ok := m.img.instIndex(m.RIP)
+	if !ok {
 		return m.fault("RIP not at an instruction boundary")
 	}
-	i := m.addrIdx[m.RIP]
-	if i < 0 {
+	for {
+		slots, mem, r := m.slots, m.Mem, &m.R
+		cycles, n := m.Cycles, m.Stats.Instructions
+		nanLoad := m.TrapOnNaNLoad && m.CorrectnessTrap != nil
+	hot:
+		for !nanLoad {
+			s := &slots[idx]
+			next := idx + 1
+			switch s.class {
+			case classJump:
+				if m.taken(s.op) {
+					next = int(s.imm)
+				}
+			case classMovRR:
+				r[s.r0&regMask] = r[s.r1&regMask]
+			case classMovRI:
+				r[s.r0&regMask] = s.imm
+			case classMovRM:
+				addr := s.addr(r)
+				if addr >= uint64(len(mem)) || uint64(len(mem))-addr < 8 {
+					break hot
+				}
+				r[s.r0&regMask] = int64(binary.LittleEndian.Uint64(mem[addr:]))
+			case classMovMR:
+				addr := s.addr(r)
+				if addr >= uint64(len(mem)) || uint64(len(mem))-addr < 8 {
+					break hot
+				}
+				binary.LittleEndian.PutUint64(mem[addr:], uint64(r[s.r1&regMask]))
+			case classIncR:
+				d := &r[s.r0&regMask]
+				*d++
+				m.setIntFlags(*d, false)
+			case classAddRR:
+				d := &r[s.r0&regMask]
+				a, b := *d, r[s.r1&regMask]
+				*d = a + b
+				m.setCmpFlagsAdd(a, b, *d)
+			case classAddRI:
+				d := &r[s.r0&regMask]
+				a, b := *d, s.imm
+				*d = a + b
+				m.setCmpFlagsAdd(a, b, *d)
+			case classAndRI:
+				d := &r[s.r0&regMask]
+				*d &= s.imm
+				m.setIntFlags(*d, true)
+			case classCmpRR:
+				m.setCmpFlags(r[s.r0&regMask], r[s.r1&regMask])
+			case classCmpRI:
+				m.setCmpFlags(r[s.r0&regMask], s.imm)
+			default:
+				break hot
+			}
+			idx = next
+			cycles += uint64(s.charge)
+			n++
+			if n >= stop {
+				m.RIP, m.Cycles, m.Stats.Instructions = m.ripOf(idx), cycles, n
+				return nil
+			}
+		}
+		m.RIP, m.Cycles, m.Stats.Instructions = m.ripOf(idx), cycles, n
+		if err := m.dispatch(idx); err != nil {
+			return err
+		}
+		if m.Stats.Instructions >= stop || m.halted {
+			return nil
+		}
+		if idx, ok = m.img.instIndex(m.RIP); !ok {
+			return m.fault("RIP not at an instruction boundary")
+		}
+	}
+}
+
+// ripOf returns the address of the instruction at dense index idx; the
+// index past the last instruction is the end of the code.
+func (m *Machine) ripOf(idx int) uint64 {
+	if idx < len(m.insts) {
+		return m.insts[idx].Addr
+	}
+	return uint64(len(m.addrIdx))
+}
+
+// dispatch is the general path: it executes the instruction at idx, with RIP
+// at it, through its patch, its correctness site, the NaN-load extension
+// and exec.
+func (m *Machine) dispatch(idx int) error {
+	if idx >= len(m.insts) {
 		return m.fault("RIP not at an instruction boundary")
 	}
-	idx := int(i)
 	in := &m.insts[idx]
 	slot := &m.slots[idx]
 	m.curIdx = idx
@@ -629,5 +750,26 @@ func (m *Machine) Step() error {
 		// Fall through: execute natively below.
 	}
 
-	return m.exec(in, slot)
+	// Correctness-trap sites installed by the static patcher fire before
+	// the instruction executes; the handler demotes NaN-boxes and the
+	// original instruction is then re-executed natively (§4.2).
+	if slot.hasSite && m.CorrectnessTrap != nil {
+		m.Stats.CorrectTraps++
+		if _, err := m.deliverTrap(m.CorrectnessTrap, m.Delivery, CauseCorrectness, in, 0, slot.site); err != nil {
+			return err
+		}
+	}
+
+	// §6.2 hardware extension: trap when an integer instruction is about
+	// to load a NaN bit pattern (the cheap hardware check that replaces
+	// static analysis). The handler demotes in place; execution then
+	// proceeds, so genuine quiet-NaN data does not loop.
+	f := &m.img.forms[idx]
+	if m.TrapOnNaNLoad && m.CorrectnessTrap != nil && f.class != classFPArith &&
+		f.class != classFPMove && f.class != classFPBitwise {
+		if err := m.nanLoadTrap(in); err != nil {
+			return err
+		}
+	}
+	return m.exec(in, f)
 }
