@@ -120,14 +120,15 @@ type Stats struct {
 
 // instSlot is the per-instruction entry the dispatch loop reads: the image's
 // compact form, copied in at Load so the loop reads one slot per
-// instruction, and the per-run patch and correctness site. While a patch or
-// a site is installed the slot's class is classInt, which sends the
-// instruction down the general path (the image keeps its real class).
+// instruction, and the per-run patch and correctness site.
 type instSlot struct {
 	form
-	patch   PatchHandler // trap-and-patch handler, nil when unpatched
-	site    int64        // correctness-trap site id
-	hasSite bool         // whether a correctness site is installed
+	patch PatchHandler // trap-and-patch handler, nil when unpatched
+	site  int64        // correctness-trap site id
+	// loop is the class the dispatch loop switches on: the form's, or
+	// classInt, the general path, while a patch or a site is installed.
+	loop    execClass
+	hasSite bool // whether a correctness site is installed
 }
 
 // Machine is a single-core simulated CPU with flat memory.
@@ -298,7 +299,7 @@ func (m *Machine) Load(img *Image) error {
 		m.slots = make([]instSlot, n)
 	}
 	for i, f := range img.forms {
-		m.slots[i] = instSlot{form: f}
+		m.slots[i] = instSlot{form: f, loop: f.class}
 	}
 	m.slots[len(m.insts)] = instSlot{}
 	return m.loadData(img.prog)
@@ -320,13 +321,13 @@ func (m *Machine) InstallSites() int {
 	return len(m.img.sites)
 }
 
-// setSlotClass sets slot i's class: the image's, or classInt while a patch
-// or correctness site is installed there.
+// setSlotClass sets the class the dispatch loop sees at slot i: the form's,
+// or classInt while a patch or correctness site is installed there.
 func (m *Machine) setSlotClass(i int) {
 	s := &m.slots[i]
-	s.class = m.img.forms[i].class
+	s.loop = s.class
 	if s.patch != nil || s.hasSite {
-		s.class = classInt
+		s.loop = classInt
 	}
 }
 
@@ -640,7 +641,7 @@ func (m *Machine) run(stop uint64) error {
 		for !nanLoad {
 			s := &slots[idx]
 			next := idx + 1
-			switch s.class {
+			switch s.loop {
 			case classJump:
 				if m.taken(s.op) {
 					next = int(s.imm)
@@ -694,7 +695,7 @@ func (m *Machine) run(stop uint64) error {
 				return nil
 			}
 		}
-		m.RIP, m.Cycles, m.Stats.Instructions = m.ripOf(idx), cycles, n
+		m.Cycles, m.Stats.Instructions = cycles, n
 		if err := m.dispatch(idx); err != nil {
 			return err
 		}
@@ -716,14 +717,16 @@ func (m *Machine) ripOf(idx int) uint64 {
 	return uint64(len(m.addrIdx))
 }
 
-// dispatch is the general path: it executes the instruction at idx, with RIP
-// at it, through its patch, its correctness site, the NaN-load extension
-// and exec.
+// dispatch is the general path: it moves RIP to the instruction at idx and
+// executes it through its patch, its correctness site, the NaN-load
+// extension and exec.
 func (m *Machine) dispatch(idx int) error {
 	if idx >= len(m.insts) {
+		m.RIP = m.ripOf(idx)
 		return m.fault("RIP not at an instruction boundary")
 	}
 	in := &m.insts[idx]
+	m.RIP = in.Addr
 	slot := &m.slots[idx]
 	m.curIdx = idx
 
@@ -764,7 +767,7 @@ func (m *Machine) dispatch(idx int) error {
 	// to load a NaN bit pattern (the cheap hardware check that replaces
 	// static analysis). The handler demotes in place; execution then
 	// proceeds, so genuine quiet-NaN data does not loop.
-	f := &m.img.forms[idx]
+	f := &slot.form
 	if m.TrapOnNaNLoad && m.CorrectnessTrap != nil && f.class != classFPArith &&
 		f.class != classFPMove && f.class != classFPBitwise {
 		if err := m.nanLoadTrap(in); err != nil {
