@@ -96,6 +96,9 @@ const (
 	classCmpRI  // cmp r, $imm
 )
 
+// hot reports whether the dispatch loop runs class c inline.
+func (c execClass) hot() bool { return c >= classJump }
+
 // predecode returns the compact form of in; instIndex resolves a jump
 // target to its dense index.
 func predecode(in *isa.Inst, instIndex func(addr uint64) (int, bool)) form {

@@ -613,16 +613,18 @@ func (m *Machine) Step() error { return m.run(m.Stats.Instructions + 1) }
 // reaches stop. Every dispatch retires at least one instruction, so it stops
 // exactly at stop unless a handler retires several at once.
 //
-// The loop walks dense instruction indices. A hot form (see execClass) runs
-// inline: it moves to the next index or to its jump's target, adds its
-// charge and counts itself, with RIP, Cycles and Stats.Instructions held in
-// locals. Everything else takes the general path, dispatch: a slot with a
-// patch or a correctness site, the FP classes, the integer forms that are
-// not hot, indirect jumps, a hot load or store out of bounds (dispatch
-// repeats it and faults), and every instruction while the NaN-load
-// extension is on. The loop stores the locals before dispatch, so a handler
-// sees exactly the state a Step at that instruction would show it, and
-// after it re-derives the index from RIP once. At every exit RIP, Cycles
+// The loop walks dense instruction indices, which stand in for RIP while it
+// runs hot forms, and keeps Cycles and Stats.Instructions in locals over a
+// run of them. A hot form (see
+// execClass) runs inline: it moves to the next index or to its jump's
+// target, adds its charge and counts itself. Everything else takes the
+// general path, dispatch: a slot with a patch or a correctness site, the FP
+// classes, the integer forms that are not hot, indirect jumps, a hot load
+// or store out of bounds (dispatch repeats it and faults), and every
+// instruction while the NaN-load extension is on. The loop stores its
+// locals and dispatch sets RIP before anything else runs, so a handler sees
+// exactly the state a Step at that instruction would show it; afterwards
+// the loop re-derives the index from RIP once. At every exit RIP, Cycles
 // and Stats are what the same instructions dispatched one Step at a time
 // leave.
 func (m *Machine) run(stop uint64) error {
@@ -634,68 +636,69 @@ func (m *Machine) run(stop uint64) error {
 		return m.fault("RIP not at an instruction boundary")
 	}
 	for {
-		slots, mem, r := m.slots, m.Mem, &m.R
-		cycles, n := m.Cycles, m.Stats.Instructions
-		nanLoad := m.TrapOnNaNLoad && m.CorrectnessTrap != nil
-	hot:
-		for !nanLoad {
-			s := &slots[idx]
-			next := idx + 1
-			switch s.loop {
-			case classJump:
-				if m.taken(s.op) {
-					next = int(s.imm)
-				}
-			case classMovRR:
-				r[s.r0&regMask] = r[s.r1&regMask]
-			case classMovRI:
-				r[s.r0&regMask] = s.imm
-			case classMovRM:
-				addr := s.addr(r)
-				if addr >= uint64(len(mem)) || uint64(len(mem))-addr < 8 {
+		if m.slots[idx].loop.hot() && !(m.TrapOnNaNLoad && m.CorrectnessTrap != nil) {
+			slots, mem, r := m.slots, m.Mem, &m.R
+			cycles, n := m.Cycles, m.Stats.Instructions
+		hot:
+			for {
+				s := &slots[idx]
+				next := idx + 1
+				switch s.loop {
+				case classJump:
+					if m.taken(s.op) {
+						next = int(s.imm)
+					}
+				case classMovRR:
+					r[s.r0&regMask] = r[s.r1&regMask]
+				case classMovRI:
+					r[s.r0&regMask] = s.imm
+				case classMovRM:
+					addr := s.addr(r)
+					if addr >= uint64(len(mem)) || uint64(len(mem))-addr < 8 {
+						break hot
+					}
+					r[s.r0&regMask] = int64(binary.LittleEndian.Uint64(mem[addr:]))
+				case classMovMR:
+					addr := s.addr(r)
+					if addr >= uint64(len(mem)) || uint64(len(mem))-addr < 8 {
+						break hot
+					}
+					binary.LittleEndian.PutUint64(mem[addr:], uint64(r[s.r1&regMask]))
+				case classIncR:
+					d := &r[s.r0&regMask]
+					*d++
+					m.setIntFlags(*d, false)
+				case classAddRR:
+					d := &r[s.r0&regMask]
+					a, b := *d, r[s.r1&regMask]
+					*d = a + b
+					m.setCmpFlagsAdd(a, b, *d)
+				case classAddRI:
+					d := &r[s.r0&regMask]
+					a, b := *d, s.imm
+					*d = a + b
+					m.setCmpFlagsAdd(a, b, *d)
+				case classAndRI:
+					d := &r[s.r0&regMask]
+					*d &= s.imm
+					m.setIntFlags(*d, true)
+				case classCmpRR:
+					m.setCmpFlags(r[s.r0&regMask], r[s.r1&regMask])
+				case classCmpRI:
+					m.setCmpFlags(r[s.r0&regMask], s.imm)
+				default:
 					break hot
 				}
-				r[s.r0&regMask] = int64(binary.LittleEndian.Uint64(mem[addr:]))
-			case classMovMR:
-				addr := s.addr(r)
-				if addr >= uint64(len(mem)) || uint64(len(mem))-addr < 8 {
-					break hot
+				idx = next
+				cycles += uint64(s.charge)
+				n++
+				if n >= stop {
+					m.RIP, m.Cycles, m.Stats.Instructions = m.ripOf(idx), cycles, n
+					return nil
 				}
-				binary.LittleEndian.PutUint64(mem[addr:], uint64(r[s.r1&regMask]))
-			case classIncR:
-				d := &r[s.r0&regMask]
-				*d++
-				m.setIntFlags(*d, false)
-			case classAddRR:
-				d := &r[s.r0&regMask]
-				a, b := *d, r[s.r1&regMask]
-				*d = a + b
-				m.setCmpFlagsAdd(a, b, *d)
-			case classAddRI:
-				d := &r[s.r0&regMask]
-				a, b := *d, s.imm
-				*d = a + b
-				m.setCmpFlagsAdd(a, b, *d)
-			case classAndRI:
-				d := &r[s.r0&regMask]
-				*d &= s.imm
-				m.setIntFlags(*d, true)
-			case classCmpRR:
-				m.setCmpFlags(r[s.r0&regMask], r[s.r1&regMask])
-			case classCmpRI:
-				m.setCmpFlags(r[s.r0&regMask], s.imm)
-			default:
-				break hot
 			}
-			idx = next
-			cycles += uint64(s.charge)
-			n++
-			if n >= stop {
-				m.RIP, m.Cycles, m.Stats.Instructions = m.ripOf(idx), cycles, n
-				return nil
-			}
+			m.Cycles, m.Stats.Instructions = cycles, n
 		}
-		m.Cycles, m.Stats.Instructions = cycles, n
 		if err := m.dispatch(idx); err != nil {
 			return err
 		}
