@@ -631,7 +631,7 @@ func (m *Machine) run(stop uint64) error {
 	if m.halted {
 		return nil
 	}
-	idx, ok := m.img.instIndex(m.RIP)
+	idx, ok := m.ripIndex()
 	if !ok {
 		return m.fault("RIP not at an instruction boundary")
 	}
@@ -705,10 +705,20 @@ func (m *Machine) run(stop uint64) error {
 		if m.Stats.Instructions >= stop || m.halted {
 			return nil
 		}
-		if idx, ok = m.img.instIndex(m.RIP); !ok {
+		if idx, ok = m.ripIndex(); !ok {
 			return m.fault("RIP not at an instruction boundary")
 		}
 	}
+}
+
+// ripIndex returns the dense index of the instruction at RIP, or false when
+// RIP is not an instruction boundary.
+func (m *Machine) ripIndex() (int, bool) {
+	if m.RIP >= uint64(len(m.addrIdx)) {
+		return 0, false
+	}
+	i := m.addrIdx[m.RIP]
+	return int(i), i >= 0
 }
 
 // ripOf returns the address of the instruction at dense index idx; the
