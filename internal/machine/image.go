@@ -64,9 +64,9 @@ func (f *form) addr(r *[isa.NumIntRegs]int64) uint64 {
 	return uint64(a + int64(f.disp))
 }
 
-// regMask masks a predecoded register number into range. Decode rejects
-// any number outside it, so the mask changes nothing; it lets the compiler
-// drop the register file's bounds check.
+// regMask masks a predecoded register number into range (NumIntRegs is a
+// power of two). Decode rejects any number outside it, so the mask changes
+// nothing; it lets the compiler drop the register file's bounds check.
 const regMask = isa.NumIntRegs - 1
 
 // execClass says how an instruction runs. The classes from classJump on are

@@ -375,8 +375,9 @@ func (m *Machine) ReadU64(addr uint64) (uint64, error) {
 	return binary.LittleEndian.Uint64(m.Mem[addr:]), nil
 }
 
-// boundsFault is the fault of an out-of-bounds load or store: of ReadU64 and
-// WriteU64, and of exec's inline memory forms.
+// boundsFault is the fault of an out-of-bounds load or store, ReadU64's and
+// WriteU64's. The dispatch loop's inline load and store fault through them:
+// an access out of bounds leaves the loop for the general path.
 func (m *Machine) boundsFault(access string, addr uint64) error {
 	return m.fault("%s out of bounds: %#x", access, addr)
 }
@@ -608,9 +609,8 @@ func telemetryCause(c TrapCause) telemetry.Cause {
 // comparators) must resynchronize on Stats.Instructions, not on Step calls.
 func (m *Machine) Step() error { return m.run(m.Stats.Instructions + 1) }
 
-// run is the dispatch loop, the one place instructions execute: it runs from
-// RIP until the machine halts, a dispatch fails, or Stats.Instructions
-// reaches stop. Every dispatch retires at least one instruction, so it stops
+// run is the dispatch loop that Run and Step share: it runs from RIP until
+// the machine halts, a dispatch fails, or Stats.Instructions reaches stop. Every dispatch retires at least one instruction, so it stops
 // exactly at stop unless a handler retires several at once.
 //
 // The loop walks dense instruction indices, which stand in for RIP while it
